@@ -119,9 +119,6 @@ class CoincidenceMatrix:
         """Label masses ``N(c)`` in :data:`LABEL_ORDER`."""
         return self.counts.sum(axis=1)
 
-    def __add__(self, other: "CoincidenceMatrix") -> "CoincidenceMatrix":
-        return CoincidenceMatrix(self.counts + other.counts)
-
 
 def pair_cells(pairs: Iterable[LabelPair | tuple[int, int]]) -> np.ndarray:
     """Map pairs to flat cell indices ``(first+1)*3 + (second+1)``.

@@ -22,6 +22,12 @@ computed from its own binary training split, and the learned plane
 weights returned to the caller absorb that reweighting, so prediction
 consumes raw count vectors directly.
 
+Prediction works on a block of rows: each plane's decision values are
+computed once for the block, and the variant's label rule maps them to
+labels for all rows at once.  Training builds the bin and subspace
+tables and tunes the neutral zone with the same rules, and
+:func:`predict` is a block of one row.
+
 ``NeutralZoneSVM``    one negative-vs-positive plane; decision values
                       within a neutral zone around 0 predict neutral.
                       The zone half-width is fixed or tuned on a held-
@@ -81,8 +87,6 @@ __all__ = [
     "save_model",
     "load_model",
 ]
-
-_EMPTY_CELL = 127  # sentinel label code for cells with no training mass
 
 
 class Variant(str, Enum):
@@ -152,11 +156,21 @@ class LinearModel:
         return int(self.weights.shape[0])
 
 
+def _check_dims(dim: int, vectors: Sequence[SparseVector]) -> None:
+    for x in vectors:
+        if x.dim != dim:
+            raise EvaluationError(f"vector dimension {x.dim} != model dimension {dim}")
+
+
+def _decision_values(planes: Sequence[LinearModel], vectors: Sequence[SparseVector]) -> np.ndarray:
+    """Decision values ``w . x + b``: one row per plane, one column per vector."""
+    return np.array([[float(x.values @ p.weights[x.indices]) + p.bias for x in vectors] for p in planes])
+
+
 def decision(model: LinearModel, x: SparseVector) -> float:
     """Signed decision value ``w . x + b``."""
-    if x.dim != model.dim:
-        raise EvaluationError(f"vector dimension {x.dim} != model dimension {model.dim}")
-    return x.dot(model.weights) + model.bias
+    _check_dims(model.dim, [x])
+    return float(_decision_values([model], [x])[0, 0])
 
 
 def train_binary(
@@ -248,18 +262,19 @@ class BinTable:
     edges_b: np.ndarray
     counts: np.ndarray
 
-    def cell(self, d_a: float, d_b: float) -> tuple[int, int]:
-        return _bin_index(d_a, self.edges_a, self.grid), _bin_index(d_b, self.edges_b, self.grid)
-
-
-def _bin_index(value: float, edges: np.ndarray, grid: int) -> int:
-    if edges[0] == edges[-1]:  # degenerate axis: all training mass at one value
-        if value < edges[0]:
-            return 0
-        return 1 if value == edges[0] else grid + 1
-    return int(np.searchsorted(edges, value, side="right")) if value < edges[-1] else (
-        grid if value == edges[-1] else grid + 1
-    )
+    def cell(self, d_a: np.ndarray, d_b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """Cell indices of decision values on both axes (arrays or scalars)."""
+        cells = []
+        for values, edges in ((d_a, self.edges_a), (d_b, self.edges_b)):
+            # the top edge closes the last inner cell, which on a degenerate
+            # axis (all training mass at one value) is cell 1
+            top_cell = 1 if edges[0] == edges[-1] else self.grid
+            cells.append(np.where(
+                values < edges[-1],
+                np.searchsorted(edges, values, side="right"),
+                np.where(values == edges[-1], top_cell, self.grid + 1),
+            ))
+        return cells[0], cells[1]
 
 
 @dataclass(frozen=True)
@@ -280,10 +295,6 @@ class NaiveBayesTable:
 
     doc_counts: np.ndarray
     term_counts: np.ndarray
-
-    @property
-    def totals(self) -> np.ndarray:
-        return self.term_counts.sum(axis=1)
 
 
 @dataclass(frozen=True)
@@ -317,6 +328,80 @@ _PLANE_SIDES: dict[Variant, dict[str, tuple[tuple[int, ...], tuple[int, ...]]]] 
         "neg_vs_pos": ((-1,), (1,)),
     },
 }
+
+
+# --- label rules: decision values of a block of rows -> label codes ----------
+
+
+def _zone_labels(values: np.ndarray, zone: float) -> np.ndarray:
+    return np.where(np.abs(values) <= zone, 0, np.where(values > 0, 1, -1))
+
+
+def _two_plane_labels(d_a: np.ndarray, d_b: np.ndarray) -> np.ndarray:
+    """Plane A's negative side predicts negative, plane B's positive side
+    positive, the middle region neutral; in the contradictory corner the
+    plane with the larger decision magnitude wins (ties: negative)."""
+    says_neg, says_pos = d_a < 0.0, d_b > 0.0
+    corner = np.where(np.abs(d_a) >= np.abs(d_b), -1, 1)
+    return np.where(says_neg & says_pos, corner, says_pos.astype(np.int64) - says_neg)
+
+
+def _table_majority(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Majority code (ties: the smaller) and its share for each row of
+    label counts; the share is NaN for a row without training mass."""
+    totals = counts.sum(axis=1)
+    share = np.divide(counts.max(axis=1), totals, out=np.full(totals.shape, np.nan), where=totals > 0)
+    return counts.argmax(axis=1) - 1, share
+
+
+def _subspace_index(values: np.ndarray) -> np.ndarray:
+    signs = values >= 0.0
+    return signs[0] * 4 + signs[1] * 2 + signs[2]
+
+
+def _vote_labels(values: np.ndarray) -> np.ndarray:
+    """One-vs-one voting: each plane backs one class with its magnitude;
+    most votes win, then the larger summed magnitude, then the smaller code."""
+    backing = np.where(values >= 0.0, [[0], [1], [1]], [[-1], [0], [-1]])  # each plane's two sides
+    votes = np.stack([(backing == code).sum(axis=0) for code in (-1, 0, 1)])
+    mass = np.stack([np.where(backing == code, np.abs(values), 0.0).sum(axis=0) for code in (-1, 0, 1)])
+    mass[votes < votes.max(axis=0)] = -np.inf
+    return mass.argmax(axis=0) - 1
+
+
+def _predict_block(model: SentimentModel, vectors: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray]:
+    """Label codes and confidences (NaN where the variant defines none)."""
+    _check_dims(model.dim, vectors)
+    variant = model.variant
+    if variant is Variant.NAIVE_BAYES:
+        nb = model.nb
+        n_docs = nb.doc_counts.sum()
+        if n_docs == 0:
+            raise EvaluationError("NaiveBayes model has no training mass")
+        # add-1 smoothed log term probabilities, once for the whole block
+        log_theta = np.log((nb.term_counts + 1.0) / (nb.term_counts.sum(axis=1, keepdims=True) + model.dim))
+        log_post = np.log(nb.doc_counts / n_docs) + np.array(
+            [[float(x.values @ row[x.indices]) for row in log_theta] for x in vectors]
+        ).reshape(len(vectors), 3)
+        probs = np.exp(log_post - log_post.max(axis=1, keepdims=True))
+        probs /= probs.sum(axis=1, keepdims=True)
+        best = probs.argmax(axis=1)
+        return best - 1, probs[np.arange(best.size), best]
+
+    values = _decision_values([model.planes[name] for name in _PLANE_SIDES[variant]], vectors)
+    no_confidence = np.full(len(vectors), np.nan)
+    if variant is Variant.NEUTRAL_ZONE:
+        return _zone_labels(values[0], model.neutral_zone or 0.0), no_confidence
+    if variant is Variant.CASCADING:  # neutral exactly when plane 1 says objective
+        return np.where(values[0] <= 0.0, 0, np.where(values[1] >= 0.0, 1, -1)), no_confidence
+    if variant is Variant.THREE_PLANE:
+        codes, share = _table_majority(model.subspaces.counts[_subspace_index(values)])
+        return np.where(np.isnan(share), _vote_labels(values), codes), no_confidence
+    codes = _two_plane_labels(values[0], values[1])
+    if variant is Variant.TWO_PLANE_BIN:
+        cell_codes, share = _table_majority(model.bins.counts[model.bins.cell(values[0], values[1])])
+        return np.where(np.isnan(share), codes, cell_codes), share
+    return codes, no_confidence
 
 
 def _train_plane(
@@ -391,13 +476,10 @@ def _tune_neutral_zone(
     """Pick the neutral-zone half-width maximizing interval alpha on a
     held-out split; ties prefer the narrower zone."""
     train_idx, val_idx = _validation_split(labels, config.seed)
-    if val_idx.size == 0:
-        plane = _train_plane(vectors, labels, (-1,), (1,), config)
-        return 0.0, plane
     subset = np.zeros(labels.size, dtype=bool)
     subset[train_idx] = True
     plane = _train_plane(vectors, labels, (-1,), (1,), config, subset=subset)
-    values = np.array([decision(plane, vectors[i]) for i in val_idx])
+    values = _decision_values([plane], [vectors[i] for i in val_idx])[0]
     gold = labels[val_idx]
     candidates = np.unique(np.concatenate(([0.0], np.abs(values))))
     if candidates.size > 200:
@@ -405,7 +487,7 @@ def _tune_neutral_zone(
     best_zone = 0.0
     best_score = -np.inf
     for zone in candidates:
-        pred = np.where(np.abs(values) <= zone, 0, np.where(values > 0, 1, -1))
+        pred = _zone_labels(values, zone)
         try:
             score = alpha(build_coincidence(list(zip(pred.tolist(), gold.tolist()))), "interval")
         except UndefinedMeasureError:
@@ -446,12 +528,10 @@ def train_sentiment(
     )
 
     if variant is Variant.NAIVE_BAYES:
-        doc_counts = np.zeros(3, dtype=np.int64)
         term_counts = np.zeros((3, dim), dtype=np.float64)
-        for vec, code in zip(vectors, label_arr):
-            doc_counts[code + 1] += 1
-            term_counts[code + 1, vec.indices] += vec.values
-        return SentimentModel(nb=NaiveBayesTable(doc_counts, term_counts), **base)
+        cells = np.repeat(label_arr + 1, [v.nnz for v in vectors]), np.concatenate([v.indices for v in vectors])
+        np.add.at(term_counts, cells, np.concatenate([v.values for v in vectors]))
+        return SentimentModel(nb=NaiveBayesTable(np.bincount(label_arr + 1, minlength=3), term_counts), **base)
 
     if variant is Variant.NEUTRAL_ZONE:
         if config.neutral_zone == "tuned":
@@ -465,139 +545,36 @@ def train_sentiment(
         name: _train_plane(vectors, label_arr, neg, pos, config)
         for name, (neg, pos) in _PLANE_SIDES[variant].items()
     }
-
     if variant is Variant.TWO_PLANE_BIN:
-        d_a = np.array([decision(planes["neg_vs_rest"], v) for v in vectors])
-        d_b = np.array([decision(planes["rest_vs_pos"], v) for v in vectors])
+        d_a, d_b = _decision_values(list(planes.values()), vectors)
         grid = config.bin_grid
-        edges_a = np.linspace(d_a.min(), d_a.max(), grid + 1)
-        edges_b = np.linspace(d_b.min(), d_b.max(), grid + 1)
-        counts = np.zeros((grid + 2, grid + 2, 3), dtype=np.int64)
-        for va, vb, code in zip(d_a, d_b, label_arr):
-            i = _bin_index(float(va), edges_a, grid)
-            j = _bin_index(float(vb), edges_b, grid)
-            counts[i, j, code + 1] += 1
-        bins = BinTable(grid=grid, edges_a=edges_a, edges_b=edges_b, counts=counts)
+        bins = BinTable(
+            grid=grid,
+            edges_a=np.linspace(d_a.min(), d_a.max(), grid + 1),
+            edges_b=np.linspace(d_b.min(), d_b.max(), grid + 1),
+            counts=np.zeros((grid + 2, grid + 2, 3), dtype=np.int64),
+        )
+        np.add.at(bins.counts, (*bins.cell(d_a, d_b), label_arr + 1), 1)
         return SentimentModel(planes=planes, bins=bins, **base)
-
     if variant is Variant.THREE_PLANE:
         counts = np.zeros((8, 3), dtype=np.int64)
-        order = ("neg_vs_neu", "neu_vs_pos", "neg_vs_pos")
-        for vec, code in zip(vectors, label_arr):
-            signs = [decision(planes[name], vec) >= 0.0 for name in order]
-            idx = signs[0] * 4 + signs[1] * 2 + signs[2]
-            counts[idx, code + 1] += 1
+        values = _decision_values(list(planes.values()), vectors)
+        np.add.at(counts, (_subspace_index(values), label_arr + 1), 1)
         return SentimentModel(planes=planes, subspaces=SubspaceTable(counts), **base)
-
     return SentimentModel(planes=planes, **base)
-
-
-def _two_plane_rule(d_a: float, d_b: float) -> int:
-    """Combine the two plane decisions geometrically.
-
-    Negative side of plane A predicts negative, positive side of plane
-    B predicts positive, agreement on the middle region predicts
-    neutral, and the contradictory corner (A says negative, B says
-    positive) goes to the plane with the larger decision magnitude.
-    """
-    says_neg = d_a < 0.0
-    says_pos = d_b > 0.0
-    if says_neg and says_pos:
-        return -1 if abs(d_a) >= abs(d_b) else 1
-    if says_neg:
-        return -1
-    if says_pos:
-        return 1
-    return 0
-
-
-def _majority(counts: np.ndarray) -> int:
-    """Majority label code of a count triple; ties pick the smaller code."""
-    if counts.sum() == 0:
-        return _EMPTY_CELL
-    return int(np.argmax(counts)) - 1
 
 
 def predict(model: SentimentModel, x: SparseVector) -> tuple[SentimentLabel, float | None]:
     """Predict one label; the second element is a confidence when the
     variant defines one (bin label share, posterior probability)."""
-    if x.dim != model.dim:
-        raise EvaluationError(f"vector dimension {x.dim} != model dimension {model.dim}")
-    variant = model.variant
-
-    if variant is Variant.NAIVE_BAYES:
-        probs = _nb_posterior(model, x)
-        code = int(np.argmax(probs)) - 1
-        return SentimentLabel(code), float(probs[code + 1])
-
-    if variant is Variant.NEUTRAL_ZONE:
-        value = decision(model.planes["polarity"], x)
-        zone = model.neutral_zone or 0.0
-        if abs(value) <= zone:
-            return SentimentLabel.NEUTRAL, None
-        return (SentimentLabel.POSITIVE if value > 0 else SentimentLabel.NEGATIVE), None
-
-    if variant is Variant.CASCADING:
-        if decision(model.planes["subjectivity"], x) <= 0.0:
-            return SentimentLabel.NEUTRAL, None
-        polar = decision(model.planes["polarity"], x)
-        return (SentimentLabel.POSITIVE if polar >= 0.0 else SentimentLabel.NEGATIVE), None
-
-    if variant is Variant.THREE_PLANE:
-        order = ("neg_vs_neu", "neu_vs_pos", "neg_vs_pos")
-        values = [decision(model.planes[name], x) for name in order]
-        idx = (values[0] >= 0.0) * 4 + (values[1] >= 0.0) * 2 + (values[2] >= 0.0)
-        assert model.subspaces is not None
-        code = _majority(model.subspaces.counts[idx])
-        if code != _EMPTY_CELL:
-            return SentimentLabel(code), None
-        # one-vs-one voting: each plane backs one class with its magnitude
-        votes = {-1: [0, 0.0], 0: [0, 0.0], 1: [0, 0.0]}
-        backing = (
-            (0 if values[0] >= 0.0 else -1, values[0]),
-            (1 if values[1] >= 0.0 else 0, values[1]),
-            (1 if values[2] >= 0.0 else -1, values[2]),
-        )
-        for label, value in backing:
-            votes[label][0] += 1
-            votes[label][1] += abs(value)
-        code = max(votes, key=lambda c: (votes[c][0], votes[c][1], -c))
-        return SentimentLabel(code), None
-
-    d_a = decision(model.planes["neg_vs_rest"], x)
-    d_b = decision(model.planes["rest_vs_pos"], x)
-
-    if variant is Variant.TWO_PLANE_BIN:
-        assert model.bins is not None
-        i, j = model.bins.cell(d_a, d_b)
-        cell = model.bins.counts[i, j]
-        code = _majority(cell)
-        if code != _EMPTY_CELL:
-            return SentimentLabel(code), float(cell.max() / cell.sum())
-        return SentimentLabel(_two_plane_rule(d_a, d_b)), None
-
-    return SentimentLabel(_two_plane_rule(d_a, d_b)), None
-
-
-def _nb_posterior(model: SentimentModel, x: SparseVector) -> np.ndarray:
-    nb = model.nb
-    assert nb is not None
-    n_docs = nb.doc_counts.sum()
-    if n_docs == 0:
-        raise EvaluationError("NaiveBayes model has no training mass")
-    log_post = np.log(nb.doc_counts / n_docs)
-    totals = nb.totals
-    for c in range(3):
-        theta = (nb.term_counts[c, x.indices] + 1.0) / (totals[c] + model.dim)
-        log_post[c] += float(x.values @ np.log(theta))
-    log_post -= log_post.max()
-    probs = np.exp(log_post)
-    return probs / probs.sum()
+    codes, confidence = _predict_block(model, [x])
+    share = float(confidence[0])
+    return SentimentLabel(int(codes[0])), None if np.isnan(share) else share
 
 
 def predict_batch(model: SentimentModel, vectors: Sequence[SparseVector]) -> np.ndarray:
-    """Predicted label codes for a sequence of vectors."""
-    return np.array([int(predict(model, v)[0]) for v in vectors], dtype=np.int64)
+    """Predicted label codes for a sequence of vectors, as one block."""
+    return _predict_block(model, vectors)[0].astype(np.int64, copy=False)
 
 
 # --- serialization ----------------------------------------------------------
@@ -654,12 +631,94 @@ def save_model(model: SentimentModel, path: str | Path) -> None:
                 handle.write(f"nb_counts {c} " + _fmt_floats(nb.term_counts[c]) + "\n")
 
 
+#: The calibration table each variant needs: its model field and line keys.
+_VARIANT_TABLE = {
+    Variant.NEUTRAL_ZONE: ("neutral_zone", {"neutral_zone"}),
+    Variant.TWO_PLANE_BIN: ("bins", {"bin_grid", "edges_a", "edges_b", "bins", "bin"}),
+    Variant.THREE_PLANE: ("subspaces", {"subspaces", "subspace"}),
+    Variant.NAIVE_BAYES: ("nb", {"nb_docs", "nb_counts"}),
+}
+
+
+def _counts(values, shape: tuple[int, ...]) -> np.ndarray:
+    counts = np.array(values)
+    if counts.shape != shape or not np.all(counts >= 0):
+        raise ValueError(f"expected non-negative counts of shape {shape}")
+    return counts
+
+
+def _parse_model(lines: list[str]) -> SentimentModel:
+    """Parse the keyed lines of a model file and check that they hold
+    exactly the planes and the table of its variant, in range.
+
+    Every fault raises ``ValueError`` or ``OverflowError``.
+    """
+    fields: dict[str, list[str]] = {}
+    for line in lines[1:]:
+        key, _, value = line.partition(" ")
+        fields.setdefault(key, []).append(value)
+
+    def rows(key: str, kind: type = str) -> list[list]:
+        return [[kind(v) for v in value.split()] for value in fields.get(key, [])]
+
+    def one(key: str, kind: type = str):
+        values = rows(key, kind)
+        if [len(row) for row in values] != [1]:
+            raise ValueError(f"expected one {key!r} line with one value")
+        return values[0][0]
+
+    variant, dim = one("variant", Variant), one("dim", int)
+    table, table_keys = _VARIANT_TABLE.get(variant, (None, set()))
+    stray = set(fields) - {"variant", "dim", "vocab_hash", "planes", "plane", "bias", "weights"} - table_keys
+    if stray or (table and not table_keys & set(fields)):
+        raise ValueError(f"a {variant.value} model needs table {table}, found {sorted(stray) or 'none'}")
+    names, biases, weights = [name for name, in rows("plane")], rows("bias", float), rows("weights", float)
+    needed = sorted(_PLANE_SIDES.get(variant, {}))
+    if sorted(names) != needed or not one("planes", int) == len(names) == len(biases) == len(weights):
+        raise ValueError(f"{variant.value} needs planes {needed}, found {sorted(names)}")
+    planes: dict[str, LinearModel] = {}
+    for name, (bias,), values in zip(names, biases, weights):
+        if len(values) != dim or not np.all(np.isfinite([bias, *values])):
+            raise ValueError(f"plane {name} needs {dim} finite weights")
+        planes[name] = LinearModel(weights=np.array(values), bias=bias)
+
+    tables: dict[str, object] = {}
+    if table == "neutral_zone":
+        tables[table] = one("neutral_zone", float)
+    elif table == "bins":
+        grid, cells = one("bin_grid", int), rows("bin", int)
+        (edges_a,), (edges_b,) = rows("edges_a", float), rows("edges_b", float)
+        if grid < 1 or not len(edges_a) == len(edges_b) == grid + 1 or one("bins", int) != len(cells):
+            raise ValueError(f"bin table does not fit a grid of {grid}")
+        counts = np.zeros((grid + 2, grid + 2, 3), dtype=np.int64)
+        for i, j, *cell in cells:
+            if not (0 <= i <= grid + 1 and 0 <= j <= grid + 1):
+                raise ValueError(f"bin ({i}, {j}) is outside a grid of {grid}")
+            counts[i, j] = cell
+        tables[table] = BinTable(grid, np.array(edges_a), np.array(edges_b), _counts(counts, counts.shape))
+    elif table == "subspaces":
+        cells = rows("subspace", int)
+        if one("subspaces", int) != 8 or [cell[:1] for cell in cells] != [[k] for k in range(8)]:
+            raise ValueError("expected subspaces 0..7 in order")
+        tables[table] = SubspaceTable(_counts([cell[1:] for cell in cells], (8, 3)))
+    elif table == "nb":
+        (docs,), terms = rows("nb_docs", int), rows("nb_counts", float)
+        if [row[:1] for row in terms] != [[0], [1], [2]]:
+            raise ValueError("expected nb_counts 0..2 in order")
+        tables[table] = NaiveBayesTable(_counts(docs, (3,)), _counts([row[1:] for row in terms], (3, dim)))
+    vocab_hash = one("vocab_hash")
+    return SentimentModel(
+        variant=variant, dim=dim, vocab_hash="" if vocab_hash == "-" else vocab_hash, planes=planes, **tables
+    )
+
+
 def load_model(path: str | Path, vocab: Vocabulary | None) -> SentimentModel:
     """Read a model written by :func:`save_model`.
 
     ``vocab`` must be the vocabulary the model was trained against;
     a hash mismatch (or a missing vocabulary for a model that recorded
-    one) raises :class:`ModelFormatError`.
+    one) raises :class:`ModelFormatError`, as does a file that does not
+    hold exactly its variant's planes and table, in range.
     """
     with open(path, encoding="utf-8") as handle:
         lines = handle.read().splitlines()
@@ -669,76 +728,16 @@ def load_model(path: str | Path, vocab: Vocabulary | None) -> SentimentModel:
     if version != str(_MODEL_VERSION):
         raise ModelFormatError(f"{path}: unsupported model version {version!r}")
     try:
-        variant = Variant(lines[1].split(" ", 1)[1])
-        dim = int(lines[2].split()[1])
-        stored_hash = lines[3].split()[1]
-        n_planes = int(lines[4].split()[1])
-        cursor = 5
-        planes: dict[str, LinearModel] = {}
-        for _ in range(n_planes):
-            name = lines[cursor].split(" ", 1)[1]
-            bias = float(lines[cursor + 1].split()[1])
-            weights = np.array([float(v) for v in lines[cursor + 2].split()[1:]])
-            if weights.shape[0] != dim:
-                raise ModelFormatError(f"{path}: plane {name} has {weights.shape[0]} weights, expected {dim}")
-            planes[name] = LinearModel(weights=weights, bias=bias)
-            cursor += 3
-        neutral_zone = None
-        bins = None
-        subspaces = None
-        nb = None
-        while cursor < len(lines):
-            key = lines[cursor].split(" ", 1)[0]
-            if key == "neutral_zone":
-                neutral_zone = float(lines[cursor].split()[1])
-                cursor += 1
-            elif key == "bin_grid":
-                grid = int(lines[cursor].split()[1])
-                edges_a = np.array([float(v) for v in lines[cursor + 1].split()[1:]])
-                edges_b = np.array([float(v) for v in lines[cursor + 2].split()[1:]])
-                n_filled = int(lines[cursor + 3].split()[1])
-                counts = np.zeros((grid + 2, grid + 2, 3), dtype=np.int64)
-                for row in lines[cursor + 4 : cursor + 4 + n_filled]:
-                    _, i, j, c0, c1, c2 = row.split()
-                    counts[int(i), int(j)] = (int(c0), int(c1), int(c2))
-                bins = BinTable(grid=grid, edges_a=edges_a, edges_b=edges_b, counts=counts)
-                cursor += 4 + n_filled
-            elif key == "subspaces":
-                counts = np.zeros((8, 3), dtype=np.int64)
-                for row in lines[cursor + 1 : cursor + 9]:
-                    _, idx, c0, c1, c2 = row.split()
-                    counts[int(idx)] = (int(c0), int(c1), int(c2))
-                subspaces = SubspaceTable(counts)
-                cursor += 9
-            elif key == "nb_docs":
-                doc_counts = np.array([int(v) for v in lines[cursor].split()[1:]], dtype=np.int64)
-                term_counts = np.zeros((3, dim), dtype=np.float64)
-                for offset in range(3):
-                    fields = lines[cursor + 1 + offset].split()
-                    term_counts[int(fields[1])] = [float(v) for v in fields[2:]]
-                nb = NaiveBayesTable(doc_counts, term_counts)
-                cursor += 4
-            else:
-                raise ModelFormatError(f"{path}: unexpected line {lines[cursor]!r}")
-    except (IndexError, ValueError) as exc:
+        model = _parse_model(lines)
+    except (ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from None
 
-    recorded = "" if stored_hash == "-" else stored_hash
-    if recorded:
+    if model.vocab_hash:
         if vocab is None:
             raise ModelFormatError(f"{path}: model requires its training vocabulary to load")
         actual = vocabulary_hash(vocab)
-        if actual != recorded:
+        if actual != model.vocab_hash:
             raise ModelFormatError(
-                f"{path}: vocabulary hash mismatch (model {recorded[:12]}..., given {actual[:12]}...)"
+                f"{path}: vocabulary hash mismatch (model {model.vocab_hash[:12]}..., given {actual[:12]}...)"
             )
-    return SentimentModel(
-        variant=variant,
-        dim=dim,
-        vocab_hash=recorded,
-        planes=planes,
-        neutral_zone=neutral_zone,
-        bins=bins,
-        subspaces=subspaces,
-        nb=nb,
-    )
+    return model

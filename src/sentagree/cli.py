@@ -79,6 +79,13 @@ def _load_gold_any(path: Path) -> list[corpus.GoldPost]:
     return corpus.load_gold(path)
 
 
+def _single(values: list[str], flag: str) -> str:
+    """The one value of a repeatable flag in a command that uses only one."""
+    if len(values) > 1:
+        raise SentagreeError(f"{flag} takes one value for this command, got {len(values)}")
+    return values[0]
+
+
 def _train_config(args: argparse.Namespace) -> classify.TrainConfig:
     return classify.TrainConfig(
         cost=args.cost, seed=args.seed, bin_grid=args.bins
@@ -170,17 +177,15 @@ def cmd_ordering(args: argparse.Namespace) -> None:
 
 
 def cmd_merge(args: argparse.Namespace) -> None:
-    path = _resolve(args.input[0])
+    path = _resolve(_single(args.input, "--input"))
     gold = corpus.merge_gold(corpus.load_annotations(path))
     corpus.save_gold(gold, args.out, delimiter=corpus.sniff_delimiter(path))
 
 
 def cmd_train(args: argparse.Namespace) -> None:
-    gold = _load_gold_any(_resolve(args.input[0]))
+    gold = _load_gold_any(_resolve(_single(args.input, "--input")))
     vocab = features.build_vocabulary(gold, min_df=args.min_df)
-    vectors = [
-        features.count_vector(features.normalize(p.text or ""), vocab) for p in gold
-    ]
+    vectors = [features.count_vector(features.normalize(p.text), vocab) for p in gold]
     model = classify.train_sentiment(
         vectors, [p.label for p in gold], args.variant, _train_config(args), vocab
     )
@@ -216,7 +221,7 @@ def _crossval_rows(result: evaluation.CrossValResult) -> list[dict]:
 
 
 def cmd_crossval(args: argparse.Namespace) -> None:
-    gold = _load_gold_any(_resolve(args.input[0]))
+    gold = _load_gold_any(_resolve(_single(args.input, "--input")))
     measures = tuple(args.measure) if args.measure else evaluation.DEFAULT_MEASURES
     result = evaluation.cross_validate(
         gold,
@@ -240,7 +245,7 @@ def cmd_crossval(args: argparse.Namespace) -> None:
 
 
 def cmd_curve(args: argparse.Namespace) -> None:
-    gold = _load_gold_any(_resolve(args.input[0]))
+    gold = _load_gold_any(_resolve(_single(args.input, "--input")))
     measures = tuple(args.measure) if args.measure else evaluation.DEFAULT_MEASURES
     curve = evaluation.learning_curve(
         gold,
@@ -271,7 +276,7 @@ def cmd_curve(args: argparse.Namespace) -> None:
 def cmd_compare(args: argparse.Namespace) -> None:
     if len(args.input) < 2:
         raise SentagreeError("compare needs at least two dataset files")
-    measure = agr.Measure(args.measure[0]) if args.measure else agr.Measure.ALPHA_INTERVAL
+    measure = agr.Measure(_single(args.measure, "--measure")) if args.measure else agr.Measure.ALPHA_INTERVAL
     variants = [v.value for v in classify.Variant]
     scores = []
     names = []
@@ -325,13 +330,9 @@ def cmd_compare(args: argparse.Namespace) -> None:
 # --- parser ------------------------------------------------------------------
 
 
-def _add_common(sub: argparse.ArgumentParser, *, inputs: str = "one") -> None:
-    if inputs == "many":
-        sub.add_argument("--input", action="append", required=True, metavar="FILE",
-                         help="input file (repeatable)")
-    else:
-        sub.add_argument("--input", action="append", required=True, metavar="FILE",
-                         help="input file")
+def _add_common(sub: argparse.ArgumentParser) -> None:
+    sub.add_argument("--input", action="append", required=True, metavar="FILE",
+                     help="input file (agreement, ordering and compare take several)")
     sub.add_argument("--out", default="-", metavar="FILE", help="output path ('-' = stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
     sub.add_argument("--seed", type=int, default=0)
@@ -352,12 +353,12 @@ def build_parser() -> argparse.ArgumentParser:
     subs = parser.add_subparsers(dest="command", required=True)
 
     p = subs.add_parser("agreement", help="agreement measures with bootstrap intervals")
-    _add_common(p, inputs="many")
+    _add_common(p)
     p.add_argument("--measure", action="append", choices=_MEASURE_CHOICES)
     p.set_defaults(func=cmd_agreement)
 
     p = subs.add_parser("ordering", help="ordinal-scale diagnostics per dataset")
-    _add_common(p, inputs="many")
+    _add_common(p)
     p.add_argument("--exclude", action="append", metavar="DATASET",
                    help="dataset name to leave out of the average row (repeatable)")
     p.set_defaults(func=cmd_ordering)
@@ -387,7 +388,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.set_defaults(func=cmd_curve)
 
     p = subs.add_parser("compare", help="rank all variants across datasets")
-    _add_common(p, inputs="many")
+    _add_common(p)
     _add_training(p)
     p.add_argument("--k", type=int, default=10)
     p.add_argument("--measure", action="append", choices=_MEASURE_CHOICES)

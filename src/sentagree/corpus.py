@@ -26,7 +26,7 @@ merged from.
 from __future__ import annotations
 
 import csv
-from collections.abc import Mapping, Sequence
+from collections.abc import Iterator, Mapping, Sequence
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum, IntEnum
@@ -181,6 +181,22 @@ def _find_column(
     return None
 
 
+def _data_rows(
+    reader: Iterator[list[str]], columns: Sequence[int | None], path: str | Path
+) -> Iterator[tuple[int, list[str]]]:
+    """Non-blank data rows with their line numbers; a row too short to
+    hold every column in ``columns`` raises :class:`CorpusFormatError`."""
+    needed = max(c for c in columns if c is not None)
+    for line, row in enumerate(reader, start=2):
+        if not row or all(not cell.strip() for cell in row):
+            continue
+        if len(row) <= needed:
+            raise CorpusFormatError(
+                f"{path}: line {line} has {len(row)} fields, expected at least {needed + 1}"
+            )
+        yield line, row
+
+
 def _parse_timestamp(raw: str, line: int, path: str | Path) -> datetime | None:
     raw = raw.strip()
     if not raw:
@@ -228,14 +244,7 @@ def load_annotations(
         )
         date_col = _find_column(header, _DATE_ALIASES, columns.get("date"), required=False, what="date", path=path)
         text_col = _find_column(header, _TEXT_ALIASES, columns.get("text"), required=False, what="text", path=path)
-        needed = max(c for c in (id_col, label_col, annot_col, date_col, text_col) if c is not None)
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
-            if len(row) <= needed:
-                raise CorpusFormatError(
-                    f"{path}: line {line} has {len(row)} fields, expected at least {needed + 1}"
-                )
+        for line, row in _data_rows(reader, (id_col, label_col, annot_col, date_col, text_col), path):
             timestamp = _parse_timestamp(row[date_col], line, path) if date_col is not None else None
             text = row[text_col] if text_col is not None else None
             records.append(
@@ -375,9 +384,7 @@ def load_gold(path: str | Path) -> list[GoldPost]:
         date_col = _find_column(header, _DATE_ALIASES, None, required=False, what="date", path=path)
         text_col = _find_column(header, _TEXT_ALIASES, None, required=False, what="text", path=path)
         merged_col = _find_column(header, ("mergedfrom",), None, required=False, what="merge count", path=path)
-        for line, row in enumerate(reader, start=2):
-            if not row or all(not cell.strip() for cell in row):
-                continue
+        for line, row in _data_rows(reader, (id_col, label_col, date_col, text_col, merged_col), path):
             timestamp = _parse_timestamp(row[date_col], line, path) if date_col is not None else None
             merged_from = 1
             if merged_col is not None:

@@ -36,7 +36,7 @@ import hashlib
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
@@ -48,7 +48,6 @@ __all__ = [
     "NORMALIZER_VERSION",
     "EMOTICONS",
     "normalize",
-    "identity_stem",
     "english_suffix_stem",
     "SparseVector",
     "ClassSides",
@@ -59,8 +58,6 @@ __all__ = [
     "count_vector",
     "class_sides",
     "delta_weights",
-    "with_sides",
-    "vectorize",
     "vocabulary_hash",
     "save_vocabulary",
     "load_vocabulary",
@@ -113,11 +110,6 @@ _TOKEN_RE = re.compile(
 )
 
 _ELONG_RE = re.compile(r"([^\W\d_])\1{2,}")
-
-
-def identity_stem(token: str) -> str:
-    """The no-op stemmer."""
-    return token
 
 
 _SUFFIXES = (
@@ -225,8 +217,9 @@ class Vocabulary:
     """Deterministic term-to-index mapping with document frequencies.
 
     Terms are sorted lexicographically, so the mapping is a pure
-    function of the training corpus and the configuration.  ``sides``
-    is optional binary class-side statistics (see :func:`with_sides`).
+    function of the training corpus and the configuration.  It carries
+    no class statistics: each classifier plane computes its own term
+    weights from its training split.
     """
 
     terms: tuple[str, ...]
@@ -234,7 +227,6 @@ class Vocabulary:
     n_docs: int
     min_df: int
     ngrams: tuple[int, ...]
-    sides: ClassSides | None = None
 
     def __post_init__(self) -> None:
         object.__setattr__(self, "doc_freq", np.asarray(self.doc_freq, dtype=np.int64))
@@ -374,36 +366,6 @@ def delta_weights(sides: ClassSides, smoothing: float = 0.5) -> np.ndarray:
     return np.log2(num / den)
 
 
-def with_sides(
-    vocab: Vocabulary,
-    vectors: Sequence[SparseVector],
-    positive: Sequence[bool],
-) -> Vocabulary:
-    """Attach binary class-side statistics to a vocabulary."""
-    return replace(vocab, sides=class_sides(vectors, positive, vocab.dim))
-
-
-def vectorize(
-    post: GoldPost,
-    vocab: Vocabulary,
-    stemmer: Callable[[str], str] | None = None,
-) -> SparseVector:
-    """Weighted feature vector of one post: raw counts times the
-    class-ratio weights of ``vocab.sides``.
-
-    Exact zero weights are dropped so the no-zero-values invariant of
-    :class:`SparseVector` holds.  Raises :class:`VocabularyError` when
-    the vocabulary carries no class-side statistics.
-    """
-    if vocab.sides is None:
-        raise VocabularyError("vocabulary has no class-side statistics; call with_sides first")
-    raw = count_vector(_post_tokens(post, stemmer), vocab)
-    weights = delta_weights(vocab.sides)
-    values = raw.values * weights[raw.indices]
-    keep = values != 0.0
-    return SparseVector(raw.indices[keep], values[keep], vocab.dim)
-
-
 # --- serialization ----------------------------------------------------------
 
 _VOCAB_MAGIC = "sentagree-vocab"
@@ -418,11 +380,7 @@ def _core_lines(vocab: Vocabulary) -> list[str]:
 
 
 def vocabulary_hash(vocab: Vocabulary) -> str:
-    """SHA-256 over the term/index/frequency core of the vocabulary.
-
-    Class-side statistics do not enter the hash: two vocabularies with
-    the same term mapping are interchangeable for a serialized model.
-    """
+    """SHA-256 over the term/index/frequency core of the vocabulary."""
     digest = hashlib.sha256()
     for line in _core_lines(vocab):
         digest.update(line.encode("utf-8"))
@@ -435,20 +393,14 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
     for term in vocab.terms:
         if "\t" in term or "\n" in term:
             raise VocabularyError(f"term {term!r} contains a delimiter character")
-    sides = vocab.sides
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"{_VOCAB_MAGIC} {_VOCAB_VERSION}\n")
         handle.write(f"n_docs {vocab.n_docs}\n")
         handle.write(f"min_df {vocab.min_df}\n")
         handle.write("ngrams " + ",".join(str(n) for n in vocab.ngrams) + "\n")
-        if sides is not None:
-            handle.write(f"sides {sides.n_pos} {sides.n_neg}\n")
         handle.write(f"terms {vocab.dim}\n")
         for i, term in enumerate(vocab.terms):
-            row = f"{term}\t{i}\t{int(vocab.doc_freq[i])}"
-            if sides is not None:
-                row += f"\t{int(sides.pos_doc_freq[i])}\t{int(sides.neg_doc_freq[i])}"
-            handle.write(row + "\n")
+            handle.write(f"{term}\t{i}\t{int(vocab.doc_freq[i])}\n")
 
 
 def load_vocabulary(path: str | Path) -> Vocabulary:
@@ -465,37 +417,22 @@ def load_vocabulary(path: str | Path) -> Vocabulary:
         n_docs = int(lines[cursor].split()[1]); cursor += 1
         min_df = int(lines[cursor].split()[1]); cursor += 1
         ngrams = tuple(int(n) for n in lines[cursor].split()[1].split(",")); cursor += 1
-        side_totals: tuple[int, int] | None = None
-        if lines[cursor].startswith("sides "):
-            _, n_pos, n_neg = lines[cursor].split()
-            side_totals = (int(n_pos), int(n_neg))
-            cursor += 1
         n_terms = int(lines[cursor].split()[1]); cursor += 1
         terms: list[str] = []
-        doc_freq = np.zeros(n_terms, dtype=np.int64)
-        pos_df = np.zeros(n_terms, dtype=np.int64)
-        neg_df = np.zeros(n_terms, dtype=np.int64)
+        doc_freq: list[int] = []
         for offset in range(n_terms):
             fields = lines[cursor + offset].split("\t")
             term, idx, df = fields[0], int(fields[1]), int(fields[2])
             if idx != offset:
                 raise VocabularyError(f"{path}: term index {idx} out of order")
             terms.append(term)
-            doc_freq[offset] = df
-            if side_totals is not None:
-                pos_df[offset] = int(fields[3])
-                neg_df[offset] = int(fields[4])
-    except (IndexError, ValueError) as exc:
+            doc_freq.append(df)
+        return Vocabulary(
+            terms=tuple(terms),
+            doc_freq=doc_freq,
+            n_docs=n_docs,
+            min_df=min_df,
+            ngrams=ngrams,
+        )
+    except (IndexError, ValueError, OverflowError) as exc:
         raise VocabularyError(f"{path}: malformed vocabulary file ({exc})") from None
-    sides = None
-    if side_totals is not None:
-        sides = ClassSides(pos_doc_freq=pos_df, neg_doc_freq=neg_df,
-                           n_pos=side_totals[0], n_neg=side_totals[1])
-    return Vocabulary(
-        terms=tuple(terms),
-        doc_freq=doc_freq,
-        n_docs=n_docs,
-        min_df=min_df,
-        ngrams=ngrams,
-        sides=sides,
-    )

@@ -6,6 +6,7 @@ from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import strategies as st
 
 from sentagree.corpus import GoldPost, SentimentLabel
 
@@ -88,3 +89,38 @@ def annotations_csv(tmp_path):
         ("p3", "Neutral", "ann2", "2014-01-03 08:00:00", "meeting at noon"),
     ]
     return write_table(tmp_path / "mini.csv", rows)
+
+
+#: Values spliced into file lines by :func:`mutated_lines`: counts and
+#: indices at and past the edges of what a file may hold, non-numbers,
+#: and keys of other lines.
+FUZZ_TOKENS = ["-1", "0", "1", "2", "3", "7", "8", "12", "99999999999", "1" + "0" * 25,
+               "nan", "inf", "-inf", "0.5", "", "x", "-", "plane", "bin", "nb_counts"]
+
+
+@st.composite
+def mutated_lines(draw, lines):
+    """A copy of ``lines`` with one to three lines dropped, duplicated,
+    swapped, replaced, or with one of their fields replaced."""
+    lines = list(lines)
+    for _ in range(draw(st.integers(1, 3))):
+        if not lines:
+            break
+        i = draw(st.integers(0, len(lines) - 1))
+        kind = draw(st.sampled_from(["drop", "duplicate", "swap", "line", "field"]))
+        if kind == "drop":
+            del lines[i]
+        elif kind == "duplicate":
+            lines.insert(i, lines[i])
+        elif kind == "swap":
+            j = draw(st.integers(0, len(lines) - 1))
+            lines[i], lines[j] = lines[j], lines[i]
+        elif kind == "line":
+            lines[i] = draw(st.text(max_size=12))
+        else:
+            sep = "\t" if "\t" in lines[i] else " "
+            parts = lines[i].split(sep)
+            k = draw(st.integers(0, len(parts) - 1))
+            parts[k] = draw(st.sampled_from(FUZZ_TOKENS) | st.text(max_size=4))
+            lines[i] = sep.join(parts)
+    return lines

@@ -146,3 +146,70 @@ def svm_dual_optimum(X, y, cost):
     else:
         raise AssertionError("QP oracle failed to certify optimality")
     return -float(fun(a))
+
+
+def _bin_index(value, edges, grid):
+    if edges[0] == edges[-1]:  # degenerate axis: all training mass at one value
+        if value < edges[0]:
+            return 0
+        return 1 if value == edges[0] else grid + 1
+    if value < edges[-1]:
+        return int(np.searchsorted(edges, value, side="right"))
+    return grid if value == edges[-1] else grid + 1
+
+
+def _majority(counts):
+    return None if counts.sum() == 0 else int(np.argmax(counts)) - 1
+
+
+def predict_row(model, x):
+    """Label code and confidence (or None) of one row, with every
+    variant's rule written out as scalar branches."""
+    def d(name):
+        plane = model.planes[name]
+        return float(x.values @ plane.weights[x.indices]) + plane.bias
+
+    variant = model.variant.value
+    if variant == "NaiveBayes":
+        nb = model.nb
+        log_post = np.log(nb.doc_counts / nb.doc_counts.sum())
+        totals = nb.term_counts.sum(axis=1)
+        for c in range(3):
+            theta = (nb.term_counts[c, x.indices] + 1.0) / (totals[c] + model.dim)
+            log_post[c] += float(x.values @ np.log(theta))
+        log_post -= log_post.max()
+        probs = np.exp(log_post)
+        probs = probs / probs.sum()
+        code = int(np.argmax(probs)) - 1
+        return code, float(probs[code + 1])
+    if variant == "NeutralZoneSVM":
+        value = d("polarity")
+        if abs(value) <= (model.neutral_zone or 0.0):
+            return 0, None
+        return (1 if value > 0 else -1), None
+    if variant == "CascadingSVM":
+        if d("subjectivity") <= 0.0:
+            return 0, None
+        return (1 if d("polarity") >= 0.0 else -1), None
+    if variant == "ThreePlaneSVM":
+        v = [d(name) for name in ("neg_vs_neu", "neu_vs_pos", "neg_vs_pos")]
+        code = _majority(model.subspaces.counts[(v[0] >= 0.0) * 4 + (v[1] >= 0.0) * 2 + (v[2] >= 0.0)])
+        if code is not None:
+            return code, None
+        votes = {-1: [0, 0.0], 0: [0, 0.0], 1: [0, 0.0]}
+        backing = ((0 if v[0] >= 0.0 else -1, v[0]), (1 if v[1] >= 0.0 else 0, v[1]),
+                   (1 if v[2] >= 0.0 else -1, v[2]))
+        for label, value in backing:
+            votes[label][0] += 1
+            votes[label][1] += abs(value)
+        return max(votes, key=lambda c: (votes[c][0], votes[c][1], -c)), None
+    d_a, d_b = d("neg_vs_rest"), d("rest_vs_pos")
+    if variant == "TwoPlaneSVMbin":
+        bins = model.bins
+        cell = bins.counts[_bin_index(d_a, bins.edges_a, bins.grid), _bin_index(d_b, bins.edges_b, bins.grid)]
+        code = _majority(cell)
+        if code is not None:
+            return code, float(cell.max() / cell.sum())
+    if d_a < 0.0 and d_b > 0.0:
+        return (-1 if abs(d_a) >= abs(d_b) else 1), None
+    return (-1 if d_a < 0.0 else 1 if d_b > 0.0 else 0), None

@@ -2,8 +2,12 @@
 
 from __future__ import annotations
 
+import dataclasses
+
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sentagree.classify import (
     BinTable,
@@ -21,10 +25,11 @@ from sentagree.classify import (
     train_sentiment,
 )
 from sentagree.corpus import SentimentLabel
-from sentagree.errors import EvaluationError, ModelFormatError
+from sentagree.errors import EvaluationError, ModelFormatError, SentagreeError
 from sentagree.features import SparseVector, vocabulary_from_token_docs
 
 import oracles
+from conftest import mutated_lines
 
 
 def vec(values, dim: int | None = None) -> SparseVector:
@@ -390,6 +395,48 @@ def test_naive_bayes_posterior_by_hand() -> None:
     assert confidence == pytest.approx(0.5, abs=1e-12)
 
 
+def noisy_corpus(rng, n: int, dim: int):
+    """Count vectors whose label only tilts one term, so every table
+    mixes labels and the planes leave rows on both sides."""
+    labels = rng.choice([-1, 0, 1], size=n)
+    labels[:3] = (-1, 0, 1)
+    vectors = []
+    for code in labels:
+        dense = rng.poisson(0.5, size=dim).astype(float)
+        dense[code + 1] += rng.poisson(1.0)
+        vectors.append(vec(dense))
+    return vectors, labels.tolist()
+
+
+@pytest.mark.parametrize("variant", list(Variant))
+def test_batched_rules_match_the_row_reference(variant: Variant) -> None:
+    rng = np.random.default_rng(list(Variant).index(variant))
+    vectors, labels = noisy_corpus(rng, 90, 6)
+    tests, _ = noisy_corpus(rng, 60, 6)
+    model = train_sentiment(vectors, labels, variant, TrainConfig(bin_grid=3, max_epochs=20))
+    models = [model]
+    # emptied table rows send rows to the geometric and voting fallbacks
+    if model.bins is not None:
+        keep = rng.random(model.bins.counts.shape[:2]) < 0.5
+        bins = dataclasses.replace(model.bins, counts=model.bins.counts * keep[..., None])
+        models.append(dataclasses.replace(model, bins=bins))
+    if model.subspaces is not None:
+        counts = model.subspaces.counts * (rng.random(8) < 0.4)[:, None]
+        models.append(dataclasses.replace(model, subspaces=SubspaceTable(counts)))
+    for m in models:
+        rows = tests + vectors + [vec((), 6)]
+        expected = [oracles.predict_row(m, x) for x in rows]
+        assert predict_batch(m, rows).tolist() == [code for code, _ in expected]
+        assert [(int(label), conf) for label, conf in (predict(m, x) for x in rows)] == expected
+
+
+def test_predict_batch_of_no_rows() -> None:
+    vectors, labels = toy_corpus(dup=3)
+    for variant in Variant:
+        codes = predict_batch(train_sentiment(vectors, labels, variant), [])
+        assert codes.dtype == np.int64 and codes.shape == (0,)
+
+
 def test_predict_checks_dimension() -> None:
     model = two_plane_model()
     with pytest.raises(EvaluationError, match="dimension"):
@@ -442,3 +489,75 @@ def test_load_model_rejects_bad_files(tmp_path) -> None:
     truncated.write_text("sentagree-model 1\nvariant TwoPlaneSVM\ndim 2\n")
     with pytest.raises(ModelFormatError, match="malformed"):
         load_model(truncated, None)
+
+
+def saved_model_lines(tmp_path, variant: Variant) -> list[str]:
+    vectors, labels = toy_corpus(dup=4)
+    path = tmp_path / f"{variant.value}.txt"
+    save_model(train_sentiment(vectors, labels, variant, TrainConfig(bin_grid=2)), path)
+    return path.read_text().splitlines()
+
+
+def drop_plane(lines: list[str]) -> list[str]:
+    start = next(i for i, line in enumerate(lines) if line.startswith("plane "))
+    out = lines[:start] + lines[start + 3 :]
+    return [line.replace("planes 2", "planes 1") for line in out]
+
+
+def replace_first(prefix: str, new: str):
+    def edit(lines: list[str]) -> list[str]:
+        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
+        return lines[:i] + [new] + lines[i + 1 :]
+    return edit
+
+
+def drop_keys(*keys: str):
+    return lambda lines: [line for line in lines if line.split(" ", 1)[0] not in keys]
+
+
+@pytest.mark.parametrize(
+    ("variant", "edit", "message"),
+    [
+        (Variant.TWO_PLANE_BIN, replace_first("bin ", "bin -1 -1 0 0 5"), "outside"),
+        (Variant.TWO_PLANE_BIN, replace_first("bin ", "bin 9 1 0 0 5"), "outside"),
+        (Variant.TWO_PLANE_BIN, replace_first("bin ", "bin 1 1 0 -2 5"), "non-negative"),
+        (Variant.TWO_PLANE_BIN, replace_first("edges_a ", "edges_a 0.0 1.0"), "does not fit"),
+        (Variant.TWO_PLANE_BIN, drop_keys("bin_grid", "edges_a", "edges_b", "bins", "bin"), "needs table bins"),
+        (Variant.TWO_PLANE, drop_plane, "needs planes"),
+        (Variant.CASCADING, drop_plane, "needs planes"),
+        (Variant.THREE_PLANE, replace_first("subspace 3 ", "subspace -1 0 0 1"), "subspaces 0..7"),
+        (Variant.NAIVE_BAYES, replace_first("nb_docs ", "nb_docs 4 -4 4"), "non-negative"),
+        (Variant.TWO_PLANE, replace_first("weights ", "weights nan 0.0 0.0"), "finite"),
+    ],
+    ids=["negative-bin-index", "bin-index-past-grid", "negative-bin-count", "short-edges",
+         "missing-bin-table", "missing-plane", "missing-cascade-plane", "negative-subspace",
+         "negative-doc-count", "nan-weight"],
+)
+def test_load_model_checks_structure(tmp_path, variant, edit, message) -> None:
+    path = tmp_path / "broken.txt"
+    path.write_text("\n".join(edit(saved_model_lines(tmp_path, variant))) + "\n")
+    with pytest.raises(ModelFormatError, match=message):
+        load_model(path, None)
+
+
+@pytest.fixture(scope="module")
+def model_files(tmp_path_factory) -> list[list[str]]:
+    directory = tmp_path_factory.mktemp("models")
+    return [saved_model_lines(directory, variant) for variant in Variant]
+
+
+@settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_model_fuzz_raises_only_format_errors(tmp_path, model_files, data) -> None:
+    lines = data.draw(mutated_lines(data.draw(st.sampled_from(model_files))))
+    path = tmp_path / "fuzzed.txt"
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        model = load_model(path, None)
+    except (SentagreeError, OSError):
+        return
+    rows = [vec(np.ones(model.dim)), vec((), model.dim)]
+    try:
+        predict_batch(model, rows)
+    except SentagreeError:
+        pass

@@ -361,6 +361,33 @@ def test_malformed_table_is_a_corpus_error(tmp_path, capsys):
     assert re.fullmatch(r"error: [a-z-]+: .+\n", err)
 
 
+def test_short_gold_row_is_one_corpus_error(tmp_path, capsys):
+    short = tmp_path / "short.csv"
+    short.write_text("TweetID,HandLabel,Text\nt1,Positive,good\nt2\n", encoding="utf-8")
+    code, out, err = run(["crossval", "--input", str(short)], capsys)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: corpus-format: .*line 3 has 1 fields.*\n", err)
+
+
+@pytest.mark.parametrize("command", ["merge", "train", "crossval", "curve"])
+def test_single_input_commands_reject_a_second_input(command, gold_csv, tmp_path, capsys):
+    argv = [command, "--input", str(gold_csv), "--input", str(gold_csv), "--out", str(tmp_path / "out")]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: error: --input takes one value for this command, got 2\n", err)
+    assert not (tmp_path / "out").exists()
+
+
+def test_compare_rejects_a_second_measure(gold_csv, tmp_path, capsys):
+    other = tmp_path / "other.csv"
+    other.write_bytes(gold_csv.read_bytes())
+    argv = ["compare", "--input", str(gold_csv), "--input", str(other),
+            "--measure", "accuracy", "--measure", "f1_bar"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: error: --measure takes one value for this command, got 2\n", err)
+
+
 def test_data_dir_fallback(tmp_path, monkeypatch, capsys):
     data_dir = tmp_path / "store"
     data_dir.mkdir()

@@ -119,6 +119,20 @@ def test_bad_date_reports_line(tmp_path) -> None:
         load_annotations(path)
 
 
+@pytest.mark.parametrize(
+    ("loader", "header", "full_row"),
+    [
+        (load_annotations, ("TweetID", "HandLabel", "AnnotatorID", "Text"), ("t1", "Positive", "a1", "good")),
+        (load_gold, ("TweetID", "HandLabel", "Text"), ("t1", "Positive", "good")),
+    ],
+    ids=["annotations", "gold"],
+)
+def test_short_row_reports_line(tmp_path, loader, header, full_row) -> None:
+    path = write_table(tmp_path / "short.csv", [full_row, ("t2",)], header=header)
+    with pytest.raises(CorpusFormatError, match=f"line 3 has 1 fields, expected at least {len(header)}"):
+        loader(path)
+
+
 def test_extract_pairs_all_combinations() -> None:
     records = [
         ann("p", "A", 1, 0),

@@ -4,9 +4,11 @@ from __future__ import annotations
 
 import numpy as np
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sentagree.corpus import GoldPost, SentimentLabel
-from sentagree.errors import CorpusFormatError, VocabularyError
+from sentagree.errors import CorpusFormatError, SentagreeError, VocabularyError
 from sentagree.features import (
     EMOTICONS,
     NORMALIZER_VERSION,
@@ -19,15 +21,14 @@ from sentagree.features import (
     delta_weights,
     english_suffix_stem,
     expand_terms,
-    identity_stem,
     load_vocabulary,
     normalize,
     save_vocabulary,
-    vectorize,
     vocabulary_from_token_docs,
     vocabulary_hash,
-    with_sides,
 )
+
+from conftest import mutated_lines
 
 
 def test_normalizer_version_is_frozen() -> None:
@@ -104,10 +105,6 @@ def test_stemmer_sees_collapsed_form_and_elong_marker_survives() -> None:
 )
 def test_english_suffix_stem(token: str, stem: str) -> None:
     assert english_suffix_stem(token) == stem
-
-
-def test_identity_stem() -> None:
-    assert identity_stem("running") == "running"
 
 
 def test_expand_terms() -> None:
@@ -233,38 +230,13 @@ def test_delta_weight_balanced_term_is_zero() -> None:
         delta_weights(sides, smoothing=0.0)
 
 
-def test_vectorize_weights_counts_and_drops_zeros() -> None:
-    docs = [["good", "flat"], ["good", "flat"], ["bad", "flat"], ["bad", "flat"]]
-    vocab = vocabulary_from_token_docs(docs, min_df=1, ngrams=(1,))
-    vectors = [count_vector(d, vocab) for d in docs]
-    vocab = with_sides(vocab, vectors, positive=[True, True, False, False])
-    # "flat" occurs in both sides equally -> exact zero weight, dropped
-    post = GoldPost("1", SentimentLabel.POSITIVE, text="good flat flat")
-    vec = vectorize(post, vocab)
-    assert vec.indices.tolist() == [vocab.index["good"]]
-    weights = delta_weights(vocab.sides)
-    assert vec.values[0] == pytest.approx(weights[vocab.index["good"]])
-
-
-def test_vectorize_requires_sides() -> None:
-    vocab = vocabulary_from_token_docs([["a"]], min_df=1, ngrams=(1,))
-    post = GoldPost("1", SentimentLabel.NEUTRAL, text="a")
-    with pytest.raises(VocabularyError, match="class-side"):
-        vectorize(post, vocab)
-
-
-def _toy_vocab(with_stats: bool = False) -> Vocabulary:
+def _toy_vocab() -> Vocabulary:
     docs = [["a", "b"], ["b", "c"], ["a", "c"], ["a", "b", "c"]]
-    vocab = vocabulary_from_token_docs(docs, min_df=2, ngrams=(1, 2))
-    if with_stats:
-        vectors = [count_vector(d, vocab) for d in docs]
-        vocab = with_sides(vocab, vectors, positive=[True, False, True, False])
-    return vocab
+    return vocabulary_from_token_docs(docs, min_df=2, ngrams=(1, 2))
 
 
-@pytest.mark.parametrize("with_stats", [False, True])
-def test_vocabulary_round_trip(tmp_path, with_stats: bool) -> None:
-    vocab = _toy_vocab(with_stats)
+def test_vocabulary_round_trip(tmp_path) -> None:
+    vocab = _toy_vocab()
     path = tmp_path / "vocab.txt"
     save_vocabulary(vocab, path)
     loaded = load_vocabulary(path)
@@ -275,26 +247,13 @@ def test_vocabulary_round_trip(tmp_path, with_stats: bool) -> None:
         vocab.min_df,
         vocab.ngrams,
     )
-    if with_stats:
-        assert loaded.sides is not None
-        assert loaded.sides.pos_doc_freq.tolist() == vocab.sides.pos_doc_freq.tolist()
-        assert loaded.sides.neg_doc_freq.tolist() == vocab.sides.neg_doc_freq.tolist()
-        assert (loaded.sides.n_pos, loaded.sides.n_neg) == (
-            vocab.sides.n_pos,
-            vocab.sides.n_neg,
-        )
-    else:
-        assert loaded.sides is None
     assert vocabulary_hash(loaded) == vocabulary_hash(vocab)
 
 
-def test_vocabulary_hash_ignores_sides_but_not_terms() -> None:
-    bare = _toy_vocab(False)
-    with_stats = _toy_vocab(True)
-    assert vocabulary_hash(bare) == vocabulary_hash(with_stats)
+def test_vocabulary_hash_depends_on_terms() -> None:
     docs = [["a", "b"], ["b", "c"], ["a", "c"], ["a", "b", "c"], ["a", "b"]]
     other = vocabulary_from_token_docs(docs, min_df=2, ngrams=(1, 2))
-    assert vocabulary_hash(other) != vocabulary_hash(bare)
+    assert vocabulary_hash(other) != vocabulary_hash(_toy_vocab())
 
 
 def test_load_vocabulary_rejects_bad_files(tmp_path) -> None:
@@ -316,3 +275,17 @@ def test_save_vocabulary_rejects_delimiter_terms(tmp_path) -> None:
     vocab = Vocabulary(terms=("a\tb",), doc_freq=np.array([2]), n_docs=2, min_df=1, ngrams=(1,))
     with pytest.raises(VocabularyError, match="delimiter"):
         save_vocabulary(vocab, tmp_path / "v.txt")
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_vocabulary_fuzz_raises_only_format_errors(tmp_path, data) -> None:
+    path = tmp_path / "vocab.txt"
+    save_vocabulary(_toy_vocab(), path)
+    lines = data.draw(mutated_lines(path.read_text(encoding="utf-8").splitlines()))
+    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    try:
+        vocab = load_vocabulary(path)
+    except (SentagreeError, OSError):
+        return
+    assert len(vocab.terms) == vocab.doc_freq.size
