@@ -70,6 +70,7 @@ from .agreement import alpha, build_coincidence
 from .corpus import SentimentLabel
 from .errors import EvaluationError, ModelFormatError, UndefinedMeasureError
 from .features import SparseVector, Vocabulary, class_sides, delta_weights, vocabulary_hash
+from .features import _keyed_file, _KeyedLines
 
 __all__ = [
     "Variant",
@@ -647,26 +648,15 @@ def _counts(values, shape: tuple[int, ...]) -> np.ndarray:
     return counts
 
 
-def _parse_model(lines: list[str]) -> SentimentModel:
+def _parse_model(keyed: _KeyedLines) -> SentimentModel:
     """Parse the keyed lines of a model file and check that they hold
     exactly the planes and the table of its variant, in range.
 
     Every fault raises ``ValueError`` or ``OverflowError``.
     """
-    fields: dict[str, list[str]] = {}
-    for line in lines[1:]:
-        key, _, value = line.partition(" ")
-        fields.setdefault(key, []).append(value)
-
-    def rows(key: str, kind: type = str) -> list[list]:
-        return [[kind(v) for v in value.split()] for value in fields.get(key, [])]
-
-    def one(key: str, kind: type = str):
-        values = rows(key, kind)
-        if [len(row) for row in values] != [1]:
-            raise ValueError(f"expected one {key!r} line with one value")
-        return values[0][0]
-
+    fields, rows, one = keyed.fields, keyed.rows, keyed.one
+    if keyed.tab_rows:
+        raise ValueError("a model file holds no tab-separated rows")
     variant, dim = one("variant", Variant), one("dim", int)
     table, table_keys = _VARIANT_TABLE.get(variant, (None, set()))
     stray = set(fields) - {"variant", "dim", "vocab_hash", "planes", "plane", "bias", "weights"} - table_keys
@@ -720,18 +710,8 @@ def load_model(path: str | Path, vocab: Vocabulary | None) -> SentimentModel:
     one) raises :class:`ModelFormatError`, as does a file that does not
     hold exactly its variant's planes and table, in range.
     """
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or not lines[0].startswith(_MODEL_MAGIC):
-        raise ModelFormatError(f"{path}: not a model file")
-    version = lines[0].removeprefix(_MODEL_MAGIC).strip()
-    if version != str(_MODEL_VERSION):
-        raise ModelFormatError(f"{path}: unsupported model version {version!r}")
-    try:
-        model = _parse_model(lines)
-    except (ValueError, OverflowError) as exc:
-        raise ModelFormatError(f"{path}: malformed model file ({exc})") from None
-
+    with _keyed_file(path, "model", _MODEL_MAGIC, _MODEL_VERSION, ModelFormatError) as keyed:
+        model = _parse_model(keyed)
     if model.vocab_hash:
         if vocab is None:
             raise ModelFormatError(f"{path}: model requires its training vocabulary to load")

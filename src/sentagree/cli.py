@@ -70,11 +70,15 @@ def _plain(value) -> str:
     return str(value)
 
 
+class UsageError(SentagreeError):
+    """A command line that parses but cannot be run as given."""
+
+    code = "usage"
+
+
 def _load_gold_any(path: Path) -> list[corpus.GoldPost]:
     """Load a gold corpus; raw annotation files are merged on the fly."""
-    with open(path, encoding="utf-8") as handle:
-        header = handle.readline().lower()
-    if "annotatorid" in header:
+    if corpus._is_annotation_table(path):
         return corpus.merge_gold(corpus.load_annotations(path))
     return corpus.load_gold(path)
 
@@ -82,7 +86,7 @@ def _load_gold_any(path: Path) -> list[corpus.GoldPost]:
 def _single(values: list[str], flag: str) -> str:
     """The one value of a repeatable flag in a command that uses only one."""
     if len(values) > 1:
-        raise SentagreeError(f"{flag} takes one value for this command, got {len(values)}")
+        raise UsageError(f"{flag} takes one value for this command, got {len(values)}")
     return values[0]
 
 
@@ -275,7 +279,7 @@ def cmd_curve(args: argparse.Namespace) -> None:
 
 def cmd_compare(args: argparse.Namespace) -> None:
     if len(args.input) < 2:
-        raise SentagreeError("compare needs at least two dataset files")
+        raise UsageError("compare needs at least two dataset files")
     measure = agr.Measure(_single(args.measure, "--measure")) if args.measure else agr.Measure.ALPHA_INTERVAL
     variants = [v.value for v in classify.Variant]
     scores = []
@@ -400,6 +404,8 @@ def build_parser() -> argparse.ArgumentParser:
 def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     try:
+        if args.command in ("merge", "train") and args.out == "-":
+            raise UsageError(f"{args.command} writes files and needs --out FILE, not '-'")
         args.func(args)
     except SentagreeError as exc:
         message = " ".join(str(exc).split())

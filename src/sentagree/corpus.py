@@ -1,8 +1,10 @@
 """Annotated-corpus ingestion, pair extraction, gold merging, chunking.
 
 The on-disk format is a delimiter-separated table (comma or tab,
-auto-detected from the header line) with one annotation per row.
-Header names are matched case-insensitively:
+auto-detected from the header line) with one annotation per row, in
+UTF-8 with an optional byte-order mark.  Columns are found from the
+header alone; there is no way to name them by hand.  Header names are
+matched case-insensitively:
 
 =============  ========================================  =========
 column         accepted header names                     required
@@ -17,6 +19,11 @@ text           ``Text``                                  no
 Labels are the strings ``Negative`` / ``Neutral`` / ``Positive``
 (case-insensitive) and map to the integer codes -1 / 0 / +1.  Any other
 label value is a hard error that reports the offending line number.
+Line numbers count physical lines of the file, so a record after a
+quoted field that spans lines is reported where it starts.  Bytes that
+are not UTF-8, malformed CSV (including a field over the csv module's
+128 KiB limit) and rows too short for the header's columns are
+:class:`CorpusFormatError` too.
 
 Merged gold files use the same table layout minus the annotator column,
 plus a ``MergedFrom`` column counting the annotations each post was
@@ -26,10 +33,12 @@ merged from.
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterator, Mapping, Sequence
+from collections.abc import Iterator, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum, IntEnum
+from itertools import chain
 from pathlib import Path
 
 from .errors import CorpusFormatError
@@ -49,11 +58,15 @@ __all__ = [
     "time_ordered_chunks",
 ]
 
-_ID_ALIASES = ("tweetid", "id")
-_LABEL_ALIASES = ("handlabel", "label")
-_ANNOTATOR_ALIASES = ("annotatorid",)
-_DATE_ALIASES = ("date",)
-_TEXT_ALIASES = ("text",)
+#: Accepted header names of each column, lowercase, in order of preference.
+_COLUMNS = {
+    "post id": ("tweetid", "id"),
+    "label": ("handlabel", "label"),
+    "annotator id": ("annotatorid",),
+    "date": ("date",),
+    "text": ("text",),
+    "merge count": ("mergedfrom",),
+}
 
 _LABEL_NAMES = {"negative": -1, "neutral": 0, "positive": 1}
 
@@ -144,57 +157,62 @@ class GoldPost:
     merged_from: int = 1
 
 
+def _data_rows(reader, columns: Sequence[int | None], path: str | Path) -> Iterator[tuple[int, list[str]]]:
+    """Non-blank data rows with the file line each one starts on; a row
+    too short to hold every column in ``columns`` raises
+    :class:`CorpusFormatError`."""
+    needed = max(c for c in columns if c is not None)
+    line = reader.line_num + 1
+    for row in reader:
+        if any(cell.strip() for cell in row):
+            if len(row) <= needed:
+                raise CorpusFormatError(
+                    f"{path}: line {line} has {len(row)} fields, expected at least {needed + 1}"
+                )
+            yield line, row
+        line = reader.line_num + 1
+
+
+@contextmanager
+def _open_table(path: str | Path, required: Sequence[str] = (), optional: Sequence[str] = ()):
+    """Open the table at ``path`` once; yield its delimiter, the indices
+    of the ``required`` then ``optional`` columns (keys of ``_COLUMNS``;
+    None if missing) and its data rows.  Faults in the file raise
+    :class:`CorpusFormatError` anywhere inside the ``with`` block."""
+    with open(path, encoding="utf-8-sig", newline="") as handle:
+        try:
+            first = handle.readline()
+            if not first.strip():
+                raise CorpusFormatError(f"{path}: empty file, expected a header row")
+            delimiter = "\t" if "\t" in first else ","
+            reader = csv.reader(chain([first], handle), delimiter=delimiter)
+            header = next(reader)
+            lowered = [h.strip().lower() for h in header]
+            columns = [next((lowered.index(a) for a in _COLUMNS[name] if a in lowered), None)
+                       for name in (*required, *optional)]
+            for name, column in zip(required, columns):
+                if column is None:
+                    raise CorpusFormatError(f"{path}: could not find a {name} column in header {header!r}")
+            yield delimiter, columns, _data_rows(reader, columns, path)
+        except UnicodeDecodeError as exc:
+            raise CorpusFormatError(
+                f"{path}: not UTF-8 text (cannot decode byte 0x{exc.object[exc.start]:02x})"
+            ) from None
+        except csv.Error as exc:
+            raise CorpusFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+
+
 def sniff_delimiter(path: str | Path) -> str:
     """Return the column delimiter of ``path``: tab if the header line
     contains one, else comma."""
-    with open(path, encoding="utf-8", newline="") as handle:
-        header = handle.readline()
-    if not header.strip():
-        raise CorpusFormatError(f"{path}: empty file, expected a header row")
-    return "\t" if "\t" in header else ","
+    with _open_table(path) as (delimiter, _, _):
+        return delimiter
 
 
-def _find_column(
-    header: Sequence[str],
-    aliases: Sequence[str],
-    override: str | None,
-    *,
-    required: bool,
-    what: str,
-    path: str | Path,
-) -> int | None:
-    lowered = [h.strip().lower() for h in header]
-    if override is not None:
-        try:
-            return lowered.index(override.strip().lower())
-        except ValueError:
-            raise CorpusFormatError(
-                f"{path}: no column named {override!r} in header {header!r}"
-            ) from None
-    for alias in aliases:
-        if alias in lowered:
-            return lowered.index(alias)
-    if required:
-        raise CorpusFormatError(
-            f"{path}: could not find a {what} column in header {header!r}"
-        )
-    return None
-
-
-def _data_rows(
-    reader: Iterator[list[str]], columns: Sequence[int | None], path: str | Path
-) -> Iterator[tuple[int, list[str]]]:
-    """Non-blank data rows with their line numbers; a row too short to
-    hold every column in ``columns`` raises :class:`CorpusFormatError`."""
-    needed = max(c for c in columns if c is not None)
-    for line, row in enumerate(reader, start=2):
-        if not row or all(not cell.strip() for cell in row):
-            continue
-        if len(row) <= needed:
-            raise CorpusFormatError(
-                f"{path}: line {line} has {len(row)} fields, expected at least {needed + 1}"
-            )
-        yield line, row
+def _is_annotation_table(path: str | Path) -> bool:
+    """Whether the table at ``path`` holds raw annotations, not merged gold."""
+    with _open_table(path, optional=("annotator id",)) as (_, (annotator_col,), _):
+        return annotator_col is not None
 
 
 def _parse_timestamp(raw: str, line: int, path: str | Path) -> datetime | None:
@@ -213,40 +231,19 @@ def _parse_timestamp(raw: str, line: int, path: str | Path) -> datetime | None:
     raise CorpusFormatError(f"{path}: unparseable date {raw!r} on line {line}")
 
 
-def load_annotations(
-    path: str | Path,
-    columns: Mapping[str, str] | None = None,
-) -> list[AnnotationRecord]:
+def load_annotations(path: str | Path) -> list[AnnotationRecord]:
     """Read an annotation table into a list of :class:`AnnotationRecord`.
-
-    ``columns`` optionally overrides the header auto-detection; keys are
-    ``"id"``, ``"label"``, ``"annotator"``, ``"date"``, ``"text"`` and
-    values are actual header names in the file.
 
     Rows are assigned ``seq`` numbers 0..n-1 in file order.  Unknown
     labels, missing required columns, and unparseable non-empty dates
     raise :class:`CorpusFormatError` with the offending line number;
     I/O errors propagate unchanged.
     """
-    columns = dict(columns or {})
-    delimiter = sniff_delimiter(path)
     records: list[AnnotationRecord] = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusFormatError(f"{path}: empty file, expected a header row") from None
-        id_col = _find_column(header, _ID_ALIASES, columns.get("id"), required=True, what="post id", path=path)
-        label_col = _find_column(header, _LABEL_ALIASES, columns.get("label"), required=True, what="label", path=path)
-        annot_col = _find_column(
-            header, _ANNOTATOR_ALIASES, columns.get("annotator"), required=True, what="annotator id", path=path
-        )
-        date_col = _find_column(header, _DATE_ALIASES, columns.get("date"), required=False, what="date", path=path)
-        text_col = _find_column(header, _TEXT_ALIASES, columns.get("text"), required=False, what="text", path=path)
-        for line, row in _data_rows(reader, (id_col, label_col, annot_col, date_col, text_col), path):
+    with _open_table(path, ("post id", "label", "annotator id"), ("date", "text")) as (_, columns, rows):
+        id_col, label_col, annot_col, date_col, text_col = columns
+        for line, row in rows:
             timestamp = _parse_timestamp(row[date_col], line, path) if date_col is not None else None
-            text = row[text_col] if text_col is not None else None
             records.append(
                 AnnotationRecord(
                     post_id=row[id_col].strip(),
@@ -254,7 +251,7 @@ def load_annotations(
                     label=SentimentLabel.from_string(row[label_col], line=line),
                     seq=len(records),
                     timestamp=timestamp,
-                    text=text,
+                    text=row[text_col] if text_col is not None else None,
                 )
             )
     return records
@@ -371,20 +368,10 @@ def load_gold(path: str | Path) -> list[GoldPost]:
     Accepts files produced by :func:`save_gold`; the ``MergedFrom``
     column is optional and defaults to 1.
     """
-    delimiter = sniff_delimiter(path)
     posts: list[GoldPost] = []
-    with open(path, encoding="utf-8", newline="") as handle:
-        reader = csv.reader(handle, delimiter=delimiter)
-        try:
-            header = next(reader)
-        except StopIteration:
-            raise CorpusFormatError(f"{path}: empty file, expected a header row") from None
-        id_col = _find_column(header, _ID_ALIASES, None, required=True, what="post id", path=path)
-        label_col = _find_column(header, _LABEL_ALIASES, None, required=True, what="label", path=path)
-        date_col = _find_column(header, _DATE_ALIASES, None, required=False, what="date", path=path)
-        text_col = _find_column(header, _TEXT_ALIASES, None, required=False, what="text", path=path)
-        merged_col = _find_column(header, ("mergedfrom",), None, required=False, what="merge count", path=path)
-        for line, row in _data_rows(reader, (id_col, label_col, date_col, text_col, merged_col), path):
+    with _open_table(path, ("post id", "label"), ("date", "text", "merge count")) as (_, columns, rows):
+        id_col, label_col, date_col, text_col, merged_col = columns
+        for line, row in rows:
             timestamp = _parse_timestamp(row[date_col], line, path) if date_col is not None else None
             merged_from = 1
             if merged_col is not None:

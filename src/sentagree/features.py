@@ -36,13 +36,14 @@ import hashlib
 import re
 from collections import Counter
 from collections.abc import Callable, Iterable, Sequence
+from contextlib import contextmanager
 from dataclasses import dataclass
 from pathlib import Path
 
 import numpy as np
 
 from .corpus import GoldPost
-from .errors import CorpusFormatError, VocabularyError
+from .errors import CorpusFormatError, SentagreeError, VocabularyError
 
 __all__ = [
     "NORMALIZER_VERSION",
@@ -403,36 +404,60 @@ def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
             handle.write(f"{term}\t{i}\t{int(vocab.doc_freq[i])}\n")
 
 
+class _KeyedLines:
+    """The lines after a keyed file's first line: a line holding a tab is
+    a row of tab-separated fields, any other is ``key value ...``, split
+    at its first space.  Lookups raise ``ValueError``."""
+
+    def __init__(self, lines: list[str]) -> None:
+        self.fields: dict[str, list[str]] = {}
+        self.tab_rows = [line.split("\t") for line in lines if "\t" in line]
+        for key, _, value in (line.partition(" ") for line in lines if "\t" not in line):
+            self.fields.setdefault(key, []).append(value)
+
+    def rows(self, key: str, kind: type = str) -> list[list]:
+        return [[kind(v) for v in value.split()] for value in self.fields.get(key, [])]
+
+    def one(self, key: str, kind: type = str):
+        values = self.rows(key, kind)
+        if [len(row) for row in values] != [1]:
+            raise ValueError(f"expected one {key!r} line with one value")
+        return values[0][0]
+
+
+@contextmanager
+def _keyed_file(path: str | Path, what: str, magic: str, version: int, error: type[SentagreeError]):
+    """Read a keyed file whose first line is ``magic version`` and yield
+    its other lines.  Undecodable bytes, another first line, and a
+    ``ValueError`` or ``OverflowError`` raised inside the ``with`` block
+    raise ``error``; I/O errors propagate unchanged."""
+    try:
+        with open(path, encoding="utf-8") as handle:
+            first, *lines = handle.read().splitlines() or [""]
+    except UnicodeDecodeError as exc:
+        raise error(f"{path}: not UTF-8 text (cannot decode byte 0x{exc.object[exc.start]:02x})") from None
+    if not first.startswith(magic):
+        raise error(f"{path}: not a {what} file")
+    if (found := first.removeprefix(magic).strip()) != str(version):
+        raise error(f"{path}: unsupported {what} version {found!r}")
+    try:
+        yield _KeyedLines(lines)
+    except (ValueError, OverflowError) as exc:
+        raise error(f"{path}: malformed {what} file ({exc})") from None
+
+
 def load_vocabulary(path: str | Path) -> Vocabulary:
     """Read a vocabulary written by :func:`save_vocabulary`."""
-    with open(path, encoding="utf-8") as handle:
-        lines = handle.read().splitlines()
-    if not lines or not lines[0].startswith(_VOCAB_MAGIC):
-        raise VocabularyError(f"{path}: not a vocabulary file")
-    version = lines[0].removeprefix(_VOCAB_MAGIC).strip()
-    if version != str(_VOCAB_VERSION):
-        raise VocabularyError(f"{path}: unsupported vocabulary version {version!r}")
-    try:
-        cursor = 1
-        n_docs = int(lines[cursor].split()[1]); cursor += 1
-        min_df = int(lines[cursor].split()[1]); cursor += 1
-        ngrams = tuple(int(n) for n in lines[cursor].split()[1].split(",")); cursor += 1
-        n_terms = int(lines[cursor].split()[1]); cursor += 1
-        terms: list[str] = []
-        doc_freq: list[int] = []
-        for offset in range(n_terms):
-            fields = lines[cursor + offset].split("\t")
-            term, idx, df = fields[0], int(fields[1]), int(fields[2])
-            if idx != offset:
-                raise VocabularyError(f"{path}: term index {idx} out of order")
-            terms.append(term)
-            doc_freq.append(df)
+    with _keyed_file(path, "vocabulary", _VOCAB_MAGIC, _VOCAB_VERSION, VocabularyError) as keyed:
+        rows, n_terms = keyed.tab_rows, keyed.one("terms", int)
+        if set(keyed.fields) != {"n_docs", "min_df", "ngrams", "terms"} or len(rows) != n_terms:
+            raise ValueError(f"expected four header lines and {n_terms} term rows")
+        if [int(idx) for _, idx, _ in rows] != list(range(n_terms)):
+            raise ValueError("term indices out of order")
         return Vocabulary(
-            terms=tuple(terms),
-            doc_freq=doc_freq,
-            n_docs=n_docs,
-            min_df=min_df,
-            ngrams=ngrams,
+            terms=tuple(term for term, _, _ in rows),
+            doc_freq=[int(df) for _, _, df in rows],
+            n_docs=keyed.one("n_docs", int),
+            min_df=keyed.one("min_df", int),
+            ngrams=tuple(int(n) for n in keyed.one("ngrams").split(",")),
         )
-    except (IndexError, ValueError, OverflowError) as exc:
-        raise VocabularyError(f"{path}: malformed vocabulary file ({exc})") from None

@@ -124,3 +124,21 @@ def mutated_lines(draw, lines):
             parts[k] = draw(st.sampled_from(FUZZ_TOKENS) | st.text(max_size=4))
             lines[i] = sep.join(parts)
     return lines
+
+
+#: Raw bytes spliced into fuzzed tables by :func:`fuzzed_table`: invalid
+#: or truncated UTF-8, a byte-order mark, NUL, a lone carriage return
+#: and an unbalanced quote.
+FUZZ_BYTES = [b"\xff", b"\xe9", b"\xc3", b"\x80\x80", b"\xef\xbb\xbf", b"\x00", b"\r", b'"']
+
+
+@st.composite
+def fuzzed_table(draw, path):
+    """The bytes of the table at ``path`` after :func:`mutated_lines`,
+    with raw bytes spliced in at one place half of the time."""
+    lines = draw(mutated_lines(path.read_text(encoding="utf-8").splitlines()))
+    raw = "\n".join(lines).encode("utf-8") + b"\n"
+    if draw(st.booleans()):
+        at = draw(st.integers(0, len(raw)))
+        raw = raw[:at] + draw(st.sampled_from(FUZZ_BYTES) | st.binary(min_size=1, max_size=3)) + raw[at:]
+    return raw

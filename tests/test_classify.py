@@ -489,6 +489,10 @@ def test_load_model_rejects_bad_files(tmp_path) -> None:
     truncated.write_text("sentagree-model 1\nvariant TwoPlaneSVM\ndim 2\n")
     with pytest.raises(ModelFormatError, match="malformed"):
         load_model(truncated, None)
+    not_utf8 = tmp_path / "d.txt"
+    not_utf8.write_bytes(b"sentagree-model 1\nvariant TwoPlaneSVM\ndim 2\nvocab_hash \xff\n")
+    with pytest.raises(ModelFormatError, match="not UTF-8 text .*0xff"):
+        load_model(not_utf8, None)
 
 
 def saved_model_lines(tmp_path, variant: Variant) -> list[str]:

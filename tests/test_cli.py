@@ -6,12 +6,14 @@ import json
 import re
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sentagree import classify, corpus, features
 from sentagree.cli import main
 from sentagree.corpus import GoldPost, SentimentLabel
 
-from conftest import NEG_WORDS, NEU_WORDS, POS_WORDS, separable_corpus, write_table
+from conftest import NEG_WORDS, NEU_WORDS, POS_WORDS, fuzzed_table, separable_corpus, write_table
 
 MEASURE_ORDER = ["acc_within_1", "accuracy", "f1_bar", "alpha_interval", "alpha_nominal"]
 VARIANTS = [v.value for v in classify.Variant]
@@ -338,7 +340,7 @@ def test_compare_requires_two_datasets(gold_csv, capsys):
         ["compare", "--input", str(gold_csv), "--k", "3", "--min-df", "2"], capsys
     )
     assert code == 1
-    assert err.startswith("error: error: compare needs at least two")
+    assert err.startswith("error: usage: compare needs at least two")
 
 
 # --- failure modes and path resolution ----------------------------------------
@@ -374,7 +376,7 @@ def test_single_input_commands_reject_a_second_input(command, gold_csv, tmp_path
     argv = [command, "--input", str(gold_csv), "--input", str(gold_csv), "--out", str(tmp_path / "out")]
     code, out, err = run(argv, capsys)
     assert (code, out) == (1, "")
-    assert re.fullmatch(r"error: error: --input takes one value for this command, got 2\n", err)
+    assert re.fullmatch(r"error: usage: --input takes one value for this command, got 2\n", err)
     assert not (tmp_path / "out").exists()
 
 
@@ -385,7 +387,39 @@ def test_compare_rejects_a_second_measure(gold_csv, tmp_path, capsys):
             "--measure", "accuracy", "--measure", "f1_bar"]
     code, out, err = run(argv, capsys)
     assert (code, out) == (1, "")
-    assert re.fullmatch(r"error: error: --measure takes one value for this command, got 2\n", err)
+    assert re.fullmatch(r"error: usage: --measure takes one value for this command, got 2\n", err)
+
+
+@pytest.mark.parametrize("command", ["merge", "train"])
+@pytest.mark.parametrize("out", [[], ["--out", "-"]], ids=["default", "dash"])
+def test_file_writing_commands_reject_stdout(command, out, annotations_csv, tmp_path, monkeypatch, capsys):
+    monkeypatch.chdir(tmp_path)
+    code, stdout, err = run([command, "--input", str(annotations_csv), *out], capsys)
+    assert (code, stdout) == (1, "")
+    assert re.fullmatch(rf"error: usage: {command} writes files and needs --out FILE, not '-'\n", err)
+    assert sorted(p.name for p in tmp_path.iterdir()) == [annotations_csv.name]
+
+
+@pytest.mark.parametrize("command", ["agreement", "crossval"])
+def test_non_utf8_table_is_one_corpus_error(command, annotations_csv, tmp_path, capsys):
+    latin = tmp_path / "latin.csv"
+    latin.write_bytes(annotations_csv.read_bytes().replace(b"meeting", "réunion".encode("latin-1")))
+    code, out, err = run([command, "--input", str(latin)], capsys)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: corpus-format: .*latin\.csv: not UTF-8 text \(cannot decode byte 0xe9\)\n", err)
+
+
+@settings(max_examples=60, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_fuzzed_tables_end_in_a_report_or_one_error_line(annotations_csv, tmp_path, capsys, data):
+    path = tmp_path / "fuzzed.csv"
+    path.write_bytes(data.draw(fuzzed_table(annotations_csv)))
+    argv = data.draw(st.sampled_from([
+        ["ordering"],
+        ["train", "--min-df", "1", "--out", str(tmp_path / "model.txt")],
+    ]))
+    code, _, err = run([*argv, "--input", str(path)], capsys)
+    assert (code, err) == (0, "") or (code == 1 and re.fullmatch(r"error: [a-z-]+: [^\n]+\n", err)), err
 
 
 def test_data_dir_fallback(tmp_path, monkeypatch, capsys):

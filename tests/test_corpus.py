@@ -5,6 +5,8 @@ from __future__ import annotations
 from datetime import datetime
 
 import pytest
+from hypothesis import HealthCheck, given, settings
+from hypothesis import strategies as st
 
 from sentagree.corpus import (
     AnnotationRecord,
@@ -19,9 +21,9 @@ from sentagree.corpus import (
     sniff_delimiter,
     time_ordered_chunks,
 )
-from sentagree.errors import CorpusFormatError
+from sentagree.errors import CorpusFormatError, SentagreeError
 
-from conftest import write_table
+from conftest import fuzzed_table, write_table
 
 
 def ann(post, annotator, label, seq, ts=None, text=None):
@@ -71,20 +73,6 @@ def test_load_annotations_header_aliases(tmp_path) -> None:
     assert records[0].post_id == "x"
 
 
-def test_load_annotations_column_override(tmp_path) -> None:
-    path = write_table(
-        tmp_path / "odd.csv",
-        [("x", "Positive", "a")],
-        header=("PostKey", "Verdict", "Who"),
-    )
-    records = load_annotations(
-        path, columns={"id": "PostKey", "label": "Verdict", "annotator": "Who"}
-    )
-    assert records[0].annotator_id == "a"
-    with pytest.raises(CorpusFormatError, match="no column named 'Nope'"):
-        load_annotations(path, columns={"id": "Nope"})
-
-
 def test_unknown_label_reports_line(tmp_path) -> None:
     path = write_table(
         tmp_path / "bad.csv",
@@ -119,18 +107,70 @@ def test_bad_date_reports_line(tmp_path) -> None:
         load_annotations(path)
 
 
-@pytest.mark.parametrize(
-    ("loader", "header", "full_row"),
+TABLES = pytest.mark.parametrize(
+    ("loader", "header", "row"),
     [
         (load_annotations, ("TweetID", "HandLabel", "AnnotatorID", "Text"), ("t1", "Positive", "a1", "good")),
         (load_gold, ("TweetID", "HandLabel", "Text"), ("t1", "Positive", "good")),
     ],
     ids=["annotations", "gold"],
 )
-def test_short_row_reports_line(tmp_path, loader, header, full_row) -> None:
-    path = write_table(tmp_path / "short.csv", [full_row, ("t2",)], header=header)
+
+
+@TABLES
+def test_short_row_reports_line(tmp_path, loader, header, row) -> None:
+    path = write_table(tmp_path / "short.csv", [row, ("t2",)], header=header)
     with pytest.raises(CorpusFormatError, match=f"line 3 has 1 fields, expected at least {len(header)}"):
         loader(path)
+
+
+@TABLES
+def test_non_utf8_byte_is_a_format_error(tmp_path, loader, header, row) -> None:
+    path = write_table(tmp_path / "latin.csv", [row], header=header)
+    path.write_bytes(path.read_bytes().replace(b"good", "café".encode("latin-1")))
+    with pytest.raises(CorpusFormatError, match="not UTF-8 text .*0xe9"):
+        loader(path)
+
+
+@TABLES
+def test_byte_order_mark_is_skipped(tmp_path, loader, header, row) -> None:
+    plain = write_table(tmp_path / "plain.csv", [row, ("t2",) + row[1:]], header=header)
+    marked = tmp_path / "bom.csv"
+    marked.write_bytes(b"\xef\xbb\xbf" + plain.read_bytes())
+    assert loader(marked) == loader(plain)
+
+
+@TABLES
+def test_oversized_field_is_a_format_error(tmp_path, loader, header, row) -> None:
+    path = write_table(tmp_path / "huge.csv", [row[:-1] + ("x" * (128 * 1024 + 1),)], header=header)
+    with pytest.raises(CorpusFormatError, match="line 2: field larger than field limit"):
+        loader(path)
+
+
+@TABLES
+def test_line_numbers_count_file_lines(tmp_path, loader, header, row) -> None:
+    two_lines = row[:-1] + ('"first line\nsecond line"',)
+    bad = (row[0] + "b", "Wonderful") + row[2:]
+    path = write_table(tmp_path / "multi.csv", [two_lines, bad], header=header)
+    with pytest.raises(CorpusFormatError, match=r"'Wonderful' on line 4"):
+        loader(path)
+
+
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_table_loaders_fuzz_raise_only_format_errors(tmp_path, annotations_csv, data) -> None:
+    loader = data.draw(st.sampled_from([load_annotations, load_gold]))
+    source = annotations_csv
+    if loader is load_gold:
+        source = tmp_path / "gold.csv"
+        save_gold(merge_gold(load_annotations(annotations_csv)), source)
+    path = tmp_path / "fuzzed.csv"
+    path.write_bytes(data.draw(fuzzed_table(source)))
+    try:
+        loaded = loader(path)
+    except (SentagreeError, OSError):
+        return
+    assert all(isinstance(item, (AnnotationRecord, GoldPost)) for item in loaded)
 
 
 def test_extract_pairs_all_combinations() -> None:

@@ -269,6 +269,10 @@ def test_load_vocabulary_rejects_bad_files(tmp_path) -> None:
     truncated.write_text("sentagree-vocab 1\nn_docs 4\nmin_df 2\nngrams 1,2\nterms 3\na\t0\t2\n")
     with pytest.raises(VocabularyError, match="malformed"):
         load_vocabulary(truncated)
+    not_utf8 = tmp_path / "u.txt"
+    not_utf8.write_bytes(b"sentagree-vocab 1\nn_docs 4\nmin_df 2\nngrams 1\nterms 1\n\xff\t0\t2\n")
+    with pytest.raises(VocabularyError, match="not UTF-8 text .*0xff"):
+        load_vocabulary(not_utf8)
 
 
 def test_save_vocabulary_rejects_delimiter_terms(tmp_path) -> None:
