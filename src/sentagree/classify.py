@@ -16,6 +16,18 @@ gradient magnitude of an epoch falls below ``tol`` or after
 ``max_epochs``.  The dual objective ``sum(alpha) - ||w||^2 / 2`` is
 recorded per epoch and never decreases.
 
+The coordinate loop runs on plain Python floats, not numpy: rows are
+lists of ``(index, value)`` pairs and ``w``, ``alpha`` and the bounds
+are lists, because numpy's per-call overhead dwarfs the arithmetic on
+rows of a few nonzeros.  ``w . x`` is summed left to right in an
+explicit loop (not ``sum()``, which compensates since Python 3.12, nor
+a BLAS dot, whose kernel varies by CPU), so a plane does not depend on
+the interpreter version.  A coordinate at a bound whose gradient points
+out of its box has projected gradient 0 and is skipped at once.  Each
+plane records whether it converged and its last epoch's largest
+projected gradient; a plane that stops at ``max_epochs`` without
+converging is logged at DEBUG level with its sides.
+
 Six multiclass architectures combine such planes.  Input vectors are
 raw term counts; every plane reweights them with class-ratio weights
 computed from its own binary training split, and the learned plane
@@ -59,8 +71,9 @@ tables and tunes the neutral zone with the same rules, and
 
 from __future__ import annotations
 
+import logging
 from collections.abc import Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass, field, replace
 from enum import Enum
 from pathlib import Path
 
@@ -88,6 +101,8 @@ __all__ = [
     "save_model",
     "load_model",
 ]
+
+logger = logging.getLogger(__name__)
 
 
 class Variant(str, Enum):
@@ -145,12 +160,17 @@ class LinearModel:
 
     ``dual_objectives`` holds the dual objective after every epoch run;
     it is nondecreasing by construction of the coordinate steps.
+    ``converged`` says whether the last epoch's largest projected-gradient
+    magnitude, ``max_projected_gradient``, fell below ``tol``; both are
+    ``None`` for a plane that was not trained here (a loaded model).
     """
 
     weights: np.ndarray
     bias: float
     dual_objectives: tuple[float, ...] = ()
     epochs_run: int = 0
+    converged: bool | None = None
+    max_projected_gradient: float | None = None
 
     @property
     def dim(self) -> int:
@@ -200,50 +220,68 @@ def train_binary(
     if any(v.dim != dim for v in vectors):
         raise EvaluationError("examples disagree on vector dimension")
     if upper_bounds is None:
-        bounds = np.full(n, config.cost)
+        bounds = [float(config.cost)] * n
     else:
-        bounds = np.asarray(upper_bounds, dtype=np.float64)
+        bounds = np.asarray(upper_bounds, dtype=np.float64).tolist()
 
-    rows = [(v.indices, v.values) for v in vectors]
-    q_diag = np.array([float(v.values @ v.values) + 1.0 for v in vectors])
-    w = np.zeros(dim)
+    # plain Python floats from here on (see the module docstring)
+    rows = [list(zip(v.indices.tolist(), v.values.tolist())) for v in vectors]
+    q_diag = np.array([float(v.values @ v.values) + 1.0 for v in vectors]).tolist()
+    ys = y_arr.tolist()
+    w = [0.0] * dim
     b = 0.0
-    alphas = np.zeros(n)
+    alphas = [0.0] * n
     objectives: list[float] = []
     epochs_run = 0
     rng = np.random.default_rng(config.seed)
 
     for _ in range(config.max_epochs):
         worst = 0.0
-        for i in rng.permutation(n):
-            idx, vals = rows[i]
-            yi = y_arr[i]
-            grad = yi * (float(vals @ w[idx]) + b) - 1.0
+        for i in rng.permutation(n).tolist():
+            row = rows[i]
+            yi = ys[i]
+            wx = 0.0
+            for j, v in row:
+                wx += v * w[j]
+            grad = yi * (wx + b) - 1.0
             ai = alphas[i]
+            bound = bounds[i]
+            # projected gradient 0: a bounded coordinate pushed out of its box
             if ai <= 0.0:
-                projected = min(grad, 0.0)
-            elif ai >= bounds[i]:
-                projected = max(grad, 0.0)
-            else:
-                projected = grad
-            if projected != 0.0:
-                worst = max(worst, abs(projected))
-                new_ai = min(max(ai - grad / q_diag[i], 0.0), bounds[i])
-                step = (new_ai - ai) * yi
-                if step != 0.0:
-                    w[idx] += step * vals
-                    b += step
-                    alphas[i] = new_ai
+                if grad >= 0.0:
+                    continue
+            elif ai >= bound:
+                if grad <= 0.0:
+                    continue
+            elif grad == 0.0:
+                continue
+            magnitude = -grad if grad < 0.0 else grad
+            if magnitude > worst:
+                worst = magnitude
+            new_ai = ai - grad / q_diag[i]
+            if new_ai < 0.0:
+                new_ai = 0.0
+            if new_ai > bound:
+                new_ai = bound
+            step = (new_ai - ai) * yi
+            if step != 0.0:
+                for j, v in row:
+                    w[j] += step * v
+                b += step
+                alphas[i] = new_ai
         epochs_run += 1
-        objectives.append(float(alphas.sum() - 0.5 * (w @ w + b * b)))
+        w_arr = np.array(w)
+        objectives.append(float(np.array(alphas).sum() - 0.5 * (w_arr @ w_arr + b * b)))
         if worst < config.tol:
             break
 
     return LinearModel(
-        weights=w,
+        weights=np.array(w),
         bias=float(b),
         dual_objectives=tuple(objectives),
         epochs_run=epochs_run,
+        converged=worst < config.tol,
+        max_projected_gradient=worst,
     )
 
 
@@ -444,12 +482,12 @@ def _train_plane(
         per_side = {1.0: config.cost * n / (2.0 * n_pos), -1.0: config.cost * n / (2.0 * (n - n_pos))}
         bounds = np.array([per_side[v] for v in y])
     model = train_binary(scaled, y, config, upper_bounds=bounds)
-    return LinearModel(
-        weights=model.weights * gamma,
-        bias=model.bias,
-        dual_objectives=model.dual_objectives,
-        epochs_run=model.epochs_run,
-    )
+    if not model.converged:
+        logger.debug(
+            "plane %s vs %s stopped at max_epochs=%d without converging (max projected gradient %.3g)",
+            neg_side, pos_side, model.epochs_run, model.max_projected_gradient,
+        )
+    return replace(model, weights=model.weights * gamma)
 
 
 def _validation_split(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -187,9 +187,9 @@ class SparseVector:
         if indices.size:
             if indices[0] < 0 or indices[-1] >= self.dim:
                 raise ValueError(f"indices out of range for dimension {self.dim}")
-            if np.any(np.diff(indices) <= 0):
+            if (indices[1:] <= indices[:-1]).any():
                 raise ValueError("indices must be strictly increasing")
-            if not np.all(np.isfinite(values)) or np.any(values == 0.0):
+            if not np.isfinite(values).all() or (values == 0.0).any():
                 raise ValueError("values must be finite and non-zero")
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
@@ -342,16 +342,15 @@ def class_sides(
     """
     if len(vectors) != len(positive):
         raise ValueError("vectors and side mask differ in length")
-    pos_df = np.zeros(dim, dtype=np.int64)
-    neg_df = np.zeros(dim, dtype=np.int64)
-    n_pos = 0
-    for vec, is_pos in zip(vectors, positive):
-        target = pos_df if is_pos else neg_df
-        n_pos += bool(is_pos)
-        np.add.at(target, vec.indices, 1)
+    side = np.asarray(positive, dtype=bool)
+    indices = np.concatenate([np.empty(0, dtype=np.intp), *(vec.indices for vec in vectors)])
+    if indices.size and indices.max() >= dim:
+        raise IndexError(f"term index {indices.max()} out of range for dimension {dim}")
+    on_pos = np.repeat(side, [vec.nnz for vec in vectors])
+    n_pos = int(side.sum())
     return ClassSides(
-        pos_doc_freq=pos_df,
-        neg_doc_freq=neg_df,
+        pos_doc_freq=np.bincount(indices[on_pos], minlength=dim).astype(np.int64, copy=False),
+        neg_doc_freq=np.bincount(indices[~on_pos], minlength=dim).astype(np.int64, copy=False),
         n_pos=n_pos,
         n_neg=len(vectors) - n_pos,
     )

@@ -90,7 +90,8 @@ def svm_dual_optimum(X, y, cost):
 
     Solves min over the box [0, C]^n of ``f(a) = 1/2 a'Qa - 1'a`` where
     ``Q = (y y') * (X X' + 1)`` (the +1 is the appended bias feature) and
-    returns the dual objective ``-f`` at the optimum.
+    returns the dual objective ``-f`` at the optimum.  ``cost`` is one
+    bound ``C`` for every example or an array of per-example bounds.
 
     A quasi-Newton run from several starting points only seeds the
     answer (L-BFGS-B can stall on heavily bound-constrained instances
@@ -103,6 +104,7 @@ def svm_dual_optimum(X, y, cost):
     X = np.asarray(X, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     n = X.shape[0]
+    cost = np.broadcast_to(np.asarray(cost, dtype=np.float64), (n,))
     signed = y[:, None] * np.hstack([X, np.ones((n, 1))])
     gram = signed @ signed.T
 
@@ -117,12 +119,12 @@ def svm_dual_optimum(X, y, cost):
         return -np.minimum(-g * a, g * (cost - a)).sum()
 
     best = None
-    for fill in (0.0, 0.5 * cost, cost):
+    for fill in (0.0, 0.5, 1.0):
         result = minimize(
             fun,
-            np.full(n, fill),
+            fill * cost,
             jac=jac,
-            bounds=[(0.0, cost)] * n,
+            bounds=[(0.0, c) for c in cost],
             method="L-BFGS-B",
             options={"maxiter": 50000, "maxfun": 200000, "ftol": 1e-18, "gtol": 1e-14},
         )

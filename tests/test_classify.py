@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import logging
 
 import numpy as np
 import pytest
@@ -80,6 +81,53 @@ def test_train_binary_matches_qp_oracle() -> None:
         model = train_binary([vec(row) for row in X], y, config)
         expected = oracles.svm_dual_optimum(X, y, cost)
         assert model.dual_objectives[-1] == pytest.approx(expected, abs=1e-6, rel=1e-6)
+
+
+def test_train_binary_matches_qp_oracle_on_sparse_rows_with_bounds() -> None:
+    # mostly-zero rows, one all-zero row and one duplicated row, with
+    # per-example box bounds
+    rng = np.random.default_rng(47)
+    for trial in range(10):
+        n, d = 12, 6
+        X = rng.normal(size=(n, d)) * (rng.random(size=(n, d)) < 0.3)
+        X[2] = 0.0
+        X[5] = X[4]
+        y = rng.choice([-1.0, 1.0], size=n)
+        y[0], y[1] = -1.0, 1.0
+        bounds = rng.choice([0.25, 1.0, 4.0], size=n)
+        config = TrainConfig(tol=1e-10, max_epochs=5000, seed=trial)
+        model = train_binary([vec(row) for row in X], y, config, upper_bounds=bounds)
+        expected = oracles.svm_dual_optimum(X, y, bounds)
+        assert model.converged
+        assert model.dual_objectives[-1] == pytest.approx(expected, abs=1e-6, rel=1e-6)
+
+
+def test_train_binary_reports_convergence() -> None:
+    vectors, y = separable_line()
+    tight = train_binary(vectors, y, TIGHT)
+    assert tight.converged is True
+    assert 0.0 <= tight.max_projected_gradient < TIGHT.tol
+    capped = train_binary(vectors, y, TrainConfig(max_epochs=1))
+    assert capped.converged is False
+    assert capped.epochs_run == 1
+    assert capped.max_projected_gradient >= TrainConfig().tol
+
+
+def test_plane_stopped_at_max_epochs_is_logged(caplog) -> None:
+    vectors, y = separable_line()
+    vectors, y = vectors + [vec([0.5], 1)], y + [0]  # a neutral example the polarity plane leaves out
+    with caplog.at_level(logging.DEBUG, logger="sentagree.classify"):
+        model = train_sentiment(vectors, y, Variant.NEUTRAL_ZONE, TrainConfig(max_epochs=1, neutral_zone=0.1))
+    assert model.planes["polarity"].converged is False
+    records = [r for r in caplog.records if r.name == "sentagree.classify" and r.levelno == logging.DEBUG]
+    assert len(records) == 1
+    assert "(-1,) vs (1,)" in records[0].getMessage()
+    assert "max_epochs=1" in records[0].getMessage()
+    caplog.clear()
+    with caplog.at_level(logging.DEBUG, logger="sentagree.classify"):
+        model = train_sentiment(vectors, y, Variant.NEUTRAL_ZONE, dataclasses.replace(TIGHT, neutral_zone=0.1))
+    assert model.planes["polarity"].converged is True
+    assert not [r for r in caplog.records if r.name == "sentagree.classify"]
 
 
 def test_train_binary_same_seed_reproduces_bitwise() -> None:

@@ -183,6 +183,15 @@ def test_sparse_vector_validation() -> None:
         SparseVector(np.array([3]), np.array([1.0]), 3)
     with pytest.raises(ValueError, match="equal length"):
         SparseVector(np.array([0, 1]), np.array([1.0]), 3)
+    with pytest.raises(ValueError, match="increasing"):
+        SparseVector(np.array([0, 2, 2]), np.array([1.0, 2.0, 3.0]), 3)
+    with pytest.raises(ValueError, match="out of range"):
+        SparseVector(np.array([-1, 0]), np.array([1.0, 2.0]), 3)
+    for bad in (np.nan, np.inf, -np.inf):
+        with pytest.raises(ValueError, match="finite"):
+            SparseVector(np.array([0, 1]), np.array([1.0, bad]), 3)
+    with pytest.raises(ValueError, match="1-D"):
+        SparseVector(np.array([[0, 1]]), np.array([[1.0, 2.0]]), 3)
     vec = SparseVector(np.array([0, 2]), np.array([2.0, -1.0]), 3)
     assert vec.dot(np.array([1.0, 5.0, 3.0])) == pytest.approx(-1.0)
 
@@ -201,6 +210,10 @@ def test_class_sides_counts_documents_not_occurrences() -> None:
     assert (sides.n_pos, sides.n_neg) == (2, 1)
     with pytest.raises(ValueError, match="length"):
         class_sides([vec([0], [1.0])], positive=[True, False], dim=2)
+    with pytest.raises(IndexError):
+        class_sides([vec([0], [1.0]), vec([1], [1.0])], positive=[True, False], dim=1)
+    empty = class_sides([], positive=[], dim=2)
+    assert empty.pos_doc_freq.tolist() == empty.neg_doc_freq.tolist() == [0, 0]
 
 
 def test_delta_weight_frozen_example() -> None:
