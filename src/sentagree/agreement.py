@@ -29,10 +29,19 @@ Measures that are undefined on a degenerate matrix (for example alpha
 when fewer than two labels carry mass, or ``f1_bar`` when a polar class
 is absent) raise :class:`UndefinedMeasureError` instead of returning a
 sentinel value.
+
+Each measure's arithmetic is written once, over a ``(..., 3, 3)`` stack
+of count matrices, so the single-matrix functions and the percentile
+bootstrap share it.  :func:`bootstrap_ci` draws the resamples of a pair
+set once, keeps their counts in a one-entry memo for the calls that
+follow with another measure, and evaluates a measure on all of them in
+one vectorized pass.  Counts of pairs are whole numbers, so the stacked
+results are bit-identical to evaluating one matrix at a time.
 """
 
 from __future__ import annotations
 
+import functools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -124,8 +133,9 @@ def pair_cells(pairs: Iterable[LabelPair | tuple[int, int]]) -> np.ndarray:
     """Map pairs to flat cell indices ``(first+1)*3 + (second+1)``.
 
     The flat representation is the resampling currency of
-    :func:`bootstrap_ci`; it keeps bootstrap iterations at one
-    ``bincount`` each.
+    :func:`bootstrap_ci`: a resample is a ``bincount`` of drawn cells.
+    The first draw of every resample index is shared by all measures
+    of a pair set, through a memo that holds one entry.
     """
     cells = []
     for pair in pairs:
@@ -155,21 +165,57 @@ def build_coincidence(pairs: Iterable[LabelPair | tuple[int, int]]) -> Coinciden
     return matrix_from_cells(pair_cells(pairs))
 
 
-def _alpha_from_counts(counts: np.ndarray, delta2: np.ndarray) -> float:
-    total = counts.sum()
-    if total <= 1.0:
-        raise UndefinedMeasureError(
-            f"alpha needs total mass > 1, got N = {total:g}"
-        )
-    marginals = counts.sum(axis=1)
-    d_obs = float((counts * delta2).sum()) / total
-    d_exp = float((np.outer(marginals, marginals) * delta2).sum()) / (total * (total - 1.0))
-    if d_exp <= 0.0:
-        raise UndefinedMeasureError(
-            "alpha is undefined: expected disagreement is zero "
-            "(fewer than two labels carry mass)"
-        )
-    return 1.0 - d_obs / d_exp
+# Each ``_*_stack`` function evaluates one measure over a ``(..., 3, 3)``
+# count stack and returns the values with a code per matrix that is 0
+# where the measure is defined: the single-matrix functions turn a
+# nonzero code into its message, and the bootstrap retries those draws.
+
+
+def _alpha_stack(counts: np.ndarray, delta2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """``1 - Do/De``; code 1 where ``N <= 1``, 2 where ``De`` is zero."""
+    total = counts.sum(axis=(-2, -1))
+    marginals = counts.sum(axis=-1)
+    expected = marginals[..., :, None] * marginals[..., None, :]
+    with np.errstate(divide="ignore", invalid="ignore"):
+        d_obs = (counts * delta2).sum(axis=(-2, -1)) / total
+        d_exp = (expected * delta2).sum(axis=(-2, -1)) / (total * (total - 1.0))
+        values = 1.0 - d_obs / d_exp
+    return values, np.where(total <= 1.0, 1, np.where(d_exp <= 0.0, 2, 0))
+
+
+def _accuracy_stack(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Diagonal mass over total mass; code 1 on an empty matrix."""
+    total = counts.sum(axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = np.trace(counts, axis1=-2, axis2=-1) / total
+    return values, total <= 0.0
+
+
+def _acc_within_1_stack(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """One minus the corner-cell share; code 1 on an empty matrix."""
+    total = counts.sum(axis=(-2, -1))
+    with np.errstate(divide="ignore", invalid="ignore"):
+        values = 1.0 - (counts[..., 0, 2] + counts[..., 2, 0]) / total
+    return values, total <= 0.0
+
+
+def _f1_bar_stack(counts: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """Mean of ``counts(c, c) / N(c)`` over the polar classes; code 1
+    where either polar class has no mass."""
+    marginals = counts.sum(axis=-1)
+    with np.errstate(divide="ignore", invalid="ignore"):
+        f1_neg = counts[..., 0, 0] / marginals[..., 0]
+        f1_pos = counts[..., 2, 2] / marginals[..., 2]
+    return 0.5 * (f1_neg + f1_pos), (marginals[..., 0] <= 0.0) | (marginals[..., 2] <= 0.0)
+
+
+_STACKED = {
+    Measure.ALPHA_NOMINAL: lambda counts: _alpha_stack(counts, DELTA2_NOMINAL),
+    Measure.ALPHA_INTERVAL: lambda counts: _alpha_stack(counts, DELTA2_INTERVAL),
+    Measure.F1_BAR: _f1_bar_stack,
+    Measure.ACCURACY: _accuracy_stack,
+    Measure.ACC_WITHIN_1: _acc_within_1_stack,
+}
 
 
 def alpha(matrix: CoincidenceMatrix, metric: str = "interval") -> float:
@@ -195,24 +241,33 @@ def alpha(matrix: CoincidenceMatrix, metric: str = "interval") -> float:
         delta2 = DELTA2_NOMINAL
     else:
         raise ValueError(f"unknown metric {metric!r}, expected 'nominal' or 'interval'")
-    return _alpha_from_counts(matrix.counts, delta2)
+    value, why = _alpha_stack(matrix.counts, delta2)
+    if why == 1:
+        raise UndefinedMeasureError(
+            f"alpha needs total mass > 1, got N = {matrix.total:g}"
+        )
+    if why == 2:
+        raise UndefinedMeasureError(
+            "alpha is undefined: expected disagreement is zero "
+            "(fewer than two labels carry mass)"
+        )
+    return float(value)
 
 
 def accuracy(matrix: CoincidenceMatrix) -> float:
     """Observed agreement: diagonal mass over total mass."""
-    total = matrix.total
-    if total <= 0.0:
+    value, why = _accuracy_stack(matrix.counts)
+    if why:
         raise UndefinedMeasureError("accuracy is undefined on an empty matrix")
-    return float(np.trace(matrix.counts)) / total
+    return float(value)
 
 
 def acc_within_1(matrix: CoincidenceMatrix) -> float:
     """Agreement within one scale point: everything but the corner cells."""
-    total = matrix.total
-    if total <= 0.0:
+    value, why = _acc_within_1_stack(matrix.counts)
+    if why:
         raise UndefinedMeasureError("acc_within_1 is undefined on an empty matrix")
-    extreme = matrix.counts[0, 2] + matrix.counts[2, 0]
-    return 1.0 - float(extreme) / total
+    return float(value)
 
 
 def f1_bar(matrix: CoincidenceMatrix) -> float:
@@ -222,15 +277,14 @@ def f1_bar(matrix: CoincidenceMatrix) -> float:
     ``F1(c) = counts(c, c) / N(c)``.  Requires both polar classes to
     carry mass.
     """
-    marginals = matrix.marginals
-    if marginals[0] <= 0.0 or marginals[2] <= 0.0:
+    value, why = _f1_bar_stack(matrix.counts)
+    if why:
+        marginals = matrix.marginals
         raise UndefinedMeasureError(
             "f1_bar is undefined: a polar class has no mass "
             f"(N(-) = {marginals[0]:g}, N(+) = {marginals[2]:g})"
         )
-    f1_neg = float(matrix.counts[0, 0]) / float(marginals[0])
-    f1_pos = float(matrix.counts[2, 2]) / float(marginals[2])
-    return 0.5 * (f1_neg + f1_pos)
+    return float(value)
 
 
 _DISPATCH = {
@@ -264,6 +318,27 @@ class ConfidenceInterval:
     undefined_resamples: int = 0
 
 
+@functools.lru_cache(maxsize=1)
+def _first_draws(cells: bytes, n_samples: int, seed: int) -> np.ndarray:
+    """One-sided counts of the first draw of every resample index.
+
+    ``cells`` is the raw buffer of :func:`pair_cells`.  Row ``index`` of
+    the read-only ``(n_samples, 3, 3)`` result is the ``bincount`` of
+    the first resample drawn from substream ``(seed, index)``.  The one
+    memo entry lets the calls for the other measures of the same pair
+    set skip the draws.
+    """
+    flat = np.frombuffer(cells, dtype=np.intp)
+    n = flat.shape[0]
+    stack = np.empty((n_samples, 9), dtype=np.float64)
+    for index in range(n_samples):
+        rng = np.random.default_rng((seed, index))
+        stack[index] = np.bincount(flat[rng.integers(0, n, n)], minlength=9)
+    stack = stack.reshape(n_samples, 3, 3)
+    stack.flags.writeable = False
+    return stack
+
+
 def bootstrap_ci(
     pairs: Sequence[LabelPair | tuple[int, int]],
     measure: Measure | str = Measure.ALPHA_INTERVAL,
@@ -285,11 +360,19 @@ def bootstrap_ci(
     ``undefined_resamples`` and dropped.  If every resample stays
     undefined, :class:`UndefinedMeasureError` is raised; so does an
     undefined point estimate.
+
+    The first draws do not depend on the measure: they are made once
+    per ``(pairs, n_samples, seed)`` and kept in a one-entry memo, so
+    the next call on the same pair set, for any measure, reuses them.
+    The measure is evaluated on all of them at once; only the indices
+    it leaves undefined replay their substream for the retries.
     """
     if not 0.0 < level < 1.0:
         raise ValueError(f"confidence level must be in (0, 1), got {level}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
+    if retry_cap < 0:
+        raise ValueError(f"retry_cap must not be negative, got {retry_cap}")
     measure = Measure(measure)
     cells = pair_cells(pairs)
     n = cells.shape[0]
@@ -297,34 +380,34 @@ def bootstrap_ci(
         raise UndefinedMeasureError("bootstrap_ci needs at least one pair")
     point = compute_measure(matrix_from_cells(cells), measure)
 
-    values = np.empty(n_samples, dtype=np.float64)
-    n_ok = 0
-    undefined = 0
-    for index in range(n_samples):
+    evaluate = _STACKED[measure]
+    one_sided = _first_draws(cells.tobytes(), n_samples, seed)
+    values, why = evaluate(one_sided + one_sided.transpose(0, 2, 1))
+    defined = why == 0
+    for index in np.flatnonzero(~defined).tolist():
         rng = np.random.default_rng((seed, index))
-        for _ in range(retry_cap + 1):
-            resampled = cells[rng.integers(0, n, n)]
-            try:
-                values[n_ok] = compute_measure(matrix_from_cells(resampled), measure)
-            except UndefinedMeasureError:
-                continue
-            n_ok += 1
-            break
-        else:
-            undefined += 1
-    if n_ok == 0:
+        rng.integers(0, n, n)  # the first draw, already evaluated
+        for _ in range(retry_cap):
+            counts = matrix_from_cells(cells[rng.integers(0, n, n)]).counts
+            value, why = evaluate(counts)
+            if why == 0:
+                values[index] = value
+                defined[index] = True
+                break
+    kept = values[defined]
+    if kept.size == 0:
         raise UndefinedMeasureError(
             f"all {n_samples} bootstrap resamples were undefined for {measure}"
         )
     tail = (1.0 - level) / 2.0
-    low, high = np.quantile(values[:n_ok], [tail, 1.0 - tail])
+    low, high = np.quantile(kept, [tail, 1.0 - tail])
     return ConfidenceInterval(
         point=point,
         low=min(float(low), point),
         high=max(float(high), point),
         level=level,
         samples=n_samples,
-        undefined_resamples=undefined,
+        undefined_resamples=n_samples - int(kept.size),
     )
 
 
@@ -355,7 +438,7 @@ def _restricted_alpha(
     if not mask.any():
         raise UndefinedMeasureError(f"no pairs with both labels in {what}")
     try:
-        return _alpha_from_counts(matrix_from_cells(cells[mask]).counts, DELTA2_INTERVAL)
+        return alpha(matrix_from_cells(cells[mask]), "interval")
     except UndefinedMeasureError as exc:
         raise UndefinedMeasureError(f"pairs restricted to {what} are degenerate: {exc}") from None
 

@@ -110,6 +110,9 @@ _MEASURE_ORDER = (
 
 def cmd_agreement(args: argparse.Namespace) -> None:
     wanted = tuple(agr.Measure(m) for m in args.measure) if args.measure else _MEASURE_ORDER
+    repeated = [m.value for m in wanted if wanted.count(m) > 1]
+    if repeated:
+        raise UsageError(f"--measure {repeated[0]} is given more than once")
     rows = []
     for path in args.input:
         pairs = corpus.extract_pairs(corpus.load_annotations(_resolve(path)))
@@ -138,6 +141,9 @@ def cmd_agreement(args: argparse.Namespace) -> None:
 
 def cmd_ordering(args: argparse.Namespace) -> None:
     excluded = set(args.exclude or [])
+    unknown = sorted(excluded - {_dataset_name(path) for path in args.input})
+    if unknown:
+        raise UsageError(f"--exclude {unknown[0]} names no input dataset")
     rows = []
     sums = []
     for path in args.input:

@@ -85,6 +85,52 @@ ALL_MEASURES = {
 }
 
 
+
+def bootstrap_reference(pairs, measure, n_samples=1000, level=0.95, seed=0, retry_cap=100):
+    """Percentile bootstrap of one measure, one resample at a time.
+
+    Each resample index opens its own substream ``default_rng((seed,
+    index))`` and draws up to ``retry_cap + 1`` attempts from it; every
+    attempt builds one validated coincidence matrix and evaluates the
+    brute-force measure on it.  Returns the library's
+    ``ConfidenceInterval`` so results compare with ``==``.
+    """
+    from sentagree.agreement import CoincidenceMatrix, ConfidenceInterval
+    from sentagree.errors import UndefinedMeasureError
+
+    brute = ALL_MEASURES[str(measure)]
+
+    def measure_of(sample):
+        return brute(CoincidenceMatrix(np.array(coincidence_brute(sample))).counts.tolist())
+
+    point = measure_of(pairs)
+    if point is None:
+        raise UndefinedMeasureError("undefined point estimate")
+    n = len(pairs)
+    values = []
+    undefined = 0
+    for index in range(n_samples):
+        rng = np.random.default_rng((seed, index))
+        for _ in range(retry_cap + 1):
+            value = measure_of([pairs[i] for i in rng.integers(0, n, n)])
+            if value is not None:
+                values.append(value)
+                break
+        else:
+            undefined += 1
+    if not values:
+        raise UndefinedMeasureError("every resample undefined")
+    tail = (1.0 - level) / 2.0
+    low, high = np.quantile(values, [tail, 1.0 - tail])
+    return ConfidenceInterval(
+        point=point,
+        low=min(float(low), point),
+        high=max(float(high), point),
+        level=level,
+        samples=n_samples,
+        undefined_resamples=undefined,
+    )
+
 def svm_dual_optimum(X, y, cost):
     """Optimal dual objective of the L1-hinge SVM with a regularized bias.
 

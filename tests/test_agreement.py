@@ -5,6 +5,7 @@ from __future__ import annotations
 import numpy as np
 import pytest
 
+from sentagree import agreement
 from sentagree.agreement import (
     CoincidenceMatrix,
     Measure,
@@ -16,6 +17,7 @@ from sentagree.agreement import (
     compute_measure,
     f1_bar,
     ordering_diagnostics,
+    pair_cells,
     sentiment_score,
 )
 from sentagree.errors import UndefinedMeasureError
@@ -167,6 +169,98 @@ def test_bootstrap_errors_when_everything_undefined() -> None:
     with pytest.raises(UndefinedMeasureError):
         bootstrap_ci([(0, 0), (0, 0)], Measure.ALPHA_INTERVAL)
 
+
+
+def test_bootstrap_rejects_a_negative_retry_cap() -> None:
+    with pytest.raises(ValueError, match="retry_cap"):
+        bootstrap_ci(FIXTURE_PAIRS, Measure.ACCURACY, retry_cap=-1)
+
+
+def skewed_pair_sets(count: int, seed: int) -> list[list[tuple[int, int]]]:
+    """Small pair sets whose lopsided label mix leaves some resamples
+    with one label or without a polar class."""
+    rng = np.random.default_rng(seed)
+    sets = []
+    for _ in range(count):
+        mix = rng.dirichlet([0.3, 0.3, 0.3])
+        n = int(rng.integers(1, 12))
+        sets.append([tuple(int(c) for c in rng.choice([-1, 0, 1], size=2, p=mix)) for _ in range(n)])
+    return sets
+
+
+def bootstrap_outcome(run, pairs, measure, **kwargs):
+    try:
+        return run(pairs, measure, **kwargs)
+    except UndefinedMeasureError:
+        return "undefined"
+
+
+def test_bootstrap_matches_the_per_resample_reference() -> None:
+    partly_undefined = 0
+    rescued = 0
+    for pairs in skewed_pair_sets(50, seed=31):
+        for measure in Measure:
+            by_cap = {}
+            for cap in (0, 1, 3):
+                kwargs = dict(n_samples=40, seed=len(pairs), retry_cap=cap)
+                got = bootstrap_outcome(bootstrap_ci, pairs, measure, **kwargs)
+                assert got == bootstrap_outcome(oracles.bootstrap_reference, pairs, measure, **kwargs), (
+                    pairs, measure, cap)
+                by_cap[cap] = got
+            if by_cap[3] != "undefined" and by_cap[3].undefined_resamples:
+                partly_undefined += 1
+            if "undefined" not in by_cap.values() and by_cap[3].undefined_resamples < by_cap[0].undefined_resamples:
+                rescued += 1
+    # the sets exercise both retries that succeed and budgets that run out
+    assert rescued > 0 and partly_undefined > 0
+
+
+def test_bootstrap_budget_runs_out() -> None:
+    pairs = [(-1, -1), (1, 1)]  # half of all draws hold a single label
+    for cap in (0, 1, 3):
+        ci = bootstrap_ci(pairs, Measure.ALPHA_NOMINAL, n_samples=200, seed=4, retry_cap=cap)
+        assert ci.undefined_resamples > 0
+        assert ci == oracles.bootstrap_reference(pairs, Measure.ALPHA_NOMINAL, n_samples=200, seed=4, retry_cap=cap)
+    # at seed 64 all eight draws of the four indices hold a single label
+    kwargs = dict(n_samples=4, seed=64, retry_cap=1)
+    with pytest.raises(UndefinedMeasureError, match="all 4 bootstrap resamples were undefined"):
+        bootstrap_ci(pairs, Measure.ALPHA_NOMINAL, **kwargs)
+    with pytest.raises(UndefinedMeasureError):
+        oracles.bootstrap_reference(pairs, Measure.ALPHA_NOMINAL, **kwargs)
+
+
+def test_bootstrap_memo_never_serves_a_stale_entry() -> None:
+    first, second = skewed_pair_sets(2, seed=8)
+    first = first + [(-1, 0), (0, 1), (1, 1)]
+    second = second + [(1, -1), (0, 0)]
+    expected = {}
+    # a Gray code over (pair set, seed, n_samples): every call changes
+    # exactly one of them from the call before, and each one changes
+    for step in range(17):
+        code = step ^ (step >> 1)
+        pairs = (first, second)[code & 1]
+        seed = (code >> 1) & 1
+        n_samples = (30, 45)[(code >> 2) & 1]
+        measure = list(Measure)[step % len(Measure)]
+        key = (id(pairs), seed, n_samples, measure)
+        if key not in expected:
+            expected[key] = bootstrap_outcome(
+                oracles.bootstrap_reference, pairs, measure, n_samples=n_samples, seed=seed)
+        got = bootstrap_outcome(bootstrap_ci, pairs, measure, n_samples=n_samples, seed=seed)
+        assert got == expected[key], (step, seed, n_samples, measure)
+
+
+def test_bootstrap_shares_read_only_first_draws_across_measures() -> None:
+    agreement._first_draws.cache_clear()
+    bootstrap_ci(FIXTURE_PAIRS, Measure.ALPHA_INTERVAL, n_samples=25, seed=2)
+    bootstrap_ci(FIXTURE_PAIRS, Measure.ACCURACY, n_samples=25, seed=2)
+    info = agreement._first_draws.cache_info()
+    assert (info.hits, info.misses, info.currsize) == (1, 1, 1)
+    stack = agreement._first_draws(pair_cells(FIXTURE_PAIRS).tobytes(), 25, 2)
+    assert stack.shape == (25, 3, 3)
+    assert stack.sum(axis=(1, 2)).tolist() == [len(FIXTURE_PAIRS)] * 25
+    with pytest.raises(ValueError, match="read-only"):
+        stack[0, 0, 0] = 1.0
 
 def test_shuffled_pairs_have_near_zero_alpha() -> None:
     rng = np.random.default_rng(99)

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sentagree import classify, corpus, features
+from sentagree import agreement, classify, corpus, features
 from sentagree.cli import main
 from sentagree.corpus import GoldPost, SentimentLabel
 
@@ -105,6 +105,27 @@ def test_agreement_reruns_are_byte_identical(tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
 
 
+
+def test_agreement_reports_do_not_depend_on_the_bootstrap_memo(tmp_path, capsys):
+    source = write_pair_table(tmp_path / "coders.csv", MIXED_PAIRS)
+    argv = ["agreement", "--input", str(source), "--seed", "7"]
+    agreement._first_draws.cache_clear()
+    code, first, _ = run(argv, capsys)
+    assert code == 0
+    # leave the memo holding the draws of another pair set, seed and size
+    agreement.bootstrap_ci([(-1, 0), (0, 0), (1, 1)], "accuracy", n_samples=50, seed=3)
+    code, second, _ = run(argv, capsys)
+    assert code == 0
+    assert first == second
+
+
+def test_agreement_rejects_a_repeated_measure(annotations_csv, capsys):
+    argv = ["agreement", "--input", str(annotations_csv),
+            "--measure", "f1_bar", "--measure", "accuracy", "--measure", "accuracy"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: usage: --measure accuracy is given more than once\n", err)
+
 def test_agreement_csv_uses_slash_for_undefined(tmp_path, capsys):
     rows = [
         (f"p{i}", "Neutral", "ann1", "2014-01-01 10:00:00", "text")
@@ -146,6 +167,14 @@ def test_ordering_average_skips_excluded(tmp_path, capsys):
         assert rows[2][key] == rows[0][key]  # average over the single kept set
         assert rows[1][key] is not None  # excluded sets are still reported
 
+
+
+def test_ordering_rejects_an_unknown_exclude(tmp_path, capsys):
+    source = write_pair_table(tmp_path / "one.csv", MIXED_PAIRS)
+    argv = ["ordering", "--input", str(source), "--exclude", "one", "--exclude", "nosuch"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: usage: --exclude nosuch names no input dataset\n", err)
 
 def test_ordering_csv_cells_are_plain_numbers(tmp_path, capsys):
     source = write_pair_table(tmp_path / "one.csv", MIXED_PAIRS)
