@@ -9,7 +9,7 @@ with the bias handled as an appended constant feature of value 1 (and
 therefore regularized).  The dual has one box-constrained variable per
 example; a coordinate step on example ``i`` computes the projected
 gradient of ``G = y_i * (w . x_i + b) - 1``, clips
-``alpha_i - G / ||x~_i||^2`` into ``[0, C_i]``, and updates ``w``
+``alpha_i - G / ||x~_i||^2`` into ``[0, C]``, and updates ``w``
 incrementally.  Examples are visited in a freshly seeded random
 permutation each epoch; training stops when the largest projected
 gradient magnitude of an epoch falls below ``tol`` or after
@@ -17,16 +17,17 @@ gradient magnitude of an epoch falls below ``tol`` or after
 recorded per epoch and never decreases.
 
 The coordinate loop runs on plain Python floats, not numpy: rows are
-lists of ``(index, value)`` pairs and ``w``, ``alpha`` and the bounds
-are lists, because numpy's per-call overhead dwarfs the arithmetic on
-rows of a few nonzeros.  ``w . x`` is summed left to right in an
-explicit loop (not ``sum()``, which compensates since Python 3.12, nor
-a BLAS dot, whose kernel varies by CPU), so a plane does not depend on
-the interpreter version.  A coordinate at a bound whose gradient points
-out of its box has projected gradient 0 and is skipped at once.  Each
-plane records whether it converged and its last epoch's largest
-projected gradient; a plane that stops at ``max_epochs`` without
-converging is logged at DEBUG level with its sides.
+lists of ``(index, value)`` pairs, ``w`` and ``alpha`` are lists and
+``C`` is one float, because numpy's per-call overhead dwarfs the
+arithmetic on rows of a few nonzeros.  ``w . x`` is summed left to
+right in an explicit loop (not ``sum()``, which compensates since
+Python 3.12, nor a BLAS dot, whose kernel varies by CPU), so a plane
+does not depend on the interpreter version.  A coordinate at a bound
+whose gradient points out of its box has projected gradient 0 and is
+skipped at once.  Each plane records whether it converged and its last
+epoch's largest projected gradient; a plane that stops at
+``max_epochs`` without converging is logged at DEBUG level with its
+sides.
 
 Six multiclass architectures combine such planes.  Input vectors are
 raw term counts; every plane reweights them with class-ratio weights
@@ -72,6 +73,7 @@ tables and tunes the neutral zone with the same rules, and
 from __future__ import annotations
 
 import logging
+import math
 from collections.abc import Sequence
 from dataclasses import dataclass, field, replace
 from enum import Enum
@@ -126,8 +128,9 @@ class TrainConfig:
     ``neutral_zone`` is either the string ``"tuned"`` (default: pick the
     half-width on a 10% validation split) or a fixed non-negative float;
     it only affects ``NeutralZoneSVM``.  ``bin_grid`` is the per-axis
-    cell count of ``TwoPlaneSVMbin``.  ``class_weighting`` scales each
-    example's box constraint by ``n / (2 * n_side)`` of its binary side.
+    cell count of ``TwoPlaneSVMbin``.  ``cost`` is the box bound ``C``
+    of every dual variable of every plane; it and ``tol`` must be
+    positive and finite.
     """
 
     cost: float = 1.0
@@ -136,13 +139,13 @@ class TrainConfig:
     seed: int = 0
     bin_grid: int = 10
     neutral_zone: float | str = "tuned"
-    class_weighting: bool = False
 
     def __post_init__(self) -> None:
-        if self.cost <= 0:
-            raise ValueError(f"cost must be positive, got {self.cost}")
-        if self.tol <= 0:
-            raise ValueError(f"tol must be positive, got {self.tol}")
+        # written so that nan fails too
+        if not 0 < self.cost < math.inf:
+            raise ValueError(f"cost must be positive and finite, got {self.cost}")
+        if not 0 < self.tol < math.inf:
+            raise ValueError(f"tol must be positive and finite, got {self.tol}")
         if self.max_epochs < 1:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.bin_grid < 1:
@@ -198,13 +201,11 @@ def train_binary(
     vectors: Sequence[SparseVector],
     y: Sequence[int],
     config: TrainConfig = TrainConfig(),
-    upper_bounds: np.ndarray | None = None,
 ) -> LinearModel:
     """Train one binary plane by dual coordinate descent.
 
-    ``y`` holds +1/-1 side labels; both sides must be present.
-    ``upper_bounds`` optionally overrides the per-example box constraint
-    (defaults to ``config.cost`` everywhere).  Training is a pure
+    ``y`` holds +1/-1 side labels; both sides must be present.  Every
+    dual variable lies in ``[0, config.cost]``.  Training is a pure
     function of (data, config): the per-epoch visiting order comes from
     a generator seeded with ``config.seed``.
     """
@@ -219,10 +220,7 @@ def train_binary(
     dim = vectors[0].dim
     if any(v.dim != dim for v in vectors):
         raise EvaluationError("examples disagree on vector dimension")
-    if upper_bounds is None:
-        bounds = [float(config.cost)] * n
-    else:
-        bounds = np.asarray(upper_bounds, dtype=np.float64).tolist()
+    bound = float(config.cost)
 
     # plain Python floats from here on (see the module docstring)
     rows = [list(zip(v.indices.tolist(), v.values.tolist())) for v in vectors]
@@ -245,7 +243,6 @@ def train_binary(
                 wx += v * w[j]
             grad = yi * (wx + b) - 1.0
             ai = alphas[i]
-            bound = bounds[i]
             # projected gradient 0: a bounded coordinate pushed out of its box
             if ai <= 0.0:
                 if grad >= 0.0:
@@ -475,13 +472,7 @@ def _train_plane(
         keep = values != 0.0
         scaled.append(SparseVector(vec.indices[keep], values[keep], dim))
     y = np.where(positive, 1.0, -1.0)
-    bounds = None
-    if config.class_weighting:
-        n = y.size
-        n_pos = int(positive.sum())
-        per_side = {1.0: config.cost * n / (2.0 * n_pos), -1.0: config.cost * n / (2.0 * (n - n_pos))}
-        bounds = np.array([per_side[v] for v in y])
-    model = train_binary(scaled, y, config, upper_bounds=bounds)
+    model = train_binary(scaled, y, config)
     if not model.converged:
         logger.debug(
             "plane %s vs %s stopped at max_epochs=%d without converging (max projected gradient %.3g)",

@@ -91,9 +91,10 @@ def _single(values: list[str], flag: str) -> str:
 
 
 def _train_config(args: argparse.Namespace) -> classify.TrainConfig:
-    return classify.TrainConfig(
-        cost=args.cost, seed=args.seed, bin_grid=args.bins
-    )
+    try:
+        return classify.TrainConfig(cost=args.cost, seed=args.seed, bin_grid=args.bins)
+    except ValueError as exc:
+        raise UsageError(str(exc)) from None
 
 
 # --- subcommands -------------------------------------------------------------
@@ -193,12 +194,12 @@ def cmd_merge(args: argparse.Namespace) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> None:
+    config = _train_config(args)
     gold = _load_gold_any(_resolve(_single(args.input, "--input")))
-    vocab = features.build_vocabulary(gold, min_df=args.min_df)
-    vectors = [features.count_vector(features.normalize(p.text), vocab) for p in gold]
-    model = classify.train_sentiment(
-        vectors, [p.label for p in gold], args.variant, _train_config(args), vocab
-    )
+    token_docs = [features._post_tokens(p, None) for p in gold]
+    vocab = features.vocabulary_from_token_docs(token_docs, min_df=args.min_df)
+    vectors = [features.count_vector(tokens, vocab) for tokens in token_docs]
+    model = classify.train_sentiment(vectors, [p.label for p in gold], args.variant, config, vocab)
     model_path = Path(args.out)
     vocab_path = model_path.with_name(model_path.name + ".vocab")
     classify.save_model(model, model_path)
@@ -231,12 +232,13 @@ def _crossval_rows(result: evaluation.CrossValResult) -> list[dict]:
 
 
 def cmd_crossval(args: argparse.Namespace) -> None:
+    config = _train_config(args)
     gold = _load_gold_any(_resolve(_single(args.input, "--input")))
     measures = tuple(args.measure) if args.measure else evaluation.DEFAULT_MEASURES
     result = evaluation.cross_validate(
         gold,
         variant=args.variant,
-        config=_train_config(args),
+        config=config,
         k=args.k,
         measures=measures,
         min_df=args.min_df,
@@ -255,12 +257,13 @@ def cmd_crossval(args: argparse.Namespace) -> None:
 
 
 def cmd_curve(args: argparse.Namespace) -> None:
+    config = _train_config(args)
     gold = _load_gold_any(_resolve(_single(args.input, "--input")))
     measures = tuple(args.measure) if args.measure else evaluation.DEFAULT_MEASURES
     curve = evaluation.learning_curve(
         gold,
         variant=args.variant,
-        config=_train_config(args),
+        config=config,
         step=args.step,
         k=args.k,
         measures=measures,
@@ -287,6 +290,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
     if len(args.input) < 2:
         raise UsageError("compare needs at least two dataset files")
     measure = agr.Measure(_single(args.measure, "--measure")) if args.measure else agr.Measure.ALPHA_INTERVAL
+    config = _train_config(args)
     variants = [v.value for v in classify.Variant]
     scores = []
     names = []
@@ -298,7 +302,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
                 evaluation.cross_validate(
                     gold,
                     variant=variant,
-                    config=_train_config(args),
+                    config=config,
                     k=args.k,
                     measures=(measure,),
                     min_df=args.min_df,

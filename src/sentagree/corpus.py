@@ -25,6 +25,14 @@ are not UTF-8, malformed CSV (including a field over the csv module's
 128 KiB limit) and rows too short for the header's columns are
 :class:`CorpusFormatError` too.
 
+Quoting is RFC 4180's for both delimiters, read strictly, so a field is
+either read exactly or the load fails: a field that starts with ``"``
+ends at the next lone ``"``, with ``""`` for a quote and delimiters and
+line breaks as text; a quote never closed, or text after a closing
+quote (``"great" day``), is :class:`CorpusFormatError`.  A ``"`` inside
+an unquoted field is text.  :func:`save_gold` writes tables that read
+back exactly.
+
 Merged gold files use the same table layout minus the annotator column,
 plus a ``MergedFrom`` column counting the annotations each post was
 merged from.
@@ -185,7 +193,7 @@ def _open_table(path: str | Path, required: Sequence[str] = (), optional: Sequen
             if not first.strip():
                 raise CorpusFormatError(f"{path}: empty file, expected a header row")
             delimiter = "\t" if "\t" in first else ","
-            reader = csv.reader(chain([first], handle), delimiter=delimiter)
+            reader = csv.reader(chain([first], handle), delimiter=delimiter, strict=True)
             header = next(reader)
             lowered = [h.strip().lower() for h in header]
             columns = [next((lowered.index(a) for a in _COLUMNS[name] if a in lowered), None)

@@ -155,7 +155,6 @@ def cross_validate(
     min_df: int = 5,
     ngrams: tuple[int, ...] = (1, 2),
     stemmer: Callable[[str], str] | None = None,
-    count_mode: str = "documents",
     on_fold: Callable[[int, Vocabulary, SentimentModel], None] | None = None,
 ) -> CrossValResult:
     """Evaluate one classifier variant by blocked stratified k-fold CV.
@@ -185,7 +184,6 @@ def cross_validate(
                 [token_docs[i] for i in train_idx],
                 min_df=min_df,
                 ngrams=ngrams,
-                count_mode=count_mode,
             )
             train_vectors = [count_vector(token_docs[i], vocab) for i in train_idx]
             model = train_sentiment(train_vectors, labels[train_idx], variant, config, vocab)

@@ -198,10 +198,6 @@ class SparseVector:
     def nnz(self) -> int:
         return int(self.indices.size)
 
-    def dot(self, dense: np.ndarray) -> float:
-        """Inner product with a dense vector of length ``dim``."""
-        return float(self.values @ dense[self.indices])
-
 
 @dataclass(frozen=True)
 class ClassSides:
@@ -257,28 +253,20 @@ def vocabulary_from_token_docs(
     token_docs: Sequence[Sequence[str]],
     min_df: int = 5,
     ngrams: tuple[int, ...] = (1, 2),
-    count_mode: str = "documents",
 ) -> Vocabulary:
     """Build a vocabulary from already-normalized documents.
 
-    ``count_mode`` selects what ``min_df`` prunes on: ``"documents"``
-    (number of documents containing the term, the default) or
-    ``"occurrences"`` (total term count across the corpus).
+    A term is kept when at least ``min_df`` documents contain it; how
+    often it repeats within one document does not count.
     """
     if min_df < 1:
         raise VocabularyError(f"min_df must be >= 1, got {min_df}")
-    if count_mode not in ("documents", "occurrences"):
-        raise VocabularyError(f"unknown count_mode {count_mode!r}")
     if not token_docs:
         raise VocabularyError("cannot build a vocabulary from an empty corpus")
     doc_freq: Counter[str] = Counter()
-    occurrences: Counter[str] = Counter()
     for tokens in token_docs:
-        terms = expand_terms(tokens, ngrams)
-        occurrences.update(terms)
-        doc_freq.update(set(terms))
-    basis = doc_freq if count_mode == "documents" else occurrences
-    kept = sorted(term for term, freq in basis.items() if freq >= min_df)
+        doc_freq.update(set(expand_terms(tokens, ngrams)))
+    kept = sorted(term for term, freq in doc_freq.items() if freq >= min_df)
     return Vocabulary(
         terms=tuple(kept),
         doc_freq=np.array([doc_freq[t] for t in kept], dtype=np.int64),
@@ -299,7 +287,6 @@ def build_vocabulary(
     min_df: int = 5,
     ngrams: tuple[int, ...] = (1, 2),
     stemmer: Callable[[str], str] | None = None,
-    count_mode: str = "documents",
 ) -> Vocabulary:
     """Normalize a gold corpus and build its n-gram vocabulary."""
     if not posts:
@@ -308,7 +295,6 @@ def build_vocabulary(
         [_post_tokens(p, stemmer) for p in posts],
         min_df=min_df,
         ngrams=ngrams,
-        count_mode=count_mode,
     )
 
 
@@ -356,11 +342,10 @@ def class_sides(
     )
 
 
-def delta_weights(sides: ClassSides, smoothing: float = 0.5) -> np.ndarray:
-    """Per-term class-ratio weights (see module docstring for the formula)."""
-    s = float(smoothing)
-    if s <= 0:
-        raise ValueError(f"smoothing must be positive, got {smoothing}")
+def delta_weights(sides: ClassSides) -> np.ndarray:
+    """Per-term class-ratio weights, smoothed by ``s = 0.5`` (see the
+    module docstring for the formula)."""
+    s = 0.5
     num = (sides.neg_doc_freq + s) * (sides.n_pos + s)
     den = (sides.pos_doc_freq + s) * (sides.n_neg + s)
     return np.log2(num / den)

@@ -261,3 +261,19 @@ def predict_row(model, x):
     if d_a < 0.0 and d_b > 0.0:
         return (-1 if abs(d_a) >= abs(d_b) else 1), None
     return (-1 if d_a < 0.0 else 1 if d_b > 0.0 else 0), None
+
+
+def vocabulary_brute(docs, min_df, ngrams):
+    """Terms that at least ``min_df`` documents contain, sorted, and
+    their document frequencies, counted from one set of n-grams per
+    document (multi-token terms join on a space)."""
+    doc_freq = {}
+    for tokens in docs:
+        seen = set()
+        for n in ngrams:
+            for i in range(len(tokens) - n + 1):
+                seen.add(" ".join(tokens[i : i + n]))
+        for term in seen:
+            doc_freq[term] = doc_freq.get(term, 0) + 1
+    terms = tuple(sorted(term for term, freq in doc_freq.items() if freq >= min_df))
+    return terms, [doc_freq[term] for term in terms]

@@ -85,7 +85,7 @@ def test_train_binary_matches_qp_oracle() -> None:
 
 def test_train_binary_matches_qp_oracle_on_sparse_rows_with_bounds() -> None:
     # mostly-zero rows, one all-zero row and one duplicated row, with
-    # per-example box bounds
+    # box bounds small enough to bind
     rng = np.random.default_rng(47)
     for trial in range(10):
         n, d = 12, 6
@@ -94,10 +94,10 @@ def test_train_binary_matches_qp_oracle_on_sparse_rows_with_bounds() -> None:
         X[5] = X[4]
         y = rng.choice([-1.0, 1.0], size=n)
         y[0], y[1] = -1.0, 1.0
-        bounds = rng.choice([0.25, 1.0, 4.0], size=n)
-        config = TrainConfig(tol=1e-10, max_epochs=5000, seed=trial)
-        model = train_binary([vec(row) for row in X], y, config, upper_bounds=bounds)
-        expected = oracles.svm_dual_optimum(X, y, bounds)
+        cost = float(rng.choice([0.25, 1.0, 4.0]))
+        config = TrainConfig(cost=cost, tol=1e-10, max_epochs=5000, seed=trial)
+        model = train_binary([vec(row) for row in X], y, config)
+        expected = oracles.svm_dual_optimum(X, y, cost)
         assert model.converged
         assert model.dual_objectives[-1] == pytest.approx(expected, abs=1e-6, rel=1e-6)
 
@@ -154,45 +154,19 @@ def test_train_binary_rejects_degenerate_inputs() -> None:
 
 def test_upper_bounds_bind_on_margin_violations() -> None:
     # the overlapping negative example at 0.5 sits at its box bound, so
-    # capping that bound must move the solution
+    # a smaller cost must move the solution
     xs = [-2.0, -1.0, 0.5, 1.0, 2.0]
     vectors = [vec([x], 1) for x in xs]
     y = [-1, -1, -1, 1, 1]
-    config = TrainConfig(tol=1e-10, max_epochs=3000)
-    plain = train_binary(vectors, y, config)
-    capped = train_binary(
-        vectors, y, config, upper_bounds=np.array([1.0, 1.0, 0.25, 1.0, 1.0])
-    )
+    plain = train_binary(vectors, y, TrainConfig(cost=1.0, tol=1e-10, max_epochs=3000))
+    capped = train_binary(vectors, y, TrainConfig(cost=0.25, tol=1e-10, max_epochs=3000))
     assert not (
         np.allclose(plain.weights, capped.weights)
         and np.isclose(plain.bias, capped.bias)
     )
-
-
-def test_class_weighting_flag_reaches_the_planes() -> None:
-    # imbalanced, non-separable polarity data so the box constraints bind
-    vectors, labels = [], []
-    vectors.extend(vec([2.0, 0.0]) for _ in range(15))
-    labels.extend([-1] * 15)
-    vectors.extend(vec([0.0, 2.0]) for _ in range(5))
-    labels.extend([1] * 5)
-    vectors.extend(vec([2.0, 0.0]) for _ in range(2))  # positives inside the negatives
-    labels.extend([1] * 2)
-    vectors.extend(vec([1.0, 1.0]) for _ in range(3))
-    labels.extend([0] * 3)
-    plain = train_sentiment(
-        vectors, labels, Variant.NEUTRAL_ZONE, TrainConfig(neutral_zone=0.1)
-    )
-    weighted = train_sentiment(
-        vectors,
-        labels,
-        Variant.NEUTRAL_ZONE,
-        TrainConfig(neutral_zone=0.1, class_weighting=True),
-    )
-    a, b = plain.planes["polarity"], weighted.planes["polarity"]
-    # the overlap mass cancels pairwise in w, but the rescaled box bounds
-    # change the optimization problem and therefore its dual trajectory
-    assert a.dual_objectives != b.dual_objectives
+    for model, cost in ((plain, 1.0), (capped, 0.25)):
+        expected = oracles.svm_dual_optimum(np.array([[x] for x in xs]), y, cost)
+        assert model.dual_objectives[-1] == pytest.approx(expected, abs=1e-6, rel=1e-6)
 
 
 def test_decision_checks_dimension() -> None:
@@ -202,10 +176,11 @@ def test_decision_checks_dimension() -> None:
 
 
 def test_train_config_validation() -> None:
-    with pytest.raises(ValueError, match="cost"):
-        TrainConfig(cost=0.0)
-    with pytest.raises(ValueError, match="tol"):
-        TrainConfig(tol=-1.0)
+    for bad in (0.0, -1.0, np.nan, np.inf):
+        with pytest.raises(ValueError, match="cost must be positive and finite"):
+            TrainConfig(cost=bad)
+        with pytest.raises(ValueError, match="tol must be positive and finite"):
+            TrainConfig(tol=bad)
     with pytest.raises(ValueError, match="max_epochs"):
         TrainConfig(max_epochs=0)
     with pytest.raises(ValueError, match="bin_grid"):

@@ -400,6 +400,32 @@ def test_short_gold_row_is_one_corpus_error(tmp_path, capsys):
     assert re.fullmatch(r"error: corpus-format: .*line 3 has 1 fields.*\n", err)
 
 
+@pytest.mark.parametrize(
+    ("flag", "message"),
+    [
+        (["--bins", "0"], "bin_grid must be >= 1, got 0"),
+        (["--cost", "0"], "cost must be positive and finite, got 0.0"),
+        (["--cost", "nan"], "cost must be positive and finite, got nan"),
+        (["--cost", "inf"], "cost must be positive and finite, got inf"),
+    ],
+    ids=["bins-0", "cost-0", "cost-nan", "cost-inf"],
+)
+def test_bad_training_flags_are_one_usage_error(flag, message, gold_csv, capsys):
+    code, out, err = run(["crossval", "--input", str(gold_csv), *flag], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: usage: {message}\n"
+
+
+def test_train_on_gold_without_text_is_one_corpus_error(tmp_path, capsys):
+    path = write_table(tmp_path / "notext.csv", [("t1", "Positive"), ("t2", "Negative")],
+                       header=("TweetID", "HandLabel"))
+    model_path = tmp_path / "model.txt"
+    code, out, err = run(["train", "--input", str(path), "--out", str(model_path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: corpus-format: post 't1' has no text\n"
+    assert not model_path.exists()
+
+
 @pytest.mark.parametrize("command", ["merge", "train", "crossval", "curve"])
 def test_single_input_commands_reject_a_second_input(command, gold_csv, tmp_path, capsys):
     argv = [command, "--input", str(gold_csv), "--input", str(gold_csv), "--out", str(tmp_path / "out")]

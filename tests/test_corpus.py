@@ -156,6 +156,22 @@ def test_line_numbers_count_file_lines(tmp_path, loader, header, row) -> None:
         loader(path)
 
 
+@TABLES
+@pytest.mark.parametrize("delimiter", [",", "\t"], ids=["comma", "tab"])
+@pytest.mark.parametrize(
+    ("text", "fault"),
+    [('"never closed', "line 3: unexpected end of data"), ('"great" day', "line 2: .* expected after '\"'")],
+    ids=["unterminated", "text-after-quote"],
+)
+def test_quote_faults_are_format_errors(tmp_path, loader, header, row, delimiter, text, fault) -> None:
+    # read leniently, the first swallows the next row into its field and
+    # the second becomes ``great day``
+    after = (row[0] + "b",) + row[1:]
+    path = write_table(tmp_path / "quotes.csv", [row[:-1] + (text,), after], header=header, delimiter=delimiter)
+    with pytest.raises(CorpusFormatError, match=fault):
+        loader(path)
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_table_loaders_fuzz_raise_only_format_errors(tmp_path, annotations_csv, data) -> None:
@@ -296,6 +312,17 @@ def test_save_and_load_gold_round_trip(tmp_path) -> None:
     assert [(p.post_id, p.label, p.timestamp, p.text, p.merged_from) for p in loaded] == [
         (p.post_id, p.label, p.timestamp, p.text, p.merged_from) for p in gold
     ]
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t"], ids=["comma", "tab"])
+def test_save_gold_round_trips_quotes_tabs_and_newlines(tmp_path, delimiter) -> None:
+    texts = ['"great" day', 'say "hi"', '"', '""', "tab\there", "two\nlines", "cr\r\nlf",
+             'all, "of\tit"\n', ",", " padded "]
+    gold = [GoldPost(f"p{i}", SentimentLabel.NEUTRAL, text=text) for i, text in enumerate(texts)]
+    path = tmp_path / "gold.txt"
+    save_gold(gold, path, delimiter=delimiter)
+    assert sniff_delimiter(path) == delimiter
+    assert [(p.post_id, p.text) for p in load_gold(path)] == [(p.post_id, p.text) for p in gold]
 
 
 def test_load_gold_requires_label_column(tmp_path) -> None:
