@@ -94,7 +94,10 @@ def _train_config(args: argparse.Namespace) -> classify.TrainConfig:
     try:
         return classify.TrainConfig(cost=args.cost, seed=args.seed, bin_grid=args.bins)
     except ValueError as exc:
-        raise UsageError(str(exc)) from None
+        # TrainConfig's messages start with the field; name the flag that set it
+        field, _, rest = str(exc).partition(" ")
+        flag = {"cost": "--cost", "bin_grid": "--bins"}.get(field, field)
+        raise UsageError(f"{flag} {rest}") from None
 
 
 # --- subcommands -------------------------------------------------------------

@@ -20,7 +20,8 @@ Labels are the strings ``Negative`` / ``Neutral`` / ``Positive``
 (case-insensitive) and map to the integer codes -1 / 0 / +1.  Any other
 label value is a hard error that reports the offending line number.
 Line numbers count physical lines of the file, so a record after a
-quoted field that spans lines is reported where it starts.  Bytes that
+quoted field that spans lines, or a malformed record such as one whose
+quote is never closed, is reported where it starts.  Bytes that
 are not UTF-8, malformed CSV (including a field over the csv module's
 128 KiB limit) and rows too short for the header's columns are
 :class:`CorpusFormatError` too.
@@ -167,18 +168,21 @@ class GoldPost:
 
 def _data_rows(reader, columns: Sequence[int | None], path: str | Path) -> Iterator[tuple[int, list[str]]]:
     """Non-blank data rows with the file line each one starts on; a row
-    too short to hold every column in ``columns`` raises
-    :class:`CorpusFormatError`."""
+    too short to hold every column in ``columns``, or malformed CSV,
+    raises :class:`CorpusFormatError` naming the line its record starts on."""
     needed = max(c for c in columns if c is not None)
     line = reader.line_num + 1
-    for row in reader:
-        if any(cell.strip() for cell in row):
-            if len(row) <= needed:
-                raise CorpusFormatError(
-                    f"{path}: line {line} has {len(row)} fields, expected at least {needed + 1}"
-                )
-            yield line, row
-        line = reader.line_num + 1
+    try:
+        for row in reader:
+            if any(cell.strip() for cell in row):
+                if len(row) <= needed:
+                    raise CorpusFormatError(
+                        f"{path}: line {line} has {len(row)} fields, expected at least {needed + 1}"
+                    )
+                yield line, row
+            line = reader.line_num + 1
+    except csv.Error as exc:  # a raw tab would print as a space on the one-line error
+        raise CorpusFormatError(f"{path}: line {line}: " + str(exc).replace("\t", "\\t")) from None
 
 
 @contextmanager
@@ -206,8 +210,8 @@ def _open_table(path: str | Path, required: Sequence[str] = (), optional: Sequen
             raise CorpusFormatError(
                 f"{path}: not UTF-8 text (cannot decode byte 0x{exc.object[exc.start]:02x})"
             ) from None
-        except csv.Error as exc:
-            raise CorpusFormatError(f"{path}: line {reader.line_num}: {exc}") from None
+        except csv.Error as exc:  # data rows raise their own; this is the header, line 1
+            raise CorpusFormatError(f"{path}: line 1: " + str(exc).replace("\t", "\\t")) from None
 
 
 def sniff_delimiter(path: str | Path) -> str:

@@ -3,7 +3,9 @@
 Implements the Friedman rank test with the chi-square approximation
 (the Iman-Davenport F refinement is available behind a flag) and the
 Nemenyi post-hoc critical distance for all-pairs comparison at the
-0.05 and 0.10 levels.
+0.05 and 0.10 levels.  Ranks are computed in numpy; the p-values come
+from ``scipy.special``, imported on the first call of :func:`friedman`
+so that no other command pays for scipy.
 
 The embedded critical values ``q_alpha(k)`` for k = 2..10 are the
 standard two-tailed Studentized-range quantiles at infinite degrees of
@@ -27,7 +29,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy import stats as sps
 
 __all__ = [
     "ScoreTable",
@@ -109,6 +110,22 @@ class RankSummary:
         return len(self.classifier_names)
 
 
+def _average_ranks(values: np.ndarray) -> np.ndarray:
+    """1-based ranks along each row of a 2-D array, tied values sharing
+    the mean of their positions (``scipy.stats.rankdata(values, axis=1)``).
+    Each rank is a whole or half number, so it is exact."""
+    n, k = values.shape
+    order = np.argsort(values, axis=1, kind="stable")
+    ordered = np.take_along_axis(values, order, axis=1)
+    run_starts = np.ones((n, k), dtype=bool)
+    run_starts[:, 1:] = ordered[:, 1:] != ordered[:, :-1]
+    starts = np.flatnonzero(run_starts)  # flat indices: every row starts a run
+    run_ranks = 0.5 * (starts + np.append(starts[1:], n * k) + 1) - k * (starts // k)
+    ranks = np.empty((n, k))
+    np.put_along_axis(ranks, order, run_ranks[np.cumsum(run_starts).reshape(n, k) - 1], axis=1)
+    return ranks
+
+
 def friedman(
     table: ScoreTable,
     higher_is_better: bool = True,
@@ -136,9 +153,10 @@ def friedman(
         scores in every row give statistic 0 (no evidence of any
         difference).
     """
+    from scipy.special import chdtrc, fdtrc
+
     oriented = -table.scores if higher_is_better else table.scores
-    ranks = sps.rankdata(oriented, axis=1)
-    avg_ranks = ranks.mean(axis=0)
+    avg_ranks = _average_ranks(oriented).mean(axis=0)
     n, k = table.scores.shape
     statistic = 12.0 * n / (k * (k + 1)) * (float((avg_ranks**2).sum()) - k * (k + 1) ** 2 / 4.0)
     statistic = max(statistic, 0.0)
@@ -149,7 +167,7 @@ def friedman(
             p_value = 0.0
         else:
             f_stat = (n - 1) * statistic / denominator
-            p_value = float(sps.f.sf(f_stat, k - 1, (k - 1) * (n - 1)))
+            p_value = float(fdtrc(k - 1, (k - 1) * (n - 1), f_stat))
         return RankSummary(
             statistic=statistic,
             p_value=p_value,
@@ -161,7 +179,7 @@ def friedman(
         )
     return RankSummary(
         statistic=statistic,
-        p_value=float(sps.chi2.sf(statistic, k - 1)),
+        p_value=float(chdtrc(k - 1, statistic)),
         method="chi2",
         avg_ranks=avg_ranks,
         classifier_names=table.classifier_names,

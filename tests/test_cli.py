@@ -403,10 +403,10 @@ def test_short_gold_row_is_one_corpus_error(tmp_path, capsys):
 @pytest.mark.parametrize(
     ("flag", "message"),
     [
-        (["--bins", "0"], "bin_grid must be >= 1, got 0"),
-        (["--cost", "0"], "cost must be positive and finite, got 0.0"),
-        (["--cost", "nan"], "cost must be positive and finite, got nan"),
-        (["--cost", "inf"], "cost must be positive and finite, got inf"),
+        (["--bins", "0"], "--bins must be >= 1, got 0"),
+        (["--cost", "0"], "--cost must be positive and finite, got 0.0"),
+        (["--cost", "nan"], "--cost must be positive and finite, got nan"),
+        (["--cost", "inf"], "--cost must be positive and finite, got inf"),
     ],
     ids=["bins-0", "cost-0", "cost-nan", "cost-inf"],
 )
@@ -414,6 +414,14 @@ def test_bad_training_flags_are_one_usage_error(flag, message, gold_csv, capsys)
     code, out, err = run(["crossval", "--input", str(gold_csv), *flag], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: usage: {message}\n"
+
+
+def test_tsv_quote_fault_names_the_tab_delimiter(tmp_path, capsys):
+    path = tmp_path / "q1.tsv"
+    path.write_text('TweetID\tHandLabel\tAnnotatorID\tText\nt1\tPositive\ta1\t"great" day\n', encoding="utf-8")
+    code, out, err = run(["agreement", "--input", str(path)], capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: corpus-format: {path}: line 2: '\\t' expected after '\"'\n"
 
 
 def test_train_on_gold_without_text_is_one_corpus_error(tmp_path, capsys):

@@ -160,7 +160,7 @@ def test_line_numbers_count_file_lines(tmp_path, loader, header, row) -> None:
 @pytest.mark.parametrize("delimiter", [",", "\t"], ids=["comma", "tab"])
 @pytest.mark.parametrize(
     ("text", "fault"),
-    [('"never closed', "line 3: unexpected end of data"), ('"great" day', "line 2: .* expected after '\"'")],
+    [('"never closed', "line 2: unexpected end of data"), ('"great" day', "line 2: .* expected after '\"'")],
     ids=["unterminated", "text-after-quote"],
 )
 def test_quote_faults_are_format_errors(tmp_path, loader, header, row, delimiter, text, fault) -> None:
@@ -169,6 +169,21 @@ def test_quote_faults_are_format_errors(tmp_path, loader, header, row, delimiter
     after = (row[0] + "b",) + row[1:]
     path = write_table(tmp_path / "quotes.csv", [row[:-1] + (text,), after], header=header, delimiter=delimiter)
     with pytest.raises(CorpusFormatError, match=fault):
+        loader(path)
+
+
+@TABLES
+@pytest.mark.parametrize("delimiter", [",", "\t"], ids=["comma", "tab"])
+def test_unterminated_quote_is_reported_where_its_record_starts(tmp_path, loader, header, row, delimiter) -> None:
+    # header on line 1, a good row on 2, the bad record on 3, six more rows to line 9
+    rows = [row, ("t2",) + row[1:-1] + ('"never closed',)]
+    rows += [(f"t{i}",) + row[1:] for i in range(3, 9)]
+    path = write_table(tmp_path / "runon.csv", rows, header=header, delimiter=delimiter)
+    with pytest.raises(CorpusFormatError, match=r": line 3: unexpected end of data$"):
+        loader(path)
+    path = write_table(tmp_path / "header.csv", rows[:1], header=('"' + header[0],) + header[1:],
+                       delimiter=delimiter)
+    with pytest.raises(CorpusFormatError, match=r": line 1: unexpected end of data$"):
         loader(path)
 
 

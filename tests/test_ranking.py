@@ -78,6 +78,34 @@ def test_friedman_matches_scipy_on_tie_free_tables() -> None:
         assert summary.p_value == pytest.approx(reference.pvalue, abs=1e-12)
 
 
+@pytest.mark.parametrize("higher_is_better", [True, False], ids=["higher", "lower"])
+def test_friedman_matches_scipy_exactly_on_tied_tables(higher_is_better) -> None:
+    rng = np.random.default_rng(23)
+    for trial in range(60):
+        n = int(rng.integers(1, 20))
+        k = int(rng.integers(2, 9))
+        # fewer score levels than columns force a tie in every row
+        scores = rng.integers(0, min(3, k - 1), size=(n, k)).astype(np.float64)
+        if trial % 4 == 0:
+            scores[trial % n] = 0.5  # one all-equal row
+        if trial % 10 == 0:
+            scores[:] = 0.5  # every row all-equal: statistic 0
+        table = make_table(scores)
+        oriented = -scores if higher_is_better else scores
+        expected_ranks = sps.rankdata(oriented, axis=1).mean(axis=0)
+        plain = friedman(table, higher_is_better=higher_is_better)
+        refined = friedman(table, higher_is_better=higher_is_better, iman_davenport=True)
+        assert np.array_equal(plain.avg_ranks, expected_ranks)
+        assert np.array_equal(refined.avg_ranks, expected_ranks)
+        assert plain.p_value == float(sps.chi2.sf(plain.statistic, k - 1))
+        if trial % 10 == 0:
+            assert plain.statistic == 0.0
+        if refined.f_statistic != float("inf"):
+            # one row leaves the F form no denominator degrees of freedom: both give nan
+            expected_p = float(sps.f.sf(refined.f_statistic, k - 1, (k - 1) * (n - 1)))
+            assert np.array_equal(refined.p_value, expected_p, equal_nan=n == 1)
+
+
 def test_friedman_rank_one_is_best_and_ties_average() -> None:
     table = make_table([[3.0, 3.0, 1.0], [5.0, 4.0, 0.0]])
     summary = friedman(table)
