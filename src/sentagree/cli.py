@@ -19,6 +19,7 @@ import json
 import os
 import sys
 from pathlib import Path
+from typing import NoReturn
 
 from . import agreement as agr
 from . import classify, corpus, evaluation, features, ranking
@@ -40,10 +41,6 @@ def _resolve(path: str) -> Path:
         if fallback.exists():
             return fallback
     return candidate
-
-
-def _dataset_name(path: str) -> str:
-    return Path(path).stem
 
 
 def _emit(args: argparse.Namespace, payload: dict, rows: list[dict], columns: list[str]) -> None:
@@ -71,16 +68,20 @@ def _plain(value) -> str:
 
 
 class UsageError(SentagreeError):
-    """A command line that parses but cannot be run as given."""
+    """A command line that does not parse, or cannot be run as given."""
 
     code = "usage"
 
 
-def _load_gold_any(path: Path) -> list[corpus.GoldPost]:
-    """Load a gold corpus; raw annotation files are merged on the fly."""
-    if corpus._is_annotation_table(path):
-        return corpus.merge_gold(corpus.load_annotations(path))
-    return corpus.load_gold(path)
+def _dataset_names(paths: list[str]) -> list[str]:
+    """The dataset name (file stem) of each input; no two may share one."""
+    seen: dict[str, str] = {}
+    for path in paths:
+        name = Path(path).stem
+        if name in seen:
+            raise UsageError(f"--input {seen[name]} and --input {path} share the dataset name {name!r}")
+        seen[name] = path
+    return list(seen)
 
 
 def _single(values: list[str], flag: str) -> str:
@@ -118,13 +119,13 @@ def cmd_agreement(args: argparse.Namespace) -> None:
     if repeated:
         raise UsageError(f"--measure {repeated[0]} is given more than once")
     rows = []
-    for path in args.input:
+    for name, path in zip(_dataset_names(args.input), args.input):
         pairs = corpus.extract_pairs(corpus.load_annotations(_resolve(path)))
         for kind in _KIND_ORDER:
             subset = [p for p in pairs if p.kind is kind]
             for measure in wanted:
                 row = {
-                    "dataset": _dataset_name(path),
+                    "dataset": name,
                     "kind": kind.value,
                     "measure": measure.value,
                     "n_pairs": len(subset),
@@ -144,14 +145,14 @@ def cmd_agreement(args: argparse.Namespace) -> None:
 
 
 def cmd_ordering(args: argparse.Namespace) -> None:
+    names = _dataset_names(args.input)
     excluded = set(args.exclude or [])
-    unknown = sorted(excluded - {_dataset_name(path) for path in args.input})
+    unknown = sorted(excluded - set(names))
     if unknown:
         raise UsageError(f"--exclude {unknown[0]} names no input dataset")
     rows = []
     sums = []
-    for path in args.input:
-        name = _dataset_name(path)
+    for name, path in zip(names, args.input):
         pairs = corpus.extract_pairs(corpus.load_annotations(_resolve(path)))
         row = {
             "dataset": name,
@@ -198,7 +199,7 @@ def cmd_merge(args: argparse.Namespace) -> None:
 
 def cmd_train(args: argparse.Namespace) -> None:
     config = _train_config(args)
-    gold = _load_gold_any(_resolve(_single(args.input, "--input")))
+    gold = corpus.load_gold(_resolve(_single(args.input, "--input")))
     token_docs = [features._post_tokens(p, None) for p in gold]
     vocab = features.vocabulary_from_token_docs(token_docs, min_df=args.min_df)
     vectors = [features.count_vector(tokens, vocab) for tokens in token_docs]
@@ -236,7 +237,7 @@ def _crossval_rows(result: evaluation.CrossValResult) -> list[dict]:
 
 def cmd_crossval(args: argparse.Namespace) -> None:
     config = _train_config(args)
-    gold = _load_gold_any(_resolve(_single(args.input, "--input")))
+    gold = corpus.load_gold(_resolve(_single(args.input, "--input")))
     measures = tuple(args.measure) if args.measure else evaluation.DEFAULT_MEASURES
     result = evaluation.cross_validate(
         gold,
@@ -261,7 +262,7 @@ def cmd_crossval(args: argparse.Namespace) -> None:
 
 def cmd_curve(args: argparse.Namespace) -> None:
     config = _train_config(args)
-    gold = _load_gold_any(_resolve(_single(args.input, "--input")))
+    gold = corpus.load_gold(_resolve(_single(args.input, "--input")))
     measures = tuple(args.measure) if args.measure else evaluation.DEFAULT_MEASURES
     curve = evaluation.learning_curve(
         gold,
@@ -294,12 +295,11 @@ def cmd_compare(args: argparse.Namespace) -> None:
         raise UsageError("compare needs at least two dataset files")
     measure = agr.Measure(_single(args.measure, "--measure")) if args.measure else agr.Measure.ALPHA_INTERVAL
     config = _train_config(args)
+    names = _dataset_names(args.input)
     variants = [v.value for v in classify.Variant]
     scores = []
-    names = []
     for path in args.input:
-        gold = _load_gold_any(_resolve(path))
-        names.append(_dataset_name(path))
+        gold = corpus.load_gold(_resolve(path))
         scores.append(
             [
                 evaluation.cross_validate(
@@ -347,6 +347,27 @@ def cmd_compare(args: argparse.Namespace) -> None:
 # --- parser ------------------------------------------------------------------
 
 
+class _Parser(argparse.ArgumentParser):
+    """An argument parser whose errors are :class:`UsageError`, so a
+    misused flag ends in the same one-line error as every other fault."""
+
+    def error(self, message: str) -> NoReturn:
+        raise UsageError(message)
+
+
+def _int_at_least(minimum: int):
+    """An argparse type: an integer no smaller than ``minimum``."""
+
+    def parse(text: str) -> int:
+        value = int(text)
+        if value < minimum:
+            raise argparse.ArgumentTypeError(f"must be >= {minimum}, got {value}")
+        return value
+
+    parse.__name__ = "int"  # argparse reports a non-integer as "invalid int value: ..."
+    return parse
+
+
 def _add_common(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--input", action="append", required=True, metavar="FILE",
                      help="input file (agreement, ordering and compare take several)")
@@ -357,13 +378,13 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 def _add_training(sub: argparse.ArgumentParser) -> None:
     sub.add_argument("--variant", choices=_VARIANT_CHOICES, default=classify.Variant.TWO_PLANE.value)
-    sub.add_argument("--min-df", type=int, default=5, dest="min_df")
+    sub.add_argument("--min-df", type=_int_at_least(1), default=5, dest="min_df")
     sub.add_argument("--cost", type=float, default=1.0)
     sub.add_argument("--bins", type=int, default=10)
 
 
 def build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="sentagree",
         description="Agreement measurement and ordinal sentiment classification toolkit.",
     )
@@ -392,22 +413,22 @@ def build_parser() -> argparse.ArgumentParser:
     p = subs.add_parser("crossval", help="blocked stratified cross-validation")
     _add_common(p)
     _add_training(p)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_int_at_least(2), default=10)
     p.add_argument("--measure", action="append", choices=_MEASURE_CHOICES)
     p.set_defaults(func=cmd_crossval)
 
     p = subs.add_parser("curve", help="learning curve over time-ordered prefixes")
     _add_common(p)
     _add_training(p)
-    p.add_argument("--k", type=int, default=10)
-    p.add_argument("--step", type=int, default=10000)
+    p.add_argument("--k", type=_int_at_least(2), default=10)
+    p.add_argument("--step", type=_int_at_least(1), default=10000)
     p.add_argument("--measure", action="append", choices=_MEASURE_CHOICES)
     p.set_defaults(func=cmd_curve)
 
     p = subs.add_parser("compare", help="rank all variants across datasets")
     _add_common(p)
     _add_training(p)
-    p.add_argument("--k", type=int, default=10)
+    p.add_argument("--k", type=_int_at_least(2), default=10)
     p.add_argument("--measure", action="append", choices=_MEASURE_CHOICES)
     p.set_defaults(func=cmd_compare)
 
@@ -415,8 +436,8 @@ def build_parser() -> argparse.ArgumentParser:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
     try:
+        args = build_parser().parse_args(argv)
         if args.command in ("merge", "train") and args.out == "-":
             raise UsageError(f"{args.command} writes files and needs --out FILE, not '-'")
         args.func(args)

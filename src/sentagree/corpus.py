@@ -23,8 +23,10 @@ Line numbers count physical lines of the file, so a record after a
 quoted field that spans lines, or a malformed record such as one whose
 quote is never closed, is reported where it starts.  Bytes that
 are not UTF-8, malformed CSV (including a field over the csv module's
-128 KiB limit) and rows too short for the header's columns are
-:class:`CorpusFormatError` too.
+128 KiB limit), rows too short for the header's columns, and dates
+with a UTC offset in a table whose first date has none (or the
+reverse), which could not be compared, are :class:`CorpusFormatError`
+too.
 
 Quoting is RFC 4180's for both delimiters, read strictly, so a field is
 either read exactly or the load fails: a field that starts with ``"``
@@ -36,7 +38,8 @@ back exactly.
 
 Merged gold files use the same table layout minus the annotator column,
 plus a ``MergedFrom`` column counting the annotations each post was
-merged from.
+merged from.  :func:`load_gold` also accepts a raw annotation table and
+merges it; the merge rule is stated once, in :func:`merge_gold`.
 """
 
 from __future__ import annotations
@@ -47,7 +50,8 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum, IntEnum
-from itertools import chain
+from itertools import chain, combinations
+from operator import attrgetter
 from pathlib import Path
 
 from .errors import CorpusFormatError
@@ -77,8 +81,6 @@ _COLUMNS = {
     "merge count": ("mergedfrom",),
 }
 
-_LABEL_NAMES = {"negative": -1, "neutral": 0, "positive": 1}
-
 
 class SentimentLabel(IntEnum):
     """Three-point ordinal sentiment scale with integer codes -1, 0, +1."""
@@ -94,14 +96,17 @@ class SentimentLabel(IntEnum):
         Raises :class:`CorpusFormatError` for anything else, naming the
         offending input line when known.
         """
-        code = _LABEL_NAMES.get(value.strip().lower())
-        if code is None:
+        label = _LABELS.get(value.strip().lower())
+        if label is None:
             where = f" on line {line}" if line is not None else ""
             raise CorpusFormatError(f"unknown label {value!r}{where}")
-        return cls(code)
+        return label
 
     def to_string(self) -> str:
-        return {-1: "Negative", 0: "Neutral", 1: "Positive"}[int(self)]
+        return self.name.capitalize()
+
+
+_LABELS = {m.name.lower(): m for m in SentimentLabel}
 
 
 class PairKind(str, Enum):
@@ -166,31 +171,13 @@ class GoldPost:
     merged_from: int = 1
 
 
-def _data_rows(reader, columns: Sequence[int | None], path: str | Path) -> Iterator[tuple[int, list[str]]]:
-    """Non-blank data rows with the file line each one starts on; a row
-    too short to hold every column in ``columns``, or malformed CSV,
-    raises :class:`CorpusFormatError` naming the line its record starts on."""
-    needed = max(c for c in columns if c is not None)
-    line = reader.line_num + 1
-    try:
-        for row in reader:
-            if any(cell.strip() for cell in row):
-                if len(row) <= needed:
-                    raise CorpusFormatError(
-                        f"{path}: line {line} has {len(row)} fields, expected at least {needed + 1}"
-                    )
-                yield line, row
-            line = reader.line_num + 1
-    except csv.Error as exc:  # a raw tab would print as a space on the one-line error
-        raise CorpusFormatError(f"{path}: line {line}: " + str(exc).replace("\t", "\\t")) from None
-
-
 @contextmanager
 def _open_table(path: str | Path, required: Sequence[str] = (), optional: Sequence[str] = ()):
     """Open the table at ``path`` once; yield its delimiter, the indices
     of the ``required`` then ``optional`` columns (keys of ``_COLUMNS``;
-    None if missing) and its data rows.  Faults in the file raise
-    :class:`CorpusFormatError` anywhere inside the ``with`` block."""
+    None if missing) and a ``csv.reader`` past the header.  Faults in the
+    file raise :class:`CorpusFormatError` anywhere inside the ``with``
+    block."""
     with open(path, encoding="utf-8-sig", newline="") as handle:
         try:
             first = handle.readline()
@@ -205,7 +192,7 @@ def _open_table(path: str | Path, required: Sequence[str] = (), optional: Sequen
             for name, column in zip(required, columns):
                 if column is None:
                     raise CorpusFormatError(f"{path}: could not find a {name} column in header {header!r}")
-            yield delimiter, columns, _data_rows(reader, columns, path)
+            yield delimiter, columns, reader
         except UnicodeDecodeError as exc:
             raise CorpusFormatError(
                 f"{path}: not UTF-8 text (cannot decode byte 0x{exc.object[exc.start]:02x})"
@@ -219,12 +206,6 @@ def sniff_delimiter(path: str | Path) -> str:
     contains one, else comma."""
     with _open_table(path) as (delimiter, _, _):
         return delimiter
-
-
-def _is_annotation_table(path: str | Path) -> bool:
-    """Whether the table at ``path`` holds raw annotations, not merged gold."""
-    with _open_table(path, optional=("annotator id",)) as (_, (annotator_col,), _):
-        return annotator_col is not None
 
 
 def _parse_timestamp(raw: str, line: int, path: str | Path) -> datetime | None:
@@ -243,6 +224,52 @@ def _parse_timestamp(raw: str, line: int, path: str | Path) -> datetime | None:
     raise CorpusFormatError(f"{path}: unparseable date {raw!r} on line {line}")
 
 
+def _posts(
+    path: str | Path, required: Sequence[str] = (), optional: Sequence[str] = ()
+) -> Iterator[tuple[int, str, SentimentLabel, datetime | None, str | None, list[str | None]]]:
+    """The non-blank rows of the table at ``path`` as ``(line, post id,
+    label, timestamp, text, cells)``: ``line`` is the file line the
+    record starts on, ``cells`` hold the ``required`` then ``optional``
+    extra columns (None where missing).  A fault in a row, including a
+    date that has a UTC offset where the first date has none or the
+    reverse, raises :class:`CorpusFormatError` naming its line."""
+    names = ("post id", "label", *required, "date", "text", *optional)
+    with _open_table(path, ("post id", "label", *required), ("date", "text", *optional)) as (_, columns, reader):
+        found = dict(zip(names, columns))
+        id_col, label_col, date_col, text_col = (found.pop(n) for n in ("post id", "label", "date", "text"))
+        extra_cols = list(found.values())
+        needed = max(c for c in columns if c is not None)
+        aware = aware_line = None  # whether the first date has an offset, and its line
+        line = reader.line_num + 1
+        try:
+            for row in reader:
+                if "".join(row).strip():
+                    if len(row) <= needed:
+                        raise CorpusFormatError(
+                            f"{path}: line {line} has {len(row)} fields, expected at least {needed + 1}"
+                        )
+                    timestamp = _parse_timestamp(row[date_col], line, path) if date_col is not None else None
+                    if timestamp is not None:
+                        if aware is None:
+                            aware, aware_line = timestamp.tzinfo is not None, line
+                        elif (timestamp.tzinfo is not None) is not aware:
+                            raise CorpusFormatError(
+                                f"{path}: date {row[date_col].strip()!r} on line {line} has "
+                                f"{'no' if aware else 'a'} UTC offset, unlike the first date on line {aware_line}"
+                            )
+                    yield (
+                        line,
+                        row[id_col].strip(),
+                        SentimentLabel.from_string(row[label_col], line=line),
+                        timestamp,
+                        row[text_col] if text_col is not None else None,
+                        [row[c] if c is not None else None for c in extra_cols],
+                    )
+                line = reader.line_num + 1
+        except csv.Error as exc:  # a raw tab would print as a space on the one-line error
+            raise CorpusFormatError(f"{path}: line {line}: " + str(exc).replace("\t", "\\t")) from None
+
+
 def load_annotations(path: str | Path) -> list[AnnotationRecord]:
     """Read an annotation table into a list of :class:`AnnotationRecord`.
 
@@ -251,22 +278,20 @@ def load_annotations(path: str | Path) -> list[AnnotationRecord]:
     raise :class:`CorpusFormatError` with the offending line number;
     I/O errors propagate unchanged.
     """
-    records: list[AnnotationRecord] = []
-    with _open_table(path, ("post id", "label", "annotator id"), ("date", "text")) as (_, columns, rows):
-        id_col, label_col, annot_col, date_col, text_col = columns
-        for line, row in rows:
-            timestamp = _parse_timestamp(row[date_col], line, path) if date_col is not None else None
-            records.append(
-                AnnotationRecord(
-                    post_id=row[id_col].strip(),
-                    annotator_id=row[annot_col].strip(),
-                    label=SentimentLabel.from_string(row[label_col], line=line),
-                    seq=len(records),
-                    timestamp=timestamp,
-                    text=row[text_col] if text_col is not None else None,
-                )
-            )
-    return records
+    return [
+        AnnotationRecord(post_id, annotator.strip(), label, seq, timestamp, text)
+        for seq, (_, post_id, label, timestamp, text, (annotator,))
+        in enumerate(_posts(path, ("annotator id",)))
+    ]
+
+
+def _by_post(records: Sequence[AnnotationRecord]) -> list[list[AnnotationRecord]]:
+    """Each post's records sorted by ``seq``, posts in order of first appearance."""
+    groups: dict[str, list[AnnotationRecord]] = {}
+    for rec in records:
+        groups.setdefault(rec.post_id, []).append(rec)
+    by_seq = attrgetter("seq")
+    return [sorted(group, key=by_seq) for group in groups.values()]
 
 
 def extract_pairs(records: Sequence[AnnotationRecord]) -> list[LabelPair]:
@@ -277,79 +302,35 @@ def extract_pairs(records: Sequence[AnnotationRecord]) -> list[LabelPair]:
     two annotations share an annotator id, so one post can yield both
     self and inter pairs.
     """
-    by_post: dict[str, list[AnnotationRecord]] = {}
-    for rec in records:
-        by_post.setdefault(rec.post_id, []).append(rec)
-    pairs: list[LabelPair] = []
-    for post_id, group in by_post.items():
-        if len(group) < 2:
-            continue
-        group = sorted(group, key=lambda r: r.seq)
-        for i in range(len(group) - 1):
-            for j in range(i + 1, len(group)):
-                a, b = group[i], group[j]
-                kind = PairKind.SELF if a.annotator_id == b.annotator_id else PairKind.INTER
-                pairs.append(LabelPair(first=a.label, second=b.label, kind=kind, post_id=post_id))
-    return pairs
-
-
-def _merge_labels(labels: set[SentimentLabel]) -> SentimentLabel:
-    """Label-merging rule for one post.
-
-    Unanimity keeps the label.  With two distinct values (at any
-    multiplicity), neutral defers to the polar label and opposite polar
-    labels cancel to neutral.  All three values present also cancels to
-    neutral, by composition of the pair rules.
-    """
-    if len(labels) == 1:
-        return next(iter(labels))
-    if len(labels) == 3:
-        return SentimentLabel.NEUTRAL
-    a, b = sorted(labels)
-    if a == SentimentLabel.NEGATIVE and b == SentimentLabel.POSITIVE:
-        return SentimentLabel.NEUTRAL
-    if a == SentimentLabel.NEGATIVE:  # {-1, 0}
-        return SentimentLabel.NEGATIVE
-    return SentimentLabel.POSITIVE  # {0, +1}
+    return [
+        LabelPair(a.label, b.label, PairKind.SELF if a.annotator_id == b.annotator_id else PairKind.INTER,
+                  a.post_id)
+        for group in _by_post(records)
+        for a, b in combinations(group, 2)
+    ]
 
 
 def merge_gold(records: Sequence[AnnotationRecord]) -> list[GoldPost]:
     """Collapse multiply-annotated posts into one gold label per post.
 
-    The output carries the earliest timestamp and the first non-empty
-    text of each post's annotations.  Posts are ordered by earliest
-    timestamp when every post has one, otherwise by earliest ``seq``.
-    Merging is idempotent: re-merging a corpus with one annotation per
-    post returns the same labels.
+    The merged label is the sum of the post's distinct label codes:
+    unanimity keeps the label, neutral defers to a polar label
+    ({-1, 0} gives -1, {0, +1} gives +1), and opposite polar labels
+    cancel to neutral ({-1, +1} and {-1, 0, +1} give 0).  The output
+    carries the earliest timestamp and the first non-empty text of each
+    post's annotations.  Posts are ordered by earliest timestamp when
+    every post has one, otherwise by earliest ``seq``.  Merging is
+    idempotent: re-merging a corpus with one annotation per post returns
+    the same labels.
     """
-    if not records:
-        return []
-    by_post: dict[str, list[AnnotationRecord]] = {}
-    for rec in records:
-        by_post.setdefault(rec.post_id, []).append(rec)
     merged: list[tuple[datetime | None, int, GoldPost]] = []
-    for post_id, group in by_post.items():
-        group = sorted(group, key=lambda r: r.seq)
-        stamps = [r.timestamp for r in group if r.timestamp is not None]
-        earliest = min(stamps) if stamps else None
+    for group in _by_post(records):
+        earliest = min((r.timestamp for r in group if r.timestamp is not None), default=None)
+        label = SentimentLabel(sum({r.label for r in group}))
         text = next((r.text for r in group if r.text), None)
-        merged.append(
-            (
-                earliest,
-                group[0].seq,
-                GoldPost(
-                    post_id=post_id,
-                    label=_merge_labels({r.label for r in group}),
-                    timestamp=earliest,
-                    text=text,
-                    merged_from=len(group),
-                ),
-            )
-        )
-    if all(ts is not None for ts, _, _ in merged):
-        merged.sort(key=lambda item: (item[0], item[1]))
-    else:
-        merged.sort(key=lambda item: item[1])
+        merged.append((earliest, group[0].seq, GoldPost(group[0].post_id, label, earliest, text, len(group))))
+    timed = all(ts is not None for ts, _, _ in merged)
+    merged.sort(key=lambda item: (item[0], item[1]) if timed else item[1])
     return [post for _, _, post in merged]
 
 
@@ -365,43 +346,32 @@ def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> list[list[GoldPo
     posts = list(gold)
     if all(p.timestamp is not None for p in posts):
         posts.sort(key=lambda p: p.timestamp)  # type: ignore[arg-type, return-value]
-    prefixes: list[list[GoldPost]] = []
-    size = step
-    while size < len(posts):
-        prefixes.append(posts[:size])
-        size += step
-    prefixes.append(posts)
-    return prefixes
+    return [posts[:size] for size in range(step, len(posts), step)] + [posts]
 
 
 def load_gold(path: str | Path) -> list[GoldPost]:
-    """Read a merged gold table (no annotator column) back into memory.
+    """Read a gold table into memory, one :class:`GoldPost` per row.
 
     Accepts files produced by :func:`save_gold`; the ``MergedFrom``
-    column is optional and defaults to 1.
+    column is optional and defaults to 1.  A table with an annotator
+    column holds raw annotations: they are read as by
+    :func:`load_annotations` and merged by :func:`merge_gold`.
     """
     posts: list[GoldPost] = []
-    with _open_table(path, ("post id", "label"), ("date", "text", "merge count")) as (_, columns, rows):
-        id_col, label_col, date_col, text_col, merged_col = columns
-        for line, row in rows:
-            timestamp = _parse_timestamp(row[date_col], line, path) if date_col is not None else None
-            merged_from = 1
-            if merged_col is not None:
-                try:
-                    merged_from = int(row[merged_col])
-                except ValueError:
-                    raise CorpusFormatError(
-                        f"{path}: bad MergedFrom value {row[merged_col]!r} on line {line}"
-                    ) from None
-            posts.append(
-                GoldPost(
-                    post_id=row[id_col].strip(),
-                    label=SentimentLabel.from_string(row[label_col], line=line),
-                    timestamp=timestamp,
-                    text=row[text_col] if text_col is not None else None,
-                    merged_from=merged_from,
-                )
-            )
+    records: list[AnnotationRecord] = []
+    for line, post_id, label, timestamp, text, (annotator, merged) in _posts(
+        path, optional=("annotator id", "merge count")
+    ):
+        if annotator is not None:
+            records.append(AnnotationRecord(post_id, annotator.strip(), label, len(records), timestamp, text))
+            continue
+        try:
+            merged_from = int(merged) if merged is not None else 1
+        except ValueError:
+            raise CorpusFormatError(f"{path}: bad MergedFrom value {merged!r} on line {line}") from None
+        posts.append(GoldPost(post_id, label, timestamp, text, merged_from))
+    if records:
+        return merge_gold(records)
     if not posts:
         raise CorpusFormatError(f"{path}: no posts found")
     return posts

@@ -144,7 +144,8 @@ def friedman(
         Use the less conservative F-distribution refinement
         ``F = (N - 1) * chi2 / (N * (k - 1) - chi2)`` with
         ``(k - 1, (k - 1) * (N - 1))`` degrees of freedom for the
-        p-value.
+        p-value; with ``N < 2`` there are no denominator degrees of
+        freedom, and ``ValueError`` is raised.
 
     Returns
     -------
@@ -155,9 +156,11 @@ def friedman(
     """
     from scipy.special import chdtrc, fdtrc
 
+    n, k = table.scores.shape
+    if iman_davenport and n < 2:
+        raise ValueError(f"the Iman-Davenport F form needs at least 2 datasets, got {n}")
     oriented = -table.scores if higher_is_better else table.scores
     avg_ranks = _average_ranks(oriented).mean(axis=0)
-    n, k = table.scores.shape
     statistic = 12.0 * n / (k * (k + 1)) * (float((avg_ranks**2).sum()) - k * (k + 1) ** 2 / 4.0)
     statistic = max(statistic, 0.0)
     if iman_davenport:

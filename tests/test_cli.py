@@ -485,6 +485,65 @@ def test_fuzzed_tables_end_in_a_report_or_one_error_line(annotations_csv, tmp_pa
     assert (code, err) == (0, "") or (code == 1 and re.fullmatch(r"error: [a-z-]+: [^\n]+\n", err)), err
 
 
+@pytest.mark.parametrize("command", ["merge", "curve"])
+def test_mixed_utc_offsets_are_one_corpus_error(command, annotations_csv, tmp_path, capsys):
+    # merge compares the dates of a post's annotations, curve sorts the merged posts
+    path = tmp_path / "zones.csv"
+    if command == "merge":
+        path.write_bytes(annotations_csv.read_bytes())
+    else:
+        corpus.save_gold(corpus.merge_gold(corpus.load_annotations(annotations_csv)), path)
+    text = path.read_text(encoding="utf-8")
+    path.write_text(text.replace("2014-01-02 09:00:00", "2014-01-02 09:00:00+00:00"), encoding="utf-8")
+    code, out, err = run([command, "--input", str(path), "--out", str(tmp_path / "out")], capsys)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: corpus-format: .*zones\.csv: date .* has a UTC offset, unlike the first "
+                        r"date on line 2\n", err)
+
+
+@pytest.mark.parametrize("command", ["agreement", "ordering", "compare"])
+def test_multi_input_commands_reject_a_repeated_dataset_name(command, annotations_csv, tmp_path, capsys):
+    paths = []
+    for folder in ("a", "b"):
+        (tmp_path / folder).mkdir()
+        paths.append(tmp_path / folder / "x.csv")
+        paths[-1].write_bytes(annotations_csv.read_bytes())
+    paths.append(annotations_csv)
+    argv = [command, *(arg for path in paths for arg in ("--input", str(path)))]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: usage: --input {paths[0]} and --input {paths[1]} share the dataset name 'x'\n"
+
+
+@pytest.mark.parametrize(
+    ("argv", "message"),
+    [
+        ([], "the following arguments are required: command"),
+        (["crossval"], "the following arguments are required: --input"),
+        (["crossval", "--k", "abc"], "argument --k: invalid int value: 'abc'"),
+        (["crossval", "--k", "1"], "argument --k: must be >= 2, got 1"),
+        (["crossval", "--min-df", "0"], "argument --min-df: must be >= 1, got 0"),
+        (["curve", "--step", "0"], "argument --step: must be >= 1, got 0"),
+        (["crossval", "--variant", "Nope"], "argument --variant: invalid choice: .*Nope.*"),
+        (["ordering", "--bogus"], "unrecognized arguments: --bogus"),
+    ],
+    ids=["no-command", "no-input", "k-abc", "k-1", "min-df-0", "step-0", "variant", "unknown-flag"],
+)
+def test_misused_flags_are_one_usage_error(argv, message, gold_csv, capsys):
+    if argv[1:]:
+        argv = [argv[0], "--input", str(gold_csv), *argv[1:]]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(f"error: usage: {message}\n", err), err
+
+
+def test_help_still_exits_zero(capsys):
+    with pytest.raises(SystemExit) as exit_info:
+        main(["crossval", "-h"])
+    assert exit_info.value.code == 0
+    assert "--min-df" in capsys.readouterr().out
+
+
 def test_data_dir_fallback(tmp_path, monkeypatch, capsys):
     data_dir = tmp_path / "store"
     data_dir.mkdir()

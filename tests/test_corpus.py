@@ -187,6 +187,25 @@ def test_unterminated_quote_is_reported_where_its_record_starts(tmp_path, loader
         loader(path)
 
 
+@TABLES
+@pytest.mark.parametrize(
+    ("first", "later", "fault"),
+    [
+        ("2014-01-01 10:00:00", "2014-01-02 10:00:00+00:00", "has a UTC offset"),
+        ("2014-01-01 10:00:00+01:00", "2014-01-02 10:00:00", "has no UTC offset"),
+    ],
+    ids=["naive-then-aware", "aware-then-naive"],
+)
+def test_mixed_utc_offsets_are_a_format_error(tmp_path, loader, header, row, first, later, fault) -> None:
+    # comparing such dates (merging, time-ordering) would raise TypeError
+    header = header[:-1] + ("Date",) + header[-1:]
+    rows = [row[:-1] + (date,) + row[-1:] for date in (first, "", later)]
+    rows = [(f"{r[0]}{i}",) + r[1:] for i, r in enumerate(rows)]
+    path = write_table(tmp_path / "zones.csv", rows, header=header)
+    with pytest.raises(CorpusFormatError, match=f"on line 4 {fault}, unlike the first date on line 2$"):
+        loader(path)
+
+
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_table_loaders_fuzz_raise_only_format_errors(tmp_path, annotations_csv, data) -> None:
@@ -228,6 +247,8 @@ def test_extract_pairs_count_is_k_choose_2() -> None:
 def test_merge_rules() -> None:
     cases = [
         ([1, 1, 1], 1),      # unanimity
+        ([0, 0], 0),
+        ([-1, -1], -1),
         ([0, -1], -1),       # neutral defers to negative
         ([0, 1], 1),         # neutral defers to positive
         ([-1, 1], 0),        # opposite polar labels cancel
@@ -338,6 +359,12 @@ def test_save_gold_round_trips_quotes_tabs_and_newlines(tmp_path, delimiter) -> 
     save_gold(gold, path, delimiter=delimiter)
     assert sniff_delimiter(path) == delimiter
     assert [(p.post_id, p.text) for p in load_gold(path)] == [(p.post_id, p.text) for p in gold]
+
+
+def test_load_gold_merges_a_raw_table(annotations_csv) -> None:
+    gold = load_gold(annotations_csv)
+    assert gold == merge_gold(load_annotations(annotations_csv))
+    assert [p.merged_from for p in gold] == [3, 2, 1]
 
 
 def test_load_gold_requires_label_column(tmp_path) -> None:

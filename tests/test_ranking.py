@@ -94,16 +94,20 @@ def test_friedman_matches_scipy_exactly_on_tied_tables(higher_is_better) -> None
         oriented = -scores if higher_is_better else scores
         expected_ranks = sps.rankdata(oriented, axis=1).mean(axis=0)
         plain = friedman(table, higher_is_better=higher_is_better)
-        refined = friedman(table, higher_is_better=higher_is_better, iman_davenport=True)
         assert np.array_equal(plain.avg_ranks, expected_ranks)
-        assert np.array_equal(refined.avg_ranks, expected_ranks)
         assert plain.p_value == float(sps.chi2.sf(plain.statistic, k - 1))
         if trial % 10 == 0:
             assert plain.statistic == 0.0
+        if n == 1:
+            # one row leaves the F form no denominator degrees of freedom
+            with pytest.raises(ValueError, match="at least 2 datasets, got 1"):
+                friedman(table, higher_is_better=higher_is_better, iman_davenport=True)
+            continue
+        refined = friedman(table, higher_is_better=higher_is_better, iman_davenport=True)
+        assert np.array_equal(refined.avg_ranks, expected_ranks)
         if refined.f_statistic != float("inf"):
-            # one row leaves the F form no denominator degrees of freedom: both give nan
             expected_p = float(sps.f.sf(refined.f_statistic, k - 1, (k - 1) * (n - 1)))
-            assert np.array_equal(refined.p_value, expected_p, equal_nan=n == 1)
+            assert refined.p_value == expected_p
 
 
 def test_friedman_rank_one_is_best_and_ties_average() -> None:
@@ -144,6 +148,15 @@ def test_iman_davenport_saturated_statistic() -> None:
     summary = friedman(table, iman_davenport=True)
     assert summary.f_statistic == float("inf")
     assert summary.p_value == 0.0
+
+
+@pytest.mark.parametrize("row", [[0.9, 0.5, 0.1], [0.9, 0.5, 0.5]], ids=["tie-free", "tied"])
+def test_iman_davenport_needs_two_datasets(row) -> None:
+    table = make_table([row])
+    with pytest.raises(ValueError, match="needs at least 2 datasets, got 1"):
+        friedman(table, iman_davenport=True)
+    plain = friedman(table)
+    assert plain.p_value == float(sps.chi2.sf(plain.statistic, 2))
 
 
 def test_nemenyi_cd_values() -> None:
