@@ -14,14 +14,21 @@ incrementally.  Examples are visited in a freshly seeded random
 permutation each epoch; training stops when the largest projected
 gradient magnitude of an epoch falls below ``tol`` or after
 ``max_epochs``.  The dual objective ``sum(alpha) - ||w||^2 / 2`` is
-recorded per epoch and never decreases.
+recorded per epoch as a running sum of the steps' exact gains,
+``d * (-G - ||x~_i||^2 * d / 2)`` for a step ``d`` of ``alpha_i``;
+each gain is non-negative in floating point, so the recorded sequence
+never decreases.
 
-The coordinate loop runs on plain Python floats, not numpy: rows are
-lists of ``(index, value)`` pairs, ``w`` and ``alpha`` are lists and
-``C`` is one float, because numpy's per-call overhead dwarfs the
-arithmetic on rows of a few nonzeros.  ``w . x`` is summed left to
-right in an explicit loop (not ``sum()``, which compensates since
-Python 3.12, nor a BLAS dot, whose kernel varies by CPU), so a plane
+A plane's rows are built once, from the stacked ``indices`` and
+``values`` arrays of all its vectors (the row layout of LIBLINEAR),
+scaled there by the plane's term weights; ``||x~_i||^2`` is summed
+sequentially per row with ``np.bincount``, not by a BLAS dot, whose
+kernel varies by CPU.  The coordinate loop runs on plain Python
+floats, not numpy: rows are lists of ``(index, value)`` pairs, ``w``
+and ``alpha`` are lists and ``C`` is one float, because numpy's
+per-call overhead dwarfs the arithmetic on rows of a few nonzeros.
+``w . x`` is summed left to right in an explicit loop (not ``sum()``,
+which compensates since Python 3.12, nor a BLAS dot), so a plane
 does not depend on the interpreter version.  A coordinate at a bound
 whose gradient points out of its box has projected gradient 0 and is
 skipped at once.  Each plane records whether it converged and its last
@@ -75,7 +82,7 @@ from __future__ import annotations
 import logging
 import math
 from collections.abc import Sequence
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, field
 from enum import Enum
 from pathlib import Path
 
@@ -161,8 +168,9 @@ class TrainConfig:
 class LinearModel:
     """A trained hyperplane: dense weights over the vocabulary plus bias.
 
-    ``dual_objectives`` holds the dual objective after every epoch run;
-    it is nondecreasing by construction of the coordinate steps.
+    ``dual_objectives`` holds the dual objective after every epoch run,
+    kept as a running sum of the coordinate steps' gains, each of which
+    is non-negative, so the sequence is nondecreasing exactly.
     ``converged`` says whether the last epoch's largest projected-gradient
     magnitude, ``max_projected_gradient``, fell below ``tol``; both are
     ``None`` for a plane that was not trained here (a loaded model).
@@ -201,13 +209,19 @@ def train_binary(
     vectors: Sequence[SparseVector],
     y: Sequence[int],
     config: TrainConfig = TrainConfig(),
+    term_weights: np.ndarray | None = None,
 ) -> LinearModel:
     """Train one binary plane by dual coordinate descent.
 
     ``y`` holds +1/-1 side labels; both sides must be present.  Every
-    dual variable lies in ``[0, config.cost]``.  Training is a pure
-    function of (data, config): the per-epoch visiting order comes from
-    a generator seeded with ``config.seed``.
+    dual variable lies in ``[0, config.cost]``.  ``term_weights``, if
+    given, holds one finite weight per dimension: the plane is trained
+    on the rows scaled term by term (coordinates whose product is 0
+    dropped), and the returned weights are multiplied by it, so they
+    apply to the unscaled vectors.  The rows are built once, from the
+    stacked arrays of all vectors.  Training is a pure function of
+    (data, config): the per-epoch visiting order comes from a generator
+    seeded with ``config.seed``.
     """
     n = len(vectors)
     if n == 0:
@@ -220,15 +234,31 @@ def train_binary(
     dim = vectors[0].dim
     if any(v.dim != dim for v in vectors):
         raise EvaluationError("examples disagree on vector dimension")
+    if term_weights is not None:
+        term_weights = np.asarray(term_weights, dtype=np.float64)
+        if term_weights.shape != (dim,) or not np.isfinite(term_weights).all():
+            raise EvaluationError(f"term weights must be {dim} finite values, one per dimension")
     bound = float(config.cost)
 
+    # every row's pairs from one stacked array; ||x~_i||^2 summed in order
+    indices = np.concatenate([v.indices for v in vectors])
+    values = np.concatenate([v.values for v in vectors])
+    row_of = np.repeat(np.arange(n), [v.indices.size for v in vectors])
+    if term_weights is not None:
+        values = values * term_weights[indices]
+        keep = values != 0.0
+        indices, values, row_of = indices[keep], values[keep], row_of[keep]
+    q_diag = (np.bincount(row_of, weights=values * values, minlength=n) + 1.0).tolist()
+    ends = np.cumsum(np.bincount(row_of, minlength=n)).tolist()
+    pairs = list(zip(indices.tolist(), values.tolist()))
+    rows = [pairs[start:end] for start, end in zip([0] + ends[:-1], ends)]
+
     # plain Python floats from here on (see the module docstring)
-    rows = [list(zip(v.indices.tolist(), v.values.tolist())) for v in vectors]
-    q_diag = np.array([float(v.values @ v.values) + 1.0 for v in vectors]).tolist()
     ys = y_arr.tolist()
     w = [0.0] * dim
     b = 0.0
     alphas = [0.0] * n
+    gained = 0.0  # the dual objective, 0 at alpha = 0
     objectives: list[float] = []
     epochs_run = 0
     rng = np.random.default_rng(config.seed)
@@ -255,25 +285,30 @@ def train_binary(
             magnitude = -grad if grad < 0.0 else grad
             if magnitude > worst:
                 worst = magnitude
-            new_ai = ai - grad / q_diag[i]
+            qi = q_diag[i]
+            new_ai = ai - grad / qi
             if new_ai < 0.0:
                 new_ai = 0.0
             if new_ai > bound:
                 new_ai = bound
-            step = (new_ai - ai) * yi
-            if step != 0.0:
+            d = new_ai - ai
+            if d != 0.0:
+                # the step's exact dual increase: d has the sign of -grad
+                # and |d| <= |grad| / qi, so it is never negative
+                gained += d * (-grad - 0.5 * qi * d)
+                step = d * yi
                 for j, v in row:
                     w[j] += step * v
                 b += step
                 alphas[i] = new_ai
         epochs_run += 1
-        w_arr = np.array(w)
-        objectives.append(float(np.array(alphas).sum() - 0.5 * (w_arr @ w_arr + b * b)))
+        objectives.append(gained)
         if worst < config.tol:
             break
 
+    weights = np.array(w)
     return LinearModel(
-        weights=np.array(w),
+        weights=weights if term_weights is None else weights * term_weights,
         bias=float(b),
         dual_objectives=tuple(objectives),
         epochs_run=epochs_run,
@@ -450,10 +485,11 @@ def _train_plane(
 ) -> LinearModel:
     """Train one binary plane on its label subset with its own weights.
 
-    The raw count vectors of the plane's examples are scaled by the
-    class-ratio weights computed from this plane's split; the returned
-    plane folds those weights back into ``weights`` so its decision
-    function applies to raw count vectors.
+    The raw count vectors of the plane's examples go to
+    :func:`train_binary` with the class-ratio weights computed from this
+    plane's split as ``term_weights``; the returned plane carries those
+    weights in ``weights``, so its decision function applies to raw
+    count vectors.
     """
     member = np.isin(labels, neg_side + pos_side)
     if subset is not None:
@@ -463,22 +499,14 @@ def _train_plane(
         raise EvaluationError(f"no examples for plane {neg_side} vs {pos_side}")
     plane_vectors = [vectors[i] for i in rows]
     positive = np.isin(labels[rows], pos_side)
-    dim = plane_vectors[0].dim
-    sides = class_sides(plane_vectors, positive, dim)
-    gamma = delta_weights(sides)
-    scaled = []
-    for vec in plane_vectors:
-        values = vec.values * gamma[vec.indices]
-        keep = values != 0.0
-        scaled.append(SparseVector(vec.indices[keep], values[keep], dim))
-    y = np.where(positive, 1.0, -1.0)
-    model = train_binary(scaled, y, config)
+    gamma = delta_weights(class_sides(plane_vectors, positive, plane_vectors[0].dim))
+    model = train_binary(plane_vectors, np.where(positive, 1.0, -1.0), config, term_weights=gamma)
     if not model.converged:
         logger.debug(
             "plane %s vs %s stopped at max_epochs=%d without converging (max projected gradient %.3g)",
             neg_side, pos_side, model.epochs_run, model.max_projected_gradient,
         )
-    return replace(model, weights=model.weights * gamma)
+    return model
 
 
 def _validation_split(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.ndarray]:

@@ -285,6 +285,21 @@ def load_annotations(path: str | Path) -> list[AnnotationRecord]:
     ]
 
 
+def _check_offsets(items: Sequence[AnnotationRecord] | Sequence[GoldPost]) -> None:
+    """Raise :class:`CorpusFormatError` naming the first of ``items``
+    whose date has a UTC offset where the first dated one's has none, or
+    the reverse: the two could not be compared, and a table holding both
+    would not load."""
+    dated = [item for item in items if item.timestamp is not None]
+    naive = [item.timestamp.tzinfo is None for item in dated]
+    if len(set(naive)) > 1:
+        item = dated[naive.index(not naive[0])]
+        raise CorpusFormatError(
+            f"post {item.post_id!r}: date {item.timestamp.isoformat()!r} has "
+            f"{'a' if naive[0] else 'no'} UTC offset, unlike the first dated post {dated[0].post_id!r}"
+        )
+
+
 def _by_post(records: Sequence[AnnotationRecord]) -> list[list[AnnotationRecord]]:
     """Each post's records sorted by ``seq``, posts in order of first appearance."""
     groups: dict[str, list[AnnotationRecord]] = {}
@@ -321,8 +336,10 @@ def merge_gold(records: Sequence[AnnotationRecord]) -> list[GoldPost]:
     post's annotations.  Posts are ordered by earliest timestamp when
     every post has one, otherwise by earliest ``seq``.  Merging is
     idempotent: re-merging a corpus with one annotation per post returns
-    the same labels.
+    the same labels.  Dates with a UTC offset next to dates without one
+    raise :class:`CorpusFormatError`, as in a table.
     """
+    _check_offsets(records)
     merged: list[tuple[datetime | None, int, GoldPost]] = []
     for group in _by_post(records):
         earliest = min((r.timestamp for r in group if r.timestamp is not None), default=None)
@@ -339,11 +356,14 @@ def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> list[list[GoldPo
 
     The last prefix is always the full corpus, even when ``n`` is not a
     multiple of ``step``.  Posts are ordered by timestamp when every
-    post carries one; otherwise the given order is kept.
+    post carries one; otherwise the given order is kept.  Dates with a
+    UTC offset next to dates without one raise :class:`CorpusFormatError`,
+    as in a table.
     """
     if step < 1:
         raise CorpusFormatError(f"step must be a positive integer, got {step}")
     posts = list(gold)
+    _check_offsets(posts)
     if all(p.timestamp is not None for p in posts):
         posts.sort(key=lambda p: p.timestamp)  # type: ignore[arg-type, return-value]
     return [posts[:size] for size in range(step, len(posts), step)] + [posts]

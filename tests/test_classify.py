@@ -100,6 +100,42 @@ def test_train_binary_matches_qp_oracle_on_sparse_rows_with_bounds() -> None:
         expected = oracles.svm_dual_optimum(X, y, cost)
         assert model.converged
         assert model.dual_objectives[-1] == pytest.approx(expected, abs=1e-6, rel=1e-6)
+        assert np.all(np.diff(model.dual_objectives) >= 0.0)
+
+
+def _dense(v: SparseVector) -> np.ndarray:
+    out = np.zeros(v.dim)
+    out[v.indices] = v.values
+    return out
+
+
+def weighted_fixture():
+    rng = np.random.default_rng(5)
+    X = np.round(rng.normal(size=(10, 5)) * (rng.random(size=(10, 5)) < 0.5), 2)
+    X[3] = 0.0
+    y = np.where(np.arange(10) % 3 == 0, 1.0, -1.0)
+    # row 3 is empty; a zero weight drops coordinate 1, a negative one flips coordinate 3
+    g = np.array([0.5, 0.0, 2.0, -1.5, 1.0])
+    return [vec(row) for row in X], y, g
+
+
+def test_term_weights_match_explicitly_scaled_rows() -> None:
+    vectors, y, g = weighted_fixture()
+    scaled = [vec(_dense(v) * g) for v in vectors]
+    config = TrainConfig(max_epochs=7, seed=3)
+    weighted = train_binary(vectors, y, config, term_weights=g)
+    plain = train_binary(scaled, y, config)
+    assert np.array_equal(weighted.weights, plain.weights * g)
+    assert weighted.bias == plain.bias
+    assert weighted.epochs_run == plain.epochs_run
+    assert weighted.dual_objectives == plain.dual_objectives
+
+
+@pytest.mark.parametrize("g", [np.ones(4), np.array([1.0, np.nan, 1.0, 1.0, 1.0])], ids=["length", "nan"])
+def test_term_weights_must_be_finite_and_one_per_dimension(g) -> None:
+    vectors, y, _ = weighted_fixture()
+    with pytest.raises(EvaluationError, match="term weights"):
+        train_binary(vectors, y, TrainConfig(), term_weights=g)
 
 
 def test_train_binary_reports_convergence() -> None:

@@ -2,7 +2,7 @@
 
 from __future__ import annotations
 
-from datetime import datetime
+from datetime import datetime, timezone
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -284,6 +284,16 @@ def test_merge_falls_back_to_seq_without_timestamps() -> None:
     assert [p.post_id for p in merged] == ["b", "a"]
 
 
+def test_merge_rejects_mixed_utc_offsets() -> None:
+    records = [
+        ann("p", "a", 0, 0),
+        ann("p", "b", 0, 1, ts=datetime(2014, 1, 1)),
+        ann("r", "b", 1, 2, ts=datetime(2014, 1, 2, tzinfo=timezone.utc)),
+    ]
+    with pytest.raises(CorpusFormatError, match=r"post 'r': date .* has a UTC offset, unlike the first dated post 'p'$"):
+        merge_gold(records)
+
+
 def test_merge_keeps_first_text() -> None:
     records = [
         ann("p", "a", 0, 0, text=None),
@@ -328,6 +338,15 @@ def test_time_ordered_chunks_sorts_by_timestamp() -> None:
     chunks = time_ordered_chunks(posts, 1)
     assert [p.post_id for p in chunks[0]] == ["a"]
     assert [p.post_id for p in chunks[-1]] == ["a", "b"]
+
+
+def test_time_ordered_chunks_rejects_mixed_utc_offsets() -> None:
+    posts = [
+        GoldPost(post_id="a", label=SentimentLabel.NEUTRAL, timestamp=datetime(2014, 1, 1, tzinfo=timezone.utc)),
+        GoldPost(post_id="b", label=SentimentLabel.NEUTRAL, timestamp=datetime(2014, 1, 1)),
+    ]
+    with pytest.raises(CorpusFormatError, match=r"post 'b': date .* has no UTC offset, unlike the first dated post 'a'$"):
+        time_ordered_chunks(posts, 1)
 
 
 def test_time_ordered_chunks_rejects_bad_step() -> None:
