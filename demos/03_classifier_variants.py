@@ -9,15 +9,16 @@ classes, and what kind of confidence (if any) each one reports.
 import numpy as np
 
 from sentagree import (
+    CountRows,
     GoldPost,
     SentimentLabel,
     TrainConfig,
     Variant,
-    build_vocabulary,
     count_vector,
     normalize,
     predict,
     train_sentiment,
+    vocabulary_from_token_docs,
 )
 
 WORDS = {
@@ -42,8 +43,10 @@ def synthetic_corpus(n, seed=0):
 
 def main() -> None:
     gold = synthetic_corpus(600, seed=7)
-    vocab = build_vocabulary(gold, min_df=5)
-    vectors = [count_vector(normalize(p.text), vocab) for p in gold]
+    docs = [normalize(p.text) for p in gold]
+    vocab = vocabulary_from_token_docs(docs, min_df=5)
+    vectors = [count_vector(doc, vocab) for doc in docs]  # one row each
+    rows = CountRows.stack(vectors)
     labels = [p.label for p in gold]
     print(f"{len(gold)} documents, vocabulary of {vocab.dim} terms\n")
 
@@ -54,7 +57,7 @@ def main() -> None:
     }
 
     for variant in Variant:
-        model = train_sentiment(vectors, labels, variant, TrainConfig(seed=0), vocab)
+        model = train_sentiment(rows, labels, variant, TrainConfig(seed=0), vocab)
         hits = sum(
             predict(model, x)[0] is y for x, y in zip(vectors, labels)
         )

@@ -19,31 +19,33 @@ recorded per epoch as a running sum of the steps' exact gains,
 each gain is non-negative in floating point, so the recorded sequence
 never decreases.
 
-A plane's rows are built once, from the stacked ``indices`` and
-``values`` arrays of all its vectors (the row layout of LIBLINEAR),
-scaled there by the plane's term weights; ``||x~_i||^2`` is summed
-sequentially per row with ``np.bincount``, not by a BLAS dot, whose
-kernel varies by CPU.  The coordinate loop runs on plain Python
-floats, not numpy: rows are lists of ``(index, value)`` pairs, ``w``
-and ``alpha`` are lists and ``C`` is one float, because numpy's
-per-call overhead dwarfs the arithmetic on rows of a few nonzeros.
-``w . x`` is summed left to right in an explicit loop (not ``sum()``,
-which compensates since Python 3.12, nor a BLAS dot), so a plane
-does not depend on the interpreter version.  A coordinate at a bound
-whose gradient points out of its box has projected gradient 0 and is
-skipped at once.  Each plane records whether it converged and its last
-epoch's largest projected gradient; a plane that stops at
-``max_epochs`` without converging is logged at DEBUG level with its
-sides.
+Every function here takes its examples as one
+:class:`~sentagree.features.CountRows` block; a plane slices its rows
+out of the block with ``select``, and its term weights scale the
+stored ``values`` array in one numpy op (the row layout of LIBLINEAR).
+``||x~_i||^2`` is summed sequentially per row with ``np.bincount``,
+not by a BLAS dot, whose kernel varies by CPU.  The coordinate loop
+runs on plain Python floats, not numpy: rows are lists of
+``(index, value)`` pairs, ``w`` and ``alpha`` are lists and ``C`` is
+one float, because numpy's per-call overhead dwarfs the arithmetic on
+rows of a few nonzeros.  ``w . x`` is summed left to right in an
+explicit loop (not ``sum()``, which compensates since Python 3.12, nor
+a BLAS dot), so a plane does not depend on the interpreter version.  A
+coordinate at a bound whose gradient points out of its box has
+projected gradient 0 and is skipped at once.  Each plane records
+whether it converged and its last epoch's largest projected gradient;
+a plane that stops at ``max_epochs`` without converging is logged at
+DEBUG level with its sides.
 
-Six multiclass architectures combine such planes.  Input vectors are
-raw term counts; every plane reweights them with class-ratio weights
+Six multiclass architectures combine such planes.  Input rows are raw
+term counts; every plane reweights them with class-ratio weights
 computed from its own binary training split, and the learned plane
 weights returned to the caller absorb that reweighting, so prediction
-consumes raw count vectors directly.
+consumes raw count rows directly.
 
-Prediction works on a block of rows: each plane's decision values are
-computed once for the block, and the variant's label rule maps them to
+Prediction works on a block of rows: each plane's decision values
+``w . x + b``, like the NaiveBayes log-likelihoods, are one dot per
+row slice of the block, and the variant's label rule maps them to
 labels for all rows at once.  Training builds the bin and subspace
 tables and tunes the neutral zone with the same rules, and
 :func:`predict` is a block of one row.
@@ -91,7 +93,7 @@ import numpy as np
 from .agreement import alpha, build_coincidence
 from .corpus import SentimentLabel
 from .errors import EvaluationError, ModelFormatError, UndefinedMeasureError
-from .features import SparseVector, Vocabulary, class_sides, delta_weights, vocabulary_hash
+from .features import CountRows, Vocabulary, class_sides, delta_weights, vocabulary_hash
 from .features import _keyed_file, _KeyedLines
 
 __all__ = [
@@ -103,7 +105,6 @@ __all__ = [
     "NaiveBayesTable",
     "SentimentModel",
     "train_binary",
-    "decision",
     "train_sentiment",
     "predict",
     "predict_batch",
@@ -183,47 +184,38 @@ class LinearModel:
     converged: bool | None = None
     max_projected_gradient: float | None = None
 
-    @property
-    def dim(self) -> int:
-        return int(self.weights.shape[0])
+
+def _row_sums(rows: CountRows, tables: Sequence[np.ndarray]) -> np.ndarray:
+    """``x . t`` for every row ``x`` of ``rows`` and every dense ``t`` of
+    ``tables``, one dot per row slice: one row per table."""
+    bounds = rows.indptr.tolist()
+    slices = [(rows.indices[a:b], rows.values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
+    return np.array([[float(x @ t[j]) for j, x in slices] for t in tables]).reshape(len(tables), len(rows))
 
 
-def _check_dims(dim: int, vectors: Sequence[SparseVector]) -> None:
-    for x in vectors:
-        if x.dim != dim:
-            raise EvaluationError(f"vector dimension {x.dim} != model dimension {dim}")
-
-
-def _decision_values(planes: Sequence[LinearModel], vectors: Sequence[SparseVector]) -> np.ndarray:
-    """Decision values ``w . x + b``: one row per plane, one column per vector."""
-    return np.array([[float(x.values @ p.weights[x.indices]) + p.bias for x in vectors] for p in planes])
-
-
-def decision(model: LinearModel, x: SparseVector) -> float:
-    """Signed decision value ``w . x + b``."""
-    _check_dims(model.dim, [x])
-    return float(_decision_values([model], [x])[0, 0])
+def _decision_values(planes: Sequence[LinearModel], rows: CountRows) -> np.ndarray:
+    """Decision values ``w . x + b``: one row per plane, one column per row."""
+    return _row_sums(rows, [p.weights for p in planes]) + np.array([[p.bias] for p in planes])
 
 
 def train_binary(
-    vectors: Sequence[SparseVector],
+    rows: CountRows,
     y: Sequence[int],
     config: TrainConfig = TrainConfig(),
     term_weights: np.ndarray | None = None,
 ) -> LinearModel:
     """Train one binary plane by dual coordinate descent.
 
-    ``y`` holds +1/-1 side labels; both sides must be present.  Every
-    dual variable lies in ``[0, config.cost]``.  ``term_weights``, if
-    given, holds one finite weight per dimension: the plane is trained
-    on the rows scaled term by term (coordinates whose product is 0
-    dropped), and the returned weights are multiplied by it, so they
-    apply to the unscaled vectors.  The rows are built once, from the
-    stacked arrays of all vectors.  Training is a pure function of
-    (data, config): the per-epoch visiting order comes from a generator
-    seeded with ``config.seed``.
+    ``y`` holds +1/-1 side labels, one per row; both sides must be
+    present.  Every dual variable lies in ``[0, config.cost]``.
+    ``term_weights``, if given, holds one finite weight per dimension:
+    the plane is trained on the rows scaled term by term (coordinates
+    whose product is 0 dropped), and the returned weights are
+    multiplied by it, so they apply to the unscaled rows.  Training is
+    a pure function of (data, config): the per-epoch visiting order
+    comes from a generator seeded with ``config.seed``.
     """
-    n = len(vectors)
+    n = len(rows)
     if n == 0:
         raise EvaluationError("cannot train on an empty example set")
     y_arr = np.asarray(y, dtype=np.float64)
@@ -231,19 +223,15 @@ def train_binary(
         raise EvaluationError("side labels must be +1/-1, one per example")
     if np.all(y_arr == y_arr[0]):
         raise EvaluationError("cannot train a plane with a single class")
-    dim = vectors[0].dim
-    if any(v.dim != dim for v in vectors):
-        raise EvaluationError("examples disagree on vector dimension")
+    dim = rows.dim
     if term_weights is not None:
         term_weights = np.asarray(term_weights, dtype=np.float64)
         if term_weights.shape != (dim,) or not np.isfinite(term_weights).all():
             raise EvaluationError(f"term weights must be {dim} finite values, one per dimension")
     bound = float(config.cost)
 
-    # every row's pairs from one stacked array; ||x~_i||^2 summed in order
-    indices = np.concatenate([v.indices for v in vectors])
-    values = np.concatenate([v.values for v in vectors])
-    row_of = np.repeat(np.arange(n), [v.indices.size for v in vectors])
+    # every row's pairs from the stored arrays; ||x~_i||^2 summed in order
+    indices, values, row_of = rows.indices, rows.values, rows.row_ids()
     if term_weights is not None:
         values = values * term_weights[indices]
         keep = values != 0.0
@@ -251,7 +239,7 @@ def train_binary(
     q_diag = (np.bincount(row_of, weights=values * values, minlength=n) + 1.0).tolist()
     ends = np.cumsum(np.bincount(row_of, minlength=n)).tolist()
     pairs = list(zip(indices.tolist(), values.tolist()))
-    rows = [pairs[start:end] for start, end in zip([0] + ends[:-1], ends)]
+    pair_rows = [pairs[start:end] for start, end in zip([0] + ends[:-1], ends)]
 
     # plain Python floats from here on (see the module docstring)
     ys = y_arr.tolist()
@@ -266,7 +254,7 @@ def train_binary(
     for _ in range(config.max_epochs):
         worst = 0.0
         for i in rng.permutation(n).tolist():
-            row = rows[i]
+            row = pair_rows[i]
             yi = ys[i]
             wx = 0.0
             for j, v in row:
@@ -374,7 +362,7 @@ class SentimentModel:
 
     ``planes`` maps plane names to hyperplanes whose weights already
     absorb the per-plane term reweighting, so prediction takes raw
-    count vectors.  ``vocab_hash`` ties the model to the vocabulary it
+    count rows.  ``vocab_hash`` ties the model to the vocabulary it
     was trained against ("" when trained without one).
     """
 
@@ -440,9 +428,10 @@ def _vote_labels(values: np.ndarray) -> np.ndarray:
     return mass.argmax(axis=0) - 1
 
 
-def _predict_block(model: SentimentModel, vectors: Sequence[SparseVector]) -> tuple[np.ndarray, np.ndarray]:
+def _predict_block(model: SentimentModel, rows: CountRows) -> tuple[np.ndarray, np.ndarray]:
     """Label codes and confidences (NaN where the variant defines none)."""
-    _check_dims(model.dim, vectors)
+    if rows.dim != model.dim:
+        raise EvaluationError(f"row dimension {rows.dim} != model dimension {model.dim}")
     variant = model.variant
     if variant is Variant.NAIVE_BAYES:
         nb = model.nb
@@ -451,16 +440,14 @@ def _predict_block(model: SentimentModel, vectors: Sequence[SparseVector]) -> tu
             raise EvaluationError("NaiveBayes model has no training mass")
         # add-1 smoothed log term probabilities, once for the whole block
         log_theta = np.log((nb.term_counts + 1.0) / (nb.term_counts.sum(axis=1, keepdims=True) + model.dim))
-        log_post = np.log(nb.doc_counts / n_docs) + np.array(
-            [[float(x.values @ row[x.indices]) for row in log_theta] for x in vectors]
-        ).reshape(len(vectors), 3)
+        log_post = np.log(nb.doc_counts / n_docs) + _row_sums(rows, log_theta).T
         probs = np.exp(log_post - log_post.max(axis=1, keepdims=True))
         probs /= probs.sum(axis=1, keepdims=True)
         best = probs.argmax(axis=1)
         return best - 1, probs[np.arange(best.size), best]
 
-    values = _decision_values([model.planes[name] for name in _PLANE_SIDES[variant]], vectors)
-    no_confidence = np.full(len(vectors), np.nan)
+    values = _decision_values([model.planes[name] for name in _PLANE_SIDES[variant]], rows)
+    no_confidence = np.full(len(rows), np.nan)
     if variant is Variant.NEUTRAL_ZONE:
         return _zone_labels(values[0], model.neutral_zone or 0.0), no_confidence
     if variant is Variant.CASCADING:  # neutral exactly when plane 1 says objective
@@ -476,31 +463,27 @@ def _predict_block(model: SentimentModel, vectors: Sequence[SparseVector]) -> tu
 
 
 def _train_plane(
-    vectors: Sequence[SparseVector],
+    rows: CountRows,
     labels: np.ndarray,
     neg_side: tuple[int, ...],
     pos_side: tuple[int, ...],
     config: TrainConfig,
-    subset: np.ndarray | None = None,
 ) -> LinearModel:
     """Train one binary plane on its label subset with its own weights.
 
-    The raw count vectors of the plane's examples go to
+    The raw count rows of the plane's examples go to
     :func:`train_binary` with the class-ratio weights computed from this
     plane's split as ``term_weights``; the returned plane carries those
     weights in ``weights``, so its decision function applies to raw
-    count vectors.
+    count rows.
     """
-    member = np.isin(labels, neg_side + pos_side)
-    if subset is not None:
-        member &= subset
-    rows = np.flatnonzero(member)
-    if rows.size == 0:
+    members = np.flatnonzero(np.isin(labels, neg_side + pos_side))
+    if members.size == 0:
         raise EvaluationError(f"no examples for plane {neg_side} vs {pos_side}")
-    plane_vectors = [vectors[i] for i in rows]
-    positive = np.isin(labels[rows], pos_side)
-    gamma = delta_weights(class_sides(plane_vectors, positive, plane_vectors[0].dim))
-    model = train_binary(plane_vectors, np.where(positive, 1.0, -1.0), config, term_weights=gamma)
+    plane_rows = rows.select(members)
+    positive = np.isin(labels[members], pos_side)
+    gamma = delta_weights(class_sides(plane_rows, positive))
+    model = train_binary(plane_rows, np.where(positive, 1.0, -1.0), config, term_weights=gamma)
     if not model.converged:
         logger.debug(
             "plane %s vs %s stopped at max_epochs=%d without converging (max projected gradient %.3g)",
@@ -527,17 +510,15 @@ def _validation_split(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.nda
 
 
 def _tune_neutral_zone(
-    vectors: Sequence[SparseVector],
+    rows: CountRows,
     labels: np.ndarray,
     config: TrainConfig,
 ) -> tuple[float, LinearModel]:
     """Pick the neutral-zone half-width maximizing interval alpha on a
     held-out split; ties prefer the narrower zone."""
     train_idx, val_idx = _validation_split(labels, config.seed)
-    subset = np.zeros(labels.size, dtype=bool)
-    subset[train_idx] = True
-    plane = _train_plane(vectors, labels, (-1,), (1,), config, subset=subset)
-    values = _decision_values([plane], [vectors[i] for i in val_idx])[0]
+    plane = _train_plane(rows.select(train_idx), labels[train_idx], (-1,), (1,), config)
+    values = _decision_values([plane], rows.select(val_idx))[0]
     gold = labels[val_idx]
     candidates = np.unique(np.concatenate(([0.0], np.abs(values))))
     if candidates.size > 200:
@@ -557,28 +538,31 @@ def _tune_neutral_zone(
 
 
 def train_sentiment(
-    vectors: Sequence[SparseVector],
+    rows: CountRows,
     labels: Sequence[SentimentLabel | int],
     variant: Variant | str = Variant.TWO_PLANE,
     config: TrainConfig = TrainConfig(),
     vocab: Vocabulary | None = None,
 ) -> SentimentModel:
-    """Train one classifier variant on raw count vectors.
+    """Train one classifier variant on raw count rows.
 
-    All three classes must appear in ``labels``.  ``vocab`` is only
-    consulted for the vocabulary hash recorded on the model; passing
-    ``None`` records an empty hash.
+    ``labels`` holds one code of -1, 0 or +1 per row, and all three
+    classes must appear.  ``vocab`` is only consulted for the
+    vocabulary hash recorded on the model; passing ``None`` records an
+    empty hash.
     """
     variant = Variant(variant)
-    if not vectors:
+    if not len(rows):
         raise EvaluationError("cannot train on an empty corpus")
     label_arr = np.array([int(l) for l in labels], dtype=np.int64)
-    if label_arr.shape[0] != len(vectors):
-        raise EvaluationError("vectors and labels differ in length")
+    if label_arr.shape[0] != len(rows):
+        raise EvaluationError("rows and labels differ in length")
+    if (bad := label_arr[~np.isin(label_arr, (-1, 0, 1))]).size:
+        raise EvaluationError(f"label code {bad[0]} is not -1, 0 or +1")
     missing = [c for c in (-1, 0, 1) if not np.any(label_arr == c)]
     if missing:
         raise EvaluationError(f"training data is missing class(es) {missing}")
-    dim = vectors[0].dim
+    dim = rows.dim
     base = dict(
         variant=variant,
         dim=dim,
@@ -587,24 +571,23 @@ def train_sentiment(
 
     if variant is Variant.NAIVE_BAYES:
         term_counts = np.zeros((3, dim), dtype=np.float64)
-        cells = np.repeat(label_arr + 1, [v.nnz for v in vectors]), np.concatenate([v.indices for v in vectors])
-        np.add.at(term_counts, cells, np.concatenate([v.values for v in vectors]))
+        np.add.at(term_counts, (label_arr[rows.row_ids()] + 1, rows.indices), rows.values)
         return SentimentModel(nb=NaiveBayesTable(np.bincount(label_arr + 1, minlength=3), term_counts), **base)
 
     if variant is Variant.NEUTRAL_ZONE:
         if config.neutral_zone == "tuned":
-            zone, plane = _tune_neutral_zone(vectors, label_arr, config)
+            zone, plane = _tune_neutral_zone(rows, label_arr, config)
         else:
             zone = float(config.neutral_zone)
-            plane = _train_plane(vectors, label_arr, (-1,), (1,), config)
+            plane = _train_plane(rows, label_arr, (-1,), (1,), config)
         return SentimentModel(planes={"polarity": plane}, neutral_zone=zone, **base)
 
     planes = {
-        name: _train_plane(vectors, label_arr, neg, pos, config)
+        name: _train_plane(rows, label_arr, neg, pos, config)
         for name, (neg, pos) in _PLANE_SIDES[variant].items()
     }
     if variant is Variant.TWO_PLANE_BIN:
-        d_a, d_b = _decision_values(list(planes.values()), vectors)
+        d_a, d_b = _decision_values(list(planes.values()), rows)
         grid = config.bin_grid
         bins = BinTable(
             grid=grid,
@@ -616,23 +599,26 @@ def train_sentiment(
         return SentimentModel(planes=planes, bins=bins, **base)
     if variant is Variant.THREE_PLANE:
         counts = np.zeros((8, 3), dtype=np.int64)
-        values = _decision_values(list(planes.values()), vectors)
+        values = _decision_values(list(planes.values()), rows)
         np.add.at(counts, (_subspace_index(values), label_arr + 1), 1)
         return SentimentModel(planes=planes, subspaces=SubspaceTable(counts), **base)
     return SentimentModel(planes=planes, **base)
 
 
-def predict(model: SentimentModel, x: SparseVector) -> tuple[SentimentLabel, float | None]:
-    """Predict one label; the second element is a confidence when the
-    variant defines one (bin label share, posterior probability)."""
-    codes, confidence = _predict_block(model, [x])
+def predict(model: SentimentModel, x: CountRows) -> tuple[SentimentLabel, float | None]:
+    """Predict the label of a one-row ``x``; the second element is a
+    confidence when the variant defines one (bin label share, posterior
+    probability)."""
+    if len(x) != 1:
+        raise EvaluationError(f"predict takes one row, got {len(x)}")
+    codes, confidence = _predict_block(model, x)
     share = float(confidence[0])
     return SentimentLabel(int(codes[0])), None if np.isnan(share) else share
 
 
-def predict_batch(model: SentimentModel, vectors: Sequence[SparseVector]) -> np.ndarray:
-    """Predicted label codes for a sequence of vectors, as one block."""
-    return _predict_block(model, vectors)[0].astype(np.int64, copy=False)
+def predict_batch(model: SentimentModel, rows: CountRows) -> np.ndarray:
+    """Predicted label codes of every row, as one block."""
+    return _predict_block(model, rows)[0].astype(np.int64, copy=False)
 
 
 # --- serialization ----------------------------------------------------------

@@ -200,10 +200,8 @@ def cmd_merge(args: argparse.Namespace) -> None:
 def cmd_train(args: argparse.Namespace) -> None:
     config = _train_config(args)
     gold = corpus.load_gold(_resolve(_single(args.input, "--input")))
-    token_docs = [features._post_tokens(p, None) for p in gold]
-    vocab = features.vocabulary_from_token_docs(token_docs, min_df=args.min_df)
-    vectors = [features.count_vector(tokens, vocab) for tokens in token_docs]
-    model = classify.train_sentiment(vectors, [p.label for p in gold], args.variant, config, vocab)
+    vocab, counts = evaluation._count_corpus(gold, min_df=args.min_df)
+    model = classify.train_sentiment(counts, [p.label for p in gold], args.variant, config, vocab)
     model_path = Path(args.out)
     vocab_path = model_path.with_name(model_path.name + ".vocab")
     classify.save_model(model, model_path)

@@ -8,6 +8,12 @@ vocabulary, per-plane term statistics, and planes all come from the
 training folds only, so no test-fold document leaks into feature
 construction.
 
+Each cross-validation counts every post once, against the vocabulary
+of the whole corpus at ``min_df``; a fold keeps the columns that at
+least ``min_df`` of its training rows contain and selects its rows and
+columns from those counts.  This is exact, since every such term is in
+the corpus vocabulary.
+
 Reported per measure: per-fold values, their mean, and the normal 95%
 half-width ``1.96 * sd / sqrt(k)`` (sample standard deviation), plus
 the pooled coincidence matrix summed over folds.
@@ -24,8 +30,8 @@ import numpy as np
 from .agreement import CoincidenceMatrix, Measure, build_coincidence, compute_measure
 from .classify import SentimentModel, TrainConfig, Variant, predict_batch, train_sentiment
 from .corpus import GoldPost, SentimentLabel, time_ordered_chunks
-from .errors import EvaluationError, FoldPlanError
-from .features import Vocabulary, count_vector, normalize, vocabulary_from_token_docs
+from .errors import CorpusFormatError, EvaluationError, FoldPlanError
+from .features import CountRows, Vocabulary, count_vector, normalize, vocabulary_from_token_docs
 
 __all__ = [
     "DEFAULT_MEASURES",
@@ -112,7 +118,7 @@ def score_predictions(
         raise EvaluationError(
             f"{len(predicted)} predictions for {len(gold)} gold labels"
         )
-    if not predicted:
+    if not len(predicted):
         raise EvaluationError("cannot score an empty prediction set")
     return build_coincidence([(int(p), int(g)) for p, g in zip(predicted, gold)])
 
@@ -135,15 +141,21 @@ class CrossValResult:
     fold_sizes: tuple[int, ...]
 
 
-def _tokenize_corpus(
-    gold: Sequence[GoldPost], stemmer: Callable[[str], str] | None
-) -> list[list[str]]:
+def _count_corpus(
+    gold: Sequence[GoldPost],
+    min_df: int = 5,
+    ngrams: tuple[int, ...] = (1, 2),
+    stemmer: Callable[[str], str] | None = None,
+) -> tuple[Vocabulary, CountRows]:
+    """Normalize every post once, build the vocabulary of the whole
+    corpus at ``min_df`` and count every post against it once."""
     docs = []
     for post in gold:
         if post.text is None:
-            raise EvaluationError(f"post {post.post_id!r} has no text to classify")
+            raise CorpusFormatError(f"post {post.post_id!r} has no text")
         docs.append(normalize(post.text, stemmer))
-    return docs
+    vocab = vocabulary_from_token_docs(docs, min_df=min_df, ngrams=ngrams)
+    return vocab, CountRows.stack([count_vector(doc, vocab) for doc in docs])
 
 
 def cross_validate(
@@ -160,7 +172,7 @@ def cross_validate(
     """Evaluate one classifier variant by blocked stratified k-fold CV.
 
     The corpus must already be in time order (as produced by the gold
-    merger).  Every fold rebuilds its vocabulary and per-plane term
+    merger).  Every fold takes its vocabulary and per-plane term
     statistics from the training folds alone.  ``on_fold`` is a
     diagnostics hook called with ``(fold_index, vocabulary, model)``
     after each fold trains.
@@ -171,7 +183,7 @@ def cross_validate(
     variant = Variant(variant)
     measures = tuple(Measure(m) for m in measures)
     plan = plan_folds(gold, k)
-    token_docs = _tokenize_corpus(gold, stemmer)
+    vocab, counts = _count_corpus(gold, min_df, ngrams, stemmer)
     labels = np.array([int(p.label) for p in gold], dtype=np.int64)
 
     per_fold = {measure: np.empty(plan.k) for measure in measures}
@@ -180,19 +192,19 @@ def cross_validate(
     for fold, test_idx in enumerate(plan.folds):
         train_idx = plan.train_indices(fold)
         try:
-            vocab = vocabulary_from_token_docs(
-                [token_docs[i] for i in train_idx],
+            doc_freq = np.bincount(counts.select(train_idx).indices, minlength=vocab.dim)
+            keep = np.flatnonzero(doc_freq >= min_df)
+            fold_vocab = Vocabulary(
+                terms=tuple(vocab.terms[i] for i in keep.tolist()),
+                doc_freq=doc_freq[keep],
+                n_docs=int(train_idx.size),
                 min_df=min_df,
-                ngrams=ngrams,
+                ngrams=vocab.ngrams,
             )
-            train_vectors = [count_vector(token_docs[i], vocab) for i in train_idx]
-            model = train_sentiment(train_vectors, labels[train_idx], variant, config, vocab)
+            model = train_sentiment(counts.select(train_idx, keep), labels[train_idx], variant, config, fold_vocab)
             if on_fold is not None:
-                on_fold(fold, vocab, model)
-            test_vectors = [count_vector(token_docs[i], vocab) for i in test_idx]
-            matrix = score_predictions(
-                predict_batch(model, test_vectors).tolist(), labels[test_idx].tolist()
-            )
+                on_fold(fold, fold_vocab, model)
+            matrix = score_predictions(predict_batch(model, counts.select(test_idx, keep)), labels[test_idx])
             for measure in measures:
                 per_fold[measure][fold] = compute_measure(matrix, measure)
         except Exception as exc:

@@ -28,6 +28,9 @@ The weighting scheme scores a term ``t`` in document ``d`` as
 positive-/negative-side training documents containing ``t``, ``P``/``N``
 are the side sizes, and ``s = 0.5`` smooths all four figures.  Swapping
 the two sides negates every weight.
+
+Counts live in one row type, :class:`CountRows` (CSR): :func:`count_vector`
+returns one row, ``stack`` joins rows and ``select`` slices rows and columns.
 """
 
 from __future__ import annotations
@@ -42,19 +45,17 @@ from pathlib import Path
 
 import numpy as np
 
-from .corpus import GoldPost
-from .errors import CorpusFormatError, SentagreeError, VocabularyError
+from .errors import SentagreeError, VocabularyError
 
 __all__ = [
     "NORMALIZER_VERSION",
     "EMOTICONS",
     "normalize",
     "english_suffix_stem",
-    "SparseVector",
+    "CountRows",
     "ClassSides",
     "Vocabulary",
     "expand_terms",
-    "build_vocabulary",
     "vocabulary_from_token_docs",
     "count_vector",
     "class_sides",
@@ -168,35 +169,79 @@ def normalize(text: str, stemmer: Callable[[str], str] | None = None) -> list[st
 
 
 @dataclass(frozen=True, eq=False)
-class SparseVector:
-    """Sparse feature vector with strictly increasing indices.
+class CountRows:
+    """Sparse rows in compressed-row (CSR) layout: row ``r`` holds the
+    pairs ``indices[k], values[k]`` for ``k`` in ``indptr[r]:indptr[r + 1]``.
 
-    Invariants: ``indices`` strictly increasing in ``[0, dim)``,
-    ``values`` finite and nowhere zero, both arrays equally long.
+    Invariants, checked once at construction: ``indptr`` starts at 0,
+    never decreases and ends at the number of stored entries; within a
+    row the indices are strictly increasing in ``[0, dim)``; values are
+    finite and nowhere zero.
     """
 
+    indptr: np.ndarray
     indices: np.ndarray
     values: np.ndarray
     dim: int
 
     def __post_init__(self) -> None:
+        indptr = np.asarray(self.indptr, dtype=np.intp)
         indices = np.asarray(self.indices, dtype=np.intp)
         values = np.asarray(self.values, dtype=np.float64)
-        if indices.shape != values.shape or indices.ndim != 1:
-            raise ValueError("indices and values must be 1-D arrays of equal length")
+        if indices.shape != values.shape or indices.ndim != 1 or indptr.ndim != 1:
+            raise ValueError("indptr, indices and values must be 1-D, indices and values of equal length")
+        lengths = indptr[1:] - indptr[:-1]  # not np.diff, whose call costs more on one row
+        if indptr.size == 0 or indptr[0] != 0 or indptr[-1] != indices.size or (lengths < 0).any():
+            raise ValueError(f"indptr must rise from 0 to the {indices.size} stored entries")
         if indices.size:
-            if indices[0] < 0 or indices[-1] >= self.dim:
+            if indices.min() < 0 or indices.max() >= self.dim:
                 raise ValueError(f"indices out of range for dimension {self.dim}")
-            if (indices[1:] <= indices[:-1]).any():
-                raise ValueError("indices must be strictly increasing")
-            if not np.isfinite(values).all() or (values == 0.0).any():
+            row_of = np.repeat(np.arange(lengths.size), lengths)
+            if ((indices[1:] <= indices[:-1]) & (row_of[1:] == row_of[:-1])).any():
+                raise ValueError("indices must be strictly increasing within a row")
+            if not (np.isfinite(values) & (values != 0.0)).all():
                 raise ValueError("values must be finite and non-zero")
+        object.__setattr__(self, "indptr", indptr)
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
+
+    def __len__(self) -> int:
+        return int(self.indptr.size - 1)
 
     @property
     def nnz(self) -> int:
         return int(self.indices.size)
+
+    def row_ids(self) -> np.ndarray:
+        """The row of every stored entry."""
+        return np.repeat(np.arange(len(self)), np.diff(self.indptr))
+
+    @classmethod
+    def stack(cls, parts: Sequence[CountRows]) -> CountRows:
+        """The rows of ``parts`` one after another; all share one ``dim``."""
+        if not parts or any(part.dim != parts[0].dim for part in parts):
+            raise ValueError("stacked rows need at least one part and one dimension")
+        lengths = np.concatenate([part.indptr[1:] - part.indptr[:-1] for part in parts])
+        indices = np.concatenate([part.indices for part in parts])
+        values = np.concatenate([part.values for part in parts])
+        return cls(np.concatenate([[0], np.cumsum(lengths)]), indices, values, parts[0].dim)
+
+    def select(self, rows: Sequence[int], keep: np.ndarray | None = None) -> CountRows:
+        """The given rows, in the given order; with ``keep``, an increasing
+        array of columns, only those columns, renumbered ``0..len(keep)-1``."""
+        rows = np.asarray(rows, dtype=np.intp)
+        lengths = np.diff(self.indptr)[rows]
+        # entry positions: each row's run of the stored arrays, one after another
+        shift = self.indptr[rows] - (np.cumsum(lengths) - lengths)
+        taken = np.repeat(shift, lengths) + np.arange(lengths.sum())
+        indices, values, dim = self.indices[taken], self.values[taken], self.dim
+        if keep is not None:
+            column = np.full(self.dim, -1, dtype=np.intp)
+            column[keep] = np.arange(len(keep))
+            kept = column[indices] >= 0
+            lengths = np.bincount(np.repeat(np.arange(rows.size), lengths)[kept], minlength=rows.size)
+            indices, values, dim = column[indices[kept]], values[kept], len(keep)
+        return CountRows(np.concatenate([[0], np.cumsum(lengths)]), indices, values, dim)
 
 
 @dataclass(frozen=True)
@@ -276,69 +321,29 @@ def vocabulary_from_token_docs(
     )
 
 
-def _post_tokens(post: GoldPost, stemmer: Callable[[str], str] | None) -> list[str]:
-    if post.text is None:
-        raise CorpusFormatError(f"post {post.post_id!r} has no text")
-    return normalize(post.text, stemmer)
+def count_vector(tokens: Sequence[str], vocab: Vocabulary) -> CountRows:
+    """Raw term counts of one normalized document, as one row."""
+    found = map(vocab.index.get, expand_terms(tokens, vocab.ngrams))
+    counts = sorted(Counter(i for i in found if i is not None).items())
+    return CountRows([0, len(counts)], [i for i, _ in counts], [c for _, c in counts], vocab.dim)
 
 
-def build_vocabulary(
-    posts: Sequence[GoldPost],
-    min_df: int = 5,
-    ngrams: tuple[int, ...] = (1, 2),
-    stemmer: Callable[[str], str] | None = None,
-) -> Vocabulary:
-    """Normalize a gold corpus and build its n-gram vocabulary."""
-    if not posts:
-        raise VocabularyError("cannot build a vocabulary from an empty corpus")
-    return vocabulary_from_token_docs(
-        [_post_tokens(p, stemmer) for p in posts],
-        min_df=min_df,
-        ngrams=ngrams,
-    )
-
-
-def count_vector(tokens: Sequence[str], vocab: Vocabulary) -> SparseVector:
-    """Raw term-count vector of one normalized document."""
-    index = vocab.index
-    counts: Counter[int] = Counter()
-    for term in expand_terms(tokens, vocab.ngrams):
-        idx = index.get(term)
-        if idx is not None:
-            counts[idx] += 1
-    if not counts:
-        return SparseVector(np.empty(0, dtype=np.intp), np.empty(0), vocab.dim)
-    items = sorted(counts.items())
-    return SparseVector(
-        np.array([i for i, _ in items], dtype=np.intp),
-        np.array([c for _, c in items], dtype=np.float64),
-        vocab.dim,
-    )
-
-
-def class_sides(
-    vectors: Sequence[SparseVector],
-    positive: Sequence[bool],
-    dim: int,
-) -> ClassSides:
-    """Per-side document frequencies from raw count vectors.
+def class_sides(rows: CountRows, positive: Sequence[bool]) -> ClassSides:
+    """Per-side document frequencies from raw count rows.
 
     A document counts toward a term's side frequency when the term
     occurs in it at all; multiplicity is ignored.
     """
-    if len(vectors) != len(positive):
-        raise ValueError("vectors and side mask differ in length")
+    if len(rows) != len(positive):
+        raise ValueError("rows and side mask differ in length")
     side = np.asarray(positive, dtype=bool)
-    indices = np.concatenate([np.empty(0, dtype=np.intp), *(vec.indices for vec in vectors)])
-    if indices.size and indices.max() >= dim:
-        raise IndexError(f"term index {indices.max()} out of range for dimension {dim}")
-    on_pos = np.repeat(side, [vec.nnz for vec in vectors])
+    on_pos = side[rows.row_ids()]
     n_pos = int(side.sum())
     return ClassSides(
-        pos_doc_freq=np.bincount(indices[on_pos], minlength=dim).astype(np.int64, copy=False),
-        neg_doc_freq=np.bincount(indices[~on_pos], minlength=dim).astype(np.int64, copy=False),
+        pos_doc_freq=np.bincount(rows.indices[on_pos], minlength=rows.dim),
+        neg_doc_freq=np.bincount(rows.indices[~on_pos], minlength=rows.dim),
         n_pos=n_pos,
-        n_neg=len(vectors) - n_pos,
+        n_neg=len(rows) - n_pos,
     )
 
 

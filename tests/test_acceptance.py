@@ -17,7 +17,7 @@ from sentagree.classify import LinearModel, SentimentModel, TrainConfig, Variant
 from sentagree.cli import DATA_DIR_ENV, main as cli_main
 from sentagree.corpus import PairKind, SentimentLabel
 from sentagree.errors import UndefinedMeasureError
-from sentagree.features import SparseVector
+from sentagree.features import CountRows
 from sentagree.ranking import nemenyi_cd
 
 from conftest import separable_corpus, shift_corpus, write_table
@@ -25,12 +25,13 @@ from conftest import separable_corpus, shift_corpus, write_table
 import oracles
 
 
-def vec(values, dim: int | None = None) -> SparseVector:
+def vec(values, dim: int | None = None) -> CountRows:
+    """One row holding the nonzeros of a dense vector."""
     arr = np.asarray(values, dtype=np.float64)
     if dim is None:
         dim = arr.size
     idx = np.flatnonzero(arr)
-    return SparseVector(idx.astype(np.intp), arr[idx], dim)
+    return CountRows([0, idx.size], idx, arr[idx], dim)
 
 
 def random_pair_set(rng, size):
@@ -170,7 +171,7 @@ def test_criterion_06_svm_against_qp_oracle() -> None:
         y[0], y[1] = -1.0, 1.0
         cost = float(rng.choice([0.5, 1.0, 4.0]))
         config = TrainConfig(cost=cost, tol=1e-10, max_epochs=5000, seed=trial)
-        model = classify.train_binary([vec(row) for row in X], y, config)
+        model = classify.train_binary(CountRows.stack([vec(row) for row in X]), y, config)
         objectives = np.asarray(model.dual_objectives)
         assert np.all(np.diff(objectives) >= -1e-9)
         expected = oracles.svm_dual_optimum(X, y, cost)
@@ -182,9 +183,9 @@ def test_criterion_06_svm_against_qp_oracle() -> None:
         pos = gen.normal(loc=(2.0, 2.0), scale=0.4, size=(12, 2))
         vectors = [vec(row) for row in np.vstack([neg, pos])]
         labels = [-1] * 12 + [1] * 12
-        plane = classify.train_binary(vectors, labels, TrainConfig(seed=seed))
+        plane = classify.train_binary(CountRows.stack(vectors), labels, TrainConfig(seed=seed))
         hits = [
-            int(np.sign(classify.decision(plane, x))) == label
+            int(np.sign(x.values @ plane.weights[x.indices] + plane.bias)) == label
             for x, label in zip(vectors, labels)
         ]
         assert all(hits)

@@ -17,7 +17,6 @@ from sentagree.classify import (
     SubspaceTable,
     TrainConfig,
     Variant,
-    decision,
     load_model,
     predict,
     predict_batch,
@@ -27,18 +26,27 @@ from sentagree.classify import (
 )
 from sentagree.corpus import SentimentLabel
 from sentagree.errors import EvaluationError, ModelFormatError, SentagreeError
-from sentagree.features import SparseVector, vocabulary_from_token_docs
+from sentagree.features import CountRows, vocabulary_from_token_docs
 
 import oracles
 from conftest import mutated_lines
 
 
-def vec(values, dim: int | None = None) -> SparseVector:
+def vec(values, dim: int | None = None) -> CountRows:
+    """One row holding the nonzeros of a dense vector."""
     arr = np.asarray(values, dtype=np.float64)
     if dim is None:
         dim = arr.size
     idx = np.flatnonzero(arr)
-    return SparseVector(idx.astype(np.intp), arr[idx], dim)
+    return CountRows([0, idx.size], idx, arr[idx], dim)
+
+
+def stack(vectors) -> CountRows:
+    return CountRows.stack(vectors)
+
+
+def decision(model: LinearModel, x: CountRows) -> float:
+    return float(x.values @ model.weights[x.indices]) + model.bias
 
 
 def separable_line():
@@ -54,7 +62,7 @@ TIGHT = TrainConfig(tol=1e-10, max_epochs=3000)
 
 def test_train_binary_separates_the_line_fixture() -> None:
     vectors, y = separable_line()
-    model = train_binary(vectors, y, TIGHT)
+    model = train_binary(stack(vectors), y, TIGHT)
     for x, label in zip(vectors, y):
         assert label * decision(model, x) >= 1.0 - 1e-6
     assert model.epochs_run >= 1
@@ -63,7 +71,7 @@ def test_train_binary_separates_the_line_fixture() -> None:
 
 def test_train_binary_objective_is_nondecreasing() -> None:
     vectors, y = separable_line()
-    model = train_binary(vectors, y, TIGHT)
+    model = train_binary(stack(vectors), y, TIGHT)
     objectives = np.array(model.dual_objectives)
     assert np.all(np.diff(objectives) >= -1e-12)
 
@@ -78,7 +86,7 @@ def test_train_binary_matches_qp_oracle() -> None:
         y[0], y[1] = -1.0, 1.0
         cost = float(rng.choice([0.5, 1.0, 4.0]))
         config = TrainConfig(cost=cost, tol=1e-10, max_epochs=5000, seed=trial)
-        model = train_binary([vec(row) for row in X], y, config)
+        model = train_binary(stack([vec(row) for row in X]), y, config)
         expected = oracles.svm_dual_optimum(X, y, cost)
         assert model.dual_objectives[-1] == pytest.approx(expected, abs=1e-6, rel=1e-6)
 
@@ -96,14 +104,14 @@ def test_train_binary_matches_qp_oracle_on_sparse_rows_with_bounds() -> None:
         y[0], y[1] = -1.0, 1.0
         cost = float(rng.choice([0.25, 1.0, 4.0]))
         config = TrainConfig(cost=cost, tol=1e-10, max_epochs=5000, seed=trial)
-        model = train_binary([vec(row) for row in X], y, config)
+        model = train_binary(stack([vec(row) for row in X]), y, config)
         expected = oracles.svm_dual_optimum(X, y, cost)
         assert model.converged
         assert model.dual_objectives[-1] == pytest.approx(expected, abs=1e-6, rel=1e-6)
         assert np.all(np.diff(model.dual_objectives) >= 0.0)
 
 
-def _dense(v: SparseVector) -> np.ndarray:
+def _dense(v: CountRows) -> np.ndarray:
     out = np.zeros(v.dim)
     out[v.indices] = v.values
     return out
@@ -123,8 +131,8 @@ def test_term_weights_match_explicitly_scaled_rows() -> None:
     vectors, y, g = weighted_fixture()
     scaled = [vec(_dense(v) * g) for v in vectors]
     config = TrainConfig(max_epochs=7, seed=3)
-    weighted = train_binary(vectors, y, config, term_weights=g)
-    plain = train_binary(scaled, y, config)
+    weighted = train_binary(stack(vectors), y, config, term_weights=g)
+    plain = train_binary(stack(scaled), y, config)
     assert np.array_equal(weighted.weights, plain.weights * g)
     assert weighted.bias == plain.bias
     assert weighted.epochs_run == plain.epochs_run
@@ -135,15 +143,15 @@ def test_term_weights_match_explicitly_scaled_rows() -> None:
 def test_term_weights_must_be_finite_and_one_per_dimension(g) -> None:
     vectors, y, _ = weighted_fixture()
     with pytest.raises(EvaluationError, match="term weights"):
-        train_binary(vectors, y, TrainConfig(), term_weights=g)
+        train_binary(stack(vectors), y, TrainConfig(), term_weights=g)
 
 
 def test_train_binary_reports_convergence() -> None:
     vectors, y = separable_line()
-    tight = train_binary(vectors, y, TIGHT)
+    tight = train_binary(stack(vectors), y, TIGHT)
     assert tight.converged is True
     assert 0.0 <= tight.max_projected_gradient < TIGHT.tol
-    capped = train_binary(vectors, y, TrainConfig(max_epochs=1))
+    capped = train_binary(stack(vectors), y, TrainConfig(max_epochs=1))
     assert capped.converged is False
     assert capped.epochs_run == 1
     assert capped.max_projected_gradient >= TrainConfig().tol
@@ -153,7 +161,7 @@ def test_plane_stopped_at_max_epochs_is_logged(caplog) -> None:
     vectors, y = separable_line()
     vectors, y = vectors + [vec([0.5], 1)], y + [0]  # a neutral example the polarity plane leaves out
     with caplog.at_level(logging.DEBUG, logger="sentagree.classify"):
-        model = train_sentiment(vectors, y, Variant.NEUTRAL_ZONE, TrainConfig(max_epochs=1, neutral_zone=0.1))
+        model = train_sentiment(stack(vectors), y, Variant.NEUTRAL_ZONE, TrainConfig(max_epochs=1, neutral_zone=0.1))
     assert model.planes["polarity"].converged is False
     records = [r for r in caplog.records if r.name == "sentagree.classify" and r.levelno == logging.DEBUG]
     assert len(records) == 1
@@ -161,38 +169,37 @@ def test_plane_stopped_at_max_epochs_is_logged(caplog) -> None:
     assert "max_epochs=1" in records[0].getMessage()
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="sentagree.classify"):
-        model = train_sentiment(vectors, y, Variant.NEUTRAL_ZONE, dataclasses.replace(TIGHT, neutral_zone=0.1))
+        model = train_sentiment(stack(vectors), y, Variant.NEUTRAL_ZONE, dataclasses.replace(TIGHT, neutral_zone=0.1))
     assert model.planes["polarity"].converged is True
     assert not [r for r in caplog.records if r.name == "sentagree.classify"]
 
 
 def test_train_binary_same_seed_reproduces_bitwise() -> None:
     vectors, y = separable_line()
-    a = train_binary(vectors, y, TrainConfig(seed=7))
-    b = train_binary(vectors, y, TrainConfig(seed=7))
+    a = train_binary(stack(vectors), y, TrainConfig(seed=7))
+    b = train_binary(stack(vectors), y, TrainConfig(seed=7))
     assert np.array_equal(a.weights, b.weights)
     assert a.bias == b.bias
     assert a.dual_objectives == b.dual_objectives
 
 
 def test_train_binary_rejects_degenerate_inputs() -> None:
-    vectors, _ = separable_line()
+    rows = stack(separable_line()[0])
     with pytest.raises(EvaluationError, match="empty"):
-        train_binary([], [])
+        train_binary(rows.select([]), [])
     with pytest.raises(EvaluationError, match="single class"):
-        train_binary(vectors, [1, 1, 1, 1])
+        train_binary(rows, [1, 1, 1, 1])
     with pytest.raises(EvaluationError, match=r"\+1/-1"):
-        train_binary(vectors, [0, 1, 1, 1])
-    mixed = vectors[:3] + [vec([1.0, 1.0])]
-    with pytest.raises(EvaluationError, match="dimension"):
-        train_binary(mixed, [-1, -1, 1, 1])
+        train_binary(rows, [0, 1, 1, 1])
+    with pytest.raises(EvaluationError, match=r"\+1/-1"):
+        train_binary(rows, [-1, 1, 1])
 
 
 def test_upper_bounds_bind_on_margin_violations() -> None:
     # the overlapping negative example at 0.5 sits at its box bound, so
     # a smaller cost must move the solution
     xs = [-2.0, -1.0, 0.5, 1.0, 2.0]
-    vectors = [vec([x], 1) for x in xs]
+    vectors = stack([vec([x], 1) for x in xs])
     y = [-1, -1, -1, 1, 1]
     plain = train_binary(vectors, y, TrainConfig(cost=1.0, tol=1e-10, max_epochs=3000))
     capped = train_binary(vectors, y, TrainConfig(cost=0.25, tol=1e-10, max_epochs=3000))
@@ -203,12 +210,6 @@ def test_upper_bounds_bind_on_margin_violations() -> None:
     for model, cost in ((plain, 1.0), (capped, 0.25)):
         expected = oracles.svm_dual_optimum(np.array([[x] for x in xs]), y, cost)
         assert model.dual_objectives[-1] == pytest.approx(expected, abs=1e-6, rel=1e-6)
-
-
-def test_decision_checks_dimension() -> None:
-    model = LinearModel(weights=np.zeros(2), bias=0.0)
-    with pytest.raises(EvaluationError, match="dimension"):
-        decision(model, vec([1.0, 1.0, 1.0]))
 
 
 def test_train_config_validation() -> None:
@@ -242,9 +243,9 @@ def toy_corpus(dup: int = 10):
 @pytest.mark.parametrize("variant", list(Variant))
 def test_every_variant_fits_its_training_data(variant: Variant) -> None:
     vectors, labels = toy_corpus()
-    model = train_sentiment(vectors, labels, variant)
+    model = train_sentiment(stack(vectors), labels, variant)
     assert model.variant is variant
-    assert predict_batch(model, vectors).tolist() == labels
+    assert predict_batch(model, stack(vectors)).tolist() == labels
 
 
 def test_neutral_zone_handles_ordinal_geometry() -> None:
@@ -254,15 +255,15 @@ def test_neutral_zone_handles_ordinal_geometry() -> None:
     for code, proto in protos.items():
         vectors.extend(vec(proto) for _ in range(10))
         labels.extend([code] * 10)
-    model = train_sentiment(vectors, labels, Variant.NEUTRAL_ZONE)
+    model = train_sentiment(stack(vectors), labels, Variant.NEUTRAL_ZONE)
     assert model.neutral_zone is not None and model.neutral_zone >= 0.0
-    assert predict_batch(model, vectors).tolist() == labels
+    assert predict_batch(model, stack(vectors)).tolist() == labels
 
 
 def test_fixed_neutral_zone_is_used_verbatim() -> None:
     vectors, labels = toy_corpus(dup=5)
     config = TrainConfig(neutral_zone=0.25)
-    model = train_sentiment(vectors, labels, Variant.NEUTRAL_ZONE, config)
+    model = train_sentiment(stack(vectors), labels, Variant.NEUTRAL_ZONE, config)
     assert model.neutral_zone == 0.25
     assert set(model.planes) == {"polarity"}
 
@@ -270,20 +271,29 @@ def test_fixed_neutral_zone_is_used_verbatim() -> None:
 def test_train_sentiment_validation() -> None:
     vectors, labels = toy_corpus(dup=2)
     with pytest.raises(EvaluationError, match="empty"):
-        train_sentiment([], [])
+        train_sentiment(stack(vectors).select([]), [])
     with pytest.raises(EvaluationError, match="length"):
-        train_sentiment(vectors, labels[:-1])
+        train_sentiment(stack(vectors), labels[:-1])
     polar_only = [v for v, l in zip(vectors, labels) if l != 0]
     with pytest.raises(EvaluationError, match=r"missing class.*\[0\]"):
-        train_sentiment(polar_only, [l for l in labels if l != 0])
+        train_sentiment(stack(polar_only), [l for l in labels if l != 0])
+
+
+@pytest.mark.parametrize("variant", [Variant.TWO_PLANE, Variant.NAIVE_BAYES])
+def test_train_sentiment_rejects_out_of_range_label_codes(variant: Variant) -> None:
+    vectors, labels = toy_corpus(dup=2)
+    labels[3] = 5
+    labels[4] = -2
+    with pytest.raises(EvaluationError, match="label code 5 is not -1, 0 or"):
+        train_sentiment(stack(vectors), labels, variant)
 
 
 def test_variant_accepts_its_string_name() -> None:
     vectors, labels = toy_corpus(dup=3)
-    model = train_sentiment(vectors, labels, "NaiveBayes")
+    model = train_sentiment(stack(vectors), labels, "NaiveBayes")
     assert model.variant is Variant.NAIVE_BAYES
     with pytest.raises(ValueError):
-        train_sentiment(vectors, labels, "GradientBoost")
+        train_sentiment(stack(vectors), labels, "GradientBoost")
 
 
 # --- prediction rules on crafted planes ---------------------------------------
@@ -383,7 +393,7 @@ def test_bin_prediction_majority_confidence_and_fallback() -> None:
 
 def test_trained_bin_model_is_confident_on_pure_cells() -> None:
     vectors, labels = toy_corpus()
-    model = train_sentiment(vectors, labels, Variant.TWO_PLANE_BIN)
+    model = train_sentiment(stack(vectors), labels, Variant.TWO_PLANE_BIN)
     for x, expected in zip(vectors, labels):
         label, confidence = predict(model, x)
         assert int(label) == expected
@@ -435,7 +445,7 @@ def test_three_plane_empty_subspace_votes() -> None:
 def test_naive_bayes_posterior_by_hand() -> None:
     vectors = [vec([2.0, 0.0]), vec([2.0, 0.0]), vec([1.0, 1.0]), vec([0.0, 2.0])]
     labels = [-1, -1, 0, 1]
-    model = train_sentiment(vectors, labels, Variant.NAIVE_BAYES)
+    model = train_sentiment(stack(vectors), labels, Variant.NAIVE_BAYES)
     assert model.nb is not None
     assert model.nb.doc_counts.tolist() == [2, 1, 1]
     assert model.nb.term_counts.tolist() == [[4.0, 0.0], [1.0, 1.0], [0.0, 2.0]]
@@ -472,7 +482,7 @@ def test_batched_rules_match_the_row_reference(variant: Variant) -> None:
     rng = np.random.default_rng(list(Variant).index(variant))
     vectors, labels = noisy_corpus(rng, 90, 6)
     tests, _ = noisy_corpus(rng, 60, 6)
-    model = train_sentiment(vectors, labels, variant, TrainConfig(bin_grid=3, max_epochs=20))
+    model = train_sentiment(stack(vectors), labels, variant, TrainConfig(bin_grid=3, max_epochs=20))
     models = [model]
     # emptied table rows send rows to the geometric and voting fallbacks
     if model.bins is not None:
@@ -485,14 +495,14 @@ def test_batched_rules_match_the_row_reference(variant: Variant) -> None:
     for m in models:
         rows = tests + vectors + [vec((), 6)]
         expected = [oracles.predict_row(m, x) for x in rows]
-        assert predict_batch(m, rows).tolist() == [code for code, _ in expected]
+        assert predict_batch(m, stack(rows)).tolist() == [code for code, _ in expected]
         assert [(int(label), conf) for label, conf in (predict(m, x) for x in rows)] == expected
 
 
 def test_predict_batch_of_no_rows() -> None:
     vectors, labels = toy_corpus(dup=3)
     for variant in Variant:
-        codes = predict_batch(train_sentiment(vectors, labels, variant), [])
+        codes = predict_batch(train_sentiment(stack(vectors), labels, variant), stack(vectors).select([]))
         assert codes.dtype == np.int64 and codes.shape == (0,)
 
 
@@ -500,6 +510,13 @@ def test_predict_checks_dimension() -> None:
     model = two_plane_model()
     with pytest.raises(EvaluationError, match="dimension"):
         predict(model, vec((1.0, 1.0, 1.0)))
+    with pytest.raises(EvaluationError, match="dimension"):
+        predict_batch(model, stack([vec((1.0, 1.0, 1.0))] * 2))
+
+
+def test_predict_takes_one_row() -> None:
+    with pytest.raises(EvaluationError, match="one row, got 2"):
+        predict(two_plane_model(), stack([vec((1.0, 1.0))] * 2))
 
 
 # --- serialization -----------------------------------------------------------
@@ -508,7 +525,7 @@ def test_predict_checks_dimension() -> None:
 @pytest.mark.parametrize("variant", list(Variant))
 def test_model_round_trip(tmp_path, variant: Variant) -> None:
     vectors, labels = toy_corpus(dup=6)
-    model = train_sentiment(vectors, labels, variant)
+    model = train_sentiment(stack(vectors), labels, variant)
     path = tmp_path / "model.txt"
     save_model(model, path)
     loaded = load_model(path, vocab=None)
@@ -523,7 +540,7 @@ def test_model_vocabulary_hash_is_enforced(tmp_path) -> None:
     docs = [["bad", "meh", "good"]] * 5
     vocab = vocabulary_from_token_docs(docs, min_df=1, ngrams=(1,))
     vectors, labels = toy_corpus(dup=4)
-    model = train_sentiment(vectors, labels, Variant.TWO_PLANE, vocab=vocab)
+    model = train_sentiment(stack(vectors), labels, Variant.TWO_PLANE, vocab=vocab)
     path = tmp_path / "model.txt"
     save_model(model, path)
 
@@ -557,7 +574,7 @@ def test_load_model_rejects_bad_files(tmp_path) -> None:
 def saved_model_lines(tmp_path, variant: Variant) -> list[str]:
     vectors, labels = toy_corpus(dup=4)
     path = tmp_path / f"{variant.value}.txt"
-    save_model(train_sentiment(vectors, labels, variant, TrainConfig(bin_grid=2)), path)
+    save_model(train_sentiment(stack(vectors), labels, variant, TrainConfig(bin_grid=2)), path)
     return path.read_text().splitlines()
 
 
@@ -619,7 +636,7 @@ def test_load_model_fuzz_raises_only_format_errors(tmp_path, model_files, data) 
         model = load_model(path, None)
     except (SentagreeError, OSError):
         return
-    rows = [vec(np.ones(model.dim)), vec((), model.dim)]
+    rows = stack([vec(np.ones(model.dim)), vec((), model.dim)])
     try:
         predict_batch(model, rows)
     except SentagreeError:

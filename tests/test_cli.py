@@ -434,6 +434,15 @@ def test_train_on_gold_without_text_is_one_corpus_error(tmp_path, capsys):
     assert not model_path.exists()
 
 
+@pytest.mark.parametrize("command", ["crossval", "curve"])
+def test_cross_validating_gold_without_text_is_one_corpus_error(command, tmp_path, capsys):
+    rows = [(f"t{i}", label) for i, label in enumerate(["Positive", "Negative", "Neutral"] * 2)]
+    path = write_table(tmp_path / "notext.csv", rows, header=("TweetID", "HandLabel"))
+    code, out, err = run([command, "--input", str(path), "--k", "2"], capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: corpus-format: post 't0' has no text\n"
+
+
 @pytest.mark.parametrize("command", ["merge", "train", "crossval", "curve"])
 def test_single_input_commands_reject_a_second_input(command, gold_csv, tmp_path, capsys):
     argv = [command, "--input", str(gold_csv), "--input", str(gold_csv), "--out", str(tmp_path / "out")]

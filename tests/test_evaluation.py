@@ -7,18 +7,21 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
+from sentagree import evaluation
 from sentagree.agreement import Measure
 from sentagree.classify import TrainConfig, Variant
 from sentagree.corpus import GoldPost, SentimentLabel
-from sentagree.errors import EvaluationError, FoldPlanError
+from sentagree.errors import CorpusFormatError, EvaluationError, FoldPlanError
 from sentagree.evaluation import (
+    _count_corpus,
     cross_validate,
     learning_curve,
     plan_folds,
     score_predictions,
 )
+from sentagree.features import CountRows, count_vector, normalize, vocabulary_from_token_docs, vocabulary_hash
 
-from conftest import NEG_WORDS, NEU_WORDS, POS_WORDS, separable_corpus
+from conftest import NEG_WORDS, NEU_WORDS, POS_WORDS, separable_corpus, shift_corpus
 
 import oracles
 
@@ -122,6 +125,14 @@ def test_score_predictions_validation() -> None:
         score_predictions([], [])
 
 
+def test_score_predictions_takes_arrays_as_lists() -> None:
+    predicted, gold = [1, 0, -1, -1], [1, 0, 0, -1]
+    from_arrays = score_predictions(np.array(predicted), np.array(gold))
+    assert from_arrays.counts.tolist() == score_predictions(predicted, gold).counts.tolist()
+    with pytest.raises(EvaluationError, match="empty"):
+        score_predictions(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
+
+
 # --- cross-validation --------------------------------------------------------
 
 
@@ -173,6 +184,58 @@ def test_cross_validate_builds_vocabulary_from_training_folds_only() -> None:
     assert result.summaries[Measure.ACCURACY].mean == 1.0
 
 
+def test_count_corpus_from_posts() -> None:
+    posts = make_gold([1, -1], texts=["good good day", "bad day"])
+    vocab, counts = _count_corpus(posts, min_df=2, ngrams=(1,))
+    assert vocab.terms == ("day",)
+    assert (counts.indptr.tolist(), counts.indices.tolist(), counts.values.tolist()) == ([0, 1, 2], [0, 0], [1.0, 1.0])
+    with pytest.raises(CorpusFormatError, match="post '3' has no text"):
+        _count_corpus([GoldPost("3", SentimentLabel.NEUTRAL)], min_df=1)
+
+
+def _same_rows(rows: CountRows, docs, vocab) -> bool:
+    expected = CountRows.stack([count_vector(doc, vocab) for doc in docs])
+    arrays = ("indptr", "indices", "values")
+    return rows.dim == vocab.dim and all(np.array_equal(getattr(rows, a), getattr(expected, a)) for a in arrays)
+
+
+def _spy(real, seen: list, position: int):
+    """``real``, recording its argument at ``position`` in ``seen``."""
+    def call(*args):
+        seen.append(args[position])
+        return real(*args)
+    return call
+
+
+def test_fold_features_equal_those_built_from_the_training_posts_alone(monkeypatch) -> None:
+    """Every fold of the gate-8 corpora, the curve's prefixes included:
+    the vocabulary selected from the corpus counts equals the one built
+    from the fold's training documents, and every row its count row."""
+    train_rows, test_rows, vocabularies = [], [], []
+    monkeypatch.setattr(evaluation, "train_sentiment", _spy(evaluation.train_sentiment, train_rows, 0))
+    monkeypatch.setattr(evaluation, "predict_batch", _spy(evaluation.predict_batch, test_rows, 1))
+    options = dict(k=10, min_df=5, on_fold=lambda fold, vocab, model: vocabularies.append(vocab))
+    separable, shifted = separable_corpus(3000, seed=3), shift_corpus(3000, shift_at=1500, seed=3)
+    cross_validate(separable, Variant.NAIVE_BAYES, **options)
+    curve = learning_curve(shifted, Variant.NAIVE_BAYES, step=500, **options)
+    sizes = [point.prefix_size for point in curve.points]
+    assert sizes == [500, 1000, 1500, 2000, 2500, 3000]
+    folds = [(separable, fold) for fold in range(10)] + [(shifted[:n], fold) for n in sizes for fold in range(10)]
+    assert len(vocabularies) == len(train_rows) == len(test_rows) == len(folds) == 70
+    docs = {id(post): normalize(post.text) for post in separable + shifted}
+    for (gold, fold), vocab, train, test in zip(folds, vocabularies, train_rows, test_rows):
+        plan = plan_folds(gold, k=10)
+        train_docs = [docs[id(gold[i])] for i in plan.train_indices(fold)]
+        direct = vocabulary_from_token_docs(train_docs, min_df=5)
+        terms, doc_freq = oracles.vocabulary_brute(train_docs, 5, (1, 2))
+        assert vocab.terms == direct.terms == terms
+        assert vocab.doc_freq.tolist() == direct.doc_freq.tolist() == doc_freq
+        assert (vocab.n_docs, vocab.min_df, vocab.ngrams) == (direct.n_docs, direct.min_df, direct.ngrams)
+        assert vocabulary_hash(vocab) == vocabulary_hash(direct)
+        assert _same_rows(train, train_docs, vocab)
+        assert _same_rows(test, [docs[id(gold[i])] for i in plan.folds[fold]], vocab)
+
+
 def test_cross_validate_attaches_fold_context_to_errors() -> None:
     gold = make_gold([-1, 0, 1] * 10)
 
@@ -186,7 +249,7 @@ def test_cross_validate_attaches_fold_context_to_errors() -> None:
 def test_cross_validate_requires_text() -> None:
     gold = make_gold([-1, 0, 1] * 10)
     gold[3] = GoldPost("g3", SentimentLabel.POSITIVE, timestamp=gold[3].timestamp)
-    with pytest.raises(EvaluationError, match="no text"):
+    with pytest.raises(CorpusFormatError, match="post 'g3' has no text"):
         cross_validate(gold, Variant.TWO_PLANE, k=3, min_df=1)
 
 

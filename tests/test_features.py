@@ -9,15 +9,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sentagree.corpus import GoldPost, SentimentLabel
-from sentagree.errors import CorpusFormatError, SentagreeError, VocabularyError
+from sentagree.errors import SentagreeError, VocabularyError
 from sentagree.features import (
     EMOTICONS,
     NORMALIZER_VERSION,
     ClassSides,
-    SparseVector,
+    CountRows,
     Vocabulary,
-    build_vocabulary,
     class_sides,
     count_vector,
     delta_weights,
@@ -170,64 +168,93 @@ def test_vocabulary_validation() -> None:
         vocabulary_from_token_docs([])
 
 
-def test_build_vocabulary_from_posts() -> None:
-    posts = [
-        GoldPost("1", SentimentLabel.POSITIVE, text="good good day"),
-        GoldPost("2", SentimentLabel.NEGATIVE, text="bad day"),
-    ]
-    vocab = build_vocabulary(posts, min_df=2, ngrams=(1,))
-    assert vocab.terms == ("day",)
-    with pytest.raises(CorpusFormatError, match="no text"):
-        build_vocabulary([GoldPost("3", SentimentLabel.NEUTRAL)], min_df=1)
-
-
 def test_count_vector_multiplicity_and_order() -> None:
     vocab = vocabulary_from_token_docs([["a", "b", "c"]] * 5, min_df=1, ngrams=(1,))
     vec = count_vector(["c", "a", "c", "unseen"], vocab)
+    assert len(vec) == 1
+    assert vec.indptr.tolist() == [0, 2]
     assert vec.indices.tolist() == [0, 2]
     assert vec.values.tolist() == [1.0, 2.0]
     assert vec.dim == vocab.dim
     empty = count_vector(["unseen"], vocab)
-    assert empty.nnz == 0
+    assert (len(empty), empty.nnz) == (1, 0)
 
 
-def test_sparse_vector_validation() -> None:
+def one_row(indices, values, dim=3) -> CountRows:
+    return CountRows([0, len(indices)], indices, values, dim)
+
+
+def test_count_rows_validation() -> None:
     with pytest.raises(ValueError, match="increasing"):
-        SparseVector(np.array([1, 0]), np.array([1.0, 1.0]), 3)
+        one_row(np.array([1, 0]), np.array([1.0, 1.0]))
     with pytest.raises(ValueError, match="non-zero"):
-        SparseVector(np.array([0]), np.array([0.0]), 3)
+        one_row(np.array([0]), np.array([0.0]))
     with pytest.raises(ValueError, match="out of range"):
-        SparseVector(np.array([3]), np.array([1.0]), 3)
+        one_row(np.array([3]), np.array([1.0]))
     with pytest.raises(ValueError, match="equal length"):
-        SparseVector(np.array([0, 1]), np.array([1.0]), 3)
+        CountRows([0, 2], np.array([0, 1]), np.array([1.0]), 3)
     with pytest.raises(ValueError, match="increasing"):
-        SparseVector(np.array([0, 2, 2]), np.array([1.0, 2.0, 3.0]), 3)
+        one_row(np.array([0, 2, 2]), np.array([1.0, 2.0, 3.0]))
     with pytest.raises(ValueError, match="out of range"):
-        SparseVector(np.array([-1, 0]), np.array([1.0, 2.0]), 3)
+        one_row(np.array([-1, 0]), np.array([1.0, 2.0]))
     for bad in (np.nan, np.inf, -np.inf):
         with pytest.raises(ValueError, match="finite"):
-            SparseVector(np.array([0, 1]), np.array([1.0, bad]), 3)
+            one_row(np.array([0, 1]), np.array([1.0, bad]))
     with pytest.raises(ValueError, match="1-D"):
-        SparseVector(np.array([[0, 1]]), np.array([[1.0, 2.0]]), 3)
+        CountRows([0, 2], np.array([[0, 1]]), np.array([[1.0, 2.0]]), 3)
+
+
+def test_count_rows_indices_restart_only_at_a_row_start() -> None:
+    # a row may start below the last index of the row before it, even after an empty row
+    rows = CountRows([0, 2, 2, 4], [1, 2, 0, 2], [1.0, 1.0, 2.0, 3.0], 3)
+    assert (len(rows), rows.nnz) == (3, 4)
+    assert rows.row_ids().tolist() == [0, 0, 2, 2]
+    with pytest.raises(ValueError, match="increasing within a row"):
+        CountRows([0, 1, 4], [1, 0, 2, 2], [1.0, 1.0, 2.0, 3.0], 3)  # 2 repeats inside row 1
+    with pytest.raises(ValueError, match="increasing within a row"):
+        CountRows([0, 3, 4], [1, 2, 0, 2], [1.0, 1.0, 2.0, 3.0], 3)  # the restart is inside row 0
+
+
+@pytest.mark.parametrize(
+    "indptr",
+    [[1, 2], [0, 3, 2], [0, 1], [0, 3], [], [[0, 2]]],
+    ids=["not-from-0", "decreasing", "short-of-nnz", "past-nnz", "empty", "2-D"],
+)
+def test_count_rows_reject_a_bad_indptr(indptr) -> None:
+    with pytest.raises(ValueError, match="indptr"):
+        CountRows(indptr, [0, 1], [1.0, 1.0], 3)
+
+
+def test_count_rows_stack_and_select() -> None:
+    a = one_row([0, 2], [1.0, 2.0])
+    b = CountRows([0, 0, 1], [1], [3.0], 3)  # an empty row, then one entry
+    rows = CountRows.stack([a, b, a])
+    assert rows.indptr.tolist() == [0, 2, 2, 3, 5]
+    assert rows.indices.tolist() == [0, 2, 1, 0, 2]
+    assert rows.values.tolist() == [1.0, 2.0, 3.0, 1.0, 2.0]
+    picked = rows.select([2, 1, 0])
+    assert (picked.indptr.tolist(), picked.indices.tolist(), picked.dim) == ([0, 1, 1, 3], [1, 0, 2], 3)
+    narrowed = rows.select([0, 2, 3], keep=np.array([1, 2]))
+    assert narrowed.indptr.tolist() == [0, 1, 2, 3]
+    assert narrowed.indices.tolist() == [1, 0, 1]
+    assert narrowed.values.tolist() == [2.0, 3.0, 2.0]
+    assert narrowed.dim == 2
+    assert len(rows.select([])) == 0
+    with pytest.raises(ValueError, match="dimension"):
+        CountRows.stack([a, one_row([0], [1.0], dim=4)])
+    with pytest.raises(ValueError, match="at least one part"):
+        CountRows.stack([])
 
 
 def test_class_sides_counts_documents_not_occurrences() -> None:
-    def vec(indices, values, dim=2):
-        return SparseVector(np.array(indices, dtype=np.intp), np.array(values, float), dim)
-
-    sides = class_sides(
-        [vec([0], [5.0]), vec([0, 1], [1.0, 1.0]), vec([1], [2.0])],
-        positive=[True, True, False],
-        dim=2,
-    )
+    rows = CountRows([0, 1, 3, 4], [0, 0, 1, 1], [5.0, 1.0, 1.0, 2.0], 2)
+    sides = class_sides(rows, positive=[True, True, False])
     assert sides.pos_doc_freq.tolist() == [2, 1]
     assert sides.neg_doc_freq.tolist() == [0, 1]
     assert (sides.n_pos, sides.n_neg) == (2, 1)
     with pytest.raises(ValueError, match="length"):
-        class_sides([vec([0], [1.0])], positive=[True, False], dim=2)
-    with pytest.raises(IndexError):
-        class_sides([vec([0], [1.0]), vec([1], [1.0])], positive=[True, False], dim=1)
-    empty = class_sides([], positive=[], dim=2)
+        class_sides(rows.select([0]), positive=[True, False])
+    empty = class_sides(rows.select([]), positive=[])
     assert empty.pos_doc_freq.tolist() == empty.neg_doc_freq.tolist() == [0, 0]
 
 
