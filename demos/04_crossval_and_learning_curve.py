@@ -19,6 +19,7 @@ from sentagree import (
     Variant,
     cross_validate,
     learning_curve,
+    prepare,
 )
 
 LEXICONS = {
@@ -49,7 +50,7 @@ def streamed_corpus(n, shift_at=None, seed=0):
 
 def main() -> None:
     gold = streamed_corpus(1200, seed=5)
-    result = cross_validate(gold, Variant.TWO_PLANE, TrainConfig(seed=0), k=10, min_df=5)
+    result = cross_validate(prepare(gold, min_df=5), Variant.TWO_PLANE, TrainConfig(seed=0), k=10)
     print(f"10-fold blocked cross-validation on {len(gold)} posts "
           f"(fold sizes {list(result.fold_sizes)}):")
     for measure, summary in result.summaries.items():

@@ -19,6 +19,7 @@ from sentagree import (
     cross_validate,
     friedman,
     nemenyi_cd,
+    prepare,
 )
 
 LEXICONS = {
@@ -49,11 +50,12 @@ def main() -> None:
 
     scores = []
     for name, gold in datasets.items():
+        prepared = prepare(gold, min_df=2)  # counted once, shared by every variant
         row = []
         for variant in variants:
             result = cross_validate(
-                gold, variant, TrainConfig(seed=0), k=3,
-                measures=(Measure.ALPHA_INTERVAL,), min_df=2,
+                prepared, variant, TrainConfig(seed=0), k=3,
+                measures=(Measure.ALPHA_INTERVAL,),
             )
             row.append(result.summaries[Measure.ALPHA_INTERVAL].mean)
         scores.append(row)

@@ -90,7 +90,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .agreement import alpha, build_coincidence
+from .agreement import alpha, matrix_from_cells
 from .corpus import SentimentLabel
 from .errors import EvaluationError, ModelFormatError, UndefinedMeasureError
 from .features import CountRows, Vocabulary, class_sides, delta_weights, vocabulary_hash
@@ -519,7 +519,7 @@ def _tune_neutral_zone(
     train_idx, val_idx = _validation_split(labels, config.seed)
     plane = _train_plane(rows.select(train_idx), labels[train_idx], (-1,), (1,), config)
     values = _decision_values([plane], rows.select(val_idx))[0]
-    gold = labels[val_idx]
+    gold_cells = labels[val_idx] + 1
     candidates = np.unique(np.concatenate(([0.0], np.abs(values))))
     if candidates.size > 200:
         candidates = np.unique(np.quantile(candidates, np.linspace(0.0, 1.0, 201)))
@@ -528,7 +528,7 @@ def _tune_neutral_zone(
     for zone in candidates:
         pred = _zone_labels(values, zone)
         try:
-            score = alpha(build_coincidence(list(zip(pred.tolist(), gold.tolist()))), "interval")
+            score = alpha(matrix_from_cells((pred + 1) * 3 + gold_cells), "interval")
         except UndefinedMeasureError:
             continue
         if score > best_score:
@@ -543,13 +543,17 @@ def train_sentiment(
     variant: Variant | str = Variant.TWO_PLANE,
     config: TrainConfig = TrainConfig(),
     vocab: Vocabulary | None = None,
+    memo: dict[tuple, LinearModel] | None = None,
 ) -> SentimentModel:
     """Train one classifier variant on raw count rows.
 
     ``labels`` holds one code of -1, 0 or +1 per row, and all three
     classes must appear.  ``vocab`` is only consulted for the
     vocabulary hash recorded on the model; passing ``None`` records an
-    empty hash.
+    empty hash.  ``memo``, if given, maps (negative side, positive side)
+    to a plane trained on these rows, labels and config; a plane found
+    there is reused and each plane trained is added, except the tuned
+    neutral-zone plane, which is trained on a validation subset.
     """
     variant = Variant(variant)
     if not len(rows):
@@ -574,18 +578,18 @@ def train_sentiment(
         np.add.at(term_counts, (label_arr[rows.row_ids()] + 1, rows.indices), rows.values)
         return SentimentModel(nb=NaiveBayesTable(np.bincount(label_arr + 1, minlength=3), term_counts), **base)
 
-    if variant is Variant.NEUTRAL_ZONE:
-        if config.neutral_zone == "tuned":
-            zone, plane = _tune_neutral_zone(rows, label_arr, config)
-        else:
-            zone = float(config.neutral_zone)
-            plane = _train_plane(rows, label_arr, (-1,), (1,), config)
+    if variant is Variant.NEUTRAL_ZONE and config.neutral_zone == "tuned":
+        zone, plane = _tune_neutral_zone(rows, label_arr, config)
         return SentimentModel(planes={"polarity": plane}, neutral_zone=zone, **base)
 
-    planes = {
-        name: _train_plane(rows, label_arr, neg, pos, config)
-        for name, (neg, pos) in _PLANE_SIDES[variant].items()
-    }
+    memo = {} if memo is None else memo
+    planes = {}
+    for name, sides in _PLANE_SIDES[variant].items():
+        if sides not in memo:
+            memo[sides] = _train_plane(rows, label_arr, *sides, config)
+        planes[name] = memo[sides]
+    if variant is Variant.NEUTRAL_ZONE:
+        return SentimentModel(planes=planes, neutral_zone=float(config.neutral_zone), **base)
     if variant is Variant.TWO_PLANE_BIN:
         d_a, d_b = _decision_values(list(planes.values()), rows)
         grid = config.bin_grid

@@ -200,18 +200,18 @@ def cmd_merge(args: argparse.Namespace) -> None:
 def cmd_train(args: argparse.Namespace) -> None:
     config = _train_config(args)
     gold = corpus.load_gold(_resolve(_single(args.input, "--input")))
-    vocab, counts = evaluation._count_corpus(gold, min_df=args.min_df)
-    model = classify.train_sentiment(counts, [p.label for p in gold], args.variant, config, vocab)
+    prepared = evaluation.prepare(gold, min_df=args.min_df)
+    model = classify.train_sentiment(prepared.counts, prepared.labels, args.variant, config, prepared.vocab)
     model_path = Path(args.out)
     vocab_path = model_path.with_name(model_path.name + ".vocab")
     classify.save_model(model, model_path)
-    features.save_vocabulary(vocab, vocab_path)
+    features.save_vocabulary(prepared.vocab, vocab_path)
     summary = {
         "command": "train",
         "variant": args.variant,
         "posts": len(gold),
-        "dim": vocab.dim,
-        "vocab_hash": features.vocabulary_hash(vocab),
+        "dim": prepared.vocab.dim,
+        "vocab_hash": features.vocabulary_hash(prepared.vocab),
         "model": str(model_path),
         "vocabulary": str(vocab_path),
     }
@@ -237,14 +237,8 @@ def cmd_crossval(args: argparse.Namespace) -> None:
     config = _train_config(args)
     gold = corpus.load_gold(_resolve(_single(args.input, "--input")))
     measures = tuple(args.measure) if args.measure else evaluation.DEFAULT_MEASURES
-    result = evaluation.cross_validate(
-        gold,
-        variant=args.variant,
-        config=config,
-        k=args.k,
-        measures=measures,
-        min_df=args.min_df,
-    )
+    prepared = evaluation.prepare(gold, min_df=args.min_df)
+    result = evaluation.cross_validate(prepared, args.variant, config, args.k, measures)
     rows = _crossval_rows(result)
     payload = {
         "command": "crossval",
@@ -262,15 +256,7 @@ def cmd_curve(args: argparse.Namespace) -> None:
     config = _train_config(args)
     gold = corpus.load_gold(_resolve(_single(args.input, "--input")))
     measures = tuple(args.measure) if args.measure else evaluation.DEFAULT_MEASURES
-    curve = evaluation.learning_curve(
-        gold,
-        variant=args.variant,
-        config=config,
-        step=args.step,
-        k=args.k,
-        measures=measures,
-        min_df=args.min_df,
-    )
+    curve = evaluation.learning_curve(gold, args.variant, config, args.step, args.k, measures, min_df=args.min_df)
     rows = []
     for point in curve.points:
         for row in _crossval_rows(point.result):
@@ -297,20 +283,12 @@ def cmd_compare(args: argparse.Namespace) -> None:
     variants = [v.value for v in classify.Variant]
     scores = []
     for path in args.input:
-        gold = corpus.load_gold(_resolve(path))
-        scores.append(
-            [
-                evaluation.cross_validate(
-                    gold,
-                    variant=variant,
-                    config=config,
-                    k=args.k,
-                    measures=(measure,),
-                    min_df=args.min_df,
-                ).summaries[measure].mean
-                for variant in variants
-            ]
-        )
+        prepared = evaluation.prepare(corpus.load_gold(_resolve(path)), min_df=args.min_df)
+        scores.append([
+            evaluation.cross_validate(prepared, variant, config, args.k, (measure,)).summaries[measure].mean
+            for variant in variants
+        ])
+        del prepared  # its posts and planes go before the next dataset loads
     table = ranking.ScoreTable(
         scores=scores, dataset_names=tuple(names), classifier_names=tuple(variants)
     )

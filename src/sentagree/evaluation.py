@@ -8,11 +8,11 @@ vocabulary, per-plane term statistics, and planes all come from the
 training folds only, so no test-fold document leaks into feature
 construction.
 
-Each cross-validation counts every post once, against the vocabulary
-of the whole corpus at ``min_df``; a fold keeps the columns that at
-least ``min_df`` of its training rows contain and selects its rows and
-columns from those counts.  This is exact, since every such term is in
-the corpus vocabulary.
+Each prepared corpus is counted once, against its vocabulary at
+``min_df``; a fold selects from those counts the columns that at least
+``min_df`` of its training rows contain, which is exact since every such
+term is in that vocabulary.  All variants and learning-curve prefixes
+share the counts; a plane is trained once per (training rows, sides, config).
 
 Reported per measure: per-fold values, their mean, and the normal 95%
 half-width ``1.96 * sd / sqrt(k)`` (sample standard deviation), plus
@@ -23,12 +23,12 @@ from __future__ import annotations
 
 import logging
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass
+from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agreement import CoincidenceMatrix, Measure, build_coincidence, compute_measure
-from .classify import SentimentModel, TrainConfig, Variant, predict_batch, train_sentiment
+from .agreement import LABEL_ORDER, CoincidenceMatrix, Measure, compute_measure, matrix_from_cells
+from .classify import LinearModel, SentimentModel, TrainConfig, Variant, predict_batch, train_sentiment
 from .corpus import GoldPost, SentimentLabel, time_ordered_chunks
 from .errors import CorpusFormatError, EvaluationError, FoldPlanError
 from .features import CountRows, Vocabulary, count_vector, normalize, vocabulary_from_token_docs
@@ -36,11 +36,13 @@ from .features import CountRows, Vocabulary, count_vector, normalize, vocabulary
 __all__ = [
     "DEFAULT_MEASURES",
     "FoldPlan",
+    "PreparedCorpus",
     "MeasureSummary",
     "CrossValResult",
     "CurvePoint",
     "LearningCurve",
     "plan_folds",
+    "prepare",
     "score_predictions",
     "cross_validate",
     "learning_curve",
@@ -120,7 +122,12 @@ def score_predictions(
         )
     if not len(predicted):
         raise EvaluationError("cannot score an empty prediction set")
-    return build_coincidence([(int(p), int(g)) for p, g in zip(predicted, gold)])
+    pred, true = np.asarray(predicted, dtype=np.int64), np.asarray(gold, dtype=np.int64)
+    outside = ~(np.isin(pred, LABEL_ORDER) & np.isin(true, LABEL_ORDER))
+    if outside.any():
+        i = int(outside.argmax())
+        raise ValueError(f"pair ({pred[i]}, {true[i]}) is outside the label codes -1/0/+1")
+    return matrix_from_cells((pred + 1) * 3 + (true + 1))
 
 
 @dataclass(frozen=True)
@@ -141,39 +148,64 @@ class CrossValResult:
     fold_sizes: tuple[int, ...]
 
 
-def _count_corpus(
+@dataclass(frozen=True, eq=False)
+class PreparedCorpus:
+    """A corpus normalized, given a vocabulary and counted once.
+
+    ``counts`` holds one row per post against ``vocab``, the vocabulary
+    of the whole corpus at ``min_df``, and ``labels`` their label codes.
+    :func:`cross_validate` memoizes its planes here by (k, fold, sides,
+    config); the corpus's fold plan at ``k`` fixes each fold's rows.
+    """
+
+    posts: tuple[GoldPost, ...]
+    vocab: Vocabulary
+    counts: CountRows
+    labels: np.ndarray
+    min_df: int
+    _planes: dict[tuple, dict[tuple, LinearModel]] = field(default_factory=dict, init=False, repr=False)
+
+    def head(self, n: int) -> PreparedCorpus:
+        """The first ``n`` posts, keeping this corpus's vocabulary; their
+        counts are views of this corpus's arrays, not copies."""
+        counts, end = self.counts, int(self.counts.indptr[n])
+        rows = CountRows(counts.indptr[: n + 1], counts.indices[:end], counts.values[:end], counts.dim)
+        return PreparedCorpus(self.posts[:n], self.vocab, rows, self.labels[:n], self.min_df)
+
+
+def prepare(
     gold: Sequence[GoldPost],
     min_df: int = 5,
     ngrams: tuple[int, ...] = (1, 2),
     stemmer: Callable[[str], str] | None = None,
-) -> tuple[Vocabulary, CountRows]:
+) -> PreparedCorpus:
     """Normalize every post once, build the vocabulary of the whole
     corpus at ``min_df`` and count every post against it once."""
+    posts = tuple(gold)
     docs = []
-    for post in gold:
+    for post in posts:
         if post.text is None:
             raise CorpusFormatError(f"post {post.post_id!r} has no text")
         docs.append(normalize(post.text, stemmer))
     vocab = vocabulary_from_token_docs(docs, min_df=min_df, ngrams=ngrams)
-    return vocab, CountRows.stack([count_vector(doc, vocab) for doc in docs])
+    counts = CountRows.stack([count_vector(doc, vocab) for doc in docs])
+    return PreparedCorpus(posts, vocab, counts, np.array([int(p.label) for p in posts], dtype=np.int64), min_df)
 
 
 def cross_validate(
-    gold: Sequence[GoldPost],
+    corpus: PreparedCorpus,
     variant: Variant | str = Variant.TWO_PLANE,
     config: TrainConfig = TrainConfig(),
     k: int = 10,
     measures: Sequence[Measure | str] = DEFAULT_MEASURES,
-    min_df: int = 5,
-    ngrams: tuple[int, ...] = (1, 2),
-    stemmer: Callable[[str], str] | None = None,
     on_fold: Callable[[int, Vocabulary, SentimentModel], None] | None = None,
 ) -> CrossValResult:
     """Evaluate one classifier variant by blocked stratified k-fold CV.
 
-    The corpus must already be in time order (as produced by the gold
-    merger).  Every fold takes its vocabulary and per-plane term
-    statistics from the training folds alone.  ``on_fold`` is a
+    The corpus, made by :func:`prepare`, must already be in time order
+    (as produced by the gold merger).  Every fold takes its vocabulary
+    and per-plane term statistics from the training folds alone; a plane
+    an earlier run on the same corpus trained is reused.  ``on_fold`` is a
     diagnostics hook called with ``(fold_index, vocabulary, model)``
     after each fold trains.
 
@@ -182,26 +214,21 @@ def cross_validate(
     """
     variant = Variant(variant)
     measures = tuple(Measure(m) for m in measures)
-    plan = plan_folds(gold, k)
-    vocab, counts = _count_corpus(gold, min_df, ngrams, stemmer)
-    labels = np.array([int(p.label) for p in gold], dtype=np.int64)
+    plan = plan_folds(corpus.posts, k)
+    vocab, counts, labels, min_df = corpus.vocab, corpus.counts, corpus.labels, corpus.min_df
 
     per_fold = {measure: np.empty(plan.k) for measure in measures}
     pooled = np.zeros((3, 3))
-    fold_sizes = []
     for fold, test_idx in enumerate(plan.folds):
         train_idx = plan.train_indices(fold)
         try:
             doc_freq = np.bincount(counts.select(train_idx).indices, minlength=vocab.dim)
             keep = np.flatnonzero(doc_freq >= min_df)
-            fold_vocab = Vocabulary(
-                terms=tuple(vocab.terms[i] for i in keep.tolist()),
-                doc_freq=doc_freq[keep],
-                n_docs=int(train_idx.size),
-                min_df=min_df,
-                ngrams=vocab.ngrams,
-            )
-            model = train_sentiment(counts.select(train_idx, keep), labels[train_idx], variant, config, fold_vocab)
+            terms = tuple(vocab.terms[i] for i in keep.tolist())
+            fold_vocab = Vocabulary(terms, doc_freq[keep], int(train_idx.size), min_df, vocab.ngrams)
+            planes = corpus._planes.setdefault((plan.k, fold, config), {})
+            model = train_sentiment(
+                counts.select(train_idx, keep), labels[train_idx], variant, config, fold_vocab, planes)
             if on_fold is not None:
                 on_fold(fold, fold_vocab, model)
             matrix = score_predictions(predict_batch(model, counts.select(test_idx, keep)), labels[test_idx])
@@ -210,24 +237,12 @@ def cross_validate(
         except Exception as exc:
             raise EvaluationError(f"fold {fold}: {exc}") from exc
         pooled += matrix.counts
-        fold_sizes.append(int(test_idx.size))
 
     summaries = {}
-    for measure in measures:
-        values = per_fold[measure]
-        sd = float(np.std(values, ddof=1)) if plan.k > 1 else 0.0
-        summaries[measure] = MeasureSummary(
-            per_fold=values,
-            mean=float(values.mean()),
-            half_width=1.96 * sd / np.sqrt(plan.k),
-        )
-    return CrossValResult(
-        variant=variant,
-        k=plan.k,
-        summaries=summaries,
-        pooled=CoincidenceMatrix(pooled),
-        fold_sizes=tuple(fold_sizes),
-    )
+    for measure, values in per_fold.items():  # plan_folds makes k >= 2
+        half_width = 1.96 * float(np.std(values, ddof=1)) / np.sqrt(plan.k)
+        summaries[measure] = MeasureSummary(per_fold=values, mean=float(values.mean()), half_width=half_width)
+    return CrossValResult(variant, plan.k, summaries, CoincidenceMatrix(pooled), tuple(int(f.size) for f in plan.folds))
 
 
 @dataclass(frozen=True)
@@ -249,33 +264,34 @@ def learning_curve(
     step: int = 10000,
     k: int = 10,
     measures: Sequence[Measure | str] = DEFAULT_MEASURES,
-    **feature_options,
+    min_df: int = 5,
+    ngrams: tuple[int, ...] = (1, 2),
+    stemmer: Callable[[str], str] | None = None,
+    on_fold: Callable[[int, Vocabulary, SentimentModel], None] | None = None,
 ) -> LearningCurve:
     """Cross-validate growing time-ordered prefixes of the corpus.
 
     Prefix sizes are ``step, 2*step, ...`` up to the full corpus (the
     final point always covers the whole corpus, so it equals a direct
-    :func:`cross_validate` run).  Prefixes smaller than ``k *
-    (number of classes)`` or otherwise unsplittable are skipped with a
-    logged notice and reported in ``skipped``.
+    :func:`cross_validate` run).  The whole corpus is prepared once,
+    before any prefix is tried, and each prefix is a view of its first
+    rows.  Prefixes smaller than ``k * (number of classes)`` or
+    otherwise unsplittable are skipped with a logged notice and
+    reported in ``skipped``.
     """
+    chunks = time_ordered_chunks(gold, step)
+    corpus = prepare(chunks[-1], min_df, ngrams, stemmer)
     points: list[CurvePoint] = []
     skipped: list[tuple[int, str]] = []
-    for prefix in time_ordered_chunks(gold, step):
-        size = len(prefix)
-        if size < k * 3:
-            reason = f"prefix of {size} posts is smaller than k * 3 = {k * 3}"
-            logger.info("skipping %s", reason)
-            skipped.append((size, reason))
-            continue
-        try:
-            result = cross_validate(
-                prefix, variant=variant, config=config, k=k, measures=measures, **feature_options
-            )
-        except FoldPlanError as exc:
-            reason = f"prefix of {size} posts cannot be split: {exc}"
-            logger.info("skipping %s", reason)
-            skipped.append((size, reason))
-            continue
-        points.append(CurvePoint(prefix_size=size, result=result))
+    for size in map(len, chunks):
+        reason = f"prefix of {size} posts is smaller than k * 3 = {k * 3}" if size < k * 3 else None
+        if reason is None:
+            try:
+                result = cross_validate(corpus.head(size), variant, config, k, measures, on_fold)
+                points.append(CurvePoint(size, result))
+                continue
+            except FoldPlanError as exc:
+                reason = f"prefix of {size} posts cannot be split: {exc}"
+        logger.info("skipping %s", reason)
+        skipped.append((size, reason))
     return LearningCurve(points=tuple(points), skipped=tuple(skipped))

@@ -218,8 +218,8 @@ def test_criterion_07_two_plane_sweep_monotone() -> None:
 def test_criterion_08_synthetic_end_to_end() -> None:
     gold = separable_corpus(3000, seed=3)
     result = evaluation.cross_validate(
-        gold, Variant.TWO_PLANE_BIN, TrainConfig(), k=10,
-        measures=(Measure.ALPHA_INTERVAL,), min_df=5,
+        evaluation.prepare(gold, min_df=5), Variant.TWO_PLANE_BIN, TrainConfig(), k=10,
+        measures=(Measure.ALPHA_INTERVAL,),
     )
     score = result.summaries[Measure.ALPHA_INTERVAL].mean
     assert score >= 0.9

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sentagree import agreement, classify, corpus, features
+from sentagree import agreement, classify, corpus, evaluation, features
 from sentagree.cli import main
 from sentagree.corpus import GoldPost, SentimentLabel
 
@@ -362,6 +362,24 @@ def test_compare_ranks_every_variant(tmp_path, capsys):
     assert {line.split(",")[0] for line in lines[1:]} == set(VARIANTS)
     ranks = [float(line.split(",")[1]) for line in lines[1:]]
     assert ranks == sorted(ranks)
+
+
+def test_compare_counts_each_post_once(tmp_path, capsys, monkeypatch):
+    counted = []
+
+    def count_vector(*args, real=evaluation.count_vector):
+        counted.append(args[0])
+        return real(*args)
+
+    monkeypatch.setattr(evaluation, "count_vector", count_vector)
+    argv = ["compare", "--k", "3", "--min-df", "2"]
+    for seed, n in ((5, 45), (6, 48), (7, 51)):
+        path = tmp_path / f"set{seed}.csv"
+        corpus.save_gold(separable_corpus(n, seed=seed), path)
+        argv += ["--input", str(path)]
+    code, _, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    assert len(counted) == 45 + 48 + 51
 
 
 def test_compare_requires_two_datasets(gold_csv, capsys):

@@ -7,16 +7,16 @@ from datetime import datetime, timedelta
 import numpy as np
 import pytest
 
-from sentagree import evaluation
-from sentagree.agreement import Measure
+from sentagree import classify, evaluation
+from sentagree.agreement import Measure, build_coincidence
 from sentagree.classify import TrainConfig, Variant
 from sentagree.corpus import GoldPost, SentimentLabel
-from sentagree.errors import CorpusFormatError, EvaluationError, FoldPlanError
+from sentagree.errors import CorpusFormatError, EvaluationError, FoldPlanError, VocabularyError
 from sentagree.evaluation import (
-    _count_corpus,
     cross_validate,
     learning_curve,
     plan_folds,
+    prepare,
     score_predictions,
 )
 from sentagree.features import CountRows, count_vector, normalize, vocabulary_from_token_docs, vocabulary_hash
@@ -133,13 +133,25 @@ def test_score_predictions_takes_arrays_as_lists() -> None:
         score_predictions(np.array([], dtype=np.int64), np.array([], dtype=np.int64))
 
 
+def test_score_predictions_equals_build_coincidence_on_lists_and_arrays() -> None:
+    predicted, gold = np.random.default_rng(7).integers(-1, 2, size=(2, 500))
+    expected = build_coincidence(list(zip(predicted.tolist(), gold.tolist()))).counts
+    labels = [SentimentLabel(code) for code in predicted.tolist()]
+    for args in ((predicted, gold), (predicted.tolist(), gold.tolist()), (labels, gold)):
+        assert np.array_equal(score_predictions(*args).counts, expected)
+    with pytest.raises(ValueError, match=r"pair \(2, 0\) is outside the label codes"):
+        score_predictions([1, 2], [0, 0])
+    with pytest.raises(ValueError, match=r"pair \(0, -2\) is outside the label codes"):
+        score_predictions(np.array([0]), np.array([-2]))
+
+
 # --- cross-validation --------------------------------------------------------
 
 
 @pytest.fixture(scope="module")
 def separable_cv():
     gold = separable_corpus(240, seed=3)
-    result = cross_validate(gold, Variant.TWO_PLANE, k=4)
+    result = cross_validate(prepare(gold), Variant.TWO_PLANE, k=4)
     return gold, result
 
 
@@ -179,18 +191,56 @@ def test_cross_validate_builds_vocabulary_from_training_folds_only() -> None:
     def hook(fold, vocab, model):
         seen[fold] = "zzmarker" in vocab.index
 
-    result = cross_validate(gold, Variant.TWO_PLANE, k=5, min_df=5, on_fold=hook)
+    result = cross_validate(prepare(gold, min_df=5), Variant.TWO_PLANE, k=5, on_fold=hook)
     assert seen == {0: True, 1: True, 2: True, 3: True, 4: False}
     assert result.summaries[Measure.ACCURACY].mean == 1.0
 
 
 def test_count_corpus_from_posts() -> None:
     posts = make_gold([1, -1], texts=["good good day", "bad day"])
-    vocab, counts = _count_corpus(posts, min_df=2, ngrams=(1,))
+    prepared = prepare(posts, min_df=2, ngrams=(1,))
+    vocab, counts = prepared.vocab, prepared.counts
     assert vocab.terms == ("day",)
     assert (counts.indptr.tolist(), counts.indices.tolist(), counts.values.tolist()) == ([0, 1, 2], [0, 0], [1.0, 1.0])
+    assert prepared.posts == tuple(posts) and prepared.labels.tolist() == [1, -1] and prepared.min_df == 2
     with pytest.raises(CorpusFormatError, match="post '3' has no text"):
-        _count_corpus([GoldPost("3", SentimentLabel.NEUTRAL)], min_df=1)
+        prepare([GoldPost("3", SentimentLabel.NEUTRAL)], min_df=1)
+
+
+def test_prefix_of_a_prepared_corpus_is_a_view() -> None:
+    prepared = prepare(make_gold([-1, 0, 1] * 10), min_df=1)
+    head = prepared.head(7)
+    assert head.posts == prepared.posts[:7] and head.labels.tolist() == prepared.labels[:7].tolist()
+    assert head.vocab is prepared.vocab and head.min_df == 1 and len(head.counts) == 7
+    for name in ("indptr", "indices", "values"):
+        assert np.shares_memory(getattr(head.counts, name), getattr(prepared.counts, name))
+    expected = prepared.counts.select(np.arange(7))
+    assert np.array_equal(head.counts.indices, expected.indices)
+    assert np.array_equal(head.counts.values, expected.values)
+
+
+def test_variants_on_one_prepared_corpus_train_each_distinct_plane_once(monkeypatch) -> None:
+    gold, k = separable_corpus(240, seed=3), 4
+    planes = []
+
+    def train_binary(*args, real=classify.train_binary, **kwargs):
+        planes.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "train_binary", train_binary)
+    fresh = {variant: cross_validate(prepare(gold), variant, k=k) for variant in Variant}
+    assert len(planes) == 10 * k
+    planes.clear()
+    shared = prepare(gold)
+    for variant in Variant:
+        result = cross_validate(shared, variant, k=k)
+        assert np.array_equal(result.pooled.counts, fresh[variant].pooled.counts)
+        for measure, summary in fresh[variant].summaries.items():
+            assert np.array_equal(result.summaries[measure].per_fold, summary.per_fold)
+    # the tuned NeutralZoneSVM plane, two TwoPlaneSVM planes (shared by
+    # TwoPlaneSVMbin), CascadingSVM's two (its polarity plane shared by
+    # ThreePlaneSVM) and ThreePlaneSVM's other two
+    assert len(planes) == 7 * k
 
 
 def _same_rows(rows: CountRows, docs, vocab) -> bool:
@@ -214,10 +264,10 @@ def test_fold_features_equal_those_built_from_the_training_posts_alone(monkeypat
     train_rows, test_rows, vocabularies = [], [], []
     monkeypatch.setattr(evaluation, "train_sentiment", _spy(evaluation.train_sentiment, train_rows, 0))
     monkeypatch.setattr(evaluation, "predict_batch", _spy(evaluation.predict_batch, test_rows, 1))
-    options = dict(k=10, min_df=5, on_fold=lambda fold, vocab, model: vocabularies.append(vocab))
+    options = dict(k=10, on_fold=lambda fold, vocab, model: vocabularies.append(vocab))
     separable, shifted = separable_corpus(3000, seed=3), shift_corpus(3000, shift_at=1500, seed=3)
-    cross_validate(separable, Variant.NAIVE_BAYES, **options)
-    curve = learning_curve(shifted, Variant.NAIVE_BAYES, step=500, **options)
+    cross_validate(prepare(separable, min_df=5), Variant.NAIVE_BAYES, **options)
+    curve = learning_curve(shifted, Variant.NAIVE_BAYES, step=500, min_df=5, **options)
     sizes = [point.prefix_size for point in curve.points]
     assert sizes == [500, 1000, 1500, 2000, 2500, 3000]
     folds = [(separable, fold) for fold in range(10)] + [(shifted[:n], fold) for n in sizes for fold in range(10)]
@@ -243,26 +293,45 @@ def test_cross_validate_attaches_fold_context_to_errors() -> None:
         raise ValueError("boom")
 
     with pytest.raises(EvaluationError, match="fold 0: boom"):
-        cross_validate(gold, Variant.TWO_PLANE, k=3, min_df=1, on_fold=hook)
+        cross_validate(prepare(gold, min_df=1), Variant.TWO_PLANE, k=3, on_fold=hook)
 
 
 def test_cross_validate_requires_text() -> None:
     gold = make_gold([-1, 0, 1] * 10)
     gold[3] = GoldPost("g3", SentimentLabel.POSITIVE, timestamp=gold[3].timestamp)
     with pytest.raises(CorpusFormatError, match="post 'g3' has no text"):
-        cross_validate(gold, Variant.TWO_PLANE, k=3, min_df=1)
+        cross_validate(prepare(gold, min_df=1), Variant.TWO_PLANE, k=3)
 
 
 def test_cross_validate_accepts_string_arguments() -> None:
     gold = make_gold([-1, 0, 1] * 10)
-    result = cross_validate(gold, "NaiveBayes", k=3, min_df=1, measures=("accuracy",))
+    result = cross_validate(prepare(gold, min_df=1), "NaiveBayes", k=3, measures=("accuracy",))
     assert result.variant is Variant.NAIVE_BAYES
     assert set(result.summaries) == {Measure.ACCURACY}
     with pytest.raises(ValueError):
-        cross_validate(gold, "Perceptron", k=3)
+        cross_validate(prepare(gold), "Perceptron", k=3)
 
 
 # --- learning curve ----------------------------------------------------------
+
+
+def test_learning_curve_counts_each_post_once(monkeypatch) -> None:
+    counted = []
+    monkeypatch.setattr(evaluation, "count_vector", _spy(evaluation.count_vector, counted, 0))
+    gold = make_gold([-1, 0, 1] * 23 + [0])  # 70 posts
+    curve = learning_curve(gold, Variant.NAIVE_BAYES, step=20, k=3, min_df=1)
+    assert [p.prefix_size for p in curve.points] == [20, 40, 60, 70]
+    assert len(counted) == len(gold)
+
+
+def test_learning_curve_checks_its_options_before_any_prefix() -> None:
+    gold = make_gold([-1, 0, 1] * 2 + [0, 1])  # 8 posts: every prefix is skipped at k = 3
+    with pytest.raises(TypeError, match="min_dff"):
+        learning_curve(gold, step=5, k=3, min_dff=1, on_fold=1)
+    with pytest.raises(VocabularyError, match="min_df"):
+        learning_curve(gold, step=5, k=3, min_df=0)
+    curve = learning_curve(gold, step=5, k=3, min_df=1)
+    assert curve.points == () and [size for size, _ in curve.skipped] == [5, 8]
 
 
 def test_learning_curve_prefixes_and_final_point() -> None:
@@ -271,7 +340,7 @@ def test_learning_curve_prefixes_and_final_point() -> None:
     curve = learning_curve(gold, Variant.TWO_PLANE, config, step=20, k=3, min_df=1)
     assert [p.prefix_size for p in curve.points] == [20, 40, 60, 70]
     assert curve.skipped == ()
-    full = cross_validate(gold, Variant.TWO_PLANE, config, k=3, min_df=1)
+    full = cross_validate(prepare(gold, min_df=1), Variant.TWO_PLANE, config, k=3)
     last = curve.points[-1].result
     assert last.fold_sizes == full.fold_sizes
     assert np.array_equal(last.pooled.counts, full.pooled.counts)
