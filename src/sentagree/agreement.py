@@ -48,7 +48,7 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import LabelPair, SentimentLabel
+from .corpus import LabelPair, PairTable, SentimentLabel
 from .errors import UndefinedMeasureError
 
 __all__ = [
@@ -135,8 +135,12 @@ def pair_cells(pairs: Iterable[LabelPair | tuple[int, int]]) -> np.ndarray:
     The flat representation is the resampling currency of
     :func:`bootstrap_ci`: a resample is a ``bincount`` of drawn cells.
     The first draw of every resample index is shared by all measures
-    of a pair set, through a memo that holds one entry.
+    of a pair set, through a memo that holds one entry.  A
+    :class:`~sentagree.corpus.PairTable` is mapped from its code arrays
+    as a whole.
     """
+    if isinstance(pairs, PairTable):
+        return (pairs.first.astype(np.intp) + 1) * 3 + (pairs.second + 1)
     cells = []
     for pair in pairs:
         if isinstance(pair, LabelPair):

@@ -122,7 +122,7 @@ def cmd_agreement(args: argparse.Namespace) -> None:
     for name, path in zip(_dataset_names(args.input), args.input):
         pairs = corpus.extract_pairs(corpus.load_annotations(_resolve(path)))
         for kind in _KIND_ORDER:
-            subset = [p for p in pairs if p.kind is kind]
+            subset = pairs[pairs.self == (kind is corpus.PairKind.SELF)]
             for measure in wanted:
                 row = {
                     "dataset": name,
@@ -192,9 +192,8 @@ def cmd_ordering(args: argparse.Namespace) -> None:
 
 
 def cmd_merge(args: argparse.Namespace) -> None:
-    path = _resolve(_single(args.input, "--input"))
-    gold = corpus.merge_gold(corpus.load_annotations(path))
-    corpus.save_gold(gold, args.out, delimiter=corpus.sniff_delimiter(path))
+    table = corpus.load_annotations(_resolve(_single(args.input, "--input")))
+    corpus.save_gold(corpus.merge_gold(table), args.out, delimiter=table.delimiter)
 
 
 def cmd_train(args: argparse.Namespace) -> None:

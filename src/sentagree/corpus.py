@@ -40,19 +40,31 @@ Merged gold files use the same table layout minus the annotator column,
 plus a ``MergedFrom`` column counting the annotations each post was
 merged from.  :func:`load_gold` also accepts a raw annotation table and
 merges it; the merge rule is stated once, in :func:`merge_gold`.
+
+An annotation table is read once into columns, an
+:class:`AnnotationTable`: post index, label code, annotator index and
+``seq`` as arrays, each row's date and text, and the file's delimiter.
+It is a read-only sequence of :class:`AnnotationRecord`, whose items are
+views built only when indexed or iterated.  :func:`extract_pairs`
+returns the pairs as columns too, a :class:`PairTable`, computed with
+numpy from one stable sort of the rows by post; :func:`merge_gold` works
+from the same groups.  A list of records given to either is first made
+into a table sorted by ``seq``, so one grouping serves both.
 """
 
 from __future__ import annotations
 
 import csv
-from collections.abc import Iterator, Sequence
+from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum, IntEnum
-from itertools import chain, combinations
-from operator import attrgetter
+from itertools import chain, repeat
+from operator import attrgetter, eq, index, is_not, ne
 from pathlib import Path
+
+import numpy as np
 
 from .errors import CorpusFormatError
 
@@ -62,6 +74,8 @@ __all__ = [
     "AnnotationRecord",
     "LabelPair",
     "GoldPost",
+    "AnnotationTable",
+    "PairTable",
     "sniff_delimiter",
     "load_annotations",
     "load_gold",
@@ -107,6 +121,7 @@ class SentimentLabel(IntEnum):
 
 
 _LABELS = {m.name.lower(): m for m in SentimentLabel}
+_BY_CODE = tuple(SentimentLabel)  # the labels of codes -1, 0, +1
 
 
 class PairKind(str, Enum):
@@ -171,6 +186,110 @@ class GoldPost:
     merged_from: int = 1
 
 
+def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
+    for array in arrays:
+        array.flags.writeable = False
+    return arrays
+
+
+class _Columns(Sequence):
+    """What the column-backed sequences below share: items built by
+    ``_items`` over a slice of the rows, and equality item by item with
+    any sequence, as a list of their items would compare."""
+
+    __slots__ = ()
+
+    def __iter__(self):
+        return self._items(slice(None))
+
+    def __getitem__(self, position):
+        at = range(len(self))[index(position)]
+        return next(self._items(slice(at, at + 1)))
+
+    def __eq__(self, other: object) -> bool:
+        if not isinstance(other, Sequence):
+            return NotImplemented
+        return len(self) == len(other) and all(map(eq, self, other))
+
+    __hash__ = None  # type: ignore[assignment]
+
+
+class AnnotationTable(_Columns):
+    """An annotation table as columns, one row per annotation, rows in
+    ``seq`` order.
+
+    ``post`` and ``annotator`` index ``post_ids`` and ``annotator_ids``,
+    which hold each id once, posts numbered in order of first appearance.
+    ``label`` holds the codes -1/0/+1 as int8 and ``seq`` each row's
+    ``seq``; ``dates`` and ``texts`` hold each row's value or None.
+    ``delimiter`` is the source file's, ``","`` for a table made from
+    records.  The arrays are read-only.  As a sequence the table holds
+    :class:`AnnotationRecord` items, each built when it is indexed or
+    iterated.
+    """
+
+    __slots__ = ("post_ids", "post", "annotator_ids", "annotator", "label", "seq", "dates", "texts",
+                 "delimiter")
+
+    def __init__(
+        self, post_ids: tuple[str, ...], post: np.ndarray, annotator_ids: tuple[str, ...],
+        annotator: np.ndarray, label: np.ndarray, seq: np.ndarray, dates: tuple[datetime | None, ...],
+        texts: tuple[str | None, ...], delimiter: str = ",",
+    ) -> None:
+        self.post_ids, self.annotator_ids, self.dates, self.texts = post_ids, annotator_ids, dates, texts
+        self.post, self.annotator, self.label, self.seq = _read_only(post, annotator, label, seq)
+        self.delimiter = delimiter
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def _items(self, rows: slice) -> Iterator[AnnotationRecord]:
+        for post, annotator, code, seq, date, text in zip(
+            self.post[rows].tolist(), self.annotator[rows].tolist(), self.label[rows].tolist(),
+            self.seq[rows].tolist(), self.dates[rows], self.texts[rows],
+        ):
+            yield AnnotationRecord(self.post_ids[post], self.annotator_ids[annotator], _BY_CODE[code + 1], seq,
+                                   date, text)
+
+
+class PairTable(_Columns):
+    """Label pairs as columns: ``first`` and ``second`` hold the label
+    codes (int8) of the earlier and the later annotation, ``self`` (the
+    ``same`` argument) whether one annotator gave both, and ``post`` the
+    index of the pair's post in ``post_ids``.  The arrays are read-only.
+
+    As a sequence the table holds :class:`LabelPair` items, each built
+    when it is indexed or iterated; a slice or an index array (such as a boolean
+    mask over the pairs) selects a :class:`PairTable`.
+    """
+
+    __slots__ = ("first", "second", "self", "post", "post_ids")
+
+    def __init__(
+        self, first: np.ndarray, second: np.ndarray, same: np.ndarray, post: np.ndarray,
+        post_ids: tuple[str, ...],
+    ) -> None:
+        self.first, self.second, self.self, self.post = _read_only(first, second, same, post)
+        self.post_ids = post_ids
+
+    def __len__(self) -> int:
+        return len(self.first)
+
+    def __getitem__(self, position):
+        if isinstance(position, (slice, np.ndarray)):
+            return PairTable(self.first[position], self.second[position], self.self[position],
+                             self.post[position], self.post_ids)
+        return super().__getitem__(position)
+
+    def _items(self, pairs: slice) -> Iterator[LabelPair]:
+        for first, second, same, post in zip(
+            self.first[pairs].tolist(), self.second[pairs].tolist(), self.self[pairs].tolist(),
+            self.post[pairs].tolist(),
+        ):
+            yield LabelPair(_BY_CODE[first + 1], _BY_CODE[second + 1], PairKind.SELF if same else PairKind.INTER,
+                            self.post_ids[post])
+
+
 @contextmanager
 def _open_table(path: str | Path, required: Sequence[str] = (), optional: Sequence[str] = ()):
     """Open the table at ``path`` once; yield its delimiter, the indices
@@ -224,31 +343,59 @@ def _parse_timestamp(raw: str, line: int, path: str | Path) -> datetime | None:
     raise CorpusFormatError(f"{path}: unparseable date {raw!r} on line {line}")
 
 
-def _posts(
-    path: str | Path, required: Sequence[str] = (), optional: Sequence[str] = ()
-) -> Iterator[tuple[int, str, SentimentLabel, datetime | None, str | None, list[str | None]]]:
-    """The non-blank rows of the table at ``path`` as ``(line, post id,
-    label, timestamp, text, cells)``: ``line`` is the file line the
-    record starts on, ``cells`` hold the ``required`` then ``optional``
-    extra columns (None where missing).  A fault in a row, including a
-    date that has a UTC offset where the first date has none or the
-    reverse, raises :class:`CorpusFormatError` naming its line."""
-    names = ("post id", "label", *required, "date", "text", *optional)
-    with _open_table(path, ("post id", "label", *required), ("date", "text", *optional)) as (_, columns, reader):
-        found = dict(zip(names, columns))
-        id_col, label_col, date_col, text_col = (found.pop(n) for n in ("post id", "label", "date", "text"))
-        extra_cols = list(found.values())
+def _factorize(
+    values: Sequence[str], first_seen: Iterable[str] | None = None
+) -> tuple[tuple[str, ...], np.ndarray]:
+    """The distinct ``values`` in order of first appearance (in
+    ``first_seen`` when given), and the index of each value among them."""
+    distinct = tuple(dict.fromkeys(values if first_seen is None else first_seen))
+    index = {value: i for i, value in enumerate(distinct)}
+    return distinct, np.fromiter(map(index.__getitem__, values), np.intp, len(values))
+
+
+def _read(path: str | Path, annotated: bool) -> AnnotationTable | list[GoldPost]:
+    """Read the table at ``path`` once: an :class:`AnnotationTable` if it
+    has an annotator column (which ``annotated`` requires), else one
+    :class:`GoldPost` per row.
+
+    Every non-blank row is checked where it is read, so the first fault
+    in the file is the one reported, as :class:`CorpusFormatError`
+    naming the file line the record starts on: a short row, a bad date,
+    a date that has a UTC offset where the first date has none or the
+    reverse, an unknown label, an empty post or annotator id in an
+    annotation row, a bad ``MergedFrom`` value in a gold row.
+    """
+    required = ("post id", "label", "annotator id") if annotated else ("post id", "label")
+    optional = ("date", "text") if annotated else ("date", "text", "annotator id", "merge count")
+    with _open_table(path, required, optional) as (delimiter, columns, reader):
+        found = dict(zip(required + optional, columns))
+        id_col, label_col, date_col, text_col = (found[n] for n in ("post id", "label", "date", "text"))
+        annotator_col, merged_col = found["annotator id"], found.get("merge count")
         needed = max(c for c in columns if c is not None)
+        ids: list[str] = []
+        labels: list[SentimentLabel] = []
+        dates: list[datetime | None] = []
+        texts: list[str | None] = []
+        annotators: list[str] = []
+        merged: list[int] = []
+        known: dict[str, SentimentLabel] = {}  # label cells seen so far
         aware = aware_line = None  # whether the first date has an offset, and its line
-        line = reader.line_num + 1
+        end = reader.line_num  # the line the previous record ended on
         try:
             for row in reader:
-                if "".join(row).strip():
-                    if len(row) <= needed:
+                line, end = end + 1, reader.line_num
+                if len(row) <= needed:
+                    if "".join(row).strip():
                         raise CorpusFormatError(
                             f"{path}: line {line} has {len(row)} fields, expected at least {needed + 1}"
                         )
-                    timestamp = _parse_timestamp(row[date_col], line, path) if date_col is not None else None
+                    continue
+                timestamp = None
+                if date_col is not None and row[date_col]:
+                    try:
+                        timestamp = datetime.fromisoformat(row[date_col])
+                    except ValueError:
+                        timestamp = _parse_timestamp(row[date_col], line, path)
                     if timestamp is not None:
                         if aware is None:
                             aware, aware_line = timestamp.tzinfo is not None, line
@@ -257,32 +404,51 @@ def _posts(
                                 f"{path}: date {row[date_col].strip()!r} on line {line} has "
                                 f"{'no' if aware else 'a'} UTC offset, unlike the first date on line {aware_line}"
                             )
-                    yield (
-                        line,
-                        row[id_col].strip(),
-                        SentimentLabel.from_string(row[label_col], line=line),
-                        timestamp,
-                        row[text_col] if text_col is not None else None,
-                        [row[c] if c is not None else None for c in extra_cols],
-                    )
-                line = reader.line_num + 1
+                label = known.get(row[label_col])
+                if label is None:
+                    if not "".join(row).strip():
+                        continue
+                    label = known[row[label_col]] = SentimentLabel.from_string(row[label_col], line=line)
+                post_id = row[id_col].strip()
+                if annotator_col is not None:
+                    annotator = row[annotator_col].strip()
+                    if not post_id or not annotator:
+                        empty = "post" if not post_id else "annotator"
+                        raise CorpusFormatError(f"{path}: line {line} has an empty {empty} id")
+                    annotators.append(annotator)
+                elif merged_col is not None:
+                    try:
+                        merged.append(int(row[merged_col]))
+                    except ValueError:
+                        raise CorpusFormatError(
+                            f"{path}: bad MergedFrom value {row[merged_col]!r} on line {line}"
+                        ) from None
+                ids.append(post_id)
+                labels.append(label)
+                dates.append(timestamp)
+                texts.append(row[text_col] if text_col is not None else None)
         except csv.Error as exc:  # a raw tab would print as a space on the one-line error
-            raise CorpusFormatError(f"{path}: line {line}: " + str(exc).replace("\t", "\\t")) from None
+            raise CorpusFormatError(f"{path}: line {end + 1}: " + str(exc).replace("\t", "\\t")) from None
+    if annotator_col is None:
+        return [GoldPost(*post) for post in zip(ids, labels, dates, texts, merged or repeat(1))]
+    post_ids, post = _factorize(ids)
+    annotator_ids, annotator = _factorize(annotators)
+    return AnnotationTable(
+        post_ids, post, annotator_ids, annotator, np.array(labels, dtype=np.int8),
+        np.arange(len(ids), dtype=np.int64), tuple(dates), tuple(texts), delimiter,
+    )
 
 
-def load_annotations(path: str | Path) -> list[AnnotationRecord]:
-    """Read an annotation table into a list of :class:`AnnotationRecord`.
+def load_annotations(path: str | Path) -> AnnotationTable:
+    """Read an annotation table into an :class:`AnnotationTable`, a
+    read-only sequence of :class:`AnnotationRecord`.
 
     Rows are assigned ``seq`` numbers 0..n-1 in file order.  Unknown
-    labels, missing required columns, and unparseable non-empty dates
-    raise :class:`CorpusFormatError` with the offending line number;
-    I/O errors propagate unchanged.
+    labels, missing required columns, empty ids and unparseable
+    non-empty dates raise :class:`CorpusFormatError` with the offending
+    line number; I/O errors propagate unchanged.
     """
-    return [
-        AnnotationRecord(post_id, annotator.strip(), label, seq, timestamp, text)
-        for seq, (_, post_id, label, timestamp, text, (annotator,))
-        in enumerate(_posts(path, ("annotator id",)))
-    ]
+    return _read(path, annotated=True)  # type: ignore[return-value]
 
 
 def _check_offsets(items: Sequence[AnnotationRecord] | Sequence[GoldPost]) -> None:
@@ -300,29 +466,65 @@ def _check_offsets(items: Sequence[AnnotationRecord] | Sequence[GoldPost]) -> No
         )
 
 
-def _by_post(records: Sequence[AnnotationRecord]) -> list[list[AnnotationRecord]]:
-    """Each post's records sorted by ``seq``, posts in order of first appearance."""
-    groups: dict[str, list[AnnotationRecord]] = {}
-    for rec in records:
-        groups.setdefault(rec.post_id, []).append(rec)
-    by_seq = attrgetter("seq")
-    return [sorted(group, key=by_seq) for group in groups.values()]
+def _table(records: Sequence[AnnotationRecord]) -> AnnotationTable:
+    """``records`` as an :class:`AnnotationTable`: a table as it is, a
+    list of records sorted by ``seq`` (ties kept in list order) with
+    posts numbered in order of first appearance in the list.  Dates with
+    a UTC offset next to dates without one raise
+    :class:`CorpusFormatError`, as in a table."""
+    if isinstance(records, AnnotationTable):
+        return records
+    _check_offsets(records)
+    rows = sorted(records, key=attrgetter("seq"))
+    post_ids, post = _factorize([r.post_id for r in rows], (r.post_id for r in records))
+    annotator_ids, annotator = _factorize([r.annotator_id for r in rows])
+    return AnnotationTable(
+        post_ids, post, annotator_ids, annotator, np.array([r.label for r in rows], dtype=np.int8),
+        np.array([r.seq for r in rows], dtype=np.int64), tuple(r.timestamp for r in rows),
+        tuple(r.text for r in rows),
+    )
 
 
-def extract_pairs(records: Sequence[AnnotationRecord]) -> list[LabelPair]:
+def _groups(table: AnnotationTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The rows grouped by post, from one stable sort: the row order
+    (posts in index order, each post's rows in ``seq`` order), and each
+    post's row count and first place in that order."""
+    order = np.argsort(table.post, kind="stable")
+    counts = np.bincount(table.post, minlength=len(table.post_ids))
+    return order, counts, np.cumsum(counts) - counts
+
+
+def _leads(rows: np.ndarray, post: np.ndarray, n_posts: int) -> np.ndarray:
+    """Each post's first row among ``rows``, which hold each post's rows
+    together; -1 for a post with none."""
+    posts = post[rows]
+    lead = np.ones(len(rows), dtype=bool)
+    lead[1:] = posts[1:] != posts[:-1]
+    first = np.full(n_posts, -1, dtype=np.intp)
+    first[posts[lead]] = rows[lead]
+    return first
+
+
+def extract_pairs(records: Sequence[AnnotationRecord]) -> PairTable:
     """Enumerate all unordered annotation pairs per post.
 
     Each post with k >= 2 annotations contributes k*(k-1)/2 pairs; posts
     annotated once contribute none.  A pair is ``self`` exactly when its
     two annotations share an annotator id, so one post can yield both
-    self and inter pairs.
+    self and inter pairs.  Posts come in order of first appearance, and
+    each post's pairs in ``itertools.combinations`` order over its
+    annotations sorted by ``seq``.
     """
-    return [
-        LabelPair(a.label, b.label, PairKind.SELF if a.annotator_id == b.annotator_id else PairKind.INTER,
-                  a.post_id)
-        for group in _by_post(records)
-        for a, b in combinations(group, 2)
-    ]
+    table = _table(records)
+    order, counts, starts = _groups(table)
+    # the annotation at place i of a post's k is the earlier one of k - 1 - i pairs
+    places = np.arange(len(order)) - np.repeat(starts, counts)
+    later = np.repeat(counts, counts) - 1 - places
+    earlier = np.repeat(np.arange(len(order)), later)
+    step = np.arange(len(earlier)) - np.repeat(np.cumsum(later) - later, later)
+    a, b = order[earlier], order[earlier + 1 + step]
+    return PairTable(table.label[a], table.label[b], table.annotator[a] == table.annotator[b], table.post[a],
+                     table.post_ids)
 
 
 def merge_gold(records: Sequence[AnnotationRecord]) -> list[GoldPost]:
@@ -339,16 +541,34 @@ def merge_gold(records: Sequence[AnnotationRecord]) -> list[GoldPost]:
     the same labels.  Dates with a UTC offset next to dates without one
     raise :class:`CorpusFormatError`, as in a table.
     """
-    _check_offsets(records)
-    merged: list[tuple[datetime | None, int, GoldPost]] = []
-    for group in _by_post(records):
-        earliest = min((r.timestamp for r in group if r.timestamp is not None), default=None)
-        label = SentimentLabel(sum({r.label for r in group}))
-        text = next((r.text for r in group if r.text), None)
-        merged.append((earliest, group[0].seq, GoldPost(group[0].post_id, label, earliest, text, len(group))))
-    timed = all(ts is not None for ts, _, _ in merged)
-    merged.sort(key=lambda item: (item[0], item[1]) if timed else item[1])
-    return [post for _, _, post in merged]
+    table = _table(records)
+    order, counts, starts = _groups(table)
+    n_posts, post = len(counts), table.post
+    seen = np.zeros((n_posts, 3), dtype=bool)
+    seen[post, table.label + 1] = True
+    label = seen[:, 2].astype(np.int8) - seen[:, 0].astype(np.int8)
+    texted = np.fromiter(map(bool, table.texts), dtype=bool, count=len(table))
+    text_row = _leads(order[texted[order]], post, n_posts)
+    # dates as dense ranks, equal dates sharing one, so that the earliest
+    # date of a post is its first row of least rank
+    dated = np.flatnonzero(np.fromiter(map(is_not, table.dates, repeat(None)), dtype=bool, count=len(table)))
+    by_date = np.array(sorted(dated.tolist(), key=table.dates.__getitem__), dtype=np.intp)
+    ordered = [table.dates[row] for row in by_date.tolist()]
+    rank = np.zeros(len(table), dtype=np.int64)
+    rank[by_date] = np.cumsum(np.fromiter(map(ne, ordered, [None, *ordered]), dtype=bool, count=len(ordered)))
+    date_row = _leads(dated[np.lexsort((dated, rank[dated], post[dated]))], post, n_posts)
+    keys = [np.arange(n_posts), table.seq[order[starts]]]  # last key first: earliest seq, then post index
+    if (date_row >= 0).all():
+        keys.append(rank[date_row])
+    posts = np.lexsort(keys)
+    return [
+        GoldPost(table.post_ids[p], _BY_CODE[code + 1], table.dates[d] if d >= 0 else None,
+                 table.texts[t] if t >= 0 else None, count)
+        for p, code, d, t, count in zip(
+            posts.tolist(), label[posts].tolist(), date_row[posts].tolist(), text_row[posts].tolist(),
+            counts[posts].tolist(),
+        )
+    ]
 
 
 def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> list[list[GoldPost]]:
@@ -377,24 +597,10 @@ def load_gold(path: str | Path) -> list[GoldPost]:
     column holds raw annotations: they are read as by
     :func:`load_annotations` and merged by :func:`merge_gold`.
     """
-    posts: list[GoldPost] = []
-    records: list[AnnotationRecord] = []
-    for line, post_id, label, timestamp, text, (annotator, merged) in _posts(
-        path, optional=("annotator id", "merge count")
-    ):
-        if annotator is not None:
-            records.append(AnnotationRecord(post_id, annotator.strip(), label, len(records), timestamp, text))
-            continue
-        try:
-            merged_from = int(merged) if merged is not None else 1
-        except ValueError:
-            raise CorpusFormatError(f"{path}: bad MergedFrom value {merged!r} on line {line}") from None
-        posts.append(GoldPost(post_id, label, timestamp, text, merged_from))
-    if records:
-        return merge_gold(records)
-    if not posts:
+    table = _read(path, annotated=False)
+    if not table:
         raise CorpusFormatError(f"{path}: no posts found")
-    return posts
+    return merge_gold(table) if isinstance(table, AnnotationTable) else table
 
 
 def save_gold(gold: Sequence[GoldPost], path: str | Path, delimiter: str = ",") -> None:
@@ -405,6 +611,7 @@ def save_gold(gold: Sequence[GoldPost], path: str | Path, delimiter: str = ",") 
     """
     has_date = any(p.timestamp is not None for p in gold)
     has_text = any(p.text is not None for p in gold)
+    names = {label: label.to_string() for label in SentimentLabel}
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
         header = ["TweetID", "HandLabel"]
@@ -415,7 +622,7 @@ def save_gold(gold: Sequence[GoldPost], path: str | Path, delimiter: str = ",") 
         header.append("MergedFrom")
         writer.writerow(header)
         for post in gold:
-            row = [post.post_id, post.label.to_string()]
+            row = [post.post_id, names[post.label]]
             if has_date:
                 row.append(post.timestamp.isoformat(sep=" ") if post.timestamp else "")
             if has_text:

@@ -9,6 +9,7 @@ to the same number.
 from __future__ import annotations
 
 import math
+from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
@@ -277,3 +278,41 @@ def vocabulary_brute(docs, min_df, ngrams):
             doc_freq[term] = doc_freq.get(term, 0) + 1
     terms = tuple(sorted(term for term, freq in doc_freq.items() if freq >= min_df))
     return terms, [doc_freq[term] for term in terms]
+
+
+def _records_by_post(records):
+    """Each post's records sorted by ``seq``, posts in order of first appearance."""
+    groups = {}
+    for rec in records:
+        groups.setdefault(rec.post_id, []).append(rec)
+    return [sorted(group, key=lambda rec: rec.seq) for group in groups.values()]
+
+
+def extract_pairs_reference(records):
+    """All annotation pairs of each post, one ``LabelPair`` at a time."""
+    from sentagree.corpus import LabelPair, PairKind
+
+    return [
+        LabelPair(a.label, b.label, PairKind.SELF if a.annotator_id == b.annotator_id else PairKind.INTER,
+                  a.post_id)
+        for group in _records_by_post(records)
+        for a, b in combinations(group, 2)
+    ]
+
+
+def merge_gold_reference(records):
+    """One ``GoldPost`` per post: the sum of its distinct labels, its
+    earliest date and first non-empty text, posts ordered by earliest
+    date when every post has one, else by earliest ``seq``."""
+    from sentagree.corpus import GoldPost, SentimentLabel, _check_offsets
+
+    _check_offsets(records)
+    merged = []
+    for group in _records_by_post(records):
+        earliest = min((r.timestamp for r in group if r.timestamp is not None), default=None)
+        label = SentimentLabel(sum({r.label for r in group}))
+        text = next((r.text for r in group if r.text), None)
+        merged.append((earliest, group[0].seq, GoldPost(group[0].post_id, label, earliest, text, len(group))))
+    timed = all(ts is not None for ts, _, _ in merged)
+    merged.sort(key=lambda item: (item[0], item[1]) if timed else item[1])
+    return [post for _, _, post in merged]

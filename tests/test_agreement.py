@@ -6,6 +6,7 @@ import numpy as np
 import pytest
 
 from sentagree import agreement
+from sentagree.corpus import AnnotationRecord, SentimentLabel, extract_pairs
 from sentagree.agreement import (
     CoincidenceMatrix,
     Measure,
@@ -248,6 +249,30 @@ def test_bootstrap_memo_never_serves_a_stale_entry() -> None:
                 oracles.bootstrap_reference, pairs, measure, n_samples=n_samples, seed=seed)
         got = bootstrap_outcome(bootstrap_ci, pairs, measure, n_samples=n_samples, seed=seed)
         assert got == expected[key], (step, seed, n_samples, measure)
+
+
+def test_columnar_pairs_give_the_results_of_their_list() -> None:
+    rng = np.random.default_rng(17)
+    records = [
+        AnnotationRecord(f"p{post}", f"a{rng.integers(4)}", SentimentLabel(int(rng.choice([-1, 0, 1], p=[0.2, 0.5, 0.3]))),
+                         seq)
+        for seq, post in enumerate(rng.integers(0, 150, size=300))
+    ]
+    pairs = extract_pairs(records)
+    assert np.array_equal(pair_cells(pairs), pair_cells(list(pairs)))
+    assert pair_cells(pairs).dtype == pair_cells(list(pairs)).dtype
+    assert ordering_diagnostics(pairs) == ordering_diagnostics(list(pairs))
+    undefined = 0
+    # without retries, some resamples of the five-pair subset stay undefined
+    for subset, cap in ((pairs, 100), (pairs[pairs.self], 100), (pairs[~pairs.self], 100), (pairs[:5], 0)):
+        for measure in Measure:
+            results = []
+            for given in (subset, list(subset)):
+                agreement._first_draws.cache_clear()
+                results.append(bootstrap_outcome(bootstrap_ci, given, measure, n_samples=200, seed=5, retry_cap=cap))
+            assert results[0] == results[1], (len(subset), measure)
+            undefined += results[0] != "undefined" and results[0].undefined_resamples > 0
+    assert undefined > 0
 
 
 def test_bootstrap_shares_read_only_first_draws_across_measures() -> None:

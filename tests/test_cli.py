@@ -203,6 +203,33 @@ def test_merge_round_trip_and_determinism(annotations_csv, tmp_path, capsys):
     ]
 
 
+def test_merge_reads_its_table_once_and_keeps_its_delimiter(annotations_csv, tmp_path, capsys, monkeypatch):
+    tsv = tmp_path / "mini.tsv"
+    tsv.write_text(annotations_csv.read_text(encoding="utf-8").replace(",", "\t"), encoding="utf-8")
+    opened = []
+
+    def open_table(*args, real=corpus._open_table, **kwargs):
+        opened.append(args[0])
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(corpus, "_open_table", open_table)
+    out = tmp_path / "gold.tsv"
+    code, _, err = run(["merge", "--input", str(tsv), "--out", str(out)], capsys)
+    assert (code, err) == (0, "")
+    assert opened == [tsv]
+    assert out.read_text(encoding="utf-8").splitlines()[0] == "TweetID\tHandLabel\tDate\tText\tMergedFrom"
+
+
+def test_table_commands_build_no_record_or_pair_objects(annotations_csv, tmp_path, capsys, monkeypatch):
+    built = []
+    for name in ("AnnotationRecord", "LabelPair"):
+        monkeypatch.setattr(corpus, name, lambda *args, name=name, **kwargs: built.append(name))
+    for argv in (["agreement"], ["ordering"], ["merge", "--out", str(tmp_path / "gold.csv")]):
+        code, _, err = run([*argv, "--input", str(annotations_csv)], capsys)
+        assert (code, err) == (0, "")
+    assert built == []
+
+
 # --- train --------------------------------------------------------------------
 
 

@@ -2,8 +2,10 @@
 
 from __future__ import annotations
 
-from datetime import datetime, timezone
+import re
+from datetime import datetime, timedelta, timezone
 
+import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
@@ -23,6 +25,7 @@ from sentagree.corpus import (
 )
 from sentagree.errors import CorpusFormatError, SentagreeError
 
+import oracles
 from conftest import fuzzed_table, write_table
 
 
@@ -221,6 +224,82 @@ def test_table_loaders_fuzz_raise_only_format_errors(tmp_path, annotations_csv, 
     except (SentagreeError, OSError):
         return
     assert all(isinstance(item, (AnnotationRecord, GoldPost)) for item in loaded)
+
+
+@pytest.mark.parametrize("loader", [load_annotations, load_gold])
+@pytest.mark.parametrize(("row", "empty"), [((" ", "Positive", "a2", "hi"), "post"),
+                                            (("t2", "Positive", "", "hi"), "annotator")], ids=["post", "annotator"])
+def test_empty_ids_report_path_and_line(tmp_path, loader, row, empty) -> None:
+    # the first record spans lines 2 and 3, so the empty id is on line 4
+    rows = [("t1", "Positive", "a1", '"two\nlines"'), row]
+    path = write_table(tmp_path / "ids.csv", rows, header=("TweetID", "HandLabel", "AnnotatorID", "Text"))
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line 4 has an empty {empty} id$"):
+        loader(path)
+
+
+def test_annotation_table_is_a_read_only_sequence_of_records(annotations_csv) -> None:
+    table = load_annotations(annotations_csv)
+    records = list(table)
+    assert len(table) == len(records) == 6
+    assert table[-1] == records[-1] and table[2] == records[2]
+    assert table == records and records == table
+    assert table.delimiter == ","
+    with pytest.raises(IndexError):
+        table[6]
+    with pytest.raises(ValueError, match="read-only"):
+        table.label[0] = 1
+
+
+POST_IDS = ("p0", "p1", "p2", "p3", "p4")
+
+
+@st.composite
+def annotation_lists(draw):
+    """Records of one to five posts with one to four annotations each,
+    in shuffled list order and with shuffled ``seq`` numbers (repeated
+    half of the time); dates all present, partly missing or absent, and
+    texts missing, empty or not."""
+    counts = draw(st.lists(st.integers(1, 4), min_size=1, max_size=len(POST_IDS)))
+    posts = [POST_IDS[i] for i, k in enumerate(counts) for _ in range(k)]
+    seqs = draw(st.permutations(range(len(posts))))
+    if draw(st.booleans()):
+        seqs = [seq // 2 for seq in seqs]
+    dating = draw(st.sampled_from(["all", "some", "none"]))
+    records = []
+    for i in draw(st.permutations(range(len(posts)))):
+        dated = dating == "all" or (dating == "some" and draw(st.booleans()))
+        records.append(ann(
+            posts[i], draw(st.sampled_from("abc")), draw(st.integers(-1, 1)), seqs[i],
+            datetime(2014, 1, 1) + timedelta(hours=draw(st.integers(0, 3))) if dated else None,
+            draw(st.sampled_from([None, "", "x", "y z"])),
+        ))
+    return records
+
+
+@settings(max_examples=300, deadline=None)
+@given(records=annotation_lists())
+def test_columnar_pairs_and_merge_equal_the_record_path(records) -> None:
+    assert list(extract_pairs(records)) == oracles.extract_pairs_reference(records)
+    assert merge_gold(records) == oracles.merge_gold_reference(records)
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=annotation_lists())
+def test_a_loaded_table_pairs_and_merges_as_its_records(tmp_path, records) -> None:
+    rows = [(r.post_id, r.label.to_string(), r.annotator_id,
+             r.timestamp.isoformat(sep=" ") if r.timestamp else "", r.text or "") for r in records]
+    table = load_annotations(write_table(tmp_path / "table.csv", rows))
+    records = list(table)
+    assert extract_pairs(table) == extract_pairs(records) == oracles.extract_pairs_reference(records)
+    assert merge_gold(table) == merge_gold(records) == oracles.merge_gold_reference(records)
+
+
+def test_pair_table_selects_by_mask() -> None:
+    pairs = extract_pairs([ann("p", "A", 1, 0), ann("p", "A", 0, 1), ann("p", "B", -1, 2)])
+    own = pairs[pairs.self]
+    assert len(own) == 1 and own[0] == pairs[0]
+    assert list(pairs[~pairs.self]) == [p for p in pairs if p.kind is PairKind.INTER]
+    assert np.array_equal(pairs[1:].first, [1, 0])
 
 
 def test_extract_pairs_all_combinations() -> None:
