@@ -210,7 +210,7 @@ def cmd_train(args: argparse.Namespace) -> None:
         "variant": args.variant,
         "posts": len(gold),
         "dim": prepared.vocab.dim,
-        "vocab_hash": features.vocabulary_hash(prepared.vocab),
+        "vocab_hash": model.vocab_hash,
         "model": str(model_path),
         "vocabulary": str(vocab_path),
     }

@@ -47,13 +47,14 @@ An annotation table is read once into columns, an
 It is a read-only sequence of :class:`AnnotationRecord`, whose items are
 views built only when indexed or iterated.  :func:`extract_pairs`
 returns the pairs as columns too, a :class:`PairTable`, computed with
-numpy from one stable sort of the rows by post; :func:`merge_gold` works
+numpy from one sort of the rows by post and ``seq``; :func:`merge_gold` works
 from the same groups.  A list of records given to either is first made
 into a table sorted by ``seq``, so one grouping serves both.
 """
 
 from __future__ import annotations
 
+import copy
 import csv
 from collections.abc import Iterable, Iterator, Sequence
 from contextlib import contextmanager
@@ -76,7 +77,6 @@ __all__ = [
     "GoldPost",
     "AnnotationTable",
     "PairTable",
-    "sniff_delimiter",
     "load_annotations",
     "load_gold",
     "save_gold",
@@ -194,8 +194,10 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
 
 class _Columns(Sequence):
     """What the column-backed sequences below share: items built by
-    ``_items`` over a slice of the rows, and equality item by item with
-    any sequence, as a list of their items would compare."""
+    ``_items`` over a slice of the rows; equality item by item with any
+    sequence, as a list of their items would compare; and selection by a
+    slice or an index array (such as a boolean mask), which cuts each
+    column named in ``_rows`` to those rows and numbers their posts anew."""
 
     __slots__ = ()
 
@@ -203,8 +205,22 @@ class _Columns(Sequence):
         return self._items(slice(None))
 
     def __getitem__(self, position):
-        at = range(len(self))[index(position)]
-        return next(self._items(slice(at, at + 1)))
+        if not isinstance(position, (slice, np.ndarray)):
+            at = range(len(self))[index(position)]
+            return next(self._items(slice(at, at + 1)))
+        rows = np.arange(len(self))[position]
+        part = copy.copy(self)
+        for name in self._rows:
+            column = getattr(self, name)
+            if isinstance(column, tuple):
+                setattr(part, name, tuple(map(column.__getitem__, rows.tolist())))
+            else:
+                setattr(part, name, *_read_only(column[rows]))
+        present, first, post = np.unique(part.post, return_index=True, return_inverse=True)
+        order = np.argsort(first)  # posts numbered in order of first appearance, as in a table
+        part.post, = _read_only(np.argsort(order)[post])
+        part.post_ids = tuple(map(self.post_ids.__getitem__, present[order].tolist()))
+        return part
 
     def __eq__(self, other: object) -> bool:
         if not isinstance(other, Sequence):
@@ -215,8 +231,8 @@ class _Columns(Sequence):
 
 
 class AnnotationTable(_Columns):
-    """An annotation table as columns, one row per annotation, rows in
-    ``seq`` order.
+    """An annotation table as columns, one row per annotation; a loaded
+    table or one made from records holds its rows in ``seq`` order.
 
     ``post`` and ``annotator`` index ``post_ids`` and ``annotator_ids``,
     which hold each id once, posts numbered in order of first appearance.
@@ -230,6 +246,7 @@ class AnnotationTable(_Columns):
 
     __slots__ = ("post_ids", "post", "annotator_ids", "annotator", "label", "seq", "dates", "texts",
                  "delimiter")
+    _rows = ("post", "annotator", "label", "seq", "dates", "texts")
 
     def __init__(
         self, post_ids: tuple[str, ...], post: np.ndarray, annotator_ids: tuple[str, ...],
@@ -259,11 +276,11 @@ class PairTable(_Columns):
     index of the pair's post in ``post_ids``.  The arrays are read-only.
 
     As a sequence the table holds :class:`LabelPair` items, each built
-    when it is indexed or iterated; a slice or an index array (such as a boolean
-    mask over the pairs) selects a :class:`PairTable`.
+    when it is indexed or iterated.
     """
 
     __slots__ = ("first", "second", "self", "post", "post_ids")
+    _rows = ("first", "second", "self", "post")
 
     def __init__(
         self, first: np.ndarray, second: np.ndarray, same: np.ndarray, post: np.ndarray,
@@ -274,12 +291,6 @@ class PairTable(_Columns):
 
     def __len__(self) -> int:
         return len(self.first)
-
-    def __getitem__(self, position):
-        if isinstance(position, (slice, np.ndarray)):
-            return PairTable(self.first[position], self.second[position], self.self[position],
-                             self.post[position], self.post_ids)
-        return super().__getitem__(position)
 
     def _items(self, pairs: slice) -> Iterator[LabelPair]:
         for first, second, same, post in zip(
@@ -318,13 +329,6 @@ def _open_table(path: str | Path, required: Sequence[str] = (), optional: Sequen
             ) from None
         except csv.Error as exc:  # data rows raise their own; this is the header, line 1
             raise CorpusFormatError(f"{path}: line 1: " + str(exc).replace("\t", "\\t")) from None
-
-
-def sniff_delimiter(path: str | Path) -> str:
-    """Return the column delimiter of ``path``: tab if the header line
-    contains one, else comma."""
-    with _open_table(path) as (delimiter, _, _):
-        return delimiter
 
 
 def _parse_timestamp(raw: str, line: int, path: str | Path) -> datetime | None:
@@ -486,10 +490,10 @@ def _table(records: Sequence[AnnotationRecord]) -> AnnotationTable:
 
 
 def _groups(table: AnnotationTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The rows grouped by post, from one stable sort: the row order
-    (posts in index order, each post's rows in ``seq`` order), and each
-    post's row count and first place in that order."""
-    order = np.argsort(table.post, kind="stable")
+    """The rows grouped by post, from one sort: the row order (posts in
+    index order, each post's rows in ``seq`` order, ties in row order),
+    and each post's row count and first place in that order."""
+    order = np.lexsort((table.seq, table.post))
     counts = np.bincount(table.post, minlength=len(table.post_ids))
     return order, counts, np.cumsum(counts) - counts
 
@@ -571,14 +575,13 @@ def merge_gold(records: Sequence[AnnotationRecord]) -> list[GoldPost]:
     ]
 
 
-def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> list[list[GoldPost]]:
-    """Growing time-ordered prefixes of sizes step, 2*step, ..., n.
+def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> tuple[list[GoldPost], tuple[int, ...]]:
+    """The posts in time order, and the sizes step, 2*step, ..., n of
+    its growing prefixes; the last is always ``n``, the full corpus.
 
-    The last prefix is always the full corpus, even when ``n`` is not a
-    multiple of ``step``.  Posts are ordered by timestamp when every
-    post carries one; otherwise the given order is kept.  Dates with a
-    UTC offset next to dates without one raise :class:`CorpusFormatError`,
-    as in a table.
+    Posts are ordered by timestamp when every post carries one;
+    otherwise the given order is kept.  Dates with a UTC offset next to
+    dates without one raise :class:`CorpusFormatError`, as in a table.
     """
     if step < 1:
         raise CorpusFormatError(f"step must be a positive integer, got {step}")
@@ -586,7 +589,7 @@ def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> list[list[GoldPo
     _check_offsets(posts)
     if all(p.timestamp is not None for p in posts):
         posts.sort(key=lambda p: p.timestamp)  # type: ignore[arg-type, return-value]
-    return [posts[:size] for size in range(step, len(posts), step)] + [posts]
+    return posts, (*range(step, len(posts), step), len(posts))
 
 
 def load_gold(path: str | Path) -> list[GoldPost]:

@@ -1,18 +1,19 @@
 """Blocked stratified cross-validation and learning curves.
 
-Folds respect time: within each class, the corpus-ordered items are cut
-into k consecutive blocks, and fold i is the union of block i across
-classes.  Per-fold class counts therefore differ from the global
+Folds respect time: within each class, the corpus-ordered label codes
+are cut into k consecutive blocks, and fold i is the union of block i
+across classes.  Per-fold class counts therefore differ from the global
 proportions by at most one item.  Every fold retrains from scratch --
 vocabulary, per-plane term statistics, and planes all come from the
 training folds only, so no test-fold document leaks into feature
 construction.
 
-Each prepared corpus is counted once, against its vocabulary at
-``min_df``; a fold selects from those counts the columns that at least
-``min_df`` of its training rows contain, which is exact since every such
-term is in that vocabulary.  All variants and learning-curve prefixes
-share the counts; a plane is trained once per (training rows, sides, config).
+A prepared corpus keeps only its counts against its vocabulary at
+``min_df``, its label codes, that vocabulary and ``min_df``.  A fold
+selects from the counts the columns that at least ``min_df`` of its
+training rows contain, which is exact since every such term is in that
+vocabulary.  All variants and learning-curve prefixes share the counts;
+a plane is trained once per (training rows, sides, config).
 
 Reported per measure: per-fold values, their mean, and the normal 95%
 half-width ``1.96 * sd / sqrt(k)`` (sample standard deviation), plus
@@ -71,12 +72,12 @@ class FoldPlan:
         return np.sort(np.concatenate(others))
 
 
-def plan_folds(gold: Sequence[GoldPost], k: int = 10) -> FoldPlan:
-    """Split a time-ordered corpus into k blocked stratified folds.
+def plan_folds(labels: Sequence[SentimentLabel | int], k: int = 10) -> FoldPlan:
+    """Split a time-ordered corpus, given by its label codes, into k blocked stratified folds.
 
     Within each class the items are cut, in corpus order, into k
     consecutive blocks; the first ``n_c mod k`` blocks get the extra
-    item.  Deterministic function of (corpus, k): no shuffling.
+    item.  Deterministic function of (labels, k): no shuffling.
 
     Raises
     ------
@@ -86,13 +87,12 @@ def plan_folds(gold: Sequence[GoldPost], k: int = 10) -> FoldPlan:
     """
     if k < 2:
         raise FoldPlanError(f"k must be at least 2, got {k}")
-    n = len(gold)
-    if n < k:
-        raise FoldPlanError(f"corpus of {n} posts cannot be split into {k} folds")
-    labels = np.array([int(p.label) for p in gold], dtype=np.int64)
+    codes = np.asarray(labels, dtype=np.int64)
+    if codes.size < k:
+        raise FoldPlanError(f"corpus of {codes.size} posts cannot be split into {k} folds")
     folds: list[list[np.ndarray]] = [[] for _ in range(k)]
     for code in (-1, 0, 1):
-        members = np.flatnonzero(labels == code)
+        members = np.flatnonzero(codes == code)
         if members.size < k:
             name = SentimentLabel(code).to_string()
             raise FoldPlanError(
@@ -158,7 +158,6 @@ class PreparedCorpus:
     config); the corpus's fold plan at ``k`` fixes each fold's rows.
     """
 
-    posts: tuple[GoldPost, ...]
     vocab: Vocabulary
     counts: CountRows
     labels: np.ndarray
@@ -167,29 +166,28 @@ class PreparedCorpus:
 
     def head(self, n: int) -> PreparedCorpus:
         """The first ``n`` posts, keeping this corpus's vocabulary; their
-        counts are views of this corpus's arrays, not copies."""
+        counts and labels are views of this corpus's arrays, not copies."""
         counts, end = self.counts, int(self.counts.indptr[n])
         rows = CountRows(counts.indptr[: n + 1], counts.indices[:end], counts.values[:end], counts.dim)
-        return PreparedCorpus(self.posts[:n], self.vocab, rows, self.labels[:n], self.min_df)
+        return PreparedCorpus(self.vocab, rows, self.labels[:n], self.min_df)
 
 
 def prepare(
     gold: Sequence[GoldPost],
     min_df: int = 5,
-    ngrams: tuple[int, ...] = (1, 2),
     stemmer: Callable[[str], str] | None = None,
 ) -> PreparedCorpus:
-    """Normalize every post once, build the vocabulary of the whole
-    corpus at ``min_df`` and count every post against it once."""
-    posts = tuple(gold)
+    """Normalize every post once, build the unigram and bigram vocabulary
+    of the whole corpus at ``min_df`` and count every post against it
+    once."""
     docs = []
-    for post in posts:
+    for post in gold:
         if post.text is None:
             raise CorpusFormatError(f"post {post.post_id!r} has no text")
         docs.append(normalize(post.text, stemmer))
-    vocab = vocabulary_from_token_docs(docs, min_df=min_df, ngrams=ngrams)
+    vocab = vocabulary_from_token_docs(docs, min_df=min_df)
     counts = CountRows.stack([count_vector(doc, vocab) for doc in docs])
-    return PreparedCorpus(posts, vocab, counts, np.array([int(p.label) for p in posts], dtype=np.int64), min_df)
+    return PreparedCorpus(vocab, counts, np.array([int(p.label) for p in gold], dtype=np.int64), min_df)
 
 
 def cross_validate(
@@ -207,14 +205,15 @@ def cross_validate(
     and per-plane term statistics from the training folds alone; a plane
     an earlier run on the same corpus trained is reused.  ``on_fold`` is a
     diagnostics hook called with ``(fold_index, vocabulary, model)``
-    after each fold trains.
+    after each fold trains; only it gets a fold vocabulary built, and the
+    models, never saved, carry no vocabulary hash.
 
     Any failure inside a fold -- training, prediction, or an undefined
     measure -- is re-raised with the fold index attached.
     """
     variant = Variant(variant)
     measures = tuple(Measure(m) for m in measures)
-    plan = plan_folds(corpus.posts, k)
+    plan = plan_folds(corpus.labels, k)
     vocab, counts, labels, min_df = corpus.vocab, corpus.counts, corpus.labels, corpus.min_df
 
     per_fold = {measure: np.empty(plan.k) for measure in measures}
@@ -224,13 +223,11 @@ def cross_validate(
         try:
             doc_freq = np.bincount(counts.select(train_idx).indices, minlength=vocab.dim)
             keep = np.flatnonzero(doc_freq >= min_df)
-            terms = tuple(vocab.terms[i] for i in keep.tolist())
-            fold_vocab = Vocabulary(terms, doc_freq[keep], int(train_idx.size), min_df, vocab.ngrams)
             planes = corpus._planes.setdefault((plan.k, fold, config), {})
-            model = train_sentiment(
-                counts.select(train_idx, keep), labels[train_idx], variant, config, fold_vocab, planes)
+            model = train_sentiment(counts.select(train_idx, keep), labels[train_idx], variant, config, memo=planes)
             if on_fold is not None:
-                on_fold(fold, fold_vocab, model)
+                terms = tuple(vocab.terms[i] for i in keep.tolist())
+                on_fold(fold, Vocabulary(terms, doc_freq[keep], int(train_idx.size), min_df, vocab.ngrams), model)
             matrix = score_predictions(predict_batch(model, counts.select(test_idx, keep)), labels[test_idx])
             for measure in measures:
                 per_fold[measure][fold] = compute_measure(matrix, measure)
@@ -265,7 +262,6 @@ def learning_curve(
     k: int = 10,
     measures: Sequence[Measure | str] = DEFAULT_MEASURES,
     min_df: int = 5,
-    ngrams: tuple[int, ...] = (1, 2),
     stemmer: Callable[[str], str] | None = None,
     on_fold: Callable[[int, Vocabulary, SentimentModel], None] | None = None,
 ) -> LearningCurve:
@@ -273,17 +269,17 @@ def learning_curve(
 
     Prefix sizes are ``step, 2*step, ...`` up to the full corpus (the
     final point always covers the whole corpus, so it equals a direct
-    :func:`cross_validate` run).  The whole corpus is prepared once,
-    before any prefix is tried, and each prefix is a view of its first
-    rows.  Prefixes smaller than ``k * (number of classes)`` or
+    :func:`cross_validate` run).  The corpus is put in time order and
+    prepared once, before any prefix is tried, and each prefix is a view
+    of its first rows.  Prefixes smaller than ``k * (number of classes)`` or
     otherwise unsplittable are skipped with a logged notice and
     reported in ``skipped``.
     """
-    chunks = time_ordered_chunks(gold, step)
-    corpus = prepare(chunks[-1], min_df, ngrams, stemmer)
+    posts, sizes = time_ordered_chunks(gold, step)
+    corpus = prepare(posts, min_df, stemmer)
     points: list[CurvePoint] = []
     skipped: list[tuple[int, str]] = []
-    for size in map(len, chunks):
+    for size in sizes:
         reason = f"prefix of {size} posts is smaller than k * 3 = {k * 3}" if size < k * 3 else None
         if reason is None:
             try:

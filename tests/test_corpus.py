@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import re
+import tracemalloc
 from datetime import datetime, timedelta, timezone
 
 import numpy as np
@@ -20,7 +21,6 @@ from sentagree.corpus import (
     load_gold,
     merge_gold,
     save_gold,
-    sniff_delimiter,
     time_ordered_chunks,
 )
 from sentagree.errors import CorpusFormatError, SentagreeError
@@ -60,8 +60,8 @@ def test_load_annotations_tab_autodetected(tmp_path) -> None:
         header=("TweetID", "HandLabel", "AnnotatorID"),
         delimiter="\t",
     )
-    assert sniff_delimiter(path) == "\t"
     records = load_annotations(path)
+    assert records.delimiter == "\t"
     assert [int(r.label) for r in records] == [1, 0]
     assert records[0].timestamp is None and records[0].text is None
 
@@ -294,6 +294,27 @@ def test_a_loaded_table_pairs_and_merges_as_its_records(tmp_path, records) -> No
     assert merge_gold(table) == merge_gold(records) == oracles.merge_gold_reference(records)
 
 
+#: Table slices: cut at either end, strided, reversed, empty.
+SLICES = [slice(1, 3), slice(2, None), slice(None, -2), slice(None, None, 2), slice(1, None, 3),
+          slice(None, None, -1), slice(3, 1), slice(9, None)]
+
+
+@settings(max_examples=50, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=annotation_lists())
+def test_a_slice_of_either_table_is_a_table_of_its_items(tmp_path, records) -> None:
+    rows = [(r.post_id, r.label.to_string(), r.annotator_id,
+             r.timestamp.isoformat(sep=" ") if r.timestamp else "", r.text or "") for r in records]
+    table = load_annotations(write_table(tmp_path / "table.tsv", rows, delimiter="\t"))
+    pairs = extract_pairs(table)
+    for cut in SLICES:
+        for whole in (table, pairs):
+            part = whole[cut]
+            assert type(part) is type(whole) and list(part) == list(whole)[cut]
+        part = table[cut]
+        assert part.delimiter == "\t"
+        assert extract_pairs(part) == extract_pairs(list(part)) and merge_gold(part) == merge_gold(list(part))
+
+
 def test_pair_table_selects_by_mask() -> None:
     pairs = extract_pairs([ann("p", "A", 1, 0), ann("p", "A", 0, 1), ann("p", "B", -1, 2)])
     own = pairs[pairs.self]
@@ -403,10 +424,10 @@ def test_merge_is_idempotent() -> None:
 
 def test_time_ordered_chunks_sizes() -> None:
     posts = [GoldPost(post_id=str(i), label=SentimentLabel.NEUTRAL) for i in range(25)]
-    sizes = [len(c) for c in time_ordered_chunks(posts, 10)]
-    assert sizes == [10, 20, 25]
-    assert [len(c) for c in time_ordered_chunks(posts[:10], 10)] == [10]
-    assert [len(c) for c in time_ordered_chunks(posts[:7], 10)] == [7]
+    order, sizes = time_ordered_chunks(posts, 10)
+    assert sizes == (10, 20, 25) and order == posts
+    assert time_ordered_chunks(posts[:10], 10)[1] == (10,)
+    assert time_ordered_chunks(posts[:7], 10)[1] == (7,)
 
 
 def test_time_ordered_chunks_sorts_by_timestamp() -> None:
@@ -414,9 +435,24 @@ def test_time_ordered_chunks_sorts_by_timestamp() -> None:
         GoldPost(post_id="b", label=SentimentLabel.NEUTRAL, timestamp=datetime(2014, 2, 1)),
         GoldPost(post_id="a", label=SentimentLabel.NEUTRAL, timestamp=datetime(2014, 1, 1)),
     ]
-    chunks = time_ordered_chunks(posts, 1)
-    assert [p.post_id for p in chunks[0]] == ["a"]
-    assert [p.post_id for p in chunks[-1]] == ["a", "b"]
+    order, sizes = time_ordered_chunks(posts, 1)
+    assert [p.post_id for p in order[: sizes[0]]] == ["a"]
+    assert [p.post_id for p in order[: sizes[-1]]] == ["a", "b"]
+
+
+def test_time_ordered_chunks_holds_one_order_not_one_list_per_prefix() -> None:
+    start = datetime(2014, 1, 1)
+    posts = [GoldPost(str(i), SentimentLabel.NEUTRAL, start + timedelta(minutes=i * 7919 % 20000))
+             for i in range(20000)]
+    tracemalloc.start()
+    try:
+        order, sizes = time_ordered_chunks(posts, 100)
+        peak = tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+    assert peak < 1_000_000, f"{peak} bytes allocated"  # one list per prefix takes about 16 MB
+    assert sizes == tuple(range(100, 20001, 100))
+    assert [p.timestamp for p in order] == sorted(p.timestamp for p in posts)
 
 
 def test_time_ordered_chunks_rejects_mixed_utc_offsets() -> None:
@@ -455,7 +491,8 @@ def test_save_gold_round_trips_quotes_tabs_and_newlines(tmp_path, delimiter) -> 
     gold = [GoldPost(f"p{i}", SentimentLabel.NEUTRAL, text=text) for i, text in enumerate(texts)]
     path = tmp_path / "gold.txt"
     save_gold(gold, path, delimiter=delimiter)
-    assert sniff_delimiter(path) == delimiter
+    header = path.read_text(encoding="utf-8").splitlines()[0]
+    assert header == delimiter.join(("TweetID", "HandLabel", "Text", "MergedFrom"))
     assert [(p.post_id, p.text) for p in load_gold(path)] == [(p.post_id, p.text) for p in gold]
 
 

@@ -52,25 +52,26 @@ def make_gold(codes, texts=None):
 
 
 def test_plan_folds_blocks_are_consecutive_per_class() -> None:
-    gold = make_gold([-1, 0, 1] * 11)  # 11 posts per class
-    plan = plan_folds(gold, k=3)
+    codes = [-1, 0, 1] * 11  # 11 posts per class
+    plan = plan_folds(codes, k=3)
     assert [f.size for f in plan.folds] == [12, 12, 9]
-    labels = np.array([int(p.label) for p in gold])
+    labels = np.array(codes)
     for code in (-1, 0, 1):
         blocks = [fold[labels[fold] == code] for fold in plan.folds]
         assert [b.size for b in blocks] == [4, 4, 3]
         for earlier, later in zip(blocks, blocks[1:]):
             assert earlier.max() < later.min()  # temporal contiguity per class
     everything = np.sort(np.concatenate(plan.folds))
-    assert np.array_equal(everything, np.arange(len(gold)))
+    assert np.array_equal(everything, np.arange(len(codes)))
+    for same in (labels, [SentimentLabel(code) for code in codes]):  # every form of label codes
+        assert all(np.array_equal(a, b) for a, b in zip(plan_folds(same, k=3).folds, plan.folds))
 
 
 def test_plan_folds_proportions_within_one() -> None:
     rng = np.random.default_rng(12)
     codes = rng.integers(-1, 2, size=157).tolist()
-    gold = make_gold(codes)
     k = 7
-    plan = plan_folds(gold, k=k)
+    plan = plan_folds(codes, k=k)
     labels = np.array(codes)
     for code in (-1, 0, 1):
         total = int((labels == code).sum())
@@ -80,31 +81,31 @@ def test_plan_folds_proportions_within_one() -> None:
 
 
 def test_plan_folds_validation() -> None:
-    gold = make_gold([-1, 0, 1] * 4)
+    codes = [-1, 0, 1] * 4
     with pytest.raises(FoldPlanError, match="at least 2"):
-        plan_folds(gold, k=1)
+        plan_folds(codes, k=1)
     with pytest.raises(FoldPlanError, match="cannot be split"):
-        plan_folds(gold[:3], k=5)
-    lopsided = make_gold([-1] * 5 + [0] * 5 + [1] * 2)
+        plan_folds(codes[:3], k=5)
+    lopsided = [-1] * 5 + [0] * 5 + [1] * 2
     with pytest.raises(FoldPlanError, match="Positive"):
         plan_folds(lopsided, k=3)
 
 
 def test_plan_folds_is_deterministic() -> None:
-    gold = make_gold([-1, 0, 1, 1, 0] * 6)
-    a = plan_folds(gold, k=4)
-    b = plan_folds(gold, k=4)
+    codes = [-1, 0, 1, 1, 0] * 6
+    a = plan_folds(codes, k=4)
+    b = plan_folds(codes, k=4)
     for fa, fb in zip(a.folds, b.folds):
         assert np.array_equal(fa, fb)
 
 
 def test_train_indices_are_the_complement() -> None:
-    gold = make_gold([-1, 0, 1] * 4)
-    plan = plan_folds(gold, k=2)
+    codes = [-1, 0, 1] * 4
+    plan = plan_folds(codes, k=2)
     for fold in range(plan.k):
         train = plan.train_indices(fold)
         assert np.intersect1d(train, plan.folds[fold]).size == 0
-        assert train.size + plan.folds[fold].size == len(gold)
+        assert train.size + plan.folds[fold].size == len(codes)
         assert np.all(np.diff(train) > 0)
 
 
@@ -198,11 +199,11 @@ def test_cross_validate_builds_vocabulary_from_training_folds_only() -> None:
 
 def test_count_corpus_from_posts() -> None:
     posts = make_gold([1, -1], texts=["good good day", "bad day"])
-    prepared = prepare(posts, min_df=2, ngrams=(1,))
+    prepared = prepare(posts, min_df=2)
     vocab, counts = prepared.vocab, prepared.counts
-    assert vocab.terms == ("day",)
+    assert vocab.terms == ("day",) and vocab.ngrams == (1, 2)
     assert (counts.indptr.tolist(), counts.indices.tolist(), counts.values.tolist()) == ([0, 1, 2], [0, 0], [1.0, 1.0])
-    assert prepared.posts == tuple(posts) and prepared.labels.tolist() == [1, -1] and prepared.min_df == 2
+    assert prepared.labels.tolist() == [1, -1] and prepared.min_df == 2
     with pytest.raises(CorpusFormatError, match="post '3' has no text"):
         prepare([GoldPost("3", SentimentLabel.NEUTRAL)], min_df=1)
 
@@ -210,8 +211,9 @@ def test_count_corpus_from_posts() -> None:
 def test_prefix_of_a_prepared_corpus_is_a_view() -> None:
     prepared = prepare(make_gold([-1, 0, 1] * 10), min_df=1)
     head = prepared.head(7)
-    assert head.posts == prepared.posts[:7] and head.labels.tolist() == prepared.labels[:7].tolist()
+    assert head.labels.tolist() == prepared.labels[:7].tolist()
     assert head.vocab is prepared.vocab and head.min_df == 1 and len(head.counts) == 7
+    assert np.shares_memory(head.labels, prepared.labels)
     for name in ("indptr", "indices", "values"):
         assert np.shares_memory(getattr(head.counts, name), getattr(prepared.counts, name))
     expected = prepared.counts.select(np.arange(7))
@@ -251,9 +253,9 @@ def _same_rows(rows: CountRows, docs, vocab) -> bool:
 
 def _spy(real, seen: list, position: int):
     """``real``, recording its argument at ``position`` in ``seen``."""
-    def call(*args):
+    def call(*args, **kwargs):
         seen.append(args[position])
-        return real(*args)
+        return real(*args, **kwargs)
     return call
 
 
@@ -274,7 +276,7 @@ def test_fold_features_equal_those_built_from_the_training_posts_alone(monkeypat
     assert len(vocabularies) == len(train_rows) == len(test_rows) == len(folds) == 70
     docs = {id(post): normalize(post.text) for post in separable + shifted}
     for (gold, fold), vocab, train, test in zip(folds, vocabularies, train_rows, test_rows):
-        plan = plan_folds(gold, k=10)
+        plan = plan_folds([int(post.label) for post in gold], k=10)
         train_docs = [docs[id(gold[i])] for i in plan.train_indices(fold)]
         direct = vocabulary_from_token_docs(train_docs, min_df=5)
         terms, doc_freq = oracles.vocabulary_brute(train_docs, 5, (1, 2))
@@ -284,6 +286,16 @@ def test_fold_features_equal_those_built_from_the_training_posts_alone(monkeypat
         assert vocabulary_hash(vocab) == vocabulary_hash(direct)
         assert _same_rows(train, train_docs, vocab)
         assert _same_rows(test, [docs[id(gold[i])] for i in plan.folds[fold]], vocab)
+
+
+def test_cross_validate_hashes_no_vocabulary_without_a_hook(monkeypatch) -> None:
+    hashed = []
+    monkeypatch.setattr(classify, "vocabulary_hash", _spy(classify.vocabulary_hash, hashed, 0))
+    prepared = prepare(make_gold([-1, 0, 1] * 10), min_df=1)
+    models = []
+    cross_validate(prepared, Variant.TWO_PLANE, k=3, on_fold=lambda fold, vocab, model: models.append(model))
+    cross_validate(prepared, Variant.NAIVE_BAYES, k=3)
+    assert hashed == [] and [model.vocab_hash for model in models] == ["", "", ""]
 
 
 def test_cross_validate_attaches_fold_context_to_errors() -> None:
