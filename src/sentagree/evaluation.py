@@ -218,10 +218,14 @@ def cross_validate(
 
     per_fold = {measure: np.empty(plan.k) for measure in measures}
     pooled = np.zeros((3, 3))
+    row_nnz = np.diff(counts.indptr)
     for fold, test_idx in enumerate(plan.folds):
         train_idx = plan.train_indices(fold)
         try:
-            doc_freq = np.bincount(counts.select(train_idx).indices, minlength=vocab.dim)
+            # a row holds each column at most once, so its training entries count documents
+            in_train = np.zeros(len(counts), dtype=bool)
+            in_train[train_idx] = True
+            doc_freq = np.bincount(counts.indices[np.repeat(in_train, row_nnz)], minlength=vocab.dim)
             keep = np.flatnonzero(doc_freq >= min_df)
             planes = corpus._planes.setdefault((plan.k, fold, config), {})
             model = train_sentiment(counts.select(train_idx, keep), labels[train_idx], variant, config, memo=planes)

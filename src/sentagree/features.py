@@ -15,7 +15,9 @@ must bump the version reported by :data:`NORMALIZER_VERSION`.
 4.  Emoticons from the fixed table below become ``<emo_pos>``,
     ``<emo_neg>``, or ``<emo_other>``.  Emoticons that start or end in
     a letter only match on non-word boundaries, so ``xD`` matches in
-    ``haha xD`` but not inside ``exDescription``.
+    ``haha xD`` but not inside ``exDescription``.  The scan tries the
+    table only where the next character starts one of its keys (a
+    lookahead built from the table); the priority above is unchanged.
 5.  Word tokens (``\\w`` runs, apostrophes allowed inside) are
     lowercased.  A run of three or more identical letters is collapsed
     to exactly two and the marker ``<elong>`` is appended right after
@@ -100,14 +102,17 @@ _EMOTICON_ALTERNATION = "|".join(
     _emoticon_piece(e) for e in sorted(EMOTICONS, key=len, reverse=True)
 )
 
+# every emoticon starts with one of these: elsewhere the scan skips the alternation
+_EMOTICON_FIRST = "".join(sorted({re.escape(e[0]) for e in EMOTICONS}))
+
 _TOKEN_RE = re.compile(
     r"""
     (?P<url>(?:https?://|www\.)\S+)
     | (?P<user>@\w+)
     | \#(?P<hashtag>\w+)
-    | (?P<emoticon>%s)
+    | (?=[%s])(?P<emoticon>%s)
     | (?P<word>\w+(?:'\w+)*)
-    """ % _EMOTICON_ALTERNATION,
+    """ % (_EMOTICON_FIRST, _EMOTICON_ALTERNATION),
     re.VERBOSE,
 )
 
@@ -136,11 +141,12 @@ def english_suffix_stem(token: str) -> str:
 
 def _word_tokens(word: str, stemmer: Callable[[str], str] | None) -> list[str]:
     lowered = word.lower()
+    if _ELONG_RE.search(lowered) is None:  # most words: nothing to collapse
+        return [lowered if stemmer is None else (stemmer(lowered) or lowered)]
     collapsed = _ELONG_RE.sub(r"\1\1", lowered)
-    elongated = collapsed != lowered
     if stemmer is not None:
         collapsed = stemmer(collapsed) or collapsed
-    return [collapsed, "<elong>"] if elongated else [collapsed]
+    return [collapsed, "<elong>"]
 
 
 def normalize(text: str, stemmer: Callable[[str], str] | None = None) -> list[str]:
@@ -154,17 +160,23 @@ def normalize(text: str, stemmer: Callable[[str], str] | None = None) -> list[st
     tokens: list[str] = []
     for match in _TOKEN_RE.finditer(text):
         kind = match.lastgroup
-        if kind == "url":
+        if kind == "word":
+            # the commonest match: a plain word without a stemmer skips the call
+            word = match.group("word")
+            lowered = word.lower()
+            if stemmer is None and _ELONG_RE.search(lowered) is None:
+                tokens.append(lowered)
+            else:
+                tokens.extend(_word_tokens(word, stemmer))
+        elif kind == "url":
             tokens.append("<url>")
         elif kind == "user":
             tokens.append("<user>")
         elif kind == "hashtag":
             tokens.append("<hashtag>")
             tokens.extend(_word_tokens(match.group("hashtag"), stemmer))
-        elif kind == "emoticon":
-            tokens.append(EMOTICONS[match.group("emoticon")])
         else:
-            tokens.extend(_word_tokens(match.group("word"), stemmer))
+            tokens.append(EMOTICONS[match.group("emoticon")])
     return tokens
 
 

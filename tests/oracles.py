@@ -9,10 +9,13 @@ to the same number.
 from __future__ import annotations
 
 import math
+import re
 from itertools import combinations
 
 import numpy as np
 from scipy.optimize import minimize
+
+from sentagree.features import EMOTICONS
 
 LABELS = (-1, 0, 1)
 
@@ -316,3 +319,61 @@ def merge_gold_reference(records):
     timed = all(ts is not None for ts, _, _ in merged)
     merged.sort(key=lambda item: (item[0], item[1]) if timed else item[1])
     return [post for _, _, post in merged]
+
+
+# --- the tokenizer as it stood before its regex was guarded -------------------
+
+def _emoticon_piece(emo):
+    piece = re.escape(emo)
+    if emo[0].isalnum():
+        piece = r"(?<!\w)" + piece
+    if emo[-1].isalnum():
+        piece = piece + r"(?!\w)"
+    return piece
+
+
+_EMOTICON_ALTERNATION = "|".join(
+    _emoticon_piece(e) for e in sorted(EMOTICONS, key=len, reverse=True)
+)
+
+_TOKEN_RE = re.compile(
+    r"""
+    (?P<url>(?:https?://|www\.)\S+)
+    | (?P<user>@\w+)
+    | \#(?P<hashtag>\w+)
+    | (?P<emoticon>%s)
+    | (?P<word>\w+(?:'\w+)*)
+    """ % _EMOTICON_ALTERNATION,
+    re.VERBOSE,
+)
+
+_ELONG_RE = re.compile(r"([^\W\d_])\1{2,}")
+
+
+def _word_tokens(word, stemmer):
+    lowered = word.lower()
+    collapsed = _ELONG_RE.sub(r"\1\1", lowered)
+    elongated = collapsed != lowered
+    if stemmer is not None:
+        collapsed = stemmer(collapsed) or collapsed
+    return [collapsed, "<elong>"] if elongated else [collapsed]
+
+
+def normalize_reference(text, stemmer=None):
+    """Version-1 tokens of ``text``: every word goes through the
+    elongation rewrite, every position tries the whole emoticon table."""
+    tokens = []
+    for match in _TOKEN_RE.finditer(text):
+        kind = match.lastgroup
+        if kind == "url":
+            tokens.append("<url>")
+        elif kind == "user":
+            tokens.append("<user>")
+        elif kind == "hashtag":
+            tokens.append("<hashtag>")
+            tokens.extend(_word_tokens(match.group("hashtag"), stemmer))
+        elif kind == "emoticon":
+            tokens.append(EMOTICONS[match.group("emoticon")])
+        else:
+            tokens.extend(_word_tokens(match.group("word"), stemmer))
+    return tokens

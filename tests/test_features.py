@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import string
 from collections import Counter
 
 import numpy as np
@@ -60,6 +61,40 @@ def test_normalizer_version_is_frozen() -> None:
 def test_normalize_frozen_cases(text: str, expected: list[str]) -> None:
     assert normalize(text) == expected
     assert normalize(text) == expected  # deterministic
+
+
+@pytest.mark.parametrize("emo", sorted(EMOTICONS))
+def test_every_emoticon_matches_alone_and_after_a_word(emo: str) -> None:
+    token = EMOTICONS[emo]
+    assert normalize(emo) == [token]
+    assert normalize(f" {emo} ") == [token]
+    assert normalize(f"word {emo}") == ["word", token]
+    # an emoticon that starts or ends in a letter or digit is no emoticon inside a word
+    if emo[0].isalnum():
+        assert not any(t.startswith("<emo_") for t in normalize(f"a{emo}"))
+    if emo[-1].isalnum():
+        assert not any(t.startswith("<emo_") for t in normalize(f"{emo}a"))
+
+
+_TEXT_PIECES = st.sampled_from(
+    [*EMOTICONS, "http://", "https://", "www.", "@", "#", "'", "0", "7", "_", " ", "\t", "\n",
+     ".", ",", "!", "?", ":", ";", "-", "(", ")", "/", "\\", "^", "<", ">", "=", "[", "]"]
+)
+_LETTER_RUNS = st.builds(
+    lambda letter, n: letter * n,
+    st.sampled_from([*string.ascii_letters, "ß", "İ", "Σ", "ς", "é"]),
+    st.integers(1, 5),
+)
+
+
+@settings(max_examples=400, deadline=None)
+@given(pieces=st.lists(_TEXT_PIECES | _LETTER_RUNS, max_size=12))
+@pytest.mark.parametrize(
+    "stemmer", [None, english_suffix_stem, lambda token: ""], ids=["none", "suffix", "empty"]
+)
+def test_normalize_matches_the_unguarded_tokenizer(stemmer, pieces: list[str]) -> None:
+    text = "".join(pieces)
+    assert normalize(text, stemmer) == oracles.normalize_reference(text, stemmer)
 
 
 def test_normalize_never_emits_empty_tokens() -> None:
