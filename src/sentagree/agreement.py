@@ -307,7 +307,7 @@ def compute_measure(matrix: CoincidenceMatrix, measure: Measure | str) -> float:
 
 @dataclass(frozen=True)
 class ConfidenceInterval:
-    """Percentile bootstrap interval for one measure on one pair set.
+    """Percentile bootstrap 95% interval for one measure on one pair set.
 
     ``undefined_resamples`` counts bootstrap draws that stayed undefined
     after the per-slot retry budget and were excluded from the
@@ -317,7 +317,6 @@ class ConfidenceInterval:
     point: float
     low: float
     high: float
-    level: float
     samples: int
     undefined_resamples: int = 0
 
@@ -347,17 +346,18 @@ def bootstrap_ci(
     pairs: Sequence[LabelPair | tuple[int, int]],
     measure: Measure | str = Measure.ALPHA_INTERVAL,
     n_samples: int = 1000,
-    level: float = 0.95,
     seed: int = 0,
     retry_cap: int = 100,
 ) -> ConfidenceInterval:
-    """Percentile bootstrap over pair resampling.
+    """Percentile bootstrap 95% interval over pair resampling.
 
     Pairs are resampled with replacement ``n_samples`` times and the
-    measure recomputed on each resampled coincidence matrix.  Every
-    resample index draws from its own seeded substream derived from
-    ``(seed, index)``, so results are independent of evaluation order
-    and a fixed seed reproduces the interval exactly.
+    measure recomputed on each resampled coincidence matrix; the
+    interval runs from the 2.5th to the 97.5th percentile of the
+    defined resamples.  Every resample index draws from its own seeded
+    substream derived from ``(seed, index)``, so results are
+    independent of evaluation order and a fixed seed reproduces the
+    interval exactly.
 
     A resample on which the measure is undefined is redrawn (from the
     same substream) up to ``retry_cap`` times, then counted in
@@ -371,8 +371,6 @@ def bootstrap_ci(
     The measure is evaluated on all of them at once; only the indices
     it leaves undefined replay their substream for the retries.
     """
-    if not 0.0 < level < 1.0:
-        raise ValueError(f"confidence level must be in (0, 1), got {level}")
     if n_samples < 1:
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if retry_cap < 0:
@@ -403,13 +401,12 @@ def bootstrap_ci(
         raise UndefinedMeasureError(
             f"all {n_samples} bootstrap resamples were undefined for {measure}"
         )
-    tail = (1.0 - level) / 2.0
+    tail = (1.0 - 0.95) / 2.0  # 0.025000000000000022, not 0.025: the quantiles depend on it
     low, high = np.quantile(kept, [tail, 1.0 - tail])
     return ConfidenceInterval(
         point=point,
         low=min(float(low), point),
         high=max(float(high), point),
-        level=level,
         samples=n_samples,
         undefined_resamples=n_samples - int(kept.size),
     )

@@ -23,12 +23,12 @@ Every function here takes its examples as one
 :class:`~sentagree.features.CountRows` block; a plane slices its rows
 out of the block with ``select``, and its term weights scale the
 stored ``values`` array in one numpy op (the row layout of LIBLINEAR).
-``||x~_i||^2`` is summed sequentially per row with ``np.bincount``,
-not by a BLAS dot, whose kernel varies by CPU.  The coordinate loop
-runs on plain Python floats, not numpy: rows are lists of
-``(index, value)`` pairs, ``w`` and ``alpha`` are lists and ``C`` is
-one float, because numpy's per-call overhead dwarfs the arithmetic on
-rows of a few nonzeros.  ``w . x`` is summed left to right in an
+``||x~_i||^2``, like every decision value ``w . x`` of prediction, is
+summed sequentially per row with ``np.bincount``, not by a BLAS dot,
+whose kernel varies by CPU.  The coordinate loop runs on plain Python
+floats, not numpy: rows are lists of ``(index, value)`` pairs, ``w``
+and ``alpha`` are lists and ``C`` is one float, because numpy's
+per-call overhead dwarfs the arithmetic on rows of a few nonzeros.  ``w . x`` is summed left to right in an
 explicit loop (not ``sum()``, which compensates since Python 3.12, nor
 a BLAS dot), so a plane does not depend on the interpreter version.  A
 coordinate at a bound whose gradient points out of its box has
@@ -44,17 +44,17 @@ weights returned to the caller absorb that reweighting, so prediction
 consumes raw count rows directly.
 
 Prediction works on a block of rows: each plane's decision values
-``w . x + b``, like the NaiveBayes log-likelihoods, are one dot per
-row slice of the block, and the variant's label rule maps them to
+``w . x + b``, like the NaiveBayes log-likelihoods, are one sequential
+sum per row of the block, and the variant's label rule maps them to
 labels for all rows at once.  Training builds the bin and subspace
 tables and tunes the neutral zone with the same rules, and
 :func:`predict` is a block of one row.
 
 ``NeutralZoneSVM``    one negative-vs-positive plane; decision values
                       within a neutral zone around 0 predict neutral.
-                      The zone half-width is fixed or tuned on a held-
-                      out 10% validation split by maximizing interval
-                      alpha against the gold labels.
+                      The zone half-width is tuned on a held-out 10%
+                      validation split by maximizing interval alpha
+                      against the gold labels.
 ``TwoPlaneSVM``       plane A separates negative from {neutral,
                       positive}, plane B separates {negative, neutral}
                       from positive; the side picked by both planes
@@ -133,12 +133,10 @@ class Variant(str, Enum):
 class TrainConfig:
     """Training hyperparameters shared by all variants.
 
-    ``neutral_zone`` is either the string ``"tuned"`` (default: pick the
-    half-width on a 10% validation split) or a fixed non-negative float;
-    it only affects ``NeutralZoneSVM``.  ``bin_grid`` is the per-axis
-    cell count of ``TwoPlaneSVMbin``.  ``cost`` is the box bound ``C``
-    of every dual variable of every plane; it and ``tol`` must be
-    positive and finite.
+    ``bin_grid`` is the per-axis cell count of ``TwoPlaneSVMbin``, from
+    1 to 1000 (its dense table holds ``(bin_grid + 2)**2 * 3`` counts,
+    about 24 MB at 1000).  ``cost`` is the box bound ``C`` of every dual
+    variable of every plane; it and ``tol`` must be positive and finite.
     """
 
     cost: float = 1.0
@@ -146,7 +144,6 @@ class TrainConfig:
     max_epochs: int = 50
     seed: int = 0
     bin_grid: int = 10
-    neutral_zone: float | str = "tuned"
 
     def __post_init__(self) -> None:
         # written so that nan fails too
@@ -158,11 +155,8 @@ class TrainConfig:
             raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
         if self.bin_grid < 1:
             raise ValueError(f"bin_grid must be >= 1, got {self.bin_grid}")
-        if isinstance(self.neutral_zone, str):
-            if self.neutral_zone != "tuned":
-                raise ValueError(f"neutral_zone must be a float or 'tuned', got {self.neutral_zone!r}")
-        elif self.neutral_zone < 0:
-            raise ValueError(f"neutral_zone must be non-negative, got {self.neutral_zone}")
+        if self.bin_grid > 1000:
+            raise ValueError(f"bin_grid must be <= 1000, got {self.bin_grid}")
 
 
 @dataclass(frozen=True)
@@ -187,10 +181,10 @@ class LinearModel:
 
 def _row_sums(rows: CountRows, tables: Sequence[np.ndarray]) -> np.ndarray:
     """``x . t`` for every row ``x`` of ``rows`` and every dense ``t`` of
-    ``tables``, one dot per row slice: one row per table."""
-    bounds = rows.indptr.tolist()
-    slices = [(rows.indices[a:b], rows.values[a:b]) for a, b in zip(bounds[:-1], bounds[1:])]
-    return np.array([[float(x @ t[j]) for j, x in slices] for t in tables]).reshape(len(tables), len(rows))
+    ``tables``, one row per table, each summed left to right over the
+    row's entries."""
+    row_of = rows.row_ids()
+    return np.array([np.bincount(row_of, weights=rows.values * t[rows.indices], minlength=len(rows)) for t in tables])
 
 
 def _decision_values(planes: Sequence[LinearModel], rows: CountRows) -> np.ndarray:
@@ -552,8 +546,8 @@ def train_sentiment(
     vocabulary hash recorded on the model; passing ``None`` records an
     empty hash.  ``memo``, if given, maps (negative side, positive side)
     to a plane trained on these rows, labels and config; a plane found
-    there is reused and each plane trained is added, except the tuned
-    neutral-zone plane, which is trained on a validation subset.
+    there is reused and each plane trained is added.  ``NeutralZoneSVM``
+    trains its plane on a validation subset and never uses it.
     """
     variant = Variant(variant)
     if not len(rows):
@@ -578,7 +572,7 @@ def train_sentiment(
         np.add.at(term_counts, (label_arr[rows.row_ids()] + 1, rows.indices), rows.values)
         return SentimentModel(nb=NaiveBayesTable(np.bincount(label_arr + 1, minlength=3), term_counts), **base)
 
-    if variant is Variant.NEUTRAL_ZONE and config.neutral_zone == "tuned":
+    if variant is Variant.NEUTRAL_ZONE:
         zone, plane = _tune_neutral_zone(rows, label_arr, config)
         return SentimentModel(planes={"polarity": plane}, neutral_zone=zone, **base)
 
@@ -588,8 +582,6 @@ def train_sentiment(
         if sides not in memo:
             memo[sides] = _train_plane(rows, label_arr, *sides, config)
         planes[name] = memo[sides]
-    if variant is Variant.NEUTRAL_ZONE:
-        return SentimentModel(planes=planes, neutral_zone=float(config.neutral_zone), **base)
     if variant is Variant.TWO_PLANE_BIN:
         d_a, d_b = _decision_values(list(planes.values()), rows)
         grid = config.bin_grid

@@ -348,7 +348,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
                      help="input file (agreement, ordering and compare take several)")
     sub.add_argument("--out", default="-", metavar="FILE", help="output path ('-' = stdout)")
     sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--seed", type=int, default=0)
+    sub.add_argument("--seed", type=_int_at_least(0), default=0)
 
 
 def _add_training(sub: argparse.ArgumentParser) -> None:

@@ -172,19 +172,15 @@ class PreparedCorpus:
         return PreparedCorpus(self.vocab, rows, self.labels[:n], self.min_df)
 
 
-def prepare(
-    gold: Sequence[GoldPost],
-    min_df: int = 5,
-    stemmer: Callable[[str], str] | None = None,
-) -> PreparedCorpus:
-    """Normalize every post once, build the unigram and bigram vocabulary
-    of the whole corpus at ``min_df`` and count every post against it
-    once."""
+def prepare(gold: Sequence[GoldPost], min_df: int = 5) -> PreparedCorpus:
+    """Normalize every post once, without stemming, build the unigram
+    and bigram vocabulary of the whole corpus at ``min_df`` and count
+    every post against it once."""
     docs = []
     for post in gold:
         if post.text is None:
             raise CorpusFormatError(f"post {post.post_id!r} has no text")
-        docs.append(normalize(post.text, stemmer))
+        docs.append(normalize(post.text))
     vocab = vocabulary_from_token_docs(docs, min_df=min_df)
     counts = CountRows.stack([count_vector(doc, vocab) for doc in docs])
     return PreparedCorpus(vocab, counts, np.array([int(p.label) for p in gold], dtype=np.int64), min_df)
@@ -266,7 +262,6 @@ def learning_curve(
     k: int = 10,
     measures: Sequence[Measure | str] = DEFAULT_MEASURES,
     min_df: int = 5,
-    stemmer: Callable[[str], str] | None = None,
     on_fold: Callable[[int, Vocabulary, SentimentModel], None] | None = None,
 ) -> LearningCurve:
     """Cross-validate growing time-ordered prefixes of the corpus.
@@ -280,7 +275,7 @@ def learning_curve(
     reported in ``skipped``.
     """
     posts, sizes = time_ordered_chunks(gold, step)
-    corpus = prepare(posts, min_df, stemmer)
+    corpus = prepare(posts, min_df)
     points: list[CurvePoint] = []
     skipped: list[tuple[int, str]] = []
     for size in sizes:

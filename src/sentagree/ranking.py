@@ -1,13 +1,13 @@
 """Nonparametric comparison of classifiers over multiple datasets.
 
-Implements the Friedman rank test with the chi-square approximation
-(the Iman-Davenport F refinement is available behind a flag) and the
+Implements the procedure of Demšar [3]: the Friedman rank test with
+the chi-square approximation, higher scores ranked better, and the
 Nemenyi post-hoc critical distance for all-pairs comparison at the
-0.05 and 0.10 levels.  Ranks are computed in numpy; the p-values come
-from ``scipy.special``, imported on the first call of :func:`friedman`
-so that no other command pays for scipy.
+0.05 level.  Ranks are computed in numpy; the p-value comes from
+``scipy.special``, imported on the first call of :func:`friedman` so
+that no other command pays for scipy.
 
-The embedded critical values ``q_alpha(k)`` for k = 2..10 are the
+The embedded critical values ``q_0.05(k)`` for k = 2..10 are the
 standard two-tailed Studentized-range quantiles at infinite degrees of
 freedom divided by sqrt(2), as tabulated in the classical references
 below.
@@ -17,11 +17,11 @@ References
 .. [1] M. Friedman, "The use of ranks to avoid the assumption of
        normality implicit in the analysis of variance", Journal of the
        American Statistical Association 32(200), 1937.
-.. [2] R. L. Iman and J. M. Davenport, "Approximations of the critical
-       region of the Friedman statistic", Communications in Statistics
-       A7(6), 1980.
-.. [3] P. Nemenyi, "Distribution-free multiple comparisons", PhD
+.. [2] P. Nemenyi, "Distribution-free multiple comparisons", PhD
        thesis, Princeton University, 1963.
+.. [3] J. Demšar, "Statistical comparisons of classifiers over
+       multiple data sets", Journal of Machine Learning Research 7,
+       2006.
 """
 
 from __future__ import annotations
@@ -39,11 +39,8 @@ __all__ = [
     "compare_ranks",
 ]
 
-#: q_alpha(k) for the Nemenyi test, k = 2..10, infinite df.
-_Q_TABLE: dict[float, tuple[float, ...]] = {
-    0.05: (1.960, 2.343, 2.569, 2.728, 2.850, 2.949, 3.031, 3.102, 3.164),
-    0.10: (1.645, 2.052, 2.291, 2.459, 2.589, 2.693, 2.780, 2.855, 2.920),
-}
+#: q_0.05(k) for the Nemenyi test, k = 2..10, infinite df.
+_Q_TABLE = (1.960, 2.343, 2.569, 2.728, 2.850, 2.949, 3.031, 3.102, 3.164)
 
 
 @dataclass(frozen=True)
@@ -89,21 +86,14 @@ class ScoreTable:
 
 @dataclass(frozen=True)
 class RankSummary:
-    """Result of the Friedman test.
-
-    ``statistic`` is always the chi-square-form Friedman statistic;
-    when the Iman-Davenport refinement is requested, ``f_statistic``
-    carries the derived F value and ``p_value`` comes from the F
-    distribution instead of chi-square.
-    """
+    """Result of the Friedman test: the chi-square-form statistic and
+    its chi-square p-value."""
 
     statistic: float
     p_value: float
-    method: str
     avg_ranks: np.ndarray
     classifier_names: tuple[str, ...]
     n_datasets: int
-    f_statistic: float | None = None
 
     @property
     def k(self) -> int:
@@ -126,85 +116,41 @@ def _average_ranks(values: np.ndarray) -> np.ndarray:
     return ranks
 
 
-def friedman(
-    table: ScoreTable,
-    higher_is_better: bool = True,
-    iman_davenport: bool = False,
-) -> RankSummary:
-    """Friedman rank test over a complete score table.
+def friedman(table: ScoreTable) -> RankSummary:
+    """Friedman rank test over a complete ``(N, k)`` score table.
 
-    Parameters
-    ----------
-    table:
-        Complete ``(N, k)`` score table.
-    higher_is_better:
-        Rank 1 goes to the highest score per row when true (the
-        default), to the lowest otherwise.  Ties share average ranks.
-    iman_davenport:
-        Use the less conservative F-distribution refinement
-        ``F = (N - 1) * chi2 / (N * (k - 1) - chi2)`` with
-        ``(k - 1, (k - 1) * (N - 1))`` degrees of freedom for the
-        p-value; with ``N < 2`` there are no denominator degrees of
-        freedom, and ``ValueError`` is raised.
-
-    Returns
-    -------
-    RankSummary
-        Statistic, p-value, and average rank per classifier.  Identical
-        scores in every row give statistic 0 (no evidence of any
-        difference).
+    Rank 1 goes to the highest score of each row, and ties share
+    average ranks.  The p-value is the chi-square tail at ``k - 1``
+    degrees of freedom.  Identical scores in every row give statistic 0
+    (no evidence of any difference).
     """
-    from scipy.special import chdtrc, fdtrc
+    from scipy.special import chdtrc
 
     n, k = table.scores.shape
-    if iman_davenport and n < 2:
-        raise ValueError(f"the Iman-Davenport F form needs at least 2 datasets, got {n}")
-    oriented = -table.scores if higher_is_better else table.scores
-    avg_ranks = _average_ranks(oriented).mean(axis=0)
+    avg_ranks = _average_ranks(-table.scores).mean(axis=0)
     statistic = 12.0 * n / (k * (k + 1)) * (float((avg_ranks**2).sum()) - k * (k + 1) ** 2 / 4.0)
     statistic = max(statistic, 0.0)
-    if iman_davenport:
-        denominator = n * (k - 1) - statistic
-        if denominator <= 0.0:
-            f_stat = float("inf")
-            p_value = 0.0
-        else:
-            f_stat = (n - 1) * statistic / denominator
-            p_value = float(fdtrc(k - 1, (k - 1) * (n - 1), f_stat))
-        return RankSummary(
-            statistic=statistic,
-            p_value=p_value,
-            method="iman_davenport",
-            avg_ranks=avg_ranks,
-            classifier_names=table.classifier_names,
-            n_datasets=n,
-            f_statistic=f_stat,
-        )
     return RankSummary(
         statistic=statistic,
         p_value=float(chdtrc(k - 1, statistic)),
-        method="chi2",
         avg_ranks=avg_ranks,
         classifier_names=table.classifier_names,
         n_datasets=n,
     )
 
 
-def nemenyi_cd(k: int, n_datasets: int, level: float = 0.05) -> float:
-    """Nemenyi critical distance ``q_alpha(k) * sqrt(k * (k+1) / (6 * N))``.
+def nemenyi_cd(k: int, n_datasets: int) -> float:
+    """Nemenyi critical distance ``q_0.05(k) * sqrt(k * (k+1) / (6 * N))``.
 
-    Two classifiers differ significantly when their average ranks
-    differ by at least this much.  Supported: ``2 <= k <= 10`` and
-    levels 0.05 / 0.10 (the embedded table); ``n_datasets >= 2``.
+    Two classifiers differ significantly at the 0.05 level when their
+    average ranks differ by at least this much.  Supported:
+    ``2 <= k <= 10`` (the embedded table) and ``n_datasets >= 2``.
     """
-    if level not in _Q_TABLE:
-        raise ValueError(f"unsupported level {level}; embedded table has 0.05 and 0.10")
     if not 2 <= k <= 10:
         raise ValueError(f"k must be between 2 and 10, got {k}")
     if n_datasets < 2:
         raise ValueError(f"need at least 2 datasets, got {n_datasets}")
-    q = _Q_TABLE[level][k - 2]
-    return q * float(np.sqrt(k * (k + 1) / (6.0 * n_datasets)))
+    return _Q_TABLE[k - 2] * float(np.sqrt(k * (k + 1) / (6.0 * n_datasets)))
 
 
 @dataclass(frozen=True)
@@ -215,24 +161,25 @@ class RankReport:
     least the critical distance (boundary inclusive); the relation is
     symmetric and irreflexive.  ``groups`` are the maximal rank-ordered
     runs of classifiers whose rank span stays below the CD (the bars of
-    a critical-difference diagram).
+    a critical-difference diagram).  :meth:`to_dict` also names the
+    test's method, F statistic and level, which are fixed: chi-square,
+    none and 0.05.
     """
 
     summary: RankSummary
     cd: float
-    level: float
     significant: np.ndarray
     groups: tuple[tuple[str, ...], ...]
 
     def to_dict(self) -> dict:
         order = np.argsort(self.summary.avg_ranks, kind="stable")
         return {
-            "method": self.summary.method,
+            "method": "chi2",
             "statistic": self.summary.statistic,
-            "f_statistic": self.summary.f_statistic,
+            "f_statistic": None,
             "p_value": self.summary.p_value,
             "n_datasets": self.summary.n_datasets,
-            "level": self.level,
+            "level": 0.05,
             "cd": self.cd,
             "ranks": {
                 self.summary.classifier_names[j]: float(self.summary.avg_ranks[j])
@@ -248,9 +195,9 @@ class RankReport:
         }
 
 
-def compare_ranks(summary: RankSummary, level: float = 0.05) -> RankReport:
-    """All-pairs Nemenyi comparison at the given level."""
-    cd = nemenyi_cd(summary.k, summary.n_datasets, level)
+def compare_ranks(summary: RankSummary) -> RankReport:
+    """All-pairs Nemenyi comparison at the 0.05 level."""
+    cd = nemenyi_cd(summary.k, summary.n_datasets)
     diffs = np.abs(summary.avg_ranks[:, None] - summary.avg_ranks[None, :])
     significant = diffs >= cd
     np.fill_diagonal(significant, False)
@@ -269,6 +216,4 @@ def compare_ranks(summary: RankSummary, level: float = 0.05) -> RankReport:
         if not any((s2 <= s and e <= e2) and (s2, e2) != (s, e) for s2, e2 in intervals)
     ]
     groups = tuple(tuple(names[s : e + 1]) for s, e in dict.fromkeys(maximal))
-    return RankReport(
-        summary=summary, cd=cd, level=level, significant=significant, groups=groups
-    )
+    return RankReport(summary=summary, cd=cd, significant=significant, groups=groups)

@@ -90,8 +90,8 @@ ALL_MEASURES = {
 
 
 
-def bootstrap_reference(pairs, measure, n_samples=1000, level=0.95, seed=0, retry_cap=100):
-    """Percentile bootstrap of one measure, one resample at a time.
+def bootstrap_reference(pairs, measure, n_samples=1000, seed=0, retry_cap=100):
+    """Percentile bootstrap 95% interval of one measure, one resample at a time.
 
     Each resample index opens its own substream ``default_rng((seed,
     index))`` and draws up to ``retry_cap + 1`` attempts from it; every
@@ -124,13 +124,12 @@ def bootstrap_reference(pairs, measure, n_samples=1000, level=0.95, seed=0, retr
             undefined += 1
     if not values:
         raise UndefinedMeasureError("every resample undefined")
-    tail = (1.0 - level) / 2.0
+    tail = (1.0 - 0.95) / 2.0
     low, high = np.quantile(values, [tail, 1.0 - tail])
     return ConfidenceInterval(
         point=point,
         low=min(float(low), point),
         high=max(float(high), point),
-        level=level,
         samples=n_samples,
         undefined_resamples=undefined,
     )
@@ -214,12 +213,21 @@ def _majority(counts):
     return None if counts.sum() == 0 else int(np.argmax(counts)) - 1
 
 
+def row_dot(x, dense):
+    """``x . dense`` for a one-row ``x``, summed left to right over its
+    stored entries."""
+    total = 0.0
+    for j, v in zip(x.indices.tolist(), x.values.tolist()):
+        total += v * float(dense[j])
+    return total
+
+
 def predict_row(model, x):
     """Label code and confidence (or None) of one row, with every
     variant's rule written out as scalar branches."""
     def d(name):
         plane = model.planes[name]
-        return float(x.values @ plane.weights[x.indices]) + plane.bias
+        return row_dot(x, plane.weights) + plane.bias
 
     variant = model.variant.value
     if variant == "NaiveBayes":
@@ -227,8 +235,7 @@ def predict_row(model, x):
         log_post = np.log(nb.doc_counts / nb.doc_counts.sum())
         totals = nb.term_counts.sum(axis=1)
         for c in range(3):
-            theta = (nb.term_counts[c, x.indices] + 1.0) / (totals[c] + model.dim)
-            log_post[c] += float(x.values @ np.log(theta))
+            log_post[c] += row_dot(x, np.log((nb.term_counts[c] + 1.0) / (totals[c] + model.dim)))
         log_post -= log_post.max()
         probs = np.exp(log_post)
         probs = probs / probs.sum()

@@ -40,7 +40,7 @@ def random_pair_set(rng, size):
 
 def test_criterion_01_critical_distance() -> None:
     start = time.perf_counter()
-    cd = nemenyi_cd(6, 13, level=0.05)
+    cd = nemenyi_cd(6, 13)
     elapsed = time.perf_counter() - start
     assert abs(cd - 2.09) <= 0.01
     assert elapsed < 1.0

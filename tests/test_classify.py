@@ -23,6 +23,7 @@ from sentagree.classify import (
     save_model,
     train_binary,
     train_sentiment,
+    _decision_values,
 )
 from sentagree.corpus import SentimentLabel
 from sentagree.errors import EvaluationError, ModelFormatError, SentagreeError
@@ -161,7 +162,7 @@ def test_plane_stopped_at_max_epochs_is_logged(caplog) -> None:
     vectors, y = separable_line()
     vectors, y = vectors + [vec([0.5], 1)], y + [0]  # a neutral example the polarity plane leaves out
     with caplog.at_level(logging.DEBUG, logger="sentagree.classify"):
-        model = train_sentiment(stack(vectors), y, Variant.NEUTRAL_ZONE, TrainConfig(max_epochs=1, neutral_zone=0.1))
+        model = train_sentiment(stack(vectors), y, Variant.NEUTRAL_ZONE, TrainConfig(max_epochs=1))
     assert model.planes["polarity"].converged is False
     records = [r for r in caplog.records if r.name == "sentagree.classify" and r.levelno == logging.DEBUG]
     assert len(records) == 1
@@ -169,7 +170,7 @@ def test_plane_stopped_at_max_epochs_is_logged(caplog) -> None:
     assert "max_epochs=1" in records[0].getMessage()
     caplog.clear()
     with caplog.at_level(logging.DEBUG, logger="sentagree.classify"):
-        model = train_sentiment(stack(vectors), y, Variant.NEUTRAL_ZONE, dataclasses.replace(TIGHT, neutral_zone=0.1))
+        model = train_sentiment(stack(vectors), y, Variant.NEUTRAL_ZONE, TIGHT)
     assert model.planes["polarity"].converged is True
     assert not [r for r in caplog.records if r.name == "sentagree.classify"]
 
@@ -222,10 +223,8 @@ def test_train_config_validation() -> None:
         TrainConfig(max_epochs=0)
     with pytest.raises(ValueError, match="bin_grid"):
         TrainConfig(bin_grid=0)
-    with pytest.raises(ValueError, match="neutral_zone"):
-        TrainConfig(neutral_zone=-0.5)
-    with pytest.raises(ValueError, match="neutral_zone"):
-        TrainConfig(neutral_zone="auto")
+    with pytest.raises(ValueError, match="bin_grid must be <= 1000, got 1001"):
+        TrainConfig(bin_grid=1001)
 
 
 # --- variant training --------------------------------------------------------
@@ -258,14 +257,6 @@ def test_neutral_zone_handles_ordinal_geometry() -> None:
     model = train_sentiment(stack(vectors), labels, Variant.NEUTRAL_ZONE)
     assert model.neutral_zone is not None and model.neutral_zone >= 0.0
     assert predict_batch(model, stack(vectors)).tolist() == labels
-
-
-def test_fixed_neutral_zone_is_used_verbatim() -> None:
-    vectors, labels = toy_corpus(dup=5)
-    config = TrainConfig(neutral_zone=0.25)
-    model = train_sentiment(stack(vectors), labels, Variant.NEUTRAL_ZONE, config)
-    assert model.neutral_zone == 0.25
-    assert set(model.planes) == {"polarity"}
 
 
 def test_train_sentiment_validation() -> None:
@@ -504,6 +495,20 @@ def test_predict_batch_of_no_rows() -> None:
     for variant in Variant:
         codes = predict_batch(train_sentiment(stack(vectors), labels, variant), stack(vectors).select([]))
         assert codes.dtype == np.int64 and codes.shape == (0,)
+
+
+def test_decision_values_are_left_to_right_sums_bit_for_bit() -> None:
+    # a BLAS dot sums in a CPU-dependent order; each row must sum in its stored order
+    rng = np.random.default_rng(41)
+    dim = 500
+    weights = rng.normal(size=dim) * 10.0 ** rng.integers(-4, 5, size=dim)
+    plane = LinearModel(weights=weights, bias=float(rng.normal()))
+    rows = []
+    for size in rng.integers(3, 129, size=200).tolist():
+        idx = np.sort(rng.choice(dim, size=size, replace=False))
+        rows.append(CountRows([0, size], idx, rng.normal(size=size) * 10.0 ** rng.integers(-2, 3, size=size), dim))
+    expected = [oracles.row_dot(row, weights) + plane.bias for row in rows]
+    assert _decision_values([plane], stack(rows))[0].tolist() == expected
 
 
 def test_predict_checks_dimension() -> None:

@@ -449,16 +449,36 @@ def test_short_gold_row_is_one_corpus_error(tmp_path, capsys):
     ("flag", "message"),
     [
         (["--bins", "0"], "--bins must be >= 1, got 0"),
+        (["--bins", "1001"], "--bins must be <= 1000, got 1001"),
         (["--cost", "0"], "--cost must be positive and finite, got 0.0"),
         (["--cost", "nan"], "--cost must be positive and finite, got nan"),
         (["--cost", "inf"], "--cost must be positive and finite, got inf"),
     ],
-    ids=["bins-0", "cost-0", "cost-nan", "cost-inf"],
+    ids=["bins-0", "bins-1001", "cost-0", "cost-nan", "cost-inf"],
 )
 def test_bad_training_flags_are_one_usage_error(flag, message, gold_csv, capsys):
     code, out, err = run(["crossval", "--input", str(gold_csv), *flag], capsys)
     assert (code, out) == (1, "")
     assert err == f"error: usage: {message}\n"
+
+
+def test_train_with_bins_above_1000_is_one_usage_error(gold_csv, tmp_path, capsys):
+    # the dense bin table of a grid g holds (g + 2)**2 * 3 counts
+    argv = ["train", "--input", str(gold_csv), "--variant", "TwoPlaneSVMbin", "--bins", "1001",
+            "--out", str(tmp_path / "model.txt")]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: usage: --bins must be <= 1000, got 1001\n"
+    assert not (tmp_path / "model.txt").exists()
+
+
+@pytest.mark.parametrize("command", ["agreement", "ordering", "merge", "train", "crossval", "curve", "compare"])
+def test_negative_seed_is_one_usage_error(command, gold_csv, tmp_path, capsys):
+    argv = [command, "--input", str(gold_csv), "--seed", "-1", "--out", str(tmp_path / "out")]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == "error: usage: argument --seed: must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
 
 
 def test_tsv_quote_fault_names_the_tab_delimiter(tmp_path, capsys):

@@ -17,7 +17,7 @@ import sentagree.cli
 after_import = sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy."))
 from sentagree import ranking
 table = ranking.ScoreTable([[0.9, 0.5, 0.5], [0.7, 0.8, 0.1]], ("d1", "d2"), ("a", "b", "c"))
-summary = ranking.friedman(table, iman_davenport=True)
+summary = ranking.friedman(table)
 print(json.dumps({"after_import": after_import, "stats_loaded": "scipy.stats" in sys.modules,
                   "p_value": summary.p_value}))
 """

@@ -32,7 +32,6 @@ def make_summary(avg_ranks, n_datasets) -> RankSummary:
     return RankSummary(
         statistic=0.0,
         p_value=1.0,
-        method="chi2",
         avg_ranks=ranks,
         classifier_names=tuple(f"clf{j}" for j in range(ranks.size)),
         n_datasets=n_datasets,
@@ -78,8 +77,7 @@ def test_friedman_matches_scipy_on_tie_free_tables() -> None:
         assert summary.p_value == pytest.approx(reference.pvalue, abs=1e-12)
 
 
-@pytest.mark.parametrize("higher_is_better", [True, False], ids=["higher", "lower"])
-def test_friedman_matches_scipy_exactly_on_tied_tables(higher_is_better) -> None:
+def test_friedman_matches_scipy_exactly_on_tied_tables() -> None:
     rng = np.random.default_rng(23)
     for trial in range(60):
         n = int(rng.integers(1, 20))
@@ -91,23 +89,12 @@ def test_friedman_matches_scipy_exactly_on_tied_tables(higher_is_better) -> None
         if trial % 10 == 0:
             scores[:] = 0.5  # every row all-equal: statistic 0
         table = make_table(scores)
-        oriented = -scores if higher_is_better else scores
-        expected_ranks = sps.rankdata(oriented, axis=1).mean(axis=0)
-        plain = friedman(table, higher_is_better=higher_is_better)
+        expected_ranks = sps.rankdata(-scores, axis=1).mean(axis=0)
+        plain = friedman(table)
         assert np.array_equal(plain.avg_ranks, expected_ranks)
         assert plain.p_value == float(sps.chi2.sf(plain.statistic, k - 1))
         if trial % 10 == 0:
             assert plain.statistic == 0.0
-        if n == 1:
-            # one row leaves the F form no denominator degrees of freedom
-            with pytest.raises(ValueError, match="at least 2 datasets, got 1"):
-                friedman(table, higher_is_better=higher_is_better, iman_davenport=True)
-            continue
-        refined = friedman(table, higher_is_better=higher_is_better, iman_davenport=True)
-        assert np.array_equal(refined.avg_ranks, expected_ranks)
-        if refined.f_statistic != float("inf"):
-            expected_p = float(sps.f.sf(refined.f_statistic, k - 1, (k - 1) * (n - 1)))
-            assert refined.p_value == expected_p
 
 
 def test_friedman_rank_one_is_best_and_ties_average() -> None:
@@ -118,44 +105,9 @@ def test_friedman_rank_one_is_best_and_ties_average() -> None:
     assert total == pytest.approx(3 * 4 / 2)  # complete rows always sum to k(k+1)/2
 
 
-def test_friedman_orientation_flag() -> None:
-    scores = [[0.1, 0.9], [0.2, 0.8], [0.3, 0.7]]
-    best_high = friedman(make_table(scores), higher_is_better=True)
-    best_low = friedman(make_table(scores), higher_is_better=False)
-    assert best_high.avg_ranks.tolist() == [2.0, 1.0]
-    assert best_low.avg_ranks.tolist() == [1.0, 2.0]
-    assert best_high.statistic == best_low.statistic
-
-
-def test_iman_davenport_refinement() -> None:
-    rng = np.random.default_rng(15)
-    scores = rng.random((12, 5))
-    plain = friedman(make_table(scores))
-    refined = friedman(make_table(scores), iman_davenport=True)
-    assert refined.method == "iman_davenport"
-    assert refined.statistic == plain.statistic  # chi-square form is kept
-    n, k = 12, 5
-    expected_f = (n - 1) * plain.statistic / (n * (k - 1) - plain.statistic)
-    assert refined.f_statistic == pytest.approx(expected_f, abs=1e-12)
-    expected_p = float(sps.f.sf(expected_f, k - 1, (k - 1) * (n - 1)))
-    assert refined.p_value == pytest.approx(expected_p, abs=1e-15)
-
-
-def test_iman_davenport_saturated_statistic() -> None:
-    # perfectly consistent rankings drive the denominator to zero
-    n = 10
-    table = make_table(np.column_stack([np.full(n, 2.0), np.full(n, 1.0)]))
-    summary = friedman(table, iman_davenport=True)
-    assert summary.f_statistic == float("inf")
-    assert summary.p_value == 0.0
-
-
 @pytest.mark.parametrize("row", [[0.9, 0.5, 0.1], [0.9, 0.5, 0.5]], ids=["tie-free", "tied"])
-def test_iman_davenport_needs_two_datasets(row) -> None:
-    table = make_table([row])
-    with pytest.raises(ValueError, match="needs at least 2 datasets, got 1"):
-        friedman(table, iman_davenport=True)
-    plain = friedman(table)
+def test_friedman_on_one_dataset(row) -> None:
+    plain = friedman(make_table([row]))
     assert plain.p_value == float(sps.chi2.sf(plain.statistic, 2))
 
 
@@ -163,12 +115,9 @@ def test_nemenyi_cd_values() -> None:
     assert nemenyi_cd(6, 13) == pytest.approx(2.091328249260227, abs=1e-12)
     assert abs(nemenyi_cd(6, 13) - 2.09) <= 0.01
     assert nemenyi_cd(3, 10) == pytest.approx(1.0478214542564015, abs=1e-12)
-    assert nemenyi_cd(2, 4, level=0.10) == pytest.approx(0.8225, abs=1e-15)
 
 
 def test_nemenyi_cd_validation() -> None:
-    with pytest.raises(ValueError, match="level"):
-        nemenyi_cd(6, 13, level=0.01)
     with pytest.raises(ValueError, match="k must be"):
         nemenyi_cd(1, 13)
     with pytest.raises(ValueError, match="k must be"):
@@ -216,6 +165,8 @@ def test_report_to_dict_is_json_ready() -> None:
     payload = report.to_dict()
     encoded = json.loads(json.dumps(payload))
     assert encoded["method"] == "chi2"
+    assert encoded["f_statistic"] is None
+    assert encoded["level"] == 0.05
     assert encoded["n_datasets"] == 13
     assert len(encoded["ranks"]) == 6
     ranks = list(encoded["ranks"].values())
