@@ -375,6 +375,8 @@ def bootstrap_ci(
         raise ValueError(f"n_samples must be positive, got {n_samples}")
     if retry_cap < 0:
         raise ValueError(f"retry_cap must not be negative, got {retry_cap}")
+    if not isinstance(seed, (int, np.integer)) or seed < 0:
+        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
     measure = Measure(measure)
     cells = pair_cells(pairs)
     n = cells.shape[0]

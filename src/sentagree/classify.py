@@ -137,6 +137,7 @@ class TrainConfig:
     1 to 1000 (its dense table holds ``(bin_grid + 2)**2 * 3`` counts,
     about 24 MB at 1000).  ``cost`` is the box bound ``C`` of every dual
     variable of every plane; it and ``tol`` must be positive and finite.
+    ``seed`` must be a non-negative integer.
     """
 
     cost: float = 1.0
@@ -157,6 +158,8 @@ class TrainConfig:
             raise ValueError(f"bin_grid must be >= 1, got {self.bin_grid}")
         if self.bin_grid > 1000:
             raise ValueError(f"bin_grid must be <= 1000, got {self.bin_grid}")
+        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
+            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)

@@ -167,8 +167,11 @@ class PreparedCorpus:
     def head(self, n: int) -> PreparedCorpus:
         """The first ``n`` posts, keeping this corpus's vocabulary; their
         counts and labels are views of this corpus's arrays, not copies."""
+        if not 0 <= n <= len(self.labels):
+            raise ValueError(f"prefix size must be in [0, {len(self.labels)}], got {n}")
         counts, end = self.counts, int(self.counts.indptr[n])
-        rows = CountRows(counts.indptr[: n + 1], counts.indices[:end], counts.values[:end], counts.dim)
+        # the first rows of checked counts are valid rows
+        rows = CountRows._trusted(counts.indptr[: n + 1], counts.indices[:end], counts.values[:end], counts.dim)
         return PreparedCorpus(self.vocab, rows, self.labels[:n], self.min_df)
 
 

@@ -33,6 +33,11 @@ the two sides negates every weight.
 
 Counts live in one row type, :class:`CountRows` (CSR): :func:`count_vector`
 returns one row, ``stack`` joins rows and ``select`` slices rows and columns.
+Arrays given to the public constructor are checked there.  Rows the package
+derives itself -- a :func:`count_vector` row, a ``select`` result, a prefix
+of prepared counts -- hold the invariants by construction and skip the
+check; ``stack`` joins its parts through the public constructor, so a
+corpus counted row by row is checked once, as one block.
 """
 
 from __future__ import annotations
@@ -185,10 +190,13 @@ class CountRows:
     """Sparse rows in compressed-row (CSR) layout: row ``r`` holds the
     pairs ``indices[k], values[k]`` for ``k`` in ``indptr[r]:indptr[r + 1]``.
 
-    Invariants, checked once at construction: ``indptr`` starts at 0,
-    never decreases and ends at the number of stored entries; within a
-    row the indices are strictly increasing in ``[0, dim)``; values are
-    finite and nowhere zero.
+    Invariants: ``indptr`` starts at 0, never decreases and ends at the
+    number of stored entries; within a row the indices are strictly
+    increasing in ``[0, dim)``; values are finite and nowhere zero.  The
+    public constructor checks them on the arrays it is given.  Rows
+    derived from checked rows or counted by :func:`count_vector` are
+    built by ``_trusted``, which skips the check; ``stack`` checks the
+    joined block.
     """
 
     indptr: np.ndarray
@@ -217,6 +225,15 @@ class CountRows:
         object.__setattr__(self, "indices", indices)
         object.__setattr__(self, "values", values)
 
+    @classmethod
+    def _trusted(cls, indptr: np.ndarray, indices: np.ndarray, values: np.ndarray, dim: int) -> CountRows:
+        """Rows from arrays that already hold the invariants and have their
+        final dtypes (``intp``, ``intp``, ``float64``), without the check."""
+        rows = object.__new__(cls)
+        for name, value in (("indptr", indptr), ("indices", indices), ("values", values), ("dim", dim)):
+            object.__setattr__(rows, name, value)
+        return rows
+
     def __len__(self) -> int:
         return int(self.indptr.size - 1)
 
@@ -236,11 +253,12 @@ class CountRows:
         lengths = np.concatenate([part.indptr[1:] - part.indptr[:-1] for part in parts])
         indices = np.concatenate([part.indices for part in parts])
         values = np.concatenate([part.values for part in parts])
-        return cls(np.concatenate([[0], np.cumsum(lengths)]), indices, values, parts[0].dim)
+        return cls(np.concatenate(([0], np.cumsum(lengths)), dtype=np.intp), indices, values, parts[0].dim)
 
     def select(self, rows: Sequence[int], keep: np.ndarray | None = None) -> CountRows:
-        """The given rows, in the given order; with ``keep``, an increasing
-        array of columns, only those columns, renumbered ``0..len(keep)-1``."""
+        """The given rows, in the given order; with ``keep``, a strictly
+        increasing array of columns, only those columns, renumbered
+        ``0..len(keep)-1``."""
         rows = np.asarray(rows, dtype=np.intp)
         lengths = np.diff(self.indptr)[rows]
         # entry positions: each row's run of the stored arrays, one after another
@@ -248,12 +266,16 @@ class CountRows:
         taken = np.repeat(shift, lengths) + np.arange(lengths.sum())
         indices, values, dim = self.indices[taken], self.values[taken], self.dim
         if keep is not None:
+            keep = np.asarray(keep, dtype=np.intp)
+            inside = keep.ndim == 1 and (keep.size == 0 or 0 <= keep[0] and keep[-1] < self.dim)
+            if not inside or (keep[1:] <= keep[:-1]).any():
+                raise ValueError(f"keep must be strictly increasing columns in [0, {self.dim})")
             column = np.full(self.dim, -1, dtype=np.intp)
             column[keep] = np.arange(len(keep))
             kept = column[indices] >= 0
             lengths = np.bincount(np.repeat(np.arange(rows.size), lengths)[kept], minlength=rows.size)
             indices, values, dim = column[indices[kept]], values[kept], len(keep)
-        return CountRows(np.concatenate([[0], np.cumsum(lengths)]), indices, values, dim)
+        return CountRows._trusted(np.concatenate(([0], np.cumsum(lengths)), dtype=np.intp), indices, values, dim)
 
 
 @dataclass(frozen=True)
@@ -302,7 +324,8 @@ def expand_terms(tokens: Sequence[str], ngrams: tuple[int, ...] = (1, 2)) -> lis
         if n == 1:
             terms.extend(tokens)
         else:
-            terms.extend(" ".join(tokens[i : i + n]) for i in range(len(tokens) - n + 1))
+            # unpack a list: unpacking a generator here left about 100 KB of spare tuples in CPython's free list
+            terms.extend(map(" ".join, zip(*[tokens[i:] for i in range(n)])))
     return terms
 
 
@@ -335,9 +358,16 @@ def vocabulary_from_token_docs(
 
 def count_vector(tokens: Sequence[str], vocab: Vocabulary) -> CountRows:
     """Raw term counts of one normalized document, as one row."""
-    found = map(vocab.index.get, expand_terms(tokens, vocab.ngrams))
-    counts = sorted(Counter(i for i in found if i is not None).items())
-    return CountRows([0, len(counts)], [i for i, _ in counts], [c for _, c in counts], vocab.dim)
+    counts = Counter(map(vocab.index.get, expand_terms(tokens, vocab.ngrams)))
+    counts.pop(None, None)  # terms outside the vocabulary
+    # distinct vocabulary indices in [0, dim), sorted, each with a positive count: a valid row
+    found = sorted(counts)
+    return CountRows._trusted(
+        np.array((0, len(found)), dtype=np.intp),
+        np.array(found, dtype=np.intp),
+        np.array([counts[i] for i in found], dtype=np.float64),
+        vocab.dim,
+    )
 
 
 def class_sides(rows: CountRows, positive: Sequence[bool]) -> ClassSides:

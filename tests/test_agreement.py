@@ -177,6 +177,13 @@ def test_bootstrap_rejects_a_negative_retry_cap() -> None:
         bootstrap_ci(FIXTURE_PAIRS, Measure.ACCURACY, retry_cap=-1)
 
 
+def test_bootstrap_rejects_a_bad_seed_before_drawing(monkeypatch) -> None:
+    monkeypatch.setattr(agreement, "_first_draws", None)  # a draw would raise TypeError
+    for bad in (-1, 0.5):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            bootstrap_ci(FIXTURE_PAIRS[:3], "accuracy", n_samples=10, seed=bad)
+
+
 def skewed_pair_sets(count: int, seed: int) -> list[list[tuple[int, int]]]:
     """Small pair sets whose lopsided label mix leaves some resamples
     with one label or without a polar class."""

@@ -225,6 +225,10 @@ def test_train_config_validation() -> None:
         TrainConfig(bin_grid=0)
     with pytest.raises(ValueError, match="bin_grid must be <= 1000, got 1001"):
         TrainConfig(bin_grid=1001)
+    for bad in (-1, 1.5, "0", None):
+        with pytest.raises(ValueError, match="seed must be a non-negative integer"):
+            TrainConfig(seed=bad)
+    assert TrainConfig(seed=np.int64(3)).seed == 3
 
 
 # --- variant training --------------------------------------------------------

@@ -219,6 +219,10 @@ def test_prefix_of_a_prepared_corpus_is_a_view() -> None:
     expected = prepared.counts.select(np.arange(7))
     assert np.array_equal(head.counts.indices, expected.indices)
     assert np.array_equal(head.counts.values, expected.values)
+    assert len(prepared.head(0).counts) == 0 and len(prepared.head(30).counts) == 30
+    for n in (-1, 31):
+        with pytest.raises(ValueError, match="prefix size"):
+            prepared.head(n)
 
 
 def test_variants_on_one_prepared_corpus_train_each_distinct_plane_once(monkeypatch) -> None:
@@ -322,6 +326,18 @@ def test_cross_validate_accepts_string_arguments() -> None:
     assert set(result.summaries) == {Measure.ACCURACY}
     with pytest.raises(ValueError):
         cross_validate(prepare(gold), "Perceptron", k=3)
+
+
+def test_prepare_checks_the_counts_once_per_corpus(monkeypatch) -> None:
+    """One check of the stacked block, none per post; folds and prefixes
+    slice checked rows without checking them again."""
+    checked = []
+    monkeypatch.setattr(CountRows, "__post_init__", _spy(CountRows.__post_init__, checked, 0))
+    prepared = prepare(separable_corpus(300, seed=3), min_df=2)
+    assert checked == [prepared.counts]
+    cross_validate(prepared.head(150), Variant.NAIVE_BAYES, k=3)
+    cross_validate(prepared, Variant.NAIVE_BAYES, k=10)
+    assert len(checked) == 1
 
 
 # --- learning curve ----------------------------------------------------------

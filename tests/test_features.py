@@ -28,6 +28,7 @@ from sentagree.features import (
     vocabulary_from_token_docs,
     vocabulary_hash,
 )
+from sentagree.evaluation import PreparedCorpus
 
 import oracles
 from conftest import mutated_lines
@@ -143,13 +144,21 @@ def test_english_suffix_stem(token: str, stem: str) -> None:
     assert english_suffix_stem(token) == stem
 
 
-def test_expand_terms() -> None:
+@settings(max_examples=200, deadline=None)
+@given(
+    drawn=st.lists(st.text(min_size=1, max_size=3), max_size=6),
+    ngrams=st.sampled_from([(1,), (1, 2), (1, 2, 3)]),
+)
+def test_expand_terms(drawn, ngrams) -> None:
     tokens = ["a", "b", "c"]
     assert expand_terms(tokens, (1,)) == ["a", "b", "c"]
     assert expand_terms(tokens, (2,)) == ["a b", "b c"]
     assert expand_terms(tokens, (1, 2)) == ["a", "b", "c", "a b", "b c"]
     assert expand_terms(["solo"], (2,)) == []
     assert expand_terms([], (1, 2)) == []
+    # the slice formula, one n after another
+    slices = [" ".join(drawn[i : i + n]) for n in ngrams for i in range(len(drawn) - n + 1)]
+    assert expand_terms(drawn, ngrams) == slices
 
 
 def test_vocabulary_sorted_and_deterministic() -> None:
@@ -219,6 +228,53 @@ def one_row(indices, values, dim=3) -> CountRows:
     return CountRows([0, len(indices)], indices, values, dim)
 
 
+def assert_passes_the_public_check(rows: CountRows) -> None:
+    """``rows``, fed back to the public constructor, is accepted with
+    identical arrays of the dtypes the constructor makes."""
+    again = CountRows(rows.indptr, rows.indices, rows.values, rows.dim)
+    for name, dtype in (("indptr", np.intp), ("indices", np.intp), ("values", np.float64)):
+        got, checked = getattr(rows, name), getattr(again, name)
+        assert got.dtype == checked.dtype == dtype, name
+        assert np.array_equal(got, checked), name
+    assert again.dim == rows.dim
+
+
+_LETTERS = "abcde"
+_TERMS = list(_LETTERS) + [f"{x} {y}" for x in _LETTERS for y in _LETTERS] + ["a b c", "c a e"]
+
+
+@settings(max_examples=200, deadline=None)
+@given(data=st.data())
+def test_rows_the_package_derives_pass_the_public_check(data) -> None:
+    ngrams = data.draw(st.sampled_from([(1,), (1, 2), (1, 2, 3)]))
+    terms = sorted(data.draw(st.sets(st.sampled_from(_TERMS), max_size=20)))
+    vocab = Vocabulary(tuple(terms), np.ones(len(terms), dtype=np.int64), 1, 1, ngrams)
+    docs = data.draw(st.lists(st.lists(st.sampled_from(_LETTERS + "xy"), max_size=8), min_size=1, max_size=10))
+    rows = [count_vector(doc, vocab) for doc in docs]
+    for doc, row in zip(docs, rows):
+        assert_passes_the_public_check(row)
+        counted = dict(zip((terms[i] for i in row.indices.tolist()), row.values.tolist()))
+        assert counted == Counter(term for term in expand_terms(doc, ngrams) if term in vocab.index)
+    stacked = CountRows.stack(rows)
+    picked = data.draw(st.lists(st.integers(0, len(docs) - 1), max_size=12))
+    keep = np.array(sorted(data.draw(st.sets(st.integers(0, vocab.dim - 1)))) if vocab.dim else [], dtype=np.intp)
+    assert_passes_the_public_check(stacked.select(picked))
+    assert_passes_the_public_check(stacked.select(picked, keep))
+    corpus = PreparedCorpus(vocab, stacked, np.zeros(len(docs), dtype=np.int64), 1)
+    assert_passes_the_public_check(corpus.head(data.draw(st.integers(0, len(docs)))).counts)
+
+
+@pytest.mark.parametrize(
+    ("indices", "values", "match"),
+    [([2, 0], [1.0, 1.0], "increasing"), ([0, 3], [1.0, 1.0], "out of range"), ([0, 1], [1.0, 0.0], "non-zero")],
+    ids=["unsorted", "past-dim", "zero-value"],
+)
+def test_stack_checks_parts_built_without_the_check(indices, values, match) -> None:
+    bad = CountRows._trusted(np.array([0, 2], dtype=np.intp), np.array(indices, dtype=np.intp), np.array(values), 3)
+    with pytest.raises(ValueError, match=match):
+        CountRows.stack([one_row([0, 1], [1.0, 2.0]), bad])
+
+
 def test_count_rows_validation() -> None:
     with pytest.raises(ValueError, match="increasing"):
         one_row(np.array([1, 0]), np.array([1.0, 1.0]))
@@ -275,6 +331,9 @@ def test_count_rows_stack_and_select() -> None:
     assert narrowed.values.tolist() == [2.0, 3.0, 2.0]
     assert narrowed.dim == 2
     assert len(rows.select([])) == 0
+    for keep in ([2, 1], [1, 1], [-1, 0], [0, 3], [[0, 1]]):
+        with pytest.raises(ValueError, match="keep must be strictly increasing"):
+            rows.select([0, 2], keep=np.array(keep))
     with pytest.raises(ValueError, match="dimension"):
         CountRows.stack([a, one_row([0], [1.0], dim=4)])
     with pytest.raises(ValueError, match="at least one part"):
