@@ -684,9 +684,9 @@ _VARIANT_TABLE = {
 
 
 def _counts(values, shape: tuple[int, ...]) -> np.ndarray:
-    counts = np.array(values)
-    if counts.shape != shape or not np.all(counts >= 0):
-        raise ValueError(f"expected non-negative counts of shape {shape}")
+    counts = np.array(values)  # integers past 64 bits make an object array
+    if counts.dtype == object or counts.shape != shape or not np.all(counts >= 0):
+        raise ValueError(f"expected non-negative 64-bit counts of shape {shape}")
     return counts
 
 

@@ -23,7 +23,7 @@ from typing import NoReturn
 
 from . import agreement as agr
 from . import classify, corpus, evaluation, features, ranking
-from .errors import SentagreeError
+from .errors import CorpusFormatError, SentagreeError
 
 DATA_DIR_ENV = "SENTAGREE_DATA_DIR"
 
@@ -192,7 +192,10 @@ def cmd_ordering(args: argparse.Namespace) -> None:
 
 
 def cmd_merge(args: argparse.Namespace) -> None:
-    table = corpus.load_annotations(_resolve(_single(args.input, "--input")))
+    path = _resolve(_single(args.input, "--input"))
+    table = corpus.load_annotations(path)
+    if not table:
+        raise CorpusFormatError(f"{path}: no posts found")
     corpus.save_gold(corpus.merge_gold(table), args.out, delimiter=table.delimiter)
 
 

@@ -50,6 +50,14 @@ returns the pairs as columns too, a :class:`PairTable`, computed with
 numpy from one sort of the rows by post and ``seq``; :func:`merge_gold` works
 from the same groups.  A list of records given to either is first made
 into a table sorted by ``seq``, so one grouping serves both.
+
+Gold posts are columns too, a :class:`GoldTable` with one row per post:
+post id, label code, date, text and ``MergedFrom`` count.  It is a
+read-only sequence of :class:`GoldPost` views.  :func:`merge_gold`
+builds it from the arrays of its grouping, :func:`load_gold` reads one,
+:func:`save_gold` writes one column by column, and
+:func:`time_ordered_chunks` reorders one by an index array; a list of
+posts made by hand is first made into a table where columns are needed.
 """
 
 from __future__ import annotations
@@ -76,6 +84,7 @@ __all__ = [
     "LabelPair",
     "GoldPost",
     "AnnotationTable",
+    "GoldTable",
     "PairTable",
     "load_annotations",
     "load_gold",
@@ -122,6 +131,8 @@ class SentimentLabel(IntEnum):
 
 _LABELS = {m.name.lower(): m for m in SentimentLabel}
 _BY_CODE = tuple(SentimentLabel)  # the labels of codes -1, 0, +1
+_NAMES = np.array([label.to_string() for label in _BY_CODE], dtype=object)  # the names of codes -1, 0, +1
+_INT64 = range(-(2**63), 2**63)
 
 
 class PairKind(str, Enum):
@@ -197,7 +208,8 @@ class _Columns(Sequence):
     ``_items`` over a slice of the rows; equality item by item with any
     sequence, as a list of their items would compare; and selection by a
     slice or an index array (such as a boolean mask), which cuts each
-    column named in ``_rows`` to those rows and numbers their posts anew."""
+    column named in ``_rows`` to those rows and, in a table with a
+    ``post`` column, numbers their posts anew."""
 
     __slots__ = ()
 
@@ -216,10 +228,11 @@ class _Columns(Sequence):
                 setattr(part, name, tuple(map(column.__getitem__, rows.tolist())))
             else:
                 setattr(part, name, *_read_only(column[rows]))
-        present, first, post = np.unique(part.post, return_index=True, return_inverse=True)
-        order = np.argsort(first)  # posts numbered in order of first appearance, as in a table
-        part.post, = _read_only(np.argsort(order)[post])
-        part.post_ids = tuple(map(self.post_ids.__getitem__, present[order].tolist()))
+        if "post" in self._rows:
+            present, first, post = np.unique(part.post, return_index=True, return_inverse=True)
+            order = np.argsort(first)  # posts numbered in order of first appearance, as in a table
+            part.post, = _read_only(np.argsort(order)[post])
+            part.post_ids = tuple(map(self.post_ids.__getitem__, present[order].tolist()))
         return part
 
     def __eq__(self, other: object) -> bool:
@@ -301,6 +314,37 @@ class PairTable(_Columns):
                             self.post_ids[post])
 
 
+class GoldTable(_Columns):
+    """Gold posts as columns, one row per post: ``post_ids`` holds each
+    post's id, ``label`` its code -1/0/+1 as int8, ``dates`` and
+    ``texts`` its value or None, and ``merged_from`` (int64) the number
+    of annotations it was merged from.  The arrays are read-only.
+
+    As a sequence the table holds :class:`GoldPost` items, each built
+    when it is indexed or iterated.
+    """
+
+    __slots__ = ("post_ids", "label", "dates", "texts", "merged_from")
+    _rows = __slots__
+
+    def __init__(
+        self, post_ids: tuple[str, ...], label: np.ndarray, dates: tuple[datetime | None, ...],
+        texts: tuple[str | None, ...], merged_from: np.ndarray,
+    ) -> None:
+        self.post_ids, self.dates, self.texts = post_ids, dates, texts
+        self.label, self.merged_from = _read_only(label, merged_from)
+
+    def __len__(self) -> int:
+        return len(self.label)
+
+    def _items(self, rows: slice) -> Iterator[GoldPost]:
+        for post_id, code, date, text, count in zip(
+            self.post_ids[rows], self.label[rows].tolist(), self.dates[rows], self.texts[rows],
+            self.merged_from[rows].tolist(),
+        ):
+            yield GoldPost(post_id, _BY_CODE[code + 1], date, text, count)
+
+
 @contextmanager
 def _open_table(path: str | Path, required: Sequence[str] = (), optional: Sequence[str] = ()):
     """Open the table at ``path`` once; yield its delimiter, the indices
@@ -357,10 +401,10 @@ def _factorize(
     return distinct, np.fromiter(map(index.__getitem__, values), np.intp, len(values))
 
 
-def _read(path: str | Path, annotated: bool) -> AnnotationTable | list[GoldPost]:
+def _read(path: str | Path, annotated: bool) -> AnnotationTable | GoldTable:
     """Read the table at ``path`` once: an :class:`AnnotationTable` if it
-    has an annotator column (which ``annotated`` requires), else one
-    :class:`GoldPost` per row.
+    has an annotator column (which ``annotated`` requires), else a
+    :class:`GoldTable`.
 
     Every non-blank row is checked where it is read, so the first fault
     in the file is the one reported, as :class:`CorpusFormatError`
@@ -422,7 +466,10 @@ def _read(path: str | Path, annotated: bool) -> AnnotationTable | list[GoldPost]
                     annotators.append(annotator)
                 elif merged_col is not None:
                     try:
-                        merged.append(int(row[merged_col]))
+                        count = int(row[merged_col])
+                        if count not in _INT64:
+                            raise ValueError
+                        merged.append(count)
                     except ValueError:
                         raise CorpusFormatError(
                             f"{path}: bad MergedFrom value {row[merged_col]!r} on line {line}"
@@ -434,7 +481,8 @@ def _read(path: str | Path, annotated: bool) -> AnnotationTable | list[GoldPost]
         except csv.Error as exc:  # a raw tab would print as a space on the one-line error
             raise CorpusFormatError(f"{path}: line {end + 1}: " + str(exc).replace("\t", "\\t")) from None
     if annotator_col is None:
-        return [GoldPost(*post) for post in zip(ids, labels, dates, texts, merged or repeat(1))]
+        return GoldTable(tuple(ids), np.array(labels, dtype=np.int8), tuple(dates), tuple(texts),
+                         np.array(merged, dtype=np.int64) if merged_col is not None else np.ones(len(ids), np.int64))
     post_ids, post = _factorize(ids)
     annotator_ids, annotator = _factorize(annotators)
     return AnnotationTable(
@@ -489,6 +537,23 @@ def _table(records: Sequence[AnnotationRecord]) -> AnnotationTable:
     )
 
 
+def _gold_table(gold: Sequence[GoldPost]) -> GoldTable:
+    """``gold`` as a :class:`GoldTable`: a table as it is, a list of
+    posts in list order.  A label that is not a code -1/0/+1 raises
+    :class:`CorpusFormatError`."""
+    if isinstance(gold, GoldTable):
+        return gold
+    label = np.array([p.label for p in gold], dtype=np.int64)
+    outside = np.flatnonzero(abs(label) > 1)
+    if outside.size:
+        post = gold[int(outside[0])]
+        raise CorpusFormatError(f"post {post.post_id!r}: label {post.label!r} is not a code -1/0/+1")
+    return GoldTable(
+        tuple(p.post_id for p in gold), label.astype(np.int8), tuple(p.timestamp for p in gold),
+        tuple(p.text for p in gold), np.array([p.merged_from for p in gold], dtype=np.int64),
+    )
+
+
 def _groups(table: AnnotationTable) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
     """The rows grouped by post, from one sort: the row order (posts in
     index order, each post's rows in ``seq`` order, ties in row order),
@@ -531,8 +596,9 @@ def extract_pairs(records: Sequence[AnnotationRecord]) -> PairTable:
                      table.post_ids)
 
 
-def merge_gold(records: Sequence[AnnotationRecord]) -> list[GoldPost]:
-    """Collapse multiply-annotated posts into one gold label per post.
+def merge_gold(records: Sequence[AnnotationRecord]) -> GoldTable:
+    """Collapse multiply-annotated posts into one gold label per post,
+    returned as a :class:`GoldTable`.
 
     The merged label is the sum of the post's distinct label codes:
     unanimity keeps the label, neutral defers to a polar label
@@ -565,35 +631,41 @@ def merge_gold(records: Sequence[AnnotationRecord]) -> list[GoldPost]:
     if (date_row >= 0).all():
         keys.append(rank[date_row])
     posts = np.lexsort(keys)
-    return [
-        GoldPost(table.post_ids[p], _BY_CODE[code + 1], table.dates[d] if d >= 0 else None,
-                 table.texts[t] if t >= 0 else None, count)
-        for p, code, d, t, count in zip(
-            posts.tolist(), label[posts].tolist(), date_row[posts].tolist(), text_row[posts].tolist(),
-            counts[posts].tolist(),
-        )
-    ]
+    dates, texts = table.dates + (None,), table.texts + (None,)  # row -1, a post without one, gives None
+    return GoldTable(
+        tuple(map(table.post_ids.__getitem__, posts.tolist())), label[posts],
+        tuple(map(dates.__getitem__, date_row[posts].tolist())),
+        tuple(map(texts.__getitem__, text_row[posts].tolist())), counts[posts],
+    )
 
 
-def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> tuple[list[GoldPost], tuple[int, ...]]:
+def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> tuple[Sequence[GoldPost], tuple[int, ...]]:
     """The posts in time order, and the sizes step, 2*step, ..., n of
     its growing prefixes; the last is always ``n``, the full corpus.
 
-    Posts are ordered by timestamp when every post carries one;
-    otherwise the given order is kept.  Dates with a UTC offset next to
-    dates without one raise :class:`CorpusFormatError`, as in a table.
+    Posts are ordered by timestamp when every post carries one, posts
+    with equal timestamps in their given order; otherwise the given
+    order is kept.  A :class:`GoldTable` gives a table, a list a list.
+    Dates with a UTC offset next to dates without one raise
+    :class:`CorpusFormatError`, as in a table.
     """
     if step < 1:
         raise CorpusFormatError(f"step must be a positive integer, got {step}")
+    sizes = (*range(step, len(gold), step), len(gold))
+    if isinstance(gold, GoldTable):  # its dates were checked when it was read or merged
+        if None in gold.dates:
+            return gold, sizes
+        return gold[np.array(sorted(range(len(gold)), key=gold.dates.__getitem__), dtype=np.intp)], sizes
+    _check_offsets(gold)
     posts = list(gold)
-    _check_offsets(posts)
     if all(p.timestamp is not None for p in posts):
-        posts.sort(key=lambda p: p.timestamp)  # type: ignore[arg-type, return-value]
-    return posts, (*range(step, len(posts), step), len(posts))
+        posts.sort(key=attrgetter("timestamp"))
+    return posts, sizes
 
 
-def load_gold(path: str | Path) -> list[GoldPost]:
-    """Read a gold table into memory, one :class:`GoldPost` per row.
+def load_gold(path: str | Path) -> GoldTable:
+    """Read a gold table into a :class:`GoldTable`, a read-only sequence
+    of :class:`GoldPost`.
 
     Accepts files produced by :func:`save_gold`; the ``MergedFrom``
     column is optional and defaults to 1.  A table with an annotator
@@ -612,23 +684,19 @@ def save_gold(gold: Sequence[GoldPost], path: str | Path, delimiter: str = ",") 
     Columns are ``TweetID``, ``HandLabel``, optional ``Date`` and
     ``Text`` (emitted when any post carries one), and ``MergedFrom``.
     """
-    has_date = any(p.timestamp is not None for p in gold)
-    has_text = any(p.text is not None for p in gold)
-    names = {label: label.to_string() for label in SentimentLabel}
+    table = _gold_table(gold)
+    header = ["TweetID", "HandLabel"]
+    columns = [table.post_ids, _NAMES[table.label + 1]]
+    if table.dates.count(None) < len(table):
+        header.append("Date")
+        # formatted as the rows are written, not held as one string per post
+        columns.append(None if date is None else date.isoformat(sep=" ") for date in table.dates)
+    if table.texts.count(None) < len(table):
+        header.append("Text")
+        columns.append(table.texts)  # the writer writes None as an empty field
+    header.append("MergedFrom")
+    columns.append(table.merged_from.tolist())
     with open(path, "w", encoding="utf-8", newline="") as handle:
         writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
-        header = ["TweetID", "HandLabel"]
-        if has_date:
-            header.append("Date")
-        if has_text:
-            header.append("Text")
-        header.append("MergedFrom")
         writer.writerow(header)
-        for post in gold:
-            row = [post.post_id, names[post.label]]
-            if has_date:
-                row.append(post.timestamp.isoformat(sep=" ") if post.timestamp else "")
-            if has_text:
-                row.append(post.text if post.text is not None else "")
-            row.append(str(post.merged_from))
-            writer.writerow(row)
+        writer.writerows(zip(*columns))

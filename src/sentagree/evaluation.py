@@ -30,7 +30,7 @@ import numpy as np
 
 from .agreement import LABEL_ORDER, CoincidenceMatrix, Measure, compute_measure, matrix_from_cells
 from .classify import LinearModel, SentimentModel, TrainConfig, Variant, predict_batch, train_sentiment
-from .corpus import GoldPost, SentimentLabel, time_ordered_chunks
+from .corpus import GoldPost, SentimentLabel, _gold_table, time_ordered_chunks
 from .errors import CorpusFormatError, EvaluationError, FoldPlanError
 from .features import CountRows, Vocabulary, count_vector, normalize, vocabulary_from_token_docs
 
@@ -178,15 +178,15 @@ class PreparedCorpus:
 def prepare(gold: Sequence[GoldPost], min_df: int = 5) -> PreparedCorpus:
     """Normalize every post once, without stemming, build the unigram
     and bigram vocabulary of the whole corpus at ``min_df`` and count
-    every post against it once."""
-    docs = []
-    for post in gold:
-        if post.text is None:
-            raise CorpusFormatError(f"post {post.post_id!r} has no text")
-        docs.append(normalize(post.text))
+    every post against it once; the first post without text raises
+    :class:`CorpusFormatError`."""
+    table = _gold_table(gold)
+    if None in table.texts:
+        raise CorpusFormatError(f"post {table.post_ids[table.texts.index(None)]!r} has no text")
+    docs = [normalize(text) for text in table.texts]
     vocab = vocabulary_from_token_docs(docs, min_df=min_df)
     counts = CountRows.stack([count_vector(doc, vocab) for doc in docs])
-    return PreparedCorpus(vocab, counts, np.array([int(p.label) for p in gold], dtype=np.int64), min_df)
+    return PreparedCorpus(vocab, counts, table.label.astype(np.int64), min_df)
 
 
 def cross_validate(

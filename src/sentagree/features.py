@@ -295,7 +295,9 @@ class Vocabulary:
     Terms are sorted lexicographically, so the mapping is a pure
     function of the training corpus and the configuration.  It carries
     no class statistics: each classifier plane computes its own term
-    weights from its training split.
+    weights from its training split.  ``ngrams`` holds the n-gram sizes
+    counted, at least one, each at least 1; anything else raises
+    :class:`VocabularyError`.
     """
 
     terms: tuple[str, ...]
@@ -305,6 +307,8 @@ class Vocabulary:
     ngrams: tuple[int, ...]
 
     def __post_init__(self) -> None:
+        if not self.ngrams or min(self.ngrams) < 1:
+            raise VocabularyError(f"ngrams must hold at least one n-gram size, each >= 1, got {self.ngrams!r}")
         object.__setattr__(self, "doc_freq", np.asarray(self.doc_freq, dtype=np.int64))
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.terms)})
 

@@ -328,6 +328,26 @@ def merge_gold_reference(records):
     return [post for _, _, post in merged]
 
 
+def save_gold_reference(gold, path, delimiter=","):
+    """Write ``gold`` one ``GoldPost`` at a time, a row per post, as
+    :func:`sentagree.corpus.save_gold` wrote it before it wrote columns."""
+    import csv
+
+    has_date = any(p.timestamp is not None for p in gold)
+    has_text = any(p.text is not None for p in gold)
+    with open(path, "w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+        writer.writerow(["TweetID", "HandLabel"] + ["Date"] * has_date + ["Text"] * has_text + ["MergedFrom"])
+        for post in gold:
+            row = [post.post_id, post.label.to_string()]
+            if has_date:
+                row.append(post.timestamp.isoformat(sep=" ") if post.timestamp else "")
+            if has_text:
+                row.append(post.text if post.text is not None else "")
+            row.append(str(post.merged_from))
+            writer.writerow(row)
+
+
 # --- the tokenizer as it stood before its regex was guarded -------------------
 
 def _emoticon_piece(emo):

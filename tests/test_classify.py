@@ -616,11 +616,12 @@ def drop_keys(*keys: str):
         (Variant.CASCADING, drop_plane, "needs planes"),
         (Variant.THREE_PLANE, replace_first("subspace 3 ", "subspace -1 0 0 1"), "subspaces 0..7"),
         (Variant.NAIVE_BAYES, replace_first("nb_docs ", "nb_docs 4 -4 4"), "non-negative"),
+        (Variant.NAIVE_BAYES, replace_first("nb_docs ", "nb_docs 1" + "0" * 25 + " 4 4"), "64-bit"),
         (Variant.TWO_PLANE, replace_first("weights ", "weights nan 0.0 0.0"), "finite"),
     ],
     ids=["negative-bin-index", "bin-index-past-grid", "negative-bin-count", "short-edges",
          "missing-bin-table", "missing-plane", "missing-cascade-plane", "negative-subspace",
-         "negative-doc-count", "nan-weight"],
+         "negative-doc-count", "doc-count-past-64-bits", "nan-weight"],
 )
 def test_load_model_checks_structure(tmp_path, variant, edit, message) -> None:
     path = tmp_path / "broken.txt"

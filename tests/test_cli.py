@@ -203,6 +203,32 @@ def test_merge_round_trip_and_determinism(annotations_csv, tmp_path, capsys):
     ]
 
 
+def test_merge_of_a_table_without_rows_is_one_error(tmp_path, capsys):
+    empty = write_table(tmp_path / "empty.csv", [])
+    out = tmp_path / "gold.csv"
+    code, _, err = run(["merge", "--input", str(empty), "--out", str(out)], capsys)
+    assert (code, err) == (1, f"error: corpus-format: {empty}: no posts found\n")
+    assert not out.exists()
+
+
+def test_merge_and_prepare_build_no_gold_post(annotations_csv, gold_csv, tmp_path, capsys, monkeypatch):
+    calls = []
+    real = GoldPost.__init__
+
+    def counted(self, *args, **kwargs):
+        calls.append(args)
+        real(self, *args, **kwargs)
+
+    monkeypatch.setattr(GoldPost, "__init__", counted)
+    code, _, err = run(["merge", "--input", str(annotations_csv), "--out", str(tmp_path / "gold.csv")], capsys)
+    assert code == 0, err
+    assert calls == []
+    gold = corpus.load_gold(gold_csv)
+    evaluation.prepare(gold, min_df=1)
+    assert calls == []
+    assert len(list(gold)) == len(calls) == 45  # the spy sees the posts a table builds when iterated
+
+
 def test_merge_reads_its_table_once_and_keeps_its_delimiter(annotations_csv, tmp_path, capsys, monkeypatch):
     tsv = tmp_path / "mini.tsv"
     tsv.write_text(annotations_csv.read_text(encoding="utf-8").replace(",", "\t"), encoding="utf-8")

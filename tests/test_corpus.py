@@ -5,6 +5,7 @@ from __future__ import annotations
 import re
 import tracemalloc
 from datetime import datetime, timedelta, timezone
+from operator import attrgetter
 
 import numpy as np
 import pytest
@@ -14,6 +15,7 @@ from hypothesis import strategies as st
 from sentagree.corpus import (
     AnnotationRecord,
     GoldPost,
+    GoldTable,
     PairKind,
     SentimentLabel,
     extract_pairs,
@@ -108,6 +110,15 @@ def test_bad_date_reports_line(tmp_path) -> None:
     )
     with pytest.raises(CorpusFormatError, match="line 2"):
         load_annotations(path)
+
+
+@pytest.mark.parametrize("count", ["x", "1.5", str(2**63)])
+def test_bad_merged_from_reports_line(tmp_path, count) -> None:
+    # a count that does not fit the table's int64 column is as bad as one that is not a number
+    path = write_table(tmp_path / "gold.csv", [("p1", "Positive", "2"), ("p2", "Neutral", count)],
+                       header=("TweetID", "HandLabel", "MergedFrom"))
+    with pytest.raises(CorpusFormatError, match=f"bad MergedFrom value '{count}' on line 3$"):
+        load_gold(path)
 
 
 TABLES = pytest.mark.parametrize(
@@ -248,6 +259,25 @@ def test_annotation_table_is_a_read_only_sequence_of_records(annotations_csv) ->
         table[6]
     with pytest.raises(ValueError, match="read-only"):
         table.label[0] = 1
+
+
+def test_gold_table_is_a_read_only_sequence_of_posts(annotations_csv) -> None:
+    gold = merge_gold(load_annotations(annotations_csv))
+    posts = list(gold)
+    assert type(gold) is GoldTable and all(type(post) is GoldPost for post in posts)
+    assert len(gold) == len(posts) == 3
+    assert gold[-1] == posts[-1] and gold[1] == posts[1]
+    assert gold == posts and posts == gold and gold != posts[:2]
+    assert gold.__hash__ is None
+    with pytest.raises(IndexError):
+        gold[3]
+    for cut in (slice(1, None), slice(None, None, -1), np.array([2, 0]), gold.merged_from > 1):
+        part = gold[cut]
+        assert type(part) is GoldTable and part == [posts[i] for i in np.arange(len(posts))[cut]]
+    for column in (gold.label, gold.merged_from):
+        with pytest.raises(ValueError, match="read-only"):
+            column[0] = 1
+    assert type(merge_gold([])) is GoldTable and merge_gold([]) == []
 
 
 POST_IDS = ("p0", "p1", "p2", "p3", "p4")
@@ -455,6 +485,24 @@ def test_time_ordered_chunks_holds_one_order_not_one_list_per_prefix() -> None:
     assert [p.timestamp for p in order] == sorted(p.timestamp for p in posts)
 
 
+@settings(max_examples=200, deadline=None)
+@given(hours=st.lists(st.integers(0, 3), max_size=12), undated=st.booleans())
+def test_time_ordered_chunks_of_a_table_is_a_stable_sort(hours, undated) -> None:
+    dates = [datetime(2014, 1, 1, hour) for hour in hours]
+    if undated and dates:
+        dates[len(dates) // 2] = None  # one post without a date: the given order is kept
+    n = len(dates)
+    gold = GoldTable(tuple(f"p{i}" for i in range(n)), np.array([i % 3 - 1 for i in range(n)], dtype=np.int8),
+                     tuple(dates), tuple(f"text {i}" for i in range(n)), np.arange(1, n + 1))
+    order, sizes = time_ordered_chunks(gold, 5)
+    expected = list(gold) if None in dates else sorted(list(gold), key=attrgetter("timestamp"))
+    assert type(order) is GoldTable and order == expected and sizes == (*range(5, n, 5), n)
+    for earlier, later in zip(order, order[1:]):  # equal timestamps keep their given order
+        if earlier.timestamp == later.timestamp:
+            assert int(earlier.post_id[1:]) < int(later.post_id[1:])
+    assert time_ordered_chunks(list(gold), 5) == (expected, sizes)
+
+
 def test_time_ordered_chunks_rejects_mixed_utc_offsets() -> None:
     posts = [
         GoldPost(post_id="a", label=SentimentLabel.NEUTRAL, timestamp=datetime(2014, 1, 1, tzinfo=timezone.utc)),
@@ -494,6 +542,38 @@ def test_save_gold_round_trips_quotes_tabs_and_newlines(tmp_path, delimiter) -> 
     header = path.read_text(encoding="utf-8").splitlines()[0]
     assert header == delimiter.join(("TweetID", "HandLabel", "Text", "MergedFrom"))
     assert [(p.post_id, p.text) for p in load_gold(path)] == [(p.post_id, p.text) for p in gold]
+
+
+@settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(records=annotation_lists(), delimiter=st.sampled_from([",", "\t"]))
+def test_save_gold_writes_the_same_bytes_from_a_table_and_from_a_list(tmp_path, records, delimiter) -> None:
+    # dates all present, partly missing or absent, and texts present or not
+    gold = merge_gold(records)
+    written = []
+    for save, posts in ((save_gold, gold), (save_gold, list(gold)), (oracles.save_gold_reference, list(gold))):
+        save(posts, tmp_path / "gold.txt", delimiter=delimiter)
+        written.append((tmp_path / "gold.txt").read_bytes())
+    assert written[0] == written[1] == written[2]
+
+
+@pytest.mark.parametrize("delimiter", [",", "\t"], ids=["comma", "tab"])
+def test_save_gold_from_columns_writes_what_the_row_writer_wrote(tmp_path, delimiter) -> None:
+    texts = ['"great" day', "tab\there", "two\nlines", "", None, 'all, "of\tit"\n', " padded "]
+    gold = [GoldPost(f"p{i}", SentimentLabel(i % 3 - 1), datetime(2014, 1, 1, i, 30) if i % 2 else None, text, i + 1)
+            for i, text in enumerate(texts)]
+    save_gold(gold, tmp_path / "list.txt", delimiter=delimiter)
+    save_gold(load_gold(tmp_path / "list.txt"), tmp_path / "table.txt", delimiter=delimiter)
+    oracles.save_gold_reference(gold, tmp_path / "rows.txt", delimiter=delimiter)
+    assert (tmp_path / "list.txt").read_bytes() == (tmp_path / "table.txt").read_bytes() == (
+        tmp_path / "rows.txt").read_bytes()
+
+
+@pytest.mark.parametrize("code", [-2, 2, 300])
+def test_save_gold_rejects_a_label_outside_the_codes(tmp_path, code) -> None:
+    # the row writer had no name for such a label either; a column lookup must not wrap -2 round to Positive
+    gold = [GoldPost("p1", SentimentLabel.NEUTRAL), GoldPost("p2", code)]
+    with pytest.raises(CorpusFormatError, match=f"^post 'p2': label {code} is not a code -1/0/\\+1$"):
+        save_gold(gold, tmp_path / "gold.csv")
 
 
 def test_load_gold_merges_a_raw_table(annotations_csv) -> None:

@@ -403,6 +403,24 @@ def test_vocabulary_hash_depends_on_terms() -> None:
     assert vocabulary_hash(other) != vocabulary_hash(_toy_vocab())
 
 
+@pytest.mark.parametrize("ngrams", [(), (0, 1), (1, -2)])
+def test_vocabulary_rejects_ngram_sizes_below_one(ngrams) -> None:
+    with pytest.raises(VocabularyError, match="ngrams must hold at least one n-gram size, each >= 1"):
+        Vocabulary(("a",), np.array([1]), 1, 1, ngrams)
+
+
+def test_vocabulary_from_token_docs_rejects_ngram_sizes_below_one() -> None:
+    with pytest.raises(VocabularyError, match=r"got \(0, 1\)"):
+        vocabulary_from_token_docs([["a", "b"]], min_df=1, ngrams=(0, 1))
+
+
+def test_load_vocabulary_rejects_ngram_sizes_below_one(tmp_path) -> None:
+    path = tmp_path / "sizes.vocab"
+    path.write_text("sentagree-vocab 1\nn_docs 4\nmin_df 2\nngrams 0,-2\nterms 1\na\t0\t2\n")
+    with pytest.raises(VocabularyError, match=r"malformed vocabulary file \(ngrams .* got \(0, -2\)\)"):
+        load_vocabulary(path)
+
+
 def test_load_vocabulary_rejects_bad_files(tmp_path) -> None:
     bad_magic = tmp_path / "m.txt"
     bad_magic.write_text("something-else 1\n")
