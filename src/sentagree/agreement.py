@@ -32,16 +32,19 @@ sentinel value.
 
 Each measure's arithmetic is written once, over a ``(..., 3, 3)`` stack
 of count matrices, so the single-matrix functions and the percentile
-bootstrap share it.  :func:`bootstrap_ci` draws the resamples of a pair
-set once, keeps their counts in a one-entry memo for the calls that
-follow with another measure, and evaluates a measure on all of them in
-one vectorized pass.  Counts of pairs are whole numbers, so the stacked
-results are bit-identical to evaluating one matrix at a time.
+bootstrap share it.  :func:`bootstrap_ci` resamples the nine cells of a
+pair set, not its pairs: ``n`` pairs drawn with replacement and counted
+by cell are Multinomial(``n``, ``c / n``) over the set's cell counts
+``c`` (the multinomial form of the nonparametric bootstrap; Efron &
+Tibshirani, *An Introduction to the Bootstrap*, 1993), so one
+multinomial call draws every resample's counts, and a measure is
+evaluated on all of them in one vectorized pass.  The counts are whole
+numbers, so the stacked results are bit-identical to evaluating one
+matrix at a time.
 """
 
 from __future__ import annotations
 
-import functools
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -132,12 +135,9 @@ class CoincidenceMatrix:
 def pair_cells(pairs: Iterable[LabelPair | tuple[int, int]]) -> np.ndarray:
     """Map pairs to flat cell indices ``(first+1)*3 + (second+1)``.
 
-    The flat representation is the resampling currency of
-    :func:`bootstrap_ci`: a resample is a ``bincount`` of drawn cells.
-    The first draw of every resample index is shared by all measures
-    of a pair set, through a memo that holds one entry.  A
-    :class:`~sentagree.corpus.PairTable` is mapped from its code arrays
-    as a whole.
+    The ``bincount`` of the flat cells is what :func:`bootstrap_ci`
+    resamples.  A :class:`~sentagree.corpus.PairTable` is mapped from
+    its code arrays as a whole.
     """
     if isinstance(pairs, PairTable):
         return (pairs.first.astype(np.intp) + 1) * 3 + (pairs.second + 1)
@@ -321,25 +321,36 @@ class ConfidenceInterval:
     undefined_resamples: int = 0
 
 
-@functools.lru_cache(maxsize=1)
-def _first_draws(cells: bytes, n_samples: int, seed: int) -> np.ndarray:
-    """One-sided counts of the first draw of every resample index.
+def _resample(rng: np.random.Generator, counts: np.ndarray, size: int | None = None) -> np.ndarray:
+    """One-sided ``(3, 3)`` counts of a resample of the pair set whose
+    nine cells hold ``counts``, or a ``(size, 3, 3)`` stack of them.
 
-    ``cells`` is the raw buffer of :func:`pair_cells`.  Row ``index`` of
-    the read-only ``(n_samples, 3, 3)`` result is the ``bincount`` of
-    the first resample drawn from substream ``(seed, index)``.  The one
-    memo entry lets the calls for the other measures of the same pair
-    set skip the draws.
+    Only the cells that hold a pair are drawn, so the last of them takes
+    what is left.  Over all nine, numpy would draw the last held cell
+    with its probability over a running remainder that rounding leaves
+    just above it (a ratio as low as ``1 - 2e-14``), and the pairs it
+    missed would land in the ninth cell although no pair is there.
     """
-    flat = np.frombuffer(cells, dtype=np.intp)
-    n = flat.shape[0]
-    stack = np.empty((n_samples, 9), dtype=np.float64)
-    for index in range(n_samples):
-        rng = np.random.default_rng((seed, index))
-        stack[index] = np.bincount(flat[rng.integers(0, n, n)], minlength=9)
-    stack = stack.reshape(n_samples, 3, 3)
-    stack.flags.writeable = False
-    return stack
+    held = np.flatnonzero(counts)
+    n = int(counts.sum())
+    shape = (9,) if size is None else (size, 9)
+    draws = np.zeros(shape)
+    draws[..., held] = rng.multinomial(n, counts[held] / n, size=size)
+    return draws.reshape(shape[:-1] + (3, 3))
+
+
+def _first_draws(counts: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
+    """One-sided counts of the first draw of every resample index, row
+    ``index`` of one ``(n_samples, 3, 3)`` draw from the stream
+    ``(seed, n_samples)``."""
+    return _resample(np.random.default_rng((seed, n_samples)), counts, n_samples)
+
+
+def _check_count(name: str, value: object, least: int) -> None:
+    """Reject a ``value`` that is not an integer (a bool is not one) or is below ``least``."""
+    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+        kind = "positive" if least else "non-negative"
+        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def bootstrap_ci(
@@ -354,46 +365,49 @@ def bootstrap_ci(
     Pairs are resampled with replacement ``n_samples`` times and the
     measure recomputed on each resampled coincidence matrix; the
     interval runs from the 2.5th to the 97.5th percentile of the
-    defined resamples.  Every resample index draws from its own seeded
-    substream derived from ``(seed, index)``, so results are
-    independent of evaluation order and a fixed seed reproduces the
-    interval exactly.
+    defined resamples.  A resample is drawn as its nine cell counts,
+    Multinomial(``n``, ``c / n``) over the ``n`` pairs' cell counts
+    ``c``, which is how ``n`` pairs drawn with replacement fall into
+    the cells; cells that hold no pair get none.  A fixed seed
+    reproduces the interval exactly.
 
-    A resample on which the measure is undefined is redrawn (from the
-    same substream) up to ``retry_cap`` times, then counted in
-    ``undefined_resamples`` and dropped.  If every resample stays
-    undefined, :class:`UndefinedMeasureError` is raised; so does an
-    undefined point estimate.
+    The first draws of all resamples are one multinomial call on the
+    stream ``default_rng((seed, n_samples))``.  A resample on which the
+    measure is undefined is redrawn up to ``retry_cap`` times from its
+    own substream ``default_rng((seed, index))``, so its result does not
+    depend on the order in which resamples or measures are evaluated;
+    if it stays undefined, it is counted in ``undefined_resamples`` and
+    dropped.  The batch stream is never one of the substreams: no index
+    reaches ``n_samples``, and numpy's ``SeedSequence`` gives distinct
+    keys distinct streams, except that it pads a short key with zeros,
+    so ``default_rng(seed)`` would be the substream of index 0.  If every
+    resample stays undefined, :class:`UndefinedMeasureError` is raised;
+    so does an undefined point estimate.
 
-    The first draws do not depend on the measure: they are made once
-    per ``(pairs, n_samples, seed)`` and kept in a one-entry memo, so
-    the next call on the same pair set, for any measure, reuses them.
-    The measure is evaluated on all of them at once; only the indices
-    it leaves undefined replay their substream for the retries.
+    ``n_samples`` must be a positive integer, and ``seed`` and
+    ``retry_cap`` non-negative integers, Python's or numpy's; anything
+    else (a bool, a float) raises :class:`ValueError` before any draw.
     """
-    if n_samples < 1:
-        raise ValueError(f"n_samples must be positive, got {n_samples}")
-    if retry_cap < 0:
-        raise ValueError(f"retry_cap must not be negative, got {retry_cap}")
-    if not isinstance(seed, (int, np.integer)) or seed < 0:
-        raise ValueError(f"seed must be a non-negative integer, got {seed!r}")
+    _check_count("n_samples", n_samples, 1)
+    _check_count("retry_cap", retry_cap, 0)
+    _check_count("seed", seed, 0)
+    n_samples = int(n_samples)  # a numpy integer would make the interval's counts numpy scalars
     measure = Measure(measure)
     cells = pair_cells(pairs)
-    n = cells.shape[0]
-    if n == 0:
+    if cells.shape[0] == 0:
         raise UndefinedMeasureError("bootstrap_ci needs at least one pair")
     point = compute_measure(matrix_from_cells(cells), measure)
 
     evaluate = _STACKED[measure]
-    one_sided = _first_draws(cells.tobytes(), n_samples, seed)
+    counts = np.bincount(cells, minlength=9)
+    one_sided = _first_draws(counts, n_samples, seed)
     values, why = evaluate(one_sided + one_sided.transpose(0, 2, 1))
     defined = why == 0
     for index in np.flatnonzero(~defined).tolist():
         rng = np.random.default_rng((seed, index))
-        rng.integers(0, n, n)  # the first draw, already evaluated
         for _ in range(retry_cap):
-            counts = matrix_from_cells(cells[rng.integers(0, n, n)]).counts
-            value, why = evaluate(counts)
+            one_sided = _resample(rng, counts)
+            value, why = evaluate(one_sided + one_sided.T)
             if why == 0:
                 values[index] = value
                 defined[index] = True

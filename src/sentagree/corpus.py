@@ -70,7 +70,7 @@ from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum, IntEnum
 from itertools import chain, repeat
-from operator import attrgetter, eq, index, is_not, ne
+from operator import attrgetter, eq, index, is_not, le, ne
 from pathlib import Path
 
 import numpy as np
@@ -645,7 +645,8 @@ def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> tuple[Sequence[G
 
     Posts are ordered by timestamp when every post carries one, posts
     with equal timestamps in their given order; otherwise the given
-    order is kept.  A :class:`GoldTable` gives a table, a list a list.
+    order is kept.  A :class:`GoldTable` gives a table, itself when it
+    is in that order already; a list gives a list.
     Dates with a UTC offset next to dates without one raise
     :class:`CorpusFormatError`, as in a table.
     """
@@ -653,9 +654,10 @@ def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> tuple[Sequence[G
         raise CorpusFormatError(f"step must be a positive integer, got {step}")
     sizes = (*range(step, len(gold), step), len(gold))
     if isinstance(gold, GoldTable):  # its dates were checked when it was read or merged
-        if None in gold.dates:
+        dates = gold.dates
+        if None in dates or all(map(le, dates, dates[1:])):  # a merged table is in time order already
             return gold, sizes
-        return gold[np.array(sorted(range(len(gold)), key=gold.dates.__getitem__), dtype=np.intp)], sizes
+        return gold[np.array(sorted(range(len(gold)), key=dates.__getitem__), dtype=np.intp)], sizes
     _check_offsets(gold)
     posts = list(gold)
     if all(p.timestamp is not None for p in posts):

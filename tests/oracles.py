@@ -93,11 +93,14 @@ ALL_MEASURES = {
 def bootstrap_reference(pairs, measure, n_samples=1000, seed=0, retry_cap=100):
     """Percentile bootstrap 95% interval of one measure, one resample at a time.
 
-    Each resample index opens its own substream ``default_rng((seed,
-    index))`` and draws up to ``retry_cap + 1`` attempts from it; every
-    attempt builds one validated coincidence matrix and evaluates the
-    brute-force measure on it.  Returns the library's
-    ``ConfidenceInterval`` so results compare with ``==``.
+    Draws as the library does: the first attempt of resample ``index``
+    is row ``index`` of one multinomial draw of ``n_samples`` rows from
+    ``default_rng((seed, n_samples))`` over the cells that hold a pair,
+    and its retries draw one multinomial each from ``default_rng((seed,
+    index))``, up to ``retry_cap`` of them.  Every attempt is rebuilt as
+    a list of pairs, whose coincidence matrix is built by brute force and
+    checked, and the brute-force measure is evaluated on it.  Returns the
+    library's ``ConfidenceInterval`` so results compare with ``==``.
     """
     from sentagree.agreement import CoincidenceMatrix, ConfidenceInterval
     from sentagree.errors import UndefinedMeasureError
@@ -111,17 +114,29 @@ def bootstrap_reference(pairs, measure, n_samples=1000, seed=0, retry_cap=100):
     if point is None:
         raise UndefinedMeasureError("undefined point estimate")
     n = len(pairs)
+    by_cell = {}
+    for a, b in pairs:
+        by_cell[(a, b)] = by_cell.get((a, b), 0) + 1
+    held = sorted(by_cell)  # cell order: first label, then second
+    p = [by_cell[cell] / n for cell in held]
+
+    def resample(drawn):
+        return [cell for cell, times in zip(held, drawn) for _ in range(times)]
+
+    first = np.random.default_rng((seed, n_samples)).multinomial(n, p, size=n_samples)
     values = []
     undefined = 0
     for index in range(n_samples):
+        value = measure_of(resample(first[index]))
         rng = np.random.default_rng((seed, index))
-        for _ in range(retry_cap + 1):
-            value = measure_of([pairs[i] for i in rng.integers(0, n, n)])
+        for _ in range(retry_cap):
             if value is not None:
-                values.append(value)
                 break
-        else:
+            value = measure_of(resample(rng.multinomial(n, p)))
+        if value is None:
             undefined += 1
+        else:
+            values.append(value)
     if not values:
         raise UndefinedMeasureError("every resample undefined")
     tail = (1.0 - 0.95) / 2.0
@@ -133,6 +148,7 @@ def bootstrap_reference(pairs, measure, n_samples=1000, seed=0, retry_cap=100):
         samples=n_samples,
         undefined_resamples=undefined,
     )
+
 
 def svm_dual_optimum(X, y, cost):
     """Optimal dual objective of the L1-hinge SVM with a regularized bias.

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sentagree import agreement, classify, corpus, evaluation, features
+from sentagree import classify, corpus, evaluation, features
 from sentagree.cli import main
 from sentagree.corpus import GoldPost, SentimentLabel
 
@@ -103,20 +103,6 @@ def test_agreement_reruns_are_byte_identical(tmp_path, capsys):
         )
         assert code == 0
     assert first.read_bytes() == second.read_bytes()
-
-
-
-def test_agreement_reports_do_not_depend_on_the_bootstrap_memo(tmp_path, capsys):
-    source = write_pair_table(tmp_path / "coders.csv", MIXED_PAIRS)
-    argv = ["agreement", "--input", str(source), "--seed", "7"]
-    agreement._first_draws.cache_clear()
-    code, first, _ = run(argv, capsys)
-    assert code == 0
-    # leave the memo holding the draws of another pair set, seed and size
-    agreement.bootstrap_ci([(-1, 0), (0, 0), (1, 1)], "accuracy", n_samples=50, seed=3)
-    code, second, _ = run(argv, capsys)
-    assert code == 0
-    assert first == second
 
 
 def test_agreement_rejects_a_repeated_measure(annotations_csv, capsys):

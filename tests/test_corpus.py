@@ -503,6 +503,19 @@ def test_time_ordered_chunks_of_a_table_is_a_stable_sort(hours, undated) -> None
     assert time_ordered_chunks(list(gold), 5) == (expected, sizes)
 
 
+def test_time_ordered_chunks_returns_a_table_in_time_order_itself() -> None:
+    hours = [0, 1, 1, 1, 2, 5, 5, 9]  # ties included
+    n = len(hours)
+    gold = GoldTable(tuple(f"p{i}" for i in range(n)), np.zeros(n, dtype=np.int8),
+                     tuple(datetime(2014, 1, 1, hour) for hour in hours), (None,) * n, np.ones(n, dtype=np.int64))
+    order, sizes = time_ordered_chunks(gold, 3)
+    assert order is gold and sizes == (3, 6, 8)
+    shuffled = gold[np.array([5, 2, 7, 1, 0, 6, 3, 4])]
+    order, _ = time_ordered_chunks(shuffled, 3)
+    assert order is not shuffled and order == sorted(list(shuffled), key=attrgetter("timestamp"))
+    assert [post.post_id for post in order] == ["p0", "p2", "p1", "p3", "p4", "p5", "p6", "p7"]  # ties as given
+
+
 def test_time_ordered_chunks_rejects_mixed_utc_offsets() -> None:
     posts = [
         GoldPost(post_id="a", label=SentimentLabel.NEUTRAL, timestamp=datetime(2014, 1, 1, tzinfo=timezone.utc)),
