@@ -41,10 +41,17 @@ multinomial call draws every resample's counts, and a measure is
 evaluated on all of them in one vectorized pass.  The counts are whole
 numbers, so the stacked results are bit-identical to evaluating one
 matrix at a time.
+
+Each decision on the way from label pairs to a measure is written once
+too: :func:`_cells` checks and encodes every pair of codes, annotator
+pairs and (prediction, gold) pairs alike, and :func:`compute_measure`
+turns a stack function's nonzero code into the measure's one reason it
+is undefined; the single-measure functions call it.
 """
 
 from __future__ import annotations
 
+import math
 from collections.abc import Iterable, Mapping, Sequence
 from dataclasses import dataclass
 from enum import Enum
@@ -132,25 +139,29 @@ class CoincidenceMatrix:
         return self.counts.sum(axis=1)
 
 
+def _cells(first: object, second: object) -> np.ndarray:
+    """Flat cell indices of two broadcast arrays of label codes; the
+    first pair with a code outside -1/0/+1 raises :class:`ValueError`."""
+    first, second = np.broadcast_arrays(np.asarray(first, dtype=np.intp), np.asarray(second, dtype=np.intp))
+    outside = (np.abs(first) > 1) | (np.abs(second) > 1)
+    if outside.any():
+        at = int(outside.argmax())
+        raise ValueError(f"pair ({first.flat[at]}, {second.flat[at]}) is outside the label codes -1/0/+1")
+    return (first + 1) * 3 + (second + 1)
+
+
 def pair_cells(pairs: Iterable[LabelPair | tuple[int, int]]) -> np.ndarray:
     """Map pairs to flat cell indices ``(first+1)*3 + (second+1)``.
 
     The ``bincount`` of the flat cells is what :func:`bootstrap_ci`
     resamples.  A :class:`~sentagree.corpus.PairTable` is mapped from
-    its code arrays as a whole.
+    its code arrays as a whole, a list from one array of its codes.
     """
     if isinstance(pairs, PairTable):
-        return (pairs.first.astype(np.intp) + 1) * 3 + (pairs.second + 1)
-    cells = []
-    for pair in pairs:
-        if isinstance(pair, LabelPair):
-            a, b = int(pair.first), int(pair.second)
-        else:
-            a, b = int(pair[0]), int(pair[1])
-        if a not in (-1, 0, 1) or b not in (-1, 0, 1):
-            raise ValueError(f"pair ({a}, {b}) is outside the label codes -1/0/+1")
-        cells.append((a + 1) * 3 + (b + 1))
-    return np.asarray(cells, dtype=np.intp)
+        return _cells(pairs.first, pairs.second)
+    codes = [(p.first, p.second) if isinstance(p, LabelPair) else (p[0], p[1]) for p in pairs]
+    first, second = np.array(codes, dtype=np.intp).reshape(-1, 2).T
+    return _cells(first, second)
 
 
 def matrix_from_cells(cells: np.ndarray) -> CoincidenceMatrix:
@@ -171,8 +182,8 @@ def build_coincidence(pairs: Iterable[LabelPair | tuple[int, int]]) -> Coinciden
 
 # Each ``_*_stack`` function evaluates one measure over a ``(..., 3, 3)``
 # count stack and returns the values with a code per matrix that is 0
-# where the measure is defined: the single-matrix functions turn a
-# nonzero code into its message, and the bootstrap retries those draws.
+# where the measure is defined: :func:`compute_measure` turns a nonzero
+# code into its reason, and the bootstrap retries those draws.
 
 
 def _alpha_stack(counts: np.ndarray, delta2: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
@@ -222,87 +233,56 @@ _STACKED = {
 }
 
 
-def alpha(matrix: CoincidenceMatrix, metric: str = "interval") -> float:
-    """Reliability coefficient ``1 - Do/De`` under the given metric.
-
-    Parameters
-    ----------
-    matrix:
-        Coincidence matrix of the pair set.
-    metric:
-        ``"interval"`` (squared code distance, the default) or
-        ``"nominal"`` (identity only).
-
-    Raises
-    ------
-    UndefinedMeasureError
-        If fewer than two labels carry mass (expected disagreement is
-        zero) or total mass is not above 1.
-    """
-    if metric == "interval":
-        delta2 = DELTA2_INTERVAL
-    elif metric == "nominal":
-        delta2 = DELTA2_NOMINAL
-    else:
-        raise ValueError(f"unknown metric {metric!r}, expected 'nominal' or 'interval'")
-    value, why = _alpha_stack(matrix.counts, delta2)
-    if why == 1:
-        raise UndefinedMeasureError(
-            f"alpha needs total mass > 1, got N = {matrix.total:g}"
-        )
-    if why == 2:
-        raise UndefinedMeasureError(
-            "alpha is undefined: expected disagreement is zero "
-            "(fewer than two labels carry mass)"
-        )
-    return float(value)
-
-
-def accuracy(matrix: CoincidenceMatrix) -> float:
-    """Observed agreement: diagonal mass over total mass."""
-    value, why = _accuracy_stack(matrix.counts)
-    if why:
-        raise UndefinedMeasureError("accuracy is undefined on an empty matrix")
-    return float(value)
-
-
-def acc_within_1(matrix: CoincidenceMatrix) -> float:
-    """Agreement within one scale point: everything but the corner cells."""
-    value, why = _acc_within_1_stack(matrix.counts)
-    if why:
-        raise UndefinedMeasureError("acc_within_1 is undefined on an empty matrix")
-    return float(value)
-
-
-def f1_bar(matrix: CoincidenceMatrix) -> float:
-    """Mean one-vs-rest F1 of the two polar classes.
-
-    On a symmetric matrix precision equals recall for every class, so
-    ``F1(c) = counts(c, c) / N(c)``.  Requires both polar classes to
-    carry mass.
-    """
-    value, why = _f1_bar_stack(matrix.counts)
-    if why:
-        marginals = matrix.marginals
-        raise UndefinedMeasureError(
-            "f1_bar is undefined: a polar class has no mass "
-            f"(N(-) = {marginals[0]:g}, N(+) = {marginals[2]:g})"
-        )
-    return float(value)
-
-
-_DISPATCH = {
-    Measure.ALPHA_NOMINAL: lambda m: alpha(m, "nominal"),
-    Measure.ALPHA_INTERVAL: lambda m: alpha(m, "interval"),
-    Measure.F1_BAR: f1_bar,
-    Measure.ACCURACY: accuracy,
-    Measure.ACC_WITHIN_1: acc_within_1,
+#: Why each measure is undefined, by the nonzero code of its stack function;
+#: formatted with the matrix's total mass and its polar marginals.
+_ALPHA_UNDEFINED = {
+    1: "alpha needs total mass > 1, got N = {total:g}",
+    2: "alpha is undefined: expected disagreement is zero (fewer than two labels carry mass)",
+}
+_UNDEFINED = {
+    Measure.ALPHA_NOMINAL: _ALPHA_UNDEFINED,
+    Measure.ALPHA_INTERVAL: _ALPHA_UNDEFINED,
+    Measure.F1_BAR: {1: "f1_bar is undefined: a polar class has no mass (N(-) = {neg:g}, N(+) = {pos:g})"},
+    Measure.ACCURACY: {1: "accuracy is undefined on an empty matrix"},
+    Measure.ACC_WITHIN_1: {1: "acc_within_1 is undefined on an empty matrix"},
 }
 
 
 def compute_measure(matrix: CoincidenceMatrix, measure: Measure | str) -> float:
-    """Evaluate one :class:`Measure` on a coincidence matrix."""
-    return _DISPATCH[Measure(measure)](matrix)
+    """Evaluate one :class:`Measure` on a coincidence matrix, or raise
+    :class:`UndefinedMeasureError` saying why it is undefined there."""
+    measure = Measure(measure)
+    value, why = _STACKED[measure](matrix.counts)
+    if why:
+        neg, _, pos = matrix.marginals
+        raise UndefinedMeasureError(_UNDEFINED[measure][int(why)].format(total=matrix.total, neg=neg, pos=pos))
+    return float(value)
+
+
+def alpha(matrix: CoincidenceMatrix, metric: str = "interval") -> float:
+    """Reliability coefficient ``1 - Do/De`` under the ``"interval"``
+    metric (squared code distance, the default) or the ``"nominal"`` one
+    (identity only); undefined when total mass is not above 1 or fewer
+    than two labels carry mass."""
+    if metric not in ("interval", "nominal"):
+        raise ValueError(f"unknown metric {metric!r}, expected 'nominal' or 'interval'")
+    return compute_measure(matrix, f"alpha_{metric}")
+
+
+def accuracy(matrix: CoincidenceMatrix) -> float:
+    """Observed agreement: diagonal mass over total mass."""
+    return compute_measure(matrix, Measure.ACCURACY)
+
+
+def acc_within_1(matrix: CoincidenceMatrix) -> float:
+    """Agreement within one scale point: everything but the corner cells."""
+    return compute_measure(matrix, Measure.ACC_WITHIN_1)
+
+
+def f1_bar(matrix: CoincidenceMatrix) -> float:
+    """Mean one-vs-rest F1 of the two polar classes, ``counts(c, c) /
+    N(c)`` on a symmetric matrix; undefined unless both carry mass."""
+    return compute_measure(matrix, Measure.F1_BAR)
 
 
 @dataclass(frozen=True)
@@ -446,16 +426,14 @@ class OrderingDiagnostics:
     dist_pos_neutral: float
 
 
-def _restricted_alpha(
-    cells: np.ndarray, keep: tuple[int, int], what: str
-) -> float:
-    first = cells // 3 - 1
-    second = cells % 3 - 1
-    mask = np.isin(first, keep) & np.isin(second, keep)
-    if not mask.any():
+def _restricted_alpha(one_sided: np.ndarray, keep: tuple[int, int], what: str) -> float:
+    """Interval alpha of the pairs of ``one_sided`` counts whose both labels are in ``keep``."""
+    inside = np.isin(LABEL_ORDER, keep)
+    kept = one_sided * (inside[:, None] & inside[None, :])
+    if not kept.any():
         raise UndefinedMeasureError(f"no pairs with both labels in {what}")
     try:
-        return alpha(matrix_from_cells(cells[mask]), "interval")
+        return alpha(CoincidenceMatrix(kept + kept.T), "interval")
     except UndefinedMeasureError as exc:
         raise UndefinedMeasureError(f"pairs restricted to {what} are degenerate: {exc}") from None
 
@@ -463,8 +441,8 @@ def _restricted_alpha(
 def ordering_diagnostics(pairs: Sequence[LabelPair | tuple[int, int]]) -> OrderingDiagnostics:
     """Compute the ordinality diagnostics on a pooled pair set.
 
-    Restricting to a two-label subset rebuilds the coincidence matrix
-    from only the pairs whose both labels fall in the subset; on two
+    Restricting to a two-label subset keeps only the cells of the
+    coincidence matrix whose both labels fall in the subset; on two
     labels the interval and nominal metrics coincide, so each
     restricted alpha is metric-free.
 
@@ -477,18 +455,19 @@ def ordering_diagnostics(pairs: Sequence[LabelPair | tuple[int, int]]) -> Orderi
     cells = pair_cells(pairs)
     if cells.shape[0] == 0:
         raise UndefinedMeasureError("ordering diagnostics need at least one pair")
-    full = matrix_from_cells(cells)
+    one_sided = np.bincount(cells, minlength=9).reshape(3, 3)
+    full = CoincidenceMatrix(one_sided + one_sided.T)
     a_int = alpha(full, "interval")
     a_nom = alpha(full, "nominal")
     if a_nom == 0.0:
         raise UndefinedMeasureError("relative gain is undefined: nominal alpha is zero")
-    extremes = _restricted_alpha(cells, (-1, 1), "{negative, positive}")
+    extremes = _restricted_alpha(one_sided, (-1, 1), "{negative, positive}")
     if extremes == 0.0:
         raise UndefinedMeasureError(
             "distinguishability ratios are undefined: alpha over {negative, positive} is zero"
         )
-    neg_neu = _restricted_alpha(cells, (-1, 0), "{negative, neutral}")
-    pos_neu = _restricted_alpha(cells, (0, 1), "{neutral, positive}")
+    neg_neu = _restricted_alpha(one_sided, (-1, 0), "{negative, neutral}")
+    pos_neu = _restricted_alpha(one_sided, (0, 1), "{neutral, positive}")
     return OrderingDiagnostics(
         relative_gain=(a_int - a_nom) / a_nom,
         dist_neg_neutral=neg_neu / extremes,
@@ -508,6 +487,8 @@ def sentiment_score(counts: Mapping[SentimentLabel | int, float]) -> float:
         code = int(key)
         if code not in (-1, 0, 1):
             raise ValueError(f"unknown label code {key!r}")
+        if not math.isfinite(value):
+            raise ValueError(f"non-finite count for label {key!r}")
         if value < 0:
             raise ValueError(f"negative count for label {key!r}")
         total += value

@@ -90,9 +90,9 @@ from pathlib import Path
 
 import numpy as np
 
-from .agreement import alpha, matrix_from_cells
+from .agreement import _STACKED, Measure, _cells
 from .corpus import SentimentLabel
-from .errors import EvaluationError, ModelFormatError, UndefinedMeasureError
+from .errors import EvaluationError, ModelFormatError
 from .features import CountRows, Vocabulary, class_sides, delta_weights, vocabulary_hash
 from .features import _keyed_file, _KeyedLines
 
@@ -516,22 +516,18 @@ def _tune_neutral_zone(
     train_idx, val_idx = _validation_split(labels, config.seed)
     plane = _train_plane(rows.select(train_idx), labels[train_idx], (-1,), (1,), config)
     values = _decision_values([plane], rows.select(val_idx))[0]
-    gold_cells = labels[val_idx] + 1
     candidates = np.unique(np.concatenate(([0.0], np.abs(values))))
     if candidates.size > 200:
         candidates = np.unique(np.quantile(candidates, np.linspace(0.0, 1.0, 201)))
-    best_zone = 0.0
-    best_score = -np.inf
-    for zone in candidates:
-        pred = _zone_labels(values, zone)
-        try:
-            score = alpha(matrix_from_cells((pred + 1) * 3 + gold_cells), "interval")
-        except UndefinedMeasureError:
-            continue
-        if score > best_score:
-            best_score = score
-            best_zone = float(zone)
-    return best_zone, plane
+    # one (3, 3) block of one-sided counts per candidate, all from one bincount
+    cells = _cells(_zone_labels(values, candidates[:, None]), labels[val_idx])
+    cells += 9 * np.arange(candidates.size)[:, None]
+    one_sided = np.bincount(cells.ravel(), minlength=9 * candidates.size).reshape(-1, 3, 3)
+    scores, why = _STACKED[Measure.ALPHA_INTERVAL](one_sided + one_sided.transpose(0, 2, 1))
+    defined = np.flatnonzero(why == 0)
+    if not defined.size:
+        return 0.0, plane
+    return float(candidates[defined[scores[defined].argmax()]]), plane  # the first maximum: the narrowest zone
 
 
 def train_sentiment(

@@ -132,7 +132,7 @@ class SentimentLabel(IntEnum):
 _LABELS = {m.name.lower(): m for m in SentimentLabel}
 _BY_CODE = tuple(SentimentLabel)  # the labels of codes -1, 0, +1
 _NAMES = np.array([label.to_string() for label in _BY_CODE], dtype=object)  # the names of codes -1, 0, +1
-_INT64 = range(-(2**63), 2**63)
+_COUNTS = range(1, 2**63)  # a MergedFrom value: an int64 count of at least one annotation
 
 
 class PairKind(str, Enum):
@@ -467,7 +467,7 @@ def _read(path: str | Path, annotated: bool) -> AnnotationTable | GoldTable:
                 elif merged_col is not None:
                     try:
                         count = int(row[merged_col])
-                        if count not in _INT64:
+                        if count not in _COUNTS:
                             raise ValueError
                         merged.append(count)
                     except ValueError:
@@ -518,12 +518,23 @@ def _check_offsets(items: Sequence[AnnotationRecord] | Sequence[GoldPost]) -> No
         )
 
 
+def _codes(items: Sequence[AnnotationRecord] | Sequence[GoldPost]) -> np.ndarray:
+    """The label codes of ``items`` as int8; a label that is not a code
+    -1/0/+1 raises :class:`CorpusFormatError` naming its post."""
+    label = np.array([item.label for item in items], dtype=np.int64)
+    outside = np.flatnonzero(abs(label) > 1)
+    if outside.size:
+        item = items[int(outside[0])]
+        raise CorpusFormatError(f"post {item.post_id!r}: label {item.label!r} is not a code -1/0/+1")
+    return label.astype(np.int8)
+
+
 def _table(records: Sequence[AnnotationRecord]) -> AnnotationTable:
     """``records`` as an :class:`AnnotationTable`: a table as it is, a
     list of records sorted by ``seq`` (ties kept in list order) with
     posts numbered in order of first appearance in the list.  Dates with
-    a UTC offset next to dates without one raise
-    :class:`CorpusFormatError`, as in a table."""
+    a UTC offset next to dates without one, and a label that is not a
+    code -1/0/+1, raise :class:`CorpusFormatError`."""
     if isinstance(records, AnnotationTable):
         return records
     _check_offsets(records)
@@ -531,26 +542,28 @@ def _table(records: Sequence[AnnotationRecord]) -> AnnotationTable:
     post_ids, post = _factorize([r.post_id for r in rows], (r.post_id for r in records))
     annotator_ids, annotator = _factorize([r.annotator_id for r in rows])
     return AnnotationTable(
-        post_ids, post, annotator_ids, annotator, np.array([r.label for r in rows], dtype=np.int8),
-        np.array([r.seq for r in rows], dtype=np.int64), tuple(r.timestamp for r in rows),
-        tuple(r.text for r in rows),
+        post_ids, post, annotator_ids, annotator, _codes(rows), np.array([r.seq for r in rows], dtype=np.int64),
+        tuple(r.timestamp for r in rows), tuple(r.text for r in rows),
     )
 
 
 def _gold_table(gold: Sequence[GoldPost]) -> GoldTable:
     """``gold`` as a :class:`GoldTable`: a table as it is, a list of
-    posts in list order.  A label that is not a code -1/0/+1 raises
-    :class:`CorpusFormatError`."""
+    posts in list order.  Dates with a UTC offset next to dates without
+    one, a label that is not a code -1/0/+1 and a ``merged_from`` below 1
+    raise :class:`CorpusFormatError`."""
     if isinstance(gold, GoldTable):
         return gold
-    label = np.array([p.label for p in gold], dtype=np.int64)
-    outside = np.flatnonzero(abs(label) > 1)
-    if outside.size:
-        post = gold[int(outside[0])]
-        raise CorpusFormatError(f"post {post.post_id!r}: label {post.label!r} is not a code -1/0/+1")
+    _check_offsets(gold)
+    label = _codes(gold)
+    merged_from = np.array([p.merged_from for p in gold], dtype=np.int64)
+    below = np.flatnonzero(merged_from < 1)
+    if below.size:
+        post = gold[int(below[0])]
+        raise CorpusFormatError(f"post {post.post_id!r}: bad MergedFrom value {post.merged_from!r}")
     return GoldTable(
-        tuple(p.post_id for p in gold), label.astype(np.int8), tuple(p.timestamp for p in gold),
-        tuple(p.text for p in gold), np.array([p.merged_from for p in gold], dtype=np.int64),
+        tuple(p.post_id for p in gold), label, tuple(p.timestamp for p in gold), tuple(p.text for p in gold),
+        merged_from,
     )
 
 

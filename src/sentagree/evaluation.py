@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agreement import LABEL_ORDER, CoincidenceMatrix, Measure, compute_measure, matrix_from_cells
+from .agreement import CoincidenceMatrix, Measure, _cells, compute_measure, matrix_from_cells
 from .classify import LinearModel, SentimentModel, TrainConfig, Variant, predict_batch, train_sentiment
 from .corpus import GoldPost, SentimentLabel, _gold_table, time_ordered_chunks
 from .errors import CorpusFormatError, EvaluationError, FoldPlanError
@@ -122,12 +122,7 @@ def score_predictions(
         )
     if not len(predicted):
         raise EvaluationError("cannot score an empty prediction set")
-    pred, true = np.asarray(predicted, dtype=np.int64), np.asarray(gold, dtype=np.int64)
-    outside = ~(np.isin(pred, LABEL_ORDER) & np.isin(true, LABEL_ORDER))
-    if outside.any():
-        i = int(outside.argmax())
-        raise ValueError(f"pair ({pred[i]}, {true[i]}) is outside the label codes -1/0/+1")
-    return matrix_from_cells((pred + 1) * 3 + (true + 1))
+    return matrix_from_cells(_cells(predicted, gold))
 
 
 @dataclass(frozen=True)

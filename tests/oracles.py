@@ -150,6 +150,34 @@ def bootstrap_reference(pairs, measure, n_samples=1000, seed=0, retry_cap=100):
     )
 
 
+def neutral_zone_reference(values, gold):
+    """The neutral-zone half-width of largest interval alpha, one candidate at a time.
+
+    The candidates are zero and the decision magnitudes (201 quantiles of
+    them when there are more than 200).  Each candidate labels the values
+    by a Python loop, is scored by the library's single-matrix ``alpha``
+    on the (prediction, gold) pairs, and is skipped where that is
+    undefined; a strictly larger score wins, so the narrowest of equal
+    zones is kept.  0.0 when no candidate is defined.
+    """
+    from sentagree.agreement import alpha, build_coincidence
+    from sentagree.errors import UndefinedMeasureError
+
+    candidates = np.unique(np.concatenate(([0.0], np.abs(values))))
+    if candidates.size > 200:
+        candidates = np.unique(np.quantile(candidates, np.linspace(0.0, 1.0, 201)))
+    best_zone, best_score = 0.0, -math.inf
+    for zone in candidates.tolist():
+        pred = [0 if abs(v) <= zone else (1 if v > 0 else -1) for v in values.tolist()]
+        try:
+            score = alpha(build_coincidence(zip(pred, gold.tolist())), "interval")
+        except UndefinedMeasureError:
+            continue
+        if score > best_score:
+            best_zone, best_score = zone, score
+    return best_zone
+
+
 def svm_dual_optimum(X, y, cost):
     """Optimal dual objective of the L1-hinge SVM with a regularized bias.
 

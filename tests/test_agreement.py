@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from sentagree import agreement
-from sentagree.corpus import AnnotationRecord, SentimentLabel, extract_pairs
+from sentagree.corpus import AnnotationRecord, LabelPair, PairKind, PairTable, SentimentLabel, extract_pairs
 from sentagree.agreement import (
     CoincidenceMatrix,
     Measure,
@@ -22,6 +22,7 @@ from sentagree.agreement import (
     sentiment_score,
 )
 from sentagree.errors import UndefinedMeasureError
+from sentagree.evaluation import score_predictions
 
 import oracles
 
@@ -90,6 +91,57 @@ def test_f1_bar_needs_both_polar_classes() -> None:
     matrix = build_coincidence([(0, 0), (0, -1)])
     with pytest.raises(UndefinedMeasureError, match="polar"):
         f1_bar(matrix)
+
+
+EMPTY = CoincidenceMatrix(np.zeros((3, 3)))
+UNDEFINED_CASES = [
+    (Measure.ALPHA_INTERVAL, EMPTY, "alpha needs total mass > 1, got N = 0"),
+    (Measure.ALPHA_NOMINAL, CoincidenceMatrix(np.diag([0.5, 0.0, 0.0])), "alpha needs total mass > 1, got N = 0.5"),
+    (Measure.ALPHA_INTERVAL, build_coincidence([(0, 0), (0, 0)]),
+     "alpha is undefined: expected disagreement is zero (fewer than two labels carry mass)"),
+    (Measure.ALPHA_NOMINAL, build_coincidence([(1, 1)]),
+     "alpha is undefined: expected disagreement is zero (fewer than two labels carry mass)"),
+    (Measure.ACCURACY, EMPTY, "accuracy is undefined on an empty matrix"),
+    (Measure.ACC_WITHIN_1, EMPTY, "acc_within_1 is undefined on an empty matrix"),
+    (Measure.F1_BAR, build_coincidence([(0, 0), (0, -1)]),
+     "f1_bar is undefined: a polar class has no mass (N(-) = 1, N(+) = 0)"),
+    (Measure.F1_BAR, CoincidenceMatrix(np.diag([0.0, 1.0, 2.5])),
+     "f1_bar is undefined: a polar class has no mass (N(-) = 0, N(+) = 2.5)"),
+]
+PUBLIC = {
+    Measure.ALPHA_NOMINAL: lambda m: alpha(m, "nominal"),
+    Measure.ALPHA_INTERVAL: alpha,
+    Measure.ACCURACY: accuracy,
+    Measure.ACC_WITHIN_1: acc_within_1,
+    Measure.F1_BAR: f1_bar,
+}
+
+
+@pytest.mark.parametrize(("measure", "matrix", "message"), UNDEFINED_CASES)
+def test_undefined_measure_says_why_in_its_own_words(measure, matrix, message) -> None:
+    # the CLI prints these texts, so they are pinned character for character
+    for evaluate in (lambda m: compute_measure(m, measure), lambda m: compute_measure(m, measure.value), PUBLIC[measure]):
+        with pytest.raises(UndefinedMeasureError) as raised:
+            evaluate(matrix)
+        assert str(raised.value) == message
+
+
+def test_alpha_rejects_an_unknown_metric() -> None:
+    with pytest.raises(ValueError, match="^unknown metric 'ordinal', expected 'nominal' or 'interval'$"):
+        alpha(build_coincidence(FIXTURE_PAIRS), "ordinal")
+
+
+@pytest.mark.parametrize("bad", [(2, -1), (0, -2), (-128, 0), (1, 3)])
+def test_every_pair_input_rejects_a_code_outside_the_labels_alike(bad) -> None:
+    a, b = bad
+    message = f"^pair \\({a}, {b}\\) is outside the label codes -1/0/\\+1$"
+    table = PairTable(np.array([0, a, 1], dtype=np.int8), np.array([0, b, -3], dtype=np.int8),
+                      np.zeros(3, dtype=bool), np.zeros(3, dtype=np.int64), ("p",))
+    for given in (table, [(0, 0), bad, (1, -3)], [LabelPair(0, 0, PairKind.INTER, "p"), LabelPair(a, b, PairKind.SELF, "p")]):
+        with pytest.raises(ValueError, match=message):
+            pair_cells(given)
+    with pytest.raises(ValueError, match=message):
+        score_predictions([0, a, 1], [0, b, -3])
 
 
 def test_extreme_disagreement_hurts_interval_more() -> None:
@@ -377,3 +429,6 @@ def test_sentiment_score() -> None:
         sentiment_score({2: 1})
     with pytest.raises(ValueError, match="negative"):
         sentiment_score({1: -3})
+    for counts in ({1: float("nan"), 0: 1}, {1: float("inf"), -1: 1}, {-1: -float("inf")}, {0: np.nan}):
+        with pytest.raises(ValueError, match="^non-finite count for label "):
+            sentiment_score(counts)

@@ -4,12 +4,15 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+from types import SimpleNamespace
+from unittest.mock import patch
 
 import numpy as np
 import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sentagree import classify
 from sentagree.classify import (
     BinTable,
     LinearModel,
@@ -261,6 +264,48 @@ def test_neutral_zone_handles_ordinal_geometry() -> None:
     model = train_sentiment(stack(vectors), labels, Variant.NEUTRAL_ZONE)
     assert model.neutral_zone is not None and model.neutral_zone >= 0.0
     assert predict_batch(model, stack(vectors)).tolist() == labels
+
+
+def tuned_zone(values: np.ndarray, gold: np.ndarray) -> float:
+    """The zone ``_tune_neutral_zone`` picks when the held-out split is all
+    of ``gold`` and the trained plane's decision values on it are ``values``."""
+    rows = SimpleNamespace(select=lambda rows: rows)
+    with patch.object(classify, "_validation_split", lambda labels, seed: (np.arange(0), np.arange(gold.size))), \
+            patch.object(classify, "_train_plane", lambda *args: "plane"), \
+            patch.object(classify, "_decision_values", lambda planes, rows: values[None, :]):
+        zone, plane = classify._tune_neutral_zone(rows, gold, TrainConfig())
+    assert plane == "plane"
+    return zone
+
+
+@st.composite
+def zone_inputs(draw):
+    n = draw(st.integers(0, 300))
+    # few magnitudes give tied candidates, many give more than 200 of them
+    top = draw(st.sampled_from([2, 16, 4096]))
+    values = np.array(draw(st.lists(st.integers(-top, top), min_size=n, max_size=n)), dtype=np.float64) / 7.0
+    codes = draw(st.sampled_from([(0,), (1,), (-1, 1), (-1, 0, 1)]))  # one code: every zone undefined or not
+    gold = np.array(draw(st.lists(st.sampled_from(codes), min_size=n, max_size=n)), dtype=np.int64)
+    return values, gold
+
+
+@settings(max_examples=150, deadline=None)
+@given(zone_inputs())
+def test_stacked_neutral_zone_tuning_matches_the_per_candidate_loop(inputs) -> None:
+    values, gold = inputs
+    assert tuned_zone(values, gold) == oracles.neutral_zone_reference(values, gold)
+
+
+def test_neutral_zone_tuning_over_quantile_candidates_and_undefined_splits() -> None:
+    rng = np.random.default_rng(3)
+    values = np.round(rng.normal(size=800), 3)  # rounded: tied magnitudes, and more than 200 of them
+    gold = np.sign(values + rng.normal(scale=0.7, size=800)).astype(np.int64)
+    assert np.unique(np.abs(values)).size > 200
+    zone = tuned_zone(values, gold)
+    assert zone > 0.0 and zone == oracles.neutral_zone_reference(values, gold)
+    # no candidate defined: all labels neutral, or no held-out post at all
+    for values, gold in ((np.zeros(5), np.zeros(5, np.int64)), (np.zeros(0), np.zeros(0, np.int64))):
+        assert tuned_zone(values, gold) == oracles.neutral_zone_reference(values, gold) == 0.0
 
 
 def test_train_sentiment_validation() -> None:

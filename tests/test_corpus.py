@@ -112,9 +112,10 @@ def test_bad_date_reports_line(tmp_path) -> None:
         load_annotations(path)
 
 
-@pytest.mark.parametrize("count", ["x", "1.5", str(2**63)])
+@pytest.mark.parametrize("count", ["x", "1.5", str(2**63), "0", "-3"])
 def test_bad_merged_from_reports_line(tmp_path, count) -> None:
-    # a count that does not fit the table's int64 column is as bad as one that is not a number
+    # a count that does not fit the table's int64 column is as bad as one that is not a number, and the
+    # column counts annotations, so a post merged from none or fewer is as bad too
     path = write_table(tmp_path / "gold.csv", [("p1", "Positive", "2"), ("p2", "Neutral", count)],
                        header=("TweetID", "HandLabel", "MergedFrom"))
     with pytest.raises(CorpusFormatError, match=f"bad MergedFrom value '{count}' on line 3$"):
@@ -587,6 +588,35 @@ def test_save_gold_rejects_a_label_outside_the_codes(tmp_path, code) -> None:
     gold = [GoldPost("p1", SentimentLabel.NEUTRAL), GoldPost("p2", code)]
     with pytest.raises(CorpusFormatError, match=f"^post 'p2': label {code} is not a code -1/0/\\+1$"):
         save_gold(gold, tmp_path / "gold.csv")
+
+
+@pytest.mark.parametrize("count", [0, -3])
+def test_save_gold_rejects_merged_from_below_one(tmp_path, count) -> None:
+    gold = [GoldPost("p1", SentimentLabel.NEUTRAL), GoldPost("p2", SentimentLabel.POSITIVE, merged_from=count)]
+    with pytest.raises(CorpusFormatError, match=f"^post 'p2': bad MergedFrom value {count}$"):
+        save_gold(gold, tmp_path / "gold.csv")
+    assert not (tmp_path / "gold.csv").exists()
+
+
+def test_save_gold_rejects_mixed_utc_offsets_before_writing(tmp_path) -> None:
+    # load_gold would reject the file, so none is written
+    gold = [
+        GoldPost("a", SentimentLabel.POSITIVE, datetime(2020, 1, 1)),
+        GoldPost("b", SentimentLabel.NEUTRAL, datetime(2020, 1, 2, tzinfo=timezone.utc)),
+    ]
+    with pytest.raises(CorpusFormatError, match=r"^post 'b': date .* has a UTC offset, unlike the first dated post 'a'$"):
+        save_gold(gold, tmp_path / "gold.csv")
+    assert not (tmp_path / "gold.csv").exists()
+
+
+@pytest.mark.parametrize("code", [-2, 2, 300])
+@pytest.mark.parametrize("entry", [extract_pairs, merge_gold])
+def test_records_with_a_label_outside_the_codes_are_rejected(entry, code) -> None:
+    # an int8 cast would wrap 300 round to 44, and code 2 indexed past the label names
+    records = [AnnotationRecord("p1", "a", 0, 0), AnnotationRecord("p2", "a", 0, 1),
+               AnnotationRecord("p2", "b", code, 2)]
+    with pytest.raises(CorpusFormatError, match=f"^post 'p2': label {code} is not a code -1/0/\\+1$"):
+        entry(records)
 
 
 def test_load_gold_merges_a_raw_table(annotations_csv) -> None:
