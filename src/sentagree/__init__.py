@@ -7,160 +7,56 @@ text features, six linear-SVM/Bayes classifier variants over the
 three-point sentiment scale, blocked stratified cross-validation with
 learning curves, and Friedman/Nemenyi ranking of classifiers across
 datasets.
-"""
 
-from .agreement import (
-    CoincidenceMatrix,
-    ConfidenceInterval,
-    Measure,
-    OrderingDiagnostics,
-    acc_within_1,
-    accuracy,
-    alpha,
-    bootstrap_ci,
-    build_coincidence,
-    compute_measure,
-    f1_bar,
-    ordering_diagnostics,
-    sentiment_score,
-)
-from .classify import (
-    LinearModel,
-    SentimentModel,
-    TrainConfig,
-    Variant,
-    load_model,
-    predict,
-    predict_batch,
-    save_model,
-    train_binary,
-    train_sentiment,
-)
-from .corpus import (
-    AnnotationRecord,
-    GoldPost,
-    GoldTable,
-    LabelPair,
-    PairKind,
-    SentimentLabel,
-    extract_pairs,
-    load_annotations,
-    load_gold,
-    merge_gold,
-    save_gold,
-    time_ordered_chunks,
-)
-from .errors import (
-    CorpusFormatError,
-    EvaluationError,
-    FoldPlanError,
-    ModelFormatError,
-    SentagreeError,
-    UndefinedMeasureError,
-    VocabularyError,
-)
-from .evaluation import (
-    DEFAULT_MEASURES,
-    CrossValResult,
-    CurvePoint,
-    FoldPlan,
-    LearningCurve,
-    cross_validate,
-    learning_curve,
-    plan_folds,
-    prepare,
-    score_predictions,
-)
-from .features import (
-    CountRows,
-    Vocabulary,
-    count_vector,
-    delta_weights,
-    english_suffix_stem,
-    load_vocabulary,
-    normalize,
-    save_vocabulary,
-    vocabulary_from_token_docs,
-    vocabulary_hash,
-)
-from .ranking import (
-    RankReport,
-    RankSummary,
-    ScoreTable,
-    compare_ranks,
-    friedman,
-    nemenyi_cd,
-)
+The namespace is lazy (PEP 562): ``import sentagree`` loads no
+submodule, and a public name or submodule loads its submodule on first
+access.  So ``agreement``, ``ordering`` and ``merge`` never load the
+classifier stack (``classify``, ``features``, ``evaluation`` and
+``ranking``).
+"""
 
 __version__ = "0.1.0"
 
-__all__ = [
-    "AnnotationRecord",
-    "CoincidenceMatrix",
-    "ConfidenceInterval",
-    "CorpusFormatError",
-    "CountRows",
-    "CrossValResult",
-    "CurvePoint",
-    "DEFAULT_MEASURES",
-    "EvaluationError",
-    "FoldPlan",
-    "FoldPlanError",
-    "GoldPost",
-    "GoldTable",
-    "LabelPair",
-    "LearningCurve",
-    "LinearModel",
-    "Measure",
-    "ModelFormatError",
-    "OrderingDiagnostics",
-    "PairKind",
-    "RankReport",
-    "RankSummary",
-    "ScoreTable",
-    "SentagreeError",
-    "SentimentLabel",
-    "SentimentModel",
-    "TrainConfig",
-    "UndefinedMeasureError",
-    "Variant",
-    "Vocabulary",
-    "VocabularyError",
-    "acc_within_1",
-    "accuracy",
-    "alpha",
-    "bootstrap_ci",
-    "build_coincidence",
-    "compare_ranks",
-    "compute_measure",
-    "count_vector",
-    "cross_validate",
-    "delta_weights",
-    "english_suffix_stem",
-    "extract_pairs",
-    "f1_bar",
-    "friedman",
-    "learning_curve",
-    "load_annotations",
-    "load_gold",
-    "load_model",
-    "load_vocabulary",
-    "merge_gold",
-    "nemenyi_cd",
-    "normalize",
-    "ordering_diagnostics",
-    "plan_folds",
-    "predict",
-    "predict_batch",
-    "prepare",
-    "save_gold",
-    "save_model",
-    "save_vocabulary",
-    "score_predictions",
-    "sentiment_score",
-    "time_ordered_chunks",
-    "train_binary",
-    "train_sentiment",
-    "vocabulary_from_token_docs",
-    "vocabulary_hash",
-]
+#: Submodule -> the public names it provides.
+_EXPORTS = {
+    "agreement": """CoincidenceMatrix ConfidenceInterval Measure OrderingDiagnostics acc_within_1 accuracy
+        alpha bootstrap_ci build_coincidence compute_measure f1_bar ordering_diagnostics sentiment_score""",
+    "classify": """LinearModel SentimentModel TrainConfig Variant load_model predict predict_batch save_model
+        train_binary train_sentiment""",
+    "cli": "",
+    "corpus": """AnnotationRecord GoldPost GoldTable LabelPair PairKind SentimentLabel extract_pairs
+        load_annotations load_gold merge_gold save_gold time_ordered_chunks""",
+    "errors": """CorpusFormatError EvaluationError FoldPlanError ModelFormatError SentagreeError
+        UndefinedMeasureError VocabularyError""",
+    "evaluation": """DEFAULT_MEASURES CrossValResult CurvePoint FoldPlan LearningCurve cross_validate
+        learning_curve plan_folds prepare score_predictions""",
+    "features": """CountRows Vocabulary count_vector delta_weights english_suffix_stem load_vocabulary normalize
+        save_vocabulary vocabulary_from_token_docs vocabulary_hash""",
+    "ranking": "RankReport RankSummary ScoreTable compare_ranks friedman nemenyi_cd",
+}
+
+#: Each public name, and each submodule name, -> the submodule that holds it.
+_ORIGIN = {
+    **{module: module for module in _EXPORTS},
+    **{name: module for module, names in _EXPORTS.items() for name in names.split()},
+}
+
+__all__ = sorted(name for names in _EXPORTS.values() for name in names.split())
+
+
+def __getattr__(name: str):
+    module = _ORIGIN.get(name)
+    if module is None:
+        raise AttributeError(f"module {__name__!r} has no attribute {name!r}")
+    # an import statement's path, which -X importtime logs (importlib.import_module's is not);
+    # importing a submodule binds it as a global of this package
+    __import__(f"{__name__}.{module}")
+    value = globals()[module]
+    if name != module:
+        value = getattr(value, name)
+    globals()[name] = value  # later lookups skip this hook
+    return value
+
+
+def __dir__() -> list[str]:
+    return sorted(set(globals()) | set(_ORIGIN))

@@ -141,13 +141,16 @@ class CoincidenceMatrix:
 
 def _cells(first: object, second: object) -> np.ndarray:
     """Flat cell indices of two broadcast arrays of label codes; the
-    first pair with a code outside -1/0/+1 raises :class:`ValueError`."""
-    first, second = np.broadcast_arrays(np.asarray(first, dtype=np.intp), np.asarray(second, dtype=np.intp))
-    outside = (np.abs(first) > 1) | (np.abs(second) > 1)
+    first pair with a code that is not exactly -1, 0 or +1 (1.0 is +1,
+    1.5 is no code) raises :class:`ValueError`.  The codes are checked
+    before they are cast, so no cast can round or overflow one into range."""
+    first, second = np.broadcast_arrays(np.asarray(first), np.asarray(second))
+    inside = [(codes == -1) | (codes == 0) | (codes == 1) for codes in (first, second)]
+    outside = ~(inside[0] & inside[1])
     if outside.any():
         at = int(outside.argmax())
         raise ValueError(f"pair ({first.flat[at]}, {second.flat[at]}) is outside the label codes -1/0/+1")
-    return (first + 1) * 3 + (second + 1)
+    return (first.astype(np.intp) + 1) * 3 + (second.astype(np.intp) + 1)
 
 
 def pair_cells(pairs: Iterable[LabelPair | tuple[int, int]]) -> np.ndarray:
@@ -160,7 +163,7 @@ def pair_cells(pairs: Iterable[LabelPair | tuple[int, int]]) -> np.ndarray:
     if isinstance(pairs, PairTable):
         return _cells(pairs.first, pairs.second)
     codes = [(p.first, p.second) if isinstance(p, LabelPair) else (p[0], p[1]) for p in pairs]
-    first, second = np.array(codes, dtype=np.intp).reshape(-1, 2).T
+    first, second = np.array(codes, dtype=object).reshape(-1, 2).T
     return _cells(first, second)
 
 

@@ -19,16 +19,23 @@ import json
 import os
 import sys
 from pathlib import Path
-from typing import NoReturn
+from typing import TYPE_CHECKING, NoReturn
 
 from . import agreement as agr
-from . import classify, corpus, evaluation, features, ranking
+from . import corpus
 from .errors import CorpusFormatError, SentagreeError
+
+if TYPE_CHECKING:
+    # The training commands import the classifier modules where they run, so
+    # ``agreement``, ``ordering`` and ``merge`` never load them.  They call
+    # through the module attributes, which a tracer may patch.
+    from . import classify, evaluation
 
 DATA_DIR_ENV = "SENTAGREE_DATA_DIR"
 
 _MEASURE_CHOICES = [m.value for m in agr.Measure]
-_VARIANT_CHOICES = [v.value for v in classify.Variant]
+#: ``classify.Variant``'s values in its order, written out so the parser loads no classifier.
+_VARIANT_CHOICES = ("NeutralZoneSVM", "TwoPlaneSVM", "TwoPlaneSVMbin", "CascadingSVM", "ThreePlaneSVM", "NaiveBayes")
 
 
 def _resolve(path: str) -> Path:
@@ -91,7 +98,28 @@ def _single(values: list[str], flag: str) -> str:
     return values[0]
 
 
+def _measures(values: list[str] | None, default: tuple) -> tuple[agr.Measure, ...]:
+    """The measures a repeatable ``--measure`` names, each at most once,
+    or ``default`` when it is not given."""
+    if not values:
+        return default
+    wanted = tuple(agr.Measure(m) for m in values)
+    repeated = [m.value for m in wanted if wanted.count(m) > 1]
+    if repeated:
+        raise UsageError(f"--measure {repeated[0]} is given more than once")
+    return wanted
+
+
+def _not_over_input(source: Path, *outputs: Path) -> None:
+    """Refuse, before anything is written, an output that is the input file."""
+    for out in outputs:
+        if out.exists() and source.exists() and out.samefile(source):
+            raise UsageError(f"--out would write {out}, which is the --input file")
+
+
 def _train_config(args: argparse.Namespace) -> classify.TrainConfig:
+    from . import classify
+
     try:
         return classify.TrainConfig(cost=args.cost, seed=args.seed, bin_grid=args.bins)
     except ValueError as exc:
@@ -114,10 +142,7 @@ _MEASURE_ORDER = (
 
 
 def cmd_agreement(args: argparse.Namespace) -> None:
-    wanted = tuple(agr.Measure(m) for m in args.measure) if args.measure else _MEASURE_ORDER
-    repeated = [m.value for m in wanted if wanted.count(m) > 1]
-    if repeated:
-        raise UsageError(f"--measure {repeated[0]} is given more than once")
+    wanted = _measures(args.measure, _MEASURE_ORDER)
     rows = []
     for name, path in zip(_dataset_names(args.input), args.input):
         pairs = corpus.extract_pairs(corpus.load_annotations(_resolve(path)))
@@ -193,6 +218,7 @@ def cmd_ordering(args: argparse.Namespace) -> None:
 
 def cmd_merge(args: argparse.Namespace) -> None:
     path = _resolve(_single(args.input, "--input"))
+    _not_over_input(path, Path(args.out))
     table = corpus.load_annotations(path)
     if not table:
         raise CorpusFormatError(f"{path}: no posts found")
@@ -200,12 +226,16 @@ def cmd_merge(args: argparse.Namespace) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> None:
+    from . import classify, evaluation, features
+
     config = _train_config(args)
-    gold = corpus.load_gold(_resolve(_single(args.input, "--input")))
-    prepared = evaluation.prepare(gold, min_df=args.min_df)
-    model = classify.train_sentiment(prepared.counts, prepared.labels, args.variant, config, prepared.vocab)
+    source = _resolve(_single(args.input, "--input"))
     model_path = Path(args.out)
     vocab_path = model_path.with_name(model_path.name + ".vocab")
+    _not_over_input(source, model_path, vocab_path)
+    gold = corpus.load_gold(source)
+    prepared = evaluation.prepare(gold, min_df=args.min_df)
+    model = classify.train_sentiment(prepared.counts, prepared.labels, args.variant, config, prepared.vocab)
     classify.save_model(model, model_path)
     features.save_vocabulary(prepared.vocab, vocab_path)
     summary = {
@@ -236,9 +266,11 @@ def _crossval_rows(result: evaluation.CrossValResult) -> list[dict]:
 
 
 def cmd_crossval(args: argparse.Namespace) -> None:
+    from . import evaluation
+
     config = _train_config(args)
+    measures = _measures(args.measure, evaluation.DEFAULT_MEASURES)
     gold = corpus.load_gold(_resolve(_single(args.input, "--input")))
-    measures = tuple(args.measure) if args.measure else evaluation.DEFAULT_MEASURES
     prepared = evaluation.prepare(gold, min_df=args.min_df)
     result = evaluation.cross_validate(prepared, args.variant, config, args.k, measures)
     rows = _crossval_rows(result)
@@ -255,9 +287,11 @@ def cmd_crossval(args: argparse.Namespace) -> None:
 
 
 def cmd_curve(args: argparse.Namespace) -> None:
+    from . import evaluation
+
     config = _train_config(args)
+    measures = _measures(args.measure, evaluation.DEFAULT_MEASURES)
     gold = corpus.load_gold(_resolve(_single(args.input, "--input")))
-    measures = tuple(args.measure) if args.measure else evaluation.DEFAULT_MEASURES
     curve = evaluation.learning_curve(gold, args.variant, config, args.step, args.k, measures, min_df=args.min_df)
     rows = []
     for point in curve.points:
@@ -279,10 +313,12 @@ def cmd_curve(args: argparse.Namespace) -> None:
 def cmd_compare(args: argparse.Namespace) -> None:
     if len(args.input) < 2:
         raise UsageError("compare needs at least two dataset files")
+    from . import evaluation, ranking
+
     measure = agr.Measure(_single(args.measure, "--measure")) if args.measure else agr.Measure.ALPHA_INTERVAL
     config = _train_config(args)
     names = _dataset_names(args.input)
-    variants = [v.value for v in classify.Variant]
+    variants = _VARIANT_CHOICES
     scores = []
     for path in args.input:
         prepared = evaluation.prepare(corpus.load_gold(_resolve(path)), min_df=args.min_df)
@@ -355,7 +391,7 @@ def _add_common(sub: argparse.ArgumentParser) -> None:
 
 
 def _add_training(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--variant", choices=_VARIANT_CHOICES, default=classify.Variant.TWO_PLANE.value)
+    sub.add_argument("--variant", choices=_VARIANT_CHOICES, default="TwoPlaneSVM")
     sub.add_argument("--min-df", type=_int_at_least(1), default=5, dest="min_df")
     sub.add_argument("--cost", type=float, default=1.0)
     sub.add_argument("--bins", type=int, default=10)

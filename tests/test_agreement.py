@@ -144,6 +144,28 @@ def test_every_pair_input_rejects_a_code_outside_the_labels_alike(bad) -> None:
         score_predictions([0, a, 1], [0, b, -3])
 
 
+@pytest.mark.parametrize(
+    ("bad", "shown"),
+    [((1.5, -0.9), r"1\.5, -0\.9"), ((1.7, 0.2), r"1\.7, 0\.2"), ((2**70, 0), str(2**70) + ", 0"),
+     ((float("nan"), 0), "nan, 0")],
+    ids=["fractions", "rounding-to-codes", "beyond-int64", "nan"],
+)
+def test_a_code_that_is_not_exactly_a_label_is_rejected_before_any_cast(bad, shown) -> None:
+    # a cast first would truncate 1.5 to 1 and -0.9 to 0, or overflow on 2**70
+    message = rf"^pair \({shown}\) is outside the label codes -1/0/\+1$"
+    with pytest.raises(ValueError, match=message):
+        pair_cells([bad])
+    with pytest.raises(ValueError, match=message):
+        pair_cells([(0, 0), bad])
+    with pytest.raises(ValueError, match=message):
+        score_predictions([bad[0]], [bad[1]])
+
+
+def test_whole_float_codes_still_count_as_labels() -> None:
+    assert pair_cells([(1.0, -1.0), (0.0, 1)]).tolist() == pair_cells([(1, -1), (0, 1)]).tolist() == [6, 5]
+    assert np.array_equal(score_predictions([1.0, 0.0], [1, -1]).counts, score_predictions([1, 0], [1, -1]).counts)
+
+
 def test_extreme_disagreement_hurts_interval_more() -> None:
     agreements = [(-1, -1)] * 4 + [(0, 0)] * 4 + [(1, 1)] * 4
     # only corner confusions: interval counts them 4x

@@ -9,7 +9,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sentagree import classify, corpus, evaluation, features
+from sentagree import classify, cli, corpus, evaluation, features
 from sentagree.cli import main
 from sentagree.corpus import GoldPost, SentimentLabel
 
@@ -111,6 +111,14 @@ def test_agreement_rejects_a_repeated_measure(annotations_csv, capsys):
     code, out, err = run(argv, capsys)
     assert (code, out) == (1, "")
     assert re.fullmatch(r"error: usage: --measure accuracy is given more than once\n", err)
+
+@pytest.mark.parametrize("command", ["crossval", "curve"])
+def test_cross_validating_commands_reject_a_repeated_measure(command, gold_csv, capsys):
+    argv = [command, "--input", str(gold_csv), "--measure", "accuracy", "--measure", "accuracy"]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(r"error: usage: --measure accuracy is given more than once\n", err)
+
 
 def test_agreement_csv_uses_slash_for_undefined(tmp_path, capsys):
     rows = [
@@ -547,6 +555,35 @@ def test_file_writing_commands_reject_stdout(command, out, annotations_csv, tmp_
     assert (code, stdout) == (1, "")
     assert re.fullmatch(rf"error: usage: {command} writes files and needs --out FILE, not '-'\n", err)
     assert sorted(p.name for p in tmp_path.iterdir()) == [annotations_csv.name]
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted"])
+def test_merge_refuses_to_write_over_its_input(spelling, annotations_csv, capsys):
+    out = annotations_csv if spelling == "same" else annotations_csv.parent / "." / annotations_csv.name
+    before = annotations_csv.read_bytes()
+    code, stdout, err = run(["merge", "--input", str(annotations_csv), "--out", str(out)], capsys)
+    assert (code, stdout) == (1, "")
+    assert re.fullmatch(r"error: usage: --out would write .*mini\.csv, which is the --input file\n", err)
+    assert annotations_csv.read_bytes() == before
+    assert sorted(p.name for p in annotations_csv.parent.iterdir()) == ["mini.csv"]
+
+
+@pytest.mark.parametrize("out_name", ["model.txt", "model"], ids=["model", "vocabulary"])
+def test_train_refuses_to_write_over_its_input(out_name, gold_csv, tmp_path, capsys):
+    # the input is the model file itself, or the vocabulary written next to it
+    source = tmp_path / "model.txt" if out_name == "model.txt" else tmp_path / "model.vocab"
+    source.write_bytes(gold_csv.read_bytes())
+    gold_csv.unlink()
+    code, stdout, err = run(["train", "--input", str(source), "--out", str(tmp_path / out_name)], capsys)
+    assert (code, stdout) == (1, "")
+    assert re.fullmatch(rf"error: usage: --out would write .*{source.name}, which is the --input file\n", err)
+    assert [p.name for p in tmp_path.iterdir()] == [source.name]
+    assert corpus.load_gold(source)  # still the gold table
+
+
+def test_variant_choices_are_the_classifier_variants() -> None:
+    # the parser names them without importing classify
+    assert cli._VARIANT_CHOICES == tuple(VARIANTS)
 
 
 @pytest.mark.parametrize("command", ["agreement", "crossval"])
