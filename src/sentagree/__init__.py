@@ -19,8 +19,8 @@ __version__ = "0.1.0"
 
 #: Submodule -> the public names it provides.
 _EXPORTS = {
-    "agreement": """CoincidenceMatrix ConfidenceInterval Measure OrderingDiagnostics acc_within_1 accuracy
-        alpha bootstrap_ci build_coincidence compute_measure f1_bar ordering_diagnostics sentiment_score""",
+    "agreement": """CoincidenceMatrix ConfidenceInterval Measure OrderingDiagnostics bootstrap_ci
+        build_coincidence compute_measure ordering_diagnostics sentiment_score""",
     "classify": """LinearModel SentimentModel TrainConfig Variant load_model predict predict_batch save_model
         train_binary train_sentiment""",
     "cli": "",

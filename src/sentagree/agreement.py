@@ -45,8 +45,8 @@ matrix at a time.
 Each decision on the way from label pairs to a measure is written once
 too: :func:`_cells` checks and encodes every pair of codes, annotator
 pairs and (prediction, gold) pairs alike, and :func:`compute_measure`
-turns a stack function's nonzero code into the measure's one reason it
-is undefined; the single-measure functions call it.
+evaluates any measure on one matrix, turning a stack function's nonzero
+code into the measure's one reason it is undefined.
 """
 
 from __future__ import annotations
@@ -70,10 +70,6 @@ __all__ = [
     "build_coincidence",
     "pair_cells",
     "matrix_from_cells",
-    "alpha",
-    "f1_bar",
-    "accuracy",
-    "acc_within_1",
     "compute_measure",
     "bootstrap_ci",
     "ordering_diagnostics",
@@ -139,14 +135,18 @@ class CoincidenceMatrix:
         return self.counts.sum(axis=1)
 
 
+def _not_codes(codes: np.ndarray) -> np.ndarray:
+    """Where ``codes`` holds a value that is not exactly -1, 0 or +1."""
+    return ~((codes == -1) | (codes == 0) | (codes == 1))
+
+
 def _cells(first: object, second: object) -> np.ndarray:
     """Flat cell indices of two broadcast arrays of label codes; the
     first pair with a code that is not exactly -1, 0 or +1 (1.0 is +1,
     1.5 is no code) raises :class:`ValueError`.  The codes are checked
     before they are cast, so no cast can round or overflow one into range."""
     first, second = np.broadcast_arrays(np.asarray(first), np.asarray(second))
-    inside = [(codes == -1) | (codes == 0) | (codes == 1) for codes in (first, second)]
-    outside = ~(inside[0] & inside[1])
+    outside = _not_codes(first) | _not_codes(second)
     if outside.any():
         at = int(outside.argmax())
         raise ValueError(f"pair ({first.flat[at]}, {second.flat[at]}) is outside the label codes -1/0/+1")
@@ -262,32 +262,6 @@ def compute_measure(matrix: CoincidenceMatrix, measure: Measure | str) -> float:
     return float(value)
 
 
-def alpha(matrix: CoincidenceMatrix, metric: str = "interval") -> float:
-    """Reliability coefficient ``1 - Do/De`` under the ``"interval"``
-    metric (squared code distance, the default) or the ``"nominal"`` one
-    (identity only); undefined when total mass is not above 1 or fewer
-    than two labels carry mass."""
-    if metric not in ("interval", "nominal"):
-        raise ValueError(f"unknown metric {metric!r}, expected 'nominal' or 'interval'")
-    return compute_measure(matrix, f"alpha_{metric}")
-
-
-def accuracy(matrix: CoincidenceMatrix) -> float:
-    """Observed agreement: diagonal mass over total mass."""
-    return compute_measure(matrix, Measure.ACCURACY)
-
-
-def acc_within_1(matrix: CoincidenceMatrix) -> float:
-    """Agreement within one scale point: everything but the corner cells."""
-    return compute_measure(matrix, Measure.ACC_WITHIN_1)
-
-
-def f1_bar(matrix: CoincidenceMatrix) -> float:
-    """Mean one-vs-rest F1 of the two polar classes, ``counts(c, c) /
-    N(c)`` on a symmetric matrix; undefined unless both carry mass."""
-    return compute_measure(matrix, Measure.F1_BAR)
-
-
 @dataclass(frozen=True)
 class ConfidenceInterval:
     """Percentile bootstrap 95% interval for one measure on one pair set.
@@ -329,9 +303,14 @@ def _first_draws(counts: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
     return _resample(np.random.default_rng((seed, n_samples)), counts, n_samples)
 
 
+def _is_integer(value: object) -> bool:
+    """Whether ``value`` is an integer, Python's or numpy's; a bool is not one."""
+    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
+
+
 def _check_count(name: str, value: object, least: int) -> None:
-    """Reject a ``value`` that is not an integer (a bool is not one) or is below ``least``."""
-    if isinstance(value, bool) or not isinstance(value, (int, np.integer)) or value < least:
+    """Reject a ``value`` that is not an integer or is below ``least``."""
+    if not _is_integer(value) or value < least:
         kind = "positive" if least else "non-negative"
         raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
@@ -436,7 +415,7 @@ def _restricted_alpha(one_sided: np.ndarray, keep: tuple[int, int], what: str) -
     if not kept.any():
         raise UndefinedMeasureError(f"no pairs with both labels in {what}")
     try:
-        return alpha(CoincidenceMatrix(kept + kept.T), "interval")
+        return compute_measure(CoincidenceMatrix(kept + kept.T), Measure.ALPHA_INTERVAL)
     except UndefinedMeasureError as exc:
         raise UndefinedMeasureError(f"pairs restricted to {what} are degenerate: {exc}") from None
 
@@ -460,8 +439,8 @@ def ordering_diagnostics(pairs: Sequence[LabelPair | tuple[int, int]]) -> Orderi
         raise UndefinedMeasureError("ordering diagnostics need at least one pair")
     one_sided = np.bincount(cells, minlength=9).reshape(3, 3)
     full = CoincidenceMatrix(one_sided + one_sided.T)
-    a_int = alpha(full, "interval")
-    a_nom = alpha(full, "nominal")
+    a_int = compute_measure(full, Measure.ALPHA_INTERVAL)
+    a_nom = compute_measure(full, Measure.ALPHA_NOMINAL)
     if a_nom == 0.0:
         raise UndefinedMeasureError("relative gain is undefined: nominal alpha is zero")
     extremes = _restricted_alpha(one_sided, (-1, 1), "{negative, positive}")
@@ -483,13 +462,15 @@ def sentiment_score(counts: Mapping[SentimentLabel | int, float]) -> float:
 
     ``(count(+) - count(-)) / total`` over the mapping from label code
     to count; unknown keys are rejected, missing ones default to zero.
+    A key is checked before it is cast, as :func:`_cells` checks codes:
+    1.0 is +1, 1.7 is no code.
     """
     total = 0.0
     scored = 0.0
     for key, value in counts.items():
-        code = int(key)
-        if code not in (-1, 0, 1):
+        if key not in LABEL_ORDER:
             raise ValueError(f"unknown label code {key!r}")
+        code = int(key)
         if not math.isfinite(value):
             raise ValueError(f"non-finite count for label {key!r}")
         if value < 0:

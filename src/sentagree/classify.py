@@ -90,10 +90,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .agreement import _STACKED, Measure, _cells
+from .agreement import _STACKED, Measure, _cells, _check_count, _is_integer
 from .corpus import SentimentLabel
 from .errors import EvaluationError, ModelFormatError
-from .features import CountRows, Vocabulary, class_sides, delta_weights, vocabulary_hash
+from .features import CountRows, Vocabulary, delta_weights, vocabulary_hash
 from .features import _keyed_file, _KeyedLines
 
 __all__ = [
@@ -137,7 +137,10 @@ class TrainConfig:
     1 to 1000 (its dense table holds ``(bin_grid + 2)**2 * 3`` counts,
     about 24 MB at 1000).  ``cost`` is the box bound ``C`` of every dual
     variable of every plane; it and ``tol`` must be positive and finite.
-    ``seed`` must be a non-negative integer.
+    ``max_epochs``, ``seed`` and ``bin_grid`` must be integers, Python's
+    or numpy's (a bool or a float is not one), ``max_epochs`` positive
+    and ``seed`` non-negative, as :func:`~sentagree.agreement.bootstrap_ci`
+    checks its counts.
     """
 
     cost: float = 1.0
@@ -152,14 +155,14 @@ class TrainConfig:
             raise ValueError(f"cost must be positive and finite, got {self.cost}")
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
-        if self.max_epochs < 1:
-            raise ValueError(f"max_epochs must be >= 1, got {self.max_epochs}")
+        _check_count("max_epochs", self.max_epochs, 1)
+        _check_count("seed", self.seed, 0)
+        if not _is_integer(self.bin_grid):
+            raise ValueError(f"bin_grid must be an integer, got {self.bin_grid!r}")
         if self.bin_grid < 1:
             raise ValueError(f"bin_grid must be >= 1, got {self.bin_grid}")
         if self.bin_grid > 1000:
             raise ValueError(f"bin_grid must be <= 1000, got {self.bin_grid}")
-        if not isinstance(self.seed, (int, np.integer)) or self.seed < 0:
-            raise ValueError(f"seed must be a non-negative integer, got {self.seed!r}")
 
 
 @dataclass(frozen=True)
@@ -479,7 +482,7 @@ def _train_plane(
         raise EvaluationError(f"no examples for plane {neg_side} vs {pos_side}")
     plane_rows = rows.select(members)
     positive = np.isin(labels[members], pos_side)
-    gamma = delta_weights(class_sides(plane_rows, positive))
+    gamma = delta_weights(plane_rows, positive)
     model = train_binary(plane_rows, np.where(positive, 1.0, -1.0), config, term_weights=gamma)
     if not model.converged:
         logger.debug(
@@ -681,8 +684,8 @@ _VARIANT_TABLE = {
 
 def _counts(values, shape: tuple[int, ...]) -> np.ndarray:
     counts = np.array(values)  # integers past 64 bits make an object array
-    if counts.dtype == object or counts.shape != shape or not np.all(counts >= 0):
-        raise ValueError(f"expected non-negative 64-bit counts of shape {shape}")
+    if counts.dtype == object or counts.shape != shape or not np.all((counts >= 0) & (counts < math.inf)):
+        raise ValueError(f"expected finite non-negative 64-bit counts of shape {shape}")
     return counts
 
 
@@ -712,7 +715,10 @@ def _parse_model(keyed: _KeyedLines) -> SentimentModel:
 
     tables: dict[str, object] = {}
     if table == "neutral_zone":
-        tables[table] = one("neutral_zone", float)
+        zone = one("neutral_zone", float)
+        if not 0.0 <= zone < math.inf:  # written so that nan fails too
+            raise ValueError(f"neutral_zone must be non-negative and finite, got {zone}")
+        tables[table] = zone
     elif table == "bins":
         grid, cells = one("bin_grid", int), rows("bin", int)
         (edges_a,), (edges_b,) = rows("edges_a", float), rows("edges_b", float)
@@ -733,7 +739,10 @@ def _parse_model(keyed: _KeyedLines) -> SentimentModel:
         (docs,), terms = rows("nb_docs", int), rows("nb_counts", float)
         if [row[:1] for row in terms] != [[0], [1], [2]]:
             raise ValueError("expected nb_counts 0..2 in order")
-        tables[table] = NaiveBayesTable(_counts(docs, (3,)), _counts([row[1:] for row in terms], (3, dim)))
+        docs = _counts(docs, (3,))
+        if not docs.all():  # as training, which refuses a missing class
+            raise ValueError(f"nb_docs needs a document of every class, got {' '.join(map(str, docs))}")
+        tables[table] = NaiveBayesTable(docs, _counts([row[1:] for row in terms], (3, dim)))
     vocab_hash = one("vocab_hash")
     return SentimentModel(
         variant=variant, dim=dim, vocab_hash="" if vocab_hash == "-" else vocab_hash, planes=planes, **tables

@@ -2,12 +2,14 @@
 
 Seven subcommands cover the library surface: ``agreement``,
 ``ordering``, ``merge``, ``train``, ``crossval``, ``curve``, and
-``compare``.  Reports are emitted as canonical JSON (sorted keys,
-two-space indent) or as a flat CSV projection of the same rows; a fixed
-seed makes any run byte-identical.  Input paths that do not exist are
-retried relative to the directory named by the ``SENTAGREE_DATA_DIR``
-environment variable.  All failures print one ``error: <code>:
-<message>`` line to stderr and exit nonzero.
+``compare``.  Each takes only the options it reads (``_COMMANDS``):
+``ordering`` and ``merge`` take no ``--seed``, ``merge`` and ``train``
+no ``--format``.  Reports are emitted as canonical JSON (sorted keys,
+two-space indent) or as a flat CSV projection of the same rows, and a
+rerun with the same options is byte-identical.  Input paths that do not
+exist are retried relative to the directory named by the
+``SENTAGREE_DATA_DIR`` environment variable.  All failures print one
+``error: <code>: <message>`` line to stderr and exit nonzero.
 """
 
 from __future__ import annotations
@@ -382,19 +384,39 @@ def _int_at_least(minimum: int):
     return parse
 
 
-def _add_common(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--input", action="append", required=True, metavar="FILE",
-                     help="input file (agreement, ordering and compare take several)")
-    sub.add_argument("--out", default="-", metavar="FILE", help="output path ('-' = stdout)")
-    sub.add_argument("--format", choices=("json", "csv"), default="json")
-    sub.add_argument("--seed", type=_int_at_least(0), default=0)
+#: Every option of a subcommand, by flag.
+_OPTIONS = {
+    "--input": dict(action="append", required=True, metavar="FILE",
+                    help="input file (agreement, ordering and compare take several)"),
+    "--out": dict(default="-", metavar="FILE", help="output path ('-' = stdout)"),
+    "--format": dict(choices=("json", "csv"), default="json"),
+    "--seed": dict(type=_int_at_least(0), default=0),
+    "--exclude": dict(action="append", metavar="DATASET",
+                      help="dataset name to leave out of the average row (repeatable)"),
+    "--variant": dict(choices=_VARIANT_CHOICES, default="TwoPlaneSVM"),
+    "--min-df": dict(type=_int_at_least(1), default=5, dest="min_df"),
+    "--cost": dict(type=float, default=1.0),
+    "--bins": dict(type=int, default=10),
+    "--k": dict(type=_int_at_least(2), default=10),
+    "--step": dict(type=_int_at_least(1), default=10000),
+    "--measure": dict(action="append", choices=_MEASURE_CHOICES),
+}
 
-
-def _add_training(sub: argparse.ArgumentParser) -> None:
-    sub.add_argument("--variant", choices=_VARIANT_CHOICES, default="TwoPlaneSVM")
-    sub.add_argument("--min-df", type=_int_at_least(1), default=5, dest="min_df")
-    sub.add_argument("--cost", type=float, default=1.0)
-    sub.add_argument("--bins", type=int, default=10)
+#: Subcommand -> its function, its help line and the options it reads, no other.
+_COMMANDS = {
+    "agreement": (cmd_agreement, "agreement measures with bootstrap intervals",
+                  "--input --out --format --seed --measure"),
+    "ordering": (cmd_ordering, "ordinal-scale diagnostics per dataset", "--input --out --format --exclude"),
+    "merge": (cmd_merge, "merge multiple annotations into a gold corpus", "--input --out"),
+    "train": (cmd_train, "train a sentiment model on a gold corpus",
+              "--input --out --seed --variant --min-df --cost --bins"),
+    "crossval": (cmd_crossval, "blocked stratified cross-validation",
+                 "--input --out --format --seed --variant --min-df --cost --bins --k --measure"),
+    "curve": (cmd_curve, "learning curve over time-ordered prefixes",
+              "--input --out --format --seed --variant --min-df --cost --bins --k --step --measure"),
+    "compare": (cmd_compare, "rank all variants across datasets",
+                "--input --out --format --seed --min-df --cost --bins --k --measure"),
+}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -403,49 +425,11 @@ def build_parser() -> argparse.ArgumentParser:
         description="Agreement measurement and ordinal sentiment classification toolkit.",
     )
     subs = parser.add_subparsers(dest="command", required=True)
-
-    p = subs.add_parser("agreement", help="agreement measures with bootstrap intervals")
-    _add_common(p)
-    p.add_argument("--measure", action="append", choices=_MEASURE_CHOICES)
-    p.set_defaults(func=cmd_agreement)
-
-    p = subs.add_parser("ordering", help="ordinal-scale diagnostics per dataset")
-    _add_common(p)
-    p.add_argument("--exclude", action="append", metavar="DATASET",
-                   help="dataset name to leave out of the average row (repeatable)")
-    p.set_defaults(func=cmd_ordering)
-
-    p = subs.add_parser("merge", help="merge multiple annotations into a gold corpus")
-    _add_common(p)
-    p.set_defaults(func=cmd_merge)
-
-    p = subs.add_parser("train", help="train a sentiment model on a gold corpus")
-    _add_common(p)
-    _add_training(p)
-    p.set_defaults(func=cmd_train)
-
-    p = subs.add_parser("crossval", help="blocked stratified cross-validation")
-    _add_common(p)
-    _add_training(p)
-    p.add_argument("--k", type=_int_at_least(2), default=10)
-    p.add_argument("--measure", action="append", choices=_MEASURE_CHOICES)
-    p.set_defaults(func=cmd_crossval)
-
-    p = subs.add_parser("curve", help="learning curve over time-ordered prefixes")
-    _add_common(p)
-    _add_training(p)
-    p.add_argument("--k", type=_int_at_least(2), default=10)
-    p.add_argument("--step", type=_int_at_least(1), default=10000)
-    p.add_argument("--measure", action="append", choices=_MEASURE_CHOICES)
-    p.set_defaults(func=cmd_curve)
-
-    p = subs.add_parser("compare", help="rank all variants across datasets")
-    _add_common(p)
-    _add_training(p)
-    p.add_argument("--k", type=_int_at_least(2), default=10)
-    p.add_argument("--measure", action="append", choices=_MEASURE_CHOICES)
-    p.set_defaults(func=cmd_compare)
-
+    for name, (func, help_line, flags) in _COMMANDS.items():
+        sub = subs.add_parser(name, help=help_line)
+        for flag in flags.split():
+            sub.add_argument(flag, **_OPTIONS[flag])
+        sub.set_defaults(func=func)
     return parser
 
 

@@ -28,7 +28,7 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agreement import CoincidenceMatrix, Measure, _cells, compute_measure, matrix_from_cells
+from .agreement import CoincidenceMatrix, Measure, _cells, _not_codes, compute_measure, matrix_from_cells
 from .classify import LinearModel, SentimentModel, TrainConfig, Variant, predict_batch, train_sentiment
 from .corpus import GoldPost, SentimentLabel, _gold_table, time_ordered_chunks
 from .errors import CorpusFormatError, EvaluationError, FoldPlanError
@@ -82,12 +82,19 @@ def plan_folds(labels: Sequence[SentimentLabel | int], k: int = 10) -> FoldPlan:
     Raises
     ------
     FoldPlanError
-        If ``k < 2``, the corpus is smaller than ``k``, or any class
-        has fewer than ``k`` members (missing classes included).
+        If ``k < 2``, a label is not exactly -1, 0 or +1 (checked before
+        any cast, so 0.6 is no code), the corpus is smaller than ``k``,
+        or any class has fewer than ``k`` members (missing classes
+        included).
     """
     if k < 2:
         raise FoldPlanError(f"k must be at least 2, got {k}")
-    codes = np.asarray(labels, dtype=np.int64)
+    codes = np.asarray(labels)
+    outside = _not_codes(codes)
+    if outside.any():
+        at = int(outside.argmax())
+        raise FoldPlanError(f"label {codes[at]} at position {at} is not a label code -1/0/+1")
+    codes = codes.astype(np.int64)
     if codes.size < k:
         raise FoldPlanError(f"corpus of {codes.size} posts cannot be split into {k} folds")
     folds: list[list[np.ndarray]] = [[] for _ in range(k)]

@@ -60,12 +60,10 @@ __all__ = [
     "normalize",
     "english_suffix_stem",
     "CountRows",
-    "ClassSides",
     "Vocabulary",
     "expand_terms",
     "vocabulary_from_token_docs",
     "count_vector",
-    "class_sides",
     "delta_weights",
     "vocabulary_hash",
     "save_vocabulary",
@@ -279,16 +277,6 @@ class CountRows:
 
 
 @dataclass(frozen=True)
-class ClassSides:
-    """Per-side document frequencies of one binary subproblem."""
-
-    pos_doc_freq: np.ndarray
-    neg_doc_freq: np.ndarray
-    n_pos: int
-    n_neg: int
-
-
-@dataclass(frozen=True)
 class Vocabulary:
     """Deterministic term-to-index mapping with document frequencies.
 
@@ -374,8 +362,10 @@ def count_vector(tokens: Sequence[str], vocab: Vocabulary) -> CountRows:
     )
 
 
-def class_sides(rows: CountRows, positive: Sequence[bool]) -> ClassSides:
-    """Per-side document frequencies from raw count rows.
+def delta_weights(rows: CountRows, positive: Sequence[bool]) -> np.ndarray:
+    """Per-term class-ratio weights of raw count rows split into two
+    sides by ``positive``, smoothed by ``s = 0.5`` (see the module
+    docstring for the formula).
 
     A document counts toward a term's side frequency when the term
     occurs in it at all; multiplicity is ignored.
@@ -385,20 +375,9 @@ def class_sides(rows: CountRows, positive: Sequence[bool]) -> ClassSides:
     side = np.asarray(positive, dtype=bool)
     on_pos = side[rows.row_ids()]
     n_pos = int(side.sum())
-    return ClassSides(
-        pos_doc_freq=np.bincount(rows.indices[on_pos], minlength=rows.dim),
-        neg_doc_freq=np.bincount(rows.indices[~on_pos], minlength=rows.dim),
-        n_pos=n_pos,
-        n_neg=len(rows) - n_pos,
-    )
-
-
-def delta_weights(sides: ClassSides) -> np.ndarray:
-    """Per-term class-ratio weights, smoothed by ``s = 0.5`` (see the
-    module docstring for the formula)."""
     s = 0.5
-    num = (sides.neg_doc_freq + s) * (sides.n_pos + s)
-    den = (sides.pos_doc_freq + s) * (sides.n_neg + s)
+    num = (np.bincount(rows.indices[~on_pos], minlength=rows.dim) + s) * (n_pos + s)
+    den = (np.bincount(rows.indices[on_pos], minlength=rows.dim) + s) * (len(rows) - n_pos + s)
     return np.log2(num / den)
 
 

@@ -75,14 +75,6 @@ class ScoreTable:
             raise ValueError("name tuples do not match the score shape")
         object.__setattr__(self, "scores", scores)
 
-    @property
-    def n_datasets(self) -> int:
-        return int(self.scores.shape[0])
-
-    @property
-    def n_classifiers(self) -> int:
-        return int(self.scores.shape[1])
-
 
 @dataclass(frozen=True)
 class RankSummary:

@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import warnings
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -9,6 +10,18 @@ import pytest
 from hypothesis import strategies as st
 
 from sentagree.corpus import GoldPost, SentimentLabel
+
+# When a Hypothesis test fails, Hypothesis imports its patch writer, which
+# imports libcst, whose own imports warn DeprecationWarning.  Under
+# ``-W error`` that warning would end the run in INTERNALERROR instead of
+# reporting the failure, so the patch writer is imported here, once, with
+# its warnings silenced; the package's own warnings still fail the run.
+with warnings.catch_warnings():
+    warnings.simplefilter("ignore")
+    try:
+        import hypothesis.extra._patching  # noqa: F401
+    except ImportError:  # no libcst: Hypothesis writes no patch
+        pass
 
 FILLER = "the a on at today tomorrow city train coffee street people day time".split()
 NEG_WORDS = "awful terrible horrid nasty angry worst hate broken sad gross".split()

@@ -160,7 +160,7 @@ def neutral_zone_reference(values, gold):
     undefined; a strictly larger score wins, so the narrowest of equal
     zones is kept.  0.0 when no candidate is defined.
     """
-    from sentagree.agreement import alpha, build_coincidence
+    from sentagree.agreement import Measure, build_coincidence, compute_measure
     from sentagree.errors import UndefinedMeasureError
 
     candidates = np.unique(np.concatenate(([0.0], np.abs(values))))
@@ -170,7 +170,7 @@ def neutral_zone_reference(values, gold):
     for zone in candidates.tolist():
         pred = [0 if abs(v) <= zone else (1 if v > 0 else -1) for v in values.tolist()]
         try:
-            score = alpha(build_coincidence(zip(pred, gold.tolist())), "interval")
+            score = compute_measure(build_coincidence(zip(pred, gold.tolist())), Measure.ALPHA_INTERVAL)
         except UndefinedMeasureError:
             continue
         if score > best_score:

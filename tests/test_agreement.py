@@ -2,6 +2,8 @@
 
 from __future__ import annotations
 
+import re
+
 import numpy as np
 import pytest
 
@@ -10,13 +12,9 @@ from sentagree.corpus import AnnotationRecord, LabelPair, PairKind, PairTable, S
 from sentagree.agreement import (
     CoincidenceMatrix,
     Measure,
-    acc_within_1,
-    accuracy,
-    alpha,
     bootstrap_ci,
     build_coincidence,
     compute_measure,
-    f1_bar,
     ordering_diagnostics,
     pair_cells,
     sentiment_score,
@@ -39,11 +37,11 @@ def test_worked_fixture_matrix() -> None:
 
 def test_worked_fixture_measures() -> None:
     matrix = build_coincidence(FIXTURE_PAIRS)
-    assert alpha(matrix, "interval") == pytest.approx(0.18181818, abs=1e-7)
-    assert alpha(matrix, "nominal") == pytest.approx(0.68965517, abs=1e-7)
-    assert accuracy(matrix) == pytest.approx(0.8)
-    assert f1_bar(matrix) == pytest.approx(0.4)
-    assert acc_within_1(matrix) == pytest.approx(0.8)
+    assert compute_measure(matrix, Measure.ALPHA_INTERVAL) == pytest.approx(0.18181818, abs=1e-7)
+    assert compute_measure(matrix, Measure.ALPHA_NOMINAL) == pytest.approx(0.68965517, abs=1e-7)
+    assert compute_measure(matrix, Measure.ACCURACY) == pytest.approx(0.8)
+    assert compute_measure(matrix, Measure.F1_BAR) == pytest.approx(0.4)
+    assert compute_measure(matrix, Measure.ACC_WITHIN_1) == pytest.approx(0.8)
 
 
 def test_pair_order_and_orientation_invariance() -> None:
@@ -60,8 +58,8 @@ def test_equal_pair_hits_diagonal_twice() -> None:
 
 def test_perfect_agreement_means_alpha_one() -> None:
     matrix = build_coincidence([(-1, -1)] * 3 + [(0, 0)] * 3 + [(1, 1)] * 3)
-    assert alpha(matrix, "interval") == pytest.approx(1.0)
-    assert alpha(matrix, "nominal") == pytest.approx(1.0)
+    assert compute_measure(matrix, Measure.ALPHA_INTERVAL) == pytest.approx(1.0)
+    assert compute_measure(matrix, Measure.ALPHA_NOMINAL) == pytest.approx(1.0)
 
 
 def test_alpha_one_iff_no_off_diagonal_mass() -> None:
@@ -71,7 +69,7 @@ def test_alpha_one_iff_no_off_diagonal_mass() -> None:
         counts = (upper + upper.T).astype(float)
         matrix = CoincidenceMatrix(counts)
         try:
-            value = alpha(matrix, "interval")
+            value = compute_measure(matrix, Measure.ALPHA_INTERVAL)
         except UndefinedMeasureError:
             continue
         off_diag = counts.sum() - np.trace(counts)
@@ -81,16 +79,16 @@ def test_alpha_one_iff_no_off_diagonal_mass() -> None:
 def test_single_label_alpha_undefined() -> None:
     matrix = build_coincidence([(0, 0), (0, 0)])
     with pytest.raises(UndefinedMeasureError, match="expected disagreement"):
-        alpha(matrix, "interval")
+        compute_measure(matrix, Measure.ALPHA_INTERVAL)
     # accuracy and acc_within_1 remain defined
-    assert accuracy(matrix) == 1.0
-    assert acc_within_1(matrix) == 1.0
+    assert compute_measure(matrix, Measure.ACCURACY) == 1.0
+    assert compute_measure(matrix, Measure.ACC_WITHIN_1) == 1.0
 
 
 def test_f1_bar_needs_both_polar_classes() -> None:
     matrix = build_coincidence([(0, 0), (0, -1)])
     with pytest.raises(UndefinedMeasureError, match="polar"):
-        f1_bar(matrix)
+        compute_measure(matrix, Measure.F1_BAR)
 
 
 EMPTY = CoincidenceMatrix(np.zeros((3, 3)))
@@ -108,27 +106,20 @@ UNDEFINED_CASES = [
     (Measure.F1_BAR, CoincidenceMatrix(np.diag([0.0, 1.0, 2.5])),
      "f1_bar is undefined: a polar class has no mass (N(-) = 0, N(+) = 2.5)"),
 ]
-PUBLIC = {
-    Measure.ALPHA_NOMINAL: lambda m: alpha(m, "nominal"),
-    Measure.ALPHA_INTERVAL: alpha,
-    Measure.ACCURACY: accuracy,
-    Measure.ACC_WITHIN_1: acc_within_1,
-    Measure.F1_BAR: f1_bar,
-}
 
 
 @pytest.mark.parametrize(("measure", "matrix", "message"), UNDEFINED_CASES)
 def test_undefined_measure_says_why_in_its_own_words(measure, matrix, message) -> None:
     # the CLI prints these texts, so they are pinned character for character
-    for evaluate in (lambda m: compute_measure(m, measure), lambda m: compute_measure(m, measure.value), PUBLIC[measure]):
+    for evaluate in (lambda m: compute_measure(m, measure), lambda m: compute_measure(m, measure.value)):
         with pytest.raises(UndefinedMeasureError) as raised:
             evaluate(matrix)
         assert str(raised.value) == message
 
 
 def test_alpha_rejects_an_unknown_metric() -> None:
-    with pytest.raises(ValueError, match="^unknown metric 'ordinal', expected 'nominal' or 'interval'$"):
-        alpha(build_coincidence(FIXTURE_PAIRS), "ordinal")
+    with pytest.raises(ValueError, match="^'alpha_ordinal' is not a valid Measure$"):
+        compute_measure(build_coincidence(FIXTURE_PAIRS), "alpha_ordinal")
 
 
 @pytest.mark.parametrize("bad", [(2, -1), (0, -2), (-128, 0), (1, 3)])
@@ -170,17 +161,17 @@ def test_extreme_disagreement_hurts_interval_more() -> None:
     agreements = [(-1, -1)] * 4 + [(0, 0)] * 4 + [(1, 1)] * 4
     # only corner confusions: interval counts them 4x
     matrix = build_coincidence(agreements + [(-1, 1)] * 2)
-    assert alpha(matrix, "interval") < alpha(matrix, "nominal")
+    assert compute_measure(matrix, Measure.ALPHA_INTERVAL) < compute_measure(matrix, Measure.ALPHA_NOMINAL)
     # only neighbor confusions: interval is more forgiving
     matrix = build_coincidence(agreements + [(-1, 0), (0, 1)])
-    assert alpha(matrix, "interval") > alpha(matrix, "nominal")
+    assert compute_measure(matrix, Measure.ALPHA_INTERVAL) > compute_measure(matrix, Measure.ALPHA_NOMINAL)
 
 
 def test_real_valued_counts_accepted() -> None:
     counts = np.array([[2.5, 0.5, 0.0], [0.5, 3.0, 1.0], [0.0, 1.0, 2.0]])
     matrix = CoincidenceMatrix(counts)
     expected = oracles.alpha_brute(counts.tolist(), "interval")
-    assert alpha(matrix, "interval") == pytest.approx(expected, abs=1e-12)
+    assert compute_measure(matrix, Measure.ALPHA_INTERVAL) == pytest.approx(expected, abs=1e-12)
 
 
 def test_matrix_validation() -> None:
@@ -243,7 +234,6 @@ def test_bootstrap_counts_undefined_resamples() -> None:
 def test_bootstrap_errors_when_everything_undefined() -> None:
     with pytest.raises(UndefinedMeasureError):
         bootstrap_ci([(0, 0), (0, 0)], Measure.ALPHA_INTERVAL)
-
 
 
 def test_bootstrap_rejects_a_negative_retry_cap() -> None:
@@ -408,8 +398,8 @@ def test_shuffled_pairs_have_near_zero_alpha() -> None:
     side = rng.integers(-1, 2, size=10000)
     shuffled = rng.permutation(side)
     matrix = build_coincidence(list(zip(side.tolist(), shuffled.tolist())))
-    assert abs(alpha(matrix, "interval")) <= 0.05
-    assert abs(alpha(matrix, "nominal")) <= 0.05
+    assert abs(compute_measure(matrix, Measure.ALPHA_INTERVAL)) <= 0.05
+    assert abs(compute_measure(matrix, Measure.ALPHA_NOMINAL)) <= 0.05
 
 
 def test_ordering_diagnostics_against_brute_force() -> None:
@@ -449,6 +439,11 @@ def test_sentiment_score() -> None:
         sentiment_score({-1: 0, 0: 0, 1: 0})
     with pytest.raises(ValueError, match="unknown label"):
         sentiment_score({2: 1})
+    # a key is checked before it is cast: int() would score {1.7: 3, 0.4: 1} as 0.75
+    for counts, key in (({1.7: 3, 0.4: 1}, "1.7"), ({0.4: 1}, "0.4"), ({"1": 2}, "'1'"), ({float("nan"): 1}, "nan")):
+        with pytest.raises(ValueError, match=f"^unknown label code {re.escape(key)}$"):
+            sentiment_score(counts)
+    assert sentiment_score({1.0: 3, 0.0: 1, SentimentLabel.NEGATIVE: 0}) == 0.75
     with pytest.raises(ValueError, match="negative"):
         sentiment_score({1: -3})
     for counts in ({1: float("nan"), 0: 1}, {1: float("inf"), -1: 1}, {-1: -float("inf")}, {0: np.nan}):

@@ -4,6 +4,7 @@ from __future__ import annotations
 
 import dataclasses
 import logging
+import re
 from types import SimpleNamespace
 from unittest.mock import patch
 
@@ -228,10 +229,17 @@ def test_train_config_validation() -> None:
         TrainConfig(bin_grid=0)
     with pytest.raises(ValueError, match="bin_grid must be <= 1000, got 1001"):
         TrainConfig(bin_grid=1001)
-    for bad in (-1, 1.5, "0", None):
+    for bad in (-1, 1.5, "0", None, True):
         with pytest.raises(ValueError, match="seed must be a non-negative integer"):
             TrainConfig(seed=bad)
     assert TrainConfig(seed=np.int64(3)).seed == 3
+    # the integer fields follow bootstrap_ci's rule; a float failed only inside training, with a TypeError
+    for field, bad, message in (("max_epochs", 2.5, "max_epochs must be a positive integer, got 2.5"),
+                                ("max_epochs", True, "max_epochs must be a positive integer, got True"),
+                                ("bin_grid", 2.5, "bin_grid must be an integer, got 2.5")):
+        with pytest.raises(ValueError, match=f"^{re.escape(message)}$"):
+            TrainConfig(**{field: bad})
+    assert TrainConfig(max_epochs=np.int32(3), bin_grid=np.int64(2)).bin_grid == 2
 
 
 # --- variant training --------------------------------------------------------
@@ -663,10 +671,16 @@ def drop_keys(*keys: str):
         (Variant.NAIVE_BAYES, replace_first("nb_docs ", "nb_docs 4 -4 4"), "non-negative"),
         (Variant.NAIVE_BAYES, replace_first("nb_docs ", "nb_docs 1" + "0" * 25 + " 4 4"), "64-bit"),
         (Variant.TWO_PLANE, replace_first("weights ", "weights nan 0.0 0.0"), "finite"),
+        (Variant.NAIVE_BAYES, replace_first("nb_docs ", "nb_docs 0 1 1"), "a document of every class, got 0 1 1"),
+        (Variant.NAIVE_BAYES, replace_first("nb_counts 1 ", "nb_counts 1 inf 0.0 0.0"), "finite non-negative"),
+        (Variant.NEUTRAL_ZONE, replace_first("neutral_zone ", "neutral_zone nan"), "non-negative and finite, got nan"),
+        (Variant.NEUTRAL_ZONE, replace_first("neutral_zone ", "neutral_zone -1.0"), "non-negative and finite, got -1.0"),
+        (Variant.NEUTRAL_ZONE, replace_first("neutral_zone ", "neutral_zone inf"), "non-negative and finite, got inf"),
     ],
     ids=["negative-bin-index", "bin-index-past-grid", "negative-bin-count", "short-edges",
          "missing-bin-table", "missing-plane", "missing-cascade-plane", "negative-subspace",
-         "negative-doc-count", "doc-count-past-64-bits", "nan-weight"],
+         "negative-doc-count", "doc-count-past-64-bits", "nan-weight", "zero-doc-count", "infinite-term-count",
+         "nan-neutral-zone", "negative-neutral-zone", "infinite-neutral-zone"],
 )
 def test_load_model_checks_structure(tmp_path, variant, edit, message) -> None:
     path = tmp_path / "broken.txt"

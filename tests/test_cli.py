@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import argparse
 import json
 import re
 
@@ -492,12 +493,77 @@ def test_train_with_bins_above_1000_is_one_usage_error(gold_csv, tmp_path, capsy
     assert not (tmp_path / "model.txt").exists()
 
 
-@pytest.mark.parametrize("command", ["agreement", "ordering", "merge", "train", "crossval", "curve", "compare"])
+@pytest.mark.parametrize("command", ["agreement", "train", "crossval", "curve", "compare"])
 def test_negative_seed_is_one_usage_error(command, gold_csv, tmp_path, capsys):
     argv = [command, "--input", str(gold_csv), "--seed", "-1", "--out", str(tmp_path / "out")]
     code, out, err = run(argv, capsys)
     assert (code, out) == (1, "")
     assert err == "error: usage: argument --seed: must be >= 0, got -1\n"
+    assert not (tmp_path / "out").exists()
+
+
+#: The options each subcommand takes: exactly those it reads.
+TAKES = {
+    "agreement": {"--input", "--out", "--format", "--seed", "--measure"},
+    "ordering": {"--input", "--out", "--format", "--exclude"},
+    "merge": {"--input", "--out"},
+    "train": {"--input", "--out", "--seed", "--variant", "--min-df", "--cost", "--bins"},
+    "crossval": {"--input", "--out", "--format", "--seed", "--variant", "--min-df", "--cost", "--bins", "--k",
+                 "--measure"},
+    "curve": {"--input", "--out", "--format", "--seed", "--variant", "--min-df", "--cost", "--bins", "--k", "--step",
+              "--measure"},
+    "compare": {"--input", "--out", "--format", "--seed", "--min-df", "--cost", "--bins", "--k", "--measure"},
+}
+
+
+def subparsers() -> dict[str, argparse.ArgumentParser]:
+    parser = cli.build_parser()
+    return next(a for a in parser._actions if isinstance(a, argparse._SubParsersAction)).choices
+
+
+def test_each_subcommand_takes_the_options_it_reads_and_no_other() -> None:
+    taken = {name: {flag for action in sub._actions for flag in action.option_strings} - {"-h", "--help"}
+             for name, sub in subparsers().items()}
+    assert taken == TAKES
+
+
+class ReadNamespace(argparse.Namespace):
+    """A namespace that records the name of every attribute read from it."""
+
+    def __init__(self) -> None:
+        object.__setattr__(self, "read", set())
+
+    def __getattribute__(self, name: str):
+        if name != "read":
+            object.__getattribute__(self, "read").add(name)
+        return object.__getattribute__(self, name)
+
+
+@pytest.mark.parametrize("command", sorted(TAKES))
+def test_every_option_a_subcommand_takes_is_read_when_it_runs(command, annotations_csv, gold_csv, tmp_path, capsys):
+    other = tmp_path / "other.csv"
+    other.write_bytes(gold_csv.read_bytes())
+    inputs = {"agreement": [annotations_csv], "ordering": [annotations_csv], "merge": [annotations_csv],
+              "compare": [gold_csv, other]}.get(command, [gold_csv])
+    argv = [command, *(arg for path in inputs for arg in ("--input", str(path))), "--out", str(tmp_path / "out")]
+    if "--k" in TAKES[command]:
+        argv += ["--k", "3"]  # a short run: what is checked is which options it reads
+    args = cli.build_parser().parse_args(argv, namespace=ReadNamespace())
+    args.read.clear()  # the parser looks at every default
+    args.func(args)
+    dests = {action.dest for action in subparsers()[command]._actions if action.option_strings} - {"help"}
+    assert dests - args.read == set()
+
+
+@pytest.mark.parametrize(("command", "flag", "value"), [
+    ("ordering", "--seed", "3"), ("merge", "--seed", "3"), ("merge", "--format", "csv"),
+    ("train", "--format", "csv"), ("compare", "--variant", "NaiveBayes"),
+])
+def test_a_flag_its_command_does_not_read_is_one_usage_error(command, flag, value, gold_csv, tmp_path, capsys):
+    argv = [command, "--input", str(gold_csv), "--input", str(gold_csv), flag, value, "--out", str(tmp_path / "out")]
+    code, out, err = run(argv, capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: usage: unrecognized arguments: {flag} {value}\n"
     assert not (tmp_path / "out").exists()
 
 

@@ -89,6 +89,11 @@ def test_plan_folds_validation() -> None:
     lopsided = [-1] * 5 + [0] * 5 + [1] * 2
     with pytest.raises(FoldPlanError, match="Positive"):
         plan_folds(lopsided, k=3)
+    # a label is checked before it is cast: the 2s would be in no fold, 0.6 would be class 0
+    for labels, bad, at in ((codes + [2, 2], "2", 12), (codes + [0.6], "0.6", 12), ([0.0, -1.5, *codes], "-1.5", 1)):
+        with pytest.raises(FoldPlanError, match=f"^label {bad} at position {at} is not a label code -1/0/\\+1$"):
+            plan_folds(labels, k=2)
+    assert plan_folds([float(c) for c in codes], k=2).folds[1].tolist() == [6, 7, 8, 9, 10, 11]
 
 
 def test_plan_folds_is_deterministic() -> None:

@@ -14,10 +14,8 @@ from sentagree.errors import SentagreeError, VocabularyError
 from sentagree.features import (
     EMOTICONS,
     NORMALIZER_VERSION,
-    ClassSides,
     CountRows,
     Vocabulary,
-    class_sides,
     count_vector,
     delta_weights,
     english_suffix_stem,
@@ -341,23 +339,31 @@ def test_count_rows_stack_and_select() -> None:
 
 
 def test_class_sides_counts_documents_not_occurrences() -> None:
+    # term 0 is in both positive documents (five times in one) and no negative one; term 1 in one of each
     rows = CountRows([0, 1, 3, 4], [0, 0, 1, 1], [5.0, 1.0, 1.0, 2.0], 2)
-    sides = class_sides(rows, positive=[True, True, False])
-    assert sides.pos_doc_freq.tolist() == [2, 1]
-    assert sides.neg_doc_freq.tolist() == [0, 1]
-    assert (sides.n_pos, sides.n_neg) == (2, 1)
+    pos_df, neg_df, s = np.array([2, 1]), np.array([0, 1]), 0.5
+    expected = np.log2((neg_df + s) * (2 + s) / ((pos_df + s) * (1 + s)))
+    assert delta_weights(rows, positive=[True, True, False]).tolist() == expected.tolist()
     with pytest.raises(ValueError, match="length"):
-        class_sides(rows.select([0]), positive=[True, False])
-    empty = class_sides(rows.select([]), positive=[])
-    assert empty.pos_doc_freq.tolist() == empty.neg_doc_freq.tolist() == [0, 0]
+        delta_weights(rows.select([0]), positive=[True, False])
+    assert delta_weights(rows.select([]), positive=[]).tolist() == [0.0, 0.0]
+
+
+def rows_with_doc_freqs(pos_df, neg_df, n_pos: int, n_neg: int) -> tuple[CountRows, list[bool]]:
+    """``n_pos`` positive then ``n_neg`` negative documents, in which term
+    ``t`` occurs (twice) in ``pos_df[t]`` and ``neg_df[t]`` of them; and
+    the side of each document."""
+    dense = np.zeros((n_pos + n_neg, len(pos_df)))
+    for term, (pos, neg) in enumerate(zip(pos_df, neg_df)):
+        dense[:pos, term] = dense[n_pos : n_pos + neg, term] = 2.0
+    doc, term = np.nonzero(dense)
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(doc, minlength=len(dense)))))
+    return CountRows(indptr, term, dense[doc, term], len(pos_df)), [True] * n_pos + [False] * n_neg
 
 
 def test_delta_weight_frozen_example() -> None:
     # term in 1 of 10 positive docs and 3 of 10 negative docs
-    sides = ClassSides(
-        pos_doc_freq=np.array([1]), neg_doc_freq=np.array([3]), n_pos=10, n_neg=10
-    )
-    weights = delta_weights(sides)
+    weights = delta_weights(*rows_with_doc_freqs([1], [3], n_pos=10, n_neg=10))
     assert weights[0] == pytest.approx(1.222392421336448, abs=1e-15)
     # one raw occurrence scores the weight itself, two score twice that
     assert 2.0 * weights[0] == pytest.approx(2.444784842672896, abs=1e-15)
@@ -367,14 +373,14 @@ def test_delta_weight_side_swap_negates() -> None:
     rng = np.random.default_rng(8)
     pos = rng.integers(0, 20, size=30)
     neg = rng.integers(0, 20, size=30)
-    forward = delta_weights(ClassSides(pos, neg, n_pos=25, n_neg=25))
-    swapped = delta_weights(ClassSides(neg, pos, n_pos=25, n_neg=25))
+    rows, positive = rows_with_doc_freqs(pos, neg, n_pos=25, n_neg=25)
+    forward = delta_weights(rows, positive)
+    swapped = delta_weights(rows, np.logical_not(positive))
     np.testing.assert_allclose(forward, -swapped, atol=1e-14)
 
 
 def test_delta_weight_balanced_term_is_zero() -> None:
-    sides = ClassSides(np.array([4]), np.array([4]), n_pos=9, n_neg=9)
-    assert delta_weights(sides)[0] == 0.0
+    assert delta_weights(*rows_with_doc_freqs([4], [4], n_pos=9, n_neg=9))[0] == 0.0
 
 
 def _toy_vocab() -> Vocabulary:

@@ -25,9 +25,8 @@ from conftest import separable_corpus
 
 #: The public names, grouped by the submodule that defines them.
 PUBLIC = {
-    "agreement": ["CoincidenceMatrix", "ConfidenceInterval", "Measure", "OrderingDiagnostics", "acc_within_1",
-                  "accuracy", "alpha", "bootstrap_ci", "build_coincidence", "compute_measure", "f1_bar",
-                  "ordering_diagnostics", "sentiment_score"],
+    "agreement": ["CoincidenceMatrix", "ConfidenceInterval", "Measure", "OrderingDiagnostics", "bootstrap_ci",
+                  "build_coincidence", "compute_measure", "ordering_diagnostics", "sentiment_score"],
     "classify": ["LinearModel", "SentimentModel", "TrainConfig", "Variant", "load_model", "predict", "predict_batch",
                  "save_model", "train_binary", "train_sentiment"],
     "corpus": ["AnnotationRecord", "GoldPost", "GoldTable", "LabelPair", "PairKind", "SentimentLabel", "extract_pairs",
@@ -91,7 +90,7 @@ def test_cli_import_loads_no_scipy_and_friedman_no_scipy_stats(annotations_csv, 
 
 def test_all_holds_the_public_names_in_order() -> None:
     names = [name for group in PUBLIC.values() for name in group]
-    assert len(names) == len(set(names)) == 68
+    assert len(names) == len(set(names)) == 64
     assert sentagree.__all__ == sorted(names)
 
 
