@@ -30,8 +30,8 @@ _EXPORTS = {
         UndefinedMeasureError VocabularyError""",
     "evaluation": """DEFAULT_MEASURES CrossValResult CurvePoint FoldPlan LearningCurve cross_validate
         learning_curve plan_folds prepare score_predictions""",
-    "features": """CountRows Vocabulary count_vector delta_weights english_suffix_stem load_vocabulary normalize
-        save_vocabulary vocabulary_from_token_docs vocabulary_hash""",
+    "features": """CountRows Vocabulary count_vector delta_weights english_suffix_stem normalize
+        vocabulary_from_token_docs""",
     "ranking": "RankReport RankSummary ScoreTable compare_ranks friedman nemenyi_cd",
 }
 

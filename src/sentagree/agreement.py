@@ -58,8 +58,8 @@ from enum import Enum
 
 import numpy as np
 
-from .corpus import LabelPair, PairTable, SentimentLabel
-from .errors import UndefinedMeasureError
+from .corpus import LabelPair, PairTable, SentimentLabel, _not_codes
+from .errors import UndefinedMeasureError, _check_count
 
 __all__ = [
     "LABEL_ORDER",
@@ -133,11 +133,6 @@ class CoincidenceMatrix:
     def marginals(self) -> np.ndarray:
         """Label masses ``N(c)`` in :data:`LABEL_ORDER`."""
         return self.counts.sum(axis=1)
-
-
-def _not_codes(codes: np.ndarray) -> np.ndarray:
-    """Where ``codes`` holds a value that is not exactly -1, 0 or +1."""
-    return ~((codes == -1) | (codes == 0) | (codes == 1))
 
 
 def _cells(first: object, second: object) -> np.ndarray:
@@ -301,18 +296,6 @@ def _first_draws(counts: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
     ``index`` of one ``(n_samples, 3, 3)`` draw from the stream
     ``(seed, n_samples)``."""
     return _resample(np.random.default_rng((seed, n_samples)), counts, n_samples)
-
-
-def _is_integer(value: object) -> bool:
-    """Whether ``value`` is an integer, Python's or numpy's; a bool is not one."""
-    return isinstance(value, (int, np.integer)) and not isinstance(value, bool)
-
-
-def _check_count(name: str, value: object, least: int) -> None:
-    """Reject a ``value`` that is not an integer or is below ``least``."""
-    if not _is_integer(value) or value < least:
-        kind = "positive" if least else "non-negative"
-        raise ValueError(f"{name} must be a {kind} integer, got {value!r}")
 
 
 def bootstrap_ci(

@@ -77,6 +77,18 @@ tables and tunes the neutral zone with the same rules, and
                       ties broken by summed decision magnitudes.
 ``NaiveBayes``        multinomial baseline on the raw counts with
                       add-1 smoothing and training-frequency priors.
+
+A model is saved as one UTF-8 text file of ``key value ...`` lines
+(format version 2): ``sentagree-model 2`` first, then ``variant``,
+``dim`` and ``planes``; per plane ``plane``, ``bias`` and ``weights``;
+the variant's table (``neutral_zone``; ``bin_grid``, ``edges_a``,
+``edges_b``, ``bins`` and one ``bin i j`` line of three label counts
+per filled cell; ``subspaces 8`` and ``subspace s`` lines; ``nb_docs``
+and ``nb_counts c`` lines); and, for a model trained with its
+vocabulary, ``n_docs``, ``min_df``, ``ngrams`` (comma-separated) and
+``terms`` followed by one ``term<TAB>index<TAB>doc_freq`` row per term,
+in index order.  Only term rows hold a tab.  Floats are written with
+``repr`` and reload bit-exactly.
 """
 
 from __future__ import annotations
@@ -90,11 +102,10 @@ from pathlib import Path
 
 import numpy as np
 
-from .agreement import _STACKED, Measure, _cells, _check_count, _is_integer
-from .corpus import SentimentLabel
-from .errors import EvaluationError, ModelFormatError
-from .features import CountRows, Vocabulary, delta_weights, vocabulary_hash
-from .features import _keyed_file, _KeyedLines
+from .agreement import _STACKED, Measure, _cells
+from .corpus import SentimentLabel, _not_codes
+from .errors import EvaluationError, ModelFormatError, VocabularyError, _check_count, _is_integer
+from .features import CountRows, Vocabulary, delta_weights
 
 __all__ = [
     "Variant",
@@ -362,13 +373,13 @@ class SentimentModel:
 
     ``planes`` maps plane names to hyperplanes whose weights already
     absorb the per-plane term reweighting, so prediction takes raw
-    count rows.  ``vocab_hash`` ties the model to the vocabulary it
-    was trained against ("" when trained without one).
+    count rows.  ``vocab`` is the vocabulary the rows were counted
+    against, saved with the model (``None`` when trained without one).
     """
 
     variant: Variant
     dim: int
-    vocab_hash: str = ""
+    vocab: Vocabulary | None = None
     planes: dict[str, LinearModel] = field(default_factory=dict)
     neutral_zone: float | None = None
     bins: BinTable | None = None
@@ -543,31 +554,31 @@ def train_sentiment(
 ) -> SentimentModel:
     """Train one classifier variant on raw count rows.
 
-    ``labels`` holds one code of -1, 0 or +1 per row, and all three
-    classes must appear.  ``vocab`` is only consulted for the
-    vocabulary hash recorded on the model; passing ``None`` records an
-    empty hash.  ``memo``, if given, maps (negative side, positive side)
-    to a plane trained on these rows, labels and config; a plane found
-    there is reused and each plane trained is added.  ``NeutralZoneSVM``
+    ``labels`` holds one code of -1, 0 or +1 per row (checked before
+    any cast, so 1.7 is no code), and all three classes must appear.
+    ``vocab``, the vocabulary of the rows' ``dim`` columns, is kept on
+    the model, which then saves with it.  ``memo``, if given, maps
+    (negative side, positive side) to a plane trained on these rows,
+    labels and config; a plane found there is reused and each plane
+    trained is added.  ``NeutralZoneSVM``
     trains its plane on a validation subset and never uses it.
     """
     variant = Variant(variant)
     if not len(rows):
         raise EvaluationError("cannot train on an empty corpus")
-    label_arr = np.array([int(l) for l in labels], dtype=np.int64)
-    if label_arr.shape[0] != len(rows):
+    label_arr = np.asarray(labels)
+    if label_arr.shape != (len(rows),):
         raise EvaluationError("rows and labels differ in length")
-    if (bad := label_arr[~np.isin(label_arr, (-1, 0, 1))]).size:
+    if (bad := label_arr[_not_codes(label_arr)]).size:
         raise EvaluationError(f"label code {bad[0]} is not -1, 0 or +1")
+    label_arr = label_arr.astype(np.int64)
+    if vocab is not None and vocab.dim != rows.dim:
+        raise EvaluationError(f"vocabulary of {vocab.dim} terms for rows of dimension {rows.dim}")
     missing = [c for c in (-1, 0, 1) if not np.any(label_arr == c)]
     if missing:
         raise EvaluationError(f"training data is missing class(es) {missing}")
     dim = rows.dim
-    base = dict(
-        variant=variant,
-        dim=dim,
-        vocab_hash=vocabulary_hash(vocab) if vocab is not None else "",
-    )
+    base = dict(variant=variant, dim=dim, vocab=vocab)
 
     if variant is Variant.NAIVE_BAYES:
         term_counts = np.zeros((3, dim), dtype=np.float64)
@@ -622,7 +633,9 @@ def predict_batch(model: SentimentModel, rows: CountRows) -> np.ndarray:
 # --- serialization ----------------------------------------------------------
 
 _MODEL_MAGIC = "sentagree-model"
-_MODEL_VERSION = 1
+_MODEL_VERSION = 2
+#: The keys of a saved vocabulary's lines; its terms are the tab-separated rows.
+_VOCAB_KEYS = {"n_docs", "min_df", "ngrams", "terms"}
 
 
 def _fmt_floats(values: np.ndarray) -> str:
@@ -630,19 +643,18 @@ def _fmt_floats(values: np.ndarray) -> str:
 
 
 def save_model(model: SentimentModel, path: str | Path) -> None:
-    """Write a model as versioned flat text.
-
-    The format stores the variant, dimension, vocabulary hash, every
-    plane (bias plus dense weights), and the variant's calibration
-    table (neutral zone, bin histogram, subspace counts, or the
-    multinomial sufficient statistics).  Floats are written with
-    ``repr`` and reload bit-exactly.
+    """Write a model, and its vocabulary if it has one, as one versioned
+    text file (layout in the module docstring).  A term holding a tab or
+    a line break raises :class:`VocabularyError` before anything is written.
     """
+    vocab = model.vocab
+    for term in vocab.terms if vocab is not None else ():
+        if "\t" in term or "".join(term.splitlines()) != term:
+            raise VocabularyError(f"term {term!r} contains a delimiter character")
     with open(path, "w", encoding="utf-8", newline="\n") as handle:
         handle.write(f"{_MODEL_MAGIC} {_MODEL_VERSION}\n")
         handle.write(f"variant {model.variant.value}\n")
         handle.write(f"dim {model.dim}\n")
-        handle.write(f"vocab_hash {model.vocab_hash or '-'}\n")
         handle.write(f"planes {len(model.planes)}\n")
         for name in sorted(model.planes):
             plane = model.planes[name]
@@ -671,6 +683,11 @@ def save_model(model: SentimentModel, path: str | Path) -> None:
             handle.write("nb_docs " + " ".join(str(int(c)) for c in nb.doc_counts) + "\n")
             for c in range(3):
                 handle.write(f"nb_counts {c} " + _fmt_floats(nb.term_counts[c]) + "\n")
+        if vocab is not None:
+            ngrams = ",".join(map(str, vocab.ngrams))
+            handle.write(f"n_docs {vocab.n_docs}\nmin_df {vocab.min_df}\nngrams {ngrams}\nterms {vocab.dim}\n")
+            for i, (term, df) in enumerate(zip(vocab.terms, vocab.doc_freq.tolist())):
+                handle.write(f"{term}\t{i}\t{df}\n")
 
 
 #: The calibration table each variant needs: its model field and line keys.
@@ -689,18 +706,57 @@ def _counts(values, shape: tuple[int, ...]) -> np.ndarray:
     return counts
 
 
+class _KeyedLines:
+    """The lines after a model file's first line: a line holding a tab is
+    a row of tab-separated fields, any other is ``key value ...``, split
+    at its first space.  Lookups raise ``ValueError``."""
+
+    def __init__(self, lines: list[str]) -> None:
+        self.fields: dict[str, list[str]] = {}
+        self.tab_rows = [line.split("\t") for line in lines if "\t" in line]
+        for key, _, value in (line.partition(" ") for line in lines if "\t" not in line):
+            self.fields.setdefault(key, []).append(value)
+
+    def rows(self, key: str, kind: type = str) -> list[list]:
+        return [[kind(v) for v in value.split()] for value in self.fields.get(key, [])]
+
+    def one(self, key: str, kind: type = str):
+        values = self.rows(key, kind)
+        if [len(row) for row in values] != [1]:
+            raise ValueError(f"expected one {key!r} line with one value")
+        return values[0][0]
+
+
+def _parse_vocabulary(keyed: _KeyedLines, dim: int) -> Vocabulary | None:
+    """The vocabulary block of a model file, ``None`` if it has none; it
+    must hold all four keyed lines and ``dim`` term rows in index order."""
+    terms, one = keyed.tab_rows, keyed.one
+    if not (terms or _VOCAB_KEYS & set(keyed.fields)):
+        return None
+    if not one("terms", int) == len(terms) == dim:
+        raise ValueError(f"a vocabulary needs terms {dim} and {dim} term rows, one per dimension")
+    if [int(idx) for _, idx, _ in terms] != list(range(dim)):
+        raise ValueError("term indices out of order")
+    return Vocabulary(
+        terms=tuple(term for term, _, _ in terms),
+        doc_freq=[int(df) for _, _, df in terms],
+        n_docs=one("n_docs", int),
+        min_df=one("min_df", int),
+        ngrams=tuple(int(n) for n in one("ngrams").split(",")),
+    )
+
+
 def _parse_model(keyed: _KeyedLines) -> SentimentModel:
     """Parse the keyed lines of a model file and check that they hold
-    exactly the planes and the table of its variant, in range.
+    exactly the planes and the table of its variant, in range, and at
+    most one vocabulary.
 
     Every fault raises ``ValueError`` or ``OverflowError``.
     """
     fields, rows, one = keyed.fields, keyed.rows, keyed.one
-    if keyed.tab_rows:
-        raise ValueError("a model file holds no tab-separated rows")
     variant, dim = one("variant", Variant), one("dim", int)
     table, table_keys = _VARIANT_TABLE.get(variant, (None, set()))
-    stray = set(fields) - {"variant", "dim", "vocab_hash", "planes", "plane", "bias", "weights"} - table_keys
+    stray = set(fields) - {"variant", "dim", "planes", "plane", "bias", "weights"} - _VOCAB_KEYS - table_keys
     if stray or (table and not table_keys & set(fields)):
         raise ValueError(f"a {variant.value} model needs table {table}, found {sorted(stray) or 'none'}")
     names, biases, weights = [name for name, in rows("plane")], rows("bias", float), rows("weights", float)
@@ -743,28 +799,28 @@ def _parse_model(keyed: _KeyedLines) -> SentimentModel:
         if not docs.all():  # as training, which refuses a missing class
             raise ValueError(f"nb_docs needs a document of every class, got {' '.join(map(str, docs))}")
         tables[table] = NaiveBayesTable(docs, _counts([row[1:] for row in terms], (3, dim)))
-    vocab_hash = one("vocab_hash")
-    return SentimentModel(
-        variant=variant, dim=dim, vocab_hash="" if vocab_hash == "-" else vocab_hash, planes=planes, **tables
-    )
+    return SentimentModel(variant=variant, dim=dim, vocab=_parse_vocabulary(keyed, dim), planes=planes, **tables)
 
 
-def load_model(path: str | Path, vocab: Vocabulary | None) -> SentimentModel:
-    """Read a model written by :func:`save_model`.
+def load_model(path: str | Path) -> SentimentModel:
+    """Read a model written by :func:`save_model`, with its vocabulary
+    (``None`` for a model saved without one).
 
-    ``vocab`` must be the vocabulary the model was trained against;
-    a hash mismatch (or a missing vocabulary for a model that recorded
-    one) raises :class:`ModelFormatError`, as does a file that does not
-    hold exactly its variant's planes and table, in range.
+    Bytes that are not UTF-8, another first line or format version, and
+    a file that does not hold exactly its variant's planes and table, in
+    range, and a vocabulary of ``dim`` terms if any, raise
+    :class:`ModelFormatError`; I/O errors propagate unchanged.
     """
-    with _keyed_file(path, "model", _MODEL_MAGIC, _MODEL_VERSION, ModelFormatError) as keyed:
-        model = _parse_model(keyed)
-    if model.vocab_hash:
-        if vocab is None:
-            raise ModelFormatError(f"{path}: model requires its training vocabulary to load")
-        actual = vocabulary_hash(vocab)
-        if actual != model.vocab_hash:
-            raise ModelFormatError(
-                f"{path}: vocabulary hash mismatch (model {model.vocab_hash[:12]}..., given {actual[:12]}...)"
-            )
-    return model
+    try:
+        with open(path, encoding="utf-8") as handle:
+            first, *lines = handle.read().splitlines() or [""]
+    except UnicodeDecodeError as exc:
+        raise ModelFormatError(f"{path}: not UTF-8 text (cannot decode byte 0x{exc.object[exc.start]:02x})") from None
+    if not first.startswith(_MODEL_MAGIC):
+        raise ModelFormatError(f"{path}: not a model file")
+    if (found := first.removeprefix(_MODEL_MAGIC).strip()) != str(_MODEL_VERSION):
+        raise ModelFormatError(f"{path}: unsupported model version {found!r}")
+    try:
+        return _parse_model(_KeyedLines(lines))
+    except (ValueError, OverflowError) as exc:
+        raise ModelFormatError(f"{path}: malformed model file ({exc})") from None

@@ -112,11 +112,10 @@ def _measures(values: list[str] | None, default: tuple) -> tuple[agr.Measure, ..
     return wanted
 
 
-def _not_over_input(source: Path, *outputs: Path) -> None:
+def _not_over_input(source: Path, out: Path) -> None:
     """Refuse, before anything is written, an output that is the input file."""
-    for out in outputs:
-        if out.exists() and source.exists() and out.samefile(source):
-            raise UsageError(f"--out would write {out}, which is the --input file")
+    if out.exists() and source.exists() and out.samefile(source):
+        raise UsageError(f"--out would write {out}, which is the --input file")
 
 
 def _train_config(args: argparse.Namespace) -> classify.TrainConfig:
@@ -228,27 +227,16 @@ def cmd_merge(args: argparse.Namespace) -> None:
 
 
 def cmd_train(args: argparse.Namespace) -> None:
-    from . import classify, evaluation, features
+    from . import classify, evaluation
 
     config = _train_config(args)
     source = _resolve(_single(args.input, "--input"))
-    model_path = Path(args.out)
-    vocab_path = model_path.with_name(model_path.name + ".vocab")
-    _not_over_input(source, model_path, vocab_path)
+    _not_over_input(source, Path(args.out))
     gold = corpus.load_gold(source)
     prepared = evaluation.prepare(gold, min_df=args.min_df)
     model = classify.train_sentiment(prepared.counts, prepared.labels, args.variant, config, prepared.vocab)
-    classify.save_model(model, model_path)
-    features.save_vocabulary(prepared.vocab, vocab_path)
-    summary = {
-        "command": "train",
-        "variant": args.variant,
-        "posts": len(gold),
-        "dim": prepared.vocab.dim,
-        "vocab_hash": model.vocab_hash,
-        "model": str(model_path),
-        "vocabulary": str(vocab_path),
-    }
+    classify.save_model(model, args.out)
+    summary = {"command": "train", "variant": args.variant, "posts": len(gold), "dim": model.dim, "model": args.out}
     sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 

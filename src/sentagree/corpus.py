@@ -75,7 +75,7 @@ from pathlib import Path
 
 import numpy as np
 
-from .errors import CorpusFormatError
+from .errors import CorpusFormatError, _check_count
 
 __all__ = [
     "SentimentLabel",
@@ -133,6 +133,12 @@ _LABELS = {m.name.lower(): m for m in SentimentLabel}
 _BY_CODE = tuple(SentimentLabel)  # the labels of codes -1, 0, +1
 _NAMES = np.array([label.to_string() for label in _BY_CODE], dtype=object)  # the names of codes -1, 0, +1
 _COUNTS = range(1, 2**63)  # a MergedFrom value: an int64 count of at least one annotation
+
+
+def _not_codes(codes: np.ndarray) -> np.ndarray:
+    """Where ``codes`` holds a value that is not exactly -1, 0 or +1:
+    checked before any cast, so 1.0 is +1 and 1.7 is no code."""
+    return ~((codes == -1) | (codes == 0) | (codes == 1))
 
 
 class PairKind(str, Enum):
@@ -520,9 +526,10 @@ def _check_offsets(items: Sequence[AnnotationRecord] | Sequence[GoldPost]) -> No
 
 def _codes(items: Sequence[AnnotationRecord] | Sequence[GoldPost]) -> np.ndarray:
     """The label codes of ``items`` as int8; a label that is not a code
-    -1/0/+1 raises :class:`CorpusFormatError` naming its post."""
-    label = np.array([item.label for item in items], dtype=np.int64)
-    outside = np.flatnonzero(abs(label) > 1)
+    -1/0/+1 (checked before the cast) raises :class:`CorpusFormatError`
+    naming its post."""
+    label = np.array([item.label for item in items])
+    outside = np.flatnonzero(_not_codes(label))
     if outside.size:
         item = items[int(outside[0])]
         raise CorpusFormatError(f"post {item.post_id!r}: label {item.label!r} is not a code -1/0/+1")
@@ -663,8 +670,7 @@ def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> tuple[Sequence[G
     Dates with a UTC offset next to dates without one raise
     :class:`CorpusFormatError`, as in a table.
     """
-    if step < 1:
-        raise CorpusFormatError(f"step must be a positive integer, got {step}")
+    _check_count("step", step, 1, CorpusFormatError)
     sizes = (*range(step, len(gold), step), len(gold))
     if isinstance(gold, GoldTable):  # its dates were checked when it was read or merged
         dates = gold.dates

@@ -2,10 +2,14 @@
 
 Every error raised by the library carries a short machine-readable
 ``code`` so that command-line wrappers can emit a single parsable
-diagnostic line without inspecting exception types.
+diagnostic line without inspecting exception types.  The one rule for
+integer arguments, :func:`_check_count`, lives here too, so that every
+module can apply it without importing another.
 """
 
 from __future__ import annotations
+
+from numbers import Integral
 
 __all__ = [
     "SentagreeError",
@@ -58,3 +62,15 @@ class EvaluationError(SentagreeError):
     """Training or scoring failed while evaluating a classifier."""
 
     code = "evaluation"
+
+
+def _is_integer(value: object) -> bool:
+    """Whether ``value`` is an integer, Python's or numpy's; a bool is not one."""
+    return isinstance(value, Integral) and not isinstance(value, bool)
+
+
+def _check_count(name: str, value: object, least: int, error: type[ValueError] = ValueError) -> None:
+    """Raise ``error`` for a ``value`` that is not an integer or is below ``least``."""
+    if not _is_integer(value) or value < least:
+        kind = {0: "a non-negative integer", 1: "a positive integer"}.get(least, f"an integer at least {least}")
+        raise error(f"{name} must be {kind}, got {value!r}")

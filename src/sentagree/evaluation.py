@@ -28,10 +28,10 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from .agreement import CoincidenceMatrix, Measure, _cells, _not_codes, compute_measure, matrix_from_cells
+from .agreement import CoincidenceMatrix, Measure, _cells, compute_measure, matrix_from_cells
 from .classify import LinearModel, SentimentModel, TrainConfig, Variant, predict_batch, train_sentiment
-from .corpus import GoldPost, SentimentLabel, _gold_table, time_ordered_chunks
-from .errors import CorpusFormatError, EvaluationError, FoldPlanError
+from .corpus import GoldPost, SentimentLabel, _gold_table, _not_codes, time_ordered_chunks
+from .errors import CorpusFormatError, EvaluationError, FoldPlanError, _check_count
 from .features import CountRows, Vocabulary, count_vector, normalize, vocabulary_from_token_docs
 
 __all__ = [
@@ -82,13 +82,12 @@ def plan_folds(labels: Sequence[SentimentLabel | int], k: int = 10) -> FoldPlan:
     Raises
     ------
     FoldPlanError
-        If ``k < 2``, a label is not exactly -1, 0 or +1 (checked before
-        any cast, so 0.6 is no code), the corpus is smaller than ``k``,
-        or any class has fewer than ``k`` members (missing classes
-        included).
+        If ``k`` is not an integer of at least 2, a label is not exactly
+        -1, 0 or +1 (checked before any cast, so 0.6 is no code), the
+        corpus is smaller than ``k``, or any class has fewer than ``k``
+        members (missing classes included).
     """
-    if k < 2:
-        raise FoldPlanError(f"k must be at least 2, got {k}")
+    _check_count("k", k, 2, FoldPlanError)
     codes = np.asarray(labels)
     outside = _not_codes(codes)
     if outside.any():
@@ -207,7 +206,7 @@ def cross_validate(
     an earlier run on the same corpus trained is reused.  ``on_fold`` is a
     diagnostics hook called with ``(fold_index, vocabulary, model)``
     after each fold trains; only it gets a fold vocabulary built, and the
-    models, never saved, carry no vocabulary hash.
+    models, never saved, carry no vocabulary.
 
     Any failure inside a fold -- training, prediction, or an undefined
     measure -- is re-raised with the fold index attached.

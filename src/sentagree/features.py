@@ -42,17 +42,14 @@ corpus counted row by row is checked once, as one block.
 
 from __future__ import annotations
 
-import hashlib
 import re
 from collections import Counter
-from collections.abc import Callable, Iterable, Sequence
-from contextlib import contextmanager
+from collections.abc import Callable, Sequence
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
-from .errors import SentagreeError, VocabularyError
+from .errors import VocabularyError, _check_count
 
 __all__ = [
     "NORMALIZER_VERSION",
@@ -65,9 +62,6 @@ __all__ = [
     "vocabulary_from_token_docs",
     "count_vector",
     "delta_weights",
-    "vocabulary_hash",
-    "save_vocabulary",
-    "load_vocabulary",
 ]
 
 NORMALIZER_VERSION = 1
@@ -284,7 +278,8 @@ class Vocabulary:
     function of the training corpus and the configuration.  It carries
     no class statistics: each classifier plane computes its own term
     weights from its training split.  ``ngrams`` holds the n-gram sizes
-    counted, at least one, each at least 1; anything else raises
+    counted, at least one, each at least 1, ``min_df`` is a positive and
+    ``n_docs`` a non-negative integer; anything else raises
     :class:`VocabularyError`.
     """
 
@@ -297,6 +292,8 @@ class Vocabulary:
     def __post_init__(self) -> None:
         if not self.ngrams or min(self.ngrams) < 1:
             raise VocabularyError(f"ngrams must hold at least one n-gram size, each >= 1, got {self.ngrams!r}")
+        _check_count("min_df", self.min_df, 1, VocabularyError)
+        _check_count("n_docs", self.n_docs, 0, VocabularyError)
         object.__setattr__(self, "doc_freq", np.asarray(self.doc_freq, dtype=np.int64))
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.terms)})
 
@@ -331,8 +328,7 @@ def vocabulary_from_token_docs(
     A term is kept when at least ``min_df`` documents contain it; how
     often it repeats within one document does not count.
     """
-    if min_df < 1:
-        raise VocabularyError(f"min_df must be >= 1, got {min_df}")
+    _check_count("min_df", min_df, 1, VocabularyError)
     if not token_docs:
         raise VocabularyError("cannot build a vocabulary from an empty corpus")
     doc_freq: Counter[str] = Counter()
@@ -379,99 +375,3 @@ def delta_weights(rows: CountRows, positive: Sequence[bool]) -> np.ndarray:
     num = (np.bincount(rows.indices[~on_pos], minlength=rows.dim) + s) * (n_pos + s)
     den = (np.bincount(rows.indices[on_pos], minlength=rows.dim) + s) * (len(rows) - n_pos + s)
     return np.log2(num / den)
-
-
-# --- serialization ----------------------------------------------------------
-
-_VOCAB_MAGIC = "sentagree-vocab"
-_VOCAB_VERSION = 1
-
-
-def _core_lines(vocab: Vocabulary) -> list[str]:
-    lines = [f"n_docs {vocab.n_docs}"]
-    for i, term in enumerate(vocab.terms):
-        lines.append(f"{term}\t{i}\t{int(vocab.doc_freq[i])}")
-    return lines
-
-
-def vocabulary_hash(vocab: Vocabulary) -> str:
-    """SHA-256 over the term/index/frequency core of the vocabulary."""
-    digest = hashlib.sha256()
-    for line in _core_lines(vocab):
-        digest.update(line.encode("utf-8"))
-        digest.update(b"\n")
-    return digest.hexdigest()
-
-
-def save_vocabulary(vocab: Vocabulary, path: str | Path) -> None:
-    """Write the vocabulary as versioned flat text (one term per line)."""
-    for term in vocab.terms:
-        if "\t" in term or "\n" in term:
-            raise VocabularyError(f"term {term!r} contains a delimiter character")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"{_VOCAB_MAGIC} {_VOCAB_VERSION}\n")
-        handle.write(f"n_docs {vocab.n_docs}\n")
-        handle.write(f"min_df {vocab.min_df}\n")
-        handle.write("ngrams " + ",".join(str(n) for n in vocab.ngrams) + "\n")
-        handle.write(f"terms {vocab.dim}\n")
-        for i, term in enumerate(vocab.terms):
-            handle.write(f"{term}\t{i}\t{int(vocab.doc_freq[i])}\n")
-
-
-class _KeyedLines:
-    """The lines after a keyed file's first line: a line holding a tab is
-    a row of tab-separated fields, any other is ``key value ...``, split
-    at its first space.  Lookups raise ``ValueError``."""
-
-    def __init__(self, lines: list[str]) -> None:
-        self.fields: dict[str, list[str]] = {}
-        self.tab_rows = [line.split("\t") for line in lines if "\t" in line]
-        for key, _, value in (line.partition(" ") for line in lines if "\t" not in line):
-            self.fields.setdefault(key, []).append(value)
-
-    def rows(self, key: str, kind: type = str) -> list[list]:
-        return [[kind(v) for v in value.split()] for value in self.fields.get(key, [])]
-
-    def one(self, key: str, kind: type = str):
-        values = self.rows(key, kind)
-        if [len(row) for row in values] != [1]:
-            raise ValueError(f"expected one {key!r} line with one value")
-        return values[0][0]
-
-
-@contextmanager
-def _keyed_file(path: str | Path, what: str, magic: str, version: int, error: type[SentagreeError]):
-    """Read a keyed file whose first line is ``magic version`` and yield
-    its other lines.  Undecodable bytes, another first line, and a
-    ``ValueError`` or ``OverflowError`` raised inside the ``with`` block
-    raise ``error``; I/O errors propagate unchanged."""
-    try:
-        with open(path, encoding="utf-8") as handle:
-            first, *lines = handle.read().splitlines() or [""]
-    except UnicodeDecodeError as exc:
-        raise error(f"{path}: not UTF-8 text (cannot decode byte 0x{exc.object[exc.start]:02x})") from None
-    if not first.startswith(magic):
-        raise error(f"{path}: not a {what} file")
-    if (found := first.removeprefix(magic).strip()) != str(version):
-        raise error(f"{path}: unsupported {what} version {found!r}")
-    try:
-        yield _KeyedLines(lines)
-    except (ValueError, OverflowError) as exc:
-        raise error(f"{path}: malformed {what} file ({exc})") from None
-
-
-def load_vocabulary(path: str | Path) -> Vocabulary:
-    """Read a vocabulary written by :func:`save_vocabulary`."""
-    with _keyed_file(path, "vocabulary", _VOCAB_MAGIC, _VOCAB_VERSION, VocabularyError) as keyed:
-        rows, n_terms = keyed.tab_rows, keyed.one("terms", int)
-        if set(keyed.fields) != {"n_docs", "min_df", "ngrams", "terms"} or len(rows) != n_terms:
-            raise ValueError(f"expected four header lines and {n_terms} term rows")
-        if [int(idx) for _, idx, _ in rows] != list(range(n_terms)):
-            raise ValueError("term indices out of order")
-        return Vocabulary(
-            terms=tuple(term for term, _, _ in rows),
-            doc_freq=[int(df) for _, _, df in rows],
-            n_docs=keyed.one("n_docs", int),
-            min_df=keyed.one("min_df", int),
-            ngrams=tuple(int(n) for n in keyed.one("ngrams").split(",")),
-        )

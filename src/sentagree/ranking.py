@@ -30,6 +30,8 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from .errors import _check_count, _is_integer
+
 __all__ = [
     "ScoreTable",
     "RankSummary",
@@ -135,13 +137,12 @@ def nemenyi_cd(k: int, n_datasets: int) -> float:
     """Nemenyi critical distance ``q_0.05(k) * sqrt(k * (k+1) / (6 * N))``.
 
     Two classifiers differ significantly at the 0.05 level when their
-    average ranks differ by at least this much.  Supported:
+    average ranks differ by at least this much.  Supported: integers
     ``2 <= k <= 10`` (the embedded table) and ``n_datasets >= 2``.
     """
-    if not 2 <= k <= 10:
-        raise ValueError(f"k must be between 2 and 10, got {k}")
-    if n_datasets < 2:
-        raise ValueError(f"need at least 2 datasets, got {n_datasets}")
+    if not _is_integer(k) or not 2 <= k <= 10:
+        raise ValueError(f"k must be an integer between 2 and 10, got {k!r}")
+    _check_count("n_datasets", n_datasets, 2)
     return _Q_TABLE[k - 2] * float(np.sqrt(k * (k + 1) / (6.0 * n_datasets)))
 
 

@@ -30,8 +30,8 @@ from sentagree.classify import (
     _decision_values,
 )
 from sentagree.corpus import SentimentLabel
-from sentagree.errors import EvaluationError, ModelFormatError, SentagreeError
-from sentagree.features import CountRows, vocabulary_from_token_docs
+from sentagree.errors import EvaluationError, ModelFormatError, SentagreeError, VocabularyError
+from sentagree.features import CountRows, Vocabulary
 
 import oracles
 from conftest import mutated_lines
@@ -336,6 +336,16 @@ def test_train_sentiment_rejects_out_of_range_label_codes(variant: Variant) -> N
         train_sentiment(stack(vectors), labels, variant)
 
 
+@pytest.mark.parametrize("variant", [Variant.TWO_PLANE, Variant.NAIVE_BAYES])
+def test_train_sentiment_checks_label_codes_before_any_cast(variant: Variant) -> None:
+    # an int() cast would train 1.7 as +1 and 0.4 as 0
+    vectors, labels = toy_corpus(dup=2)
+    with pytest.raises(EvaluationError, match=r"^label code 1\.7 is not -1, 0 or \+1$"):
+        train_sentiment(stack(vectors), [1.7, *labels[1:4], 0.4, *labels[5:]], variant)
+    as_floats = train_sentiment(stack(vectors), [float(code) for code in labels], variant)
+    assert predict_batch(as_floats, stack(vectors)).tolist() == labels
+
+
 def test_variant_accepts_its_string_name() -> None:
     vectors, labels = toy_corpus(dup=3)
     model = train_sentiment(stack(vectors), labels, "NaiveBayes")
@@ -584,59 +594,78 @@ def test_predict_takes_one_row() -> None:
 # --- serialization -----------------------------------------------------------
 
 
+#: A vocabulary of toy_corpus's three dimensions, with a bigram.
+TOY_VOCAB = Vocabulary(("bad", "bad day", "good"), np.array([8, 3, 8]), n_docs=24, min_df=2, ngrams=(1, 2))
+
+
+def same_vocabulary(a: Vocabulary, b: Vocabulary) -> bool:
+    return (a.terms, a.doc_freq.tolist(), a.n_docs, a.min_df, a.ngrams) == (
+        b.terms, b.doc_freq.tolist(), b.n_docs, b.min_df, b.ngrams)
+
+
 @pytest.mark.parametrize("variant", list(Variant))
 def test_model_round_trip(tmp_path, variant: Variant) -> None:
     vectors, labels = toy_corpus(dup=6)
-    model = train_sentiment(stack(vectors), labels, variant)
+    model = train_sentiment(stack(vectors), labels, variant, vocab=TOY_VOCAB)
     path = tmp_path / "model.txt"
     save_model(model, path)
-    loaded = load_model(path, vocab=None)
+    loaded = load_model(path)
     assert loaded.variant is variant
     assert loaded.dim == model.dim
+    assert same_vocabulary(loaded.vocab, TOY_VOCAB)
     before = [predict(model, x) for x in vectors]
     after = [predict(loaded, x) for x in vectors]
     assert before == after
 
 
-def test_model_vocabulary_hash_is_enforced(tmp_path) -> None:
-    docs = [["bad", "meh", "good"]] * 5
-    vocab = vocabulary_from_token_docs(docs, min_df=1, ngrams=(1,))
+def test_model_saved_without_a_vocabulary_loads_without_one(tmp_path) -> None:
     vectors, labels = toy_corpus(dup=4)
-    model = train_sentiment(stack(vectors), labels, Variant.TWO_PLANE, vocab=vocab)
     path = tmp_path / "model.txt"
-    save_model(model, path)
+    save_model(train_sentiment(stack(vectors), labels, Variant.NAIVE_BAYES), path)
+    assert load_model(path).vocab is None
+    assert not any("\t" in line or line.split(" ")[0] in {"n_docs", "terms"} for line in path.read_text().splitlines())
 
-    assert load_model(path, vocab).vocab_hash == model.vocab_hash
-    with pytest.raises(ModelFormatError, match="requires"):
-        load_model(path, None)
-    other = vocabulary_from_token_docs([["different", "terms"]] * 5, min_df=1, ngrams=(1,))
-    with pytest.raises(ModelFormatError, match="mismatch"):
-        load_model(path, other)
+
+def test_train_sentiment_rejects_a_vocabulary_of_another_dimension() -> None:
+    vectors, labels = toy_corpus(dup=4)
+    short = Vocabulary(("bad", "good"), np.array([8, 8]), n_docs=24, min_df=2, ngrams=(1,))
+    with pytest.raises(EvaluationError, match="vocabulary of 2 terms for rows of dimension 3"):
+        train_sentiment(stack(vectors), labels, Variant.TWO_PLANE, vocab=short)
+
+
+@pytest.mark.parametrize("term", ["a\tb", "a\nb", "a\rb", "a\u2028b"], ids=["tab", "newline", "return", "separator"])
+def test_save_model_rejects_delimiter_terms(tmp_path, term) -> None:
+    vectors, labels = toy_corpus(dup=4)
+    vocab = Vocabulary((term, "c", "d"), np.array([2, 2, 2]), n_docs=2, min_df=1, ngrams=(1,))
+    path = tmp_path / "model.txt"
+    with pytest.raises(VocabularyError, match="delimiter"):
+        save_model(train_sentiment(stack(vectors), labels, Variant.TWO_PLANE, vocab=vocab), path)
+    assert not path.exists()
 
 
 def test_load_model_rejects_bad_files(tmp_path) -> None:
     not_model = tmp_path / "a.txt"
     not_model.write_text("hello\n")
     with pytest.raises(ModelFormatError, match="not a model"):
-        load_model(not_model, None)
+        load_model(not_model)
     wrong_version = tmp_path / "b.txt"
     wrong_version.write_text("sentagree-model 99\n")
     with pytest.raises(ModelFormatError, match="version"):
-        load_model(wrong_version, None)
+        load_model(wrong_version)
     truncated = tmp_path / "c.txt"
-    truncated.write_text("sentagree-model 1\nvariant TwoPlaneSVM\ndim 2\n")
+    truncated.write_text("sentagree-model 2\nvariant TwoPlaneSVM\ndim 2\n")
     with pytest.raises(ModelFormatError, match="malformed"):
-        load_model(truncated, None)
+        load_model(truncated)
     not_utf8 = tmp_path / "d.txt"
-    not_utf8.write_bytes(b"sentagree-model 1\nvariant TwoPlaneSVM\ndim 2\nvocab_hash \xff\n")
+    not_utf8.write_bytes(b"sentagree-model 2\nvariant TwoPlaneSVM\ndim 1\nterms 1\n\xff\t0\t2\n")
     with pytest.raises(ModelFormatError, match="not UTF-8 text .*0xff"):
-        load_model(not_utf8, None)
+        load_model(not_utf8)
 
 
-def saved_model_lines(tmp_path, variant: Variant) -> list[str]:
+def saved_model_lines(tmp_path, variant: Variant, vocab: Vocabulary | None = TOY_VOCAB) -> list[str]:
     vectors, labels = toy_corpus(dup=4)
-    path = tmp_path / f"{variant.value}.txt"
-    save_model(train_sentiment(stack(vectors), labels, variant, TrainConfig(bin_grid=2)), path)
+    path = tmp_path / f"{variant.value}-{vocab is not None}.txt"
+    save_model(train_sentiment(stack(vectors), labels, variant, TrainConfig(bin_grid=2), vocab), path)
     return path.read_text().splitlines()
 
 
@@ -655,6 +684,14 @@ def replace_first(prefix: str, new: str):
 
 def drop_keys(*keys: str):
     return lambda lines: [line for line in lines if line.split(" ", 1)[0] not in keys]
+
+
+def edit_term_rows(edit):
+    def apply(lines: list[str]) -> list[str]:
+        rows = [i for i, line in enumerate(lines) if "\t" in line]
+        kept = [line for line in lines if "\t" not in line]
+        return kept[:rows[0]] + edit([lines[i] for i in rows]) + kept[rows[0]:]
+    return apply
 
 
 @pytest.mark.parametrize(
@@ -676,23 +713,37 @@ def drop_keys(*keys: str):
         (Variant.NEUTRAL_ZONE, replace_first("neutral_zone ", "neutral_zone nan"), "non-negative and finite, got nan"),
         (Variant.NEUTRAL_ZONE, replace_first("neutral_zone ", "neutral_zone -1.0"), "non-negative and finite, got -1.0"),
         (Variant.NEUTRAL_ZONE, replace_first("neutral_zone ", "neutral_zone inf"), "non-negative and finite, got inf"),
+        (Variant.TWO_PLANE, replace_first("terms ", "terms 4"), "needs terms 3 and 3 term rows"),
+        (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows[:-1]), "needs terms 3 and 3 term rows"),
+        (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows + ["extra\t3\t1"]), "needs terms 3 and 3 term rows"),
+        (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows[1::-1] + rows[2:]), "term indices out of order"),
+        (Variant.TWO_PLANE, edit_term_rows(lambda rows: ["bad\t0"] + rows[1:]), "not enough values"),
+        (Variant.TWO_PLANE, replace_first("ngrams ", "ngrams 0,-2"), r"\(ngrams .* got \(0, -2\)\)"),
+        (Variant.TWO_PLANE, replace_first("min_df ", "min_df 2.5"), "malformed model file"),
+        (Variant.TWO_PLANE, replace_first("n_docs ", "n_docs -1"), "n_docs must be a non-negative integer, got -1"),
+        (Variant.TWO_PLANE, drop_keys("n_docs"), "expected one 'n_docs' line"),
+        (Variant.TWO_PLANE, drop_keys("n_docs", "min_df", "ngrams", "terms"), "expected one 'terms' line"),
+        (Variant.TWO_PLANE, lambda lines: ["sentagree-model 1", *lines[1:]], "unsupported model version '1'"),
     ],
     ids=["negative-bin-index", "bin-index-past-grid", "negative-bin-count", "short-edges",
          "missing-bin-table", "missing-plane", "missing-cascade-plane", "negative-subspace",
          "negative-doc-count", "doc-count-past-64-bits", "nan-weight", "zero-doc-count", "infinite-term-count",
-         "nan-neutral-zone", "negative-neutral-zone", "infinite-neutral-zone"],
+         "nan-neutral-zone", "negative-neutral-zone", "infinite-neutral-zone",
+         "term-count-past-dim", "missing-term-row", "extra-term-row", "term-indices-out-of-order", "short-term-row",
+         "vocabulary-ngram-below-one", "fractional-min-df", "negative-n-docs", "missing-n-docs",
+         "term-rows-without-header", "version-1"],
 )
 def test_load_model_checks_structure(tmp_path, variant, edit, message) -> None:
     path = tmp_path / "broken.txt"
     path.write_text("\n".join(edit(saved_model_lines(tmp_path, variant))) + "\n")
     with pytest.raises(ModelFormatError, match=message):
-        load_model(path, None)
+        load_model(path)
 
 
 @pytest.fixture(scope="module")
 def model_files(tmp_path_factory) -> list[list[str]]:
     directory = tmp_path_factory.mktemp("models")
-    return [saved_model_lines(directory, variant) for variant in Variant]
+    return [saved_model_lines(directory, variant, vocab) for variant in Variant for vocab in (None, TOY_VOCAB)]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
@@ -702,9 +753,10 @@ def test_load_model_fuzz_raises_only_format_errors(tmp_path, model_files, data) 
     path = tmp_path / "fuzzed.txt"
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     try:
-        model = load_model(path, None)
+        model = load_model(path)
     except (SentagreeError, OSError):
         return
+    assert model.vocab is None or model.vocab.dim == model.vocab.doc_freq.size == model.dim
     rows = stack([vec(np.ones(model.dim)), vec((), model.dim)])
     try:
         predict_batch(model, rows)

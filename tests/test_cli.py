@@ -10,7 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
-from sentagree import classify, cli, corpus, evaluation, features
+from sentagree import classify, cli, corpus, evaluation
 from sentagree.cli import main
 from sentagree.corpus import GoldPost, SentimentLabel
 
@@ -255,29 +255,28 @@ def test_table_commands_build_no_record_or_pair_objects(annotations_csv, tmp_pat
 
 
 def test_train_writes_model_and_vocabulary(gold_csv, tmp_path, capsys):
-    model_path = tmp_path / "model.txt"
-    code, out, _ = run(
-        [
-            "train",
-            "--input", str(gold_csv),
-            "--out", str(model_path),
-            "--variant", "TwoPlaneSVM",
-            "--min-df", "2",
-        ],
-        capsys,
-    )
-    assert code == 0
-    summary = json.loads(out)
-    assert summary["command"] == "train"
-    assert summary["posts"] == 45
-    assert summary["dim"] > 0
-    assert re.fullmatch(r"[0-9a-f]{64}", summary["vocab_hash"])
-    vocab_path = tmp_path / "model.txt.vocab"
-    assert summary["vocabulary"] == str(vocab_path)
-    vocab = features.load_vocabulary(vocab_path)
-    model = classify.load_model(model_path, vocab)
-    assert model.variant is classify.Variant.TWO_PLANE
-    assert model.dim == summary["dim"]
+    # one file per variant: the model with the vocabulary prepare builds, predicting as the model in memory
+    prepared = evaluation.prepare(corpus.load_gold(gold_csv), min_df=2)
+    for variant in VARIANTS:
+        model_path = tmp_path / f"{variant}.txt"
+        code, out, _ = run(
+            ["train", "--input", str(gold_csv), "--out", str(model_path), "--variant", variant, "--min-df", "2"],
+            capsys,
+        )
+        assert code == 0
+        summary = json.loads(out)
+        assert summary == {"command": "train", "variant": variant, "posts": 45, "dim": prepared.vocab.dim,
+                           "model": str(model_path)}
+        model = classify.load_model(model_path)
+        assert model.variant is classify.Variant(variant) and model.dim == model.vocab.dim > 0
+        vocab = model.vocab
+        assert (vocab.terms, vocab.n_docs, vocab.min_df, vocab.ngrams) == (
+            prepared.vocab.terms, prepared.vocab.n_docs, prepared.vocab.min_df, prepared.vocab.ngrams)
+        assert vocab.doc_freq.tolist() == prepared.vocab.doc_freq.tolist()
+        in_memory = classify.train_sentiment(prepared.counts, prepared.labels, variant, classify.TrainConfig())
+        labels = classify.predict_batch(model, prepared.counts)
+        assert labels.tolist() == classify.predict_batch(in_memory, prepared.counts).tolist()
+    assert sorted(p.name for p in tmp_path.iterdir()) == sorted([gold_csv.name] + [f"{v}.txt" for v in VARIANTS])
 
 
 # --- crossval -----------------------------------------------------------------
@@ -634,13 +633,13 @@ def test_merge_refuses_to_write_over_its_input(spelling, annotations_csv, capsys
     assert sorted(p.name for p in annotations_csv.parent.iterdir()) == ["mini.csv"]
 
 
-@pytest.mark.parametrize("out_name", ["model.txt", "model"], ids=["model", "vocabulary"])
-def test_train_refuses_to_write_over_its_input(out_name, gold_csv, tmp_path, capsys):
-    # the input is the model file itself, or the vocabulary written next to it
-    source = tmp_path / "model.txt" if out_name == "model.txt" else tmp_path / "model.vocab"
+@pytest.mark.parametrize("spelling", ["model", "dotted"])
+def test_train_refuses_to_write_over_its_input(spelling, gold_csv, tmp_path, capsys):
+    source = tmp_path / "model.txt"
     source.write_bytes(gold_csv.read_bytes())
     gold_csv.unlink()
-    code, stdout, err = run(["train", "--input", str(source), "--out", str(tmp_path / out_name)], capsys)
+    out = source if spelling == "model" else tmp_path / "." / source.name
+    code, stdout, err = run(["train", "--input", str(source), "--out", str(out)], capsys)
     assert (code, stdout) == (1, "")
     assert re.fullmatch(rf"error: usage: --out would write .*{source.name}, which is the --input file\n", err)
     assert [p.name for p in tmp_path.iterdir()] == [source.name]

@@ -529,6 +529,10 @@ def test_time_ordered_chunks_rejects_mixed_utc_offsets() -> None:
 def test_time_ordered_chunks_rejects_bad_step() -> None:
     with pytest.raises(CorpusFormatError, match="positive"):
         time_ordered_chunks([], 0)
+    posts = [GoldPost(f"p{i}", SentimentLabel.NEUTRAL) for i in range(5)]
+    for step in (2.5, True, "2"):  # each would end in a TypeError or make steps of 1
+        with pytest.raises(CorpusFormatError, match=f"^step must be a positive integer, got {step!r}$"):
+            time_ordered_chunks(posts, step)
 
 
 def test_save_and_load_gold_round_trip(tmp_path) -> None:
@@ -582,9 +586,10 @@ def test_save_gold_from_columns_writes_what_the_row_writer_wrote(tmp_path, delim
         tmp_path / "rows.txt").read_bytes()
 
 
-@pytest.mark.parametrize("code", [-2, 2, 300])
+@pytest.mark.parametrize("code", [-2, 2, 300, 0.6, 1.7])
 def test_save_gold_rejects_a_label_outside_the_codes(tmp_path, code) -> None:
-    # the row writer had no name for such a label either; a column lookup must not wrap -2 round to Positive
+    # the row writer had no name for such a label either; a column lookup must not wrap -2 round to Positive,
+    # and a cast must not make 0.6 Neutral and 1.7 Positive
     gold = [GoldPost("p1", SentimentLabel.NEUTRAL), GoldPost("p2", code)]
     with pytest.raises(CorpusFormatError, match=f"^post 'p2': label {code} is not a code -1/0/\\+1$"):
         save_gold(gold, tmp_path / "gold.csv")
@@ -609,10 +614,10 @@ def test_save_gold_rejects_mixed_utc_offsets_before_writing(tmp_path) -> None:
     assert not (tmp_path / "gold.csv").exists()
 
 
-@pytest.mark.parametrize("code", [-2, 2, 300])
+@pytest.mark.parametrize("code", [-2, 2, 300, -0.5, 1.7])
 @pytest.mark.parametrize("entry", [extract_pairs, merge_gold])
 def test_records_with_a_label_outside_the_codes_are_rejected(entry, code) -> None:
-    # an int8 cast would wrap 300 round to 44, and code 2 indexed past the label names
+    # an int8 cast would wrap 300 round to 44, code 2 indexed past the label names, and -0.5 would be 0
     records = [AnnotationRecord("p1", "a", 0, 0), AnnotationRecord("p2", "a", 0, 1),
                AnnotationRecord("p2", "b", code, 2)]
     with pytest.raises(CorpusFormatError, match=f"^post 'p2': label {code} is not a code -1/0/\\+1$"):

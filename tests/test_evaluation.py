@@ -19,7 +19,7 @@ from sentagree.evaluation import (
     prepare,
     score_predictions,
 )
-from sentagree.features import CountRows, count_vector, normalize, vocabulary_from_token_docs, vocabulary_hash
+from sentagree.features import CountRows, count_vector, normalize, vocabulary_from_token_docs
 
 from conftest import NEG_WORDS, NEU_WORDS, POS_WORDS, separable_corpus, shift_corpus
 
@@ -84,6 +84,9 @@ def test_plan_folds_validation() -> None:
     codes = [-1, 0, 1] * 4
     with pytest.raises(FoldPlanError, match="at least 2"):
         plan_folds(codes, k=1)
+    for k in (2.5, 2.0, True):
+        with pytest.raises(FoldPlanError, match=f"^k must be an integer at least 2, got {k!r}$"):
+            plan_folds(codes, k=k)
     with pytest.raises(FoldPlanError, match="cannot be split"):
         plan_folds(codes[:3], k=5)
     lopsided = [-1] * 5 + [0] * 5 + [1] * 2
@@ -292,19 +295,16 @@ def test_fold_features_equal_those_built_from_the_training_posts_alone(monkeypat
         assert vocab.terms == direct.terms == terms
         assert vocab.doc_freq.tolist() == direct.doc_freq.tolist() == doc_freq
         assert (vocab.n_docs, vocab.min_df, vocab.ngrams) == (direct.n_docs, direct.min_df, direct.ngrams)
-        assert vocabulary_hash(vocab) == vocabulary_hash(direct)
         assert _same_rows(train, train_docs, vocab)
         assert _same_rows(test, [docs[id(gold[i])] for i in plan.folds[fold]], vocab)
 
 
-def test_cross_validate_hashes_no_vocabulary_without_a_hook(monkeypatch) -> None:
-    hashed = []
-    monkeypatch.setattr(classify, "vocabulary_hash", _spy(classify.vocabulary_hash, hashed, 0))
+def test_cross_validate_models_carry_no_vocabulary() -> None:
+    # the hook gets each fold's vocabulary; the fold models, never saved, hold none
     prepared = prepare(make_gold([-1, 0, 1] * 10), min_df=1)
-    models = []
-    cross_validate(prepared, Variant.TWO_PLANE, k=3, on_fold=lambda fold, vocab, model: models.append(model))
-    cross_validate(prepared, Variant.NAIVE_BAYES, k=3)
-    assert hashed == [] and [model.vocab_hash for model in models] == ["", "", ""]
+    seen = []
+    cross_validate(prepared, Variant.TWO_PLANE, k=3, on_fold=lambda fold, vocab, model: seen.append((vocab, model)))
+    assert len(seen) == 3 and all(vocab.dim > 0 and model.vocab is None for vocab, model in seen)
 
 
 def test_cross_validate_attaches_fold_context_to_errors() -> None:

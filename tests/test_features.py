@@ -10,6 +10,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings
 from hypothesis import strategies as st
 
+from sentagree.classify import Variant, load_model, save_model, train_sentiment
 from sentagree.errors import SentagreeError, VocabularyError
 from sentagree.features import (
     EMOTICONS,
@@ -20,11 +21,8 @@ from sentagree.features import (
     delta_weights,
     english_suffix_stem,
     expand_terms,
-    load_vocabulary,
     normalize,
-    save_vocabulary,
     vocabulary_from_token_docs,
-    vocabulary_hash,
 )
 from sentagree.evaluation import PreparedCorpus
 
@@ -383,30 +381,38 @@ def test_delta_weight_balanced_term_is_zero() -> None:
     assert delta_weights(*rows_with_doc_freqs([4], [4], n_pos=9, n_neg=9))[0] == 0.0
 
 
+def test_vocabulary_round_trip(tmp_path) -> None:
+    # through the one file that holds a vocabulary, its model's: terms in order, frequencies, counts, n-gram sizes
+    vocab = Vocabulary(("a b", "b", "c  d"), np.array([3, 0, 12]), n_docs=12, min_df=1, ngrams=(2, 1, 3))
+    rows = CountRows(np.arange(7), np.array([0, 1, 2, 0, 1, 2]), np.ones(6), 3)
+    save_model(train_sentiment(rows, [-1, 0, 1] * 2, Variant.NAIVE_BAYES, vocab=vocab), tmp_path / "model.txt")
+    loaded = load_model(tmp_path / "model.txt").vocab
+    assert loaded.terms == vocab.terms and loaded.index == vocab.index
+    assert loaded.doc_freq.tolist() == vocab.doc_freq.tolist()
+    assert (loaded.n_docs, loaded.min_df, loaded.ngrams) == (vocab.n_docs, vocab.min_df, vocab.ngrams)
+
+
 def _toy_vocab() -> Vocabulary:
     docs = [["a", "b"], ["b", "c"], ["a", "c"], ["a", "b", "c"]]
     return vocabulary_from_token_docs(docs, min_df=2, ngrams=(1, 2))
 
 
-def test_vocabulary_round_trip(tmp_path) -> None:
+@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_load_vocabulary_fuzz_raises_only_format_errors(tmp_path, data) -> None:
+    # only the vocabulary block, the tail of its model's file, is mutated
     vocab = _toy_vocab()
-    path = tmp_path / "vocab.txt"
-    save_vocabulary(vocab, path)
-    loaded = load_vocabulary(path)
-    assert loaded.terms == vocab.terms
-    assert loaded.doc_freq.tolist() == vocab.doc_freq.tolist()
-    assert (loaded.n_docs, loaded.min_df, loaded.ngrams) == (
-        vocab.n_docs,
-        vocab.min_df,
-        vocab.ngrams,
-    )
-    assert vocabulary_hash(loaded) == vocabulary_hash(vocab)
-
-
-def test_vocabulary_hash_depends_on_terms() -> None:
-    docs = [["a", "b"], ["b", "c"], ["a", "c"], ["a", "b", "c"], ["a", "b"]]
-    other = vocabulary_from_token_docs(docs, min_df=2, ngrams=(1, 2))
-    assert vocabulary_hash(other) != vocabulary_hash(_toy_vocab())
+    rows = CountRows(np.arange(4) * vocab.dim, np.tile(np.arange(vocab.dim), 3), np.ones(3 * vocab.dim), vocab.dim)
+    path = tmp_path / "model.txt"
+    save_model(train_sentiment(rows, [-1, 0, 1], Variant.NAIVE_BAYES, vocab=vocab), path)
+    lines = path.read_text(encoding="utf-8").splitlines()
+    start = next(i for i, line in enumerate(lines) if line.startswith("n_docs "))
+    path.write_text("\n".join(lines[:start] + data.draw(mutated_lines(lines[start:]))) + "\n", encoding="utf-8")
+    try:
+        model = load_model(path)
+    except (SentagreeError, OSError):
+        return
+    assert model.vocab is None or len(model.vocab.terms) == model.vocab.doc_freq.size == model.dim
 
 
 @pytest.mark.parametrize("ngrams", [(), (0, 1), (1, -2)])
@@ -420,47 +426,21 @@ def test_vocabulary_from_token_docs_rejects_ngram_sizes_below_one() -> None:
         vocabulary_from_token_docs([["a", "b"]], min_df=1, ngrams=(0, 1))
 
 
-def test_load_vocabulary_rejects_ngram_sizes_below_one(tmp_path) -> None:
-    path = tmp_path / "sizes.vocab"
-    path.write_text("sentagree-vocab 1\nn_docs 4\nmin_df 2\nngrams 0,-2\nterms 1\na\t0\t2\n")
-    with pytest.raises(VocabularyError, match=r"malformed vocabulary file \(ngrams .* got \(0, -2\)\)"):
-        load_vocabulary(path)
+@pytest.mark.parametrize(("field", "bad", "message"), [
+    ("min_df", 2.5, "min_df must be a positive integer, got 2.5"),
+    ("min_df", 0, "min_df must be a positive integer, got 0"),
+    ("min_df", True, "min_df must be a positive integer, got True"),
+    ("n_docs", -1, "n_docs must be a non-negative integer, got -1"),
+    ("n_docs", 4.0, "n_docs must be a non-negative integer, got 4.0"),
+])
+def test_vocabulary_counts_are_integers(field, bad, message) -> None:
+    # a vocabulary that saves with its model also reloads: no count a file cannot hold as an integer
+    fields = dict(terms=("a",), doc_freq=np.array([2]), n_docs=4, min_df=2, ngrams=(1,))
+    with pytest.raises(VocabularyError, match=f"^{message}$"):
+        Vocabulary(**{**fields, field: bad})
+    assert Vocabulary(**{**fields, field: np.int64(2)}).dim == 1
 
 
-def test_load_vocabulary_rejects_bad_files(tmp_path) -> None:
-    bad_magic = tmp_path / "m.txt"
-    bad_magic.write_text("something-else 1\n")
-    with pytest.raises(VocabularyError, match="not a vocabulary"):
-        load_vocabulary(bad_magic)
-    bad_version = tmp_path / "v.txt"
-    bad_version.write_text("sentagree-vocab 9\n")
-    with pytest.raises(VocabularyError, match="version"):
-        load_vocabulary(bad_version)
-    truncated = tmp_path / "t.txt"
-    truncated.write_text("sentagree-vocab 1\nn_docs 4\nmin_df 2\nngrams 1,2\nterms 3\na\t0\t2\n")
-    with pytest.raises(VocabularyError, match="malformed"):
-        load_vocabulary(truncated)
-    not_utf8 = tmp_path / "u.txt"
-    not_utf8.write_bytes(b"sentagree-vocab 1\nn_docs 4\nmin_df 2\nngrams 1\nterms 1\n\xff\t0\t2\n")
-    with pytest.raises(VocabularyError, match="not UTF-8 text .*0xff"):
-        load_vocabulary(not_utf8)
-
-
-def test_save_vocabulary_rejects_delimiter_terms(tmp_path) -> None:
-    vocab = Vocabulary(terms=("a\tb",), doc_freq=np.array([2]), n_docs=2, min_df=1, ngrams=(1,))
-    with pytest.raises(VocabularyError, match="delimiter"):
-        save_vocabulary(vocab, tmp_path / "v.txt")
-
-
-@settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
-@given(data=st.data())
-def test_load_vocabulary_fuzz_raises_only_format_errors(tmp_path, data) -> None:
-    path = tmp_path / "vocab.txt"
-    save_vocabulary(_toy_vocab(), path)
-    lines = data.draw(mutated_lines(path.read_text(encoding="utf-8").splitlines()))
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
-    try:
-        vocab = load_vocabulary(path)
-    except (SentagreeError, OSError):
-        return
-    assert len(vocab.terms) == vocab.doc_freq.size
+def test_vocabulary_from_token_docs_rejects_a_fractional_min_df() -> None:
+    with pytest.raises(VocabularyError, match="^min_df must be a positive integer, got 2.5$"):
+        vocabulary_from_token_docs([["a", "b"]] * 3, min_df=2.5)

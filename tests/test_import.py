@@ -35,8 +35,8 @@ PUBLIC = {
                "UndefinedMeasureError", "VocabularyError"],
     "evaluation": ["DEFAULT_MEASURES", "CrossValResult", "CurvePoint", "FoldPlan", "LearningCurve", "cross_validate",
                    "learning_curve", "plan_folds", "prepare", "score_predictions"],
-    "features": ["CountRows", "Vocabulary", "count_vector", "delta_weights", "english_suffix_stem", "load_vocabulary",
-                 "normalize", "save_vocabulary", "vocabulary_from_token_docs", "vocabulary_hash"],
+    "features": ["CountRows", "Vocabulary", "count_vector", "delta_weights", "english_suffix_stem", "normalize",
+                 "vocabulary_from_token_docs"],
     "ranking": ["RankReport", "RankSummary", "ScoreTable", "compare_ranks", "friedman", "nemenyi_cd"],
 }
 SUBMODULES = ["agreement", "classify", "cli", "corpus", "errors", "evaluation", "features", "ranking"]
@@ -90,7 +90,7 @@ def test_cli_import_loads_no_scipy_and_friedman_no_scipy_stats(annotations_csv, 
 
 def test_all_holds_the_public_names_in_order() -> None:
     names = [name for group in PUBLIC.values() for name in group]
-    assert len(names) == len(set(names)) == 64
+    assert len(names) == len(set(names)) == 61
     assert sentagree.__all__ == sorted(names)
 
 

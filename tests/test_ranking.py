@@ -124,6 +124,12 @@ def test_nemenyi_cd_validation() -> None:
         nemenyi_cd(11, 13)
     with pytest.raises(ValueError, match="datasets"):
         nemenyi_cd(6, 1)
+    # neither is read from the table: 2.5 datasets gave a distance, and k = 3.0 a TypeError
+    with pytest.raises(ValueError, match=r"^n_datasets must be an integer at least 2, got 2\.5$"):
+        nemenyi_cd(3, 2.5)
+    with pytest.raises(ValueError, match=r"^k must be an integer between 2 and 10, got 3\.0$"):
+        nemenyi_cd(3.0, 4)
+    assert nemenyi_cd(np.int64(3), np.int64(10)) == nemenyi_cd(3, 10)
 
 
 def test_compare_ranks_boundary_is_inclusive() -> None:
