@@ -400,6 +400,13 @@ _PLANE_SIDES: dict[Variant, dict[str, tuple[tuple[int, ...], tuple[int, ...]]]] 
 }
 
 
+def _solves(variant: Variant, memo: dict[tuple, LinearModel]) -> bool:
+    """Whether :func:`train_sentiment` of ``variant`` with ``memo`` trains a plane."""
+    if variant is Variant.NEUTRAL_ZONE:  # its plane, trained on a validation subset, is never memoized
+        return True
+    return any(sides not in memo for sides in _PLANE_SIDES.get(variant, {}).values())
+
+
 # --- label rules: decision values of a block of rows -> label codes ----------
 
 

@@ -15,6 +15,20 @@ training rows contain, which is exact since every such term is in that
 vocabulary.  All variants and learning-curve prefixes share the counts;
 a plane is trained once per (training rows, sides, config).
 
+The folds that train a plane are trained side by side, one process per
+CPU the process may run on (``os.sched_getaffinity``), with no setting:
+the caller trains every n-th of them and forked workers the others, and
+the workers' models and planes come back pickled, so the planes join the
+corpus's memo as if trained in the caller.  Then, in fold order, the
+caller runs ``on_fold``, predicts and scores exactly as one process
+would, so every result is the same to the bit.  A fold whose training
+failed is trained again in that loop, which raises its error for the
+lowest failing fold.  With one CPU, without ``os.fork``, or when no
+fold trains a plane (``NaiveBayes``, or every plane already memoized),
+the folds are trained one by one in the caller and no process is
+started.  Every worker is reaped before :func:`cross_validate` returns,
+and on Linux the kernel kills a worker whose caller ends first.
+
 Reported per measure: per-fold values, their mean, and the normal 95%
 half-width ``1.96 * sd / sqrt(k)`` (sample standard deviation), plus
 the pooled coincidence matrix summed over folds.
@@ -22,14 +36,20 @@ the pooled coincidence matrix summed over folds.
 
 from __future__ import annotations
 
+import ctypes
 import logging
+import os
+import pickle
+import signal
+import sys
 from collections.abc import Callable, Sequence
 from dataclasses import dataclass, field
+from typing import BinaryIO
 
 import numpy as np
 
 from .agreement import CoincidenceMatrix, Measure, _cells, compute_measure, matrix_from_cells
-from .classify import LinearModel, SentimentModel, TrainConfig, Variant, predict_batch, train_sentiment
+from .classify import LinearModel, SentimentModel, TrainConfig, Variant, _solves, predict_batch, train_sentiment
 from .corpus import GoldPost, SentimentLabel, _gold_table, _not_codes, time_ordered_chunks
 from .errors import CorpusFormatError, EvaluationError, FoldPlanError, _check_count
 from .features import CountRows, Vocabulary, count_vector, normalize, vocabulary_from_token_docs
@@ -50,6 +70,8 @@ __all__ = [
 ]
 
 logger = logging.getLogger(__name__)
+
+_PR_SET_PDEATHSIG = 1  # prctl(2): the signal a process gets when the thread that forked it ends
 
 #: Reporting order of the standard evaluation measures.
 DEFAULT_MEASURES: tuple[Measure, ...] = (
@@ -190,6 +212,94 @@ def prepare(gold: Sequence[GoldPost], min_df: int = 5) -> PreparedCorpus:
     return PreparedCorpus(vocab, counts, table.label.astype(np.int64), min_df)
 
 
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    if hasattr(os, "sched_getaffinity"):
+        return len(os.sched_getaffinity(0))
+    return os.cpu_count() or 1
+
+
+def _train_share(train: Callable[[int], SentimentModel], share: Sequence[int]) -> dict[int, SentimentModel]:
+    """The models of ``share``'s folds, trained in order up to the first
+    fold that fails; the fold loop trains that one again to raise its error."""
+    models = {}
+    for fold in share:
+        try:
+            models[fold] = train(fold)
+        except Exception:
+            break
+    return models
+
+
+def _fork_worker(
+    train: Callable[[int], SentimentModel], share: Sequence[int], memos: Sequence[dict]
+) -> tuple[int, BinaryIO] | None:
+    """Fork a worker that trains ``share`` and sends back, pickled, each
+    model with its fold's memo; return its pid and the read end of its
+    pipe, or ``None`` if no process could be forked."""
+    caller = os.getpid()
+    read_end, write_end = os.pipe()
+    try:
+        pid = os.fork()
+    except OSError:
+        os.close(read_end)
+        os.close(write_end)
+        return None
+    if pid:
+        os.close(write_end)
+        return pid, open(read_end, "rb")
+    # the worker never returns into the caller's stack, and exits 0 only once it has sent everything
+    status = 1
+    try:
+        os.close(read_end)
+        if sys.platform == "linux":  # the kernel kills the worker when the caller ends, however it ends
+            ctypes.CDLL(None).prctl(ctypes.c_int(_PR_SET_PDEATHSIG), ctypes.c_ulong(signal.SIGKILL))
+        if os.getppid() == caller:  # else the caller ended before that took hold
+            models = _train_share(train, share)
+            data = pickle.dumps({fold: (model, memos[fold]) for fold, model in models.items()}, pickle.HIGHEST_PROTOCOL)
+            with open(write_end, "wb") as pipe:
+                pipe.write(data)
+            status = 0
+    finally:
+        os._exit(status)
+
+
+def _train_in_processes(
+    train: Callable[[int], SentimentModel], folds: list[int], memos: Sequence[dict]
+) -> dict[int, SentimentModel]:
+    """Train ``folds`` dealt out round-robin over up to one process per
+    CPU: the caller trains the first share while forked workers train the
+    others.  A worker's planes are added to its folds' ``memos``.  A fold
+    missing from the result is left to the caller's fold loop."""
+    processes = min(_cpus(), len(folds)) if hasattr(os, "fork") else 1
+    if processes < 2:
+        return {}
+    workers = []
+    reaped = set()
+    try:
+        for share in (folds[i::processes] for i in range(1, processes)):
+            if (worker := _fork_worker(train, share, memos)) is not None:
+                workers.append(worker)
+        models = _train_share(train, folds[::processes])
+        for pid, pipe in workers:
+            data = pipe.read()
+            code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
+            reaped.add(pid)
+            if code != 0:
+                logger.warning("training process %d ended with exit code %d; the caller trains its folds", pid, code)
+                continue
+            for fold, (model, memo) in pickle.loads(data).items():
+                memos[fold].update(memo)
+                models[fold] = model
+    finally:
+        for pid, pipe in workers:
+            pipe.close()
+            if pid not in reaped:  # the caller stopped early
+                os.kill(pid, signal.SIGKILL)
+                os.waitpid(pid, 0)
+    return models
+
+
 def cross_validate(
     corpus: PreparedCorpus,
     variant: Variant | str = Variant.TWO_PLANE,
@@ -203,35 +313,49 @@ def cross_validate(
     The corpus, made by :func:`prepare`, must already be in time order
     (as produced by the gold merger).  Every fold takes its vocabulary
     and per-plane term statistics from the training folds alone; a plane
-    an earlier run on the same corpus trained is reused.  ``on_fold`` is a
-    diagnostics hook called with ``(fold_index, vocabulary, model)``
-    after each fold trains; only it gets a fold vocabulary built, and the
+    an earlier run on the same corpus trained is reused.  The folds that
+    train a plane are trained across the CPUs the process may run on
+    (see the module docstring).  ``on_fold`` is a diagnostics hook called
+    in the caller with ``(fold_index, vocabulary, model)``, in fold order,
+    after the fold trains; only it gets a fold vocabulary built, and the
     models, never saved, carry no vocabulary.
 
     Any failure inside a fold -- training, prediction, or an undefined
-    measure -- is re-raised with the fold index attached.
+    measure -- is re-raised with the index of the lowest failing fold
+    attached.
     """
     variant = Variant(variant)
     measures = tuple(Measure(m) for m in measures)
     plan = plan_folds(corpus.labels, k)
     vocab, counts, labels, min_df = corpus.vocab, corpus.counts, corpus.labels, corpus.min_df
+    row_nnz = np.diff(counts.indptr)
+    memos = [corpus._planes.setdefault((plan.k, fold, config), {}) for fold in range(plan.k)]
+
+    def fold_rows(fold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+        """The fold's training rows, the columns it keeps and their document frequencies."""
+        train_idx = plan.train_indices(fold)
+        in_train = np.zeros(len(counts), dtype=bool)
+        in_train[train_idx] = True
+        # a row holds each column at most once, so its training entries count documents
+        doc_freq = np.bincount(counts.indices[np.repeat(in_train, row_nnz)], minlength=vocab.dim)
+        keep = np.flatnonzero(doc_freq >= min_df)
+        return train_idx, keep, doc_freq[keep]
+
+    def train(fold: int, train_idx: np.ndarray, keep: np.ndarray) -> SentimentModel:
+        return train_sentiment(counts.select(train_idx, keep), labels[train_idx], variant, config, memo=memos[fold])
+
+    solving = [fold for fold in range(plan.k) if _solves(variant, memos[fold])]
+    models = _train_in_processes(lambda fold: train(fold, *fold_rows(fold)[:2]), solving, memos)
 
     per_fold = {measure: np.empty(plan.k) for measure in measures}
     pooled = np.zeros((3, 3))
-    row_nnz = np.diff(counts.indptr)
     for fold, test_idx in enumerate(plan.folds):
-        train_idx = plan.train_indices(fold)
         try:
-            # a row holds each column at most once, so its training entries count documents
-            in_train = np.zeros(len(counts), dtype=bool)
-            in_train[train_idx] = True
-            doc_freq = np.bincount(counts.indices[np.repeat(in_train, row_nnz)], minlength=vocab.dim)
-            keep = np.flatnonzero(doc_freq >= min_df)
-            planes = corpus._planes.setdefault((plan.k, fold, config), {})
-            model = train_sentiment(counts.select(train_idx, keep), labels[train_idx], variant, config, memo=planes)
+            train_idx, keep, doc_freq = fold_rows(fold)
+            model = models[fold] if fold in models else train(fold, train_idx, keep)
             if on_fold is not None:
                 terms = tuple(vocab.terms[i] for i in keep.tolist())
-                on_fold(fold, Vocabulary(terms, doc_freq[keep], int(train_idx.size), min_df, vocab.ngrams), model)
+                on_fold(fold, Vocabulary(terms, doc_freq, int(train_idx.size), min_df, vocab.ngrams), model)
             matrix = score_predictions(predict_batch(model, counts.select(test_idx, keep)), labels[test_idx])
             for measure in measures:
                 per_fold[measure][fold] = compute_measure(matrix, measure)

@@ -279,7 +279,8 @@ class Vocabulary:
     no class statistics: each classifier plane computes its own term
     weights from its training split.  ``ngrams`` holds the n-gram sizes
     counted, at least one, each at least 1, ``min_df`` is a positive and
-    ``n_docs`` a non-negative integer; anything else raises
+    ``n_docs`` a non-negative integer, no term repeats, and ``doc_freq``
+    holds one count in ``[0, n_docs]`` per term; anything else raises
     :class:`VocabularyError`.
     """
 
@@ -296,6 +297,12 @@ class Vocabulary:
         _check_count("n_docs", self.n_docs, 0, VocabularyError)
         object.__setattr__(self, "doc_freq", np.asarray(self.doc_freq, dtype=np.int64))
         object.__setattr__(self, "_index", {t: i for i, t in enumerate(self.terms)})
+        if len(self._index) != len(self.terms):  # the index keeps a repeated term's last position
+            raise VocabularyError(f"term {next(t for i, t in enumerate(self.terms) if self._index[t] != i)!r} repeats")
+        if self.doc_freq.shape != (len(self.terms),):
+            raise VocabularyError(f"doc_freq of shape {self.doc_freq.shape} for {len(self.terms)} terms")
+        if ((self.doc_freq < 0) | (self.doc_freq > self.n_docs)).any():
+            raise VocabularyError(f"a document frequency is outside [0, n_docs = {self.n_docs}]")
 
     @property
     def index(self) -> dict[str, int]:

@@ -718,6 +718,10 @@ def edit_term_rows(edit):
         (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows + ["extra\t3\t1"]), "needs terms 3 and 3 term rows"),
         (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows[1::-1] + rows[2:]), "term indices out of order"),
         (Variant.TWO_PLANE, edit_term_rows(lambda rows: ["bad\t0"] + rows[1:]), "not enough values"),
+        (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows[:1] + ["bad\t1\t-5"] + rows[2:]), "term 'bad' repeats"),
+        (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows[:1] + ["bad day\t1\t-5"] + rows[2:]),
+         r"outside \[0, n_docs = 24\]"),
+        (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows[:2] + ["good\t2\t25"]), r"outside \[0, n_docs = 24\]"),
         (Variant.TWO_PLANE, replace_first("ngrams ", "ngrams 0,-2"), r"\(ngrams .* got \(0, -2\)\)"),
         (Variant.TWO_PLANE, replace_first("min_df ", "min_df 2.5"), "malformed model file"),
         (Variant.TWO_PLANE, replace_first("n_docs ", "n_docs -1"), "n_docs must be a non-negative integer, got -1"),
@@ -730,6 +734,7 @@ def edit_term_rows(edit):
          "negative-doc-count", "doc-count-past-64-bits", "nan-weight", "zero-doc-count", "infinite-term-count",
          "nan-neutral-zone", "negative-neutral-zone", "infinite-neutral-zone",
          "term-count-past-dim", "missing-term-row", "extra-term-row", "term-indices-out-of-order", "short-term-row",
+         "repeated-term", "negative-doc-freq", "doc-freq-past-n-docs",
          "vocabulary-ngram-below-one", "fractional-min-df", "negative-n-docs", "missing-n-docs",
          "term-rows-without-header", "version-1"],
 )

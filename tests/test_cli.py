@@ -4,7 +4,13 @@ from __future__ import annotations
 
 import argparse
 import json
+import os
 import re
+import signal
+import subprocess
+import sys
+import time
+from pathlib import Path
 
 import pytest
 from hypothesis import HealthCheck, given, settings
@@ -14,7 +20,7 @@ from sentagree import classify, cli, corpus, evaluation
 from sentagree.cli import main
 from sentagree.corpus import GoldPost, SentimentLabel
 
-from conftest import NEG_WORDS, NEU_WORDS, POS_WORDS, fuzzed_table, separable_corpus, write_table
+from conftest import NEG_WORDS, NEU_WORDS, POS_WORDS, fuzzed_table, separable_corpus, shift_corpus, write_table
 
 MEASURE_ORDER = ["acc_within_1", "accuracy", "f1_bar", "alpha_interval", "alpha_nominal"]
 VARIANTS = [v.value for v in classify.Variant]
@@ -427,6 +433,112 @@ def test_compare_counts_each_post_once(tmp_path, capsys, monkeypatch):
     code, _, err = run(argv, capsys)
     assert code == 0 and err == ""
     assert len(counted) == 45 + 48 + 51
+
+
+# --- cross-validation across processes ---------------------------------------
+
+
+@pytest.mark.parametrize("command", ["curve", "crossval", "compare"])
+def test_reports_are_the_same_bytes_from_one_process_and_several(command, tmp_path, capsys, monkeypatch):
+    paths = []
+    for seed in (5, 6):
+        paths.append(tmp_path / f"set{seed}.csv")
+        corpus.save_gold(shift_corpus(150, shift_at=75, seed=seed, wide=8), paths[-1])
+    argv = {
+        "curve": ["curve", "--input", str(paths[0]), "--variant", "TwoPlaneSVMbin", "--k", "5", "--step", "50"],
+        "crossval": ["crossval", "--input", str(paths[0]), "--variant", "TwoPlaneSVMbin", "--k", "5"],
+        "compare": ["compare", "--input", str(paths[0]), "--input", str(paths[1]), "--k", "3"],
+    }[command]
+    forks, reports = [], []
+    monkeypatch.setattr(os, "fork", lambda real=os.fork: forks.append(1) or real())
+    for cpus in (1, 2, 3):
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid, n=cpus: set(range(n)), raising=False)
+        code, out, err = run(argv, capsys)
+        assert code == 0 and err == ""
+        reports.append(out)
+        assert (len(forks) == 0) == (cpus == 1)  # several CPUs fork workers, one none
+    assert reports[0] == reports[1] == reports[2]
+
+
+def source_env() -> dict[str, str]:
+    """The environment of a child interpreter that imports this checkout's package."""
+    source_root = str(Path(cli.__file__).resolve().parent.parent)
+    return dict(os.environ, PYTHONPATH=os.pathsep.join(filter(None, [source_root, os.environ.get("PYTHONPATH")])))
+
+
+#: Runs ``sentagree.cli.main`` on the arguments after the first, as if 3 CPUs
+#: were free, with every training set of the sizes the first names failing.
+FAILING_RUN = """
+import os, sys
+from sentagree import cli, evaluation
+from sentagree.errors import EvaluationError
+
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+sizes, real = {int(size) for size in sys.argv[1].split(",") if size}, evaluation.train_sentiment
+
+def train_sentiment(rows, *args, **kwargs):
+    if len(rows) in sizes:
+        raise EvaluationError(f"boom on {len(rows)} rows")
+    return real(rows, *args, **kwargs)
+
+evaluation.train_sentiment = train_sentiment
+sys.exit(cli.main(sys.argv[2:]))
+"""
+
+
+@pytest.mark.parametrize(("sizes", "code", "stderr"), [
+    ("", 0, ""),
+    ("16,17", 1, "error: evaluation: fold 1: boom on 16 rows\n"),
+])
+def test_a_cross_validating_command_leaves_no_process_behind(sizes, code, stderr, tmp_path):
+    # five folds of 6, 5, 4, 3 and 3 posts: training sets of 15, 16, 17, 18 and 18 rows
+    posts = separable_corpus(60, seed=5)
+    kept = {label: [post for post in posts if post.label == label][:size] for label, size in ((-1, 6), (0, 7), (1, 8))}
+    path = tmp_path / "gold.csv"
+    corpus.save_gold(sorted(sum(kept.values(), []), key=lambda post: post.timestamp), path)
+    argv = ["crossval", "--input", str(path), "--k", "5", "--min-df", "1", "--out", str(tmp_path / "cv.json")]
+    with subprocess.Popen(
+        [sys.executable, "-c", FAILING_RUN, sizes, *argv],
+        env=source_env(), stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, start_new_session=True,
+    ) as command:
+        out, err = command.communicate(timeout=120)
+    assert (command.returncode, out, err) == (code, "", stderr)
+    with pytest.raises(ProcessLookupError):  # nothing is left in the command's process group
+        os.killpg(command.pid, 0)
+
+
+#: Runs ``sentagree.cli.main`` on its arguments, as if 3 CPUs were free; the
+#: command kills itself while its workers are still training.
+KILLED_RUN = """
+import os, signal, sys, time
+from sentagree import cli, evaluation
+
+os.sched_getaffinity = lambda pid: {0, 1, 2}
+caller = os.getpid()
+
+def train_sentiment(*args, **kwargs):
+    if os.getpid() == caller:
+        os.kill(caller, signal.SIGKILL)
+    time.sleep(120)
+
+evaluation.train_sentiment = train_sentiment
+cli.main(sys.argv[1:])
+"""
+
+
+@pytest.mark.skipif(sys.platform != "linux", reason="the kernel ends the workers of a killed command on Linux only")
+def test_the_workers_of_a_killed_command_end_with_it(gold_csv, tmp_path):
+    argv = ["crossval", "--input", str(gold_csv), "--k", "3", "--out", str(tmp_path / "cv.json")]
+    with subprocess.Popen([sys.executable, "-c", KILLED_RUN, *argv], env=source_env(), start_new_session=True) as command:
+        assert command.wait(timeout=120) == -signal.SIGKILL
+    deadline = time.monotonic() + 60  # orphans are reaped by init, which may take a moment
+    while time.monotonic() < deadline:
+        try:
+            os.killpg(command.pid, 0)
+        except ProcessLookupError:
+            return
+        time.sleep(0.1)
+    pytest.fail("a worker outlived its killed command")
 
 
 def test_compare_requires_two_datasets(gold_csv, capsys):

@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import logging
+import multiprocessing
+import os
+import time
 from datetime import datetime, timedelta
 
 import numpy as np
@@ -233,18 +237,48 @@ def test_prefix_of_a_prepared_corpus_is_a_view() -> None:
             prepared.head(n)
 
 
+def see_cpus(monkeypatch, n: int) -> None:
+    """Let cross-validation see ``n`` CPUs, so it trains in up to ``n`` processes."""
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(n)), raising=False)
+
+
+@pytest.fixture()
+def forks(monkeypatch) -> list[int]:
+    """The pids of the processes forked during the test, as they are forked."""
+    pids = []
+
+    def fork(real=os.fork):
+        pid = real()
+        if pid:
+            pids.append(pid)
+        return pid
+
+    monkeypatch.setattr(os, "fork", fork)
+    return pids
+
+
+def assert_reaped(pids: list[int]) -> None:
+    for pid in pids:
+        with pytest.raises(ChildProcessError):
+            os.waitpid(pid, os.WNOHANG)
+
+
 def test_variants_on_one_prepared_corpus_train_each_distinct_plane_once(monkeypatch) -> None:
     gold, k = separable_corpus(240, seed=3), 4
-    planes = []
+    # workers forked by cross_validate train planes too: count them in memory
+    # shared with every process, set up before any fork
+    planes = multiprocessing.Value("i", 0)
 
     def train_binary(*args, real=classify.train_binary, **kwargs):
-        planes.append(args[0])
+        with planes.get_lock():
+            planes.value += 1
         return real(*args, **kwargs)
 
     monkeypatch.setattr(classify, "train_binary", train_binary)
+    see_cpus(monkeypatch, 3)
     fresh = {variant: cross_validate(prepare(gold), variant, k=k) for variant in Variant}
-    assert len(planes) == 10 * k
-    planes.clear()
+    assert planes.value == 10 * k
+    planes.value = 0
     shared = prepare(gold)
     for variant in Variant:
         result = cross_validate(shared, variant, k=k)
@@ -254,7 +288,124 @@ def test_variants_on_one_prepared_corpus_train_each_distinct_plane_once(monkeypa
     # the tuned NeutralZoneSVM plane, two TwoPlaneSVM planes (shared by
     # TwoPlaneSVMbin), CascadingSVM's two (its polarity plane shared by
     # ThreePlaneSVM) and ThreePlaneSVM's other two
-    assert len(planes) == 7 * k
+    assert planes.value == 7 * k
+
+
+def _fold_record(fold, vocab, model) -> tuple:
+    """What ``on_fold`` sees, as plain values: the fold's vocabulary, its
+    model's planes and its variant's table."""
+    planes = {name: (plane.weights.tolist(), plane.bias, plane.dual_objectives) for name, plane in model.planes.items()}
+    bins, subspaces, nb = model.bins, model.subspaces, model.nb
+    tables = [
+        model.neutral_zone,
+        bins and (bins.edges_a.tolist(), bins.edges_b.tolist(), bins.counts.tolist()),
+        subspaces and subspaces.counts.tolist(),
+        nb and (nb.doc_counts.tolist(), nb.term_counts.tolist()),
+    ]
+    return fold, vocab.terms, vocab.doc_freq.tolist(), planes, tables
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_folds_trained_in_several_processes_equal_those_of_one(cpus, forks, monkeypatch) -> None:
+    gold = separable_corpus(240, seed=3)
+    runs = []
+    for n in (1, cpus):
+        see_cpus(monkeypatch, n)
+        shared, seen = prepare(gold), []
+        results = [
+            cross_validate(shared, variant, k=4, on_fold=lambda *args: seen.append(_fold_record(*args)))
+            for variant in Variant
+        ]
+        memo = {key: {sides: plane.weights.tolist() for sides, plane in planes.items()}
+                for key, planes in shared._planes.items()}
+        runs.append((results, seen, memo))
+        # one process forks nothing; several fork for the four variants that train planes
+        # (TwoPlaneSVMbin finds every plane memoized, NaiveBayes has none)
+        assert len(forks) == (0 if n == 1 else 4 * (n - 1))
+        assert_reaped(forks)
+        forks.clear()
+    (one, one_seen, one_memo), (several, several_seen, several_memo) = runs
+    assert several_seen == one_seen and [record[0] for record in one_seen] == list(range(4)) * len(Variant)
+    assert several_memo == one_memo
+    for a, b in zip(one, several):
+        assert np.array_equal(a.pooled.counts, b.pooled.counts)
+        for measure, summary in a.summaries.items():
+            assert np.array_equal(b.summaries[measure].per_fold, summary.per_fold)
+            assert (b.summaries[measure].mean, b.summaries[measure].half_width) == (summary.mean, summary.half_width)
+
+
+def uneven_folds_gold():
+    """21 posts whose five folds hold 6, 5, 4, 3 and 3 posts, so a fold
+    is known by its training size: 15, 16, 17, 18 or 18."""
+    return make_gold([-1] * 6 + [0] * 7 + [1] * 8)
+
+
+def failing_at(sizes: set[int]):
+    """``train_sentiment``, failing on training sets of ``sizes`` rows."""
+    def train_sentiment(rows, *args, real=evaluation.train_sentiment, **kwargs):
+        if len(rows) in sizes:
+            raise EvaluationError(f"boom on {len(rows)} rows")
+        return real(rows, *args, **kwargs)
+    return train_sentiment
+
+
+@pytest.mark.parametrize(("sizes", "message"), [
+    ({16, 17}, "fold 1: boom on 16 rows"),  # two workers' folds fail, with 3 CPUs
+    ({17}, "fold 2: boom on 17 rows"),
+    ({18}, "fold 3: boom on 18 rows"),  # the caller's fold 3 and a worker's fold 4
+    ({15, 18}, "fold 0: boom on 15 rows"),
+])
+def test_the_lowest_failing_fold_is_reported_from_any_number_of_processes(sizes, message, forks, monkeypatch) -> None:
+    monkeypatch.setattr(evaluation, "train_sentiment", failing_at(sizes))
+    for cpus in (1, 2, 3):
+        see_cpus(monkeypatch, cpus)
+        with pytest.raises(EvaluationError, match=f"^{message}$") as caught:
+            cross_validate(prepare(uneven_folds_gold(), min_df=1), Variant.TWO_PLANE, k=5)
+        assert str(caught.value.__cause__) == message.split(": ", 1)[1]
+        assert len(forks) == cpus - 1
+        assert_reaped(forks)
+        forks.clear()
+
+
+def test_folds_of_a_worker_that_sends_nothing_are_trained_by_the_caller(forks, monkeypatch, caplog) -> None:
+    caller = os.getpid()
+
+    def train_sentiment(*args, real=evaluation.train_sentiment, **kwargs):
+        if os.getpid() != caller:
+            os._exit(3)
+        return real(*args, **kwargs)
+
+    gold = separable_corpus(120, seed=4)
+    see_cpus(monkeypatch, 1)
+    serial = cross_validate(prepare(gold), Variant.CASCADING, k=4)
+    monkeypatch.setattr(evaluation, "train_sentiment", train_sentiment)
+    see_cpus(monkeypatch, 2)
+    with caplog.at_level(logging.WARNING, logger="sentagree.evaluation"):
+        result = cross_validate(prepare(gold), Variant.CASCADING, k=4)
+    assert len(forks) == 1 and [record.getMessage() for record in caplog.records] == [
+        f"training process {forks[0]} ended with exit code 3; the caller trains its folds"
+    ]
+    assert np.array_equal(result.pooled.counts, serial.pooled.counts)
+    for measure, summary in serial.summaries.items():
+        assert np.array_equal(result.summaries[measure].per_fold, summary.per_fold)
+
+
+def test_an_interrupted_caller_stops_and_reaps_its_workers(forks, monkeypatch) -> None:
+    caller = os.getpid()
+
+    def train_sentiment(*args, **kwargs):
+        if os.getpid() == caller:
+            raise KeyboardInterrupt
+        time.sleep(60)  # a worker still training when the caller stops
+
+    monkeypatch.setattr(evaluation, "train_sentiment", train_sentiment)
+    see_cpus(monkeypatch, 3)
+    started = time.perf_counter()
+    with pytest.raises(KeyboardInterrupt):
+        cross_validate(prepare(uneven_folds_gold(), min_df=1), Variant.TWO_PLANE, k=5)
+    assert time.perf_counter() - started < 30
+    assert len(forks) == 2
+    assert_reaped(forks)
 
 
 def _same_rows(rows: CountRows, docs, vocab) -> bool:

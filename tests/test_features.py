@@ -441,6 +441,20 @@ def test_vocabulary_counts_are_integers(field, bad, message) -> None:
     assert Vocabulary(**{**fields, field: np.int64(2)}).dim == 1
 
 
+@pytest.mark.parametrize(("terms", "doc_freq", "message"), [
+    (("bad", "bad", "good"), [8, 3, 8], "^term 'bad' repeats$"),
+    (("a", "b", "c", "b"), [1, 1, 1, 1], "^term 'b' repeats$"),
+    (("bad", "good"), [8, 3, 8], r"^doc_freq of shape \(3,\) for 2 terms$"),
+    (("bad", "good"), [[8, 3]], r"^doc_freq of shape \(1, 2\) for 2 terms$"),
+    (("bad", "good"), [8, -5], r"^a document frequency is outside \[0, n_docs = 24\]$"),
+    (("bad", "good"), [8, 25], r"^a document frequency is outside \[0, n_docs = 24\]$"),
+])
+def test_vocabulary_rejects_repeated_terms_and_bad_document_frequencies(terms, doc_freq, message) -> None:
+    with pytest.raises(VocabularyError, match=message):
+        Vocabulary(terms, np.array(doc_freq), n_docs=24, min_df=2, ngrams=(1,))
+    assert Vocabulary(("bad", "good"), np.array([0, 24]), n_docs=24, min_df=2, ngrams=(1,)).dim == 2
+
+
 def test_vocabulary_from_token_docs_rejects_a_fractional_min_df() -> None:
     with pytest.raises(VocabularyError, match="^min_df must be a positive integer, got 2.5$"):
         vocabulary_from_token_docs([["a", "b"]] * 3, min_df=2.5)

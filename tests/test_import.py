@@ -4,7 +4,8 @@
 ``merge`` load only ``corpus`` and ``agreement`` (with ``errors``), never
 the classifier stack or scipy; the training commands load the modules
 they run, and only ``compare``'s ranking loads scipy, never
-``scipy.stats``.
+``scipy.stats``.  Training across processes forks without
+``multiprocessing``, which no command loads.
 """
 
 from __future__ import annotations
@@ -48,7 +49,7 @@ table, gold, out = sys.argv[1:]
 heavy = {heavy!r}
 
 def loaded():
-    return sorted(m for m in sys.modules if m in heavy or m == "scipy" or m.startswith("scipy."))
+    return sorted(m for m in sys.modules if m in heavy or m.split(".")[0] in ("scipy", "multiprocessing"))
 
 stages = {{}}
 import sentagree
@@ -58,6 +59,8 @@ stages["cli"] = loaded()
 for argv in (["agreement", "--input", table], ["ordering", "--input", table], ["merge", "--input", table, "--out", out]):
     assert sentagree.cli.main(argv) == 0, argv
 stages["table commands"] = loaded()
+assert sentagree.cli.main(["crossval", "--input", gold, "--k", "3", "--variant", "NaiveBayes"]) == 0
+stages["crossval NaiveBayes"] = loaded()
 assert sentagree.cli.main(["crossval", "--input", gold, "--k", "3"]) == 0
 stages["crossval"] = loaded()
 from sentagree import ranking
@@ -82,7 +85,7 @@ def test_cli_import_loads_no_scipy_and_friedman_no_scipy_stats(annotations_csv, 
     assert stages["package"] == ["sentagree"]
     assert stages["cli"] == stages["table commands"] == []
     # cross-validation runs no ranking; only compare does
-    assert stages["crossval"] == CLASSIFIER_STACK[:3]
+    assert stages["crossval NaiveBayes"] == stages["crossval"] == CLASSIFIER_STACK[:3]
     assert "scipy.stats" not in stages["friedman"]
     assert set(CLASSIFIER_STACK) <= set(stages["friedman"]) and "scipy" in stages["friedman"]
     assert 0.0 < probe["p_value"] <= 1.0
