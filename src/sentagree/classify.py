@@ -400,11 +400,16 @@ _PLANE_SIDES: dict[Variant, dict[str, tuple[tuple[int, ...], tuple[int, ...]]]] 
 }
 
 
-def _solves(variant: Variant, memo: dict[tuple, LinearModel]) -> bool:
-    """Whether :func:`train_sentiment` of ``variant`` with ``memo`` trains a plane."""
-    if variant is Variant.NEUTRAL_ZONE:  # its plane, trained on a validation subset, is never memoized
-        return True
-    return any(sides not in memo for sides in _PLANE_SIDES.get(variant, {}).values())
+#: The memo key of ``NeutralZoneSVM``'s plane, trained on its validation
+#: split's training part rather than on all rows.
+_VALIDATION_PLANE = ("validation", (-1,), (1,))
+
+
+def _plane_keys(variant: Variant) -> tuple[tuple, ...]:
+    """The memo keys of the planes :func:`train_sentiment` of ``variant`` uses."""
+    if variant is Variant.NEUTRAL_ZONE:
+        return (_VALIDATION_PLANE,)
+    return tuple(_PLANE_SIDES.get(variant, {}).values())
 
 
 # --- label rules: decision values of a block of rows -> label codes ----------
@@ -527,15 +532,25 @@ def _validation_split(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.nda
     return np.flatnonzero(mask), val_idx
 
 
+def _solve_plane(rows: CountRows, labels: np.ndarray, key: tuple, config: TrainConfig) -> LinearModel:
+    """Train the plane of memo ``key`` on ``rows``: its sides on all of
+    them, or, for :data:`_VALIDATION_PLANE`, on the validation split's
+    training part."""
+    if key == _VALIDATION_PLANE:
+        train_idx, _ = _validation_split(labels, config.seed)
+        rows, labels = rows.select(train_idx), labels[train_idx]
+    return _train_plane(rows, labels, *key[-2:], config)
+
+
 def _tune_neutral_zone(
     rows: CountRows,
     labels: np.ndarray,
     config: TrainConfig,
-) -> tuple[float, LinearModel]:
-    """Pick the neutral-zone half-width maximizing interval alpha on a
-    held-out split; ties prefer the narrower zone."""
-    train_idx, val_idx = _validation_split(labels, config.seed)
-    plane = _train_plane(rows.select(train_idx), labels[train_idx], (-1,), (1,), config)
+    plane: LinearModel,
+) -> float:
+    """Pick the half-width of ``plane``'s neutral zone maximizing interval
+    alpha on the held-out split; ties prefer the narrower zone."""
+    _, val_idx = _validation_split(labels, config.seed)
     values = _decision_values([plane], rows.select(val_idx))[0]
     candidates = np.unique(np.concatenate(([0.0], np.abs(values))))
     if candidates.size > 200:
@@ -547,8 +562,8 @@ def _tune_neutral_zone(
     scores, why = _STACKED[Measure.ALPHA_INTERVAL](one_sided + one_sided.transpose(0, 2, 1))
     defined = np.flatnonzero(why == 0)
     if not defined.size:
-        return 0.0, plane
-    return float(candidates[defined[scores[defined].argmax()]]), plane  # the first maximum: the narrowest zone
+        return 0.0
+    return float(candidates[defined[scores[defined].argmax()]])  # the first maximum: the narrowest zone
 
 
 def train_sentiment(
@@ -566,9 +581,9 @@ def train_sentiment(
     ``vocab``, the vocabulary of the rows' ``dim`` columns, is kept on
     the model, which then saves with it.  ``memo``, if given, maps
     (negative side, positive side) to a plane trained on these rows,
-    labels and config; a plane found there is reused and each plane
-    trained is added.  ``NeutralZoneSVM``
-    trains its plane on a validation subset and never uses it.
+    labels and config, and ``("validation", (-1,), (1,))`` to
+    ``NeutralZoneSVM``'s plane, trained on a validation subset of them;
+    a plane found there is reused and each plane trained is added.
     """
     variant = Variant(variant)
     if not len(rows):
@@ -592,16 +607,16 @@ def train_sentiment(
         np.add.at(term_counts, (label_arr[rows.row_ids()] + 1, rows.indices), rows.values)
         return SentimentModel(nb=NaiveBayesTable(np.bincount(label_arr + 1, minlength=3), term_counts), **base)
 
+    memo = {} if memo is None else memo
+    for key in _plane_keys(variant):
+        if key not in memo:
+            memo[key] = _solve_plane(rows, label_arr, key, config)
     if variant is Variant.NEUTRAL_ZONE:
-        zone, plane = _tune_neutral_zone(rows, label_arr, config)
+        plane = memo[_VALIDATION_PLANE]
+        zone = _tune_neutral_zone(rows, label_arr, config, plane)
         return SentimentModel(planes={"polarity": plane}, neutral_zone=zone, **base)
 
-    memo = {} if memo is None else memo
-    planes = {}
-    for name, sides in _PLANE_SIDES[variant].items():
-        if sides not in memo:
-            memo[sides] = _train_plane(rows, label_arr, *sides, config)
-        planes[name] = memo[sides]
+    planes = {name: memo[sides] for name, sides in _PLANE_SIDES[variant].items()}
     if variant is Variant.TWO_PLANE_BIN:
         d_a, d_b = _decision_values(list(planes.values()), rows)
         grid = config.bin_grid

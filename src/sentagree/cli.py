@@ -312,6 +312,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
     scores = []
     for path in args.input:
         prepared = evaluation.prepare(corpus.load_gold(_resolve(path)), min_df=args.min_df)
+        evaluation._train_planes(prepared, variants, config, args.k)  # every variant's planes in one deal
         scores.append([
             evaluation.cross_validate(prepared, variant, config, args.k, (measure,)).summaries[measure].mean
             for variant in variants

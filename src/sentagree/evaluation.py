@@ -13,21 +13,28 @@ A prepared corpus keeps only its counts against its vocabulary at
 selects from the counts the columns that at least ``min_df`` of its
 training rows contain, which is exact since every such term is in that
 vocabulary.  All variants and learning-curve prefixes share the counts;
-a plane is trained once per (training rows, sides, config).
+a plane is trained once per (k, fold, memo key, config), and memoized on
+the corpus.
 
-The folds that train a plane are trained side by side, one process per
-CPU the process may run on (``os.sched_getaffinity``), with no setting:
-the caller trains every n-th of them and forked workers the others, and
-the workers' models and planes come back pickled, so the planes join the
-corpus's memo as if trained in the caller.  Then, in fold order, the
-caller runs ``on_fold``, predicts and scores exactly as one process
-would, so every result is the same to the bit.  A fold whose training
-failed is trained again in that loop, which raises its error for the
-lowest failing fold.  With one CPU, without ``os.fork``, or when no
-fold trains a plane (``NaiveBayes``, or every plane already memoized),
-the folds are trained one by one in the caller and no process is
-started.  Every worker is reaped before :func:`cross_validate` returns,
-and on Linux the kernel kills a worker whose caller ends first.
+The planes are trained side by side, one process per CPU the process
+may run on (``os.sched_getaffinity``), with no setting.  Planes are
+dealt, not folds: every (fold, plane) pair the variants need and the
+memo lacks is listed in fold order and cut into contiguous runs of
+about equal training rows, one run per process.  The caller trains the
+first run and forked workers the others, each holding one fold's
+training rows at a time, and the workers' planes come back pickled and
+join the corpus's memo as if trained in the caller.  :func:`cross_validate`
+deals its own variant's planes; ``compare`` deals all six variants'
+planes of a dataset at once, so each dataset forks once per worker.
+Then, in fold order, the caller builds each fold's model from the memo
+(bins, zone and tables), runs ``on_fold``, predicts and scores exactly as
+one process would, so every result is the same to the bit.  A plane
+whose training failed is trained again in that loop, which raises its
+error for the lowest failing fold.  With one CPU, without ``os.fork``,
+or when no plane is missing (``NaiveBayes``, or every plane already
+memoized), the fold loop trains the planes one by one in the caller and
+no process is started.  Every worker is reaped before the planes are
+merged, and on Linux the kernel kills a worker whose caller ends first.
 
 Reported per measure: per-fold values, their mean, and the normal 95%
 half-width ``1.96 * sd / sqrt(k)`` (sample standard deviation), plus
@@ -49,7 +56,9 @@ from typing import BinaryIO
 import numpy as np
 
 from .agreement import CoincidenceMatrix, Measure, _cells, compute_measure, matrix_from_cells
-from .classify import LinearModel, SentimentModel, TrainConfig, Variant, _solves, predict_batch, train_sentiment
+from .classify import (
+    LinearModel, SentimentModel, TrainConfig, Variant, _plane_keys, _solve_plane, predict_batch, train_sentiment,
+)
 from .corpus import GoldPost, SentimentLabel, _gold_table, _not_codes, time_ordered_chunks
 from .errors import CorpusFormatError, EvaluationError, FoldPlanError, _check_count
 from .features import CountRows, Vocabulary, count_vector, normalize, vocabulary_from_token_docs
@@ -177,8 +186,8 @@ class PreparedCorpus:
 
     ``counts`` holds one row per post against ``vocab``, the vocabulary
     of the whole corpus at ``min_df``, and ``labels`` their label codes.
-    :func:`cross_validate` memoizes its planes here by (k, fold, sides,
-    config); the corpus's fold plan at ``k`` fixes each fold's rows.
+    :func:`cross_validate` memoizes its planes here by (k, fold, config)
+    and then memo key; the corpus's fold plan at ``k`` fixes each fold's rows.
     """
 
     vocab: Vocabulary
@@ -219,24 +228,56 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _train_share(train: Callable[[int], SentimentModel], share: Sequence[int]) -> dict[int, SentimentModel]:
-    """The models of ``share``'s folds, trained in order up to the first
-    fold that fails; the fold loop trains that one again to raise its error."""
-    models = {}
-    for fold in share:
+def _fold_rows(corpus: PreparedCorpus, plan: FoldPlan, fold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fold's training rows, the columns it keeps and their document frequencies."""
+    counts = corpus.counts
+    train_idx = plan.train_indices(fold)
+    in_train = np.zeros(len(counts), dtype=bool)
+    in_train[train_idx] = True
+    # a row holds each column at most once, so its training entries count documents
+    doc_freq = np.bincount(counts.indices[np.repeat(in_train, np.diff(counts.indptr))], minlength=corpus.vocab.dim)
+    keep = np.flatnonzero(doc_freq >= corpus.min_df)
+    return train_idx, keep, doc_freq[keep]
+
+
+def _deal(costs: Sequence[int], processes: int) -> list[slice]:
+    """Cut positive ``costs``, in order, into ``processes`` contiguous runs
+    of about equal sum: an item joins the run in whose ``1/processes`` of
+    the total its midpoint lies, so each run's sum is within the largest
+    cost of ``total / processes``.  A run may be empty."""
+    costs = np.asarray(costs, dtype=np.int64)
+    ends = np.cumsum(costs)
+    # twice each midpoint, so the run index is exact in integers
+    runs = (2 * ends - costs) * processes // (2 * ends[-1])
+    bounds = np.searchsorted(runs, np.arange(processes + 1)).tolist()
+    return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
+
+
+def _solve_share(
+    corpus: PreparedCorpus, plan: FoldPlan, config: TrainConfig, share: Sequence[tuple[int, tuple]]
+) -> dict[tuple[int, tuple], LinearModel]:
+    """The planes of ``share``'s (fold, memo key) pairs, trained in order
+    up to the first that fails, which the fold loop trains again to raise
+    its error.  The pairs run in fold order, so one fold's training rows
+    are held at a time."""
+    planes = {}
+    held = None  # (fold, its training rows, their labels)
+    for fold, key in share:
         try:
-            models[fold] = train(fold)
+            if held is None or held[0] != fold:
+                held = None  # the last fold's rows go before the next fold's are built
+                train_idx, keep, _ = _fold_rows(corpus, plan, fold)
+                held = fold, corpus.counts.select(train_idx, keep), corpus.labels[train_idx]
+            planes[fold, key] = _solve_plane(held[1], held[2], key, config)
         except Exception:
             break
-    return models
+    return planes
 
 
-def _fork_worker(
-    train: Callable[[int], SentimentModel], share: Sequence[int], memos: Sequence[dict]
-) -> tuple[int, BinaryIO] | None:
-    """Fork a worker that trains ``share`` and sends back, pickled, each
-    model with its fold's memo; return its pid and the read end of its
-    pipe, or ``None`` if no process could be forked."""
+def _fork_worker(solve: Callable[[], dict]) -> tuple[int, BinaryIO] | None:
+    """Fork a worker that sends back, pickled, what ``solve`` returns;
+    return its pid and the read end of its pipe, or ``None`` if no
+    process could be forked."""
     caller = os.getpid()
     read_end, write_end = os.pipe()
     try:
@@ -255,8 +296,7 @@ def _fork_worker(
         if sys.platform == "linux":  # the kernel kills the worker when the caller ends, however it ends
             ctypes.CDLL(None).prctl(ctypes.c_int(_PR_SET_PDEATHSIG), ctypes.c_ulong(signal.SIGKILL))
         if os.getppid() == caller:  # else the caller ended before that took hold
-            models = _train_share(train, share)
-            data = pickle.dumps({fold: (model, memos[fold]) for fold, model in models.items()}, pickle.HIGHEST_PROTOCOL)
+            data = pickle.dumps(solve(), pickle.HIGHEST_PROTOCOL)
             with open(write_end, "wb") as pipe:
                 pipe.write(data)
             status = 0
@@ -264,40 +304,49 @@ def _fork_worker(
         os._exit(status)
 
 
-def _train_in_processes(
-    train: Callable[[int], SentimentModel], folds: list[int], memos: Sequence[dict]
-) -> dict[int, SentimentModel]:
-    """Train ``folds`` dealt out round-robin over up to one process per
-    CPU: the caller trains the first share while forked workers train the
-    others.  A worker's planes are added to its folds' ``memos``.  A fold
-    missing from the result is left to the caller's fold loop."""
-    processes = min(_cpus(), len(folds)) if hasattr(os, "fork") else 1
+def _train_planes(corpus: PreparedCorpus, variants: Sequence[Variant | str], config: TrainConfig, k: int) -> None:
+    """Train into ``corpus``'s memo every plane that the folds of
+    ``variants`` at ``k`` need and that it lacks, across up to one process
+    per CPU: the (fold, plane) pairs are dealt in fold order as contiguous
+    runs of about equal training rows; the caller trains the first run
+    while forked workers train the others.  A plane no process trained
+    is left to the fold loop of :func:`cross_validate`."""
+    plan = plan_folds(corpus.labels, k)
+    keys = dict.fromkeys(key for variant in variants for key in _plane_keys(Variant(variant)))
+    memos = [corpus._planes.setdefault((plan.k, fold, config), {}) for fold in range(plan.k)]
+    pairs = [(fold, key) for fold in range(plan.k) for key in keys if key not in memos[fold]]
+    processes = min(_cpus(), len(pairs)) if hasattr(os, "fork") else 1
     if processes < 2:
-        return {}
+        return
+    labels = corpus.labels
+    classes = np.bincount(labels + 1, minlength=3)
+    # a plane's cost: its fold's training rows of the plane's labels
+    fold_classes = [classes - np.bincount(labels[test_idx] + 1, minlength=3) for test_idx in plan.folds]
+    costs = [sum(fold_classes[fold][code + 1] for code in key[-2] + key[-1]) for fold, key in pairs]
+    shares = [pairs[run] for run in _deal(costs, processes) if run.stop > run.start]
     workers = []
     reaped = set()
     try:
-        for share in (folds[i::processes] for i in range(1, processes)):
-            if (worker := _fork_worker(train, share, memos)) is not None:
+        for share in shares[1:]:
+            if (worker := _fork_worker(lambda share=share: _solve_share(corpus, plan, config, share))) is not None:
                 workers.append(worker)
-        models = _train_share(train, folds[::processes])
+        planes = _solve_share(corpus, plan, config, shares[0])
         for pid, pipe in workers:
             data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped.add(pid)
             if code != 0:
-                logger.warning("training process %d ended with exit code %d; the caller trains its folds", pid, code)
+                logger.warning("training process %d ended with exit code %d; the caller trains its planes", pid, code)
                 continue
-            for fold, (model, memo) in pickle.loads(data).items():
-                memos[fold].update(memo)
-                models[fold] = model
+            planes.update(pickle.loads(data))
     finally:
         for pid, pipe in workers:
             pipe.close()
             if pid not in reaped:  # the caller stopped early
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    return models
+    for (fold, key), plane in planes.items():
+        memos[fold][key] = plane
 
 
 def cross_validate(
@@ -313,9 +362,9 @@ def cross_validate(
     The corpus, made by :func:`prepare`, must already be in time order
     (as produced by the gold merger).  Every fold takes its vocabulary
     and per-plane term statistics from the training folds alone; a plane
-    an earlier run on the same corpus trained is reused.  The folds that
-    train a plane are trained across the CPUs the process may run on
-    (see the module docstring).  ``on_fold`` is a diagnostics hook called
+    an earlier run on the same corpus trained is reused.  The planes the
+    memo lacks are trained across the CPUs the process may run on (see
+    the module docstring).  ``on_fold`` is a diagnostics hook called
     in the caller with ``(fold_index, vocabulary, model)``, in fold order,
     after the fold trains; only it gets a fold vocabulary built, and the
     models, never saved, carry no vocabulary.
@@ -328,31 +377,17 @@ def cross_validate(
     measures = tuple(Measure(m) for m in measures)
     plan = plan_folds(corpus.labels, k)
     vocab, counts, labels, min_df = corpus.vocab, corpus.counts, corpus.labels, corpus.min_df
-    row_nnz = np.diff(counts.indptr)
+    _train_planes(corpus, (variant,), config, plan.k)
     memos = [corpus._planes.setdefault((plan.k, fold, config), {}) for fold in range(plan.k)]
-
-    def fold_rows(fold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-        """The fold's training rows, the columns it keeps and their document frequencies."""
-        train_idx = plan.train_indices(fold)
-        in_train = np.zeros(len(counts), dtype=bool)
-        in_train[train_idx] = True
-        # a row holds each column at most once, so its training entries count documents
-        doc_freq = np.bincount(counts.indices[np.repeat(in_train, row_nnz)], minlength=vocab.dim)
-        keep = np.flatnonzero(doc_freq >= min_df)
-        return train_idx, keep, doc_freq[keep]
-
-    def train(fold: int, train_idx: np.ndarray, keep: np.ndarray) -> SentimentModel:
-        return train_sentiment(counts.select(train_idx, keep), labels[train_idx], variant, config, memo=memos[fold])
-
-    solving = [fold for fold in range(plan.k) if _solves(variant, memos[fold])]
-    models = _train_in_processes(lambda fold: train(fold, *fold_rows(fold)[:2]), solving, memos)
 
     per_fold = {measure: np.empty(plan.k) for measure in measures}
     pooled = np.zeros((3, 3))
     for fold, test_idx in enumerate(plan.folds):
         try:
-            train_idx, keep, doc_freq = fold_rows(fold)
-            model = models[fold] if fold in models else train(fold, train_idx, keep)
+            train_idx, keep, doc_freq = _fold_rows(corpus, plan, fold)
+            rows = counts.select(train_idx, keep)
+            # the planes come from the memo; one that no process trained is trained here
+            model = train_sentiment(rows, labels[train_idx], variant, config, memo=memos[fold])
             if on_fold is not None:
                 terms = tuple(vocab.terms[i] for i in keep.tolist())
                 on_fold(fold, Vocabulary(terms, doc_freq, int(train_idx.size), min_df, vocab.ngrams), model)

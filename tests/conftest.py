@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import multiprocessing
 import warnings
 from datetime import datetime, timedelta
 
@@ -9,6 +10,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
+from sentagree import classify
 from sentagree.corpus import GoldPost, SentimentLabel
 
 # When a Hypothesis test fails, Hypothesis imports its patch writer, which
@@ -155,3 +157,17 @@ def fuzzed_table(draw, path):
         at = draw(st.integers(0, len(raw)))
         raw = raw[:at] + draw(st.sampled_from(FUZZ_BYTES) | st.binary(min_size=1, max_size=3)) + raw[at:]
     return raw
+
+
+def count_planes(monkeypatch):
+    """A count of the planes trained, by the caller and by every worker it
+    forks: memory shared with every process, set up before any fork."""
+    planes = multiprocessing.Value("i", 0)
+
+    def train_binary(*args, real=classify.train_binary, **kwargs):
+        with planes.get_lock():
+            planes.value += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "train_binary", train_binary)
+    return planes

@@ -279,11 +279,8 @@ def tuned_zone(values: np.ndarray, gold: np.ndarray) -> float:
     of ``gold`` and the trained plane's decision values on it are ``values``."""
     rows = SimpleNamespace(select=lambda rows: rows)
     with patch.object(classify, "_validation_split", lambda labels, seed: (np.arange(0), np.arange(gold.size))), \
-            patch.object(classify, "_train_plane", lambda *args: "plane"), \
             patch.object(classify, "_decision_values", lambda planes, rows: values[None, :]):
-        zone, plane = classify._tune_neutral_zone(rows, gold, TrainConfig())
-    assert plane == "plane"
-    return zone
+        return classify._tune_neutral_zone(rows, gold, TrainConfig(), "plane")
 
 
 @st.composite

@@ -20,7 +20,9 @@ from sentagree import classify, cli, corpus, evaluation
 from sentagree.cli import main
 from sentagree.corpus import GoldPost, SentimentLabel
 
-from conftest import NEG_WORDS, NEU_WORDS, POS_WORDS, fuzzed_table, separable_corpus, shift_corpus, write_table
+from conftest import (
+    NEG_WORDS, NEU_WORDS, POS_WORDS, count_planes, fuzzed_table, separable_corpus, shift_corpus, write_table,
+)
 
 MEASURE_ORDER = ["acc_within_1", "accuracy", "f1_bar", "alpha_interval", "alpha_nominal"]
 VARIANTS = [v.value for v in classify.Variant]
@@ -458,6 +460,23 @@ def test_reports_are_the_same_bytes_from_one_process_and_several(command, tmp_pa
         reports.append(out)
         assert (len(forks) == 0) == (cpus == 1)  # several CPUs fork workers, one none
     assert reports[0] == reports[1] == reports[2]
+
+
+def test_compare_deals_each_datasets_planes_in_one_fork_per_worker(tmp_path, capsys, monkeypatch):
+    datasets, k, cpus = 3, 3, 3
+    argv = ["compare", "--k", str(k), "--min-df", "2"]
+    for seed in range(datasets):
+        path = tmp_path / f"set{seed}.csv"
+        corpus.save_gold(separable_corpus(60, seed=seed), path)
+        argv += ["--input", str(path)]
+    forks, planes = [], count_planes(monkeypatch)
+    monkeypatch.setattr(os, "fork", lambda real=os.fork: forks.append(1) or real())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    code, _, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    assert len(forks) == datasets * (cpus - 1)
+    # per fold, the tuned NeutralZoneSVM plane and six distinct sides shared by the other SVM variants
+    assert planes.value == datasets * 7 * k
 
 
 def source_env() -> dict[str, str]:

@@ -3,13 +3,14 @@
 from __future__ import annotations
 
 import logging
-import multiprocessing
 import os
 import time
 from datetime import datetime, timedelta
 
 import numpy as np
 import pytest
+from hypothesis import given
+from hypothesis import strategies as st
 
 from sentagree import classify, evaluation
 from sentagree.agreement import Measure, build_coincidence
@@ -25,7 +26,7 @@ from sentagree.evaluation import (
 )
 from sentagree.features import CountRows, count_vector, normalize, vocabulary_from_token_docs
 
-from conftest import NEG_WORDS, NEU_WORDS, POS_WORDS, separable_corpus, shift_corpus
+from conftest import NEG_WORDS, NEU_WORDS, POS_WORDS, count_planes, separable_corpus, shift_corpus
 
 import oracles
 
@@ -265,16 +266,7 @@ def assert_reaped(pids: list[int]) -> None:
 
 def test_variants_on_one_prepared_corpus_train_each_distinct_plane_once(monkeypatch) -> None:
     gold, k = separable_corpus(240, seed=3), 4
-    # workers forked by cross_validate train planes too: count them in memory
-    # shared with every process, set up before any fork
-    planes = multiprocessing.Value("i", 0)
-
-    def train_binary(*args, real=classify.train_binary, **kwargs):
-        with planes.get_lock():
-            planes.value += 1
-        return real(*args, **kwargs)
-
-    monkeypatch.setattr(classify, "train_binary", train_binary)
+    planes = count_planes(monkeypatch)  # workers forked by cross_validate train planes too
     see_cpus(monkeypatch, 3)
     fresh = {variant: cross_validate(prepare(gold), variant, k=k) for variant in Variant}
     assert planes.value == 10 * k
@@ -289,6 +281,50 @@ def test_variants_on_one_prepared_corpus_train_each_distinct_plane_once(monkeypa
     # TwoPlaneSVMbin), CascadingSVM's two (its polarity plane shared by
     # ThreePlaneSVM) and ThreePlaneSVM's other two
     assert planes.value == 7 * k
+
+
+def test_neutral_zone_twice_on_one_prepared_corpus_trains_its_planes_once(forks, monkeypatch) -> None:
+    gold, k = separable_corpus(240, seed=3), 4
+    planes = count_planes(monkeypatch)
+    see_cpus(monkeypatch, 2)
+    shared = prepare(gold)
+    first, second = (cross_validate(shared, Variant.NEUTRAL_ZONE, k=k) for _ in range(2))
+    assert planes.value == k and len(forks) == 1  # the second run finds every plane memoized
+    assert np.array_equal(first.pooled.counts, second.pooled.counts)
+    for measure, summary in first.summaries.items():
+        assert np.array_equal(second.summaries[measure].per_fold, summary.per_fold)
+    assert_reaped(forks)
+
+
+@given(st.lists(st.integers(1, 1000), min_size=1, max_size=40), st.integers(1, 8))
+def test_planes_are_dealt_in_contiguous_runs_of_about_equal_cost(costs, processes) -> None:
+    runs = evaluation._deal(costs, processes)
+    assert len(runs) == processes
+    # every pair dealt exactly once, each run a contiguous stretch of the pairs in their (fold) order
+    assert [i for run in runs for i in range(len(costs))[run]] == list(range(len(costs)))
+    share = sum(costs) / processes
+    for run in runs:
+        assert abs(sum(costs[run]) - share) <= max(costs)
+
+
+def test_a_plane_costs_its_folds_training_rows_of_its_labels(monkeypatch) -> None:
+    dealt = []
+
+    def deal(costs, processes, real=evaluation._deal):
+        dealt.append((costs, processes))
+        return real(costs, processes)
+
+    monkeypatch.setattr(evaluation, "_deal", deal)
+    see_cpus(monkeypatch, 3)
+    corpus, k = prepare(separable_corpus(120, seed=4)), 3
+    evaluation._train_planes(corpus, [Variant.NEUTRAL_ZONE, Variant.CASCADING], TrainConfig(), k)
+    plan = plan_folds(corpus.labels, k)
+    expected = []
+    for fold in range(k):
+        train = corpus.labels[plan.train_indices(fold)]
+        for sides in ((-1, 1), (0, -1, 1), (-1, 1)):  # the validation plane, subjectivity, polarity
+            expected.append(int(np.isin(train, sides).sum()))
+    assert dealt == [(expected, 3)]
 
 
 def _fold_record(fold, vocab, model) -> tuple:
@@ -341,22 +377,23 @@ def uneven_folds_gold():
 
 
 def failing_at(sizes: set[int]):
-    """``train_sentiment``, failing on training sets of ``sizes`` rows."""
-    def train_sentiment(rows, *args, real=evaluation.train_sentiment, **kwargs):
+    """``classify._train_plane``, which every process trains its planes
+    with, failing on training sets of ``sizes`` rows."""
+    def train_plane(rows, *args, real=classify._train_plane, **kwargs):
         if len(rows) in sizes:
             raise EvaluationError(f"boom on {len(rows)} rows")
         return real(rows, *args, **kwargs)
-    return train_sentiment
+    return train_plane
 
 
 @pytest.mark.parametrize(("sizes", "message"), [
-    ({16, 17}, "fold 1: boom on 16 rows"),  # two workers' folds fail, with 3 CPUs
+    ({16, 17}, "fold 1: boom on 16 rows"),  # planes of two processes fail, with 3 CPUs
     ({17}, "fold 2: boom on 17 rows"),
-    ({18}, "fold 3: boom on 18 rows"),  # the caller's fold 3 and a worker's fold 4
+    ({18}, "fold 3: boom on 18 rows"),  # folds 3 and 4, both in workers' runs with 2 or 3 CPUs
     ({15, 18}, "fold 0: boom on 15 rows"),
 ])
 def test_the_lowest_failing_fold_is_reported_from_any_number_of_processes(sizes, message, forks, monkeypatch) -> None:
-    monkeypatch.setattr(evaluation, "train_sentiment", failing_at(sizes))
+    monkeypatch.setattr(classify, "_train_plane", failing_at(sizes))
     for cpus in (1, 2, 3):
         see_cpus(monkeypatch, cpus)
         with pytest.raises(EvaluationError, match=f"^{message}$") as caught:
@@ -370,7 +407,7 @@ def test_the_lowest_failing_fold_is_reported_from_any_number_of_processes(sizes,
 def test_folds_of_a_worker_that_sends_nothing_are_trained_by_the_caller(forks, monkeypatch, caplog) -> None:
     caller = os.getpid()
 
-    def train_sentiment(*args, real=evaluation.train_sentiment, **kwargs):
+    def train_plane(*args, real=classify._train_plane, **kwargs):
         if os.getpid() != caller:
             os._exit(3)
         return real(*args, **kwargs)
@@ -378,12 +415,12 @@ def test_folds_of_a_worker_that_sends_nothing_are_trained_by_the_caller(forks, m
     gold = separable_corpus(120, seed=4)
     see_cpus(monkeypatch, 1)
     serial = cross_validate(prepare(gold), Variant.CASCADING, k=4)
-    monkeypatch.setattr(evaluation, "train_sentiment", train_sentiment)
+    monkeypatch.setattr(classify, "_train_plane", train_plane)
     see_cpus(monkeypatch, 2)
     with caplog.at_level(logging.WARNING, logger="sentagree.evaluation"):
         result = cross_validate(prepare(gold), Variant.CASCADING, k=4)
     assert len(forks) == 1 and [record.getMessage() for record in caplog.records] == [
-        f"training process {forks[0]} ended with exit code 3; the caller trains its folds"
+        f"training process {forks[0]} ended with exit code 3; the caller trains its planes"
     ]
     assert np.array_equal(result.pooled.counts, serial.pooled.counts)
     for measure, summary in serial.summaries.items():
@@ -393,12 +430,12 @@ def test_folds_of_a_worker_that_sends_nothing_are_trained_by_the_caller(forks, m
 def test_an_interrupted_caller_stops_and_reaps_its_workers(forks, monkeypatch) -> None:
     caller = os.getpid()
 
-    def train_sentiment(*args, **kwargs):
+    def train_plane(*args, **kwargs):
         if os.getpid() == caller:
             raise KeyboardInterrupt
         time.sleep(60)  # a worker still training when the caller stops
 
-    monkeypatch.setattr(evaluation, "train_sentiment", train_sentiment)
+    monkeypatch.setattr(classify, "_train_plane", train_plane)
     see_cpus(monkeypatch, 3)
     started = time.perf_counter()
     with pytest.raises(KeyboardInterrupt):
