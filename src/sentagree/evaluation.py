@@ -12,29 +12,28 @@ A prepared corpus keeps only its counts against its vocabulary at
 ``min_df``, its label codes, that vocabulary and ``min_df``.  A fold
 selects from the counts the columns that at least ``min_df`` of its
 training rows contain, which is exact since every such term is in that
-vocabulary.  All variants and learning-curve prefixes share the counts;
-a plane is trained once per (k, fold, memo key, config), and memoized on
-the corpus.
+vocabulary.  All variants and learning-curve prefixes share the counts
+and one memo: a plane is trained once per (prefix size, k, fold, memo
+key, config).
 
-The planes are trained side by side, one process per CPU the process
-may run on (``os.sched_getaffinity``), with no setting.  Planes are
-dealt, not folds: every (fold, plane) pair the variants need and the
-memo lacks is listed in fold order and cut into contiguous runs of
-about equal training rows, one run per process.  The caller trains the
-first run and forked workers the others, each holding one fold's
-training rows at a time, and the workers' planes come back pickled and
-join the corpus's memo as if trained in the caller.  :func:`cross_validate`
-deals its own variant's planes; ``compare`` deals all six variants'
-planes of a dataset at once, so each dataset forks once per worker.
-Then, in fold order, the caller builds each fold's model from the memo
-(bins, zone and tables), runs ``on_fold``, predicts and scores exactly as
-one process would, so every result is the same to the bit.  A plane
-whose training failed is trained again in that loop, which raises its
-error for the lowest failing fold.  With one CPU, without ``os.fork``,
-or when no plane is missing (``NaiveBayes``, or every plane already
-memoized), the fold loop trains the planes one by one in the caller and
-no process is started.  Every worker is reaped before the planes are
-merged, and on Linux the kernel kills a worker whose caller ends first.
+:func:`_train_planes` is the one place that trains a plane.  Every
+(size, fold, plane) triple the memo lacks is listed in prefix and fold
+order and cut into contiguous runs of about equal training rows, one
+per CPU the process may run on (``os.sched_getaffinity``), with no
+setting.  The caller trains the first run and forked workers the
+others, each holding one fold's training rows at a time, and the
+workers' planes come back pickled and join the memo as if trained in
+the caller.  With one CPU or without ``os.fork`` the caller trains them
+all and no process is started.  Each command deals once:
+:func:`cross_validate` its variant's planes, :func:`learning_curve` those
+of all its prefixes, and ``compare`` all six variants' planes of a
+dataset.  Then, in fold order, the caller builds each fold's model from
+the memo (bins, zone and tables), runs ``on_fold``, predicts and scores
+exactly as one process would, so every result is the same to the bit.
+A plane whose training failed, or that a dead worker never sent, is
+trained again in that loop, which raises its error for the lowest
+failing fold.  Every worker is reaped before the planes are merged, and
+on Linux the kernel kills a worker whose caller ends first.
 
 Reported per measure: per-fold values, their mean, and the normal 95%
 half-width ``1.96 * sd / sqrt(k)`` (sample standard deviation), plus
@@ -186,25 +185,27 @@ class PreparedCorpus:
 
     ``counts`` holds one row per post against ``vocab``, the vocabulary
     of the whole corpus at ``min_df``, and ``labels`` their label codes.
-    :func:`cross_validate` memoizes its planes here by (k, fold, config)
-    and then memo key; the corpus's fold plan at ``k`` fixes each fold's rows.
+    :func:`cross_validate` memoizes its planes here by (size, k, fold,
+    config) and then memo key; the fold plan at ``k`` of the first
+    ``size`` posts fixes each fold's rows.  :meth:`head` shares the memo.
     """
 
     vocab: Vocabulary
     counts: CountRows
     labels: np.ndarray
     min_df: int
-    _planes: dict[tuple, dict[tuple, LinearModel]] = field(default_factory=dict, init=False, repr=False)
+    _planes: dict[tuple, dict[tuple, LinearModel]] = field(default_factory=dict, repr=False)
 
     def head(self, n: int) -> PreparedCorpus:
-        """The first ``n`` posts, keeping this corpus's vocabulary; their
-        counts and labels are views of this corpus's arrays, not copies."""
-        if not 0 <= n <= len(self.labels):
+        """The first ``n`` posts, keeping this corpus's vocabulary and plane
+        memo; their counts and labels are views of this corpus's arrays."""
+        _check_count("prefix size", n, 0)
+        if n > len(self.labels):
             raise ValueError(f"prefix size must be in [0, {len(self.labels)}], got {n}")
         counts, end = self.counts, int(self.counts.indptr[n])
         # the first rows of checked counts are valid rows
         rows = CountRows._trusted(counts.indptr[: n + 1], counts.indices[:end], counts.values[:end], counts.dim)
-        return PreparedCorpus(self.vocab, rows, self.labels[:n], self.min_df)
+        return PreparedCorpus(self.vocab, rows, self.labels[:n], self.min_df, self._planes)
 
 
 def prepare(gold: Sequence[GoldPost], min_df: int = 5) -> PreparedCorpus:
@@ -254,21 +255,22 @@ def _deal(costs: Sequence[int], processes: int) -> list[slice]:
 
 
 def _solve_share(
-    corpus: PreparedCorpus, plan: FoldPlan, config: TrainConfig, share: Sequence[tuple[int, tuple]]
-) -> dict[tuple[int, tuple], LinearModel]:
-    """The planes of ``share``'s (fold, memo key) pairs, trained in order
-    up to the first that fails, which the fold loop trains again to raise
-    its error.  The pairs run in fold order, so one fold's training rows
-    are held at a time."""
+    corpus: PreparedCorpus, plans: dict[int, FoldPlan], config: TrainConfig, share: Sequence[tuple[int, int, tuple]]
+) -> dict[tuple[int, int, tuple], LinearModel]:
+    """The planes of ``share``'s (size, fold, memo key) triples, on the
+    folds of ``plans``, trained in order up to the first that fails, which
+    the fold loop trains again to raise its error.  The triples run in
+    order, so one fold's training rows are held at a time."""
     planes = {}
-    held = None  # (fold, its training rows, their labels)
-    for fold, key in share:
+    held = None  # ((size, fold), its training rows, their labels)
+    for size, fold, key in share:
         try:
-            if held is None or held[0] != fold:
+            if held is None or held[0] != (size, fold):
                 held = None  # the last fold's rows go before the next fold's are built
-                train_idx, keep, _ = _fold_rows(corpus, plan, fold)
-                held = fold, corpus.counts.select(train_idx, keep), corpus.labels[train_idx]
-            planes[fold, key] = _solve_plane(held[1], held[2], key, config)
+                prefix = corpus.head(size)
+                train_idx, keep, _ = _fold_rows(prefix, plans[size], fold)
+                held = (size, fold), prefix.counts.select(train_idx, keep), prefix.labels[train_idx]
+            planes[size, fold, key] = _solve_plane(held[1], held[2], key, config)
         except Exception:
             break
     return planes
@@ -304,33 +306,36 @@ def _fork_worker(solve: Callable[[], dict]) -> tuple[int, BinaryIO] | None:
         os._exit(status)
 
 
-def _train_planes(corpus: PreparedCorpus, variants: Sequence[Variant | str], config: TrainConfig, k: int) -> None:
-    """Train into ``corpus``'s memo every plane that the folds of
-    ``variants`` at ``k`` need and that it lacks, across up to one process
-    per CPU: the (fold, plane) pairs are dealt in fold order as contiguous
-    runs of about equal training rows; the caller trains the first run
-    while forked workers train the others.  A plane no process trained
-    is left to the fold loop of :func:`cross_validate`."""
-    plan = plan_folds(corpus.labels, k)
+def _train_planes(
+    corpus: PreparedCorpus, variants: Sequence[Variant | str], config: TrainConfig, k: int,
+    sizes: Sequence[int] | None = None,
+) -> None:
+    """Train into ``corpus``'s memo every plane that the folds at ``k`` of
+    ``variants`` on its prefixes of ``sizes`` (the whole corpus if
+    ``None``) need and that it lacks, across up to one process per CPU:
+    the (size, fold, plane) triples are dealt in order as contiguous runs
+    of about equal training rows, the first to the caller and the others
+    to forked workers.  A plane no process trained is left to the fold
+    loop of :func:`cross_validate`."""
+    plans = {size: plan_folds(corpus.labels[:size], k) for size in ([len(corpus.labels)] if sizes is None else sizes)}
     keys = dict.fromkeys(key for variant in variants for key in _plane_keys(Variant(variant)))
-    memos = [corpus._planes.setdefault((plan.k, fold, config), {}) for fold in range(plan.k)]
-    pairs = [(fold, key) for fold in range(plan.k) for key in keys if key not in memos[fold]]
-    processes = min(_cpus(), len(pairs)) if hasattr(os, "fork") else 1
-    if processes < 2:
+    memos = {(size, fold): corpus._planes.setdefault((size, k, fold, config), {}) for size in plans for fold in range(k)}
+    triples = [(size, fold, key) for (size, fold), memo in memos.items() for key in keys if key not in memo]
+    if not triples:
         return
-    labels = corpus.labels
-    classes = np.bincount(labels + 1, minlength=3)
     # a plane's cost: its fold's training rows of the plane's labels
-    fold_classes = [classes - np.bincount(labels[test_idx] + 1, minlength=3) for test_idx in plan.folds]
-    costs = [sum(fold_classes[fold][code + 1] for code in key[-2] + key[-1]) for fold, key in pairs]
-    shares = [pairs[run] for run in _deal(costs, processes) if run.stop > run.start]
+    classes = {(size, fold): np.bincount(corpus.labels[plans[size].train_indices(fold)] + 1, minlength=3)
+               for size, fold in memos}
+    costs = [sum(classes[size, fold][code + 1] for code in key[-2] + key[-1]) for size, fold, key in triples]
+    processes = min(_cpus(), len(triples)) if hasattr(os, "fork") else 1
+    shares = [triples[run] for run in _deal(costs, processes) if run.stop > run.start]
     workers = []
     reaped = set()
     try:
         for share in shares[1:]:
-            if (worker := _fork_worker(lambda share=share: _solve_share(corpus, plan, config, share))) is not None:
+            if (worker := _fork_worker(lambda share=share: _solve_share(corpus, plans, config, share))) is not None:
                 workers.append(worker)
-        planes = _solve_share(corpus, plan, config, shares[0])
+        planes = _solve_share(corpus, plans, config, shares[0])
         for pid, pipe in workers:
             data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -345,8 +350,8 @@ def _train_planes(corpus: PreparedCorpus, variants: Sequence[Variant | str], con
             if pid not in reaped:  # the caller stopped early
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    for (fold, key), plane in planes.items():
-        memos[fold][key] = plane
+    for (size, fold, key), plane in planes.items():
+        memos[size, fold][key] = plane
 
 
 def cross_validate(
@@ -378,7 +383,7 @@ def cross_validate(
     plan = plan_folds(corpus.labels, k)
     vocab, counts, labels, min_df = corpus.vocab, corpus.counts, corpus.labels, corpus.min_df
     _train_planes(corpus, (variant,), config, plan.k)
-    memos = [corpus._planes.setdefault((plan.k, fold, config), {}) for fold in range(plan.k)]
+    memos = [corpus._planes[len(labels), plan.k, fold, config] for fold in range(plan.k)]
 
     per_fold = {measure: np.empty(plan.k) for measure in measures}
     pooled = np.zeros((3, 3))
@@ -386,7 +391,7 @@ def cross_validate(
         try:
             train_idx, keep, doc_freq = _fold_rows(corpus, plan, fold)
             rows = counts.select(train_idx, keep)
-            # the planes come from the memo; one that no process trained is trained here
+            # the planes come from the memo; one that failed, or that a dead worker never sent, is trained here
             model = train_sentiment(rows, labels[train_idx], variant, config, memo=memos[fold])
             if on_fold is not None:
                 terms = tuple(vocab.terms[i] for i in keep.tolist())
@@ -432,24 +437,28 @@ def learning_curve(
     Prefix sizes are ``step, 2*step, ...`` up to the full corpus (the
     final point always covers the whole corpus, so it equals a direct
     :func:`cross_validate` run).  The corpus is put in time order and
-    prepared once, before any prefix is tried, and each prefix is a view
-    of its first rows.  Prefixes smaller than ``k * (number of classes)`` or
-    otherwise unsplittable are skipped with a logged notice and
-    reported in ``skipped``.
+    prepared once, and each prefix is a view of its first rows.  Prefixes
+    smaller than ``k * (number of classes)`` or otherwise unsplittable are
+    skipped with a logged notice and reported in ``skipped``; the planes
+    of all the others are trained in one deal.
     """
+    _check_count("k", k, 2, FoldPlanError)
     posts, sizes = time_ordered_chunks(gold, step)
     corpus = prepare(posts, min_df)
-    points: list[CurvePoint] = []
+    kept: list[int] = []
     skipped: list[tuple[int, str]] = []
     for size in sizes:
         reason = f"prefix of {size} posts is smaller than k * 3 = {k * 3}" if size < k * 3 else None
         if reason is None:
             try:
-                result = cross_validate(corpus.head(size), variant, config, k, measures, on_fold)
-                points.append(CurvePoint(size, result))
+                plan_folds(corpus.labels[:size], k)
+                kept.append(size)
                 continue
             except FoldPlanError as exc:
                 reason = f"prefix of {size} posts cannot be split: {exc}"
         logger.info("skipping %s", reason)
         skipped.append((size, reason))
+    _train_planes(corpus, (variant,), config, k, kept)  # every prefix's planes in one deal
+    points = [CurvePoint(size, cross_validate(corpus.head(size), variant, config, k, measures, on_fold))
+              for size in kept]
     return LearningCurve(points=tuple(points), skipped=tuple(skipped))

@@ -440,17 +440,22 @@ def test_compare_counts_each_post_once(tmp_path, capsys, monkeypatch):
 # --- cross-validation across processes ---------------------------------------
 
 
-@pytest.mark.parametrize("command", ["curve", "crossval", "compare"])
-def test_reports_are_the_same_bytes_from_one_process_and_several(command, tmp_path, capsys, monkeypatch):
+def dealing_argv(command: str, tmp_path) -> list[str]:
+    """The arguments of a small run of ``command``, one of the three that deal planes."""
     paths = []
     for seed in (5, 6):
         paths.append(tmp_path / f"set{seed}.csv")
         corpus.save_gold(shift_corpus(150, shift_at=75, seed=seed, wide=8), paths[-1])
-    argv = {
+    return {
         "curve": ["curve", "--input", str(paths[0]), "--variant", "TwoPlaneSVMbin", "--k", "5", "--step", "50"],
         "crossval": ["crossval", "--input", str(paths[0]), "--variant", "TwoPlaneSVMbin", "--k", "5"],
         "compare": ["compare", "--input", str(paths[0]), "--input", str(paths[1]), "--k", "3"],
     }[command]
+
+
+@pytest.mark.parametrize("command", ["curve", "crossval", "compare"])
+def test_reports_are_the_same_bytes_from_one_process_and_several(command, tmp_path, capsys, monkeypatch):
+    argv = dealing_argv(command, tmp_path)
     forks, reports = [], []
     monkeypatch.setattr(os, "fork", lambda real=os.fork: forks.append(1) or real())
     for cpus in (1, 2, 3):
@@ -460,6 +465,22 @@ def test_reports_are_the_same_bytes_from_one_process_and_several(command, tmp_pa
         reports.append(out)
         assert (len(forks) == 0) == (cpus == 1)  # several CPUs fork workers, one none
     assert reports[0] == reports[1] == reports[2]
+
+
+@pytest.mark.parametrize(("command", "folds"), [("curve", 3 * 5), ("crossval", 5), ("compare", 2 * 6 * 3)])
+def test_on_one_cpu_every_plane_is_trained_before_the_fold_loop(command, folds, tmp_path, capsys, monkeypatch):
+    lacking, forks = [], []
+
+    def train_sentiment(rows, labels, variant, config, memo, real=evaluation.train_sentiment):
+        lacking.append([key for key in classify._plane_keys(variant) if key not in memo])
+        return real(rows, labels, variant, config, memo=memo)
+
+    monkeypatch.setattr(evaluation, "train_sentiment", train_sentiment)
+    monkeypatch.setattr(os, "fork", lambda real=os.fork: forks.append(1) or real())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+    code, _, err = run(dealing_argv(command, tmp_path), capsys)
+    assert code == 0 and err == "" and forks == []
+    assert lacking == [[]] * folds  # each fold's model is built from planes already in the memo
 
 
 def test_compare_deals_each_datasets_planes_in_one_fork_per_worker(tmp_path, capsys, monkeypatch):
@@ -530,17 +551,17 @@ def test_a_cross_validating_command_leaves_no_process_behind(sizes, code, stderr
 #: command kills itself while its workers are still training.
 KILLED_RUN = """
 import os, signal, sys, time
-from sentagree import cli, evaluation
+from sentagree import classify, cli
 
 os.sched_getaffinity = lambda pid: {0, 1, 2}
 caller = os.getpid()
 
-def train_sentiment(*args, **kwargs):
+def train_plane(*args, **kwargs):
     if os.getpid() == caller:
         os.kill(caller, signal.SIGKILL)
     time.sleep(120)
 
-evaluation.train_sentiment = train_sentiment
+classify._train_plane = train_plane
 cli.main(sys.argv[1:])
 """
 

@@ -233,7 +233,7 @@ def test_prefix_of_a_prepared_corpus_is_a_view() -> None:
     assert np.array_equal(head.counts.indices, expected.indices)
     assert np.array_equal(head.counts.values, expected.values)
     assert len(prepared.head(0).counts) == 0 and len(prepared.head(30).counts) == 30
-    for n in (-1, 31):
+    for n in (-1, 31, 2.0, True, np.float64(3)):
         with pytest.raises(ValueError, match="prefix size"):
             prepared.head(n)
 
@@ -325,6 +325,16 @@ def test_a_plane_costs_its_folds_training_rows_of_its_labels(monkeypatch) -> Non
         for sides in ((-1, 1), (0, -1, 1), (-1, 1)):  # the validation plane, subjectivity, polarity
             expected.append(int(np.isin(train, sides).sum()))
     assert dealt == [(expected, 3)]
+    # one deal over two prefixes: the whole corpus lacks only ThreePlaneSVM's planes of its own
+    evaluation._train_planes(corpus, [Variant.CASCADING, Variant.THREE_PLANE], TrainConfig(), k, [60, 120])
+    expected = []
+    for size, planes in ((60, ((0, -1, 1), (-1, 1), (-1, 0), (0, 1))), (120, ((-1, 0), (0, 1)))):
+        plan = plan_folds(corpus.labels[:size], k)
+        for fold in range(k):
+            train = corpus.labels[plan.train_indices(fold)]
+            expected += [int(np.isin(train, sides).sum()) for sides in planes]
+    assert dealt[1:] == [(expected, 3)]
+    assert plan_folds(corpus.labels[:60], k).folds[0].size < plan.folds[0].size  # the prefix's folds, not the corpus's
 
 
 def _fold_record(fold, vocab, model) -> tuple:
@@ -551,8 +561,23 @@ def test_learning_curve_checks_its_options_before_any_prefix() -> None:
         learning_curve(gold, step=5, k=3, min_dff=1, on_fold=1)
     with pytest.raises(VocabularyError, match="min_df"):
         learning_curve(gold, step=5, k=3, min_df=0)
+    for k in (1, 2.5, True, "3"):  # checked before the corpus is prepared, so before min_df
+        with pytest.raises(FoldPlanError, match=f"^k must be an integer at least 2, got {k!r}$"):
+            learning_curve(gold, step=5, k=k, min_df=0)
     curve = learning_curve(gold, step=5, k=3, min_df=1)
     assert curve.points == () and [size for size, _ in curve.skipped] == [5, 8]
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_learning_curve_deals_the_planes_of_all_its_prefixes_at_once(cpus, forks, monkeypatch) -> None:
+    gold, k = make_gold([-1, 0, 1] * 13 + [0]), 4  # 40 posts: the prefix of 10 is skipped, 20, 30 and 40 kept
+    planes = count_planes(monkeypatch)
+    see_cpus(monkeypatch, cpus)
+    curve = learning_curve(gold, Variant.TWO_PLANE, step=10, k=k, min_df=1)
+    assert [size for size, _ in curve.skipped] == [10] and [p.prefix_size for p in curve.points] == [20, 30, 40]
+    assert len(forks) == cpus - 1
+    assert_reaped(forks)
+    assert planes.value == 2 * k * len(curve.points)
 
 
 def test_learning_curve_prefixes_and_final_point() -> None:
