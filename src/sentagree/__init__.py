@@ -17,7 +17,7 @@ classifier stack (``classify``, ``features``, ``evaluation`` and
 
 __version__ = "0.1.0"
 
-#: Submodule -> the public names it provides.
+#: Submodule -> the public names it provides: the one list of them, which each submodule's ``__all__`` reads.
 _EXPORTS = {
     "agreement": """CoincidenceMatrix ConfidenceInterval Measure OrderingDiagnostics bootstrap_ci
         build_coincidence compute_measure ordering_diagnostics sentiment_score""",

@@ -58,23 +58,11 @@ from enum import Enum
 
 import numpy as np
 
+from . import _EXPORTS
 from .corpus import LabelPair, PairTable, SentimentLabel, _not_codes
 from .errors import UndefinedMeasureError, _check_count
 
-__all__ = [
-    "LABEL_ORDER",
-    "Measure",
-    "CoincidenceMatrix",
-    "ConfidenceInterval",
-    "OrderingDiagnostics",
-    "build_coincidence",
-    "pair_cells",
-    "matrix_from_cells",
-    "compute_measure",
-    "bootstrap_ci",
-    "ordering_diagnostics",
-    "sentiment_score",
-]
+__all__ = _EXPORTS["agreement"].split()
 
 #: Fixed label order of matrix axes; label code -1 maps to index 0.
 LABEL_ORDER: tuple[int, int, int] = (-1, 0, 1)

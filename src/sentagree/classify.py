@@ -102,26 +102,13 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _EXPORTS
 from .agreement import _STACKED, Measure, _cells
 from .corpus import SentimentLabel, _not_codes
 from .errors import EvaluationError, ModelFormatError, VocabularyError, _check_count, _is_integer
 from .features import CountRows, Vocabulary, delta_weights
 
-__all__ = [
-    "Variant",
-    "TrainConfig",
-    "LinearModel",
-    "BinTable",
-    "SubspaceTable",
-    "NaiveBayesTable",
-    "SentimentModel",
-    "train_binary",
-    "train_sentiment",
-    "predict",
-    "predict_batch",
-    "save_model",
-    "load_model",
-]
+__all__ = _EXPORTS["classify"].split()
 
 logger = logging.getLogger(__name__)
 
@@ -387,8 +374,14 @@ class SentimentModel:
     nb: NaiveBayesTable | None = None
 
 
-_PLANE_SIDES: dict[Variant, dict[str, tuple[tuple[int, ...], tuple[int, ...]]]] = {
-    Variant.NEUTRAL_ZONE: {"polarity": ((-1,), (1,))},
+#: The memo key of ``NeutralZoneSVM``'s plane, trained on its validation
+#: split's training part rather than on all rows.
+_VALIDATION_PLANE = ("validation", (-1,), (1,))
+
+#: Each SVM variant's planes, by name, and their memo keys: a plane trained
+#: on all rows is keyed by its (negative side, positive side).
+_PLANE_SIDES: dict[Variant, dict[str, tuple]] = {
+    Variant.NEUTRAL_ZONE: {"polarity": _VALIDATION_PLANE},
     Variant.TWO_PLANE: {"neg_vs_rest": ((-1,), (0, 1)), "rest_vs_pos": ((-1, 0), (1,))},
     Variant.TWO_PLANE_BIN: {"neg_vs_rest": ((-1,), (0, 1)), "rest_vs_pos": ((-1, 0), (1,))},
     Variant.CASCADING: {"subjectivity": ((0,), (-1, 1)), "polarity": ((-1,), (1,))},
@@ -400,15 +393,8 @@ _PLANE_SIDES: dict[Variant, dict[str, tuple[tuple[int, ...], tuple[int, ...]]]] 
 }
 
 
-#: The memo key of ``NeutralZoneSVM``'s plane, trained on its validation
-#: split's training part rather than on all rows.
-_VALIDATION_PLANE = ("validation", (-1,), (1,))
-
-
 def _plane_keys(variant: Variant) -> tuple[tuple, ...]:
     """The memo keys of the planes :func:`train_sentiment` of ``variant`` uses."""
-    if variant is Variant.NEUTRAL_ZONE:
-        return (_VALIDATION_PLANE,)
     return tuple(_PLANE_SIDES.get(variant, {}).values())
 
 
@@ -611,12 +597,10 @@ def train_sentiment(
     for key in _plane_keys(variant):
         if key not in memo:
             memo[key] = _solve_plane(rows, label_arr, key, config)
+    planes = {name: memo[key] for name, key in _PLANE_SIDES[variant].items()}
     if variant is Variant.NEUTRAL_ZONE:
-        plane = memo[_VALIDATION_PLANE]
-        zone = _tune_neutral_zone(rows, label_arr, config, plane)
-        return SentimentModel(planes={"polarity": plane}, neutral_zone=zone, **base)
-
-    planes = {name: memo[sides] for name, sides in _PLANE_SIDES[variant].items()}
+        zone = _tune_neutral_zone(rows, label_arr, config, planes["polarity"])
+        return SentimentModel(planes=planes, neutral_zone=zone, **base)
     if variant is Variant.TWO_PLANE_BIN:
         d_a, d_b = _decision_values(list(planes.values()), rows)
         grid = config.bin_grid

@@ -8,7 +8,8 @@ no ``--format``.  Reports are emitted as canonical JSON (sorted keys,
 two-space indent) or as a flat CSV projection of the same rows, and a
 rerun with the same options is byte-identical.  Input paths that do not
 exist are retried relative to the directory named by the
-``SENTAGREE_DATA_DIR`` environment variable.  All failures print one
+``SENTAGREE_DATA_DIR`` environment variable, and an ``--out`` that names
+an input file is refused before any command runs.  All failures print one
 ``error: <code>: <message>`` line to stderr and exit nonzero.
 """
 
@@ -82,9 +83,9 @@ class UsageError(SentagreeError):
     code = "usage"
 
 
-def _dataset_names(paths: list[str]) -> list[str]:
+def _dataset_names(paths: list[str | Path]) -> list[str]:
     """The dataset name (file stem) of each input; no two may share one."""
-    seen: dict[str, str] = {}
+    seen: dict[str, str | Path] = {}
     for path in paths:
         name = Path(path).stem
         if name in seen:
@@ -93,7 +94,7 @@ def _dataset_names(paths: list[str]) -> list[str]:
     return list(seen)
 
 
-def _single(values: list[str], flag: str) -> str:
+def _single(values: list, flag: str):
     """The one value of a repeatable flag in a command that uses only one."""
     if len(values) > 1:
         raise UsageError(f"{flag} takes one value for this command, got {len(values)}")
@@ -110,12 +111,6 @@ def _measures(values: list[str] | None, default: tuple) -> tuple[agr.Measure, ..
     if repeated:
         raise UsageError(f"--measure {repeated[0]} is given more than once")
     return wanted
-
-
-def _not_over_input(source: Path, out: Path) -> None:
-    """Refuse, before anything is written, an output that is the input file."""
-    if out.exists() and source.exists() and out.samefile(source):
-        raise UsageError(f"--out would write {out}, which is the --input file")
 
 
 def _train_config(args: argparse.Namespace) -> classify.TrainConfig:
@@ -146,7 +141,7 @@ def cmd_agreement(args: argparse.Namespace) -> None:
     wanted = _measures(args.measure, _MEASURE_ORDER)
     rows = []
     for name, path in zip(_dataset_names(args.input), args.input):
-        pairs = corpus.extract_pairs(corpus.load_annotations(_resolve(path)))
+        pairs = corpus.extract_pairs(corpus.load_annotations(path))
         for kind in _KIND_ORDER:
             subset = pairs[pairs.self == (kind is corpus.PairKind.SELF)]
             for measure in wanted:
@@ -179,7 +174,7 @@ def cmd_ordering(args: argparse.Namespace) -> None:
     rows = []
     sums = []
     for name, path in zip(names, args.input):
-        pairs = corpus.extract_pairs(corpus.load_annotations(_resolve(path)))
+        pairs = corpus.extract_pairs(corpus.load_annotations(path))
         row = {
             "dataset": name,
             "relative_gain": None,
@@ -218,8 +213,7 @@ def cmd_ordering(args: argparse.Namespace) -> None:
 
 
 def cmd_merge(args: argparse.Namespace) -> None:
-    path = _resolve(_single(args.input, "--input"))
-    _not_over_input(path, Path(args.out))
+    path = _single(args.input, "--input")
     table = corpus.load_annotations(path)
     if not table:
         raise CorpusFormatError(f"{path}: no posts found")
@@ -230,9 +224,7 @@ def cmd_train(args: argparse.Namespace) -> None:
     from . import classify, evaluation
 
     config = _train_config(args)
-    source = _resolve(_single(args.input, "--input"))
-    _not_over_input(source, Path(args.out))
-    gold = corpus.load_gold(source)
+    gold = corpus.load_gold(_single(args.input, "--input"))
     prepared = evaluation.prepare(gold, min_df=args.min_df)
     model = classify.train_sentiment(prepared.counts, prepared.labels, args.variant, config, prepared.vocab)
     classify.save_model(model, args.out)
@@ -260,7 +252,7 @@ def cmd_crossval(args: argparse.Namespace) -> None:
 
     config = _train_config(args)
     measures = _measures(args.measure, evaluation.DEFAULT_MEASURES)
-    gold = corpus.load_gold(_resolve(_single(args.input, "--input")))
+    gold = corpus.load_gold(_single(args.input, "--input"))
     prepared = evaluation.prepare(gold, min_df=args.min_df)
     result = evaluation.cross_validate(prepared, args.variant, config, args.k, measures)
     rows = _crossval_rows(result)
@@ -272,8 +264,7 @@ def cmd_crossval(args: argparse.Namespace) -> None:
         "rows": rows,
         "pooled_matrix": result.pooled.counts.tolist(),
     }
-    csv_rows = [{k: v for k, v in row.items() if k != "per_fold"} for row in rows]
-    _emit(args, payload, csv_rows, ["measure", "mean", "low", "high"])
+    _emit(args, payload, rows, ["measure", "mean", "low", "high"])
 
 
 def cmd_curve(args: argparse.Namespace) -> None:
@@ -281,7 +272,7 @@ def cmd_curve(args: argparse.Namespace) -> None:
 
     config = _train_config(args)
     measures = _measures(args.measure, evaluation.DEFAULT_MEASURES)
-    gold = corpus.load_gold(_resolve(_single(args.input, "--input")))
+    gold = corpus.load_gold(_single(args.input, "--input"))
     curve = evaluation.learning_curve(gold, args.variant, config, args.step, args.k, measures, min_df=args.min_df)
     rows = []
     for point in curve.points:
@@ -296,8 +287,7 @@ def cmd_curve(args: argparse.Namespace) -> None:
         "rows": rows,
         "skipped": [{"prefix_size": size, "reason": reason} for size, reason in curve.skipped],
     }
-    csv_rows = [{k: v for k, v in row.items() if k != "per_fold"} for row in rows]
-    _emit(args, payload, csv_rows, ["prefix_size", "measure", "mean", "low", "high"])
+    _emit(args, payload, rows, ["prefix_size", "measure", "mean", "low", "high"])
 
 
 def cmd_compare(args: argparse.Namespace) -> None:
@@ -311,7 +301,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
     variants = _VARIANT_CHOICES
     scores = []
     for path in args.input:
-        prepared = evaluation.prepare(corpus.load_gold(_resolve(path)), min_df=args.min_df)
+        prepared = evaluation.prepare(corpus.load_gold(path), min_df=args.min_df)
         evaluation._train_planes(prepared, variants, config, args.k)  # every variant's planes in one deal
         scores.append([
             evaluation.cross_validate(prepared, variant, config, args.k, (measure,)).summaries[measure].mean
@@ -427,6 +417,10 @@ def main(argv: list[str] | None = None) -> int:
         args = build_parser().parse_args(argv)
         if args.command in ("merge", "train") and args.out == "-":
             raise UsageError(f"{args.command} writes files and needs --out FILE, not '-'")
+        args.input = [_resolve(path) for path in args.input]
+        out = Path(args.out)
+        if args.out != "-" and out.exists() and any(path.exists() and out.samefile(path) for path in args.input):
+            raise UsageError(f"--out would write {out}, which is the --input file")
         args.func(args)
     except SentagreeError as exc:
         message = " ".join(str(exc).split())

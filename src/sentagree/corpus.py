@@ -75,24 +75,10 @@ from pathlib import Path
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import CorpusFormatError, _check_count
 
-__all__ = [
-    "SentimentLabel",
-    "PairKind",
-    "AnnotationRecord",
-    "LabelPair",
-    "GoldPost",
-    "AnnotationTable",
-    "GoldTable",
-    "PairTable",
-    "load_annotations",
-    "load_gold",
-    "save_gold",
-    "extract_pairs",
-    "merge_gold",
-    "time_ordered_chunks",
-]
+__all__ = _EXPORTS["corpus"].split()
 
 #: Accepted header names of each column, lowercase, in order of preference.
 _COLUMNS = {

@@ -11,15 +11,9 @@ from __future__ import annotations
 
 from numbers import Integral
 
-__all__ = [
-    "SentagreeError",
-    "CorpusFormatError",
-    "UndefinedMeasureError",
-    "VocabularyError",
-    "ModelFormatError",
-    "FoldPlanError",
-    "EvaluationError",
-]
+from . import _EXPORTS
+
+__all__ = _EXPORTS["errors"].split()
 
 
 class SentagreeError(ValueError):

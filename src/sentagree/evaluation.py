@@ -54,6 +54,7 @@ from typing import BinaryIO
 
 import numpy as np
 
+from . import _EXPORTS
 from .agreement import CoincidenceMatrix, Measure, _cells, compute_measure, matrix_from_cells
 from .classify import (
     LinearModel, SentimentModel, TrainConfig, Variant, _plane_keys, _solve_plane, predict_batch, train_sentiment,
@@ -62,20 +63,7 @@ from .corpus import GoldPost, SentimentLabel, _gold_table, _not_codes, time_orde
 from .errors import CorpusFormatError, EvaluationError, FoldPlanError, _check_count
 from .features import CountRows, Vocabulary, count_vector, normalize, vocabulary_from_token_docs
 
-__all__ = [
-    "DEFAULT_MEASURES",
-    "FoldPlan",
-    "PreparedCorpus",
-    "MeasureSummary",
-    "CrossValResult",
-    "CurvePoint",
-    "LearningCurve",
-    "plan_folds",
-    "prepare",
-    "score_predictions",
-    "cross_validate",
-    "learning_curve",
-]
+__all__ = _EXPORTS["evaluation"].split()
 
 logger = logging.getLogger(__name__)
 

@@ -49,20 +49,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import VocabularyError, _check_count
 
-__all__ = [
-    "NORMALIZER_VERSION",
-    "EMOTICONS",
-    "normalize",
-    "english_suffix_stem",
-    "CountRows",
-    "Vocabulary",
-    "expand_terms",
-    "vocabulary_from_token_docs",
-    "count_vector",
-    "delta_weights",
-]
+__all__ = _EXPORTS["features"].split()
 
 NORMALIZER_VERSION = 1
 

@@ -30,16 +30,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import _EXPORTS
 from .errors import _check_count, _is_integer
 
-__all__ = [
-    "ScoreTable",
-    "RankSummary",
-    "RankReport",
-    "friedman",
-    "nemenyi_cd",
-    "compare_ranks",
-]
+__all__ = _EXPORTS["ranking"].split()
 
 #: q_0.05(k) for the Nemenyi test, k = 2..10, infinite df.
 _Q_TABLE = (1.960, 2.343, 2.569, 2.728, 2.850, 2.949, 3.031, 3.102, 3.164)

@@ -431,6 +431,23 @@ def test_ordering_diagnostics_needs_all_subsets() -> None:
         ordering_diagnostics(pairs)
 
 
+@pytest.mark.parametrize(
+    ("function", "pairs", "message"),
+    [
+        (bootstrap_ci, [], "bootstrap_ci needs at least one pair"),
+        (ordering_diagnostics, [], "ordering diagnostics need at least one pair"),
+        (ordering_diagnostics, [(0, 0), (0, 1), (-1, 0), (0, 0)], "no pairs with both labels in {negative, positive}"),
+        (ordering_diagnostics, [(-1, 1), (0, 0), (0, 0), (-1, 0), (0, 1)],
+         "distinguishability ratios are undefined: alpha over {negative, positive} is zero"),
+    ],
+    ids=["bootstrap-no-pairs", "ordering-no-pairs", "ordering-no-extremes", "ordering-extremes-alpha-zero"],
+)
+def test_measures_without_the_pairs_they_need_say_why(function, pairs, message) -> None:
+    args = (pairs, Measure.ACCURACY) if function is bootstrap_ci else (pairs,)
+    with pytest.raises(UndefinedMeasureError, match=f"^{re.escape(message)}$"):
+        function(*args)
+
+
 def test_sentiment_score() -> None:
     assert sentiment_score({-1: 1, 0: 0, 1: 3}) == pytest.approx(0.5)
     score = sentiment_score({-1: 6246, 0: 14217, 1: 3145})

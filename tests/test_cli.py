@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import errno
 import json
 import os
 import re
@@ -169,6 +170,26 @@ def test_ordering_average_skips_excluded(tmp_path, capsys):
     for key in ("relative_gain", "dist_neg_neutral", "dist_pos_neutral"):
         assert rows[2][key] == rows[0][key]  # average over the single kept set
         assert rows[1][key] is not None  # excluded sets are still reported
+
+
+@pytest.mark.parametrize(
+    "pairs",
+    [[], [(0, 0), (0, 1), (-1, 0), (0, 0)], [(-1, 1), (0, 0), (0, 0), (-1, 0), (0, 1)]],
+    ids=["no-pairs", "no-extremes", "extremes-alpha-zero"],
+)
+def test_ordering_reports_a_dataset_without_diagnostics_as_excluded(pairs, tmp_path, capsys):
+    kept = write_pair_table(tmp_path / "one.csv", MIXED_PAIRS)
+    if pairs:
+        undefined = write_pair_table(tmp_path / "two.csv", pairs)
+    else:  # one annotation per post: no pairs at all
+        undefined = write_table(tmp_path / "two.csv", [("p0", "Positive", "ann1", "2014-01-01 10:00:00", "text")])
+    code, out, err = run(["ordering", "--input", str(kept), "--input", str(undefined)], capsys)
+    assert (code, err) == (0, "")
+    rows = json.loads(out)["rows"]
+    assert [r["dataset"] for r in rows] == ["one", "two", "AVERAGE"]
+    assert rows[1] == {"dataset": "two", "relative_gain": None, "dist_neg_neutral": None,
+                       "dist_pos_neutral": None, "excluded": True}
+    assert rows[2]["relative_gain"] == rows[0]["relative_gain"]  # the average is over the first set alone
 
 
 
@@ -500,6 +521,36 @@ def test_compare_deals_each_datasets_planes_in_one_fork_per_worker(tmp_path, cap
     assert planes.value == datasets * 7 * k
 
 
+def open_descriptors() -> list[str] | None:
+    """The file descriptors this process holds, where the platform lists them."""
+    return sorted(os.listdir("/proc/self/fd")) if sys.platform == "linux" else None
+
+
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_a_fork_that_fails_leaves_the_caller_to_train_every_plane(cpus, tmp_path, capsys, monkeypatch):
+    forks = []
+
+    def fork():
+        forks.append(1)
+        raise OSError(errno.EAGAIN, os.strerror(errno.EAGAIN))
+
+    monkeypatch.setattr(os, "fork", fork)
+    for command in ("crossval", "compare"):
+        argv = dealing_argv(command, tmp_path)
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
+        code, one_cpu, err = run(argv, capsys)
+        assert code == 0 and err == "" and forks == []
+        monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+        before = open_descriptors()
+        code, out, err = run(argv, capsys)
+        assert (code, out, err) == (0, one_cpu, "")
+        assert open_descriptors() == before  # both ends of each worker's pipe were closed
+        assert forks, "no worker was asked for"
+        forks.clear()
+    with pytest.raises(ChildProcessError):  # no child process, running or ended, is left
+        os.waitpid(-1, os.WNOHANG)
+
+
 def source_env() -> dict[str, str]:
     """The environment of a child interpreter that imports this checkout's package."""
     source_root = str(Path(cli.__file__).resolve().parent.parent)
@@ -774,26 +825,51 @@ def test_file_writing_commands_reject_stdout(command, out, annotations_csv, tmp_
     assert sorted(p.name for p in tmp_path.iterdir()) == [annotations_csv.name]
 
 
-@pytest.mark.parametrize("spelling", ["same", "dotted"])
-def test_merge_refuses_to_write_over_its_input(spelling, annotations_csv, capsys):
-    out = annotations_csv if spelling == "same" else annotations_csv.parent / "." / annotations_csv.name
+def refused(argv, capsys) -> str:
+    """The error line of ``argv``, a run that must fail and print nothing."""
+    code, stdout, err = run(argv, capsys)
+    assert (code, stdout) == (1, ""), argv
+    return err
+
+
+@pytest.mark.parametrize("spelling", ["same", "dotted", "data-dir"])
+def test_merge_refuses_to_write_over_its_input(spelling, annotations_csv, tmp_path_factory, monkeypatch, capsys):
+    # so do agreement and ordering, the other commands that read an annotation table
+    out = annotations_csv if spelling != "dotted" else annotations_csv.parent / "." / annotations_csv.name
+    source = str(annotations_csv)
+    if spelling == "data-dir":  # the input is found through the data directory
+        monkeypatch.chdir(tmp_path_factory.mktemp("elsewhere"))
+        monkeypatch.setenv("SENTAGREE_DATA_DIR", str(annotations_csv.parent))
+        source = annotations_csv.name
+    other = tmp_path_factory.mktemp("other") / "other.csv"
+    other.write_bytes(annotations_csv.read_bytes())
     before = annotations_csv.read_bytes()
-    code, stdout, err = run(["merge", "--input", str(annotations_csv), "--out", str(out)], capsys)
-    assert (code, stdout) == (1, "")
-    assert re.fullmatch(r"error: usage: --out would write .*mini\.csv, which is the --input file\n", err)
+    for argv in (["agreement", "--input", str(other)], ["ordering", "--input", str(other)], ["merge"]):
+        err = refused([*argv, "--input", source, "--out", str(out)], capsys)
+        assert re.fullmatch(r"error: usage: --out would write .*mini\.csv, which is the --input file\n", err), argv
     assert annotations_csv.read_bytes() == before
     assert sorted(p.name for p in annotations_csv.parent.iterdir()) == ["mini.csv"]
 
 
-@pytest.mark.parametrize("spelling", ["model", "dotted"])
-def test_train_refuses_to_write_over_its_input(spelling, gold_csv, tmp_path, capsys):
+@pytest.mark.parametrize("spelling", ["model", "dotted", "data-dir"])
+def test_train_refuses_to_write_over_its_input(spelling, gold_csv, tmp_path, tmp_path_factory, monkeypatch, capsys):
+    # so do crossval, curve and compare, the other commands that read a gold table
     source = tmp_path / "model.txt"
     source.write_bytes(gold_csv.read_bytes())
     gold_csv.unlink()
-    out = source if spelling == "model" else tmp_path / "." / source.name
-    code, stdout, err = run(["train", "--input", str(source), "--out", str(out)], capsys)
-    assert (code, stdout) == (1, "")
-    assert re.fullmatch(rf"error: usage: --out would write .*{source.name}, which is the --input file\n", err)
+    out = source if spelling != "dotted" else tmp_path / "." / source.name
+    name = str(source)
+    if spelling == "data-dir":  # the input is found through the data directory
+        monkeypatch.chdir(tmp_path_factory.mktemp("elsewhere"))
+        monkeypatch.setenv("SENTAGREE_DATA_DIR", str(tmp_path))
+        name = source.name
+    other = tmp_path_factory.mktemp("other") / "other.csv"
+    other.write_bytes(source.read_bytes())
+    before = source.read_bytes()
+    for argv in (["train"], ["crossval"], ["curve"], ["compare", "--input", str(other)]):
+        err = refused([*argv, "--input", name, "--out", str(out)], capsys)
+        assert re.fullmatch(rf"error: usage: --out would write .*{source.name}, which is the --input file\n", err), argv
+    assert source.read_bytes() == before
     assert [p.name for p in tmp_path.iterdir()] == [source.name]
     assert corpus.load_gold(source)  # still the gold table
 

@@ -110,6 +110,30 @@ def test_star_import_binds_every_public_name() -> None:
     assert sorted(set(namespace) - {"__builtins__"}) == sentagree.__all__
 
 
+@pytest.mark.parametrize("module", sorted(PUBLIC))
+def test_a_submodules_star_import_binds_its_public_names(module) -> None:
+    namespace: dict = {}
+    exec(f"from sentagree.{module} import *", namespace)
+    assert sorted(set(namespace) - {"__builtins__"}) == sorted(PUBLIC[module])
+
+
+#: Names each submodule defines for the other modules and for its tests, outside ``__all__``.
+UNLISTED = {
+    "agreement": ["LABEL_ORDER", "matrix_from_cells", "pair_cells"],
+    "classify": ["BinTable", "NaiveBayesTable", "SubspaceTable"],
+    "corpus": ["AnnotationTable", "PairTable"],
+    "evaluation": ["MeasureSummary", "PreparedCorpus"],
+    "features": ["EMOTICONS", "NORMALIZER_VERSION", "expand_terms"],
+}
+
+
+@pytest.mark.parametrize("module", sorted(UNLISTED))
+def test_names_outside_all_still_import_by_name(module) -> None:
+    source = importlib.import_module(f"sentagree.{module}")
+    for name in UNLISTED[module]:
+        assert hasattr(source, name) and name not in source.__all__ and not hasattr(sentagree, name), name
+
+
 def test_dir_lists_the_public_names_and_submodules() -> None:
     listed = dir(sentagree)
     assert set(sentagree.__all__) | set(SUBMODULES) <= set(listed)
