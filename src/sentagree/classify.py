@@ -471,14 +471,10 @@ def _predict_block(model: SentimentModel, rows: CountRows) -> tuple[np.ndarray, 
     return codes, no_confidence
 
 
-def _train_plane(
-    rows: CountRows,
-    labels: np.ndarray,
-    neg_side: tuple[int, ...],
-    pos_side: tuple[int, ...],
-    config: TrainConfig,
-) -> LinearModel:
-    """Train one binary plane on its label subset with its own weights.
+def _train_plane(rows: CountRows, labels: np.ndarray, key: tuple, config: TrainConfig) -> LinearModel:
+    """Train the plane of memo ``key`` on the rows of its two sides'
+    labels, with its own weights; for :data:`_VALIDATION_PLANE`, only on
+    those in the validation split's training part.
 
     The raw count rows of the plane's examples go to
     :func:`train_binary` with the class-ratio weights computed from this
@@ -486,9 +482,11 @@ def _train_plane(
     weights in ``weights``, so its decision function applies to raw
     count rows.
     """
-    members = np.flatnonzero(np.isin(labels, neg_side + pos_side))
-    if members.size == 0:
-        raise EvaluationError(f"no examples for plane {neg_side} vs {pos_side}")
+    neg_side, pos_side = key[-2:]
+    in_plane = np.isin(labels, neg_side + pos_side)
+    if key == _VALIDATION_PLANE:
+        in_plane[_validation_split(labels, config.seed)[1]] = False
+    members = np.flatnonzero(in_plane)
     plane_rows = rows.select(members)
     positive = np.isin(labels[members], pos_side)
     gamma = delta_weights(plane_rows, positive)
@@ -516,16 +514,6 @@ def _validation_split(labels: np.ndarray, seed: int) -> tuple[np.ndarray, np.nda
     mask = np.ones(labels.size, dtype=bool)
     mask[val_idx] = False
     return np.flatnonzero(mask), val_idx
-
-
-def _solve_plane(rows: CountRows, labels: np.ndarray, key: tuple, config: TrainConfig) -> LinearModel:
-    """Train the plane of memo ``key`` on ``rows``: its sides on all of
-    them, or, for :data:`_VALIDATION_PLANE`, on the validation split's
-    training part."""
-    if key == _VALIDATION_PLANE:
-        train_idx, _ = _validation_split(labels, config.seed)
-        rows, labels = rows.select(train_idx), labels[train_idx]
-    return _train_plane(rows, labels, *key[-2:], config)
 
 
 def _tune_neutral_zone(
@@ -569,7 +557,8 @@ def train_sentiment(
     (negative side, positive side) to a plane trained on these rows,
     labels and config, and ``("validation", (-1,), (1,))`` to
     ``NeutralZoneSVM``'s plane, trained on a validation subset of them;
-    a plane found there is reused and each plane trained is added.
+    a plane found there is reused, and :func:`_train_plane` trains each
+    missing one into it.
     """
     variant = Variant(variant)
     if not len(rows):
@@ -596,7 +585,7 @@ def train_sentiment(
     memo = {} if memo is None else memo
     for key in _plane_keys(variant):
         if key not in memo:
-            memo[key] = _solve_plane(rows, label_arr, key, config)
+            memo[key] = _train_plane(rows, label_arr, key, config)
     planes = {name: memo[key] for name, key in _PLANE_SIDES[variant].items()}
     if variant is Variant.NEUTRAL_ZONE:
         zone = _tune_neutral_zone(rows, label_arr, config, planes["polarity"])

@@ -645,24 +645,31 @@ def merge_gold(records: Sequence[AnnotationRecord]) -> GoldTable:
     )
 
 
+def _time_ordered(table: GoldTable) -> GoldTable:
+    """``table`` by date when every post has one, equal dates in their
+    given order, else as given: itself if already so, as a merged table is."""
+    dates = table.dates
+    if None in dates or all(map(le, dates, dates[1:])):
+        return table
+    return table[np.array(sorted(range(len(table)), key=dates.__getitem__), dtype=np.intp)]
+
+
 def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> tuple[Sequence[GoldPost], tuple[int, ...]]:
     """The posts in time order, and the sizes step, 2*step, ..., n of
     its growing prefixes; the last is always ``n``, the full corpus.
 
     Posts are ordered by timestamp when every post carries one, posts
     with equal timestamps in their given order; otherwise the given
-    order is kept.  A :class:`GoldTable` gives a table, itself when it
-    is in that order already; a list gives a list.
+    order is kept, as by :func:`~sentagree.evaluation.prepare`.  A
+    :class:`GoldTable` gives a table, itself when it is in that order
+    already; a list gives a list.
     Dates with a UTC offset next to dates without one raise
     :class:`CorpusFormatError`, as in a table.
     """
     _check_count("step", step, 1, CorpusFormatError)
     sizes = (*range(step, len(gold), step), len(gold))
     if isinstance(gold, GoldTable):  # its dates were checked when it was read or merged
-        dates = gold.dates
-        if None in dates or all(map(le, dates, dates[1:])):  # a merged table is in time order already
-            return gold, sizes
-        return gold[np.array(sorted(range(len(gold)), key=dates.__getitem__), dtype=np.intp)], sizes
+        return _time_ordered(gold), sizes
     _check_offsets(gold)
     posts = list(gold)
     if all(p.timestamp is not None for p in posts):

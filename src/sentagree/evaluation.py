@@ -8,17 +8,17 @@ vocabulary, per-plane term statistics, and planes all come from the
 training folds only, so no test-fold document leaks into feature
 construction.
 
-A prepared corpus keeps only its counts against its vocabulary at
-``min_df``, its label codes, that vocabulary and ``min_df``.  A fold
-selects from the counts the columns that at least ``min_df`` of its
-training rows contain, which is exact since every such term is in that
-vocabulary.  All variants and learning-curve prefixes share the counts
-and one memo: a plane is trained once per (prefix size, k, fold, memo
-key, config).
+A prepared corpus keeps only its posts' counts, in time order, against
+its vocabulary, their label codes and that vocabulary, which holds the
+one ``min_df``.  A fold selects from the counts the columns that at
+least ``min_df`` of its training rows contain, which is exact since
+every such term is in that vocabulary.  All variants and learning-curve
+prefixes share the counts and one memo: a plane is trained once per
+(prefix size, k, fold, memo key, config), always by ``_train_plane``.
 
-:func:`_train_planes` is the one place that trains a plane.  Every
-(size, fold, plane) triple the memo lacks is listed in prefix and fold
-order and cut into contiguous runs of about equal training rows, one
+:func:`_train_planes` deals the planes.  Every (size, fold, plane)
+triple the memo lacks is listed in prefix and fold order and cut into
+contiguous runs of about equal training rows, one
 per CPU the process may run on (``os.sched_getaffinity``), with no
 setting.  The caller trains the first run and forked workers the
 others, each holding one fold's training rows at a time, and the
@@ -54,12 +54,10 @@ from typing import BinaryIO
 
 import numpy as np
 
-from . import _EXPORTS
+from . import _EXPORTS, classify
 from .agreement import CoincidenceMatrix, Measure, _cells, compute_measure, matrix_from_cells
-from .classify import (
-    LinearModel, SentimentModel, TrainConfig, Variant, _plane_keys, _solve_plane, predict_batch, train_sentiment,
-)
-from .corpus import GoldPost, SentimentLabel, _gold_table, _not_codes, time_ordered_chunks
+from .classify import LinearModel, SentimentModel, TrainConfig, Variant, _plane_keys, predict_batch, train_sentiment
+from .corpus import GoldPost, SentimentLabel, _gold_table, _not_codes, _time_ordered, time_ordered_chunks
 from .errors import CorpusFormatError, EvaluationError, FoldPlanError, _check_count
 from .features import CountRows, Vocabulary, count_vector, normalize, vocabulary_from_token_docs
 
@@ -171,8 +169,8 @@ class CrossValResult:
 class PreparedCorpus:
     """A corpus normalized, given a vocabulary and counted once.
 
-    ``counts`` holds one row per post against ``vocab``, the vocabulary
-    of the whole corpus at ``min_df``, and ``labels`` their label codes.
+    ``counts`` holds one row per post, in time order, against ``vocab``,
+    the vocabulary of the whole corpus, and ``labels`` their label codes.
     :func:`cross_validate` memoizes its planes here by (size, k, fold,
     config) and then memo key; the fold plan at ``k`` of the first
     ``size`` posts fixes each fold's rows.  :meth:`head` shares the memo.
@@ -181,7 +179,6 @@ class PreparedCorpus:
     vocab: Vocabulary
     counts: CountRows
     labels: np.ndarray
-    min_df: int
     _planes: dict[tuple, dict[tuple, LinearModel]] = field(default_factory=dict, repr=False)
 
     def head(self, n: int) -> PreparedCorpus:
@@ -193,21 +190,22 @@ class PreparedCorpus:
         counts, end = self.counts, int(self.counts.indptr[n])
         # the first rows of checked counts are valid rows
         rows = CountRows._trusted(counts.indptr[: n + 1], counts.indices[:end], counts.values[:end], counts.dim)
-        return PreparedCorpus(self.vocab, rows, self.labels[:n], self.min_df, self._planes)
+        return PreparedCorpus(self.vocab, rows, self.labels[:n], self._planes)
 
 
 def prepare(gold: Sequence[GoldPost], min_df: int = 5) -> PreparedCorpus:
-    """Normalize every post once, without stemming, build the unigram
-    and bigram vocabulary of the whole corpus at ``min_df`` and count
-    every post against it once; the first post without text raises
-    :class:`CorpusFormatError`."""
-    table = _gold_table(gold)
+    """Put the posts in time order (by date when every post has one,
+    equal dates in their given order, otherwise as given), normalize each
+    once, without stemming, build the unigram and bigram vocabulary of
+    the whole corpus at ``min_df`` and count every post against it once;
+    the first post without text raises :class:`CorpusFormatError`."""
+    table = _time_ordered(_gold_table(gold))
     if None in table.texts:
         raise CorpusFormatError(f"post {table.post_ids[table.texts.index(None)]!r} has no text")
     docs = [normalize(text) for text in table.texts]
     vocab = vocabulary_from_token_docs(docs, min_df=min_df)
     counts = CountRows.stack([count_vector(doc, vocab) for doc in docs])
-    return PreparedCorpus(vocab, counts, table.label.astype(np.int64), min_df)
+    return PreparedCorpus(vocab, counts, table.label.astype(np.int64))
 
 
 def _cpus() -> int:
@@ -225,7 +223,7 @@ def _fold_rows(corpus: PreparedCorpus, plan: FoldPlan, fold: int) -> tuple[np.nd
     in_train[train_idx] = True
     # a row holds each column at most once, so its training entries count documents
     doc_freq = np.bincount(counts.indices[np.repeat(in_train, np.diff(counts.indptr))], minlength=corpus.vocab.dim)
-    keep = np.flatnonzero(doc_freq >= corpus.min_df)
+    keep = np.flatnonzero(doc_freq >= corpus.vocab.min_df)
     return train_idx, keep, doc_freq[keep]
 
 
@@ -258,7 +256,7 @@ def _solve_share(
                 prefix = corpus.head(size)
                 train_idx, keep, _ = _fold_rows(prefix, plans[size], fold)
                 held = (size, fold), prefix.counts.select(train_idx, keep), prefix.labels[train_idx]
-            planes[size, fold, key] = _solve_plane(held[1], held[2], key, config)
+            planes[size, fold, key] = classify._train_plane(held[1], held[2], key, config)
         except Exception:
             break
     return planes
@@ -352,15 +350,15 @@ def cross_validate(
 ) -> CrossValResult:
     """Evaluate one classifier variant by blocked stratified k-fold CV.
 
-    The corpus, made by :func:`prepare`, must already be in time order
-    (as produced by the gold merger).  Every fold takes its vocabulary
-    and per-plane term statistics from the training folds alone; a plane
-    an earlier run on the same corpus trained is reused.  The planes the
-    memo lacks are trained across the CPUs the process may run on (see
-    the module docstring).  ``on_fold`` is a diagnostics hook called
-    in the caller with ``(fold_index, vocabulary, model)``, in fold order,
-    after the fold trains; only it gets a fold vocabulary built, and the
-    models, never saved, carry no vocabulary.
+    The corpus is made by :func:`prepare`, which puts it in time order.
+    Every fold takes its vocabulary and per-plane term statistics from
+    the training folds alone; a plane an earlier run on the same corpus
+    trained is reused.  The planes the memo lacks are trained across the
+    CPUs the process may run on (see the module docstring).  ``on_fold``
+    is a diagnostics hook called in the caller with ``(fold_index,
+    vocabulary, model)``, in fold order, after the fold trains; only it
+    gets a fold vocabulary built, and the models, never saved, carry no
+    vocabulary.
 
     Any failure inside a fold -- training, prediction, or an undefined
     measure -- is re-raised with the index of the lowest failing fold
@@ -369,7 +367,7 @@ def cross_validate(
     variant = Variant(variant)
     measures = tuple(Measure(m) for m in measures)
     plan = plan_folds(corpus.labels, k)
-    vocab, counts, labels, min_df = corpus.vocab, corpus.counts, corpus.labels, corpus.min_df
+    vocab, counts, labels = corpus.vocab, corpus.counts, corpus.labels
     _train_planes(corpus, (variant,), config, plan.k)
     memos = [corpus._planes[len(labels), plan.k, fold, config] for fold in range(plan.k)]
 
@@ -383,7 +381,7 @@ def cross_validate(
             model = train_sentiment(rows, labels[train_idx], variant, config, memo=memos[fold])
             if on_fold is not None:
                 terms = tuple(vocab.terms[i] for i in keep.tolist())
-                on_fold(fold, Vocabulary(terms, doc_freq, int(train_idx.size), min_df, vocab.ngrams), model)
+                on_fold(fold, Vocabulary(terms, doc_freq, int(train_idx.size), vocab.min_df, vocab.ngrams), model)
             matrix = score_predictions(predict_batch(model, counts.select(test_idx, keep)), labels[test_idx])
             for measure in measures:
                 per_fold[measure][fold] = compute_measure(matrix, measure)
@@ -423,12 +421,13 @@ def learning_curve(
     """Cross-validate growing time-ordered prefixes of the corpus.
 
     Prefix sizes are ``step, 2*step, ...`` up to the full corpus (the
-    final point always covers the whole corpus, so it equals a direct
-    :func:`cross_validate` run).  The corpus is put in time order and
-    prepared once, and each prefix is a view of its first rows.  Prefixes
-    smaller than ``k * (number of classes)`` or otherwise unsplittable are
-    skipped with a logged notice and reported in ``skipped``; the planes
-    of all the others are trained in one deal.
+    final point always covers the whole corpus, so it equals
+    :func:`cross_validate` of :func:`prepare` of ``gold``, in any order).
+    The corpus is put in time order and prepared once, and each prefix
+    is a view of its first rows.  Prefixes smaller than ``k * (number of
+    classes)`` or otherwise unsplittable are skipped with a logged notice
+    and reported in ``skipped``; the planes of all the others are
+    trained in one deal.
     """
     _check_count("k", k, 2, FoldPlanError)
     posts, sizes = time_ordered_chunks(gold, step)

@@ -192,15 +192,7 @@ def compare_ranks(summary: RankSummary) -> RankReport:
     order = np.argsort(summary.avg_ranks, kind="stable")
     ranks = summary.avg_ranks[order]
     names = [summary.classifier_names[j] for j in order]
-    intervals: list[tuple[int, int]] = []
-    for start in range(len(order)):
-        end = start
-        while end + 1 < len(order) and ranks[end + 1] - ranks[start] < cd:
-            end += 1
-        intervals.append((start, end))
-    maximal = [
-        (s, e) for s, e in intervals
-        if not any((s2 <= s and e <= e2) and (s2, e2) != (s, e) for s2, e2 in intervals)
-    ]
-    groups = tuple(tuple(names[s : e + 1]) for s, e in dict.fromkeys(maximal))
+    # the run within cd from each rank; ranks are sorted, so a run is in no other iff it is first or ends later
+    ends = [max(e for e in range(s, len(names)) if ranks[e] - ranks[s] < cd) for s in range(len(names))]
+    groups = tuple(tuple(names[s : e + 1]) for s, e in enumerate(ends) if s == 0 or e > ends[s - 1])
     return RankReport(summary=summary, cd=cd, significant=significant, groups=groups)

@@ -334,6 +334,25 @@ def vocabulary_brute(docs, min_df, ngrams):
     return terms, [doc_freq[term] for term in terms]
 
 
+def rank_groups_reference(avg_ranks, names, cd):
+    """The critical-difference groups by the pairwise rule: every run of
+    sorted ranks whose span from its first stays below ``cd``, less each
+    run that another contains, each kept once, best-ranked first."""
+    order = np.argsort(avg_ranks, kind="stable")
+    ranks = [float(avg_ranks[j]) for j in order]
+    intervals = []
+    for start in range(len(order)):
+        end = start
+        while end + 1 < len(order) and ranks[end + 1] - ranks[start] < cd:
+            end += 1
+        intervals.append((start, end))
+    maximal = [
+        (s, e) for s, e in intervals
+        if not any((s2 <= s and e <= e2) and (s2, e2) != (s, e) for s2, e2 in intervals)
+    ]
+    return tuple(tuple(names[order[i]] for i in range(s, e + 1)) for s, e in dict.fromkeys(maximal))
+
+
 def _records_by_post(records):
     """Each post's records sorted by ``seq``, posts in order of first appearance."""
     groups = {}

@@ -183,6 +183,13 @@ def test_matrix_validation() -> None:
         CoincidenceMatrix(np.zeros((2, 2)))
 
 
+def test_matrix_with_an_infinite_count_is_rejected() -> None:
+    counts = np.zeros((3, 3))
+    counts[1, 1] = np.inf
+    with pytest.raises(ValueError, match="^coincidence matrix contains non-finite counts$"):
+        CoincidenceMatrix(counts)
+
+
 def test_measures_match_brute_force_on_random_sets() -> None:
     rng = np.random.default_rng(2024)
     for _ in range(200):
@@ -429,6 +436,11 @@ def test_ordering_diagnostics_needs_all_subsets() -> None:
     pairs = [(-1, -1), (0, 0), (-1, 0)] * 5  # no positive pairs at all
     with pytest.raises(UndefinedMeasureError):
         ordering_diagnostics(pairs)
+
+
+def test_ordering_diagnostics_of_a_zero_nominal_alpha_are_undefined() -> None:
+    with pytest.raises(UndefinedMeasureError, match="^relative gain is undefined: nominal alpha is zero$"):
+        ordering_diagnostics([(-1, 1)])
 
 
 @pytest.mark.parametrize(

@@ -274,6 +274,18 @@ def test_neutral_zone_handles_ordinal_geometry() -> None:
     assert predict_batch(model, stack(vectors)).tolist() == labels
 
 
+def test_neutral_zone_plane_is_trained_on_the_validation_splits_training_part() -> None:
+    rng = np.random.default_rng(2)
+    rows = stack([vec(rng.integers(0, 3, size=6).astype(float), 6) for _ in range(60)])
+    labels = rng.integers(-1, 2, size=60)
+    train_idx, val_idx = classify._validation_split(labels, seed=0)
+    assert val_idx.size > 0  # the split holds rows out
+    config = TrainConfig(seed=0)
+    plane = classify._train_plane(rows, labels, classify._VALIDATION_PLANE, config)
+    direct = classify._train_plane(rows.select(train_idx), labels[train_idx], ((-1,), (1,)), config)
+    assert np.array_equal(plane.weights, direct.weights) and plane.bias == direct.bias
+
+
 def tuned_zone(values: np.ndarray, gold: np.ndarray) -> float:
     """The zone ``_tune_neutral_zone`` picks when the held-out split is all
     of ``gold`` and the trained plane's decision values on it are ``values``."""

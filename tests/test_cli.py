@@ -6,6 +6,7 @@ import argparse
 import errno
 import json
 import os
+import random
 import re
 import signal
 import subprocess
@@ -456,6 +457,49 @@ def test_compare_counts_each_post_once(tmp_path, capsys, monkeypatch):
     code, _, err = run(argv, capsys)
     assert code == 0 and err == ""
     assert len(counted) == 45 + 48 + 51
+
+
+# --- time order ---------------------------------------------------------------
+
+
+def shuffled_twins(tmp_path, stems=("a",)) -> tuple[list[str], list[str]]:
+    """Dated gold tables saved in time order under ``sorted/`` and with
+    their rows shuffled under ``shuffled/``, the same stems in both."""
+    paths = {"sorted": [], "shuffled": []}
+    for seed, stem in enumerate(stems, start=5):
+        # the wide late lexicon keeps the scores below 1, so they show which rows each fold holds
+        posts = shift_corpus(90, shift_at=45, seed=seed)
+        for order, rows in (("sorted", posts), ("shuffled", random.Random(seed).sample(posts, len(posts)))):
+            (tmp_path / order).mkdir(exist_ok=True)
+            corpus.save_gold(rows, tmp_path / order / f"{stem}.csv")
+            paths[order].append(str(tmp_path / order / f"{stem}.csv"))
+    return paths["sorted"], paths["shuffled"]
+
+
+@pytest.mark.parametrize(("command", "stems", "flags"), [
+    ("crossval", ("a",), ["--variant", "TwoPlaneSVMbin", "--k", "5"]),
+    ("train", ("a",), ["--variant", "TwoPlaneSVMbin"]),
+    ("compare", ("a", "b"), ["--k", "3"]),
+])
+def test_a_table_with_shuffled_rows_gives_the_same_output(command, stems, flags, tmp_path, capsys):
+    outputs = []
+    for paths in shuffled_twins(tmp_path, stems):
+        out = tmp_path / f"{command}-{len(outputs)}.out"
+        code, _, err = run([command, *(arg for path in paths for arg in ("--input", path)), *flags,
+                            "--min-df", "2", "--out", str(out)], capsys)
+        assert code == 0 and err == ""
+        outputs.append(out.read_bytes())
+    assert outputs[0] == outputs[1]
+
+
+def test_curve_of_a_table_with_shuffled_rows_ends_in_its_crossval(tmp_path, capsys):
+    _, (path,) = shuffled_twins(tmp_path)
+    flags = ["--input", path, "--variant", "TwoPlaneSVMbin", "--k", "5", "--min-df", "2"]
+    code, out, _ = run(["curve", *flags, "--step", "40"], capsys)
+    assert code == 0
+    curve = [row for row in json.loads(out)["rows"] if row.pop("prefix_size") == 90]
+    code, out, _ = run(["crossval", *flags], capsys)
+    assert code == 0 and curve == json.loads(out)["rows"]
 
 
 # --- cross-validation across processes ---------------------------------------

@@ -103,6 +103,23 @@ def test_empty_file_rejected(tmp_path) -> None:
         load_annotations(empty)
 
 
+def test_a_date_of_spaces_is_no_date(tmp_path) -> None:
+    path = write_table(tmp_path / "spaces.csv", [("t1", "Positive", "a1", "  ", "hi")])
+    assert [(r.post_id, r.timestamp, r.text) for r in load_annotations(path)] == [("t1", None, "hi")]
+
+
+def test_a_row_of_empty_fields_is_skipped_and_takes_no_seq(tmp_path) -> None:
+    path = write_table(tmp_path / "blank.csv", [("t1", "Positive", "a1", "", "hi"), ("", "", "", "", ""),
+                                               ("t2", "Negative", "a2", "", "bye")])
+    assert [(r.post_id, r.seq) for r in load_annotations(path)] == [("t1", 0), ("t2", 1)]
+
+
+def test_load_gold_of_a_header_only_table_finds_no_posts(tmp_path) -> None:
+    path = write_table(tmp_path / "header.csv", [], header=("TweetID", "HandLabel", "Date", "Text"))
+    with pytest.raises(CorpusFormatError, match="no posts found$"):
+        load_gold(path)
+
+
 def test_bad_date_reports_line(tmp_path) -> None:
     path = write_table(
         tmp_path / "baddate.csv",

@@ -15,7 +15,7 @@ from hypothesis import strategies as st
 from sentagree import classify, evaluation
 from sentagree.agreement import Measure, build_coincidence
 from sentagree.classify import TrainConfig, Variant
-from sentagree.corpus import GoldPost, SentimentLabel
+from sentagree.corpus import GoldPost, GoldTable, SentimentLabel
 from sentagree.errors import CorpusFormatError, EvaluationError, FoldPlanError, VocabularyError
 from sentagree.evaluation import (
     cross_validate,
@@ -216,7 +216,7 @@ def test_count_corpus_from_posts() -> None:
     vocab, counts = prepared.vocab, prepared.counts
     assert vocab.terms == ("day",) and vocab.ngrams == (1, 2)
     assert (counts.indptr.tolist(), counts.indices.tolist(), counts.values.tolist()) == ([0, 1, 2], [0, 0], [1.0, 1.0])
-    assert prepared.labels.tolist() == [1, -1] and prepared.min_df == 2
+    assert prepared.labels.tolist() == [1, -1] and prepared.vocab.min_df == 2
     with pytest.raises(CorpusFormatError, match="post '3' has no text"):
         prepare([GoldPost("3", SentimentLabel.NEUTRAL)], min_df=1)
 
@@ -225,7 +225,7 @@ def test_prefix_of_a_prepared_corpus_is_a_view() -> None:
     prepared = prepare(make_gold([-1, 0, 1] * 10), min_df=1)
     head = prepared.head(7)
     assert head.labels.tolist() == prepared.labels[:7].tolist()
-    assert head.vocab is prepared.vocab and head.min_df == 1 and len(head.counts) == 7
+    assert head.vocab is prepared.vocab and head.vocab.min_df == 1 and len(head.counts) == 7
     assert np.shares_memory(head.labels, prepared.labels)
     for name in ("indptr", "indices", "values"):
         assert np.shares_memory(getattr(head.counts, name), getattr(prepared.counts, name))
@@ -236,6 +236,40 @@ def test_prefix_of_a_prepared_corpus_is_a_view() -> None:
     for n in (-1, 31, 2.0, True, np.float64(3)):
         with pytest.raises(ValueError, match="prefix size"):
             prepared.head(n)
+
+
+def _same_prepared(a, b) -> bool:
+    arrays = ("indptr", "indices", "values")
+    return (a.vocab.terms == b.vocab.terms and a.labels.tolist() == b.labels.tolist()
+            and all(np.array_equal(getattr(a.counts, name), getattr(b.counts, name)) for name in arrays))
+
+
+def four_posts(dates):
+    """Four posts of distinct labels and texts, dated ``dates``."""
+    texts = ["good day", "bad day", "fine day", "good night"]
+    return [GoldPost(f"p{i}", SentimentLabel(code), date, text)
+            for i, (code, date, text) in enumerate(zip([1, -1, 0, 1], dates, texts))]
+
+
+def test_prepare_puts_the_posts_in_time_order() -> None:
+    posts = four_posts([datetime(2014, 2, 1, hour) for hour in (3, 1, 2, 0)])
+    in_order = prepare([posts[i] for i in (3, 1, 2, 0)], min_df=1)
+    table = GoldTable(tuple(p.post_id for p in posts), np.array([int(p.label) for p in posts], dtype=np.int8),
+                      tuple(p.timestamp for p in posts), tuple(p.text for p in posts), np.ones(4, dtype=np.int64))
+    for gold in (posts, table, posts[::-1]):
+        assert _same_prepared(prepare(gold, min_df=1), in_order)
+
+
+@pytest.mark.parametrize("dates", [
+    [None] * 4,
+    [datetime(2014, 2, 1, hour) for hour in (3, 2, 1)] + [None],  # one post without a date
+    [datetime(2014, 2, 1)] * 4,
+])
+def test_prepare_keeps_the_given_order_of_undated_posts_and_of_equal_dates(dates) -> None:
+    posts = four_posts(dates)
+    prepared = prepare(posts, min_df=1)
+    assert prepared.labels.tolist() == [1, -1, 0, 1]
+    assert _same_rows(prepared.counts, [normalize(post.text) for post in posts], prepared.vocab)
 
 
 def see_cpus(monkeypatch, n: int) -> None:

@@ -3,11 +3,15 @@
 from __future__ import annotations
 
 import json
+from unittest import mock
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 from scipy import stats as sps
 
+from sentagree import ranking
 from sentagree.ranking import (
     RankSummary,
     ScoreTable,
@@ -15,6 +19,8 @@ from sentagree.ranking import (
     friedman,
     nemenyi_cd,
 )
+
+import oracles
 
 
 def make_table(scores) -> ScoreTable:
@@ -132,6 +138,11 @@ def test_nemenyi_cd_validation() -> None:
     assert nemenyi_cd(np.int64(3), np.int64(10)) == nemenyi_cd(3, 10)
 
 
+def test_score_table_needs_a_dataset_row() -> None:
+    with pytest.raises(ValueError, match="^need at least 1 dataset row$"):
+        ScoreTable(np.zeros((0, 3)), (), ("a", "b", "c"))
+
+
 def test_compare_ranks_boundary_is_inclusive() -> None:
     cd = nemenyi_cd(2, 6)
     exactly = compare_ranks(make_summary([1.0, 1.0 + cd], 6))
@@ -156,6 +167,27 @@ def test_compare_ranks_groups_are_maximal_runs() -> None:
     )
     all_close = compare_ranks(make_summary([1.0, 1.2, 1.4], 10))
     assert all_close.groups == (("clf0", "clf1", "clf2"),)
+
+
+@settings(max_examples=300, deadline=None)
+@given(halves=st.lists(st.integers(2, 20), min_size=2, max_size=10), data=st.data())
+def test_compare_ranks_groups_are_those_of_the_pairwise_rule(halves, data) -> None:
+    ranks = [half / 2 for half in halves]  # whole and half ranks, often tied
+    differences = sorted({abs(a - b) for a in ranks for b in ranks} - {0.0})
+    # a distance equal to a rank difference puts that pair in two groups
+    cd = data.draw(st.one_of(st.sampled_from(differences or [1.0]), st.floats(0.1, 10.0)))
+    summary = make_summary(ranks, 10)
+    with mock.patch.object(ranking, "nemenyi_cd", return_value=cd):
+        report = compare_ranks(summary)
+    assert report.cd == cd
+    assert report.groups == oracles.rank_groups_reference(summary.avg_ranks, summary.classifier_names, cd)
+
+
+def test_a_classifier_that_wins_on_every_dataset_differs_significantly() -> None:
+    table = ScoreTable(np.array([[0.9, 0.4]] * 5), tuple(f"data{i}" for i in range(5)), ("A", "B"))
+    report = compare_ranks(friedman(table)).to_dict()
+    assert report["cd"] == pytest.approx(0.877, abs=5e-4) and report["ranks"] == {"A": 1.0, "B": 2.0}
+    assert report["significant_pairs"] == [["A", "B"]] and report["groups"] == [["A"], ["B"]]
 
 
 def test_compare_ranks_orders_groups_by_rank() -> None:
