@@ -25,12 +25,17 @@ out of the block with ``select``, and its term weights scale the
 stored ``values`` array in one numpy op (the row layout of LIBLINEAR).
 ``||x~_i||^2``, like every decision value ``w . x`` of prediction, is
 summed sequentially per row with ``np.bincount``, not by a BLAS dot,
-whose kernel varies by CPU.  The coordinate loop runs on plain Python
-floats, not numpy: rows are lists of ``(index, value)`` pairs, ``w``
-and ``alpha`` are lists and ``C`` is one float, because numpy's
-per-call overhead dwarfs the arithmetic on rows of a few nonzeros.  ``w . x`` is summed left to right in an
-explicit loop (not ``sum()``, which compensates since Python 3.12, nor
-a BLAS dot), so a plane does not depend on the interpreter version.  A
+whose kernel varies by CPU.  Each epoch is one call of ``cd_epoch``,
+a C function in ``_cd.c`` compiled on first use (:func:`_load_kernel`).
+It does the IEEE double operations of the Python loop
+:func:`_python_epoch`, in the same order, built with no contraction of
+a multiply and an add into one rounding and no reassociation; ``w . x``
+is summed left to right (not by ``sum()``, which compensates since
+Python 3.12, nor by a BLAS dot).  So a plane has the same bits on
+either path and on any interpreter version.  The Python loop, on plain
+Python floats with rows as lists of ``(index, value)`` pairs, is the
+tests' reference and the fallback wherever no compiler, no private
+cache directory or no passing self-check is found.  A
 coordinate at a bound whose gradient points out of its box has
 projected gradient 0 and is skipped at once.  Each plane records
 whether it converged and its last epoch's largest projected gradient;
@@ -93,8 +98,13 @@ in index order.  Only term rows hold a tab.  Floats are written with
 
 from __future__ import annotations
 
+import ctypes
+import functools
+import hashlib
 import logging
 import math
+import os
+import sysconfig
 from collections.abc import Sequence
 from dataclasses import dataclass, field
 from enum import Enum
@@ -226,81 +236,212 @@ def train_binary(
         term_weights = np.asarray(term_weights, dtype=np.float64)
         if term_weights.shape != (dim,) or not np.isfinite(term_weights).all():
             raise EvaluationError(f"term weights must be {dim} finite values, one per dimension")
-    bound = float(config.cost)
-
-    # every row's pairs from the stored arrays; ||x~_i||^2 summed in order
-    indices, values, row_of = rows.indices, rows.values, rows.row_ids()
-    if term_weights is not None:
-        values = values * term_weights[indices]
+        values = rows.values * term_weights[rows.indices]
         keep = values != 0.0
-        indices, values, row_of = indices[keep], values[keep], row_of[keep]
-    q_diag = (np.bincount(row_of, weights=values * values, minlength=n) + 1.0).tolist()
-    ends = np.cumsum(np.bincount(row_of, minlength=n)).tolist()
-    pairs = list(zip(indices.tolist(), values.tolist()))
-    pair_rows = [pairs[start:end] for start, end in zip([0] + ends[:-1], ends)]
+        indptr = np.concatenate(([0], np.cumsum(np.bincount(rows.row_ids()[keep], minlength=n))))
+        rows = CountRows._trusted(indptr, rows.indices[keep], values[keep], dim)
 
-    # plain Python floats from here on (see the module docstring)
-    ys = y_arr.tolist()
-    w = [0.0] * dim
-    b = 0.0
-    alphas = [0.0] * n
-    gained = 0.0  # the dual objective, 0 at alpha = 0
-    objectives: list[float] = []
-    epochs_run = 0
-    rng = np.random.default_rng(config.seed)
-
-    for _ in range(config.max_epochs):
-        worst = 0.0
-        for i in rng.permutation(n).tolist():
-            row = pair_rows[i]
-            yi = ys[i]
-            wx = 0.0
-            for j, v in row:
-                wx += v * w[j]
-            grad = yi * (wx + b) - 1.0
-            ai = alphas[i]
-            # projected gradient 0: a bounded coordinate pushed out of its box
-            if ai <= 0.0:
-                if grad >= 0.0:
-                    continue
-            elif ai >= bound:
-                if grad <= 0.0:
-                    continue
-            elif grad == 0.0:
-                continue
-            magnitude = -grad if grad < 0.0 else grad
-            if magnitude > worst:
-                worst = magnitude
-            qi = q_diag[i]
-            new_ai = ai - grad / qi
-            if new_ai < 0.0:
-                new_ai = 0.0
-            if new_ai > bound:
-                new_ai = bound
-            d = new_ai - ai
-            if d != 0.0:
-                # the step's exact dual increase: d has the sign of -grad
-                # and |d| <= |grad| / qi, so it is never negative
-                gained += d * (-grad - 0.5 * qi * d)
-                step = d * yi
-                for j, v in row:
-                    w[j] += step * v
-                b += step
-                alphas[i] = new_ai
-        epochs_run += 1
-        objectives.append(gained)
-        if worst < config.tol:
-            break
-
-    weights = np.array(w)
+    weights, bias, objectives, worst = _descend(_epoch_kernel(), rows, y_arr, config)
     return LinearModel(
         weights=weights if term_weights is None else weights * term_weights,
-        bias=float(b),
-        dual_objectives=tuple(objectives),
-        epochs_run=epochs_run,
+        bias=bias,
+        dual_objectives=objectives,
+        epochs_run=len(objectives),
         converged=worst < config.tol,
         max_projected_gradient=worst,
     )
+
+
+def _descend(kernel, rows: CountRows, y: np.ndarray, config: TrainConfig) -> tuple[np.ndarray, float, tuple, float]:
+    """Dual coordinate descent on ``rows`` with float side labels ``y``:
+    the weights, the bias, the dual objective after every epoch and the
+    last epoch's largest projected-gradient magnitude.
+
+    Each epoch is one call of ``kernel``, the C ``cd_epoch``, or, when
+    ``kernel`` is ``None``, of :func:`_python_epoch`, its reference;
+    both see the same permutations and give the same bits.
+    """
+    n, dim, bound = len(rows), rows.dim, float(config.cost)
+    # ||x~_i||^2 summed in order per row
+    q_diag = np.bincount(rows.row_ids(), weights=rows.values * rows.values, minlength=n) + 1.0
+    rng = np.random.default_rng(config.seed)
+    if kernel is None:  # plain Python floats (see the module docstring)
+        pairs = list(zip(rows.indices.tolist(), rows.values.tolist()))
+        starts = rows.indptr.tolist()
+        problem = ([pairs[start:end] for start, end in zip(starts, starts[1:])], y.tolist(), q_diag.tolist(), bound)
+        w, alphas, state = [0.0] * dim, [0.0] * n, [0.0, 0.0]
+
+        def epoch() -> float:
+            return _python_epoch(rng.permutation(n).tolist(), *problem, w, alphas, state)
+    else:
+        # the arrays outlive every call of the kernel, which gets their addresses
+        arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in (rows.indptr, rows.indices)]
+        arrays += [np.ascontiguousarray(a, dtype=np.float64) for a in (rows.values, y, q_diag)]
+        w, alphas, state = np.zeros(dim), np.zeros(n), np.zeros(2)
+        inputs = [a.ctypes.data for a in arrays]
+        outputs = [a.ctypes.data for a in (w, alphas, state)]
+
+        def epoch() -> float:
+            order = rng.permutation(n)
+            return kernel(n, order.ctypes.data, *inputs, bound, *outputs)
+
+    objectives: list[float] = []
+    for _ in range(config.max_epochs):
+        worst = epoch()
+        objectives.append(float(state[1]))
+        if worst < config.tol:
+            break
+    return np.asarray(w, dtype=np.float64), float(state[0]), tuple(objectives), worst
+
+
+def _python_epoch(
+    order: list[int], pair_rows: list[list[tuple[int, float]]], ys: list[float], q_diag: list[float],
+    bound: float, w: list[float], alphas: list[float], state: list[float],
+) -> float:
+    """One epoch visiting the rows in ``order``: updates ``w``,
+    ``alphas`` and ``state`` (the bias and the dual objective) in place
+    and returns the epoch's largest projected-gradient magnitude.  The
+    reference of ``cd_epoch`` in ``_cd.c`` and the fallback where that
+    is unavailable."""
+    b, gained = state
+    worst = 0.0
+    for i in order:
+        row = pair_rows[i]
+        yi = ys[i]
+        wx = 0.0
+        for j, v in row:
+            wx += v * w[j]
+        grad = yi * (wx + b) - 1.0
+        ai = alphas[i]
+        # projected gradient 0: a bounded coordinate pushed out of its box
+        if ai <= 0.0:
+            if grad >= 0.0:
+                continue
+        elif ai >= bound:
+            if grad <= 0.0:
+                continue
+        elif grad == 0.0:
+            continue
+        magnitude = -grad if grad < 0.0 else grad
+        if magnitude > worst:
+            worst = magnitude
+        qi = q_diag[i]
+        new_ai = ai - grad / qi
+        if new_ai < 0.0:
+            new_ai = 0.0
+        if new_ai > bound:
+            new_ai = bound
+        d = new_ai - ai
+        if d != 0.0:
+            # the step's exact dual increase: d has the sign of -grad
+            # and |d| <= |grad| / qi, so it is never negative
+            gained += d * (-grad - 0.5 * qi * d)
+            step = d * yi
+            for j, v in row:
+                w[j] += step * v
+            b += step
+            alphas[i] = new_ai
+    state[:] = b, gained
+    return worst
+
+
+# --- the C epoch kernel: compiled once per machine, checked once per process --
+
+#: The kernel's source, shipped beside this module, and its compiler flags:
+#: none that lets the compiler fuse or reassociate floating-point operations.
+_KERNEL_SOURCE = Path(__file__).with_name("_cd.c")
+_KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+
+
+@functools.cache
+def _epoch_kernel():
+    """The C epoch kernel of this process, loaded on first use by
+    :func:`_load_kernel`; ``None`` where training runs the Python loop."""
+    return _load_kernel()
+
+
+def _load_kernel(compiler: Sequence[str] | None = None, cache: Path | None = None):
+    """``cd_epoch`` from the library compiled from :data:`_KERNEL_SOURCE`,
+    or ``None``, with the reason logged at DEBUG level.
+
+    The library lives in ``cache`` (default ``$XDG_CACHE_HOME/sentagree``,
+    else ``~/.cache/sentagree``, made with mode 0700) under the SHA-256
+    of the source, the flags and the platform.  A missing one is
+    compiled by ``compiler`` (default: the ``CC`` Python was built with,
+    else ``cc``) to a temporary file that is then renamed into place.
+    The library is loaded only when this user owns it and its directory
+    and no one else can write either, and used only when
+    :func:`_self_check` finds it gives the Python loop's bits.
+    """
+    try:
+        source = _KERNEL_SOURCE.read_bytes()
+        key = hashlib.sha256(b"\0".join([source, " ".join(_KERNEL_FLAGS).encode(), sysconfig.get_platform().encode()]))
+        if cache is None:
+            cache = Path(os.environ.get("XDG_CACHE_HOME") or Path.home() / ".cache") / "sentagree"
+        cache.mkdir(mode=0o700, parents=True, exist_ok=True)
+        _check_private(cache)
+        library = cache / f"cd-{key.hexdigest()}.so"
+        if not library.exists():
+            _compile(compiler, library)
+        _check_private(library)
+        kernel = ctypes.CDLL(str(library)).cd_epoch
+    except (OSError, RuntimeError, AttributeError) as exc:
+        logger.debug("C epoch kernel unavailable (%s); training runs the Python loop", exc)
+        return None
+    kernel.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 6 + [ctypes.c_double] + [ctypes.c_void_p] * 3
+    kernel.restype = ctypes.c_double
+    if not _self_check(kernel):
+        logger.debug("C epoch kernel in %s differs from the Python loop; training runs the Python loop", library)
+        return None
+    return kernel
+
+
+def _check_private(path: Path) -> None:
+    """Raise ``PermissionError`` unless this user owns ``path`` and no one else can write it."""
+    status = path.stat()
+    if status.st_uid != os.getuid() or status.st_mode & 0o022:
+        raise PermissionError(f"{path} is not owned by this user alone")
+
+
+def _compile(compiler: Sequence[str] | None, library: Path) -> None:
+    """Compile :data:`_KERNEL_SOURCE` to ``library`` through a temporary
+    file in its directory, so that no process sees a partial library."""
+    # only a missing library needs these
+    import shlex
+    import subprocess
+    import tempfile
+
+    if compiler is None:
+        compiler = shlex.split(sysconfig.get_config_var("CC") or "cc")
+    handle, temporary = tempfile.mkstemp(suffix=".so", dir=library.parent)
+    os.close(handle)
+    try:
+        try:
+            done = subprocess.run(
+                [*compiler, *_KERNEL_FLAGS, "-o", temporary, str(_KERNEL_SOURCE)],
+                capture_output=True, text=True, timeout=120, check=False,
+            )
+        except subprocess.TimeoutExpired as exc:
+            raise OSError(f"{compiler[0]} took more than {exc.timeout} s") from None
+        if done.returncode != 0:
+            raise OSError(f"{compiler[0]} exited with {done.returncode}: {done.stderr.strip()[-500:]}")
+        os.chmod(temporary, 0o700)
+        os.replace(temporary, library)
+    finally:
+        Path(temporary).unlink(missing_ok=True)
+
+
+def _self_check(kernel) -> bool:
+    """Whether ``kernel`` gives the Python loop's bits on a fixed problem
+    of 40 rows, some empty, with bounds that bind."""
+    rng = np.random.default_rng(2008)
+    lengths = rng.integers(0, 5, size=40)
+    indices = np.concatenate([np.sort(rng.choice(12, size=k, replace=False)) for k in lengths])
+    rows = CountRows(np.concatenate(([0], np.cumsum(lengths))), indices, rng.normal(size=indices.size), 12)
+    y = np.where(rng.random(40) < 0.5, -1.0, 1.0)
+    config = TrainConfig(cost=0.5, tol=1e-12, max_epochs=20)
+    (w, *rest), (w_ref, *rest_ref) = (_descend(k, rows, y, config) for k in (kernel, None))
+    return w.tobytes() == w_ref.tobytes() and rest == rest_ref
 
 
 @dataclass(frozen=True)
@@ -578,8 +719,9 @@ def train_sentiment(
     base = dict(variant=variant, dim=dim, vocab=vocab)
 
     if variant is Variant.NAIVE_BAYES:
-        term_counts = np.zeros((3, dim), dtype=np.float64)
-        np.add.at(term_counts, (label_arr[rows.row_ids()] + 1, rows.indices), rows.values)
+        # sums of whole-number counts, exact in any order
+        cells = np.ravel_multi_index((label_arr[rows.row_ids()] + 1, rows.indices), (3, dim))
+        term_counts = np.bincount(cells, weights=rows.values, minlength=3 * dim).reshape(3, dim)
         return SentimentModel(nb=NaiveBayesTable(np.bincount(label_arr + 1, minlength=3), term_counts), **base)
 
     memo = {} if memo is None else memo
@@ -597,14 +739,15 @@ def train_sentiment(
             grid=grid,
             edges_a=np.linspace(d_a.min(), d_a.max(), grid + 1),
             edges_b=np.linspace(d_b.min(), d_b.max(), grid + 1),
-            counts=np.zeros((grid + 2, grid + 2, 3), dtype=np.int64),
+            counts=np.empty((grid + 2, grid + 2, 3), dtype=np.int64),
         )
-        np.add.at(bins.counts, (*bins.cell(d_a, d_b), label_arr + 1), 1)
+        cells = np.ravel_multi_index((*bins.cell(d_a, d_b), label_arr + 1), bins.counts.shape)
+        bins.counts[...] = np.bincount(cells, minlength=bins.counts.size).reshape(bins.counts.shape)
         return SentimentModel(planes=planes, bins=bins, **base)
     if variant is Variant.THREE_PLANE:
-        counts = np.zeros((8, 3), dtype=np.int64)
         values = _decision_values(list(planes.values()), rows)
-        np.add.at(counts, (_subspace_index(values), label_arr + 1), 1)
+        cells = np.ravel_multi_index((_subspace_index(values), label_arr + 1), (8, 3))
+        counts = np.bincount(cells, minlength=24).reshape(8, 3)
         return SentimentModel(planes=planes, subspaces=SubspaceTable(counts), **base)
     return SentimentModel(planes=planes, **base)
 

@@ -20,14 +20,15 @@ prefixes share the counts and one memo: a plane is trained once per
 triple the memo lacks is listed in prefix and fold order and cut into
 contiguous runs of about equal training rows, one
 per CPU the process may run on (``os.sched_getaffinity``), with no
-setting.  The caller trains the first run and forked workers the
-others, each holding one fold's training rows at a time, and the
-workers' planes come back pickled and join the memo as if trained in
-the caller.  With one CPU or without ``os.fork`` the caller trains them
-all and no process is started.  Each command deals once:
-:func:`cross_validate` its variant's planes, :func:`learning_curve` those
-of all its prefixes, and ``compare`` all six variants' planes of a
-dataset.  Then, in fold order, the caller builds each fold's model from
+setting.  The caller loads the C epoch kernel of ``classify`` first,
+so that no worker compiles it, then trains the first run and forked
+workers the others, each holding one fold's training rows at a time,
+and the workers' planes come back pickled and join the memo as if
+trained in the caller.  With one CPU or without ``os.fork`` the caller
+trains them all and no process is started.  Each command deals once:
+:func:`cross_validate` its variant's planes, :func:`learning_curve`
+those of all its prefixes, and ``compare`` all six variants' planes of
+a dataset.  Then, in fold order, the caller builds each fold's model from
 the memo (bins, zone and tables), runs ``on_fold``, predicts and scores
 exactly as one process would, so every result is the same to the bit.
 A plane whose training failed, or that a dead worker never sent, is
@@ -315,6 +316,7 @@ def _train_planes(
     costs = [sum(classes[size, fold][code + 1] for code in key[-2] + key[-1]) for size, fold, key in triples]
     processes = min(_cpus(), len(triples)) if hasattr(os, "fork") else 1
     shares = [triples[run] for run in _deal(costs, processes) if run.stop > run.start]
+    classify._epoch_kernel()  # loaded here, so that the workers inherit it and none compiles
     workers = []
     reaped = set()
     try:

@@ -165,6 +165,7 @@ def test_train_binary_reports_convergence() -> None:
 def test_plane_stopped_at_max_epochs_is_logged(caplog) -> None:
     vectors, y = separable_line()
     vectors, y = vectors + [vec([0.5], 1)], y + [0]  # a neutral example the polarity plane leaves out
+    classify._epoch_kernel()  # loaded first: where no kernel loads, its loader logs why
     with caplog.at_level(logging.DEBUG, logger="sentagree.classify"):
         model = train_sentiment(stack(vectors), y, Variant.NEUTRAL_ZONE, TrainConfig(max_epochs=1))
     assert model.planes["polarity"].converged is False

@@ -330,6 +330,31 @@ def test_neutral_zone_twice_on_one_prepared_corpus_trains_its_planes_once(forks,
     assert_reaped(forks)
 
 
+@pytest.mark.parametrize("cpus", [2, 3])
+def test_the_caller_loads_the_epoch_kernel_once_before_it_forks(cpus, tmp_path, monkeypatch) -> None:
+    events = tmp_path / "events"  # appended to by the caller and by every worker
+
+    def note(event: str) -> None:
+        with open(events, "a", encoding="utf-8") as handle:
+            handle.write(f"{event} {os.getpid()}\n")
+
+    def load(real=classify._load_kernel):
+        note("load")
+        return real()
+
+    def fork(real=os.fork):
+        note("fork")
+        return real()
+
+    monkeypatch.setattr(classify, "_load_kernel", load)
+    monkeypatch.setattr(os, "fork", fork)
+    see_cpus(monkeypatch, cpus)
+    classify._epoch_kernel.cache_clear()
+    cross_validate(prepare(separable_corpus(120, seed=4)), Variant.THREE_PLANE, k=3)
+    caller = os.getpid()
+    assert events.read_text(encoding="utf-8").splitlines() == [f"load {caller}"] + [f"fork {caller}"] * (cpus - 1)
+
+
 @given(st.lists(st.integers(1, 1000), min_size=1, max_size=40), st.integers(1, 8))
 def test_planes_are_dealt_in_contiguous_runs_of_about_equal_cost(costs, processes) -> None:
     runs = evaluation._deal(costs, processes)
