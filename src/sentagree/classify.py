@@ -534,11 +534,6 @@ _PLANE_SIDES: dict[Variant, dict[str, tuple]] = {
 }
 
 
-def _plane_keys(variant: Variant) -> tuple[tuple, ...]:
-    """The memo keys of the planes :func:`train_sentiment` of ``variant`` uses."""
-    return tuple(_PLANE_SIDES.get(variant, {}).values())
-
-
 # --- label rules: decision values of a block of rows -> label codes ----------
 
 
@@ -725,7 +720,7 @@ def train_sentiment(
         return SentimentModel(nb=NaiveBayesTable(np.bincount(label_arr + 1, minlength=3), term_counts), **base)
 
     memo = {} if memo is None else memo
-    for key in _plane_keys(variant):
+    for key in _PLANE_SIDES[variant].values():
         if key not in memo:
             memo[key] = _train_plane(rows, label_arr, key, config)
     planes = {name: memo[key] for name, key in _PLANE_SIDES[variant].items()}

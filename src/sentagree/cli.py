@@ -299,15 +299,9 @@ def cmd_compare(args: argparse.Namespace) -> None:
     config = _train_config(args)
     names = _dataset_names(args.input)
     variants = _VARIANT_CHOICES
-    scores = []
-    for path in args.input:
-        prepared = evaluation.prepare(corpus.load_gold(path), min_df=args.min_df)
-        evaluation._train_planes(prepared, variants, config, args.k)  # every variant's planes in one deal
-        scores.append([
-            evaluation.cross_validate(prepared, variant, config, args.k, (measure,)).summaries[measure].mean
-            for variant in variants
-        ])
-        del prepared  # its posts and planes go before the next dataset loads
+    prepared = [evaluation.prepare(corpus.load_gold(path), min_df=args.min_df) for path in args.input]
+    results = evaluation._cross_validate(prepared, variants, config, args.k, (measure,))
+    scores = [[result.summaries[measure].mean for result in row] for row in results]
     table = ranking.ScoreTable(
         scores=scores, dataset_names=tuple(names), classifier_names=tuple(variants)
     )

@@ -12,29 +12,28 @@ A prepared corpus keeps only its posts' counts, in time order, against
 its vocabulary, their label codes and that vocabulary, which holds the
 one ``min_df``.  A fold selects from the counts the columns that at
 least ``min_df`` of its training rows contain, which is exact since
-every such term is in that vocabulary.  All variants and learning-curve
-prefixes share the counts and one memo: a plane is trained once per
-(prefix size, k, fold, memo key, config), always by ``_train_plane``.
+every such term is in that vocabulary.  Learning-curve prefixes are
+views of the corpus's first rows.
 
-:func:`_train_planes` deals the planes.  Every (size, fold, plane)
-triple the memo lacks is listed in prefix and fold order and cut into
-contiguous runs of about equal training rows, one
-per CPU the process may run on (``os.sched_getaffinity``), with no
-setting.  The caller loads the C epoch kernel of ``classify`` first,
-so that no worker compiles it, then trains the first run and forked
-workers the others, each holding one fold's training rows at a time,
-and the workers' planes come back pickled and join the memo as if
-trained in the caller.  With one CPU or without ``os.fork`` the caller
-trains them all and no process is started.  Each command deals once:
-:func:`cross_validate` its variant's planes, :func:`learning_curve`
-those of all its prefixes, and ``compare`` all six variants' planes of
-a dataset.  Then, in fold order, the caller builds each fold's model from
-the memo (bins, zone and tables), runs ``on_fold``, predicts and scores
-exactly as one process would, so every result is the same to the bit.
-A plane whose training failed, or that a dead worker never sent, is
-trained again in that loop, which raises its error for the lowest
-failing fold.  Every worker is reaped before the planes are merged, and
-on Linux the kernel kills a worker whose caller ends first.
+The fold is the one unit of work.  :func:`_fold_matrices` selects a
+fold's training and test rows once and trains every variant on them
+with one plane memo, so variants that share a plane train it once.
+:func:`_cross_validate` deals a command's (corpus, fold) pairs in order
+as contiguous runs of about equal training rows, one per CPU the
+process may run on (``os.sched_getaffinity``), with no setting.  The
+caller loads the C epoch kernel of ``classify`` first when a variant
+has planes, so that no worker compiles it, and runs the first run;
+forked workers run the others and send back, pickled, each fold's
+coincidence matrices or the exceptions raised.  The caller also runs
+any fold a dead worker never sent; with one CPU or without ``os.fork``
+it runs every fold and starts no process.  Each command deals once:
+:func:`cross_validate` its folds, :func:`learning_curve` those of all
+its prefixes, and ``compare`` those of every dataset for all six
+variants.  Once every worker is reaped, the caller computes the
+measures in (corpus, variant, fold) order, which raises the lowest
+failing fold's error, and sums the pooled matrices in fold order, so
+every result is the same to the bit on any number of processes.  On
+Linux the kernel kills a worker whose caller ends first.
 
 Reported per measure: per-fold values, their mean, and the normal 95%
 half-width ``1.96 * sd / sqrt(k)`` (sample standard deviation), plus
@@ -50,14 +49,14 @@ import pickle
 import signal
 import sys
 from collections.abc import Callable, Sequence
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import BinaryIO
 
 import numpy as np
 
 from . import _EXPORTS, classify
 from .agreement import CoincidenceMatrix, Measure, _cells, compute_measure, matrix_from_cells
-from .classify import LinearModel, SentimentModel, TrainConfig, Variant, _plane_keys, predict_batch, train_sentiment
+from .classify import TrainConfig, Variant, predict_batch, train_sentiment
 from .corpus import GoldPost, SentimentLabel, _gold_table, _not_codes, _time_ordered, time_ordered_chunks
 from .errors import CorpusFormatError, EvaluationError, FoldPlanError, _check_count
 from .features import CountRows, Vocabulary, count_vector, normalize, vocabulary_from_token_docs
@@ -171,27 +170,24 @@ class PreparedCorpus:
     """A corpus normalized, given a vocabulary and counted once.
 
     ``counts`` holds one row per post, in time order, against ``vocab``,
-    the vocabulary of the whole corpus, and ``labels`` their label codes.
-    :func:`cross_validate` memoizes its planes here by (size, k, fold,
-    config) and then memo key; the fold plan at ``k`` of the first
-    ``size`` posts fixes each fold's rows.  :meth:`head` shares the memo.
+    the vocabulary of the whole corpus, and ``labels`` their label codes;
+    each fold selects its rows and columns from them.
     """
 
     vocab: Vocabulary
     counts: CountRows
     labels: np.ndarray
-    _planes: dict[tuple, dict[tuple, LinearModel]] = field(default_factory=dict, repr=False)
 
     def head(self, n: int) -> PreparedCorpus:
-        """The first ``n`` posts, keeping this corpus's vocabulary and plane
-        memo; their counts and labels are views of this corpus's arrays."""
+        """The first ``n`` posts, keeping this corpus's vocabulary; their
+        counts and labels are views of this corpus's arrays."""
         _check_count("prefix size", n, 0)
         if n > len(self.labels):
             raise ValueError(f"prefix size must be in [0, {len(self.labels)}], got {n}")
         counts, end = self.counts, int(self.counts.indptr[n])
         # the first rows of checked counts are valid rows
         rows = CountRows._trusted(counts.indptr[: n + 1], counts.indices[:end], counts.values[:end], counts.dim)
-        return PreparedCorpus(self.vocab, rows, self.labels[:n], self._planes)
+        return PreparedCorpus(self.vocab, rows, self.labels[:n])
 
 
 def prepare(gold: Sequence[GoldPost], min_df: int = 5) -> PreparedCorpus:
@@ -216,16 +212,15 @@ def _cpus() -> int:
     return os.cpu_count() or 1
 
 
-def _fold_rows(corpus: PreparedCorpus, plan: FoldPlan, fold: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """The fold's training rows, the columns it keeps and their document frequencies."""
+def _fold_rows(corpus: PreparedCorpus, plan: FoldPlan, fold: int) -> tuple[np.ndarray, np.ndarray]:
+    """The fold's training rows and the columns it keeps."""
     counts = corpus.counts
     train_idx = plan.train_indices(fold)
     in_train = np.zeros(len(counts), dtype=bool)
     in_train[train_idx] = True
     # a row holds each column at most once, so its training entries count documents
     doc_freq = np.bincount(counts.indices[np.repeat(in_train, np.diff(counts.indptr))], minlength=corpus.vocab.dim)
-    keep = np.flatnonzero(doc_freq >= corpus.vocab.min_df)
-    return train_idx, keep, doc_freq[keep]
+    return train_idx, np.flatnonzero(doc_freq >= corpus.vocab.min_df)
 
 
 def _deal(costs: Sequence[int], processes: int) -> list[slice]:
@@ -239,28 +234,6 @@ def _deal(costs: Sequence[int], processes: int) -> list[slice]:
     runs = (2 * ends - costs) * processes // (2 * ends[-1])
     bounds = np.searchsorted(runs, np.arange(processes + 1)).tolist()
     return [slice(start, stop) for start, stop in zip(bounds, bounds[1:])]
-
-
-def _solve_share(
-    corpus: PreparedCorpus, plans: dict[int, FoldPlan], config: TrainConfig, share: Sequence[tuple[int, int, tuple]]
-) -> dict[tuple[int, int, tuple], LinearModel]:
-    """The planes of ``share``'s (size, fold, memo key) triples, on the
-    folds of ``plans``, trained in order up to the first that fails, which
-    the fold loop trains again to raise its error.  The triples run in
-    order, so one fold's training rows are held at a time."""
-    planes = {}
-    held = None  # ((size, fold), its training rows, their labels)
-    for size, fold, key in share:
-        try:
-            if held is None or held[0] != (size, fold):
-                held = None  # the last fold's rows go before the next fold's are built
-                prefix = corpus.head(size)
-                train_idx, keep, _ = _fold_rows(prefix, plans[size], fold)
-                held = (size, fold), prefix.counts.select(train_idx, keep), prefix.labels[train_idx]
-            planes[size, fold, key] = classify._train_plane(held[1], held[2], key, config)
-        except Exception:
-            break
-    return planes
 
 
 def _fork_worker(solve: Callable[[], dict]) -> tuple[int, BinaryIO] | None:
@@ -293,53 +266,96 @@ def _fork_worker(solve: Callable[[], dict]) -> tuple[int, BinaryIO] | None:
         os._exit(status)
 
 
-def _train_planes(
-    corpus: PreparedCorpus, variants: Sequence[Variant | str], config: TrainConfig, k: int,
-    sizes: Sequence[int] | None = None,
-) -> None:
-    """Train into ``corpus``'s memo every plane that the folds at ``k`` of
-    ``variants`` on its prefixes of ``sizes`` (the whole corpus if
-    ``None``) need and that it lacks, across up to one process per CPU:
-    the (size, fold, plane) triples are dealt in order as contiguous runs
-    of about equal training rows, the first to the caller and the others
-    to forked workers.  A plane no process trained is left to the fold
-    loop of :func:`cross_validate`."""
-    plans = {size: plan_folds(corpus.labels[:size], k) for size in ([len(corpus.labels)] if sizes is None else sizes)}
-    keys = dict.fromkeys(key for variant in variants for key in _plane_keys(Variant(variant)))
-    memos = {(size, fold): corpus._planes.setdefault((size, k, fold, config), {}) for size in plans for fold in range(k)}
-    triples = [(size, fold, key) for (size, fold), memo in memos.items() for key in keys if key not in memo]
-    if not triples:
-        return
-    # a plane's cost: its fold's training rows of the plane's labels
-    classes = {(size, fold): np.bincount(corpus.labels[plans[size].train_indices(fold)] + 1, minlength=3)
-               for size, fold in memos}
-    costs = [sum(classes[size, fold][code + 1] for code in key[-2] + key[-1]) for size, fold, key in triples]
-    processes = min(_cpus(), len(triples)) if hasattr(os, "fork") else 1
-    shares = [triples[run] for run in _deal(costs, processes) if run.stop > run.start]
-    classify._epoch_kernel()  # loaded here, so that the workers inherit it and none compiles
-    workers = []
-    reaped = set()
+def _fold_matrices(
+    corpus: PreparedCorpus, plan: FoldPlan, fold: int, variants: Sequence[Variant], config: TrainConfig
+) -> list[CoincidenceMatrix | Exception]:
+    """Each variant's coincidence matrix of ``fold``, or the exception its
+    training, prediction or scoring raised.  The fold's training and test
+    rows are selected once, and all variants train on them with one plane
+    memo, so a plane that several variants use is trained once."""
+    (train_idx, keep), test_idx = _fold_rows(corpus, plan, fold), plan.folds[fold]
+    rows, test_rows = corpus.counts.select(train_idx, keep), corpus.counts.select(test_idx, keep)
+    labels = corpus.labels[train_idx]
+    memo: dict = {}
+    matrices = []
+    for variant in variants:
+        try:
+            model = train_sentiment(rows, labels, variant, config, memo=memo)
+            matrices.append(score_predictions(predict_batch(model, test_rows), corpus.labels[test_idx]))
+        except Exception as exc:
+            matrices.append(exc)
+    return matrices
+
+
+def _summarize(
+    variant: Variant, plan: FoldPlan, matrices: Sequence[CoincidenceMatrix | Exception], measures: Sequence[Measure]
+) -> CrossValResult:
+    """The result of ``variant`` from its folds' matrices, in fold order;
+    the first failing fold raises, with its index attached."""
+    per_fold = {measure: np.empty(plan.k) for measure in measures}
+    for fold, matrix in enumerate(matrices):
+        try:
+            if isinstance(matrix, Exception):
+                raise matrix
+            for measure in measures:
+                per_fold[measure][fold] = compute_measure(matrix, measure)
+        except Exception as exc:
+            raise EvaluationError(f"fold {fold}: {exc}") from exc
+    summaries = {}
+    for measure, values in per_fold.items():  # plan_folds makes k >= 2
+        half_width = 1.96 * float(np.std(values, ddof=1)) / np.sqrt(plan.k)
+        summaries[measure] = MeasureSummary(per_fold=values, mean=float(values.mean()), half_width=half_width)
+    pooled = CoincidenceMatrix(sum((matrix.counts for matrix in matrices), np.zeros((3, 3))))
+    return CrossValResult(variant, plan.k, summaries, pooled, tuple(int(f.size) for f in plan.folds))
+
+
+def _cross_validate(
+    corpora: Sequence[PreparedCorpus], variants: Sequence[Variant | str], config: TrainConfig, k: int,
+    measures: Sequence[Measure | str],
+) -> list[list[CrossValResult]]:
+    """Each of ``variants`` cross-validated on each of ``corpora`` at ``k``
+    folds, as ``[corpus][variant]``, in one deal of every (corpus, fold)
+    pair (see the module docstring).  Every corpus is split before any
+    fold trains, so the first that cannot be raises its FoldPlanError."""
+    variants = [Variant(variant) for variant in variants]
+    measures = [Measure(measure) for measure in measures]
+    plans = [plan_folds(corpus.labels, k) for corpus in corpora]
+    pairs = [(c, fold) for c, plan in enumerate(plans) for fold in range(plan.k)]
+    if not pairs:
+        return []
+
+    def solve(share: Sequence[tuple[int, int]]) -> dict[tuple[int, int], list]:
+        return {(c, fold): _fold_matrices(corpora[c], plans[c], fold, variants, config) for c, fold in share}
+
+    # a fold costs its training rows
+    costs = [len(corpora[c].labels) - plans[c].folds[fold].size for c, fold in pairs]
+    processes = min(_cpus(), len(pairs)) if hasattr(os, "fork") else 1
+    shares = [pairs[run] for run in _deal(costs, processes) if run.stop > run.start]
+    if any(variant in classify._PLANE_SIDES for variant in variants):
+        classify._epoch_kernel()  # loaded here, so that the workers inherit it and none compiles
+    workers, reaped = [], set()
     try:
         for share in shares[1:]:
-            if (worker := _fork_worker(lambda share=share: _solve_share(corpus, plans, config, share))) is not None:
+            if (worker := _fork_worker(lambda share=share: solve(share))) is not None:
                 workers.append(worker)
-        planes = _solve_share(corpus, plans, config, shares[0])
+        matrices = solve(shares[0])
         for pid, pipe in workers:
             data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
             reaped.add(pid)
             if code != 0:
-                logger.warning("training process %d ended with exit code %d; the caller trains its planes", pid, code)
+                logger.warning("training process %d ended with exit code %d; the caller runs its folds", pid, code)
                 continue
-            planes.update(pickle.loads(data))
+            matrices.update(pickle.loads(data))
     finally:
         for pid, pipe in workers:
             pipe.close()
             if pid not in reaped:  # the caller stopped early
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    for (size, fold, key), plane in planes.items():
-        memos[size, fold][key] = plane
+    matrices.update(solve([pair for pair in pairs if pair not in matrices]))  # the folds no worker sent
+    return [[_summarize(variant, plan, [matrices[c, fold][v] for fold in range(plan.k)], measures)
+             for v, variant in enumerate(variants)] for c, plan in enumerate(plans)]
 
 
 def cross_validate(
@@ -348,54 +364,21 @@ def cross_validate(
     config: TrainConfig = TrainConfig(),
     k: int = 10,
     measures: Sequence[Measure | str] = DEFAULT_MEASURES,
-    on_fold: Callable[[int, Vocabulary, SentimentModel], None] | None = None,
 ) -> CrossValResult:
     """Evaluate one classifier variant by blocked stratified k-fold CV.
 
     The corpus is made by :func:`prepare`, which puts it in time order.
     Every fold takes its vocabulary and per-plane term statistics from
-    the training folds alone; a plane an earlier run on the same corpus
-    trained is reused.  The planes the memo lacks are trained across the
-    CPUs the process may run on (see the module docstring).  ``on_fold``
-    is a diagnostics hook called in the caller with ``(fold_index,
-    vocabulary, model)``, in fold order, after the fold trains; only it
-    gets a fold vocabulary built, and the models, never saved, carry no
-    vocabulary.
+    the training folds alone, and its models, never saved, carry no
+    vocabulary.  The folds are trained across the CPUs the process may
+    run on (see the module docstring).
 
     Any failure inside a fold -- training, prediction, or an undefined
     measure -- is re-raised with the index of the lowest failing fold
     attached.
     """
-    variant = Variant(variant)
-    measures = tuple(Measure(m) for m in measures)
-    plan = plan_folds(corpus.labels, k)
-    vocab, counts, labels = corpus.vocab, corpus.counts, corpus.labels
-    _train_planes(corpus, (variant,), config, plan.k)
-    memos = [corpus._planes[len(labels), plan.k, fold, config] for fold in range(plan.k)]
-
-    per_fold = {measure: np.empty(plan.k) for measure in measures}
-    pooled = np.zeros((3, 3))
-    for fold, test_idx in enumerate(plan.folds):
-        try:
-            train_idx, keep, doc_freq = _fold_rows(corpus, plan, fold)
-            rows = counts.select(train_idx, keep)
-            # the planes come from the memo; one that failed, or that a dead worker never sent, is trained here
-            model = train_sentiment(rows, labels[train_idx], variant, config, memo=memos[fold])
-            if on_fold is not None:
-                terms = tuple(vocab.terms[i] for i in keep.tolist())
-                on_fold(fold, Vocabulary(terms, doc_freq, int(train_idx.size), vocab.min_df, vocab.ngrams), model)
-            matrix = score_predictions(predict_batch(model, counts.select(test_idx, keep)), labels[test_idx])
-            for measure in measures:
-                per_fold[measure][fold] = compute_measure(matrix, measure)
-        except Exception as exc:
-            raise EvaluationError(f"fold {fold}: {exc}") from exc
-        pooled += matrix.counts
-
-    summaries = {}
-    for measure, values in per_fold.items():  # plan_folds makes k >= 2
-        half_width = 1.96 * float(np.std(values, ddof=1)) / np.sqrt(plan.k)
-        summaries[measure] = MeasureSummary(per_fold=values, mean=float(values.mean()), half_width=half_width)
-    return CrossValResult(variant, plan.k, summaries, CoincidenceMatrix(pooled), tuple(int(f.size) for f in plan.folds))
+    [[result]] = _cross_validate([corpus], [variant], config, k, measures)
+    return result
 
 
 @dataclass(frozen=True)
@@ -418,7 +401,6 @@ def learning_curve(
     k: int = 10,
     measures: Sequence[Measure | str] = DEFAULT_MEASURES,
     min_df: int = 5,
-    on_fold: Callable[[int, Vocabulary, SentimentModel], None] | None = None,
 ) -> LearningCurve:
     """Cross-validate growing time-ordered prefixes of the corpus.
 
@@ -428,8 +410,8 @@ def learning_curve(
     The corpus is put in time order and prepared once, and each prefix
     is a view of its first rows.  Prefixes smaller than ``k * (number of
     classes)`` or otherwise unsplittable are skipped with a logged notice
-    and reported in ``skipped``; the planes of all the others are
-    trained in one deal.
+    and reported in ``skipped``; the others are cross-validated in one
+    deal of their folds.
     """
     _check_count("k", k, 2, FoldPlanError)
     posts, sizes = time_ordered_chunks(gold, step)
@@ -447,7 +429,6 @@ def learning_curve(
                 reason = f"prefix of {size} posts cannot be split: {exc}"
         logger.info("skipping %s", reason)
         skipped.append((size, reason))
-    _train_planes(corpus, (variant,), config, k, kept)  # every prefix's planes in one deal
-    points = [CurvePoint(size, cross_validate(corpus.head(size), variant, config, k, measures, on_fold))
-              for size in kept]
+    results = _cross_validate([corpus.head(size) for size in kept], [variant], config, k, measures)
+    points = [CurvePoint(size, result) for size, [result] in zip(kept, results)]
     return LearningCurve(points=tuple(points), skipped=tuple(skipped))

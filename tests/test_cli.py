@@ -5,6 +5,7 @@ from __future__ import annotations
 import argparse
 import errno
 import json
+import multiprocessing
 import os
 import random
 import re
@@ -532,20 +533,51 @@ def test_reports_are_the_same_bytes_from_one_process_and_several(command, tmp_pa
     assert reports[0] == reports[1] == reports[2]
 
 
-@pytest.mark.parametrize(("command", "folds"), [("curve", 3 * 5), ("crossval", 5), ("compare", 2 * 6 * 3)])
-def test_on_one_cpu_every_plane_is_trained_before_the_fold_loop(command, folds, tmp_path, capsys, monkeypatch):
-    lacking, forks = [], []
+@pytest.mark.parametrize(("command", "folds"), [("curve", 3 * 5), ("crossval", 5), ("compare", 2 * 3)])
+def test_on_one_cpu_each_folds_rows_are_built_once(command, folds, tmp_path, capsys, monkeypatch):
+    built, forks = [], []
 
-    def train_sentiment(rows, labels, variant, config, memo, real=evaluation.train_sentiment):
-        lacking.append([key for key in classify._plane_keys(variant) if key not in memo])
-        return real(rows, labels, variant, config, memo=memo)
+    def fold_rows(corpus, plan, fold, real=evaluation._fold_rows):
+        built.append((id(corpus), fold))
+        return real(corpus, plan, fold)
 
-    monkeypatch.setattr(evaluation, "train_sentiment", train_sentiment)
+    monkeypatch.setattr(evaluation, "_fold_rows", fold_rows)
     monkeypatch.setattr(os, "fork", lambda real=os.fork: forks.append(1) or real())
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: {0}, raising=False)
     code, _, err = run(dealing_argv(command, tmp_path), capsys)
     assert code == 0 and err == "" and forks == []
-    assert lacking == [[]] * folds  # each fold's model is built from planes already in the memo
+    # one selection per (dataset or prefix, fold), whatever the variants
+    assert len(built) == len(set(built)) == folds
+
+
+@pytest.mark.parametrize("cpus", [1, 2])
+def test_naive_bayes_never_loads_the_epoch_kernel(cpus, tmp_path, capsys, monkeypatch):
+    loads, forks = multiprocessing.Value("i", 0), []
+
+    def load(*args, real=classify._load_kernel, **kwargs):
+        with loads.get_lock():
+            loads.value += 1
+        return real(*args, **kwargs)
+
+    monkeypatch.setattr(classify, "_load_kernel", load)
+    monkeypatch.setattr(os, "fork", lambda real=os.fork: forks.append(1) or real())
+    monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
+    classify._epoch_kernel.cache_clear()
+    argv = dealing_argv("crossval", tmp_path)
+    argv[argv.index("TwoPlaneSVMbin")] = "NaiveBayes"
+    code, _, err = run(argv, capsys)
+    assert code == 0 and err == ""
+    assert len(forks) == cpus - 1 and loads.value == 0  # NaiveBayes folds go to a worker, which trains no plane
+
+
+def test_compare_reads_every_input_before_it_trains(tmp_path, capsys, monkeypatch):
+    bad = tmp_path / "bad.csv"
+    bad.write_text("TweetID,HandLabel,Text\nt1,Positive,good\nt2\n", encoding="utf-8")
+    planes = count_planes(monkeypatch)
+    code, out, err = run([*dealing_argv("compare", tmp_path), "--input", str(bad)], capsys)
+    assert (code, out) == (1, "")
+    assert re.fullmatch(rf"error: corpus-format: {re.escape(str(bad))}: line 3 has 1 fields.*\n", err)
+    assert planes.value == 0
 
 
 def test_compare_deals_each_datasets_planes_in_one_fork_per_worker(tmp_path, capsys, monkeypatch):
@@ -560,7 +592,7 @@ def test_compare_deals_each_datasets_planes_in_one_fork_per_worker(tmp_path, cap
     monkeypatch.setattr(os, "sched_getaffinity", lambda pid: set(range(cpus)), raising=False)
     code, _, err = run(argv, capsys)
     assert code == 0 and err == ""
-    assert len(forks) == datasets * (cpus - 1)
+    assert len(forks) == cpus - 1  # one deal of every dataset's folds
     # per fold, the tuned NeutralZoneSVM plane and six distinct sides shared by the other SVM variants
     assert planes.value == datasets * 7 * k
 

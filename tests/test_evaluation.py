@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import inspect
 import logging
 import os
 import time
@@ -187,7 +188,7 @@ def test_cross_validate_half_width_formula(separable_cv) -> None:
         assert summary.half_width == pytest.approx(expected, abs=1e-15)
 
 
-def test_cross_validate_builds_vocabulary_from_training_folds_only() -> None:
+def test_cross_validate_builds_vocabulary_from_training_folds_only(monkeypatch) -> None:
     codes = [-1] * 20 + [0] * 20 + [1] * 20
     gold = make_gold(codes)
     start = datetime(2014, 3, 1)
@@ -202,10 +203,14 @@ def test_cross_validate_builds_vocabulary_from_training_folds_only() -> None:
         )
     seen: dict[int, bool] = {}
 
-    def hook(fold, vocab, model):
-        seen[fold] = "zzmarker" in vocab.index
+    def fold_rows(corpus, plan, fold, real=evaluation._fold_rows):
+        train_idx, keep = real(corpus, plan, fold)
+        seen[fold] = "zzmarker" in [corpus.vocab.terms[i] for i in keep.tolist()]
+        return train_idx, keep
 
-    result = cross_validate(prepare(gold, min_df=5), Variant.TWO_PLANE, k=5, on_fold=hook)
+    monkeypatch.setattr(evaluation, "_fold_rows", fold_rows)
+    see_cpus(monkeypatch, 1)  # every fold in this process, where ``seen`` is
+    result = cross_validate(prepare(gold, min_df=5), Variant.TWO_PLANE, k=5)
     assert seen == {0: True, 1: True, 2: True, 3: True, 4: False}
     assert result.summaries[Measure.ACCURACY].mean == 1.0
 
@@ -302,32 +307,19 @@ def test_variants_on_one_prepared_corpus_train_each_distinct_plane_once(monkeypa
     gold, k = separable_corpus(240, seed=3), 4
     planes = count_planes(monkeypatch)  # workers forked by cross_validate train planes too
     see_cpus(monkeypatch, 3)
-    fresh = {variant: cross_validate(prepare(gold), variant, k=k) for variant in Variant}
+    fresh = [cross_validate(prepare(gold), variant, k=k) for variant in Variant]
     assert planes.value == 10 * k
     planes.value = 0
-    shared = prepare(gold)
-    for variant in Variant:
-        result = cross_validate(shared, variant, k=k)
-        assert np.array_equal(result.pooled.counts, fresh[variant].pooled.counts)
-        for measure, summary in fresh[variant].summaries.items():
+    [shared] = evaluation._cross_validate([prepare(gold)], list(Variant), TrainConfig(), k, evaluation.DEFAULT_MEASURES)
+    for result, alone in zip(shared, fresh, strict=True):
+        assert result.variant is alone.variant
+        assert np.array_equal(result.pooled.counts, alone.pooled.counts)
+        for measure, summary in alone.summaries.items():
             assert np.array_equal(result.summaries[measure].per_fold, summary.per_fold)
     # the tuned NeutralZoneSVM plane, two TwoPlaneSVM planes (shared by
     # TwoPlaneSVMbin), CascadingSVM's two (its polarity plane shared by
     # ThreePlaneSVM) and ThreePlaneSVM's other two
     assert planes.value == 7 * k
-
-
-def test_neutral_zone_twice_on_one_prepared_corpus_trains_its_planes_once(forks, monkeypatch) -> None:
-    gold, k = separable_corpus(240, seed=3), 4
-    planes = count_planes(monkeypatch)
-    see_cpus(monkeypatch, 2)
-    shared = prepare(gold)
-    first, second = (cross_validate(shared, Variant.NEUTRAL_ZONE, k=k) for _ in range(2))
-    assert planes.value == k and len(forks) == 1  # the second run finds every plane memoized
-    assert np.array_equal(first.pooled.counts, second.pooled.counts)
-    for measure, summary in first.summaries.items():
-        assert np.array_equal(second.summaries[measure].per_fold, summary.per_fold)
-    assert_reaped(forks)
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -367,6 +359,7 @@ def test_planes_are_dealt_in_contiguous_runs_of_about_equal_cost(costs, processe
 
 
 def test_a_plane_costs_its_folds_training_rows_of_its_labels(monkeypatch) -> None:
+    # the deal prices a fold, whose planes all draw on its training rows, at those rows
     dealt = []
 
     def deal(costs, processes, real=evaluation._deal):
@@ -375,39 +368,17 @@ def test_a_plane_costs_its_folds_training_rows_of_its_labels(monkeypatch) -> Non
 
     monkeypatch.setattr(evaluation, "_deal", deal)
     see_cpus(monkeypatch, 3)
-    corpus, k = prepare(separable_corpus(120, seed=4)), 3
-    evaluation._train_planes(corpus, [Variant.NEUTRAL_ZONE, Variant.CASCADING], TrainConfig(), k)
+    corpus, k, measures = prepare(separable_corpus(120, seed=4)), 3, (Measure.ACCURACY,)
+    evaluation._cross_validate([corpus], [Variant.NEUTRAL_ZONE, Variant.CASCADING], TrainConfig(), k, measures)
     plan = plan_folds(corpus.labels, k)
-    expected = []
-    for fold in range(k):
-        train = corpus.labels[plan.train_indices(fold)]
-        for sides in ((-1, 1), (0, -1, 1), (-1, 1)):  # the validation plane, subjectivity, polarity
-            expected.append(int(np.isin(train, sides).sum()))
-    assert dealt == [(expected, 3)]
-    # one deal over two prefixes: the whole corpus lacks only ThreePlaneSVM's planes of its own
-    evaluation._train_planes(corpus, [Variant.CASCADING, Variant.THREE_PLANE], TrainConfig(), k, [60, 120])
-    expected = []
-    for size, planes in ((60, ((0, -1, 1), (-1, 1), (-1, 0), (0, 1))), (120, ((-1, 0), (0, 1)))):
-        plan = plan_folds(corpus.labels[:size], k)
-        for fold in range(k):
-            train = corpus.labels[plan.train_indices(fold)]
-            expected += [int(np.isin(train, sides).sum()) for sides in planes]
+    assert dealt == [([int(plan.train_indices(fold).size) for fold in range(k)], 3)]
+    # one deal over two prefixes, each fold costing its own prefix's training rows
+    evaluation._cross_validate([corpus.head(60), corpus], [Variant.CASCADING, Variant.THREE_PLANE], TrainConfig(), k,
+                               measures)
+    expected = [int(plan_folds(corpus.labels[:size], k).train_indices(fold).size)
+                for size in (60, 120) for fold in range(k)]
     assert dealt[1:] == [(expected, 3)]
     assert plan_folds(corpus.labels[:60], k).folds[0].size < plan.folds[0].size  # the prefix's folds, not the corpus's
-
-
-def _fold_record(fold, vocab, model) -> tuple:
-    """What ``on_fold`` sees, as plain values: the fold's vocabulary, its
-    model's planes and its variant's table."""
-    planes = {name: (plane.weights.tolist(), plane.bias, plane.dual_objectives) for name, plane in model.planes.items()}
-    bins, subspaces, nb = model.bins, model.subspaces, model.nb
-    tables = [
-        model.neutral_zone,
-        bins and (bins.edges_a.tolist(), bins.edges_b.tolist(), bins.counts.tolist()),
-        subspaces and subspaces.counts.tolist(),
-        nb and (nb.doc_counts.tolist(), nb.term_counts.tolist()),
-    ]
-    return fold, vocab.terms, vocab.doc_freq.tolist(), planes, tables
 
 
 @pytest.mark.parametrize("cpus", [2, 3])
@@ -416,23 +387,13 @@ def test_folds_trained_in_several_processes_equal_those_of_one(cpus, forks, monk
     runs = []
     for n in (1, cpus):
         see_cpus(monkeypatch, n)
-        shared, seen = prepare(gold), []
-        results = [
-            cross_validate(shared, variant, k=4, on_fold=lambda *args: seen.append(_fold_record(*args)))
-            for variant in Variant
-        ]
-        memo = {key: {sides: plane.weights.tolist() for sides, plane in planes.items()}
-                for key, planes in shared._planes.items()}
-        runs.append((results, seen, memo))
-        # one process forks nothing; several fork for the four variants that train planes
-        # (TwoPlaneSVMbin finds every plane memoized, NaiveBayes has none)
-        assert len(forks) == (0 if n == 1 else 4 * (n - 1))
+        runs.append([cross_validate(prepare(gold), variant, k=4) for variant in Variant])
+        # one process forks nothing; several fork for every variant, NaiveBayes too
+        assert len(forks) == (0 if n == 1 else len(Variant) * (n - 1))
         assert_reaped(forks)
         forks.clear()
-    (one, one_seen, one_memo), (several, several_seen, several_memo) = runs
-    assert several_seen == one_seen and [record[0] for record in one_seen] == list(range(4)) * len(Variant)
-    assert several_memo == one_memo
-    for a, b in zip(one, several):
+    for a, b in zip(*runs, strict=True):
+        assert (a.variant, a.fold_sizes) == (b.variant, b.fold_sizes)
         assert np.array_equal(a.pooled.counts, b.pooled.counts)
         for measure, summary in a.summaries.items():
             assert np.array_equal(b.summaries[measure].per_fold, summary.per_fold)
@@ -489,7 +450,7 @@ def test_folds_of_a_worker_that_sends_nothing_are_trained_by_the_caller(forks, m
     with caplog.at_level(logging.WARNING, logger="sentagree.evaluation"):
         result = cross_validate(prepare(gold), Variant.CASCADING, k=4)
     assert len(forks) == 1 and [record.getMessage() for record in caplog.records] == [
-        f"training process {forks[0]} ended with exit code 3; the caller trains its planes"
+        f"training process {forks[0]} ended with exit code 3; the caller runs its folds"
     ]
     assert np.array_equal(result.pooled.counts, serial.pooled.counts)
     for measure, summary in serial.summaries.items():
@@ -532,46 +493,62 @@ def test_fold_features_equal_those_built_from_the_training_posts_alone(monkeypat
     """Every fold of the gate-8 corpora, the curve's prefixes included:
     the vocabulary selected from the corpus counts equals the one built
     from the fold's training documents, and every row its count row."""
-    train_rows, test_rows, vocabularies = [], [], []
+    kept, train_rows, test_rows = [], [], []
+
+    def fold_rows(corpus, plan, fold, real=evaluation._fold_rows):
+        train_idx, keep = real(corpus, plan, fold)
+        kept.append((corpus.vocab, keep))
+        return train_idx, keep
+
+    monkeypatch.setattr(evaluation, "_fold_rows", fold_rows)
     monkeypatch.setattr(evaluation, "train_sentiment", _spy(evaluation.train_sentiment, train_rows, 0))
     monkeypatch.setattr(evaluation, "predict_batch", _spy(evaluation.predict_batch, test_rows, 1))
-    options = dict(k=10, on_fold=lambda fold, vocab, model: vocabularies.append(vocab))
+    see_cpus(monkeypatch, 1)  # every fold in this process, where the spies record
     separable, shifted = separable_corpus(3000, seed=3), shift_corpus(3000, shift_at=1500, seed=3)
-    cross_validate(prepare(separable, min_df=5), Variant.NAIVE_BAYES, **options)
-    curve = learning_curve(shifted, Variant.NAIVE_BAYES, step=500, min_df=5, **options)
+    cross_validate(prepare(separable, min_df=5), Variant.NAIVE_BAYES, k=10)
+    curve = learning_curve(shifted, Variant.NAIVE_BAYES, step=500, k=10, min_df=5)
     sizes = [point.prefix_size for point in curve.points]
     assert sizes == [500, 1000, 1500, 2000, 2500, 3000]
     folds = [(separable, fold) for fold in range(10)] + [(shifted[:n], fold) for n in sizes for fold in range(10)]
-    assert len(vocabularies) == len(train_rows) == len(test_rows) == len(folds) == 70
+    assert len(kept) == len(train_rows) == len(test_rows) == len(folds) == 70
     docs = {id(post): normalize(post.text) for post in separable + shifted}
-    for (gold, fold), vocab, train, test in zip(folds, vocabularies, train_rows, test_rows):
+    for (gold, fold), (vocab, keep), train, test in zip(folds, kept, train_rows, test_rows):
         plan = plan_folds([int(post.label) for post in gold], k=10)
         train_docs = [docs[id(gold[i])] for i in plan.train_indices(fold)]
         direct = vocabulary_from_token_docs(train_docs, min_df=5)
         terms, doc_freq = oracles.vocabulary_brute(train_docs, 5, (1, 2))
-        assert vocab.terms == direct.terms == terms
-        assert vocab.doc_freq.tolist() == direct.doc_freq.tolist() == doc_freq
-        assert (vocab.n_docs, vocab.min_df, vocab.ngrams) == (direct.n_docs, direct.min_df, direct.ngrams)
-        assert _same_rows(train, train_docs, vocab)
-        assert _same_rows(test, [docs[id(gold[i])] for i in plan.folds[fold]], vocab)
+        assert tuple(vocab.terms[i] for i in keep.tolist()) == direct.terms == terms
+        # a row holds each column at most once, so the training rows' column counts are document frequencies
+        assert np.bincount(train.indices, minlength=train.dim).tolist() == direct.doc_freq.tolist() == doc_freq
+        assert (len(train), vocab.min_df, vocab.ngrams) == (direct.n_docs, direct.min_df, direct.ngrams)
+        assert _same_rows(train, train_docs, direct)
+        assert _same_rows(test, [docs[id(gold[i])] for i in plan.folds[fold]], direct)
 
 
-def test_cross_validate_models_carry_no_vocabulary() -> None:
-    # the hook gets each fold's vocabulary; the fold models, never saved, hold none
-    prepared = prepare(make_gold([-1, 0, 1] * 10), min_df=1)
+def test_cross_validate_models_carry_no_vocabulary(monkeypatch) -> None:
+    # the fold models, never saved, are trained without a vocabulary, so they hold none
     seen = []
-    cross_validate(prepared, Variant.TWO_PLANE, k=3, on_fold=lambda fold, vocab, model: seen.append((vocab, model)))
-    assert len(seen) == 3 and all(vocab.dim > 0 and model.vocab is None for vocab, model in seen)
+
+    def train_sentiment(*args, real=evaluation.train_sentiment, **kwargs):
+        model = real(*args, **kwargs)
+        seen.append((inspect.signature(real).bind(*args, **kwargs).arguments.get("vocab"), model.vocab))
+        return model
+
+    monkeypatch.setattr(evaluation, "train_sentiment", train_sentiment)
+    see_cpus(monkeypatch, 1)  # every fold in this process, where ``seen`` is
+    cross_validate(prepare(make_gold([-1, 0, 1] * 10), min_df=1), Variant.TWO_PLANE, k=3)
+    assert seen == [(None, None)] * 3
 
 
-def test_cross_validate_attaches_fold_context_to_errors() -> None:
+def test_cross_validate_attaches_fold_context_to_errors(monkeypatch) -> None:
     gold = make_gold([-1, 0, 1] * 10)
 
-    def hook(fold, vocab, model):
+    def predict_batch(model, rows):
         raise ValueError("boom")
 
+    monkeypatch.setattr(evaluation, "predict_batch", predict_batch)
     with pytest.raises(EvaluationError, match="fold 0: boom"):
-        cross_validate(prepare(gold, min_df=1), Variant.TWO_PLANE, k=3, on_fold=hook)
+        cross_validate(prepare(gold, min_df=1), Variant.TWO_PLANE, k=3)
 
 
 def test_cross_validate_requires_text() -> None:
@@ -617,7 +594,7 @@ def test_learning_curve_counts_each_post_once(monkeypatch) -> None:
 def test_learning_curve_checks_its_options_before_any_prefix() -> None:
     gold = make_gold([-1, 0, 1] * 2 + [0, 1])  # 8 posts: every prefix is skipped at k = 3
     with pytest.raises(TypeError, match="min_dff"):
-        learning_curve(gold, step=5, k=3, min_dff=1, on_fold=1)
+        learning_curve(gold, step=5, k=3, min_dff=1)
     with pytest.raises(VocabularyError, match="min_df"):
         learning_curve(gold, step=5, k=3, min_df=0)
     for k in (1, 2.5, True, "3"):  # checked before the corpus is prepared, so before min_df
@@ -625,6 +602,13 @@ def test_learning_curve_checks_its_options_before_any_prefix() -> None:
             learning_curve(gold, step=5, k=k, min_df=0)
     curve = learning_curve(gold, step=5, k=3, min_df=1)
     assert curve.points == () and [size for size, _ in curve.skipped] == [5, 8]
+
+
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_a_curve_whose_every_prefix_is_skipped_forks_nothing(cpus, forks, monkeypatch) -> None:
+    see_cpus(monkeypatch, cpus)
+    curve = learning_curve(make_gold([-1, 0, 1] * 2 + [0, 1]), Variant.TWO_PLANE, step=5, k=3, min_df=1)
+    assert curve.points == () and [size for size, _ in curve.skipped] == [5, 8] and forks == []
 
 
 @pytest.mark.parametrize("cpus", [2, 3])

@@ -256,7 +256,7 @@ def test_rows_the_package_derives_pass_the_public_check(data) -> None:
     keep = np.array(sorted(data.draw(st.sets(st.integers(0, vocab.dim - 1)))) if vocab.dim else [], dtype=np.intp)
     assert_passes_the_public_check(stacked.select(picked))
     assert_passes_the_public_check(stacked.select(picked, keep))
-    corpus = PreparedCorpus(vocab, stacked, np.zeros(len(docs), dtype=np.int64), 1)
+    corpus = PreparedCorpus(vocab, stacked, np.zeros(len(docs), dtype=np.int64))
     assert_passes_the_public_check(corpus.head(data.draw(st.integers(0, len(docs)))).counts)
 
 
