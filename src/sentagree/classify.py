@@ -25,19 +25,19 @@ out of the block with ``select``, and its term weights scale the
 stored ``values`` array in one numpy op (the row layout of LIBLINEAR).
 ``||x~_i||^2``, like every decision value ``w . x`` of prediction, is
 summed sequentially per row with ``np.bincount``, not by a BLAS dot,
-whose kernel varies by CPU.  Each epoch is one call of ``cd_epoch``,
-a C function in ``_cd.c`` compiled on first use (:func:`_load_kernel`).
-It does the IEEE double operations of the Python loop
-:func:`_python_epoch`, in the same order, built with no contraction of
-a multiply and an add into one rounding and no reassociation; ``w . x``
-is summed left to right (not by ``sum()``, which compensates since
-Python 3.12, nor by a BLAS dot).  So a plane has the same bits on
-either path and on any interpreter version.  The Python loop, on plain
-Python floats with rows as lists of ``(index, value)`` pairs, is the
-tests' reference and the fallback wherever no compiler, no private
-cache directory or no passing self-check is found.  A
-coordinate at a bound whose gradient points out of its box has
-projected gradient 0 and is skipped at once.  Each plane records
+whose kernel varies by CPU.  Each block of epochs is one call of
+``cd_solve``, a C function in ``_cd.c`` compiled on first use
+(:func:`_load_kernel`).  Its epochs do the IEEE double operations of
+the Python loop :func:`_python_epoch`, in the same order, built with no
+contraction of a multiply and an add into one rounding and no
+reassociation; ``w . x`` is summed left to right (not by ``sum()``,
+which compensates since Python 3.12, nor by a BLAS dot).  So a plane
+has the same bits on either path and on any interpreter version.  The
+Python loop, on plain Python floats with rows as lists of
+``(index, value)`` pairs, is the tests' reference and the fallback
+wherever no compiler, no private cache directory or no passing
+self-check is found.  A coordinate at a bound whose gradient points out
+of its box has projected gradient 0 and is skipped at once.  Each plane records
 whether it converged and its last epoch's largest projected gradient;
 a plane that stops at ``max_epochs`` without converging is logged at
 DEBUG level with its sides.
@@ -227,7 +227,7 @@ def train_binary(
     if n == 0:
         raise EvaluationError("cannot train on an empty example set")
     y_arr = np.asarray(y, dtype=np.float64)
-    if y_arr.shape != (n,) or not np.all(np.isin(y_arr, (-1.0, 1.0))):
+    if y_arr.shape != (n,) or not np.all(np.abs(y_arr) == 1.0):
         raise EvaluationError("side labels must be +1/-1, one per example")
     if np.all(y_arr == y_arr[0]):
         raise EvaluationError("cannot train a plane with a single class")
@@ -257,9 +257,12 @@ def _descend(kernel, rows: CountRows, y: np.ndarray, config: TrainConfig) -> tup
     the weights, the bias, the dual objective after every epoch and the
     last epoch's largest projected-gradient magnitude.
 
-    Each epoch is one call of ``kernel``, the C ``cd_epoch``, or, when
-    ``kernel`` is ``None``, of :func:`_python_epoch`, its reference;
-    both see the same permutations and give the same bits.
+    Each block of epochs (8, 16, 32, ... of them, at most
+    :data:`_BLOCK_ORDERS` row visits) draws its visiting orders in one
+    call, the stream of successive ``rng.permutation(n)``, and is one
+    call of ``kernel``, the C ``cd_solve``, or, when ``kernel`` is
+    ``None``, a loop of :func:`_python_epoch`, its reference; both stop
+    after the first epoch below ``tol`` and give the same bits.
     """
     n, dim, bound = len(rows), rows.dim, float(config.cost)
     # ||x~_i||^2 summed in order per row
@@ -269,29 +272,33 @@ def _descend(kernel, rows: CountRows, y: np.ndarray, config: TrainConfig) -> tup
         pairs = list(zip(rows.indices.tolist(), rows.values.tolist()))
         starts = rows.indptr.tolist()
         problem = ([pairs[start:end] for start, end in zip(starts, starts[1:])], y.tolist(), q_diag.tolist(), bound)
-        w, alphas, state = [0.0] * dim, [0.0] * n, [0.0, 0.0]
+        w, alphas, state = [0.0] * dim, [0.0] * n, [0.0, 0.0, math.inf]
 
-        def epoch() -> float:
-            return _python_epoch(rng.permutation(n).tolist(), *problem, w, alphas, state)
+        def solve(orders: np.ndarray, objectives: np.ndarray) -> int:
+            for run, order in enumerate(orders.tolist(), 1):
+                state[2] = _python_epoch(order, *problem, w, alphas, state)
+                objectives[run - 1] = state[1]
+                if state[2] < config.tol:
+                    break
+            return run
     else:
         # the arrays outlive every call of the kernel, which gets their addresses
         arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in (rows.indptr, rows.indices)]
         arrays += [np.ascontiguousarray(a, dtype=np.float64) for a in (rows.values, y, q_diag)]
-        w, alphas, state = np.zeros(dim), np.zeros(n), np.zeros(2)
+        w, alphas, state = np.zeros(dim), np.zeros(n), np.array([0.0, 0.0, math.inf])
         inputs = [a.ctypes.data for a in arrays]
         outputs = [a.ctypes.data for a in (w, alphas, state)]
 
-        def epoch() -> float:
-            order = rng.permutation(n)
-            return kernel(n, order.ctypes.data, *inputs, bound, *outputs)
+        def solve(orders: np.ndarray, objectives: np.ndarray) -> int:
+            return kernel(n, len(orders), orders.ctypes.data, *inputs, bound, config.tol, *outputs, objectives.ctypes.data)
 
-    objectives: list[float] = []
-    for _ in range(config.max_epochs):
-        worst = epoch()
-        objectives.append(float(state[1]))
-        if worst < config.tol:
-            break
-    return np.asarray(w, dtype=np.float64), float(state[0]), tuple(objectives), worst
+    objectives, size = [], 8
+    while len(objectives) < config.max_epochs and not state[2] < config.tol:
+        size = min(size, config.max_epochs - len(objectives), max(1, _BLOCK_ORDERS // n))
+        orders, block = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (size, 1)), axis=1), np.empty(size)
+        objectives += block[:solve(orders, block)].tolist()
+        size *= 2
+    return np.asarray(w, dtype=np.float64), float(state[0]), tuple(objectives), float(state[2])
 
 
 def _python_epoch(
@@ -299,11 +306,11 @@ def _python_epoch(
     bound: float, w: list[float], alphas: list[float], state: list[float],
 ) -> float:
     """One epoch visiting the rows in ``order``: updates ``w``,
-    ``alphas`` and ``state`` (the bias and the dual objective) in place
-    and returns the epoch's largest projected-gradient magnitude.  The
-    reference of ``cd_epoch`` in ``_cd.c`` and the fallback where that
-    is unavailable."""
-    b, gained = state
+    ``alphas`` and ``state[:2]`` (the bias and the dual objective) in
+    place and returns the epoch's largest projected-gradient magnitude.
+    The reference of an epoch of ``cd_solve`` in ``_cd.c`` and the
+    fallback where that is unavailable."""
+    b, gained = state[:2]
     worst = 0.0
     for i in order:
         row = pair_rows[i]
@@ -341,7 +348,7 @@ def _python_epoch(
                 w[j] += step * v
             b += step
             alphas[i] = new_ai
-    state[:] = b, gained
+    state[:2] = b, gained
     return worst
 
 
@@ -351,6 +358,8 @@ def _python_epoch(
 #: none that lets the compiler fuse or reassociate floating-point operations.
 _KERNEL_SOURCE = Path(__file__).with_name("_cd.c")
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
+#: The rows one block of epochs may visit: 2**17 int64 orders, 1 MiB.
+_BLOCK_ORDERS = 2**17
 
 
 @functools.cache
@@ -361,7 +370,7 @@ def _epoch_kernel():
 
 
 def _load_kernel(compiler: Sequence[str] | None = None, cache: Path | None = None):
-    """``cd_epoch`` from the library compiled from :data:`_KERNEL_SOURCE`,
+    """``cd_solve`` from the library compiled from :data:`_KERNEL_SOURCE`,
     or ``None``, with the reason logged at DEBUG level.
 
     The library lives in ``cache`` (default ``$XDG_CACHE_HOME/sentagree``,
@@ -384,12 +393,12 @@ def _load_kernel(compiler: Sequence[str] | None = None, cache: Path | None = Non
         if not library.exists():
             _compile(compiler, library)
         _check_private(library)
-        kernel = ctypes.CDLL(str(library)).cd_epoch
+        kernel = ctypes.CDLL(str(library)).cd_solve
     except (OSError, RuntimeError, AttributeError) as exc:
         logger.debug("C epoch kernel unavailable (%s); training runs the Python loop", exc)
         return None
-    kernel.argtypes = [ctypes.c_int64] + [ctypes.c_void_p] * 6 + [ctypes.c_double] + [ctypes.c_void_p] * 3
-    kernel.restype = ctypes.c_double
+    kernel.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 4
+    kernel.restype = ctypes.c_int64
     if not _self_check(kernel):
         logger.debug("C epoch kernel in %s differs from the Python loop; training runs the Python loop", library)
         return None
@@ -439,6 +448,7 @@ def _self_check(kernel) -> bool:
     indices = np.concatenate([np.sort(rng.choice(12, size=k, replace=False)) for k in lengths])
     rows = CountRows(np.concatenate(([0], np.cumsum(lengths))), indices, rng.normal(size=indices.size), 12)
     y = np.where(rng.random(40) < 0.5, -1.0, 1.0)
+    # 20 epochs run as blocks of 8 and 12, so the check covers the handoff between blocks
     config = TrainConfig(cost=0.5, tol=1e-12, max_epochs=20)
     (w, *rest), (w_ref, *rest_ref) = (_descend(k, rows, y, config) for k in (kernel, None))
     return w.tobytes() == w_ref.tobytes() and rest == rest_ref
@@ -619,12 +629,12 @@ def _train_plane(rows: CountRows, labels: np.ndarray, key: tuple, config: TrainC
     count rows.
     """
     neg_side, pos_side = key[-2:]
-    in_plane = np.isin(labels, neg_side + pos_side)
+    in_plane = np.logical_or.reduce([labels == code for code in neg_side + pos_side])
     if key == _VALIDATION_PLANE:
         in_plane[_validation_split(labels, config.seed)[1]] = False
     members = np.flatnonzero(in_plane)
     plane_rows = rows.select(members)
-    positive = np.isin(labels[members], pos_side)
+    positive = np.logical_or.reduce([labels[members] == code for code in pos_side])
     gamma = delta_weights(plane_rows, positive)
     model = train_binary(plane_rows, np.where(positive, 1.0, -1.0), config, term_weights=gamma)
     if not model.converged:

@@ -67,7 +67,7 @@ def problems(draw):
     config = TrainConfig(
         cost=draw(st.floats(0.01, 10)),
         tol=draw(st.floats(1e-12, 1.0)),
-        max_epochs=draw(st.integers(1, 60)),
+        max_epochs=draw(st.integers(1, 130)),
         seed=draw(st.integers(0, 2**32 - 1)),
     )
     return rows, y, term_weights, config
@@ -85,12 +85,12 @@ def test_the_kernel_gives_the_python_loops_bits(kernel, problem) -> None:
 
 
 def perturbing(kernel):
-    """A kernel that moves the first weight after every epoch."""
-    def epoch(n, order, indptr, indices, values, ys, q_diag, bound, w, alphas, state):
-        worst = kernel(n, order, indptr, indices, values, ys, q_diag, bound, w, alphas, state)
+    """A kernel that moves the first weight after every block of epochs."""
+    def solve(n, epochs, orders, indptr, indices, values, ys, q_diag, bound, tol, w, alphas, state, objectives):
+        run = kernel(n, epochs, orders, indptr, indices, values, ys, q_diag, bound, tol, w, alphas, state, objectives)
         ctypes.c_double.from_address(w).value += 1e-9
-        return worst
-    return epoch
+        return run
+    return solve
 
 
 def fixture_problem():
@@ -98,6 +98,48 @@ def fixture_problem():
     dense = np.round(rng.normal(size=(30, 6)) * (rng.random(size=(30, 6)) < 0.5), 1)
     rows = CountRows.stack([CountRows([0, np.count_nonzero(r)], np.flatnonzero(r), r[r != 0], 6) for r in dense])
     return rows, np.where(np.arange(30) % 3 == 0, 1, -1), np.array([1.0, 0.0, -2.0, 0.5, 3.0, 1.0])
+
+
+#: (tol, max_epochs, epochs run, converged) on the fixture problem at cost 0.1,
+#: whose epochs' largest projected gradients fall every epoch from the 4th on;
+#: the blocks hold epochs 1-8, 9-24, 25-56, ...
+BLOCK_STOPS = {
+    "inside the first block": (0.5, 50, 6, True),
+    "on a block's last epoch": (2e-6, 50, 24, True),
+    "in a later block": (1e-8, 50, 30, True),
+    "at max_epochs after three blocks": (1e-14, 40, 40, False),
+}
+
+
+@pytest.mark.parametrize("stop", BLOCK_STOPS)
+def test_the_kernel_gives_the_python_loops_bits_across_blocks(kernel, stop) -> None:
+    tol, max_epochs, epochs, converged = BLOCK_STOPS[stop]
+    rows, y, term_weights = fixture_problem()
+    config = TrainConfig(cost=0.1, tol=tol, max_epochs=max_epochs, seed=5)
+    with training_with(None):
+        reference = train_binary(rows, y, config, term_weights)
+    assert (reference.epochs_run, reference.converged) == (epochs, converged)
+    with training_with(kernel):
+        assert_same_bits(train_binary(rows, y, config, term_weights), reference)
+
+
+def test_one_epoch_blocks_give_the_bits_of_full_ones(kernel) -> None:
+    rows, y, term_weights = fixture_problem()
+    config = TrainConfig(cost=0.1, tol=1e-8, max_epochs=50, seed=5)
+    with training_with(None):
+        reference = train_binary(rows, y, config, term_weights)
+    with training_with(kernel), patch.object(classify, "_BLOCK_ORDERS", 1):
+        assert_same_bits(train_binary(rows, y, config, term_weights), reference)
+
+
+def test_a_block_of_orders_is_the_stream_of_successive_permutations() -> None:
+    """A block's draw gives each epoch the order ``rng.permutation(n)``
+    would; reports keep their bytes only while this holds."""
+    for n in (1, 2, 7, 150, 7199):
+        blocked, successive = np.random.default_rng(n), np.random.default_rng(n)
+        block = blocked.permuted(np.tile(np.arange(n, dtype=np.int64), (13, 1)), axis=1)
+        assert np.array_equal(block, [successive.permutation(n) for _ in range(13)])
+        assert blocked.bit_generator.state == successive.bit_generator.state
 
 
 @pytest.mark.parametrize("case", ["no compiler", "no writable cache", "self-check disagrees"])
@@ -111,7 +153,7 @@ def test_without_a_usable_kernel_the_loader_logs_why_and_training_keeps_its_bits
     elif case == "no writable cache":
         cache = Path(os.devnull) / "sentagree"
     else:
-        monkeypatch.setattr(classify.ctypes, "CDLL", lambda path: SimpleNamespace(cd_epoch=perturbing(kernel)))
+        monkeypatch.setattr(classify.ctypes, "CDLL", lambda path: SimpleNamespace(cd_solve=perturbing(kernel)))
     with caplog.at_level(logging.DEBUG, logger="sentagree.classify"):
         loaded = classify._load_kernel(compiler, cache)
     assert loaded is None
