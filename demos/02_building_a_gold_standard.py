@@ -8,7 +8,7 @@ merge rules must resolve.
 
 from datetime import datetime, timedelta
 
-from sentagree import AnnotationRecord, PairKind, SentimentLabel, extract_pairs, merge_gold
+from sentagree import AnnotationRecord, SentimentLabel, extract_pairs, merge_gold
 
 
 def record(post, coder, label, seq, minute):
@@ -36,20 +36,20 @@ def main() -> None:
 
     pairs = extract_pairs(records)
     print(f"{len(records)} annotation events over 4 posts -> {len(pairs)} pairs")
-    for pair in pairs:
-        kind = "self " if pair.kind is PairKind.SELF else "inter"
-        print(f"  {pair.post_id}: {kind}  {pair.first.name:<8} / {pair.second.name}")
+    # a PairTable holds its pairs as columns: label codes, self flags, post indices
+    for first, second, same, post in zip(pairs.first, pairs.second, pairs.self, pairs.post):
+        kind = "self " if same else "inter"
+        print(f"  {pairs.post_ids[post]}: {kind}  {SentimentLabel(first).name:<8} / {SentimentLabel(second).name}")
 
-    gold = merge_gold(records)
+    gold = merge_gold(records)  # a GoldTable: one row per post, in columns too
     print("\nmerged gold standard:")
-    for post in gold:
-        print(f"  {post.post_id}: {post.label.name:<8} "
-              f"(merged from {post.merged_from} annotation(s))")
+    for post_id, code, count in zip(gold.post_ids, gold.label, gold.merged_from):
+        print(f"  {post_id}: {SentimentLabel(code).name:<8} (merged from {count} annotation(s))")
 
     # p3 had one vote per class; the conflict resolution keeps the corpus
     # usable instead of dropping the post.
-    p3 = next(p for p in gold if p.post_id == "p3")
-    print(f"\nthree-way conflict on p3 resolved to: {p3.label.name}")
+    p3 = SentimentLabel(gold.label[gold.post_ids.index("p3")])
+    print(f"\nthree-way conflict on p3 resolved to: {p3.name}")
 
 
 if __name__ == "__main__":

@@ -24,7 +24,7 @@ _EXPORTS = {
     "classify": """LinearModel SentimentModel TrainConfig Variant load_model predict predict_batch save_model
         train_binary train_sentiment""",
     "cli": "",
-    "corpus": """AnnotationRecord GoldPost GoldTable LabelPair PairKind SentimentLabel extract_pairs
+    "corpus": """AnnotationRecord GoldPost GoldTable PairKind SentimentLabel extract_pairs
         load_annotations load_gold merge_gold save_gold time_ordered_chunks""",
     "errors": """CorpusFormatError EvaluationError FoldPlanError ModelFormatError SentagreeError
         UndefinedMeasureError VocabularyError""",

@@ -59,7 +59,7 @@ from enum import Enum
 import numpy as np
 
 from . import _EXPORTS
-from .corpus import LabelPair, PairTable, SentimentLabel, _not_codes
+from .corpus import PairTable, SentimentLabel, _not_codes
 from .errors import UndefinedMeasureError, _check_count
 
 __all__ = _EXPORTS["agreement"].split()
@@ -136,17 +136,16 @@ def _cells(first: object, second: object) -> np.ndarray:
     return (first.astype(np.intp) + 1) * 3 + (second.astype(np.intp) + 1)
 
 
-def pair_cells(pairs: Iterable[LabelPair | tuple[int, int]]) -> np.ndarray:
+def pair_cells(pairs: PairTable | Iterable[tuple[int, int]]) -> np.ndarray:
     """Map pairs to flat cell indices ``(first+1)*3 + (second+1)``.
 
     The ``bincount`` of the flat cells is what :func:`bootstrap_ci`
     resamples.  A :class:`~sentagree.corpus.PairTable` is mapped from
-    its code arrays as a whole, a list from one array of its codes.
+    its code columns, pairs of codes from one array of them.
     """
     if isinstance(pairs, PairTable):
         return _cells(pairs.first, pairs.second)
-    codes = [(p.first, p.second) if isinstance(p, LabelPair) else (p[0], p[1]) for p in pairs]
-    first, second = np.array(codes, dtype=object).reshape(-1, 2).T
+    first, second = np.array([(p[0], p[1]) for p in pairs], dtype=object).reshape(-1, 2).T
     return _cells(first, second)
 
 
@@ -156,7 +155,7 @@ def matrix_from_cells(cells: np.ndarray) -> CoincidenceMatrix:
     return CoincidenceMatrix(one_sided + one_sided.T)
 
 
-def build_coincidence(pairs: Iterable[LabelPair | tuple[int, int]]) -> CoincidenceMatrix:
+def build_coincidence(pairs: PairTable | Iterable[tuple[int, int]]) -> CoincidenceMatrix:
     """Accumulate label pairs into a coincidence matrix.
 
     Every pair is entered in both orders, so equal-label pairs
@@ -287,7 +286,7 @@ def _first_draws(counts: np.ndarray, n_samples: int, seed: int) -> np.ndarray:
 
 
 def bootstrap_ci(
-    pairs: Sequence[LabelPair | tuple[int, int]],
+    pairs: PairTable | Sequence[tuple[int, int]],
     measure: Measure | str = Measure.ALPHA_INTERVAL,
     n_samples: int = 1000,
     seed: int = 0,
@@ -391,7 +390,7 @@ def _restricted_alpha(one_sided: np.ndarray, keep: tuple[int, int], what: str) -
         raise UndefinedMeasureError(f"pairs restricted to {what} are degenerate: {exc}") from None
 
 
-def ordering_diagnostics(pairs: Sequence[LabelPair | tuple[int, int]]) -> OrderingDiagnostics:
+def ordering_diagnostics(pairs: PairTable | Sequence[tuple[int, int]]) -> OrderingDiagnostics:
     """Compute the ordinality diagnostics on a pooled pair set.
 
     Restricting to a two-label subset keeps only the cells of the

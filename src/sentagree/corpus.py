@@ -44,33 +44,33 @@ merges it; the merge rule is stated once, in :func:`merge_gold`.
 An annotation table is read once into columns, an
 :class:`AnnotationTable`: post index, label code, annotator index and
 ``seq`` as arrays, each row's date and text, and the file's delimiter.
-It is a read-only sequence of :class:`AnnotationRecord`, whose items are
-views built only when indexed or iterated.  :func:`extract_pairs`
-returns the pairs as columns too, a :class:`PairTable`, computed with
-numpy from one sort of the rows by post and ``seq``; :func:`merge_gold` works
-from the same groups.  A list of records given to either is first made
-into a table sorted by ``seq``, so one grouping serves both.
+:func:`extract_pairs` returns the pairs as columns too, a
+:class:`PairTable`, computed with numpy from one sort of the rows by
+post and ``seq``; :func:`merge_gold` works from the same groups.  A list
+of :class:`AnnotationRecord` given to either is first made into a table
+sorted by ``seq``, so one grouping serves both.
 
 Gold posts are columns too, a :class:`GoldTable` with one row per post:
-post id, label code, date, text and ``MergedFrom`` count.  It is a
-read-only sequence of :class:`GoldPost` views.  :func:`merge_gold`
-builds it from the arrays of its grouping, :func:`load_gold` reads one,
-:func:`save_gold` writes one column by column, and
-:func:`time_ordered_chunks` reorders one by an index array; a list of
-posts made by hand is first made into a table where columns are needed.
+post id, label code, date, text and ``MergedFrom`` count.
+:func:`merge_gold` builds it, :func:`load_gold` reads one and
+:func:`save_gold` writes one column by column; a list of
+:class:`GoldPost` made by hand is first made into a table.  A table
+selects rows by a slice or an index array, but it is no sequence of
+records: iterating one, or indexing it by an integer, raises
+:class:`TypeError`.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
-from collections.abc import Iterable, Iterator, Sequence
+from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum, IntEnum
 from itertools import chain, repeat
-from operator import attrgetter, eq, index, is_not, le, ne
+from operator import attrgetter, is_not, le, ne
 from pathlib import Path
 
 import numpy as np
@@ -116,8 +116,7 @@ class SentimentLabel(IntEnum):
 
 
 _LABELS = {m.name.lower(): m for m in SentimentLabel}
-_BY_CODE = tuple(SentimentLabel)  # the labels of codes -1, 0, +1
-_NAMES = np.array([label.to_string() for label in _BY_CODE], dtype=object)  # the names of codes -1, 0, +1
+_NAMES = np.array([label.to_string() for label in SentimentLabel], dtype=object)  # the names of codes -1, 0, +1
 _COUNTS = range(1, 2**63)  # a MergedFrom value: an int64 count of at least one annotation
 
 
@@ -160,21 +159,6 @@ class AnnotationRecord:
 
 
 @dataclass(frozen=True)
-class LabelPair:
-    """An unordered pair of labels given to the same post.
-
-    ``first`` belongs to the earlier annotation (smaller ``seq``).  The
-    pair is a self-agreement pair exactly when both annotations were
-    produced by the same annotator.
-    """
-
-    first: SentimentLabel
-    second: SentimentLabel
-    kind: PairKind
-    post_id: str
-
-
-@dataclass(frozen=True)
 class GoldPost:
     """A post with a single merged gold label.
 
@@ -195,23 +179,21 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     return arrays
 
 
-class _Columns(Sequence):
-    """What the column-backed sequences below share: items built by
-    ``_items`` over a slice of the rows; equality item by item with any
-    sequence, as a list of their items would compare; and selection by a
-    slice or an index array (such as a boolean mask), which cuts each
-    column named in ``_rows`` to those rows and, in a table with a
-    ``post`` column, numbers their posts anew."""
+class _Columns:
+    """What the column tables below share: selection by a slice or an
+    index array (such as a boolean mask), which cuts each column named in
+    ``_rows`` to those rows and, in a table with a ``post`` column,
+    numbers their posts anew; no iteration and no integer index."""
 
     __slots__ = ()
 
     def __iter__(self):
-        return self._items(slice(None))
+        raise TypeError(f"a {type(self).__name__} is not iterable: read its columns")
 
     def __getitem__(self, position):
         if not isinstance(position, (slice, np.ndarray)):
-            at = range(len(self))[index(position)]
-            return next(self._items(slice(at, at + 1)))
+            table = type(self).__name__
+            raise TypeError(f"a {table} takes a slice or an index array, not {position!r}: read its columns")
         rows = np.arange(len(self))[position]
         part = copy.copy(self)
         for name in self._rows:
@@ -227,13 +209,6 @@ class _Columns(Sequence):
             part.post_ids = tuple(map(self.post_ids.__getitem__, present[order].tolist()))
         return part
 
-    def __eq__(self, other: object) -> bool:
-        if not isinstance(other, Sequence):
-            return NotImplemented
-        return len(self) == len(other) and all(map(eq, self, other))
-
-    __hash__ = None  # type: ignore[assignment]
-
 
 class AnnotationTable(_Columns):
     """An annotation table as columns, one row per annotation; a loaded
@@ -244,9 +219,7 @@ class AnnotationTable(_Columns):
     ``label`` holds the codes -1/0/+1 as int8 and ``seq`` each row's
     ``seq``; ``dates`` and ``texts`` hold each row's value or None.
     ``delimiter`` is the source file's, ``","`` for a table made from
-    records.  The arrays are read-only.  As a sequence the table holds
-    :class:`AnnotationRecord` items, each built when it is indexed or
-    iterated.
+    records.  The arrays are read-only.
     """
 
     __slots__ = ("post_ids", "post", "annotator_ids", "annotator", "label", "seq", "dates", "texts",
@@ -265,23 +238,12 @@ class AnnotationTable(_Columns):
     def __len__(self) -> int:
         return len(self.label)
 
-    def _items(self, rows: slice) -> Iterator[AnnotationRecord]:
-        for post, annotator, code, seq, date, text in zip(
-            self.post[rows].tolist(), self.annotator[rows].tolist(), self.label[rows].tolist(),
-            self.seq[rows].tolist(), self.dates[rows], self.texts[rows],
-        ):
-            yield AnnotationRecord(self.post_ids[post], self.annotator_ids[annotator], _BY_CODE[code + 1], seq,
-                                   date, text)
-
 
 class PairTable(_Columns):
     """Label pairs as columns: ``first`` and ``second`` hold the label
     codes (int8) of the earlier and the later annotation, ``self`` (the
     ``same`` argument) whether one annotator gave both, and ``post`` the
     index of the pair's post in ``post_ids``.  The arrays are read-only.
-
-    As a sequence the table holds :class:`LabelPair` items, each built
-    when it is indexed or iterated.
     """
 
     __slots__ = ("first", "second", "self", "post", "post_ids")
@@ -297,23 +259,12 @@ class PairTable(_Columns):
     def __len__(self) -> int:
         return len(self.first)
 
-    def _items(self, pairs: slice) -> Iterator[LabelPair]:
-        for first, second, same, post in zip(
-            self.first[pairs].tolist(), self.second[pairs].tolist(), self.self[pairs].tolist(),
-            self.post[pairs].tolist(),
-        ):
-            yield LabelPair(_BY_CODE[first + 1], _BY_CODE[second + 1], PairKind.SELF if same else PairKind.INTER,
-                            self.post_ids[post])
-
 
 class GoldTable(_Columns):
     """Gold posts as columns, one row per post: ``post_ids`` holds each
     post's id, ``label`` its code -1/0/+1 as int8, ``dates`` and
     ``texts`` its value or None, and ``merged_from`` (int64) the number
     of annotations it was merged from.  The arrays are read-only.
-
-    As a sequence the table holds :class:`GoldPost` items, each built
-    when it is indexed or iterated.
     """
 
     __slots__ = ("post_ids", "label", "dates", "texts", "merged_from")
@@ -328,13 +279,6 @@ class GoldTable(_Columns):
 
     def __len__(self) -> int:
         return len(self.label)
-
-    def _items(self, rows: slice) -> Iterator[GoldPost]:
-        for post_id, code, date, text, count in zip(
-            self.post_ids[rows], self.label[rows].tolist(), self.dates[rows], self.texts[rows],
-            self.merged_from[rows].tolist(),
-        ):
-            yield GoldPost(post_id, _BY_CODE[code + 1], date, text, count)
 
 
 @contextmanager
@@ -484,8 +428,8 @@ def _read(path: str | Path, annotated: bool) -> AnnotationTable | GoldTable:
 
 
 def load_annotations(path: str | Path) -> AnnotationTable:
-    """Read an annotation table into an :class:`AnnotationTable`, a
-    read-only sequence of :class:`AnnotationRecord`.
+    """Read an annotation table into the columns of an
+    :class:`AnnotationTable`.
 
     Rows are assigned ``seq`` numbers 0..n-1 in file order.  Unknown
     labels, missing required columns, empty ids and unparseable
@@ -662,7 +606,7 @@ def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> tuple[Sequence[G
     with equal timestamps in their given order; otherwise the given
     order is kept, as by :func:`~sentagree.evaluation.prepare`.  A
     :class:`GoldTable` gives a table, itself when it is in that order
-    already; a list gives a list.
+    already; a list of :class:`GoldPost` gives a list.
     Dates with a UTC offset next to dates without one raise
     :class:`CorpusFormatError`, as in a table.
     """
@@ -670,6 +614,7 @@ def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> tuple[Sequence[G
     sizes = (*range(step, len(gold), step), len(gold))
     if isinstance(gold, GoldTable):  # its dates were checked when it was read or merged
         return _time_ordered(gold), sizes
+    # sorted as a list: made a table first, the table and its reordered copy would be held at once
     _check_offsets(gold)
     posts = list(gold)
     if all(p.timestamp is not None for p in posts):
@@ -678,8 +623,7 @@ def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> tuple[Sequence[G
 
 
 def load_gold(path: str | Path) -> GoldTable:
-    """Read a gold table into a :class:`GoldTable`, a read-only sequence
-    of :class:`GoldPost`.
+    """Read a gold table into the columns of a :class:`GoldTable`.
 
     Accepts files produced by :func:`save_gold`; the ``MergedFrom``
     column is optional and defaults to 1.  A table with an annotator
@@ -697,7 +641,12 @@ def save_gold(gold: Sequence[GoldPost], path: str | Path, delimiter: str = ",") 
 
     Columns are ``TweetID``, ``HandLabel``, optional ``Date`` and
     ``Text`` (emitted when any post carries one), and ``MergedFrom``.
+    ``delimiter`` is a comma or a tab, the two :func:`load_gold`
+    detects; any other raises :class:`ValueError` before the file is
+    opened.
     """
+    if delimiter not in (",", "\t"):
+        raise ValueError(f"delimiter must be ',' or '\\t', the two a table is read with, not {delimiter!r}")
     table = _gold_table(gold)
     header = ["TweetID", "HandLabel"]
     columns = [table.post_ids, _NAMES[table.label + 1]]

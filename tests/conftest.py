@@ -11,7 +11,7 @@ import pytest
 from hypothesis import strategies as st
 
 from sentagree import classify
-from sentagree.corpus import GoldPost, SentimentLabel
+from sentagree.corpus import AnnotationRecord, GoldPost, GoldTable, SentimentLabel
 
 # When a Hypothesis test fails, Hypothesis imports its patch writer, which
 # imports libcst, whose own imports warn DeprecationWarning.  Under
@@ -37,6 +37,49 @@ def write_table(path, rows, header=("TweetID", "HandLabel", "AnnotatorID", "Date
     lines += [delimiter.join(str(cell) for cell in row) for row in rows]
     path.write_text("\n".join(lines) + "\n", encoding="utf-8")
     return path
+
+
+def columns(table):
+    """Every column of a corpus table by name, each array as its dtype and
+    values: two tables hold the same data exactly when these are equal."""
+    return {name: (value.dtype.str, value.tolist()) if isinstance(value, np.ndarray) else value
+            for name in type(table).__slots__ for value in [getattr(table, name)]}
+
+
+def annotation_rows(table):
+    """The ``(post id, annotator id, label code, seq, date, text)`` rows
+    of an annotation table's columns."""
+    return list(zip(map(table.post_ids.__getitem__, table.post.tolist()),
+                    map(table.annotator_ids.__getitem__, table.annotator.tolist()),
+                    table.label.tolist(), table.seq.tolist(), table.dates, table.texts))
+
+
+def records_of(table):
+    """The rows of an annotation table as a list of records, for the path
+    a hand-made list takes."""
+    return [AnnotationRecord(post, annotator, SentimentLabel(code), seq, date, text)
+            for post, annotator, code, seq, date, text in annotation_rows(table)]
+
+
+def pair_rows(pairs):
+    """The ``(first, second, same, post id)`` rows of a pair table's columns."""
+    return list(zip(pairs.first.tolist(), pairs.second.tolist(), pairs.self.tolist(),
+                    map(pairs.post_ids.__getitem__, pairs.post.tolist())))
+
+
+def gold_rows(gold):
+    """The ``(post id, label code, date, text, MergedFrom)`` rows of a gold
+    table's columns, or of a list of posts."""
+    if isinstance(gold, GoldTable):
+        return list(zip(gold.post_ids, gold.label.tolist(), gold.dates, gold.texts, gold.merged_from.tolist()))
+    return [(p.post_id, int(p.label), p.timestamp, p.text, p.merged_from) for p in gold]
+
+
+def posts_of(gold):
+    """The rows of a gold table as a list of posts, for the path a
+    hand-made list takes."""
+    return [GoldPost(post_id, SentimentLabel(code), date, text, count)
+            for post_id, code, date, text, count in gold_rows(gold)]
 
 
 def separable_corpus(n, seed=0, words_per_doc=4, fillers=3):

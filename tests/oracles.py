@@ -362,12 +362,11 @@ def _records_by_post(records):
 
 
 def extract_pairs_reference(records):
-    """All annotation pairs of each post, one ``LabelPair`` at a time."""
-    from sentagree.corpus import LabelPair, PairKind
-
+    """All annotation pairs of each post, one ``(first, second, same,
+    post_id)`` tuple at a time: the two label codes, whether one
+    annotator gave both, and the post."""
     return [
-        LabelPair(a.label, b.label, PairKind.SELF if a.annotator_id == b.annotator_id else PairKind.INTER,
-                  a.post_id)
+        (int(a.label), int(b.label), a.annotator_id == b.annotator_id, a.post_id)
         for group in _records_by_post(records)
         for a, b in combinations(group, 2)
     ]

@@ -15,7 +15,7 @@ from sentagree import classify, corpus, evaluation
 from sentagree.agreement import Measure, build_coincidence, compute_measure
 from sentagree.classify import LinearModel, SentimentModel, TrainConfig, Variant
 from sentagree.cli import DATA_DIR_ENV, main as cli_main
-from sentagree.corpus import PairKind, SentimentLabel
+from sentagree.corpus import SentimentLabel
 from sentagree.errors import UndefinedMeasureError
 from sentagree.features import CountRows
 from sentagree.ranking import nemenyi_cd
@@ -138,7 +138,7 @@ def test_criterion_05_public_corpus_reproduction() -> None:
         pytest.skip("English and Spanish label files not found in the data directory")
 
     pairs = corpus.extract_pairs(corpus.load_annotations(english))
-    inter = [p for p in pairs if p.kind is PairKind.INTER]
+    inter = pairs[~pairs.self]
     ci = agr.bootstrap_ci(inter, Measure.ALPHA_INTERVAL, seed=0)
     assert ci.point == pytest.approx(0.613, abs=0.005)
     assert (ci.high - ci.low) / 2 == pytest.approx(0.014, abs=0.005)
@@ -147,7 +147,7 @@ def test_criterion_05_public_corpus_reproduction() -> None:
     assert compute_measure(matrix, Measure.ACC_WITHIN_1) == pytest.approx(0.966, abs=0.005)
 
     es_pairs = corpus.extract_pairs(corpus.load_annotations(spanish))
-    es_self = build_coincidence([p for p in es_pairs if p.kind is PairKind.SELF])
+    es_self = build_coincidence(es_pairs[es_pairs.self])
     assert compute_measure(es_self, Measure.ALPHA_INTERVAL) == pytest.approx(0.245, abs=0.005)
 
     excluded = ("albanian", "spanish", "emoji")

@@ -224,9 +224,9 @@ def test_merge_round_trip_and_determinism(annotations_csv, tmp_path, capsys):
     assert first.read_bytes() == second.read_bytes()
     reloaded = corpus.load_gold(first)
     direct = corpus.merge_gold(corpus.load_annotations(annotations_csv))
-    assert [(p.post_id, p.label, p.merged_from) for p in reloaded] == [
-        (p.post_id, p.label, p.merged_from) for p in direct
-    ]
+    assert (reloaded.post_ids, reloaded.label.tolist(), reloaded.merged_from.tolist()) == (
+        direct.post_ids, direct.label.tolist(), direct.merged_from.tolist()
+    )
 
 
 def test_merge_of_a_table_without_rows_is_one_error(tmp_path, capsys):
@@ -251,8 +251,9 @@ def test_merge_and_prepare_build_no_gold_post(annotations_csv, gold_csv, tmp_pat
     assert calls == []
     gold = corpus.load_gold(gold_csv)
     evaluation.prepare(gold, min_df=1)
-    assert calls == []
-    assert len(list(gold)) == len(calls) == 45  # the spy sees the posts a table builds when iterated
+    assert calls == [] and len(gold) == 45
+    GoldPost("p", SentimentLabel.NEUTRAL)
+    assert len(calls) == 1  # the spy sees every post built
 
 
 def test_merge_reads_its_table_once_and_keeps_its_delimiter(annotations_csv, tmp_path, capsys, monkeypatch):
@@ -273,13 +274,21 @@ def test_merge_reads_its_table_once_and_keeps_its_delimiter(annotations_csv, tmp
 
 
 def test_table_commands_build_no_record_or_pair_objects(annotations_csv, tmp_path, capsys, monkeypatch):
+    # the tables hold columns; a record is only ever an input, built by the caller
     built = []
-    for name in ("AnnotationRecord", "LabelPair"):
-        monkeypatch.setattr(corpus, name, lambda *args, name=name, **kwargs: built.append(name))
+    for record in (corpus.AnnotationRecord, corpus.GoldPost):
+        def counted(self, *args, real=record.__init__, name=record.__name__, **kwargs):
+            built.append(name)
+            real(self, *args, **kwargs)
+
+        monkeypatch.setattr(record, "__init__", counted)
     for argv in (["agreement"], ["ordering"], ["merge", "--out", str(tmp_path / "gold.csv")]):
         code, _, err = run([*argv, "--input", str(annotations_csv)], capsys)
         assert (code, err) == (0, "")
     assert built == []
+    corpus.AnnotationRecord("p", "a", SentimentLabel.NEUTRAL, 0)
+    GoldPost("p", SentimentLabel.NEUTRAL)
+    assert built == ["AnnotationRecord", "GoldPost"]  # the spies see every record built
 
 
 # --- train --------------------------------------------------------------------

@@ -30,7 +30,7 @@ PUBLIC = {
                   "build_coincidence", "compute_measure", "ordering_diagnostics", "sentiment_score"],
     "classify": ["LinearModel", "SentimentModel", "TrainConfig", "Variant", "load_model", "predict", "predict_batch",
                  "save_model", "train_binary", "train_sentiment"],
-    "corpus": ["AnnotationRecord", "GoldPost", "GoldTable", "LabelPair", "PairKind", "SentimentLabel", "extract_pairs",
+    "corpus": ["AnnotationRecord", "GoldPost", "GoldTable", "PairKind", "SentimentLabel", "extract_pairs",
                "load_annotations", "load_gold", "merge_gold", "save_gold", "time_ordered_chunks"],
     "errors": ["CorpusFormatError", "EvaluationError", "FoldPlanError", "ModelFormatError", "SentagreeError",
                "UndefinedMeasureError", "VocabularyError"],
@@ -93,7 +93,7 @@ def test_cli_import_loads_no_scipy_and_friedman_no_scipy_stats(annotations_csv, 
 
 def test_all_holds_the_public_names_in_order() -> None:
     names = [name for group in PUBLIC.values() for name in group]
-    assert len(names) == len(set(names)) == 61
+    assert len(names) == len(set(names)) == 60
     assert sentagree.__all__ == sorted(names)
 
 
