@@ -83,17 +83,16 @@ tables and tunes the neutral zone with the same rules, and
 ``NaiveBayes``        multinomial baseline on the raw counts with
                       add-1 smoothing and training-frequency priors.
 
-A model is saved as one UTF-8 text file of ``key value ...`` lines
-(format version 2): ``sentagree-model 2`` first, then ``variant``,
-``dim`` and ``planes``; per plane ``plane``, ``bias`` and ``weights``;
-the variant's table (``neutral_zone``; ``bin_grid``, ``edges_a``,
-``edges_b``, ``bins`` and one ``bin i j`` line of three label counts
-per filled cell; ``subspaces 8`` and ``subspace s`` lines; ``nb_docs``
-and ``nb_counts c`` lines); and, for a model trained with its
-vocabulary, ``n_docs``, ``min_df``, ``ngrams`` (comma-separated) and
-``terms`` followed by one ``term<TAB>index<TAB>doc_freq`` row per term,
-in index order.  Only term rows hold a tab.  Floats are written with
-``repr`` and reload bit-exactly.
+A model is saved as one UTF-8 JSON object (format version 3):
+``format`` (``"sentagree-model"``), ``version``, ``variant``, ``dim``
+and ``planes``, ``{name: {bias, weights}}``; the variant's table, one
+of ``neutral_zone``, ``bins`` (``{grid, edges_a, edges_b, cells}``,
+one ``[i, j, n-, n0, n+]`` per filled cell), ``subspaces`` (8 rows of
+three label counts) and ``nb`` (``{docs, counts}``); and, for a model
+trained with its vocabulary, ``vocabulary`` (``{terms, doc_freq,
+n_docs, min_df, ngrams}``).  Keys are sorted and floats written with
+``repr``, so they reload bit-exactly and a model always gives the same
+bytes.
 """
 
 from __future__ import annotations
@@ -101,6 +100,7 @@ from __future__ import annotations
 import ctypes
 import functools
 import hashlib
+import json
 import logging
 import math
 import os
@@ -115,7 +115,7 @@ import numpy as np
 from . import _EXPORTS
 from .agreement import _STACKED, Measure, _cells
 from .corpus import SentimentLabel, _not_codes
-from .errors import EvaluationError, ModelFormatError, VocabularyError, _check_count, _is_integer
+from .errors import EvaluationError, ModelFormatError, _check_count, _is_integer
 from .features import CountRows, Vocabulary, delta_weights
 
 __all__ = _EXPORTS["classify"].split()
@@ -776,194 +776,152 @@ def predict_batch(model: SentimentModel, rows: CountRows) -> np.ndarray:
 # --- serialization ----------------------------------------------------------
 
 _MODEL_MAGIC = "sentagree-model"
-_MODEL_VERSION = 2
-#: The keys of a saved vocabulary's lines; its terms are the tab-separated rows.
-_VOCAB_KEYS = {"n_docs", "min_df", "ngrams", "terms"}
-
-
-def _fmt_floats(values: np.ndarray) -> str:
-    return " ".join(repr(float(v)) for v in values)
+_MODEL_VERSION = 3
+#: The table each variant needs besides its planes, by its key and model field.
+_VARIANT_TABLE = {Variant.NEUTRAL_ZONE: "neutral_zone", Variant.TWO_PLANE_BIN: "bins",
+                  Variant.THREE_PLANE: "subspaces", Variant.NAIVE_BAYES: "nb"}
 
 
 def save_model(model: SentimentModel, path: str | Path) -> None:
     """Write a model, and its vocabulary if it has one, as one versioned
-    text file (layout in the module docstring).  A term holding a tab or
-    a line break raises :class:`VocabularyError` before anything is written.
-    """
-    vocab = model.vocab
-    for term in vocab.terms if vocab is not None else ():
-        if "\t" in term or "".join(term.splitlines()) != term:
-            raise VocabularyError(f"term {term!r} contains a delimiter character")
-    with open(path, "w", encoding="utf-8", newline="\n") as handle:
-        handle.write(f"{_MODEL_MAGIC} {_MODEL_VERSION}\n")
-        handle.write(f"variant {model.variant.value}\n")
-        handle.write(f"dim {model.dim}\n")
-        handle.write(f"planes {len(model.planes)}\n")
-        for name in sorted(model.planes):
-            plane = model.planes[name]
-            handle.write(f"plane {name}\n")
-            handle.write(f"bias {float(plane.bias)!r}\n")
-            handle.write("weights " + _fmt_floats(plane.weights) + "\n")
-        if model.neutral_zone is not None:
-            handle.write(f"neutral_zone {float(model.neutral_zone)!r}\n")
-        if model.bins is not None:
-            bins = model.bins
-            handle.write(f"bin_grid {bins.grid}\n")
-            handle.write("edges_a " + _fmt_floats(bins.edges_a) + "\n")
-            handle.write("edges_b " + _fmt_floats(bins.edges_b) + "\n")
-            filled = np.argwhere(bins.counts.sum(axis=2) > 0)
-            handle.write(f"bins {len(filled)}\n")
-            for i, j in filled:
-                c = bins.counts[i, j]
-                handle.write(f"bin {i} {j} {c[0]} {c[1]} {c[2]}\n")
-        if model.subspaces is not None:
-            handle.write("subspaces 8\n")
-            for idx in range(8):
-                c = model.subspaces.counts[idx]
-                handle.write(f"subspace {idx} {c[0]} {c[1]} {c[2]}\n")
-        if model.nb is not None:
-            nb = model.nb
-            handle.write("nb_docs " + " ".join(str(int(c)) for c in nb.doc_counts) + "\n")
-            for c in range(3):
-                handle.write(f"nb_counts {c} " + _fmt_floats(nb.term_counts[c]) + "\n")
-        if vocab is not None:
-            ngrams = ",".join(map(str, vocab.ngrams))
-            handle.write(f"n_docs {vocab.n_docs}\nmin_df {vocab.min_df}\nngrams {ngrams}\nterms {vocab.dim}\n")
-            for i, (term, df) in enumerate(zip(vocab.terms, vocab.doc_freq.tolist())):
-                handle.write(f"{term}\t{i}\t{df}\n")
+    JSON document (layout in the module docstring).  The same model
+    always writes the same bytes; a number that is not finite raises
+    ``ValueError`` before anything is written."""
+    bins, nb, vocab = model.bins, model.nb, model.vocab
+    filled = np.argwhere(bins.counts.sum(axis=2) > 0).tolist() if bins else []
+    document = {
+        "format": _MODEL_MAGIC, "version": _MODEL_VERSION, "variant": model.variant.value, "dim": int(model.dim),
+        "planes": {name: {"bias": float(p.bias), "weights": p.weights.tolist()} for name, p in model.planes.items()},
+        "neutral_zone": model.neutral_zone,
+        "bins": bins and {"grid": int(bins.grid), "edges_a": bins.edges_a.tolist(), "edges_b": bins.edges_b.tolist(),
+                          "cells": [[i, j, *bins.counts[i, j].tolist()] for i, j in filled]},
+        "subspaces": model.subspaces and model.subspaces.counts.tolist(),
+        "nb": nb and {"docs": nb.doc_counts.tolist(), "counts": nb.term_counts.tolist()},
+        "vocabulary": vocab and {"terms": list(vocab.terms), "doc_freq": vocab.doc_freq.tolist(),
+                                 "n_docs": int(vocab.n_docs), "min_df": int(vocab.min_df),
+                                 "ngrams": [int(n) for n in vocab.ngrams]},
+    }
+    document = {key: value for key, value in document.items() if value is not None}
+    # floats go out by repr, so they reload bit for bit
+    text = json.dumps(document, sort_keys=True, allow_nan=False, ensure_ascii=False)
+    Path(path).write_text(text + "\n", encoding="utf-8", newline="\n")
 
 
-#: The calibration table each variant needs: its model field and line keys.
-_VARIANT_TABLE = {
-    Variant.NEUTRAL_ZONE: ("neutral_zone", {"neutral_zone"}),
-    Variant.TWO_PLANE_BIN: ("bins", {"bin_grid", "edges_a", "edges_b", "bins", "bin"}),
-    Variant.THREE_PLANE: ("subspaces", {"subspaces", "subspace"}),
-    Variant.NAIVE_BAYES: ("nb", {"nb_docs", "nb_counts"}),
-}
+def _unique_keys(pairs: list[tuple[str, object]]) -> dict:
+    """The members of a JSON object; a repeated key raises ``ValueError``."""
+    keys = [key for key, _ in pairs]
+    if len(set(keys)) < len(keys):
+        raise ValueError(f"key {next(key for key in keys if keys.count(key) > 1)!r} repeats")
+    return dict(pairs)
 
 
-def _counts(values, shape: tuple[int, ...]) -> np.ndarray:
-    counts = np.array(values)  # integers past 64 bits make an object array
-    if counts.dtype == object or counts.shape != shape or not np.all((counts >= 0) & (counts < math.inf)):
-        raise ValueError(f"expected finite non-negative 64-bit counts of shape {shape}")
-    return counts
+def _object(value, name: str, keys: set[str]) -> dict:
+    """``value``, a JSON object holding exactly ``keys``."""
+    if type(value) is not dict or set(value) != keys:
+        raise ValueError(f"{name} must be an object of {sorted(keys)}")
+    return value
 
 
-class _KeyedLines:
-    """The lines after a model file's first line: a line holding a tab is
-    a row of tab-separated fields, any other is ``key value ...``, split
-    at its first space.  Lookups raise ``ValueError``."""
-
-    def __init__(self, lines: list[str]) -> None:
-        self.fields: dict[str, list[str]] = {}
-        self.tab_rows = [line.split("\t") for line in lines if "\t" in line]
-        for key, _, value in (line.partition(" ") for line in lines if "\t" not in line):
-            self.fields.setdefault(key, []).append(value)
-
-    def rows(self, key: str, kind: type = str) -> list[list]:
-        return [[kind(v) for v in value.split()] for value in self.fields.get(key, [])]
-
-    def one(self, key: str, kind: type = str):
-        values = self.rows(key, kind)
-        if [len(row) for row in values] != [1]:
-            raise ValueError(f"expected one {key!r} line with one value")
-        return values[0][0]
+def _array(value, shape: tuple, name: str, integer: bool = False, counts: bool = False) -> np.ndarray:
+    """``value``, JSON lists nested to ``shape`` (``None``: any length), as
+    finite floats, or 64-bit integers if ``integer``, non-negative and below
+    2**63 if ``counts``; a bool, string, ``null`` or object in it is a fault."""
+    array = np.array(value, dtype=object)  # lists of unequal lengths make an array of lists
+    if array.shape == (0,) and len(shape) > 1:  # no rows
+        array = array.reshape(0, *(n or 0 for n in shape[1:]))
+    kinds = (int,) if integer else (int, float)
+    if len(array.shape) != len(shape) or any(n not in (None, m) for n, m in zip(shape, array.shape)) or not all(
+            type(x) in kinds for x in array.flat):
+        raise ValueError(f"{name} must be {'integers' if integer else 'numbers'} of shape {shape}")
+    array = array.astype(np.int64 if integer else np.float64)  # OverflowError past 64 bits
+    if not np.isfinite(array).all() or counts and not ((array >= 0) & (array < 2**63)).all():
+        raise ValueError(f"{name} must be finite" + (" non-negative counts below 2**63" if counts else ""))
+    return array
 
 
-def _parse_vocabulary(keyed: _KeyedLines, dim: int) -> Vocabulary | None:
-    """The vocabulary block of a model file, ``None`` if it has none; it
-    must hold all four keyed lines and ``dim`` term rows in index order."""
-    terms, one = keyed.tab_rows, keyed.one
-    if not (terms or _VOCAB_KEYS & set(keyed.fields)):
-        return None
-    if not one("terms", int) == len(terms) == dim:
-        raise ValueError(f"a vocabulary needs terms {dim} and {dim} term rows, one per dimension")
-    if [int(idx) for _, idx, _ in terms] != list(range(dim)):
-        raise ValueError("term indices out of order")
-    return Vocabulary(
-        terms=tuple(term for term, _, _ in terms),
-        doc_freq=[int(df) for _, _, df in terms],
-        n_docs=one("n_docs", int),
-        min_df=one("min_df", int),
-        ngrams=tuple(int(n) for n in one("ngrams").split(",")),
-    )
-
-
-def _parse_model(keyed: _KeyedLines) -> SentimentModel:
-    """Parse the keyed lines of a model file and check that they hold
-    exactly the planes and the table of its variant, in range, and at
-    most one vocabulary.
-
-    Every fault raises ``ValueError`` or ``OverflowError``.
-    """
-    fields, rows, one = keyed.fields, keyed.rows, keyed.one
-    variant, dim = one("variant", Variant), one("dim", int)
-    table, table_keys = _VARIANT_TABLE.get(variant, (None, set()))
-    stray = set(fields) - {"variant", "dim", "planes", "plane", "bias", "weights"} - _VOCAB_KEYS - table_keys
-    if stray or (table and not table_keys & set(fields)):
-        raise ValueError(f"a {variant.value} model needs table {table}, found {sorted(stray) or 'none'}")
-    names, biases, weights = [name for name, in rows("plane")], rows("bias", float), rows("weights", float)
+def _parse_model(document: dict) -> SentimentModel:
+    """The model of a parsed model file, checked to hold exactly the
+    planes and the table of its variant, in range, and at most a
+    vocabulary of ``dim`` terms.  Every fault raises ``ValueError`` or
+    ``OverflowError``."""
+    variant = Variant(document.get("variant"))
+    table = _VARIANT_TABLE.get(variant)
+    keys = {"format", "version", "variant", "dim", "planes"} | ({table} if table else set())
+    if not keys <= set(document) <= keys | {"vocabulary"}:
+        raise ValueError(f"a {variant.value} model holds {sorted(keys)} and at most a vocabulary, "
+                         f"found {sorted(document)}")
+    _check_count("dim", dim := document["dim"], 0)
     needed = sorted(_PLANE_SIDES.get(variant, {}))
-    if sorted(names) != needed or not one("planes", int) == len(names) == len(biases) == len(weights):
-        raise ValueError(f"{variant.value} needs planes {needed}, found {sorted(names)}")
-    planes: dict[str, LinearModel] = {}
-    for name, (bias,), values in zip(names, biases, weights):
-        if len(values) != dim or not np.all(np.isfinite([bias, *values])):
-            raise ValueError(f"plane {name} needs {dim} finite weights")
-        planes[name] = LinearModel(weights=np.array(values), bias=bias)
+    if type(document["planes"]) is not dict or sorted(document["planes"]) != needed:
+        raise ValueError(f"{variant.value} needs planes {needed}")
+    planes = {}
+    for name, plane in document["planes"].items():
+        plane = _object(plane, f"plane {name}", {"bias", "weights"})
+        planes[name] = LinearModel(_array(plane["weights"], (dim,), f"plane {name} weights"),
+                                   float(_array(plane["bias"], (), f"plane {name} bias")))
 
     tables: dict[str, object] = {}
     if table == "neutral_zone":
-        zone = one("neutral_zone", float)
-        if not 0.0 <= zone < math.inf:  # written so that nan fails too
-            raise ValueError(f"neutral_zone must be non-negative and finite, got {zone}")
-        tables[table] = zone
+        tables[table] = zone = float(_array(document[table], (), table))
+        if zone < 0.0:
+            raise ValueError(f"neutral_zone must be non-negative, got {zone}")
     elif table == "bins":
-        grid, cells = one("bin_grid", int), rows("bin", int)
-        (edges_a,), (edges_b,) = rows("edges_a", float), rows("edges_b", float)
-        if grid < 1 or not len(edges_a) == len(edges_b) == grid + 1 or one("bins", int) != len(cells):
-            raise ValueError(f"bin table does not fit a grid of {grid}")
+        bins = _object(document[table], table, {"grid", "edges_a", "edges_b", "cells"})
+        grid = TrainConfig(bin_grid=bins["grid"]).bin_grid  # in training's bounds, so the table fits in memory
+        edges = [_array(bins[key], (grid + 1,), f"bins {key}") for key in ("edges_a", "edges_b")]
+        cells = _array(bins["cells"], (None, 5), "bins cells", integer=True, counts=True)
+        if (cells[:, :2] > grid + 1).any():
+            raise ValueError(f"a bin is outside a grid of {grid}")
         counts = np.zeros((grid + 2, grid + 2, 3), dtype=np.int64)
-        for i, j, *cell in cells:
-            if not (0 <= i <= grid + 1 and 0 <= j <= grid + 1):
-                raise ValueError(f"bin ({i}, {j}) is outside a grid of {grid}")
-            counts[i, j] = cell
-        tables[table] = BinTable(grid, np.array(edges_a), np.array(edges_b), _counts(counts, counts.shape))
+        counts[cells[:, 0], cells[:, 1]] = cells[:, 2:]
+        tables[table] = BinTable(grid, *edges, counts)
     elif table == "subspaces":
-        cells = rows("subspace", int)
-        if one("subspaces", int) != 8 or [cell[:1] for cell in cells] != [[k] for k in range(8)]:
-            raise ValueError("expected subspaces 0..7 in order")
-        tables[table] = SubspaceTable(_counts([cell[1:] for cell in cells], (8, 3)))
+        tables[table] = SubspaceTable(_array(document[table], (8, 3), table, integer=True, counts=True))
     elif table == "nb":
-        (docs,), terms = rows("nb_docs", int), rows("nb_counts", float)
-        if [row[:1] for row in terms] != [[0], [1], [2]]:
-            raise ValueError("expected nb_counts 0..2 in order")
-        docs = _counts(docs, (3,))
+        nb = _object(document[table], table, {"docs", "counts"})
+        docs = _array(nb["docs"], (3,), "nb docs", integer=True, counts=True)
         if not docs.all():  # as training, which refuses a missing class
-            raise ValueError(f"nb_docs needs a document of every class, got {' '.join(map(str, docs))}")
-        tables[table] = NaiveBayesTable(docs, _counts([row[1:] for row in terms], (3, dim)))
-    return SentimentModel(variant=variant, dim=dim, vocab=_parse_vocabulary(keyed, dim), planes=planes, **tables)
+            raise ValueError(f"nb docs needs a document of every class, got {docs.tolist()}")
+        tables[table] = NaiveBayesTable(docs, _array(nb["counts"], (3, dim), "nb counts", counts=True))
+
+    vocab = None
+    if "vocabulary" in document:
+        fields = _object(document["vocabulary"], "vocabulary", {"terms", "doc_freq", "n_docs", "min_df", "ngrams"})
+        if type(terms := fields["terms"]) is not list or len(terms) != dim or {type(t) for t in terms} - {str}:
+            raise ValueError(f"a vocabulary needs {dim} terms, one per dimension")
+        vocab = Vocabulary(tuple(terms), _array(fields["doc_freq"], (dim,), "doc_freq", integer=True), fields["n_docs"],
+                           fields["min_df"], tuple(_array(fields["ngrams"], (None,), "ngrams", integer=True).tolist()))
+    return SentimentModel(variant=variant, dim=dim, vocab=vocab, planes=planes, **tables)
 
 
 def load_model(path: str | Path) -> SentimentModel:
     """Read a model written by :func:`save_model`, with its vocabulary
     (``None`` for a model saved without one).
 
-    Bytes that are not UTF-8, another first line or format version, and
-    a file that does not hold exactly its variant's planes and table, in
-    range, and a vocabulary of ``dim`` terms if any, raise
-    :class:`ModelFormatError`; I/O errors propagate unchanged.
+    Bytes that are not UTF-8 or not JSON, another format or format
+    version, a repeated key, and a document that does not hold exactly
+    its variant's planes and table, in range, and a vocabulary of
+    ``dim`` terms if any, raise :class:`ModelFormatError`; I/O errors
+    propagate unchanged.
     """
     try:
-        with open(path, encoding="utf-8") as handle:
-            first, *lines = handle.read().splitlines() or [""]
+        text = Path(path).read_bytes().decode("utf-8")
     except UnicodeDecodeError as exc:
         raise ModelFormatError(f"{path}: not UTF-8 text (cannot decode byte 0x{exc.object[exc.start]:02x})") from None
-    if not first.startswith(_MODEL_MAGIC):
-        raise ModelFormatError(f"{path}: not a model file")
-    if (found := first.removeprefix(_MODEL_MAGIC).strip()) != str(_MODEL_VERSION):
+    if text.startswith(_MODEL_MAGIC):  # the line formats of versions 1 and 2 begin "sentagree-model N"
+        found = text.partition("\n")[0].removeprefix(_MODEL_MAGIC).strip()
         raise ModelFormatError(f"{path}: unsupported model version {found!r}")
     try:
-        return _parse_model(_KeyedLines(lines))
+        document = json.loads(text, object_pairs_hook=_unique_keys)
+    except json.JSONDecodeError as exc:
+        raise ModelFormatError(f"{path}: not a model file ({exc})") from None
+    except (ValueError, RecursionError) as exc:
+        raise ModelFormatError(f"{path}: malformed model file ({exc})") from None
+    if type(document) is not dict or document.get("format") != _MODEL_MAGIC:
+        raise ModelFormatError(f"{path}: not a model file")
+    if type(found := document.get("version")) is not int or found != _MODEL_VERSION:
+        raise ModelFormatError(f"{path}: unsupported model version {found!r}")
+    try:
+        return _parse_model(document)
     except (ValueError, OverflowError) as exc:
         raise ModelFormatError(f"{path}: malformed model file ({exc})") from None

@@ -643,7 +643,8 @@ def save_gold(gold: Sequence[GoldPost], path: str | Path, delimiter: str = ",") 
     ``Text`` (emitted when any post carries one), and ``MergedFrom``.
     ``delimiter`` is a comma or a tab, the two :func:`load_gold`
     detects; any other raises :class:`ValueError` before the file is
-    opened.
+    opened.  Every field is quoted when an id or a text holds a carriage
+    return that would otherwise go unquoted and end its row.
     """
     if delimiter not in (",", "\t"):
         raise ValueError(f"delimiter must be ',' or '\\t', the two a table is read with, not {delimiter!r}")
@@ -659,7 +660,11 @@ def save_gold(gold: Sequence[GoldPost], path: str | Path, delimiter: str = ",") 
         columns.append(table.texts)  # the writer writes None as an empty field
     header.append("MergedFrom")
     columns.append(table.merged_from.tolist())
+    # the reader ends a row at a \r, which the writer quotes only beside a delimiter, a quote or a \n
+    fields = [*table.post_ids, *filter(None, table.texts)]
+    bare = "\r" in "".join(fields) and any(not {delimiter, '"', "\n"} & set(field) for field in fields if "\r" in field)
+    quoting = csv.QUOTE_ALL if bare else csv.QUOTE_MINIMAL
     with open(path, "w", encoding="utf-8", newline="") as handle:
-        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n")
+        writer = csv.writer(handle, delimiter=delimiter, lineterminator="\n", quoting=quoting)
         writer.writerow(header)
         writer.writerows(zip(*columns))

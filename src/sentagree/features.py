@@ -238,10 +238,13 @@ class CountRows:
         return cls(np.concatenate(([0], np.cumsum(lengths)), dtype=np.intp), indices, values, parts[0].dim)
 
     def select(self, rows: Sequence[int], keep: np.ndarray | None = None) -> CountRows:
-        """The given rows, in the given order; with ``keep``, a strictly
-        increasing array of columns, only those columns, renumbered
-        ``0..len(keep)-1``."""
-        rows = np.asarray(rows, dtype=np.intp)
+        """The given rows, in the given order (integers: a mask raises
+        ``ValueError``); with ``keep``, a strictly increasing array of
+        columns, only those columns, renumbered ``0..len(keep)-1``."""
+        rows = np.asarray(rows)
+        if rows.size and rows.dtype.kind not in "iu":
+            raise ValueError(f"rows must be integer row numbers, not {rows.dtype} values")
+        rows = rows.astype(np.intp, copy=False)
         lengths = np.diff(self.indptr)[rows]
         # entry positions: each row's run of the stored arrays, one after another
         shift = self.indptr[rows] - (np.cumsum(lengths) - lengths)

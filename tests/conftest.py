@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import json
 import multiprocessing
 import warnings
 from datetime import datetime, timedelta
@@ -200,6 +201,76 @@ def fuzzed_table(draw, path):
         at = draw(st.integers(0, len(raw)))
         raw = raw[:at] + draw(st.sampled_from(FUZZ_BYTES) | st.binary(min_size=1, max_size=3)) + raw[at:]
     return raw
+
+
+class _Members(list):
+    """A parsed JSON object as its list of ``(key, value)`` members, so
+    that a member can be repeated with its key."""
+
+
+def _dumps(value) -> str:
+    """JSON text of ``value``, with :class:`_Members` written as objects
+    and NaN and the infinities as the literals ``json`` reads."""
+    if isinstance(value, _Members):
+        return "{" + ",".join(f"{json.dumps(key)}:{_dumps(item)}" for key, item in value) + "}"
+    if isinstance(value, list):
+        return "[" + ",".join(map(_dumps, value)) + "]"
+    return json.dumps(value)
+
+
+def _containers(value):
+    """``value`` and every object and list nested in it that holds a value."""
+    if isinstance(value, list):  # _Members too
+        if value:
+            yield value
+        for item in value:
+            yield from _containers(item[1] if isinstance(value, _Members) else item)
+
+
+#: Values put in place of a value of a parsed model file by
+#: :func:`damaged_model`: each kind of JSON value, integers past 64 bits,
+#: and the numbers JSON has no literal for.  Tuples are written as lists.
+FUZZ_VALUES = [True, False, None, "", "x", 2**70, -(2**70), float("nan"), float("inf"), float("-inf"),
+               -1, 0, 0.5, (), (1,), ((1, 2),), {}, {"a": 1}]
+
+
+@st.composite
+def damaged_model(draw, text: str, within: str | None = None) -> bytes:
+    """The bytes of the model file ``text`` after one to three edits of
+    its parsed document, each dropping or repeating an object member (a
+    repeated member repeats its key) or a list element, negating a
+    number (``-1 - x``), or putting one of :data:`FUZZ_VALUES` in place
+    of a value; with ``within``, only inside the top-level member of
+    that key.  A quarter of the time the file is cut short or raw bytes
+    are spliced in instead."""
+    if draw(st.integers(0, 3)) == 0:
+        raw = text.encode("utf-8")
+        at = draw(st.integers(0, len(raw)))
+        if draw(st.booleans()):
+            return raw[:at]
+        return raw[:at] + draw(st.sampled_from(FUZZ_BYTES) | st.binary(min_size=1, max_size=3)) + raw[at:]
+    document = json.loads(text, object_pairs_hook=_Members)
+    root = document if within is None else next(value for key, value in document if key == within)
+    for _ in range(draw(st.integers(1, 3))):
+        containers = list(_containers(root))
+        if not containers:
+            break
+        # a container first, then a place in it, so that a short list is edited as often as a long one
+        container = draw(st.sampled_from(containers))
+        i = draw(st.integers(0, len(container) - 1))
+        kind = draw(st.sampled_from(["drop", "repeat", "negate", "replace"]))
+        if kind == "drop":
+            del container[i]
+        elif kind == "repeat":
+            container.insert(i, container[i])
+        else:
+            value = container[i][1] if isinstance(container, _Members) else container[i]
+            if kind == "replace" or type(value) not in (int, float):
+                value = draw(st.sampled_from(FUZZ_VALUES))
+            else:  # below 0 for a count at 0
+                value = -1 - value
+            container[i] = (container[i][0], value) if isinstance(container, _Members) else value
+    return (_dumps(document) + "\n").encode("utf-8")
 
 
 def count_planes(monkeypatch):

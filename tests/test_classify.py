@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import dataclasses
+import json
 import logging
 import re
 from types import SimpleNamespace
@@ -30,11 +31,11 @@ from sentagree.classify import (
     _decision_values,
 )
 from sentagree.corpus import SentimentLabel
-from sentagree.errors import EvaluationError, ModelFormatError, SentagreeError, VocabularyError
+from sentagree.errors import EvaluationError, ModelFormatError, SentagreeError
 from sentagree.features import CountRows, Vocabulary
 
 import oracles
-from conftest import mutated_lines
+from conftest import damaged_model
 
 
 def vec(values, dim: int | None = None) -> CountRows:
@@ -615,25 +616,35 @@ def same_vocabulary(a: Vocabulary, b: Vocabulary) -> bool:
 
 @pytest.mark.parametrize("variant", list(Variant))
 def test_model_round_trip(tmp_path, variant: Variant) -> None:
-    vectors, labels = toy_corpus(dup=6)
-    model = train_sentiment(stack(vectors), labels, variant, vocab=TOY_VOCAB)
-    path = tmp_path / "model.txt"
-    save_model(model, path)
-    loaded = load_model(path)
-    assert loaded.variant is variant
-    assert loaded.dim == model.dim
-    assert same_vocabulary(loaded.vocab, TOY_VOCAB)
-    before = [predict(model, x) for x in vectors]
-    after = [predict(loaded, x) for x in vectors]
-    assert before == after
+    # random counts, so that weights and edges are floats of any bits
+    rng = np.random.default_rng(3)
+    rows = CountRows(np.arange(31) * 3, np.tile(np.arange(3), 30), rng.integers(1, 4, size=90).astype(float), 3)
+    for vocab in (TOY_VOCAB, None):
+        model = train_sentiment(rows, [-1, 0, 1] * 10, variant, TrainConfig(bin_grid=3), vocab)
+        first, second = tmp_path / "first.json", tmp_path / "second.json"
+        save_model(model, first)
+        loaded = load_model(first)
+        save_model(loaded, second)
+        assert first.read_bytes() == second.read_bytes()
+        assert loaded.variant is variant
+        assert loaded.dim == model.dim
+        assert loaded.vocab is None if vocab is None else same_vocabulary(loaded.vocab, vocab)
+        assert sorted(loaded.planes) == sorted(model.planes)
+        for name, plane in model.planes.items():
+            assert loaded.planes[name].weights.tobytes() == plane.weights.tobytes()
+            assert loaded.planes[name].bias.hex() == float(plane.bias).hex()
+        singles = [rows.select([i]) for i in range(len(rows))]
+        assert [predict(loaded, x) for x in singles] == [predict(model, x) for x in singles]
+        document = json.loads(first.read_text(encoding="utf-8"), parse_constant=pytest.fail)
+        assert (document["format"], document["version"]) == ("sentagree-model", 3)
 
 
 def test_model_saved_without_a_vocabulary_loads_without_one(tmp_path) -> None:
     vectors, labels = toy_corpus(dup=4)
-    path = tmp_path / "model.txt"
+    path = tmp_path / "model.json"
     save_model(train_sentiment(stack(vectors), labels, Variant.NAIVE_BAYES), path)
     assert load_model(path).vocab is None
-    assert not any("\t" in line or line.split(" ")[0] in {"n_docs", "terms"} for line in path.read_text().splitlines())
+    assert "vocabulary" not in json.loads(path.read_text(encoding="utf-8"))
 
 
 def test_train_sentiment_rejects_a_vocabulary_of_another_dimension() -> None:
@@ -644,132 +655,151 @@ def test_train_sentiment_rejects_a_vocabulary_of_another_dimension() -> None:
 
 
 @pytest.mark.parametrize("term", ["a\tb", "a\nb", "a\rb", "a\u2028b"], ids=["tab", "newline", "return", "separator"])
-def test_save_model_rejects_delimiter_terms(tmp_path, term) -> None:
+def test_save_model_round_trips_delimiter_terms(tmp_path, term) -> None:
     vectors, labels = toy_corpus(dup=4)
     vocab = Vocabulary((term, "c", "d"), np.array([2, 2, 2]), n_docs=2, min_df=1, ngrams=(1,))
-    path = tmp_path / "model.txt"
-    with pytest.raises(VocabularyError, match="delimiter"):
-        save_model(train_sentiment(stack(vectors), labels, Variant.TWO_PLANE, vocab=vocab), path)
-    assert not path.exists()
+    path = tmp_path / "model.json"
+    save_model(train_sentiment(stack(vectors), labels, Variant.TWO_PLANE, vocab=vocab), path)
+    assert path.read_bytes().count(b"\n") == 1  # one line, whatever the terms hold
+    assert load_model(path).vocab.terms == (term, "c", "d")
 
 
 def test_load_model_rejects_bad_files(tmp_path) -> None:
-    not_model = tmp_path / "a.txt"
-    not_model.write_text("hello\n")
-    with pytest.raises(ModelFormatError, match="not a model"):
-        load_model(not_model)
-    wrong_version = tmp_path / "b.txt"
-    wrong_version.write_text("sentagree-model 99\n")
-    with pytest.raises(ModelFormatError, match="version"):
-        load_model(wrong_version)
-    truncated = tmp_path / "c.txt"
-    truncated.write_text("sentagree-model 2\nvariant TwoPlaneSVM\ndim 2\n")
-    with pytest.raises(ModelFormatError, match="malformed"):
-        load_model(truncated)
-    not_utf8 = tmp_path / "d.txt"
-    not_utf8.write_bytes(b"sentagree-model 2\nvariant TwoPlaneSVM\ndim 1\nterms 1\n\xff\t0\t2\n")
+    files = {
+        "hello\n": "not a model file",
+        '{"format": "other", "version": 3}': "not a model file$",
+        "[1, 2]": "not a model file$",
+        '{"format": "sentagree-model", "version": 99}': "unsupported model version 99",
+        '{"format": "sentagree-model", "version": "3"}': "unsupported model version '3'",
+        '{"format": "sentagree-model", "version": 3.0}': "unsupported model version 3.0",
+        '{"format": "sentagree-model", "version": 3, "version": 3}': "malformed model file .*key 'version' repeats",
+        '{"format": "sentagree-model", "version": 3, "variant": "TwoPlaneSVM"': "not a model file",
+        "sentagree-model 2\nvariant TwoPlaneSVM\ndim 2\n": "unsupported model version '2'",
+    }
+    for i, (text, message) in enumerate(files.items()):
+        path = tmp_path / f"{i}.json"
+        path.write_text(text, encoding="utf-8")
+        with pytest.raises(ModelFormatError, match=message):
+            load_model(path)
+    not_utf8 = tmp_path / "not-utf8.json"
+    not_utf8.write_bytes(b'{"format": "sentagree-model", "\xff": 3}')
     with pytest.raises(ModelFormatError, match="not UTF-8 text .*0xff"):
         load_model(not_utf8)
 
 
-def saved_model_lines(tmp_path, variant: Variant, vocab: Vocabulary | None = TOY_VOCAB) -> list[str]:
+def saved_model_text(tmp_path, variant: Variant, vocab: Vocabulary | None = TOY_VOCAB) -> str:
     vectors, labels = toy_corpus(dup=4)
-    path = tmp_path / f"{variant.value}-{vocab is not None}.txt"
+    path = tmp_path / f"{variant.value}-{vocab is not None}.json"
     save_model(train_sentiment(stack(vectors), labels, variant, TrainConfig(bin_grid=2), vocab), path)
-    return path.read_text().splitlines()
+    return path.read_text(encoding="utf-8")
 
 
-def drop_plane(lines: list[str]) -> list[str]:
-    start = next(i for i, line in enumerate(lines) if line.startswith("plane "))
-    out = lines[:start] + lines[start + 3 :]
-    return [line.replace("planes 2", "planes 1") for line in out]
+def edit(*keys, value=None, drop: bool = False, apply=None):
+    """An edit of a parsed model document: the value at ``keys`` (object
+    keys and list indices; a ``None`` key is the first member of an
+    object) replaced by ``value``, dropped, or passed through ``apply``."""
+    def change(document: dict) -> None:
+        *path, last = keys
+        for key in path:
+            document = document[next(iter(document)) if key is None else key]
+        last = next(iter(document)) if last is None else last
+        if drop:
+            del document[last]
+        else:
+            document[last] = apply(document[last]) if apply else value
+    return change
 
 
-def replace_first(prefix: str, new: str):
-    def edit(lines: list[str]) -> list[str]:
-        i = next(i for i, line in enumerate(lines) if line.startswith(prefix))
-        return lines[:i] + [new] + lines[i + 1 :]
-    return edit
-
-
-def drop_keys(*keys: str):
-    return lambda lines: [line for line in lines if line.split(" ", 1)[0] not in keys]
-
-
-def edit_term_rows(edit):
-    def apply(lines: list[str]) -> list[str]:
-        rows = [i for i, line in enumerate(lines) if "\t" in line]
-        kept = [line for line in lines if "\t" not in line]
-        return kept[:rows[0]] + edit([lines[i] for i in rows]) + kept[rows[0]:]
-    return apply
+NAN, INF = float("nan"), float("inf")
 
 
 @pytest.mark.parametrize(
-    ("variant", "edit", "message"),
+    ("variant", "change", "message"),
     [
-        (Variant.TWO_PLANE_BIN, replace_first("bin ", "bin -1 -1 0 0 5"), "outside"),
-        (Variant.TWO_PLANE_BIN, replace_first("bin ", "bin 9 1 0 0 5"), "outside"),
-        (Variant.TWO_PLANE_BIN, replace_first("bin ", "bin 1 1 0 -2 5"), "non-negative"),
-        (Variant.TWO_PLANE_BIN, replace_first("edges_a ", "edges_a 0.0 1.0"), "does not fit"),
-        (Variant.TWO_PLANE_BIN, drop_keys("bin_grid", "edges_a", "edges_b", "bins", "bin"), "needs table bins"),
-        (Variant.TWO_PLANE, drop_plane, "needs planes"),
-        (Variant.CASCADING, drop_plane, "needs planes"),
-        (Variant.THREE_PLANE, replace_first("subspace 3 ", "subspace -1 0 0 1"), "subspaces 0..7"),
-        (Variant.NAIVE_BAYES, replace_first("nb_docs ", "nb_docs 4 -4 4"), "non-negative"),
-        (Variant.NAIVE_BAYES, replace_first("nb_docs ", "nb_docs 1" + "0" * 25 + " 4 4"), "64-bit"),
-        (Variant.TWO_PLANE, replace_first("weights ", "weights nan 0.0 0.0"), "finite"),
-        (Variant.NAIVE_BAYES, replace_first("nb_docs ", "nb_docs 0 1 1"), "a document of every class, got 0 1 1"),
-        (Variant.NAIVE_BAYES, replace_first("nb_counts 1 ", "nb_counts 1 inf 0.0 0.0"), "finite non-negative"),
-        (Variant.NEUTRAL_ZONE, replace_first("neutral_zone ", "neutral_zone nan"), "non-negative and finite, got nan"),
-        (Variant.NEUTRAL_ZONE, replace_first("neutral_zone ", "neutral_zone -1.0"), "non-negative and finite, got -1.0"),
-        (Variant.NEUTRAL_ZONE, replace_first("neutral_zone ", "neutral_zone inf"), "non-negative and finite, got inf"),
-        (Variant.TWO_PLANE, replace_first("terms ", "terms 4"), "needs terms 3 and 3 term rows"),
-        (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows[:-1]), "needs terms 3 and 3 term rows"),
-        (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows + ["extra\t3\t1"]), "needs terms 3 and 3 term rows"),
-        (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows[1::-1] + rows[2:]), "term indices out of order"),
-        (Variant.TWO_PLANE, edit_term_rows(lambda rows: ["bad\t0"] + rows[1:]), "not enough values"),
-        (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows[:1] + ["bad\t1\t-5"] + rows[2:]), "term 'bad' repeats"),
-        (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows[:1] + ["bad day\t1\t-5"] + rows[2:]),
-         r"outside \[0, n_docs = 24\]"),
-        (Variant.TWO_PLANE, edit_term_rows(lambda rows: rows[:2] + ["good\t2\t25"]), r"outside \[0, n_docs = 24\]"),
-        (Variant.TWO_PLANE, replace_first("ngrams ", "ngrams 0,-2"), r"\(ngrams .* got \(0, -2\)\)"),
-        (Variant.TWO_PLANE, replace_first("min_df ", "min_df 2.5"), "malformed model file"),
-        (Variant.TWO_PLANE, replace_first("n_docs ", "n_docs -1"), "n_docs must be a non-negative integer, got -1"),
-        (Variant.TWO_PLANE, drop_keys("n_docs"), "expected one 'n_docs' line"),
-        (Variant.TWO_PLANE, drop_keys("n_docs", "min_df", "ngrams", "terms"), "expected one 'terms' line"),
-        (Variant.TWO_PLANE, lambda lines: ["sentagree-model 1", *lines[1:]], "unsupported model version '1'"),
+        (Variant.TWO_PLANE_BIN, edit("bins", "cells", 0, 0, value=-1), "bins cells .*non-negative"),
+        (Variant.TWO_PLANE_BIN, edit("bins", "cells", 0, 0, value=9), "outside a grid of 2"),
+        (Variant.TWO_PLANE_BIN, edit("bins", "cells", 0, 3, value=-2), "non-negative"),
+        (Variant.TWO_PLANE_BIN, edit("bins", "edges_a", value=[0.0, 1.0]), r"bins edges_a must be .* shape \(3,\)"),
+        (Variant.TWO_PLANE_BIN, edit("bins", drop=True), "holds .*'bins'"),
+        (Variant.TWO_PLANE, edit("planes", None, drop=True), "needs planes"),
+        (Variant.CASCADING, edit("planes", None, drop=True), "needs planes"),
+        (Variant.THREE_PLANE, edit("subspaces", 3, 0, value=-1), "subspaces must be .*non-negative"),
+        (Variant.NAIVE_BAYES, edit("nb", "docs", value=[4, -4, 4]), "non-negative"),
+        (Variant.NAIVE_BAYES, edit("nb", "docs", 0, value=10**25), "too large to convert"),
+        (Variant.TWO_PLANE, edit("planes", None, "weights", 0, value=NAN), "weights must be finite"),
+        (Variant.NAIVE_BAYES, edit("nb", "docs", value=[0, 1, 1]), r"a document of every class, got \[0, 1, 1\]"),
+        (Variant.NAIVE_BAYES, edit("nb", "counts", 1, 0, value=INF), "nb counts must be finite"),
+        (Variant.NEUTRAL_ZONE, edit("neutral_zone", value=NAN), "neutral_zone must be finite"),
+        (Variant.NEUTRAL_ZONE, edit("neutral_zone", value=-1.0), "neutral_zone must be non-negative, got -1.0"),
+        (Variant.NEUTRAL_ZONE, edit("neutral_zone", value=INF), "neutral_zone must be finite"),
+        (Variant.TWO_PLANE, edit("vocabulary", "terms", apply=lambda t: t[:-1]), "needs 3 terms"),
+        (Variant.TWO_PLANE, edit("vocabulary", "terms", apply=lambda t: t + ["extra"]), "needs 3 terms"),
+        (Variant.TWO_PLANE, edit("vocabulary", "doc_freq", apply=lambda f: f[:-1]), r"doc_freq must be .*\(3,\)"),
+        (Variant.TWO_PLANE, edit("vocabulary", "terms", 1, value="bad"), "term 'bad' repeats"),
+        (Variant.TWO_PLANE, edit("vocabulary", "doc_freq", 1, value=-5), r"outside \[0, n_docs = 24\]"),
+        (Variant.TWO_PLANE, edit("vocabulary", "doc_freq", 2, value=25), r"outside \[0, n_docs = 24\]"),
+        (Variant.TWO_PLANE, edit("vocabulary", "ngrams", value=[0, -2]), r"\(ngrams .* got \(0, -2\)\)"),
+        (Variant.TWO_PLANE, edit("vocabulary", "min_df", value=2.5), "min_df must be a positive integer, got 2.5"),
+        (Variant.TWO_PLANE, edit("vocabulary", "n_docs", value=-1), "n_docs must be a non-negative integer, got -1"),
+        (Variant.TWO_PLANE, edit("vocabulary", "n_docs", drop=True), "vocabulary must be an object of"),
+        (Variant.TWO_PLANE, edit("vocabulary", apply=lambda v: {"terms": v["terms"]}), "vocabulary must be an object"),
+        (Variant.TWO_PLANE, edit("version", value=1), "unsupported model version 1"),
+        # what JSON can hold and the line format could not
+        (Variant.TWO_PLANE, edit("dim", value=True), "dim must be a non-negative integer, got True"),
+        (Variant.TWO_PLANE, edit("planes", None, "weights", 1, value=False), "weights must be numbers"),
+        (Variant.TWO_PLANE, edit("planes", None, "bias", value="0.5"), "bias must be numbers of shape"),
+        (Variant.TWO_PLANE, edit("planes", None, "weights", value={"0": 1.0}), "weights must be numbers"),
+        (Variant.TWO_PLANE, edit("planes", None, "weights", 2, value=[1.0]), "weights must be numbers"),
+        (Variant.TWO_PLANE, edit("planes", None, "weights", 2, value=None), "weights must be numbers"),
+        (Variant.TWO_PLANE, edit("planes", None, value=[0.5, [1.0, 2.0, 3.0]]), "must be an object of"),
+        (Variant.TWO_PLANE_BIN, edit("bins", "grid", value=True), "bin_grid must be an integer, got True"),
+        (Variant.TWO_PLANE_BIN, edit("bins", "grid", value=1001), "bin_grid must be <= 1000, got 1001"),
+        (Variant.TWO_PLANE_BIN, edit("bins", "cells", 0, 2, value=1.0), "bins cells must be integers"),
+        (Variant.THREE_PLANE, edit("subspaces", apply=lambda s: s[:-1]), r"subspaces must be .* shape \(8, 3\)"),
+        (Variant.NAIVE_BAYES, edit("nb", "counts", 0, 0, value=2.0**64), r"nb counts must be .*below 2\*\*63"),
+        (Variant.NAIVE_BAYES, edit("vocabulary", "doc_freq", 0, value=2**70), "too large to convert"),
+        (Variant.TWO_PLANE, edit("vocabulary", "terms", 0, value=1), "needs 3 terms"),
+        (Variant.TWO_PLANE, edit("vocabulary", "ngrams", value=[True]), "ngrams must be integers"),
+        (Variant.TWO_PLANE, edit("vocabulary", value=None), "vocabulary must be an object of"),
+        (Variant.TWO_PLANE, edit("neutral_zone", value=0.5), "holds .* found .*'neutral_zone'"),
+        (Variant.NEUTRAL_ZONE, edit("variant", value="Unknown"), "'Unknown' is not a valid Variant"),
     ],
     ids=["negative-bin-index", "bin-index-past-grid", "negative-bin-count", "short-edges",
          "missing-bin-table", "missing-plane", "missing-cascade-plane", "negative-subspace",
          "negative-doc-count", "doc-count-past-64-bits", "nan-weight", "zero-doc-count", "infinite-term-count",
          "nan-neutral-zone", "negative-neutral-zone", "infinite-neutral-zone",
-         "term-count-past-dim", "missing-term-row", "extra-term-row", "term-indices-out-of-order", "short-term-row",
+         "missing-term-row", "extra-term-row", "short-term-row",
          "repeated-term", "negative-doc-freq", "doc-freq-past-n-docs",
          "vocabulary-ngram-below-one", "fractional-min-df", "negative-n-docs", "missing-n-docs",
-         "term-rows-without-header", "version-1"],
+         "term-rows-without-header", "version-1",
+         "bool-dim", "bool-weight", "string-bias", "object-weights", "list-weight", "null-weight", "list-plane",
+         "bool-grid", "grid-past-1000", "float-bin-count", "short-subspaces", "term-count-past-64-bits",
+         "doc-freq-past-64-bits",
+         "number-term", "bool-ngram", "null-vocabulary", "stray-table", "unknown-variant"],
 )
-def test_load_model_checks_structure(tmp_path, variant, edit, message) -> None:
-    path = tmp_path / "broken.txt"
-    path.write_text("\n".join(edit(saved_model_lines(tmp_path, variant))) + "\n")
+def test_load_model_checks_structure(tmp_path, variant, change, message) -> None:
+    document = json.loads(saved_model_text(tmp_path, variant))
+    change(document)
+    path = tmp_path / "broken.json"
+    path.write_text(json.dumps(document), encoding="utf-8")
     with pytest.raises(ModelFormatError, match=message):
         load_model(path)
 
 
 @pytest.fixture(scope="module")
-def model_files(tmp_path_factory) -> list[list[str]]:
+def model_files(tmp_path_factory) -> list[str]:
     directory = tmp_path_factory.mktemp("models")
-    return [saved_model_lines(directory, variant, vocab) for variant in Variant for vocab in (None, TOY_VOCAB)]
+    return [saved_model_text(directory, variant, vocab) for variant in Variant for vocab in (None, TOY_VOCAB)]
 
 
 @settings(max_examples=300, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_load_model_fuzz_raises_only_format_errors(tmp_path, model_files, data) -> None:
-    lines = data.draw(mutated_lines(data.draw(st.sampled_from(model_files))))
-    path = tmp_path / "fuzzed.txt"
-    path.write_text("\n".join(lines) + "\n", encoding="utf-8")
+    path = tmp_path / "fuzzed.json"
+    path.write_bytes(data.draw(damaged_model(data.draw(st.sampled_from(model_files)))))
     try:
         model = load_model(path)
-    except (SentagreeError, OSError):
+    except SentagreeError:
         return
     assert model.vocab is None or model.vocab.dim == model.vocab.doc_freq.size == model.dim
     rows = stack([vec(np.ones(model.dim)), vec((), model.dim)])

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import csv
 import errno
 import json
 import multiprocessing
@@ -227,6 +228,24 @@ def test_merge_round_trip_and_determinism(annotations_csv, tmp_path, capsys):
     assert (reloaded.post_ids, reloaded.label.tolist(), reloaded.merged_from.tolist()) == (
         direct.post_ids, direct.label.tolist(), direct.merged_from.tolist()
     )
+
+
+def test_merge_writes_a_gold_file_crossval_reads_when_a_field_holds_a_carriage_return(tmp_path, capsys):
+    # a quoted bare \r in a raw table's id and text; the gold file must quote it as well, or the reader ends a row there
+    posts = separable_corpus(45, seed=5)
+    raw = tmp_path / "raw.csv"
+    with raw.open("w", encoding="utf-8", newline="") as handle:
+        writer = csv.writer(handle, lineterminator="\n", quoting=csv.QUOTE_ALL)
+        writer.writerow(["TweetID", "HandLabel", "AnnotatorID", "Date", "Text"])
+        for i, post in enumerate(posts):
+            writer.writerow([post.post_id.replace("t", "t\r", i == 0), post.label.to_string(), "ann1",
+                             post.timestamp.isoformat(sep=" "), post.text.replace(" ", "\r", i % 2)])
+    gold = tmp_path / "gold.csv"
+    assert run(["merge", "--input", str(raw), "--out", str(gold)], capsys)[:2] == (0, "")
+    code, out, err = run(["crossval", "--input", str(gold), "--variant", "NaiveBayes", "--k", "3"], capsys)
+    assert (code, err) == (0, "")
+    assert sum(map(sum, json.loads(out)["pooled_matrix"])) == 2 * 45  # every post scored once
+    assert corpus.load_gold(gold).post_ids[0] == "t\r0"
 
 
 def test_merge_of_a_table_without_rows_is_one_error(tmp_path, capsys):

@@ -601,6 +601,17 @@ def test_save_gold_round_trips_quotes_tabs_and_newlines(tmp_path, delimiter) -> 
     assert gold_rows(load_gold(path)) == gold_rows(gold)
 
 
+@pytest.mark.parametrize("delimiter", [",", "\t"], ids=["comma", "tab"])
+def test_save_gold_round_trips_a_bare_carriage_return(tmp_path, delimiter) -> None:
+    # the writer leaves a \r unquoted when nothing else in its field needs quotes, and the reader ends a row there
+    gold = [GoldPost("p\r1", SentimentLabel.NEGATIVE, text="bad"), GoldPost("p2", SentimentLabel.POSITIVE, text="a\rb"),
+            GoldPost("p3", SentimentLabel.NEUTRAL, text="plain")]
+    path = tmp_path / "gold.txt"
+    save_gold(gold, path, delimiter=delimiter)
+    assert gold_rows(load_gold(path)) == gold_rows(gold)
+    assert path.read_bytes().count(b"\n") == 4  # a header and three rows
+
+
 @settings(max_examples=100, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(records=annotation_lists(), delimiter=st.sampled_from([",", "\t"]))
 def test_save_gold_writes_the_same_bytes_from_a_table_and_from_a_list(tmp_path, records, delimiter) -> None:

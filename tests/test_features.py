@@ -27,7 +27,7 @@ from sentagree.features import (
 from sentagree.evaluation import PreparedCorpus
 
 import oracles
-from conftest import mutated_lines
+from conftest import damaged_model
 
 
 def test_normalizer_version_is_frozen() -> None:
@@ -336,6 +336,15 @@ def test_count_rows_stack_and_select() -> None:
         CountRows.stack([])
 
 
+def test_count_rows_select_takes_row_numbers_not_a_mask() -> None:
+    rows = CountRows([0, 1, 3], [0, 1, 2], [1.0, 2.0, 3.0], 3)
+    for picked in (np.array([True, False]), [False, True], np.array([0.0, 1.0])):
+        with pytest.raises(ValueError, match="rows must be integer row numbers"):
+            rows.select(picked)
+    assert rows.select(np.array([1], dtype=np.uint8)).values.tolist() == [2.0, 3.0]
+    assert len(rows.select(np.array([], dtype=bool))) == len(rows.select([])) == 0
+
+
 def test_class_sides_counts_documents_not_occurrences() -> None:
     # term 0 is in both positive documents (five times in one) and no negative one; term 1 in one of each
     rows = CountRows([0, 1, 3, 4], [0, 0, 1, 1], [5.0, 1.0, 1.0, 2.0], 2)
@@ -400,17 +409,15 @@ def _toy_vocab() -> Vocabulary:
 @settings(max_examples=200, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
 @given(data=st.data())
 def test_load_vocabulary_fuzz_raises_only_format_errors(tmp_path, data) -> None:
-    # only the vocabulary block, the tail of its model's file, is mutated
+    # only the vocabulary, one member of its model's document, is edited
     vocab = _toy_vocab()
     rows = CountRows(np.arange(4) * vocab.dim, np.tile(np.arange(vocab.dim), 3), np.ones(3 * vocab.dim), vocab.dim)
-    path = tmp_path / "model.txt"
+    path = tmp_path / "model.json"
     save_model(train_sentiment(rows, [-1, 0, 1], Variant.NAIVE_BAYES, vocab=vocab), path)
-    lines = path.read_text(encoding="utf-8").splitlines()
-    start = next(i for i, line in enumerate(lines) if line.startswith("n_docs "))
-    path.write_text("\n".join(lines[:start] + data.draw(mutated_lines(lines[start:]))) + "\n", encoding="utf-8")
+    path.write_bytes(data.draw(damaged_model(path.read_text(encoding="utf-8"), within="vocabulary")))
     try:
         model = load_model(path)
-    except (SentagreeError, OSError):
+    except SentagreeError:
         return
     assert model.vocab is None or len(model.vocab.terms) == model.vocab.doc_freq.size == model.dim
 
