@@ -839,6 +839,13 @@ def _array(value, shape: tuple, name: str, integer: bool = False, counts: bool =
     return array
 
 
+def _check_label_sums(counts: np.ndarray, name: str) -> None:
+    """Refuse rows of three label counts that sum to 2**63 or more:
+    prediction sums them in 64 bits."""
+    if any(sum(row) >= 2**63 for row in counts.reshape(-1, 3).tolist()):
+        raise ValueError(f"{name} must sum to less than 2**63")
+
+
 def _parse_model(document: dict) -> SentimentModel:
     """The model of a parsed model file, checked to hold exactly the
     planes and the table of its variant, in range, and at most a
@@ -870,16 +877,20 @@ def _parse_model(document: dict) -> SentimentModel:
         grid = TrainConfig(bin_grid=bins["grid"]).bin_grid  # in training's bounds, so the table fits in memory
         edges = [_array(bins[key], (grid + 1,), f"bins {key}") for key in ("edges_a", "edges_b")]
         cells = _array(bins["cells"], (None, 5), "bins cells", integer=True, counts=True)
+        _check_label_sums(cells[:, 2:], "a bin cell's counts")
         if (cells[:, :2] > grid + 1).any():
             raise ValueError(f"a bin is outside a grid of {grid}")
         counts = np.zeros((grid + 2, grid + 2, 3), dtype=np.int64)
         counts[cells[:, 0], cells[:, 1]] = cells[:, 2:]
         tables[table] = BinTable(grid, *edges, counts)
     elif table == "subspaces":
-        tables[table] = SubspaceTable(_array(document[table], (8, 3), table, integer=True, counts=True))
+        counts = _array(document[table], (8, 3), table, integer=True, counts=True)
+        _check_label_sums(counts, "a subspace's counts")
+        tables[table] = SubspaceTable(counts)
     elif table == "nb":
         nb = _object(document[table], table, {"docs", "counts"})
         docs = _array(nb["docs"], (3,), "nb docs", integer=True, counts=True)
+        _check_label_sums(docs, "nb docs")
         if not docs.all():  # as training, which refuses a missing class
             raise ValueError(f"nb docs needs a document of every class, got {docs.tolist()}")
         tables[table] = NaiveBayesTable(docs, _array(nb["counts"], (3, dim), "nb counts", counts=True))

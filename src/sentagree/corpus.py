@@ -198,8 +198,8 @@ class _Columns:
         part = copy.copy(self)
         for name in self._rows:
             column = getattr(self, name)
-            if isinstance(column, tuple):
-                setattr(part, name, tuple(map(column.__getitem__, rows.tolist())))
+            if isinstance(column, tuple):  # taken as objects: no Python int per row
+                setattr(part, name, tuple(np.fromiter(column, object, len(column))[rows]))
             else:
                 setattr(part, name, *_read_only(column[rows]))
         if "post" in self._rows:

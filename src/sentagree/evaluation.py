@@ -59,7 +59,10 @@ from .agreement import CoincidenceMatrix, Measure, _cells, compute_measure, matr
 from .classify import TrainConfig, Variant, predict_batch, train_sentiment
 from .corpus import GoldPost, SentimentLabel, _gold_table, _not_codes, _time_ordered, time_ordered_chunks
 from .errors import CorpusFormatError, EvaluationError, FoldPlanError, _check_count
-from .features import CountRows, Vocabulary, count_vector, normalize, vocabulary_from_token_docs
+# prepare calls neither count_vector nor vocabulary_from_token_docs: they stay imported because the traced
+# benchmark (perfbench/spans.py) wraps them here, as tests/test_bench_wraps.py checks, until its spans move
+# into the package (ROADMAP item 1(c))
+from .features import CountRows, Vocabulary, _count_corpus, count_vector, normalize, vocabulary_from_token_docs
 
 __all__ = _EXPORTS["evaluation"].split()
 
@@ -192,16 +195,16 @@ class PreparedCorpus:
 
 def prepare(gold: Sequence[GoldPost], min_df: int = 5) -> PreparedCorpus:
     """Put the posts in time order (by date when every post has one,
-    equal dates in their given order, otherwise as given), normalize each
-    once, without stemming, build the unigram and bigram vocabulary of
-    the whole corpus at ``min_df`` and count every post against it once;
-    the first post without text raises :class:`CorpusFormatError`."""
+    equal dates in their given order, otherwise as given) and count them
+    in one pass: each post is normalized once, without stemming, and its
+    unigrams and bigrams are counted as they come, giving the vocabulary
+    of the whole corpus at ``min_df`` and one row per post against it; no
+    token list outlives its post.  The first post without text raises
+    :class:`CorpusFormatError`."""
     table = _time_ordered(_gold_table(gold))
     if None in table.texts:
         raise CorpusFormatError(f"post {table.post_ids[table.texts.index(None)]!r} has no text")
-    docs = [normalize(text) for text in table.texts]
-    vocab = vocabulary_from_token_docs(docs, min_df=min_df)
-    counts = CountRows.stack([count_vector(doc, vocab) for doc in docs])
+    vocab, counts = _count_corpus(map(normalize, table.texts), min_df=min_df)
     return PreparedCorpus(vocab, counts, table.label.astype(np.int64))
 
 

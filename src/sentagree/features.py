@@ -31,21 +31,25 @@ positive-/negative-side training documents containing ``t``, ``P``/``N``
 are the side sizes, and ``s = 0.5`` smooths all four figures.  Swapping
 the two sides negates every weight.
 
-Counts live in one row type, :class:`CountRows` (CSR): :func:`count_vector`
-returns one row, ``stack`` joins rows and ``select`` slices rows and columns.
-Arrays given to the public constructor are checked there.  Rows the package
-derives itself -- a :func:`count_vector` row, a ``select`` result, a prefix
-of prepared counts -- hold the invariants by construction and skip the
-check; ``stack`` joins its parts through the public constructor, so a
-corpus counted row by row is checked once, as one block.
+Counts live in one row type, :class:`CountRows` (CSR).  One counter reads
+a corpus's token lists once each, in order: it gives every n-gram term an
+int32 id and turns the ids into the vocabulary and all rows at once (see
+``_count_corpus``); :func:`vocabulary_from_token_docs` and
+:func:`count_vector` are calls of it, and ``evaluation.prepare`` counts a
+whole corpus with it.  Arrays given to the public constructor are checked
+there, so the counter's block is checked once; ``stack`` joins rows
+through it too.  Rows the package derives from checked rows -- a
+``select`` result, a prefix of prepared counts -- hold the invariants by
+construction and skip the check.
 """
 
 from __future__ import annotations
 
 import re
-from collections import Counter
-from collections.abc import Callable, Sequence
+from collections import defaultdict
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
+from itertools import chain, repeat
 
 import numpy as np
 
@@ -175,10 +179,9 @@ class CountRows:
     Invariants: ``indptr`` starts at 0, never decreases and ends at the
     number of stored entries; within a row the indices are strictly
     increasing in ``[0, dim)``; values are finite and nowhere zero.  The
-    public constructor checks them on the arrays it is given.  Rows
-    derived from checked rows or counted by :func:`count_vector` are
-    built by ``_trusted``, which skips the check; ``stack`` checks the
-    joined block.
+    public constructor checks them on the arrays it is given, counted
+    ones and ``stack``'s joined block included.  Rows derived from checked
+    rows are built by ``_trusted``, which skips the check.
     """
 
     indptr: np.ndarray
@@ -238,12 +241,16 @@ class CountRows:
         return cls(np.concatenate(([0], np.cumsum(lengths)), dtype=np.intp), indices, values, parts[0].dim)
 
     def select(self, rows: Sequence[int], keep: np.ndarray | None = None) -> CountRows:
-        """The given rows, in the given order (integers: a mask raises
-        ``ValueError``); with ``keep``, a strictly increasing array of
-        columns, only those columns, renumbered ``0..len(keep)-1``."""
+        """The given rows, in the given order (row numbers in ``[0, len)``:
+        a mask or any other row raises ``ValueError``); with ``keep``, a
+        strictly increasing array of columns, only those columns,
+        renumbered ``0..len(keep)-1``."""
         rows = np.asarray(rows)
         if rows.size and rows.dtype.kind not in "iu":
             raise ValueError(f"rows must be integer row numbers, not {rows.dtype} values")
+        outside = (rows < 0) | (rows >= len(self))
+        if outside.any():
+            raise ValueError(f"row {rows[outside.argmax()]} is outside the {len(self)} rows")
         rows = rows.astype(np.intp, copy=False)
         lengths = np.diff(self.indptr)[rows]
         # entry positions: each row's run of the stored arrays, one after another
@@ -318,6 +325,90 @@ def expand_terms(tokens: Sequence[str], ngrams: tuple[int, ...] = (1, 2)) -> lis
     return terms
 
 
+def _count_corpus(
+    token_docs: Iterable[Sequence[str]],
+    vocab: Vocabulary | None = None,
+    *,
+    min_df: int = 5,
+    ngrams: tuple[int, ...] = (1, 2),
+) -> tuple[Vocabulary, CountRows]:
+    """Count normalized documents, read once each and in order, into one
+    row per document, against ``vocab`` (terms outside it are dropped) or,
+    without one, against the vocabulary built here of the ``ngrams`` terms
+    that at least ``min_df`` documents contain.  Returns the vocabulary
+    and the rows, checked once by the public constructor.
+
+    Each expanded term gets an id from one growing dict, in order of first
+    sight (a vocabulary's own index when given), and the ids of all
+    documents go into one int32 array, so no token list, term list or
+    per-document counter outlives its document.  One sort of
+    ``row * seen + id`` puts each document's occurrences of a term side
+    by side, so the runs give the document frequencies; the kept ids then
+    become columns, and one more sort of ``row * dim + column`` gives the
+    rows, each run one count."""
+    if vocab is None:
+        _check_count("min_df", min_df, 1, VocabularyError)
+        index: dict[str, int] = defaultdict()
+        index.default_factory = index.__len__  # a new term's id: the number of terms seen before it
+        lookup, default = index.__getitem__, ()
+    else:  # a term outside the vocabulary gets the id ``dim``
+        ngrams, lookup, default = vocab.ngrams, vocab.index.get, (repeat(vocab.dim),)
+    lengths: list[int] = []
+
+    def term_ids(tokens: Sequence[str]) -> Iterable[int]:
+        terms = expand_terms(tokens, ngrams)
+        lengths.append(len(terms))
+        return map(lookup, terms, *default)
+
+    ids = np.fromiter(chain.from_iterable(map(term_ids, token_docs)), dtype=np.int32)
+    n_docs = len(lengths)
+    if vocab is None:
+        if not n_docs:
+            raise VocabularyError("cannot build a vocabulary from an empty corpus")
+        names = list(index)  # each term at its id
+        index.clear()  # the dict holds itself through its factory: cleared, it and its ids go now
+    seen = len(names) if vocab is None else vocab.dim + 1
+
+    # one key per occurrence; each occurrence-long temporary is dropped as soon as it is read
+    key = np.repeat(np.arange(n_docs, dtype=np.int64) * seen, lengths)
+    key += ids
+    del ids
+    if vocab is None:
+        key.sort()  # one run per document of each term
+        doc_freq = np.bincount(key[_run_starts(key)] % seen, minlength=seen)
+        kept = sorted(np.flatnonzero(doc_freq >= min_df).tolist(), key=names.__getitem__)
+        vocab = Vocabulary(tuple(names[i] for i in kept), doc_freq[kept], n_docs, min_df, tuple(ngrams))
+        del names  # with the terms not kept, before the rows are checked
+        column = np.full(seen, -1, dtype=np.int64)
+        column[kept] = np.arange(len(kept))
+        # the kept terms' occurrences keyed by row and column: the columns follow the sorted terms, not the ids
+        term = column[key % seen]
+        found = term >= 0
+        key = key[found] // seen * vocab.dim
+        key += term[found]
+        del term, found
+        width = vocab.dim
+    else:
+        key = key[key % seen < vocab.dim]  # the terms in the vocabulary
+        width = seen
+    key.sort()  # one run per document and column
+    starts = _run_starts(key)
+    counts = np.diff(starts, append=key.size)
+    key = key[starts]
+    del starts
+    indices = key % width
+    row = np.floor_divide(key, width, out=key)  # in place: the keys are not read again
+    indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_docs))), dtype=np.intp)
+    return vocab, CountRows(indptr, indices, counts.astype(np.float64), vocab.dim)
+
+
+def _run_starts(key: np.ndarray) -> np.ndarray:
+    """Where each run of equal values in the sorted ``key`` starts."""
+    first = np.ones(key.size, dtype=bool)
+    np.not_equal(key[1:], key[:-1], out=first[1:])
+    return np.flatnonzero(first)
+
+
 def vocabulary_from_token_docs(
     token_docs: Sequence[Sequence[str]],
     min_df: int = 5,
@@ -328,34 +419,12 @@ def vocabulary_from_token_docs(
     A term is kept when at least ``min_df`` documents contain it; how
     often it repeats within one document does not count.
     """
-    _check_count("min_df", min_df, 1, VocabularyError)
-    if not token_docs:
-        raise VocabularyError("cannot build a vocabulary from an empty corpus")
-    doc_freq: Counter[str] = Counter()
-    for tokens in token_docs:
-        doc_freq.update(set(expand_terms(tokens, ngrams)))
-    kept = sorted(term for term, freq in doc_freq.items() if freq >= min_df)
-    return Vocabulary(
-        terms=tuple(kept),
-        doc_freq=np.array([doc_freq[t] for t in kept], dtype=np.int64),
-        n_docs=len(token_docs),
-        min_df=min_df,
-        ngrams=tuple(ngrams),
-    )
+    return _count_corpus(token_docs, min_df=min_df, ngrams=ngrams)[0]
 
 
 def count_vector(tokens: Sequence[str], vocab: Vocabulary) -> CountRows:
     """Raw term counts of one normalized document, as one row."""
-    counts = Counter(map(vocab.index.get, expand_terms(tokens, vocab.ngrams)))
-    counts.pop(None, None)  # terms outside the vocabulary
-    # distinct vocabulary indices in [0, dim), sorted, each with a positive count: a valid row
-    found = sorted(counts)
-    return CountRows._trusted(
-        np.array((0, len(found)), dtype=np.intp),
-        np.array(found, dtype=np.intp),
-        np.array([counts[i] for i in found], dtype=np.float64),
-        vocab.dim,
-    )
+    return _count_corpus([tokens], vocab)[1]
 
 
 def delta_weights(rows: CountRows, positive: Sequence[bool]) -> np.ndarray:

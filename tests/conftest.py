@@ -11,7 +11,7 @@ import numpy as np
 import pytest
 from hypothesis import strategies as st
 
-from sentagree import classify
+from sentagree import classify, evaluation
 from sentagree.corpus import AnnotationRecord, GoldPost, GoldTable, SentimentLabel
 
 # When a Hypothesis test fails, Hypothesis imports its patch writer, which
@@ -285,3 +285,16 @@ def count_planes(monkeypatch):
 
     monkeypatch.setattr(classify, "train_binary", train_binary)
     return planes
+
+
+def count_passes(monkeypatch) -> list[list]:
+    """The documents each call of ``evaluation._count_corpus`` reads, one
+    list per call, in the order read."""
+    passes = []
+
+    def count_corpus(token_docs, *args, real=evaluation._count_corpus, **kwargs):
+        passes.append(read := [])
+        return real((read.append(doc) or doc for doc in token_docs), *args, **kwargs)
+
+    monkeypatch.setattr(evaluation, "_count_corpus", count_corpus)
+    return passes

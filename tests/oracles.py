@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import math
 import re
+from collections import Counter
 from itertools import combinations
 
 import numpy as np
@@ -318,20 +319,36 @@ def predict_row(model, x):
     return (-1 if d_a < 0.0 else 1 if d_b > 0.0 else 0), None
 
 
+def _ngram_terms(tokens, ngrams):
+    """Every n-gram of ``tokens`` for each n in turn, multi-token terms joined on a space."""
+    return [" ".join(tokens[i : i + n]) for n in ngrams for i in range(len(tokens) - n + 1)]
+
+
 def vocabulary_brute(docs, min_df, ngrams):
     """Terms that at least ``min_df`` documents contain, sorted, and
     their document frequencies, counted from one set of n-grams per
     document (multi-token terms join on a space)."""
     doc_freq = {}
     for tokens in docs:
-        seen = set()
-        for n in ngrams:
-            for i in range(len(tokens) - n + 1):
-                seen.add(" ".join(tokens[i : i + n]))
-        for term in seen:
+        for term in set(_ngram_terms(tokens, ngrams)):
             doc_freq[term] = doc_freq.get(term, 0) + 1
     terms = tuple(sorted(term for term, freq in doc_freq.items() if freq >= min_df))
     return terms, [doc_freq[term] for term in terms]
+
+
+def count_rows_brute(docs, terms, ngrams):
+    """CSR arrays (``indptr``, ``indices``, ``values``) of the raw counts
+    of each document's n-grams among ``terms``, column ``i`` for
+    ``terms[i]``, from one counter per document: with
+    :func:`vocabulary_brute`, the two-pass way of counting a corpus."""
+    column = {term: i for i, term in enumerate(terms)}
+    indptr, indices, values = [0], [], []
+    for tokens in docs:
+        counts = Counter(column[term] for term in _ngram_terms(tokens, ngrams) if term in column)
+        indices += sorted(counts)
+        values += [float(counts[i]) for i in sorted(counts)]
+        indptr.append(len(indices))
+    return np.array(indptr, dtype=np.intp), np.array(indices, dtype=np.intp), np.array(values, dtype=np.float64)
 
 
 def rank_groups_reference(avg_ranks, names, cd):

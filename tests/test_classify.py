@@ -726,6 +726,11 @@ NAN, INF = float("nan"), float("inf")
         (Variant.THREE_PLANE, edit("subspaces", 3, 0, value=-1), "subspaces must be .*non-negative"),
         (Variant.NAIVE_BAYES, edit("nb", "docs", value=[4, -4, 4]), "non-negative"),
         (Variant.NAIVE_BAYES, edit("nb", "docs", 0, value=10**25), "too large to convert"),
+        (Variant.NAIVE_BAYES, edit("nb", "docs", value=[2**62] * 3), r"nb docs must sum to less than 2\*\*63"),
+        (Variant.TWO_PLANE_BIN, edit("bins", "cells", 0, apply=lambda cell: cell[:2] + [2**62, 0, 2**62]),
+         r"a bin cell's counts must sum to less than 2\*\*63"),
+        (Variant.THREE_PLANE, edit("subspaces", 5, value=[2**62, 2**62, 1]),
+         r"a subspace's counts must sum to less than 2\*\*63"),
         (Variant.TWO_PLANE, edit("planes", None, "weights", 0, value=NAN), "weights must be finite"),
         (Variant.NAIVE_BAYES, edit("nb", "docs", value=[0, 1, 1]), r"a document of every class, got \[0, 1, 1\]"),
         (Variant.NAIVE_BAYES, edit("nb", "counts", 1, 0, value=INF), "nb counts must be finite"),
@@ -766,7 +771,9 @@ NAN, INF = float("nan"), float("inf")
     ],
     ids=["negative-bin-index", "bin-index-past-grid", "negative-bin-count", "short-edges",
          "missing-bin-table", "missing-plane", "missing-cascade-plane", "negative-subspace",
-         "negative-doc-count", "doc-count-past-64-bits", "nan-weight", "zero-doc-count", "infinite-term-count",
+         "negative-doc-count", "doc-count-past-64-bits", "doc-counts-summing-past-64-bits",
+         "bin-counts-summing-past-64-bits", "subspace-counts-summing-past-64-bits",
+         "nan-weight", "zero-doc-count", "infinite-term-count",
          "nan-neutral-zone", "negative-neutral-zone", "infinite-neutral-zone",
          "missing-term-row", "extra-term-row", "short-term-row",
          "repeated-term", "negative-doc-freq", "doc-freq-past-n-docs",

@@ -25,7 +25,8 @@ from sentagree.cli import main
 from sentagree.corpus import GoldPost, SentimentLabel
 
 from conftest import (
-    NEG_WORDS, NEU_WORDS, POS_WORDS, count_planes, fuzzed_table, separable_corpus, shift_corpus, write_table,
+    NEG_WORDS, NEU_WORDS, POS_WORDS, count_passes, count_planes, fuzzed_table, separable_corpus, shift_corpus,
+    write_table,
 )
 
 MEASURE_ORDER = ["acc_within_1", "accuracy", "f1_bar", "alpha_interval", "alpha_nominal"]
@@ -470,22 +471,36 @@ def test_compare_ranks_every_variant(tmp_path, capsys):
     assert ranks == sorted(ranks)
 
 
-def test_compare_counts_each_post_once(tmp_path, capsys, monkeypatch):
-    counted = []
+@pytest.mark.parametrize("command", ["crossval", "compare", "curve"])
+def test_each_dataset_is_normalized_and_counted_in_one_pass(command, tmp_path, capsys, monkeypatch):
+    """One counter call per dataset, reading exactly its posts' token
+    lists in time order, and one ``normalize`` call per post: across the
+    folds of ``crossval``, the variants of ``compare`` and the prefixes of
+    ``curve``."""
+    normalized, passes = [], count_passes(monkeypatch)
 
-    def count_vector(*args, real=evaluation.count_vector):
-        counted.append(args[0])
-        return real(*args)
+    def normalize(text, real=evaluation.normalize):
+        normalized.append(text)
+        return real(text)
 
-    monkeypatch.setattr(evaluation, "count_vector", count_vector)
-    argv = ["compare", "--k", "3", "--min-df", "2"]
-    for seed, n in ((5, 45), (6, 48), (7, 51)):
-        path = tmp_path / f"set{seed}.csv"
-        corpus.save_gold(separable_corpus(n, seed=seed), path)
-        argv += ["--input", str(path)]
-    code, _, err = run(argv, capsys)
+    monkeypatch.setattr(evaluation, "normalize", normalize)
+    argv, sizes = {
+        "crossval": (["crossval", "--variant", "NaiveBayes", "--k", "10"], [90]),
+        "compare": (["compare", "--k", "3", "--min-df", "2"], [45, 48, 51]),
+        "curve": (["curve", "--variant", "NaiveBayes", "--k", "3", "--step", "20"], [80]),
+    }[command]
+    datasets = []
+    for seed, n in enumerate(sizes, start=6):
+        datasets.append(separable_corpus(n, seed=seed))
+        corpus.save_gold(datasets[-1], tmp_path / f"set{seed}.csv")
+        argv += ["--input", str(tmp_path / f"set{seed}.csv")]
+    code, out, err = run(argv, capsys)
     assert code == 0 and err == ""
-    assert len(counted) == 45 + 48 + 51
+    if command == "curve":
+        assert sorted({row["prefix_size"] for row in json.loads(out)["rows"]}) == [20, 40, 60, 80]
+    texts = [[post.text for post in posts] for posts in datasets]
+    assert normalized == [text for dataset in texts for text in dataset]
+    assert passes == [[evaluation.normalize(text) for text in dataset] for dataset in texts]
 
 
 # --- time order ---------------------------------------------------------------

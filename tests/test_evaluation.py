@@ -25,9 +25,9 @@ from sentagree.evaluation import (
     prepare,
     score_predictions,
 )
-from sentagree.features import CountRows, count_vector, normalize, vocabulary_from_token_docs
+from sentagree.features import CountRows, normalize, vocabulary_from_token_docs
 
-from conftest import NEG_WORDS, NEU_WORDS, POS_WORDS, count_planes, separable_corpus, shift_corpus
+from conftest import NEG_WORDS, NEU_WORDS, POS_WORDS, count_passes, count_planes, separable_corpus, shift_corpus
 
 import oracles
 
@@ -476,9 +476,9 @@ def test_an_interrupted_caller_stops_and_reaps_its_workers(forks, monkeypatch) -
 
 
 def _same_rows(rows: CountRows, docs, vocab) -> bool:
-    expected = CountRows.stack([count_vector(doc, vocab) for doc in docs])
+    expected = oracles.count_rows_brute(docs, vocab.terms, vocab.ngrams)
     arrays = ("indptr", "indices", "values")
-    return rows.dim == vocab.dim and all(np.array_equal(getattr(rows, a), getattr(expected, a)) for a in arrays)
+    return rows.dim == vocab.dim and all(np.array_equal(getattr(rows, a), e) for a, e in zip(arrays, expected))
 
 
 def _spy(real, seen: list, position: int):
@@ -583,12 +583,11 @@ def test_prepare_checks_the_counts_once_per_corpus(monkeypatch) -> None:
 
 
 def test_learning_curve_counts_each_post_once(monkeypatch) -> None:
-    counted = []
-    monkeypatch.setattr(evaluation, "count_vector", _spy(evaluation.count_vector, counted, 0))
+    passes = count_passes(monkeypatch)
     gold = make_gold([-1, 0, 1] * 23 + [0])  # 70 posts
     curve = learning_curve(gold, Variant.NAIVE_BAYES, step=20, k=3, min_df=1)
     assert [p.prefix_size for p in curve.points] == [20, 40, 60, 70]
-    assert len(counted) == len(gold)
+    assert [len(read) for read in passes] == [len(gold)]
 
 
 def test_learning_curve_checks_its_options_before_any_prefix() -> None:

@@ -17,6 +17,7 @@ from sentagree.features import (
     NORMALIZER_VERSION,
     CountRows,
     Vocabulary,
+    _count_corpus,
     count_vector,
     delta_weights,
     english_suffix_stem,
@@ -220,6 +221,40 @@ def test_count_vector_multiplicity_and_order() -> None:
     assert (len(empty), empty.nnz) == (1, 0)
 
 
+# ASCII, accented, CJK, astral and marker tokens; few enough that terms repeat within and across documents
+_COUNTED_TOKENS = ["a", "b", "ab", "é", "straße", "日本", "😀", "<url>"]
+
+
+@settings(max_examples=300, deadline=None)
+@given(
+    docs=st.lists(st.lists(st.sampled_from(_COUNTED_TOKENS), max_size=8), max_size=12),
+    ngrams=st.sampled_from([(1,), (1, 2), (1, 2, 3)]),
+    data=st.data(),
+)
+def test_the_one_pass_counter_equals_the_two_pass_reference(docs, ngrams, data) -> None:
+    """The counter against the two-pass way of counting: a set of each
+    document's terms for the vocabulary, then a counter of them per row."""
+    if not docs:
+        with pytest.raises(VocabularyError, match="empty corpus"):
+            _count_corpus(iter(docs), min_df=1, ngrams=ngrams)
+        return
+    top = max(oracles.vocabulary_brute(docs, 1, ngrams)[1], default=0)
+    min_df = data.draw(st.sampled_from([1, 2, top + 1]))  # top + 1: no term kept, dim 0
+    vocab, rows = _count_corpus(iter(docs), min_df=min_df, ngrams=ngrams)
+    terms, doc_freq = oracles.vocabulary_brute(docs, min_df, ngrams)
+    assert (vocab.terms, vocab.doc_freq.tolist(), vocab.doc_freq.dtype) == (terms, doc_freq, np.int64)
+    assert (vocab.n_docs, vocab.min_df, vocab.ngrams, rows.dim) == (len(docs), min_df, ngrams, len(terms))
+    expected = oracles.count_rows_brute(docs, terms, ngrams)
+    # against a given vocabulary, as count_vector counts, the same rows
+    again, fixed = _count_corpus(iter(docs), vocab)
+    assert again is vocab
+    for counted in (rows, fixed):
+        assert counted.dim == vocab.dim
+        for name, want in zip(("indptr", "indices", "values"), expected):
+            got = getattr(counted, name)
+            assert got.dtype == want.dtype and np.array_equal(got, want), name
+
+
 def one_row(indices, values, dim=3) -> CountRows:
     return CountRows([0, len(indices)], indices, values, dim)
 
@@ -343,6 +378,14 @@ def test_count_rows_select_takes_row_numbers_not_a_mask() -> None:
             rows.select(picked)
     assert rows.select(np.array([1], dtype=np.uint8)).values.tolist() == [2.0, 3.0]
     assert len(rows.select(np.array([], dtype=bool))) == len(rows.select([])) == 0
+
+
+def test_count_rows_select_names_a_row_outside_the_rows() -> None:
+    rows = CountRows(np.arange(31), np.zeros(30, dtype=np.intp), np.ones(30), 1)  # 30 rows of one entry
+    for picked, row in (([-1], -1), ([0, 30], 30), (np.array([29, 2**40]), 2**40), (np.array([300], np.uint16), 300)):
+        with pytest.raises(ValueError, match=f"^row {row} is outside the 30 rows$"):
+            rows.select(picked)
+    assert rows.select(np.array([29, 0], dtype=np.uint8)).indptr.tolist() == [0, 1, 2]
 
 
 def test_class_sides_counts_documents_not_occurrences() -> None:
