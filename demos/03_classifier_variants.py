@@ -9,7 +9,6 @@ classes, and what kind of confidence (if any) each one reports.
 import numpy as np
 
 from sentagree import (
-    CountRows,
     GoldPost,
     SentimentLabel,
     TrainConfig,
@@ -17,8 +16,9 @@ from sentagree import (
     count_vector,
     normalize,
     predict,
+    predict_batch,
+    prepare,
     train_sentiment,
-    vocabulary_from_token_docs,
 )
 
 WORDS = {
@@ -43,11 +43,8 @@ def synthetic_corpus(n, seed=0):
 
 def main() -> None:
     gold = synthetic_corpus(600, seed=7)
-    docs = [normalize(p.text) for p in gold]
-    vocab = vocabulary_from_token_docs(docs, min_df=5)
-    vectors = [count_vector(doc, vocab) for doc in docs]  # one row each
-    rows = CountRows.stack(vectors)
-    labels = [p.label for p in gold]
+    prepared = prepare(gold, min_df=5)  # undated posts keep their order; counted in one pass
+    vocab, rows, labels = prepared.vocab, prepared.counts, prepared.labels
     print(f"{len(gold)} documents, vocabulary of {vocab.dim} terms\n")
 
     probes = {
@@ -58,9 +55,7 @@ def main() -> None:
 
     for variant in Variant:
         model = train_sentiment(rows, labels, variant, TrainConfig(seed=0), vocab)
-        hits = sum(
-            predict(model, x)[0] is y for x, y in zip(vectors, labels)
-        )
+        hits = int((predict_batch(model, rows) == labels).sum())
         print(f"{variant.value}: training accuracy {hits / len(gold):.3f}")
         for name, text in probes.items():
             label, confidence = predict(model, count_vector(normalize(text), vocab))

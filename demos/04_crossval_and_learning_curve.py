@@ -59,8 +59,8 @@ def main() -> None:
 
     shifted = streamed_corpus(1200, shift_at=600, seed=5)
     curve = learning_curve(
-        shifted, Variant.TWO_PLANE, TrainConfig(seed=0),
-        step=200, k=5, measures=(Measure.ALPHA_INTERVAL, Measure.ACCURACY), min_df=5,
+        prepare(shifted, min_df=5), Variant.TWO_PLANE, TrainConfig(seed=0),
+        step=200, k=5, measures=(Measure.ALPHA_INTERVAL, Measure.ACCURACY),
     )
     print("\nlearning curve on the shifted stream (vocabulary swaps at post 600):")
     print(f"  {'prefix':>6}  {'alpha_interval':>14}  {'accuracy':>8}")

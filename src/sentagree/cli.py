@@ -220,15 +220,21 @@ def cmd_merge(args: argparse.Namespace) -> None:
     corpus.save_gold(corpus.merge_gold(table), args.out, delimiter=table.delimiter)
 
 
+def _prepared(path: Path, args: argparse.Namespace) -> evaluation.PreparedCorpus:
+    """The gold table at ``path``, loaded and prepared once: every training command's corpus."""
+    from . import evaluation
+
+    return evaluation.prepare(corpus.load_gold(path), min_df=args.min_df)
+
+
 def cmd_train(args: argparse.Namespace) -> None:
-    from . import classify, evaluation
+    from . import classify
 
     config = _train_config(args)
-    gold = corpus.load_gold(_single(args.input, "--input"))
-    prepared = evaluation.prepare(gold, min_df=args.min_df)
+    prepared = _prepared(_single(args.input, "--input"), args)
     model = classify.train_sentiment(prepared.counts, prepared.labels, args.variant, config, prepared.vocab)
     classify.save_model(model, args.out)
-    summary = {"command": "train", "variant": args.variant, "posts": len(gold), "dim": model.dim, "model": args.out}
+    summary = dict(command="train", variant=args.variant, posts=len(prepared.labels), dim=model.dim, model=args.out)
     sys.stdout.write(json.dumps(summary, sort_keys=True, indent=2) + "\n")
 
 
@@ -252,8 +258,7 @@ def cmd_crossval(args: argparse.Namespace) -> None:
 
     config = _train_config(args)
     measures = _measures(args.measure, evaluation.DEFAULT_MEASURES)
-    gold = corpus.load_gold(_single(args.input, "--input"))
-    prepared = evaluation.prepare(gold, min_df=args.min_df)
+    prepared = _prepared(_single(args.input, "--input"), args)
     result = evaluation.cross_validate(prepared, args.variant, config, args.k, measures)
     rows = _crossval_rows(result)
     payload = {
@@ -272,8 +277,8 @@ def cmd_curve(args: argparse.Namespace) -> None:
 
     config = _train_config(args)
     measures = _measures(args.measure, evaluation.DEFAULT_MEASURES)
-    gold = corpus.load_gold(_single(args.input, "--input"))
-    curve = evaluation.learning_curve(gold, args.variant, config, args.step, args.k, measures, min_df=args.min_df)
+    prepared = _prepared(_single(args.input, "--input"), args)
+    curve = evaluation.learning_curve(prepared, args.variant, config, args.step, args.k, measures)
     rows = []
     for point in curve.points:
         for row in _crossval_rows(point.result):
@@ -299,7 +304,7 @@ def cmd_compare(args: argparse.Namespace) -> None:
     config = _train_config(args)
     names = _dataset_names(args.input)
     variants = _VARIANT_CHOICES
-    prepared = [evaluation.prepare(corpus.load_gold(path), min_df=args.min_df) for path in args.input]
+    prepared = [_prepared(path, args) for path in args.input]
     results = evaluation._cross_validate(prepared, variants, config, args.k, (measure,))
     scores = [[result.summaries[measure].mean for result in row] for row in results]
     table = ranking.ScoreTable(

@@ -264,7 +264,11 @@ class GoldTable(_Columns):
     """Gold posts as columns, one row per post: ``post_ids`` holds each
     post's id, ``label`` its code -1/0/+1 as int8, ``dates`` and
     ``texts`` its value or None, and ``merged_from`` (int64) the number
-    of annotations it was merged from.  The arrays are read-only.
+    of annotations it was merged from.  The arrays are read-only.  The
+    constructor holds a table made by hand to what a loaded one is, each
+    fault a :class:`CorpusFormatError` naming its post: columns of one
+    length, label codes (0.6 is none), whole ``merged_from`` counts in
+    ``[1, 2**63)`` and no UTC offset beside a date without one.
     """
 
     __slots__ = ("post_ids", "label", "dates", "texts", "merged_from")
@@ -274,8 +278,20 @@ class GoldTable(_Columns):
         self, post_ids: tuple[str, ...], label: np.ndarray, dates: tuple[datetime | None, ...],
         texts: tuple[str | None, ...], merged_from: np.ndarray,
     ) -> None:
+        merged_from, n = np.asarray(merged_from), len(post_ids)
+        for name, column in (("label", label), ("date", dates), ("text", texts), ("MergedFrom", merged_from)):
+            if len(column) != n:
+                raise CorpusFormatError(f"the {name} column is of length {len(column)} for {n} posts: "
+                                        + (f"post {post_ids[len(column)]!r} has none" if len(column) < n else
+                                           f"value {n + 1} has no post"))
+        label = _codes(post_ids, label)
+        below = ~((merged_from >= 1) & (merged_from < 2**63) & (np.floor(merged_from) == merged_from))
+        if below.any():
+            at = int(below.argmax())
+            raise CorpusFormatError(f"post {post_ids[at]!r}: bad MergedFrom value {merged_from[at].item()!r}")
+        _check_offsets(post_ids, dates)
         self.post_ids, self.dates, self.texts = post_ids, dates, texts
-        self.label, self.merged_from = _read_only(label, merged_from)
+        self.label, self.merged_from = _read_only(label, merged_from.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return len(self.label)
@@ -439,31 +455,32 @@ def load_annotations(path: str | Path) -> AnnotationTable:
     return _read(path, annotated=True)  # type: ignore[return-value]
 
 
-def _check_offsets(items: Sequence[AnnotationRecord] | Sequence[GoldPost]) -> None:
-    """Raise :class:`CorpusFormatError` naming the first of ``items``
-    whose date has a UTC offset where the first dated one's has none, or
-    the reverse: the two could not be compared, and a table holding both
+def _check_offsets(post_ids: Sequence[str], dates: Sequence[datetime | None]) -> None:
+    """Raise :class:`CorpusFormatError` naming the first post whose date
+    has a UTC offset where the first dated post's has none, or the
+    reverse: the two could not be compared, and a table holding both
     would not load."""
-    dated = [item for item in items if item.timestamp is not None]
-    naive = [item.timestamp.tzinfo is None for item in dated]
-    if len(set(naive)) > 1:
-        item = dated[naive.index(not naive[0])]
-        raise CorpusFormatError(
-            f"post {item.post_id!r}: date {item.timestamp.isoformat()!r} has "
-            f"{'a' if naive[0] else 'no'} UTC offset, unlike the first dated post {dated[0].post_id!r}"
-        )
+    if len({date.tzinfo is None for date in dates if date is not None}) < 2:
+        return
+    dated = [i for i, date in enumerate(dates) if date is not None]
+    naive = dates[dated[0]].tzinfo is None
+    at = next(i for i in dated if (dates[i].tzinfo is None) is not naive)
+    raise CorpusFormatError(
+        f"post {post_ids[at]!r}: date {dates[at].isoformat()!r} has "
+        f"{'a' if naive else 'no'} UTC offset, unlike the first dated post {post_ids[dated[0]]!r}"
+    )
 
 
-def _codes(items: Sequence[AnnotationRecord] | Sequence[GoldPost]) -> np.ndarray:
-    """The label codes of ``items`` as int8; a label that is not a code
-    -1/0/+1 (checked before the cast) raises :class:`CorpusFormatError`
-    naming its post."""
-    label = np.array([item.label for item in items])
-    outside = np.flatnonzero(_not_codes(label))
-    if outside.size:
-        item = items[int(outside[0])]
-        raise CorpusFormatError(f"post {item.post_id!r}: label {item.label!r} is not a code -1/0/+1")
-    return label.astype(np.int8)
+def _codes(post_ids: Sequence[str], labels: Sequence) -> np.ndarray:
+    """``labels`` as int8 codes; a label that is not a code -1/0/+1
+    (checked before the cast) raises :class:`CorpusFormatError` naming
+    its post."""
+    labels = np.asarray(labels)
+    outside = _not_codes(labels)
+    if outside.any():
+        at = int(outside.argmax())
+        raise CorpusFormatError(f"post {post_ids[at]!r}: label {labels[at].item()!r} is not a code -1/0/+1")
+    return labels.astype(np.int8, copy=False)
 
 
 def _table(records: Sequence[AnnotationRecord]) -> AnnotationTable:
@@ -474,33 +491,25 @@ def _table(records: Sequence[AnnotationRecord]) -> AnnotationTable:
     code -1/0/+1, raise :class:`CorpusFormatError`."""
     if isinstance(records, AnnotationTable):
         return records
-    _check_offsets(records)
+    _check_offsets([r.post_id for r in records], [r.timestamp for r in records])
     rows = sorted(records, key=attrgetter("seq"))
     post_ids, post = _factorize([r.post_id for r in rows], (r.post_id for r in records))
     annotator_ids, annotator = _factorize([r.annotator_id for r in rows])
     return AnnotationTable(
-        post_ids, post, annotator_ids, annotator, _codes(rows), np.array([r.seq for r in rows], dtype=np.int64),
+        post_ids, post, annotator_ids, annotator, _codes([r.post_id for r in rows], [r.label for r in rows]),
+        np.array([r.seq for r in rows], dtype=np.int64),
         tuple(r.timestamp for r in rows), tuple(r.text for r in rows),
     )
 
 
 def _gold_table(gold: Sequence[GoldPost]) -> GoldTable:
     """``gold`` as a :class:`GoldTable`: a table as it is, a list of
-    posts in list order.  Dates with a UTC offset next to dates without
-    one, a label that is not a code -1/0/+1 and a ``merged_from`` below 1
-    raise :class:`CorpusFormatError`."""
+    posts in list order, checked by the table's constructor."""
     if isinstance(gold, GoldTable):
         return gold
-    _check_offsets(gold)
-    label = _codes(gold)
-    merged_from = np.array([p.merged_from for p in gold], dtype=np.int64)
-    below = np.flatnonzero(merged_from < 1)
-    if below.size:
-        post = gold[int(below[0])]
-        raise CorpusFormatError(f"post {post.post_id!r}: bad MergedFrom value {post.merged_from!r}")
     return GoldTable(
-        tuple(p.post_id for p in gold), label, tuple(p.timestamp for p in gold), tuple(p.text for p in gold),
-        merged_from,
+        tuple(p.post_id for p in gold), np.array([p.label for p in gold]), tuple(p.timestamp for p in gold),
+        tuple(p.text for p in gold), np.array([p.merged_from for p in gold]),
     )
 
 
@@ -615,7 +624,7 @@ def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> tuple[Sequence[G
     if isinstance(gold, GoldTable):  # its dates were checked when it was read or merged
         return _time_ordered(gold), sizes
     # sorted as a list: made a table first, the table and its reordered copy would be held at once
-    _check_offsets(gold)
+    _check_offsets([p.post_id for p in gold], [p.timestamp for p in gold])
     posts = list(gold)
     if all(p.timestamp is not None for p in posts):
         posts.sort(key=attrgetter("timestamp"))

@@ -12,8 +12,9 @@ A prepared corpus keeps only its posts' counts, in time order, against
 its vocabulary, their label codes and that vocabulary, which holds the
 one ``min_df``.  A fold selects from the counts the columns that at
 least ``min_df`` of its training rows contain, which is exact since
-every such term is in that vocabulary.  Learning-curve prefixes are
-views of the corpus's first rows.
+every such term is in that vocabulary.  :func:`prepare` makes the
+corpus that :func:`cross_validate` and :func:`learning_curve` take, and
+learning-curve prefixes are views of its first rows.
 
 The fold is the one unit of work.  :func:`_fold_matrices` selects a
 fold's training and test rows once and trains every variant on them
@@ -59,9 +60,9 @@ from .agreement import CoincidenceMatrix, Measure, _cells, compute_measure, matr
 from .classify import TrainConfig, Variant, predict_batch, train_sentiment
 from .corpus import GoldPost, SentimentLabel, _gold_table, _not_codes, _time_ordered, time_ordered_chunks
 from .errors import CorpusFormatError, EvaluationError, FoldPlanError, _check_count
-# prepare calls neither count_vector nor vocabulary_from_token_docs: they stay imported because the traced
-# benchmark (perfbench/spans.py) wraps them here, as tests/test_bench_wraps.py checks, until its spans move
-# into the package (ROADMAP item 1(c))
+# no code here calls time_ordered_chunks, count_vector or vocabulary_from_token_docs: they stay imported
+# because the traced benchmark (perfbench/spans.py) wraps them here, as tests/test_bench_wraps.py checks,
+# until its spans move into the package (ROADMAP item 1(c))
 from .features import CountRows, Vocabulary, _count_corpus, count_vector, normalize, vocabulary_from_token_docs
 
 __all__ = _EXPORTS["evaluation"].split()
@@ -397,31 +398,30 @@ class LearningCurve:
 
 
 def learning_curve(
-    gold: Sequence[GoldPost],
+    corpus: PreparedCorpus,
     variant: Variant | str = Variant.TWO_PLANE,
     config: TrainConfig = TrainConfig(),
     step: int = 10000,
     k: int = 10,
     measures: Sequence[Measure | str] = DEFAULT_MEASURES,
-    min_df: int = 5,
 ) -> LearningCurve:
     """Cross-validate growing time-ordered prefixes of the corpus.
 
-    Prefix sizes are ``step, 2*step, ...`` up to the full corpus (the
-    final point always covers the whole corpus, so it equals
-    :func:`cross_validate` of :func:`prepare` of ``gold``, in any order).
-    The corpus is put in time order and prepared once, and each prefix
-    is a view of its first rows.  Prefixes smaller than ``k * (number of
-    classes)`` or otherwise unsplittable are skipped with a logged notice
-    and reported in ``skipped``; the others are cross-validated in one
-    deal of their folds.
+    The corpus is made by :func:`prepare`, in time order, and each
+    prefix is a view of its first rows.  Prefix sizes are ``step,
+    2*step, ...`` up to the full corpus (the final point always covers
+    the whole corpus, so it equals :func:`cross_validate` of ``corpus``).
+    Prefixes smaller than ``k * (number of classes)`` or otherwise
+    unsplittable are skipped with a logged notice and reported in
+    ``skipped``; the others are cross-validated in one deal of their
+    folds.  A bad ``k`` or ``step`` raises :class:`FoldPlanError`.
     """
     _check_count("k", k, 2, FoldPlanError)
-    posts, sizes = time_ordered_chunks(gold, step)
-    corpus = prepare(posts, min_df)
+    _check_count("step", step, 1, FoldPlanError)
+    n = len(corpus.labels)
     kept: list[int] = []
     skipped: list[tuple[int, str]] = []
-    for size in sizes:
+    for size in (*range(step, n, step), n):
         reason = f"prefix of {size} posts is smaller than k * 3 = {k * 3}" if size < k * 3 else None
         if reason is None:
             try:

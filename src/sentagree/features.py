@@ -33,12 +33,12 @@ the two sides negates every weight.
 
 Counts live in one row type, :class:`CountRows` (CSR).  One counter reads
 a corpus's token lists once each, in order: it gives every n-gram term an
-int32 id and turns the ids into the vocabulary and all rows at once (see
-``_count_corpus``); :func:`vocabulary_from_token_docs` and
-:func:`count_vector` are calls of it, and ``evaluation.prepare`` counts a
-whole corpus with it.  Arrays given to the public constructor are checked
-there, so the counter's block is checked once; ``stack`` joins rows
-through it too.  Rows the package derives from checked rows -- a
+int32 id, maps each id once to a column of the vocabulary it builds or is
+given, and turns the ids into all rows at once (see ``_count_corpus``);
+:func:`vocabulary_from_token_docs` and :func:`count_vector` are calls of
+it, and ``evaluation.prepare`` counts a whole corpus with it.  Arrays
+given to the public constructor are checked there, so the counter's block
+is checked once.  Rows the package derives from checked rows -- a
 ``select`` result, a prefix of prepared counts -- hold the invariants by
 construction and skip the check.
 """
@@ -180,8 +180,8 @@ class CountRows:
     number of stored entries; within a row the indices are strictly
     increasing in ``[0, dim)``; values are finite and nowhere zero.  The
     public constructor checks them on the arrays it is given, counted
-    ones and ``stack``'s joined block included.  Rows derived from checked
-    rows are built by ``_trusted``, which skips the check.
+    ones included.  Rows derived from checked rows are built by
+    ``_trusted``, which skips the check.
     """
 
     indptr: np.ndarray
@@ -229,16 +229,6 @@ class CountRows:
     def row_ids(self) -> np.ndarray:
         """The row of every stored entry."""
         return np.repeat(np.arange(len(self)), np.diff(self.indptr))
-
-    @classmethod
-    def stack(cls, parts: Sequence[CountRows]) -> CountRows:
-        """The rows of ``parts`` one after another; all share one ``dim``."""
-        if not parts or any(part.dim != parts[0].dim for part in parts):
-            raise ValueError("stacked rows need at least one part and one dimension")
-        lengths = np.concatenate([part.indptr[1:] - part.indptr[:-1] for part in parts])
-        indices = np.concatenate([part.indices for part in parts])
-        values = np.concatenate([part.values for part in parts])
-        return cls(np.concatenate(([0], np.cumsum(lengths)), dtype=np.intp), indices, values, parts[0].dim)
 
     def select(self, rows: Sequence[int], keep: np.ndarray | None = None) -> CountRows:
         """The given rows, in the given order (row numbers in ``[0, len)``:
@@ -339,35 +329,32 @@ def _count_corpus(
     and the rows, checked once by the public constructor.
 
     Each expanded term gets an id from one growing dict, in order of first
-    sight (a vocabulary's own index when given), and the ids of all
-    documents go into one int32 array, so no token list, term list or
-    per-document counter outlives its document.  One sort of
-    ``row * seen + id`` puts each document's occurrences of a term side
-    by side, so the runs give the document frequencies; the kept ids then
-    become columns, and one more sort of ``row * dim + column`` gives the
-    rows, each run one count."""
+    sight, and the ids of all documents go into one int32 array, so no
+    token list, term list or per-document counter outlives its document.
+    Each id maps once to a column, -1 for a term left out: its place in
+    ``vocab``, or among the kept terms, whose document frequencies are the
+    runs of one sort of ``row * seen + id``.  One more sort of
+    ``row * dim + column`` gives the rows, each run one count."""
     if vocab is None:
         _check_count("min_df", min_df, 1, VocabularyError)
-        index: dict[str, int] = defaultdict()
-        index.default_factory = index.__len__  # a new term's id: the number of terms seen before it
-        lookup, default = index.__getitem__, ()
-    else:  # a term outside the vocabulary gets the id ``dim``
-        ngrams, lookup, default = vocab.ngrams, vocab.index.get, (repeat(vocab.dim),)
+    else:
+        ngrams = vocab.ngrams
+    index: dict[str, int] = defaultdict()
+    index.default_factory = index.__len__  # a new term's id: the number of terms seen before it
     lengths: list[int] = []
 
     def term_ids(tokens: Sequence[str]) -> Iterable[int]:
         terms = expand_terms(tokens, ngrams)
         lengths.append(len(terms))
-        return map(lookup, terms, *default)
+        return map(index.__getitem__, terms)
 
     ids = np.fromiter(chain.from_iterable(map(term_ids, token_docs)), dtype=np.int32)
     n_docs = len(lengths)
-    if vocab is None:
-        if not n_docs:
-            raise VocabularyError("cannot build a vocabulary from an empty corpus")
-        names = list(index)  # each term at its id
-        index.clear()  # the dict holds itself through its factory: cleared, it and its ids go now
-    seen = len(names) if vocab is None else vocab.dim + 1
+    if vocab is None and not n_docs:
+        raise VocabularyError("cannot build a vocabulary from an empty corpus")
+    names = list(index)  # each term at its id
+    index.clear()  # the dict holds itself through its factory: cleared, it and its ids go now
+    seen = len(names)
 
     # one key per occurrence; each occurrence-long temporary is dropped as soon as it is read
     key = np.repeat(np.arange(n_docs, dtype=np.int64) * seen, lengths)
@@ -378,26 +365,24 @@ def _count_corpus(
         doc_freq = np.bincount(key[_run_starts(key)] % seen, minlength=seen)
         kept = sorted(np.flatnonzero(doc_freq >= min_df).tolist(), key=names.__getitem__)
         vocab = Vocabulary(tuple(names[i] for i in kept), doc_freq[kept], n_docs, min_df, tuple(ngrams))
-        del names  # with the terms not kept, before the rows are checked
         column = np.full(seen, -1, dtype=np.int64)
         column[kept] = np.arange(len(kept))
-        # the kept terms' occurrences keyed by row and column: the columns follow the sorted terms, not the ids
-        term = column[key % seen]
-        found = term >= 0
-        key = key[found] // seen * vocab.dim
-        key += term[found]
-        del term, found
-        width = vocab.dim
     else:
-        key = key[key % seen < vocab.dim]  # the terms in the vocabulary
-        width = seen
+        column = np.fromiter(map(vocab.index.get, names, repeat(-1)), dtype=np.int64, count=seen)
+    del names  # with the terms not kept, before the rows are checked
+    # the kept terms' occurrences keyed by row and column: the columns follow the sorted terms, not the ids
+    term = column[key % seen]
+    found = term >= 0
+    key = key[found] // seen * vocab.dim
+    key += term[found]
+    del term, found
     key.sort()  # one run per document and column
     starts = _run_starts(key)
     counts = np.diff(starts, append=key.size)
     key = key[starts]
     del starts
-    indices = key % width
-    row = np.floor_divide(key, width, out=key)  # in place: the keys are not read again
+    indices = key % vocab.dim
+    row = np.floor_divide(key, vocab.dim, out=key)  # in place: the keys are not read again
     indptr = np.concatenate(([0], np.cumsum(np.bincount(row, minlength=n_docs))), dtype=np.intp)
     return vocab, CountRows(indptr, indices, counts.astype(np.float64), vocab.dim)
 

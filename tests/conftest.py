@@ -13,6 +13,7 @@ from hypothesis import strategies as st
 
 from sentagree import classify, evaluation
 from sentagree.corpus import AnnotationRecord, GoldPost, GoldTable, SentimentLabel
+from sentagree.features import CountRows
 
 # When a Hypothesis test fails, Hypothesis imports its patch writer, which
 # imports libcst, whose own imports warn DeprecationWarning.  Under
@@ -271,6 +272,14 @@ def damaged_model(draw, text: str, within: str | None = None) -> bytes:
                 value = -1 - value
             container[i] = (container[i][0], value) if isinstance(container, _Members) else value
     return (_dumps(document) + "\n").encode("utf-8")
+
+
+def stack(parts) -> CountRows:
+    """The rows of ``parts`` one after another, joined by the public
+    constructor, which checks them; all share the first part's ``dim``."""
+    lengths = np.concatenate([np.diff(part.indptr) for part in parts])
+    return CountRows(np.concatenate(([0], np.cumsum(lengths))), np.concatenate([part.indices for part in parts]),
+                     np.concatenate([part.values for part in parts]), parts[0].dim)
 
 
 def count_planes(monkeypatch):

@@ -395,7 +395,7 @@ def merge_gold_reference(records):
     date when every post has one, else by earliest ``seq``."""
     from sentagree.corpus import GoldPost, SentimentLabel, _check_offsets
 
-    _check_offsets(records)
+    _check_offsets([r.post_id for r in records], [r.timestamp for r in records])
     merged = []
     for group in _records_by_post(records):
         earliest = min((r.timestamp for r in group if r.timestamp is not None), default=None)

@@ -20,7 +20,7 @@ from sentagree.errors import UndefinedMeasureError
 from sentagree.features import CountRows
 from sentagree.ranking import nemenyi_cd
 
-from conftest import separable_corpus, shift_corpus, write_table
+from conftest import separable_corpus, shift_corpus, stack, write_table
 
 import oracles
 
@@ -171,7 +171,7 @@ def test_criterion_06_svm_against_qp_oracle() -> None:
         y[0], y[1] = -1.0, 1.0
         cost = float(rng.choice([0.5, 1.0, 4.0]))
         config = TrainConfig(cost=cost, tol=1e-10, max_epochs=5000, seed=trial)
-        model = classify.train_binary(CountRows.stack([vec(row) for row in X]), y, config)
+        model = classify.train_binary(stack([vec(row) for row in X]), y, config)
         objectives = np.asarray(model.dual_objectives)
         assert np.all(np.diff(objectives) >= -1e-9)
         expected = oracles.svm_dual_optimum(X, y, cost)
@@ -183,7 +183,7 @@ def test_criterion_06_svm_against_qp_oracle() -> None:
         pos = gen.normal(loc=(2.0, 2.0), scale=0.4, size=(12, 2))
         vectors = [vec(row) for row in np.vstack([neg, pos])]
         labels = [-1] * 12 + [1] * 12
-        plane = classify.train_binary(CountRows.stack(vectors), labels, TrainConfig(seed=seed))
+        plane = classify.train_binary(stack(vectors), labels, TrainConfig(seed=seed))
         hits = [
             int(np.sign(x.values @ plane.weights[x.indices] + plane.bias)) == label
             for x, label in zip(vectors, labels)
@@ -226,8 +226,8 @@ def test_criterion_08_synthetic_end_to_end() -> None:
 
     shifted = shift_corpus(3000, shift_at=1500, seed=3)
     curve = evaluation.learning_curve(
-        shifted, Variant.TWO_PLANE_BIN, TrainConfig(), step=500, k=10,
-        measures=(Measure.ALPHA_INTERVAL,), min_df=5,
+        evaluation.prepare(shifted, min_df=5), Variant.TWO_PLANE_BIN, TrainConfig(), step=500, k=10,
+        measures=(Measure.ALPHA_INTERVAL,),
     )
     means = {
         point.prefix_size: point.result.summaries[Measure.ALPHA_INTERVAL].mean

@@ -35,7 +35,7 @@ from sentagree.errors import EvaluationError, ModelFormatError, SentagreeError
 from sentagree.features import CountRows, Vocabulary
 
 import oracles
-from conftest import damaged_model
+from conftest import damaged_model, stack
 
 
 def vec(values, dim: int | None = None) -> CountRows:
@@ -45,10 +45,6 @@ def vec(values, dim: int | None = None) -> CountRows:
         dim = arr.size
     idx = np.flatnonzero(arr)
     return CountRows([0, idx.size], idx, arr[idx], dim)
-
-
-def stack(vectors) -> CountRows:
-    return CountRows.stack(vectors)
 
 
 def decision(model: LinearModel, x: CountRows) -> float:

@@ -503,6 +503,31 @@ def test_each_dataset_is_normalized_and_counted_in_one_pass(command, tmp_path, c
     assert passes == [[evaluation.normalize(text) for text in dataset] for dataset in texts]
 
 
+def test_curve_takes_its_order_and_counts_from_the_one_prepared_corpus(tmp_path, capsys, monkeypatch):
+    """``curve`` orders its posts through ``prepare`` alone: no call of
+    ``time_ordered_chunks``, one load, one preparation and one counter pass."""
+    passes, calls = count_passes(monkeypatch), []
+
+    def spy(module, name):
+        def called(*args, real=getattr(module, name), **kwargs):
+            calls.append(f"{module.__name__}.{name}")
+            return real(*args, **kwargs)
+        monkeypatch.setattr(module, name, called)
+
+    for module, name in ((corpus, "time_ordered_chunks"), (evaluation, "time_ordered_chunks"),
+                         (corpus, "load_gold"), (evaluation, "prepare")):
+        spy(module, name)
+    posts = random.Random(3).sample(shift_corpus(80, shift_at=40, seed=3), 80)  # saved out of time order
+    corpus.save_gold(posts, tmp_path / "gold.csv")
+    code, out, err = run(["curve", "--input", str(tmp_path / "gold.csv"), "--variant", "NaiveBayes", "--k", "3",
+                          "--step", "30", "--min-df", "2"], capsys)
+    assert code == 0 and err == ""
+    assert sorted({row["prefix_size"] for row in json.loads(out)["rows"]}) == [30, 60, 80]
+    assert calls == ["sentagree.corpus.load_gold", "sentagree.evaluation.prepare"]
+    in_time_order = sorted(posts, key=lambda post: post.timestamp)
+    assert passes == [[evaluation.normalize(post.text) for post in in_time_order]]
+
+
 # --- time order ---------------------------------------------------------------
 
 
@@ -524,6 +549,7 @@ def shuffled_twins(tmp_path, stems=("a",)) -> tuple[list[str], list[str]]:
     ("crossval", ("a",), ["--variant", "TwoPlaneSVMbin", "--k", "5"]),
     ("train", ("a",), ["--variant", "TwoPlaneSVMbin"]),
     ("compare", ("a", "b"), ["--k", "3"]),
+    ("curve", ("a",), ["--variant", "TwoPlaneSVMbin", "--k", "5", "--step", "40"]),
 ])
 def test_a_table_with_shuffled_rows_gives_the_same_output(command, stems, flags, tmp_path, capsys):
     outputs = []

@@ -694,6 +694,53 @@ def test_save_gold_rejects_mixed_utc_offsets_before_writing(tmp_path) -> None:
     assert not (tmp_path / "gold.csv").exists()
 
 
+def hand_made(label=(0, 1, -1), dates=(None,) * 3, texts=("x", "y", "z"), merged_from=(1, 1, 1)) -> GoldTable:
+    """A three-post GoldTable built by hand, column by column."""
+    return GoldTable(("a", "b", "c"), np.array(label), tuple(dates), tuple(texts), np.array(merged_from))
+
+
+def test_a_hand_made_gold_table_refuses_a_code_outside_the_codes(tmp_path) -> None:
+    # the label names are looked up by code + 1, so -2 would be saved as Positive
+    with pytest.raises(CorpusFormatError, match=r"^post 'c': label -2 is not a code -1/0/\+1$"):
+        save_gold(hand_made(label=(0, 1, -2)), tmp_path / "gold.csv")
+    assert not (tmp_path / "gold.csv").exists()
+
+
+def test_a_hand_made_gold_table_refuses_a_fractional_label() -> None:
+    # a float column would end in an IndexError where the label names are looked up
+    with pytest.raises(CorpusFormatError, match=r"^post 'b': label 0.5 is not a code -1/0/\+1$"):
+        hand_made(label=(0.0, 0.5, 1.0))
+    assert hand_made(label=(0.0, 1.0, -1.0)).label.tolist() == [0, 1, -1]  # whole floats are codes
+
+
+@pytest.mark.parametrize("count", [0, -3, 1.5, float("nan"), float("inf"), 2**63])
+def test_a_hand_made_gold_table_refuses_a_merged_from_that_is_no_count(count, tmp_path) -> None:
+    # load_gold refuses MergedFrom 0, so no table may hold one to save; the int64 cast would make 1.5 a 1
+    # and 2**63 (a uint64 column) a negative count
+    with pytest.raises(CorpusFormatError, match=f"^post 'a': bad MergedFrom value {count!r}$"):
+        save_gold(hand_made(merged_from=(count,) * 3), tmp_path / "gold.csv")
+    assert not (tmp_path / "gold.csv").exists()
+    assert hand_made(merged_from=(1.0, 2.0, 3)).merged_from.tolist() == [1, 2, 3]  # whole floats are counts
+
+
+@pytest.mark.parametrize(("column", "message"), [
+    ({"label": (0, 1)}, "^the label column is of length 2 for 3 posts: post 'c' has none$"),
+    ({"texts": ("x",)}, "^the text column is of length 1 for 3 posts: post 'b' has none$"),
+    ({"dates": (None,) * 4}, "^the date column is of length 4 for 3 posts: value 4 has no post$"),
+], ids=["short-label", "short-texts", "long-dates"])
+def test_a_hand_made_gold_table_refuses_columns_of_unequal_length(column, message) -> None:
+    # zip would cut every column to the shortest when the table is saved
+    with pytest.raises(CorpusFormatError, match=message):
+        hand_made(**column)
+
+
+def test_a_hand_made_gold_table_refuses_mixed_utc_offsets() -> None:
+    # prepare's sort by date would end in a TypeError comparing the two
+    dates = (datetime(2020, 1, 2), datetime(2020, 1, 1, tzinfo=timezone.utc), None)
+    with pytest.raises(CorpusFormatError, match=r"^post 'b': date .* has a UTC offset, unlike the first dated post 'a'$"):
+        hand_made(dates=dates)
+
+
 @pytest.mark.parametrize("code", [-2, 2, 300, -0.5, 1.7])
 @pytest.mark.parametrize("entry", [extract_pairs, merge_gold])
 def test_records_with_a_label_outside_the_codes_are_rejected(entry, code) -> None:

@@ -24,6 +24,8 @@ from sentagree import classify
 from sentagree.classify import TrainConfig, train_binary
 from sentagree.features import CountRows
 
+from conftest import stack
+
 
 @pytest.fixture(scope="module")
 def kernel(tmp_path_factory):
@@ -96,7 +98,7 @@ def perturbing(kernel):
 def fixture_problem():
     rng = np.random.default_rng(11)
     dense = np.round(rng.normal(size=(30, 6)) * (rng.random(size=(30, 6)) < 0.5), 1)
-    rows = CountRows.stack([CountRows([0, np.count_nonzero(r)], np.flatnonzero(r), r[r != 0], 6) for r in dense])
+    rows = stack([CountRows([0, np.count_nonzero(r)], np.flatnonzero(r), r[r != 0], 6) for r in dense])
     return rows, np.where(np.arange(30) % 3 == 0, 1, -1), np.array([1.0, 0.0, -2.0, 0.5, 3.0, 1.0])
 
 

@@ -506,7 +506,7 @@ def test_fold_features_equal_those_built_from_the_training_posts_alone(monkeypat
     see_cpus(monkeypatch, 1)  # every fold in this process, where the spies record
     separable, shifted = separable_corpus(3000, seed=3), shift_corpus(3000, shift_at=1500, seed=3)
     cross_validate(prepare(separable, min_df=5), Variant.NAIVE_BAYES, k=10)
-    curve = learning_curve(shifted, Variant.NAIVE_BAYES, step=500, k=10, min_df=5)
+    curve = learning_curve(prepare(shifted, min_df=5), Variant.NAIVE_BAYES, step=500, k=10)
     sizes = [point.prefix_size for point in curve.points]
     assert sizes == [500, 1000, 1500, 2000, 2500, 3000]
     folds = [(separable, fold) for fold in range(10)] + [(shifted[:n], fold) for n in sizes for fold in range(10)]
@@ -567,6 +567,14 @@ def test_cross_validate_accepts_string_arguments() -> None:
         cross_validate(prepare(gold), "Perceptron", k=3)
 
 
+@pytest.mark.parametrize("min_df", [0, -1, 2.5, True, "5"])
+def test_prepare_checks_min_df_before_counting(min_df, monkeypatch) -> None:
+    passes = count_passes(monkeypatch)
+    with pytest.raises(VocabularyError, match=f"^min_df must be a positive integer, got {min_df!r}$"):
+        prepare(make_gold([-1, 0, 1] * 3), min_df=min_df)
+    assert passes == [[]]  # refused before the counter read a post
+
+
 def test_prepare_checks_the_counts_once_per_corpus(monkeypatch) -> None:
     """One check of the stacked block, none per post; folds and prefixes
     slice checked rows without checking them again."""
@@ -583,30 +591,34 @@ def test_prepare_checks_the_counts_once_per_corpus(monkeypatch) -> None:
 
 
 def test_learning_curve_counts_each_post_once(monkeypatch) -> None:
+    # prepare counts the corpus in one pass; the curve's prefixes are views of its rows and count nothing
     passes = count_passes(monkeypatch)
     gold = make_gold([-1, 0, 1] * 23 + [0])  # 70 posts
-    curve = learning_curve(gold, Variant.NAIVE_BAYES, step=20, k=3, min_df=1)
+    curve = learning_curve(prepare(gold, min_df=1), Variant.NAIVE_BAYES, step=20, k=3)
     assert [p.prefix_size for p in curve.points] == [20, 40, 60, 70]
     assert [len(read) for read in passes] == [len(gold)]
 
 
-def test_learning_curve_checks_its_options_before_any_prefix() -> None:
-    gold = make_gold([-1, 0, 1] * 2 + [0, 1])  # 8 posts: every prefix is skipped at k = 3
-    with pytest.raises(TypeError, match="min_dff"):
-        learning_curve(gold, step=5, k=3, min_dff=1)
-    with pytest.raises(VocabularyError, match="min_df"):
-        learning_curve(gold, step=5, k=3, min_df=0)
-    for k in (1, 2.5, True, "3"):  # checked before the corpus is prepared, so before min_df
+def test_learning_curve_checks_its_options_before_any_prefix(monkeypatch) -> None:
+    corpus = prepare(make_gold([-1, 0, 1] * 2 + [0, 1]), min_df=1)  # 8 posts: every prefix is skipped at k = 3
+    monkeypatch.setattr(evaluation, "plan_folds", None)  # a prefix split would call None
+    with pytest.raises(TypeError, match="min_df"):  # min_df is prepare's
+        learning_curve(corpus, step=5, k=3, min_df=1)
+    for k in (1, 2.5, True, "3"):
         with pytest.raises(FoldPlanError, match=f"^k must be an integer at least 2, got {k!r}$"):
-            learning_curve(gold, step=5, k=k, min_df=0)
-    curve = learning_curve(gold, step=5, k=3, min_df=1)
+            learning_curve(corpus, step=0, k=k)
+    for step in (0, -5, 2.5, True, "5"):
+        with pytest.raises(FoldPlanError, match=f"^step must be a positive integer, got {step!r}$"):
+            learning_curve(corpus, step=step, k=3)
+    monkeypatch.undo()
+    curve = learning_curve(corpus, step=5, k=3)
     assert curve.points == () and [size for size, _ in curve.skipped] == [5, 8]
 
 
 @pytest.mark.parametrize("cpus", [1, 2, 3])
 def test_a_curve_whose_every_prefix_is_skipped_forks_nothing(cpus, forks, monkeypatch) -> None:
     see_cpus(monkeypatch, cpus)
-    curve = learning_curve(make_gold([-1, 0, 1] * 2 + [0, 1]), Variant.TWO_PLANE, step=5, k=3, min_df=1)
+    curve = learning_curve(prepare(make_gold([-1, 0, 1] * 2 + [0, 1]), min_df=1), Variant.TWO_PLANE, step=5, k=3)
     assert curve.points == () and [size for size, _ in curve.skipped] == [5, 8] and forks == []
 
 
@@ -615,7 +627,7 @@ def test_learning_curve_deals_the_planes_of_all_its_prefixes_at_once(cpus, forks
     gold, k = make_gold([-1, 0, 1] * 13 + [0]), 4  # 40 posts: the prefix of 10 is skipped, 20, 30 and 40 kept
     planes = count_planes(monkeypatch)
     see_cpus(monkeypatch, cpus)
-    curve = learning_curve(gold, Variant.TWO_PLANE, step=10, k=k, min_df=1)
+    curve = learning_curve(prepare(gold, min_df=1), Variant.TWO_PLANE, step=10, k=k)
     assert [size for size, _ in curve.skipped] == [10] and [p.prefix_size for p in curve.points] == [20, 30, 40]
     assert len(forks) == cpus - 1
     assert_reaped(forks)
@@ -625,7 +637,7 @@ def test_learning_curve_deals_the_planes_of_all_its_prefixes_at_once(cpus, forks
 def test_learning_curve_prefixes_and_final_point() -> None:
     gold = make_gold([-1, 0, 1] * 23 + [0])  # 70 posts
     config = TrainConfig()
-    curve = learning_curve(gold, Variant.TWO_PLANE, config, step=20, k=3, min_df=1)
+    curve = learning_curve(prepare(gold, min_df=1), Variant.TWO_PLANE, config, step=20, k=3)
     assert [p.prefix_size for p in curve.points] == [20, 40, 60, 70]
     assert curve.skipped == ()
     full = cross_validate(prepare(gold, min_df=1), Variant.TWO_PLANE, config, k=3)
@@ -639,7 +651,7 @@ def test_learning_curve_prefixes_and_final_point() -> None:
 def test_learning_curve_skips_small_and_unsplittable_prefixes() -> None:
     codes = [-1] * 10 + [0] * 5 + [1] * 5 + [-1, 0, 1] * 10
     gold = make_gold(codes)
-    curve = learning_curve(gold, Variant.TWO_PLANE, step=5, k=3, min_df=1)
+    curve = learning_curve(prepare(gold, min_df=1), Variant.TWO_PLANE, step=5, k=3)
     sizes = [size for size, _ in curve.skipped]
     assert sizes == [5, 10, 15]
     assert "smaller than" in curve.skipped[0][1]

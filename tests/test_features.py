@@ -286,24 +286,17 @@ def test_rows_the_package_derives_pass_the_public_check(data) -> None:
         assert_passes_the_public_check(row)
         counted = dict(zip((terms[i] for i in row.indices.tolist()), row.values.tolist()))
         assert counted == Counter(term for term in expand_terms(doc, ngrams) if term in vocab.index)
-    stacked = CountRows.stack(rows)
+    block = _count_corpus(docs, vocab)[1]  # the rows of one counter call, checked once
+    assert_passes_the_public_check(block)
+    for r, row in enumerate(rows):
+        alone = block.select([r])
+        assert (alone.indices.tolist(), alone.values.tolist()) == (row.indices.tolist(), row.values.tolist())
     picked = data.draw(st.lists(st.integers(0, len(docs) - 1), max_size=12))
     keep = np.array(sorted(data.draw(st.sets(st.integers(0, vocab.dim - 1)))) if vocab.dim else [], dtype=np.intp)
-    assert_passes_the_public_check(stacked.select(picked))
-    assert_passes_the_public_check(stacked.select(picked, keep))
-    corpus = PreparedCorpus(vocab, stacked, np.zeros(len(docs), dtype=np.int64))
+    assert_passes_the_public_check(block.select(picked))
+    assert_passes_the_public_check(block.select(picked, keep))
+    corpus = PreparedCorpus(vocab, block, np.zeros(len(docs), dtype=np.int64))
     assert_passes_the_public_check(corpus.head(data.draw(st.integers(0, len(docs)))).counts)
-
-
-@pytest.mark.parametrize(
-    ("indices", "values", "match"),
-    [([2, 0], [1.0, 1.0], "increasing"), ([0, 3], [1.0, 1.0], "out of range"), ([0, 1], [1.0, 0.0], "non-zero")],
-    ids=["unsorted", "past-dim", "zero-value"],
-)
-def test_stack_checks_parts_built_without_the_check(indices, values, match) -> None:
-    bad = CountRows._trusted(np.array([0, 2], dtype=np.intp), np.array(indices, dtype=np.intp), np.array(values), 3)
-    with pytest.raises(ValueError, match=match):
-        CountRows.stack([one_row([0, 1], [1.0, 2.0]), bad])
 
 
 def test_count_rows_validation() -> None:
@@ -347,13 +340,8 @@ def test_count_rows_reject_a_bad_indptr(indptr) -> None:
         CountRows(indptr, [0, 1], [1.0, 1.0], 3)
 
 
-def test_count_rows_stack_and_select() -> None:
-    a = one_row([0, 2], [1.0, 2.0])
-    b = CountRows([0, 0, 1], [1], [3.0], 3)  # an empty row, then one entry
-    rows = CountRows.stack([a, b, a])
-    assert rows.indptr.tolist() == [0, 2, 2, 3, 5]
-    assert rows.indices.tolist() == [0, 2, 1, 0, 2]
-    assert rows.values.tolist() == [1.0, 2.0, 3.0, 1.0, 2.0]
+def test_count_rows_select() -> None:
+    rows = CountRows([0, 2, 2, 3, 5], [0, 2, 1, 0, 2], [1.0, 2.0, 3.0, 1.0, 2.0], 3)  # row 1 is empty
     picked = rows.select([2, 1, 0])
     assert (picked.indptr.tolist(), picked.indices.tolist(), picked.dim) == ([0, 1, 1, 3], [1, 0, 2], 3)
     narrowed = rows.select([0, 2, 3], keep=np.array([1, 2]))
@@ -365,10 +353,6 @@ def test_count_rows_stack_and_select() -> None:
     for keep in ([2, 1], [1, 1], [-1, 0], [0, 3], [[0, 1]]):
         with pytest.raises(ValueError, match="keep must be strictly increasing"):
             rows.select([0, 2], keep=np.array(keep))
-    with pytest.raises(ValueError, match="dimension"):
-        CountRows.stack([a, one_row([0], [1.0], dim=4)])
-    with pytest.raises(ValueError, match="at least one part"):
-        CountRows.stack([])
 
 
 def test_count_rows_select_takes_row_numbers_not_a_mask() -> None:
