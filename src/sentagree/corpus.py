@@ -17,53 +17,46 @@ text           ``Text``                                  no
 =============  ========================================  =========
 
 Labels are the strings ``Negative`` / ``Neutral`` / ``Positive``
-(case-insensitive) and map to the integer codes -1 / 0 / +1.  Any other
-label value is a hard error that reports the offending line number.
-Line numbers count physical lines of the file, so a record after a
-quoted field that spans lines, or a malformed record such as one whose
-quote is never closed, is reported where it starts.  Bytes that
-are not UTF-8, malformed CSV (including a field over the csv module's
-128 KiB limit), rows too short for the header's columns, and dates
-with a UTC offset in a table whose first date has none (or the
-reverse), which could not be compared, are :class:`CorpusFormatError`
-too.
+(case-insensitive) and map to the integer codes -1 / 0 / +1.  Quoting
+is RFC 4180's for both delimiters, read strictly, so a field is either
+read exactly or the load fails: a field that starts with ``"`` ends at
+the next lone ``"``, with ``""`` for a quote and delimiters and line
+breaks as text.  A ``"`` inside an unquoted field is text.
+:func:`save_gold` writes tables that read back exactly.
 
-Quoting is RFC 4180's for both delimiters, read strictly, so a field is
-either read exactly or the load fails: a field that starts with ``"``
-ends at the next lone ``"``, with ``""`` for a quote and delimiters and
-line breaks as text; a quote never closed, or text after a closing
-quote (``"great" day``), is :class:`CorpusFormatError`.  A ``"`` inside
-an unquoted field is text.  :func:`save_gold` writes tables that read
-back exactly.
+The first fault in a file is a :class:`CorpusFormatError` naming the
+physical line its record starts on.  Parse faults are found as a row is
+read: bytes that are not UTF-8, malformed CSV (a quote never closed,
+text after a closing quote as in ``"great" day``, a field over the csv
+module's 128 KiB limit), a short row, an unknown label, a bad date, a
+``MergedFrom`` field that is not ASCII digits.  The table's constructor
+checks the columns read, as it checks a table made by hand: it finds
+empty ids, ``MergedFrom`` counts of 0 or past int64 and dates with a UTC
+offset beside dates without one, which could not be compared.
 
 Merged gold files use the same table layout minus the annotator column,
 plus a ``MergedFrom`` column counting the annotations each post was
 merged from.  :func:`load_gold` also accepts a raw annotation table and
 merges it; the merge rule is stated once, in :func:`merge_gold`.
 
-An annotation table is read once into columns, an
-:class:`AnnotationTable`: post index, label code, annotator index and
-``seq`` as arrays, each row's date and text, and the file's delimiter.
-:func:`extract_pairs` returns the pairs as columns too, a
-:class:`PairTable`, computed with numpy from one sort of the rows by
-post and ``seq``; :func:`merge_gold` works from the same groups.  A list
-of :class:`AnnotationRecord` given to either is first made into a table
-sorted by ``seq``, so one grouping serves both.
-
-Gold posts are columns too, a :class:`GoldTable` with one row per post:
-post id, label code, date, text and ``MergedFrom`` count.
-:func:`merge_gold` builds it, :func:`load_gold` reads one and
+A file is read once into columns: an :class:`AnnotationTable` (post
+index, label code, annotator index and ``seq`` as arrays, each row's
+date and text, the file's delimiter) or a :class:`GoldTable` (one row
+per post: id, label code, date, text and ``MergedFrom`` count).
+:func:`extract_pairs` (a :class:`PairTable`) and :func:`merge_gold`
+work from one sort of the rows by post and ``seq``, and
 :func:`save_gold` writes one column by column; a list of
-:class:`GoldPost` made by hand is first made into a table.  A table
-selects rows by a slice or an index array, but it is no sequence of
-records: iterating one, or indexing it by an integer, raises
-:class:`TypeError`.
+:class:`AnnotationRecord` or :class:`GoldPost` made by hand is first
+made into a table.  A table selects rows by a slice or an index array,
+but it is no sequence of records: iterating one, or indexing it by an
+integer, raises :class:`TypeError`.
 """
 
 from __future__ import annotations
 
 import copy
 import csv
+from array import array
 from collections.abc import Iterable, Sequence
 from contextlib import contextmanager
 from dataclasses import dataclass
@@ -117,7 +110,6 @@ class SentimentLabel(IntEnum):
 
 _LABELS = {m.name.lower(): m for m in SentimentLabel}
 _NAMES = np.array([label.to_string() for label in SentimentLabel], dtype=object)  # the names of codes -1, 0, +1
-_COUNTS = range(1, 2**63)  # a MergedFrom value: an int64 count of at least one annotation
 
 
 def _not_codes(codes: np.ndarray) -> np.ndarray:
@@ -152,10 +144,8 @@ class AnnotationRecord:
     text: str | None = None
 
     def __post_init__(self) -> None:
-        if not self.post_id:
-            raise CorpusFormatError("annotation has an empty post id")
-        if not self.annotator_id:
-            raise CorpusFormatError("annotation has an empty annotator id")
+        if not (self.post_id and self.annotator_id):
+            raise CorpusFormatError(f"annotation has an empty {'annotator' if self.post_id else 'post'} id")
 
 
 @dataclass(frozen=True)
@@ -177,6 +167,26 @@ def _read_only(*arrays: np.ndarray) -> tuple[np.ndarray, ...]:
     for array in arrays:
         array.flags.writeable = False
     return arrays
+
+
+class _Fault(CorpusFormatError):
+    """A fault that a table's constructor found at row ``row``."""
+
+    def __init__(self, row: int, message: str) -> None:
+        super().__init__(message)
+        self.row = row
+
+
+def _offset_fault(dates: Sequence[datetime | None], name) -> _Fault | None:
+    """The fault, ``name(row)`` naming a row, at the first date with a UTC
+    offset where the first date has none, or the reverse; or None."""
+    if None not in (zones := set(map(attrgetter("tzinfo"), filter(None, dates)))) or len(zones) < 2:
+        return None
+    dated = [i for i, date in enumerate(dates) if date is not None]
+    naive = dates[dated[0]].tzinfo is None
+    at = next(i for i in dated if (dates[i].tzinfo is None) is not naive)
+    return _Fault(at, f"{name(at)}: date {dates[at].isoformat()!r} has {'a' if naive else 'no'} UTC offset, "
+                      f"unlike the first dated {name(dated[0])}")
 
 
 class _Columns:
@@ -209,6 +219,43 @@ class _Columns:
             part.post_ids = tuple(map(self.post_ids.__getitem__, present[order].tolist()))
         return part
 
+    def _check(self, unit: str, columns: dict[str, Sequence], ids: dict[str, tuple[str, ...]], *checks) -> None:
+        """Raise a :class:`_Fault` at the lowest faulty row over ``checks``
+        (each the arguments of ``flag``) and these: ``columns`` (by name) of
+        one length, a row per ``unit``; those named in ``ids`` (``post``
+        first) indices into their ids, each id nonempty and some row's;
+        ``label`` codes -1/0/+1; no ``date`` with a UTC offset beside one
+        without.  Codes and indices are checked before any cast: 1.0 is 1."""
+        post, n = columns["post"], len(columns["post"])
+        outside, faults = {}, []
+
+        def name(row: int) -> str:
+            return f"post {self.post_ids[int(post[row])]!r}" if row < n and not outside["post"][row] else f"row {row}"
+
+        def flag(bad: np.ndarray, said: str, values: np.ndarray | None = None, end: str = "") -> None:
+            if bad.any():  # the first faulty row: its name, ``said``, its value in ``values`` and ``end``
+                at = int(bad.argmax())
+                faults.append(_Fault(at, name(at) + said + ("" if values is None else repr(values.tolist()[at])) + end))
+        for what, given in ids.items():
+            index = columns[what]
+            outside[what] = ~np.isin(index, np.arange(len(given))) if index.dtype.kind not in "iu" else (
+                (index < 0) | (index >= len(given)))  # comparisons where they can be made: cheaper
+            flag(outside[what], f": {what} index ", index, f" is outside the {len(given)} {what} ids")
+            if not all(given):
+                flag(np.isin(index, [i for i, id_ in enumerate(given) if not id_]), f" has an empty {what} id")
+            if not outside[what].any():  # an id of no row is no row's fault, so it comes after every row's
+                if (unused := np.bincount(index.astype(np.intp, copy=False), minlength=len(given)) == 0).any():
+                    faults.append(_Fault(n, f"{what} {given[int(unused.argmax())]!r} has no row"))
+        for check in ((_not_codes(columns["label"]), ": label ", columns["label"], " is not a code -1/0/+1"), *checks):
+            flag(*check)
+        faults += filter(None, [_offset_fault(columns["date"], name)])
+        # lengths first: a fault at row n of a column longer than the table is past its end
+        faults[:0] = [_Fault(min(len(column), n), f"the {what} column is of length {len(column)} for {n} {unit}s: "
+                             + (f"{name(len(column))} has none" if len(column) < n else f"value {n + 1} has no {unit}"))
+                      for what, column in columns.items() if len(column) != n]
+        if faults:
+            raise min(faults, key=attrgetter("row"))
+
 
 class AnnotationTable(_Columns):
     """An annotation table as columns, one row per annotation; a loaded
@@ -219,7 +266,7 @@ class AnnotationTable(_Columns):
     ``label`` holds the codes -1/0/+1 as int8 and ``seq`` each row's
     ``seq``; ``dates`` and ``texts`` hold each row's value or None.
     ``delimiter`` is the source file's, ``","`` for a table made from
-    records.  The arrays are read-only.
+    records.  The arrays are read-only and checked (:meth:`_Columns._check`).
     """
 
     __slots__ = ("post_ids", "post", "annotator_ids", "annotator", "label", "seq", "dates", "texts",
@@ -231,8 +278,13 @@ class AnnotationTable(_Columns):
         annotator: np.ndarray, label: np.ndarray, seq: np.ndarray, dates: tuple[datetime | None, ...],
         texts: tuple[str | None, ...], delimiter: str = ",",
     ) -> None:
-        self.post_ids, self.annotator_ids, self.dates, self.texts = post_ids, annotator_ids, dates, texts
-        self.post, self.annotator, self.label, self.seq = _read_only(post, annotator, label, seq)
+        post, annotator, label, seq = map(np.asarray, (post, annotator, label, seq))
+        self.post_ids, self.annotator_ids, self.dates, self.texts = map(tuple, (post_ids, annotator_ids, dates, texts))
+        self._check("row", {"post": post, "annotator": annotator, "label": label, "seq": seq, "date": self.dates,
+                            "text": self.texts}, {"post": self.post_ids, "annotator": self.annotator_ids},
+                    (np.full(len(seq), seq.dtype.kind not in "iu"), f": seq is of {seq.dtype}, not an integer type"))
+        self.post, self.annotator = _read_only(post.astype(np.intp, copy=False), annotator.astype(np.intp, copy=False))
+        self.label, self.seq = _read_only(label.astype(np.int8, copy=False), seq)
         self.delimiter = delimiter
 
     def __len__(self) -> int:
@@ -264,11 +316,9 @@ class GoldTable(_Columns):
     """Gold posts as columns, one row per post: ``post_ids`` holds each
     post's id, ``label`` its code -1/0/+1 as int8, ``dates`` and
     ``texts`` its value or None, and ``merged_from`` (int64) the number
-    of annotations it was merged from.  The arrays are read-only.  The
-    constructor holds a table made by hand to what a loaded one is, each
-    fault a :class:`CorpusFormatError` naming its post: columns of one
-    length, label codes (0.6 is none), whole ``merged_from`` counts in
-    ``[1, 2**63)`` and no UTC offset beside a date without one.
+    of annotations it was merged from.  The arrays are read-only and
+    checked (:meth:`_Columns._check`), ``merged_from`` for whole counts
+    in ``[1, 2**63)``.
     """
 
     __slots__ = ("post_ids", "label", "dates", "texts", "merged_from")
@@ -278,20 +328,16 @@ class GoldTable(_Columns):
         self, post_ids: tuple[str, ...], label: np.ndarray, dates: tuple[datetime | None, ...],
         texts: tuple[str | None, ...], merged_from: np.ndarray,
     ) -> None:
-        merged_from, n = np.asarray(merged_from), len(post_ids)
-        for name, column in (("label", label), ("date", dates), ("text", texts), ("MergedFrom", merged_from)):
-            if len(column) != n:
-                raise CorpusFormatError(f"the {name} column is of length {len(column)} for {n} posts: "
-                                        + (f"post {post_ids[len(column)]!r} has none" if len(column) < n else
-                                           f"value {n + 1} has no post"))
-        label = _codes(post_ids, label)
-        below = ~((merged_from >= 1) & (merged_from < 2**63) & (np.floor(merged_from) == merged_from))
-        if below.any():
-            at = int(below.argmax())
-            raise CorpusFormatError(f"post {post_ids[at]!r}: bad MergedFrom value {merged_from[at].item()!r}")
-        _check_offsets(post_ids, dates)
-        self.post_ids, self.dates, self.texts = post_ids, dates, texts
-        self.label, self.merged_from = _read_only(label, merged_from.astype(np.int64, copy=False))
+        label, counts = np.asarray(label), np.asarray(merged_from)
+        self.post_ids, self.dates, self.texts = map(tuple, (post_ids, dates, texts))
+        # a loaded count past int64 is a Python int in an object column; strings and bools are no counts
+        bad = (~((counts >= 1) & (counts < 2**63) & (np.floor(counts) == counts)) if counts.dtype.kind in "iuf" else
+               np.array([type(count) is not int or not 0 < count < 2**63 for count in counts.tolist()], dtype=bool))
+        self._check("post", {"post": np.arange(len(self.post_ids)), "label": label, "date": self.dates,
+                             "text": self.texts, "MergedFrom": counts}, {"post": self.post_ids},
+                    (bad, ": bad MergedFrom value ", counts))
+        self.label, self.merged_from = _read_only(label.astype(np.int8, copy=False),
+                                                  counts.astype(np.int64, copy=False))
 
     def __len__(self) -> int:
         return len(self.label)
@@ -328,16 +374,11 @@ def _open_table(path: str | Path, required: Sequence[str] = (), optional: Sequen
 
 
 def _parse_timestamp(raw: str, line: int, path: str | Path) -> datetime | None:
-    raw = raw.strip()
-    if not raw:
+    if not (raw := raw.strip()):
         return None
-    try:
-        return datetime.fromisoformat(raw)
-    except ValueError:
-        pass
-    for fmt in ("%Y-%m-%d %H:%M:%S%z", "%a %b %d %H:%M:%S %z %Y"):
+    for fmt in (None, "%Y-%m-%d %H:%M:%S%z", "%a %b %d %H:%M:%S %z %Y"):
         try:
-            return datetime.strptime(raw, fmt)
+            return datetime.fromisoformat(raw) if fmt is None else datetime.strptime(raw, fmt)
         except ValueError:
             continue
     raise CorpusFormatError(f"{path}: unparseable date {raw!r} on line {line}")
@@ -356,15 +397,12 @@ def _factorize(
 def _read(path: str | Path, annotated: bool) -> AnnotationTable | GoldTable:
     """Read the table at ``path`` once: an :class:`AnnotationTable` if it
     has an annotator column (which ``annotated`` requires), else a
-    :class:`GoldTable`.
-
-    Every non-blank row is checked where it is read, so the first fault
-    in the file is the one reported, as :class:`CorpusFormatError`
-    naming the file line the record starts on: a short row, a bad date,
-    a date that has a UTC offset where the first date has none or the
-    reverse, an unknown label, an empty post or annotator id in an
-    annotation row, a bad ``MergedFrom`` value in a gold row.
-    """
+    :class:`GoldTable`.  Each row's fields become values as it is read
+    (a short row, a bad date, an unknown label, a ``MergedFrom`` field
+    that is not ASCII digits are parse faults), then the table's
+    constructor checks the columns, those of the rows before a parse
+    fault first: the first fault in the file is raised, naming the line
+    its record starts on."""
     required = ("post id", "label", "annotator id") if annotated else ("post id", "label")
     optional = ("date", "text") if annotated else ("date", "text", "annotator id", "merge count")
     with _open_table(path, required, optional) as (delimiter, columns, reader):
@@ -372,14 +410,10 @@ def _read(path: str | Path, annotated: bool) -> AnnotationTable | GoldTable:
         id_col, label_col, date_col, text_col = (found[n] for n in ("post id", "label", "date", "text"))
         annotator_col, merged_col = found["annotator id"], found.get("merge count")
         needed = max(c for c in columns if c is not None)
-        ids: list[str] = []
-        labels: list[SentimentLabel] = []
-        dates: list[datetime | None] = []
-        texts: list[str | None] = []
-        annotators: list[str] = []
-        merged: list[int] = []
-        known: dict[str, SentimentLabel] = {}  # label cells seen so far
-        aware = aware_line = None  # whether the first date has an offset, and its line
+        ids, labels, dates, texts, annotators, merged = [], [], [], [], [], []
+        mark = (starts := array("q")).append  # the line each record starts on
+        known: dict[str, int] = {}  # the code of each label cell seen so far: a plain int, quick to make an array
+        fault = None  # the parse fault that ends the reading, if one does
         end = reader.line_num  # the line the previous record ended on
         try:
             for row in reader:
@@ -396,110 +430,74 @@ def _read(path: str | Path, annotated: bool) -> AnnotationTable | GoldTable:
                         timestamp = datetime.fromisoformat(row[date_col])
                     except ValueError:
                         timestamp = _parse_timestamp(row[date_col], line, path)
-                    if timestamp is not None:
-                        if aware is None:
-                            aware, aware_line = timestamp.tzinfo is not None, line
-                        elif (timestamp.tzinfo is not None) is not aware:
-                            raise CorpusFormatError(
-                                f"{path}: date {row[date_col].strip()!r} on line {line} has "
-                                f"{'no' if aware else 'a'} UTC offset, unlike the first date on line {aware_line}"
-                            )
                 label = known.get(row[label_col])
                 if label is None:
                     if not "".join(row).strip():
                         continue
-                    label = known[row[label_col]] = SentimentLabel.from_string(row[label_col], line=line)
-                post_id = row[id_col].strip()
+                    label = known[row[label_col]] = SentimentLabel.from_string(row[label_col], line=line).value
                 if annotator_col is not None:
-                    annotator = row[annotator_col].strip()
-                    if not post_id or not annotator:
-                        empty = "post" if not post_id else "annotator"
-                        raise CorpusFormatError(f"{path}: line {line} has an empty {empty} id")
-                    annotators.append(annotator)
+                    annotators.append(row[annotator_col].strip())
                 elif merged_col is not None:
-                    try:
-                        count = int(row[merged_col])
-                        if count not in _COUNTS:
+                    try:  # ASCII digits, as int() alone would read 1_0, +3 and digits of other scripts
+                        if not ((count := row[merged_col].strip(" ")).isascii() and count.isdigit()):
                             raise ValueError
-                        merged.append(count)
-                    except ValueError:
+                        merged.append(int(count))
+                    except ValueError:  # int() also refuses more digits than it reads
                         raise CorpusFormatError(
                             f"{path}: bad MergedFrom value {row[merged_col]!r} on line {line}"
                         ) from None
-                ids.append(post_id)
+                ids.append(row[id_col].strip())
                 labels.append(label)
                 dates.append(timestamp)
                 texts.append(row[text_col] if text_col is not None else None)
-        except csv.Error as exc:  # a raw tab would print as a space on the one-line error
-            raise CorpusFormatError(f"{path}: line {end + 1}: " + str(exc).replace("\t", "\\t")) from None
-    if annotator_col is None:
-        return GoldTable(tuple(ids), np.array(labels, dtype=np.int8), tuple(dates), tuple(texts),
-                         np.array(merged, dtype=np.int64) if merged_col is not None else np.ones(len(ids), np.int64))
-    post_ids, post = _factorize(ids)
-    annotator_ids, annotator = _factorize(annotators)
-    return AnnotationTable(
-        post_ids, post, annotator_ids, annotator, np.array(labels, dtype=np.int8),
-        np.arange(len(ids), dtype=np.int64), tuple(dates), tuple(texts), delimiter,
-    )
+                mark(line)
+        except (csv.Error, CorpusFormatError) as exc:  # a raw tab would print as a space on the one-line error
+            fault = exc if isinstance(exc, CorpusFormatError) else CorpusFormatError(
+                f"{path}: line {end + 1}: " + str(exc).replace("\t", "\\t"))
+    try:
+        if annotator_col is None:
+            try:  # a count past int64 stays a Python int, for the constructor to refuse on its row
+                counts = np.array(merged, dtype=np.int64) if merged_col is not None else np.ones(len(ids), np.int64)
+            except OverflowError:
+                counts = np.array(merged, dtype=object)
+            table = GoldTable(tuple(ids), np.array(labels, dtype=np.int8), tuple(dates), tuple(texts), counts)
+        else:
+            post_ids, post = _factorize(ids)
+            annotator_ids, annotator = _factorize(annotators)
+            table = AnnotationTable(post_ids, post, annotator_ids, annotator, np.array(labels, dtype=np.int8),
+                                    np.arange(len(ids), dtype=np.int64), tuple(dates), tuple(texts), delimiter)
+    except _Fault as exc:  # named by the line of its row, which comes before any parse fault
+        raise CorpusFormatError(f"{path}: line {starts[exc.row]}: {exc}") from None
+    if fault is not None:
+        raise fault
+    return table
 
 
 def load_annotations(path: str | Path) -> AnnotationTable:
     """Read an annotation table into the columns of an
     :class:`AnnotationTable`.
 
-    Rows are assigned ``seq`` numbers 0..n-1 in file order.  Unknown
-    labels, missing required columns, empty ids and unparseable
-    non-empty dates raise :class:`CorpusFormatError` with the offending
-    line number; I/O errors propagate unchanged.
+    Rows are assigned ``seq`` numbers 0..n-1 in file order.  Missing
+    required columns, unknown labels and unparseable dates are parse faults;
+    the table's constructor finds empty ids and dates with a UTC offset
+    beside dates without one.  Each raises :class:`CorpusFormatError` naming
+    its line; I/O errors propagate unchanged.
     """
     return _read(path, annotated=True)  # type: ignore[return-value]
-
-
-def _check_offsets(post_ids: Sequence[str], dates: Sequence[datetime | None]) -> None:
-    """Raise :class:`CorpusFormatError` naming the first post whose date
-    has a UTC offset where the first dated post's has none, or the
-    reverse: the two could not be compared, and a table holding both
-    would not load."""
-    if len({date.tzinfo is None for date in dates if date is not None}) < 2:
-        return
-    dated = [i for i, date in enumerate(dates) if date is not None]
-    naive = dates[dated[0]].tzinfo is None
-    at = next(i for i in dated if (dates[i].tzinfo is None) is not naive)
-    raise CorpusFormatError(
-        f"post {post_ids[at]!r}: date {dates[at].isoformat()!r} has "
-        f"{'a' if naive else 'no'} UTC offset, unlike the first dated post {post_ids[dated[0]]!r}"
-    )
-
-
-def _codes(post_ids: Sequence[str], labels: Sequence) -> np.ndarray:
-    """``labels`` as int8 codes; a label that is not a code -1/0/+1
-    (checked before the cast) raises :class:`CorpusFormatError` naming
-    its post."""
-    labels = np.asarray(labels)
-    outside = _not_codes(labels)
-    if outside.any():
-        at = int(outside.argmax())
-        raise CorpusFormatError(f"post {post_ids[at]!r}: label {labels[at].item()!r} is not a code -1/0/+1")
-    return labels.astype(np.int8, copy=False)
 
 
 def _table(records: Sequence[AnnotationRecord]) -> AnnotationTable:
     """``records`` as an :class:`AnnotationTable`: a table as it is, a
     list of records sorted by ``seq`` (ties kept in list order) with
-    posts numbered in order of first appearance in the list.  Dates with
-    a UTC offset next to dates without one, and a label that is not a
-    code -1/0/+1, raise :class:`CorpusFormatError`."""
+    posts numbered in order of first appearance in the list."""
     if isinstance(records, AnnotationTable):
         return records
-    _check_offsets([r.post_id for r in records], [r.timestamp for r in records])
     rows = sorted(records, key=attrgetter("seq"))
     post_ids, post = _factorize([r.post_id for r in rows], (r.post_id for r in records))
     annotator_ids, annotator = _factorize([r.annotator_id for r in rows])
-    return AnnotationTable(
-        post_ids, post, annotator_ids, annotator, _codes([r.post_id for r in rows], [r.label for r in rows]),
-        np.array([r.seq for r in rows], dtype=np.int64),
-        tuple(r.timestamp for r in rows), tuple(r.text for r in rows),
-    )
+    return AnnotationTable(post_ids, post, annotator_ids, annotator, np.array([r.label for r in rows]),
+                           np.array([r.seq for r in rows], dtype=np.int64), tuple(r.timestamp for r in rows),
+                           tuple(r.text for r in rows))
 
 
 def _gold_table(gold: Sequence[GoldPost]) -> GoldTable:
@@ -624,7 +622,8 @@ def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> tuple[Sequence[G
     if isinstance(gold, GoldTable):  # its dates were checked when it was read or merged
         return _time_ordered(gold), sizes
     # sorted as a list: made a table first, the table and its reordered copy would be held at once
-    _check_offsets([p.post_id for p in gold], [p.timestamp for p in gold])
+    if fault := _offset_fault([p.timestamp for p in gold], lambda row: f"post {gold[row].post_id!r}"):
+        raise fault
     posts = list(gold)
     if all(p.timestamp is not None for p in posts):
         posts.sort(key=attrgetter("timestamp"))

@@ -393,9 +393,11 @@ def merge_gold_reference(records):
     """One ``GoldPost`` per post: the sum of its distinct labels, its
     earliest date and first non-empty text, posts ordered by earliest
     date when every post has one, else by earliest ``seq``."""
-    from sentagree.corpus import GoldPost, SentimentLabel, _check_offsets
+    from sentagree.corpus import GoldPost, SentimentLabel
+    from sentagree.errors import CorpusFormatError
 
-    _check_offsets([r.post_id for r in records], [r.timestamp for r in records])
+    if len({r.timestamp.tzinfo is None for r in records if r.timestamp is not None}) > 1:
+        raise CorpusFormatError("dates with a UTC offset beside dates without one could not be compared")
     merged = []
     for group in _records_by_post(records):
         earliest = min((r.timestamp for r in group if r.timestamp is not None), default=None)

@@ -1058,8 +1058,9 @@ def test_mixed_utc_offsets_are_one_corpus_error(command, annotations_csv, tmp_pa
     path.write_text(text.replace("2014-01-02 09:00:00", "2014-01-02 09:00:00+00:00"), encoding="utf-8")
     code, out, err = run([command, "--input", str(path), "--out", str(tmp_path / "out")], capsys)
     assert (code, out) == (1, "")
-    assert re.fullmatch(r"error: corpus-format: .*zones\.csv: date .* has a UTC offset, unlike the first "
-                        r"date on line 2\n", err)
+    line = 5 if command == "merge" else 3  # p2's first row: its fourth annotation, or its merged post
+    assert err == (f"error: corpus-format: {path}: line {line}: post 'p2': date '2014-01-02T09:00:00+00:00' has a UTC "
+                   "offset, unlike the first dated post 'p1'\n")
 
 
 @pytest.mark.parametrize("command", ["agreement", "ordering", "compare"])

@@ -13,8 +13,10 @@ from hypothesis import strategies as st
 
 from sentagree.corpus import (
     AnnotationRecord,
+    AnnotationTable,
     GoldPost,
     GoldTable,
+    PairTable,
     SentimentLabel,
     extract_pairs,
     load_annotations,
@@ -23,7 +25,8 @@ from sentagree.corpus import (
     save_gold,
     time_ordered_chunks,
 )
-from sentagree.errors import CorpusFormatError, SentagreeError
+from sentagree.errors import CorpusFormatError, SentagreeError, VocabularyError
+from sentagree.evaluation import prepare
 
 import oracles
 from conftest import (
@@ -130,14 +133,20 @@ def test_bad_date_reports_line(tmp_path) -> None:
         load_annotations(path)
 
 
-@pytest.mark.parametrize("count", ["x", "1.5", str(2**63), "0", "-3"])
+@pytest.mark.parametrize("count", ["x", "1.5", str(2**63), "0", "-3", "1_0", "\u0663", str(2**70)])
 def test_bad_merged_from_reports_line(tmp_path, count) -> None:
     # a count that does not fit the table's int64 column is as bad as one that is not a number, and the
-    # column counts annotations, so a post merged from none or fewer is as bad too
-    path = write_table(tmp_path / "gold.csv", [("p1", "Positive", "2"), ("p2", "Neutral", count)],
+    # column counts annotations, so a post merged from none or fewer is as bad too; a field is ASCII digits,
+    # padded with spaces or not, so int() must not read 1_0 as 10 or an Arabic-Indic 3 as 3
+    path = write_table(tmp_path / "gold.csv", [("p1", "Positive", " 2 "), ("p2", "Neutral", count)],
                        header=("TweetID", "HandLabel", "MergedFrom"))
-    with pytest.raises(CorpusFormatError, match=f"bad MergedFrom value '{count}' on line 3$"):
+    # a field of digits is parsed and its count refused by the table's constructor, any other field by the parser
+    fault = (f"line 3: post 'p2': bad MergedFrom value {count}" if count.isascii() and count.isdigit() else
+             f"bad MergedFrom value {count!r} on line 3")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: {re.escape(fault)}$"):
         load_gold(path)
+    write_table(path, [("p1", "Positive", " 2 ")], header=("TweetID", "HandLabel", "MergedFrom"))
+    assert load_gold(path).merged_from.tolist() == [2]
 
 
 TABLES = pytest.mark.parametrize(
@@ -235,7 +244,9 @@ def test_mixed_utc_offsets_are_a_format_error(tmp_path, loader, header, row, fir
     rows = [row[:-1] + (date,) + row[-1:] for date in (first, "", later)]
     rows = [(f"{r[0]}{i}",) + r[1:] for i, r in enumerate(rows)]
     path = write_table(tmp_path / "zones.csv", rows, header=header)
-    with pytest.raises(CorpusFormatError, match=f"on line 4 {fault}, unlike the first date on line 2$"):
+    fault = (f"{path}: line 4: post {rows[2][0]!r}: date '{later.replace(' ', 'T')}' {fault}, "
+             f"unlike the first dated post {rows[0][0]!r}")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(fault)}$"):
         loader(path)
 
 
@@ -265,14 +276,150 @@ def test_table_loaders_fuzz_raise_only_format_errors(tmp_path, annotations_csv, 
             assert all(0 <= i < len(ids) for i in index.tolist()) and all(ids)
 
 
-@pytest.mark.parametrize("loader", [load_annotations, load_gold])
-@pytest.mark.parametrize(("row", "empty"), [((" ", "Positive", "a2", "hi"), "post"),
-                                            (("t2", "Positive", "", "hi"), "annotator")], ids=["post", "annotator"])
-def test_empty_ids_report_path_and_line(tmp_path, loader, row, empty) -> None:
+#: What a hand-made column may hold besides good values: codes, counts and indices out of range, an int past
+#: 64 bits, fractions, NaN, bools and strings.
+ODD_VALUES = st.one_of(st.integers(-2, 3), st.just(2**70), st.sampled_from([0.5, 1.0, float("nan")]), st.booleans(),
+                       st.sampled_from(["", "1", "x"]))
+
+
+@st.composite
+def hand_column(draw, good, odd=ODD_VALUES):
+    """A list drawn from ``good``, one time in ten with a value fewer, a
+    value more, one value from ``odd`` or every value from ``odd``."""
+    values, fault = list(draw(good)), draw(st.integers(0, 39))
+    if fault == 0:
+        values = values[:-1]
+    elif fault == 1:
+        values.append(draw(odd))
+    elif fault == 2 and values:
+        values[draw(st.integers(0, len(values) - 1))] = draw(odd)
+    elif fault == 3:
+        values = draw(st.lists(odd, min_size=len(values), max_size=len(values)))
+    return values
+
+
+@settings(max_examples=400, deadline=None, suppress_health_check=[HealthCheck.function_scoped_fixture])
+@given(data=st.data())
+def test_hand_made_tables_fuzz_raise_only_format_errors(tmp_path, data) -> None:
+    # a table made by hand is checked as a loaded one is: whatever its columns hold, it and what is made of it
+    # hold codes -1/0/+1 and indices into its ids, or the constructor raises CorpusFormatError
+    n = data.draw(st.integers(0, 5))
+
+    def column(good, odd=ODD_VALUES):
+        return data.draw(hand_column(st.lists(good, min_size=n, max_size=n), odd))
+
+    def ids(k):
+        return tuple(data.draw(hand_column(st.just("pqrstu"[:k]), st.just(""))))
+
+    label, texts = np.array(column(st.integers(-1, 1))), tuple(column(st.sampled_from(["", "great day"]), st.none()))
+    dates = tuple(column(st.sampled_from([None, datetime(2014, 1, 2), datetime(2014, 1, 1)]),
+                         st.just(datetime(2014, 1, 1, tzinfo=timezone.utc))))
+    try:
+        if data.draw(st.booleans()):
+            table = GoldTable(ids(n), label, dates, texts, np.array(column(st.integers(1, 3))))
+            assert len(table.post_ids) == len(table.merged_from) == len(table)
+            assert table.merged_from.dtype == np.int64 and min(table.merged_from.tolist(), default=1) >= 1
+            rows = range(len(table))
+            if data.draw(st.booleans()):
+                save_gold(table, tmp_path / "gold.csv")
+                untexted = [row[:3] + row[4:] for row in gold_rows(table)]  # texts None and "" both read back as ""
+                assert [row[:3] + row[4:] for row in gold_rows(load_gold(tmp_path / "gold.csv"))] == untexted
+            else:
+                try:
+                    assert set(prepare(table, min_df=1).labels.tolist()) <= {-1, 0, 1}
+                except VocabularyError:  # a corpus of no word has no vocabulary
+                    assert not any(table.texts)
+        else:
+            k, j = data.draw(st.integers(1, 3)), data.draw(st.integers(1, 3))
+            post, annotator = (np.array(column(st.integers(0, m - 1), st.integers(-1, m) | ODD_VALUES)) for m in (k, j))
+            table = AnnotationTable(ids(k), post, ids(j), annotator, label, np.arange(n), dates, texts)
+            assert len(table.post) == len(table.annotator) == len(table.seq) == len(table)
+            assert set(table.annotator.tolist()) <= set(range(len(table.annotator_ids)))
+            assert all(table.annotator_ids[i] for i in table.annotator.tolist())
+            rows = table.post.tolist()
+            made = data.draw(st.sampled_from([merge_gold, extract_pairs]))(table)
+            codes = made.label if isinstance(made, GoldTable) else np.concatenate([made.first, made.second])
+            assert set(codes.tolist()) <= {-1, 0, 1}
+            if isinstance(made, PairTable):
+                assert set(made.post.tolist()) <= set(range(len(made.post_ids)))
+    except CorpusFormatError:
+        return
+    assert table.label.dtype == np.int8 and set(table.label.tolist()) <= {-1, 0, 1}
+    assert len(table.dates) == len(table.texts) == len(table)
+    assert set(rows) <= set(range(len(table.post_ids))) and all(table.post_ids[i] for i in rows)
+
+
+@pytest.mark.parametrize(("make", "fault"), [
+    # what the program would misread or fail on unchecked: a code -2 (merge_gold would read it as +1), an index past
+    # the ids, columns of unequal length, a MergedFrom of strings, bools or 2**70
+    (lambda: hand_annotations(label=np.array([0, -2], dtype=np.int8)), "post 'q': label -2 is not a code -1/0/+1"),
+    (lambda: hand_annotations(post=[0, 2]), "row 1: post index 2 is outside the 2 post ids"),
+    (lambda: hand_annotations(annotator=[0, 1]), "post 'q': annotator index 1 is outside the 1 annotator ids"),
+    (lambda: hand_annotations(seq=[0]), "the seq column is of length 1 for 2 rows: post 'q' has none"),
+    (lambda: hand_annotations(label=[0, 1, 1]), "the label column is of length 3 for 2 rows: value 3 has no row"),
+    (lambda: hand_made(merged_from=("2", "2", "2")), "post 'a': bad MergedFrom value '2'"),
+    (lambda: hand_made(merged_from=(True,) * 3), "post 'a': bad MergedFrom value True"),
+    (lambda: hand_made(merged_from=(1, 1, 2**70)), f"post 'c': bad MergedFrom value {2**70}"),
+    # what a loaded table never holds: an empty id, an index that is no integer (1.0 is one), an id of no row, a seq
+    # that is no integer
+    (lambda: hand_annotations(post_ids=("p", "")), "post '' has an empty post id"),
+    (lambda: hand_annotations(annotator_ids=("",)), "post 'p' has an empty annotator id"),
+    (lambda: hand_made(post_ids=("a", "", "c")), "post '' has an empty post id"),
+    (lambda: hand_annotations(annotator=[0.0, 0.5]), "post 'q': annotator index 0.5 is outside the 1 annotator ids"),
+    (lambda: hand_annotations(post=[0.0, 1.0], label=[0, 5]), "post 'q': label 5 is not a code -1/0/+1"),
+    (lambda: hand_annotations(post=[1, 1]), "post 'p' has no row"),
+    (lambda: hand_annotations(seq=["0", "1"]), "post 'p': seq is of <U1, not an integer type"),
+    (lambda: hand_annotations(dates=(datetime(2014, 1, 1), datetime(2014, 1, 1, tzinfo=timezone.utc))),
+     "post 'q': date '2014-01-01T00:00:00+00:00' has a UTC offset, unlike the first dated post 'p'"),
+    # the lowest faulty row over all checks, not the row of the first check that fails
+    (lambda: hand_made(label=(0, 1, -2), merged_from=(0, 1, 1)), "post 'a': bad MergedFrom value 0"),
+    (lambda: hand_annotations(label=[5, 0], annotator=[0, 3]), "post 'p': label 5 is not a code -1/0/+1"),
+    (lambda: hand_annotations(label=[0, 5], seq=[0, 1, 2]), "post 'q': label 5 is not a code -1/0/+1"),
+], ids=["code", "post-index", "annotator-index", "short", "long", "strings", "bools", "2**70", "empty-post",
+        "empty-annotator", "empty-gold-post", "float-index", "whole-float-index", "post-without-row", "seq", "offsets",
+        "lowest-row", "code-before-index", "row-before-length"])
+def test_a_hand_made_table_names_the_post_of_its_fault(make, fault) -> None:
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(fault)}$"):
+        make()
+
+
+def hand_annotations(post_ids=("p", "q"), post=(0, 1), annotator_ids=("a",), annotator=(0, 0), label=(0, 1),
+                     seq=(0, 1), dates=(None, None), texts=("x", "y")) -> AnnotationTable:
+    """A two-row AnnotationTable built by hand, column by column."""
+    return AnnotationTable(post_ids, np.array(post), annotator_ids, np.array(annotator), np.array(label),
+                           np.array(seq), tuple(dates), tuple(texts))
+
+
+@pytest.mark.parametrize(("loader", "row", "fault"), [
+    (load_annotations, (" ", "Positive", "a2", "hi"), "post '' has an empty post id"),
+    (load_gold, (" ", "Positive", "a2", "hi"), "post '' has an empty post id"),
+    (load_annotations, ("t2", "Positive", "", "hi"), "post 't2' has an empty annotator id"),
+    (load_gold, ("t2", "Positive", "", "hi"), "post 't2' has an empty annotator id"),
+    (load_gold, (" ", "Positive", "hi"), "post '' has an empty post id"),  # a merged gold file: no annotator column
+], ids=["post-load_annotations", "post-load_gold", "annotator-load_annotations", "annotator-load_gold", "post-merged"])
+def test_empty_ids_report_path_and_line(tmp_path, loader, row, fault) -> None:
     # the first record spans lines 2 and 3, so the empty id is on line 4
-    rows = [("t1", "Positive", "a1", '"two\nlines"'), row]
-    path = write_table(tmp_path / "ids.csv", rows, header=("TweetID", "HandLabel", "AnnotatorID", "Text"))
-    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line 4 has an empty {empty} id$"):
+    header = ("TweetID", "HandLabel", "AnnotatorID", "Text") if len(row) == 4 else ("TweetID", "HandLabel", "Text")
+    first = ("t1", "Positive", "a1", '"two\nlines"') if len(row) == 4 else ("t1", "Positive", '"two\nlines"')
+    path = write_table(tmp_path / "ids.csv", [first, row], header=header)
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(f'{path}: line 4: {fault}')}$"):
+        loader(path)
+
+
+@TABLES
+@pytest.mark.parametrize("offset_first", [True, False], ids=["offset-first", "label-first"])
+def test_the_first_fault_in_the_file_is_the_one_reported(tmp_path, loader, header, row, offset_first) -> None:
+    # a date with a UTC offset among dates without one is found by the table's constructor, after the rows are
+    # read, and an unknown label as its row is parsed; either way the earlier line is reported
+    header = header[:-1] + ("Date",) + header[-1:]
+    rows = [(f"t{i}",) + row[1:-1] + ("2014-01-01 10:00:00", row[-1]) for i in range(4)]
+    offset, label = (1, 3) if offset_first else (3, 1)
+    rows[offset] = rows[offset][:-2] + ("2014-01-02 10:00:00+00:00", row[-1])
+    rows[label] = (rows[label][0], "Wonderful") + rows[label][2:]
+    path = write_table(tmp_path / "faults.csv", rows, header=header)
+    fault = (f"{path}: line 3: post 't1': date '2014-01-02T10:00:00+00:00' has a UTC offset, unlike the first dated "
+             "post 't0'" if offset_first else "unknown label 'Wonderful' on line 3")
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(fault)}$"):
         loader(path)
 
 
@@ -694,9 +841,10 @@ def test_save_gold_rejects_mixed_utc_offsets_before_writing(tmp_path) -> None:
     assert not (tmp_path / "gold.csv").exists()
 
 
-def hand_made(label=(0, 1, -1), dates=(None,) * 3, texts=("x", "y", "z"), merged_from=(1, 1, 1)) -> GoldTable:
+def hand_made(label=(0, 1, -1), dates=(None,) * 3, texts=("x", "y", "z"), merged_from=(1, 1, 1),
+              post_ids=("a", "b", "c")) -> GoldTable:
     """A three-post GoldTable built by hand, column by column."""
-    return GoldTable(("a", "b", "c"), np.array(label), tuple(dates), tuple(texts), np.array(merged_from))
+    return GoldTable(post_ids, np.array(label), tuple(dates), tuple(texts), np.array(merged_from))
 
 
 def test_a_hand_made_gold_table_refuses_a_code_outside_the_codes(tmp_path) -> None:
