@@ -24,15 +24,17 @@ the next lone ``"``, with ``""`` for a quote and delimiters and line
 breaks as text.  A ``"`` inside an unquoted field is text.
 :func:`save_gold` writes tables that read back exactly.
 
-The first fault in a file is a :class:`CorpusFormatError` naming the
-physical line its record starts on.  Parse faults are found as a row is
-read: bytes that are not UTF-8, malformed CSV (a quote never closed,
-text after a closing quote as in ``"great" day``, a field over the csv
-module's 128 KiB limit), a short row, an unknown label, a bad date, a
-``MergedFrom`` field that is not ASCII digits.  The table's constructor
-checks the columns read, as it checks a table made by hand: it finds
-empty ids, ``MergedFrom`` counts of 0 or past int64 and dates with a UTC
-offset beside dates without one, which could not be compared.
+The first fault in a file is a :class:`CorpusFormatError` that reads
+``path: line N: ...``, ``N`` the physical line its record starts on.
+Parse faults are found as a row is read: bytes that are not UTF-8,
+malformed CSV (a quote never closed, text after a closing quote as in
+``"great" day``, a field over the csv module's 128 KiB limit), a short
+row, an unknown label, a bad date, a ``MergedFrom`` field that is not
+ASCII digits.  The table's constructor checks the columns read, as it
+checks a table made by hand: it finds empty ids, ``MergedFrom`` counts
+of 0 or past int64 and dates with a UTC offset beside dates without
+one, which could not be compared; in a table made by hand, also a date
+that is no ``datetime`` and a text that is no string.
 
 Merged gold files use the same table layout minus the annotator column,
 plus a ``MergedFrom`` column counting the annotations each post was
@@ -62,9 +64,10 @@ from contextlib import contextmanager
 from dataclasses import dataclass
 from datetime import datetime
 from enum import Enum, IntEnum
-from itertools import chain, repeat
+from itertools import chain, compress, repeat
 from operator import attrgetter, is_not, le, ne
 from pathlib import Path
+from types import NoneType
 
 import numpy as np
 
@@ -92,16 +95,14 @@ class SentimentLabel(IntEnum):
     POSITIVE = 1
 
     @classmethod
-    def from_string(cls, value: str, *, line: int | None = None) -> "SentimentLabel":
+    def from_string(cls, value: str) -> "SentimentLabel":
         """Parse ``Negative``/``Neutral``/``Positive`` (case-insensitive).
 
-        Raises :class:`CorpusFormatError` for anything else, naming the
-        offending input line when known.
+        Raises :class:`CorpusFormatError` for anything else.
         """
         label = _LABELS.get(value.strip().lower())
         if label is None:
-            where = f" on line {line}" if line is not None else ""
-            raise CorpusFormatError(f"unknown label {value!r}{where}")
+            raise CorpusFormatError(f"unknown label {value!r}")
         return label
 
     def to_string(self) -> str:
@@ -177,14 +178,22 @@ class _Fault(CorpusFormatError):
         self.row = row
 
 
-def _offset_fault(dates: Sequence[datetime | None], name) -> _Fault | None:
-    """The fault, ``name(row)`` naming a row, at the first date with a UTC
+def _date_fault(dates: Sequence[datetime | None], name) -> _Fault | None:
+    """The fault, ``name(row)`` naming a row, at the first date that is
+    neither a ``datetime`` nor None, else at the first date with a UTC
     offset where the first date has none, or the reverse; or None."""
-    if None not in (zones := set(map(attrgetter("tzinfo"), filter(None, dates)))) or len(zones) < 2:
+    try:  # one pass, which also refuses a value that is no datetime: a table whose every row is dated passes here
+        offsets = set(map(datetime.utcoffset, dates))
+    except TypeError:  # a row without a date, or a value that is no datetime
+        dated = list(compress(range(len(dates)), map(is_not, dates, repeat(None))))
+        if (at := next((i for i in dated if not isinstance(dates[i], datetime)), None)) is not None:
+            return _Fault(at, f"{name(at)}: date {dates[at]!r} is not a datetime")
+        offsets = set(map(datetime.utcoffset, map(dates.__getitem__, dated)))
+    if None not in offsets or len(offsets) < 2:
         return None
     dated = [i for i, date in enumerate(dates) if date is not None]
-    naive = dates[dated[0]].tzinfo is None
-    at = next(i for i in dated if (dates[i].tzinfo is None) is not naive)
+    naive = dates[dated[0]].utcoffset() is None
+    at = next(i for i in dated if (dates[i].utcoffset() is None) is not naive)
     return _Fault(at, f"{name(at)}: date {dates[at].isoformat()!r} has {'a' if naive else 'no'} UTC offset, "
                       f"unlike the first dated {name(dated[0])}")
 
@@ -224,8 +233,9 @@ class _Columns:
         (each the arguments of ``flag``) and these: ``columns`` (by name) of
         one length, a row per ``unit``; those named in ``ids`` (``post``
         first) indices into their ids, each id nonempty and some row's;
-        ``label`` codes -1/0/+1; no ``date`` with a UTC offset beside one
-        without.  Codes and indices are checked before any cast: 1.0 is 1."""
+        ``label`` codes -1/0/+1; each ``date`` a ``datetime`` or None, none
+        with a UTC offset beside one without; each ``text`` a string or
+        None.  Codes and indices are checked before any cast: 1.0 is 1."""
         post, n = columns["post"], len(columns["post"])
         outside, faults = {}, []
 
@@ -248,7 +258,11 @@ class _Columns:
                     faults.append(_Fault(n, f"{what} {given[int(unused.argmax())]!r} has no row"))
         for check in ((_not_codes(columns["label"]), ": label ", columns["label"], " is not a code -1/0/+1"), *checks):
             flag(*check)
-        faults += filter(None, [_offset_fault(columns["date"], name)])
+        faults += filter(None, [_date_fault(columns["date"], name)])
+        texts = columns["text"]
+        if not all(issubclass(kind, (str, NoneType)) for kind in set(map(type, texts))):  # the row only on a fault
+            at = next(i for i, text in enumerate(texts) if not isinstance(text, (str, NoneType)))
+            faults.append(_Fault(at, f"{name(at)}: text {texts[at]!r} is not a string"))
         # lengths first: a fault at row n of a column longer than the table is past its end
         faults[:0] = [_Fault(min(len(column), n), f"the {what} column is of length {len(column)} for {n} {unit}s: "
                              + (f"{name(len(column))} has none" if len(column) < n else f"value {n + 1} has no {unit}"))
@@ -373,7 +387,7 @@ def _open_table(path: str | Path, required: Sequence[str] = (), optional: Sequen
             raise CorpusFormatError(f"{path}: line 1: " + str(exc).replace("\t", "\\t")) from None
 
 
-def _parse_timestamp(raw: str, line: int, path: str | Path) -> datetime | None:
+def _parse_timestamp(raw: str) -> datetime | None:
     if not (raw := raw.strip()):
         return None
     for fmt in (None, "%Y-%m-%d %H:%M:%S%z", "%a %b %d %H:%M:%S %z %Y"):
@@ -381,7 +395,7 @@ def _parse_timestamp(raw: str, line: int, path: str | Path) -> datetime | None:
             return datetime.fromisoformat(raw) if fmt is None else datetime.strptime(raw, fmt)
         except ValueError:
             continue
-    raise CorpusFormatError(f"{path}: unparseable date {raw!r} on line {line}")
+    raise CorpusFormatError(f"unparseable date {raw!r}")
 
 
 def _factorize(
@@ -420,21 +434,19 @@ def _read(path: str | Path, annotated: bool) -> AnnotationTable | GoldTable:
                 line, end = end + 1, reader.line_num
                 if len(row) <= needed:
                     if "".join(row).strip():
-                        raise CorpusFormatError(
-                            f"{path}: line {line} has {len(row)} fields, expected at least {needed + 1}"
-                        )
+                        raise CorpusFormatError(f"{len(row)} fields, expected at least {needed + 1}")
                     continue
                 timestamp = None
                 if date_col is not None and row[date_col]:
                     try:
                         timestamp = datetime.fromisoformat(row[date_col])
                     except ValueError:
-                        timestamp = _parse_timestamp(row[date_col], line, path)
+                        timestamp = _parse_timestamp(row[date_col])
                 label = known.get(row[label_col])
                 if label is None:
                     if not "".join(row).strip():
                         continue
-                    label = known[row[label_col]] = SentimentLabel.from_string(row[label_col], line=line).value
+                    label = known[row[label_col]] = SentimentLabel.from_string(row[label_col]).value
                 if annotator_col is not None:
                     annotators.append(row[annotator_col].strip())
                 elif merged_col is not None:
@@ -443,17 +455,16 @@ def _read(path: str | Path, annotated: bool) -> AnnotationTable | GoldTable:
                             raise ValueError
                         merged.append(int(count))
                     except ValueError:  # int() also refuses more digits than it reads
-                        raise CorpusFormatError(
-                            f"{path}: bad MergedFrom value {row[merged_col]!r} on line {line}"
-                        ) from None
+                        raise CorpusFormatError(f"bad MergedFrom value {row[merged_col]!r}") from None
                 ids.append(row[id_col].strip())
                 labels.append(label)
                 dates.append(timestamp)
                 texts.append(row[text_col] if text_col is not None else None)
                 mark(line)
-        except (csv.Error, CorpusFormatError) as exc:  # a raw tab would print as a space on the one-line error
-            fault = exc if isinstance(exc, CorpusFormatError) else CorpusFormatError(
-                f"{path}: line {end + 1}: " + str(exc).replace("\t", "\\t"))
+        except CorpusFormatError as exc:
+            fault = CorpusFormatError(f"{path}: line {line}: {exc}")
+        except csv.Error as exc:  # a raw tab would print as a space on the one-line error
+            fault = CorpusFormatError(f"{path}: line {end + 1}: " + str(exc).replace("\t", "\\t"))
     try:
         if annotator_col is None:
             try:  # a count past int64 stays a Python int, for the constructor to refuse on its row
@@ -622,7 +633,7 @@ def time_ordered_chunks(gold: Sequence[GoldPost], step: int) -> tuple[Sequence[G
     if isinstance(gold, GoldTable):  # its dates were checked when it was read or merged
         return _time_ordered(gold), sizes
     # sorted as a list: made a table first, the table and its reordered copy would be held at once
-    if fault := _offset_fault([p.timestamp for p in gold], lambda row: f"post {gold[row].post_id!r}"):
+    if fault := _date_fault([p.timestamp for p in gold], lambda row: f"post {gold[row].post_id!r}"):
         raise fault
     posts = list(gold)
     if all(p.timestamp is not None for p in posts):

@@ -32,15 +32,16 @@ are the side sizes, and ``s = 0.5`` smooths all four figures.  Swapping
 the two sides negates every weight.
 
 Counts live in one row type, :class:`CountRows` (CSR).  One counter reads
-a corpus's token lists once each, in order: it gives every n-gram term an
-int32 id, maps each id once to a column of the vocabulary it builds or is
-given, and turns the ids into all rows at once (see ``_count_corpus``);
-:func:`vocabulary_from_token_docs` and :func:`count_vector` are calls of
-it, and ``evaluation.prepare`` counts a whole corpus with it.  Arrays
-given to the public constructor are checked there, so the counter's block
-is checked once.  Rows the package derives from checked rows -- a
-``select`` result, a prefix of prepared counts -- hold the invariants by
-construction and skip the check.
+a corpus's token lists once each, in order: it gives every token an int32
+id, numbers the n-grams from integer keys of those ids, maps each n-gram
+once to a column of the vocabulary it builds or is given, joining a name
+only where it needs one, and turns the ids into all rows at once (see
+``_count_corpus``); :func:`vocabulary_from_token_docs` and
+:func:`count_vector` are calls of it, and ``evaluation.prepare`` counts a
+whole corpus with it.  Arrays given to the public constructor are checked
+there, so the counter's block is checked once.  Rows the package derives
+from checked rows -- a ``select`` result, a prefix of prepared counts --
+hold the invariants by construction and skip the check.
 """
 
 from __future__ import annotations
@@ -281,8 +282,7 @@ class Vocabulary:
     ngrams: tuple[int, ...]
 
     def __post_init__(self) -> None:
-        if not self.ngrams or min(self.ngrams) < 1:
-            raise VocabularyError(f"ngrams must hold at least one n-gram size, each >= 1, got {self.ngrams!r}")
+        _check_ngrams(self.ngrams)
         _check_count("min_df", self.min_df, 1, VocabularyError)
         _check_count("n_docs", self.n_docs, 0, VocabularyError)
         object.__setattr__(self, "doc_freq", np.asarray(self.doc_freq, dtype=np.int64))
@@ -303,16 +303,9 @@ class Vocabulary:
         return len(self.terms)
 
 
-def expand_terms(tokens: Sequence[str], ngrams: tuple[int, ...] = (1, 2)) -> list[str]:
-    """N-gram terms of a token stream; multi-token terms join on a space."""
-    terms: list[str] = []
-    for n in ngrams:
-        if n == 1:
-            terms.extend(tokens)
-        else:
-            # unpack a list: unpacking a generator here left about 100 KB of spare tuples in CPython's free list
-            terms.extend(map(" ".join, zip(*[tokens[i:] for i in range(n)])))
-    return terms
+def _check_ngrams(ngrams: tuple[int, ...]) -> None:
+    if not ngrams or min(ngrams) < 1:
+        raise VocabularyError(f"ngrams must hold at least one n-gram size, each >= 1, got {ngrams!r}")
 
 
 def _count_corpus(
@@ -326,50 +319,106 @@ def _count_corpus(
     row per document, against ``vocab`` (terms outside it are dropped) or,
     without one, against the vocabulary built here of the ``ngrams`` terms
     that at least ``min_df`` documents contain.  Returns the vocabulary
-    and the rows, checked once by the public constructor.
+    and the rows, checked once by the public constructor.  Where
+    ``ngrams`` holds a size above 1, a token holding a space raises
+    :class:`VocabularyError`: n-grams are named by their tokens joined on
+    a space, so the bigrams ``("a b", "c")`` and ``("a", "b c")`` would
+    be two terms of one name.
 
-    Each expanded term gets an id from one growing dict, in order of first
-    sight, and the ids of all documents go into one int32 array, so no
-    token list, term list or per-document counter outlives its document.
-    Each id maps once to a column, -1 for a term left out: its place in
-    ``vocab``, or among the kept terms, whose document frequencies are the
-    runs of one sort of ``row * seen + id``.  One more sort of
-    ``row * dim + column`` gives the rows, each run one count."""
+    Only tokens are hashed: each gets an id from one growing dict, in
+    order of first sight, and the ids of all documents go into one int32
+    array, so no token list outlives its document.  The n-grams are
+    numbered level by level in numpy: the n-gram at position ``p`` is
+    keyed ``(id of the (n-1)-gram at p) * tokens + (id of token p+n-1)``
+    wherever its document holds ``n`` tokens from ``p``, and one
+    ``np.unique`` turns each level's keys into dense ids, so the keys of
+    the next level stay small.  The counted levels' ids, side by side,
+    are the term ids.  Each maps once to a column, -1 for a term left
+    out: its place in ``vocab`` (the name of each distinct n-gram is
+    joined for the lookup), or among the kept terms, whose document
+    frequencies are the runs of one sort of ``row * seen + id`` and whose
+    names alone are joined.  One more sort of ``row * dim + column``
+    gives the rows, each run one count."""
     if vocab is None:
         _check_count("min_df", min_df, 1, VocabularyError)
+        _check_ngrams(ngrams)
     else:
         ngrams = vocab.ngrams
     index: dict[str, int] = defaultdict()
-    index.default_factory = index.__len__  # a new term's id: the number of terms seen before it
+    index.default_factory = index.__len__  # a new token's id: the number of tokens seen before it
     lengths: list[int] = []
 
-    def term_ids(tokens: Sequence[str]) -> Iterable[int]:
-        terms = expand_terms(tokens, ngrams)
-        lengths.append(len(terms))
-        return map(index.__getitem__, terms)
+    def token_ids(tokens: Sequence[str]) -> Iterable[int]:
+        lengths.append(len(tokens))
+        return map(index.__getitem__, tokens)
 
-    ids = np.fromiter(chain.from_iterable(map(term_ids, token_docs)), dtype=np.int32)
+    ids = np.fromiter(chain.from_iterable(map(token_ids, token_docs)), dtype=np.int32)
     n_docs = len(lengths)
     if vocab is None and not n_docs:
         raise VocabularyError("cannot build a vocabulary from an empty corpus")
-    names = list(index)  # each term at its id
+    tokens = list(index)  # each token at its id
     index.clear()  # the dict holds itself through its factory: cleared, it and its ids go now
-    seen = len(names)
+    top = max(ngrams)
+    if top > 1 and " " in "".join(tokens):
+        spaced = next(token for token in tokens if " " in token)
+        raise VocabularyError(f"token {spaced!r} holds a space, which joins the tokens of an n-gram")
 
-    # one key per occurrence; each occurrence-long temporary is dropped as soon as it is read
-    key = np.repeat(np.arange(n_docs, dtype=np.int64) * seen, lengths)
-    key += ids
-    del ids
+    # level n: the positions whose document holds n tokens from them (None: all), and the dense ids of their n-grams
+    row = np.repeat(np.arange(n_docs, dtype=np.int64), lengths)
+    joined = np.zeros(ids.size, dtype=bool)  # whether the next token is in the same document
+    np.equal(row[1:], row[:-1], out=joined[:-1])
+    at, level = None, ids
+    levels = {1: (at, level)}
+    codes: dict[int, np.ndarray] = {}  # level n's keys, at their ids: (n-1)-gram id * tokens + last token id
+    for n in range(2, top + 1):
+        longer = joined if at is None else joined[at + n - 2]
+        at = np.flatnonzero(joined) if at is None else at[longer]
+        keys = level[longer].astype(np.int64) * len(tokens) + ids[at + n - 1]
+        codes[n], level = np.unique(keys, return_inverse=True)
+        del keys
+        levels[n] = at, level
+    del joined, at, level, ids
+    # the counted levels' ids, side by side, are the term ids
+    sizes = {n: len(tokens) if n == 1 else codes[n].size for n in sorted(set(ngrams))}
+    first = np.cumsum([0, *sizes.values()]).tolist()
+    offset, seen = dict(zip(sizes, first)), first[-1]
+
+    def names(terms: np.ndarray) -> list[str]:
+        """The n-gram of each of the increasing term ids, its tokens joined on a space."""
+        joined: list[str] = []
+        for n, size in sizes.items():
+            gram = terms[(offset[n] <= terms) & (terms < offset[n] + size)] - offset[n]
+            last = []
+            for m in range(n, 1, -1):  # peel the last token off, level by level
+                gram, token = np.divmod(codes[m][gram], len(tokens))
+                last.append(token.tolist())
+            joined += (" ".join(map(tokens.__getitem__, picked)) for picked in zip(gram.tolist(), *reversed(last)))
+        return joined
+
+    # one key per occurrence, level by level; each occurrence-long temporary is dropped as soon as it is read
+    key = np.empty(sum(levels[n][1].size for n in ngrams), dtype=np.int64)
+    end = 0
+    for n in ngrams:
+        at, level = levels[n]
+        part = key[end : end + level.size]
+        end += level.size
+        np.multiply(row if at is None else row[at], seen, out=part)
+        part += level
+        part += offset[n]
+    del row, levels, at, level, part
     if vocab is None:
         key.sort()  # one run per document of each term
         doc_freq = np.bincount(key[_run_starts(key)] % seen, minlength=seen)
-        kept = sorted(np.flatnonzero(doc_freq >= min_df).tolist(), key=names.__getitem__)
-        vocab = Vocabulary(tuple(names[i] for i in kept), doc_freq[kept], n_docs, min_df, tuple(ngrams))
+        kept = np.flatnonzero(doc_freq >= min_df)
+        terms = names(kept)
+        order = sorted(range(kept.size), key=terms.__getitem__)
+        kept = kept[order]
+        vocab = Vocabulary(tuple(terms[i] for i in order), doc_freq[kept], n_docs, min_df, tuple(ngrams))
         column = np.full(seen, -1, dtype=np.int64)
-        column[kept] = np.arange(len(kept))
+        column[kept] = np.arange(kept.size)
     else:
-        column = np.fromiter(map(vocab.index.get, names, repeat(-1)), dtype=np.int64, count=seen)
-    del names  # with the terms not kept, before the rows are checked
+        column = np.fromiter(map(vocab.index.get, names(np.arange(seen)), repeat(-1)), dtype=np.int64, count=seen)
+    del tokens, codes  # before the rows are checked
     # the kept terms' occurrences keyed by row and column: the columns follow the sorted terms, not the ids
     term = column[key % seen]
     found = term >= 0

@@ -645,7 +645,7 @@ def test_compare_reads_every_input_before_it_trains(tmp_path, capsys, monkeypatc
     planes = count_planes(monkeypatch)
     code, out, err = run([*dealing_argv("compare", tmp_path), "--input", str(bad)], capsys)
     assert (code, out) == (1, "")
-    assert re.fullmatch(rf"error: corpus-format: {re.escape(str(bad))}: line 3 has 1 fields.*\n", err)
+    assert re.fullmatch(rf"error: corpus-format: {re.escape(str(bad))}: line 3: 1 fields, expected at least 3\n", err)
     assert planes.value == 0
 
 
@@ -810,7 +810,7 @@ def test_short_gold_row_is_one_corpus_error(tmp_path, capsys):
     short.write_text("TweetID,HandLabel,Text\nt1,Positive,good\nt2\n", encoding="utf-8")
     code, out, err = run(["crossval", "--input", str(short)], capsys)
     assert (code, out) == (1, "")
-    assert re.fullmatch(r"error: corpus-format: .*line 3 has 1 fields.*\n", err)
+    assert re.fullmatch(r"error: corpus-format: .*line 3: 1 fields, expected at least 3\n", err)
 
 
 @pytest.mark.parametrize(

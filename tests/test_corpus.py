@@ -4,7 +4,7 @@ from __future__ import annotations
 
 import re
 import tracemalloc
-from datetime import datetime, timedelta, timezone
+from datetime import date, datetime, timedelta, timezone
 
 import numpy as np
 import pytest
@@ -87,7 +87,7 @@ def test_unknown_label_reports_line(tmp_path) -> None:
         [("p1", "Positive", "a"), ("p2", "Wonderful", "a")],
         header=("TweetID", "HandLabel", "AnnotatorID"),
     )
-    with pytest.raises(CorpusFormatError, match=r"'Wonderful' on line 3"):
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line 3: unknown label 'Wonderful'$"):
         load_annotations(path)
 
 
@@ -129,7 +129,7 @@ def test_bad_date_reports_line(tmp_path) -> None:
         tmp_path / "baddate.csv",
         [("p1", "Positive", "a", "not-a-date", "hi")],
     )
-    with pytest.raises(CorpusFormatError, match="line 2"):
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line 2: unparseable date 'not-a-date'$"):
         load_annotations(path)
 
 
@@ -142,7 +142,7 @@ def test_bad_merged_from_reports_line(tmp_path, count) -> None:
                        header=("TweetID", "HandLabel", "MergedFrom"))
     # a field of digits is parsed and its count refused by the table's constructor, any other field by the parser
     fault = (f"line 3: post 'p2': bad MergedFrom value {count}" if count.isascii() and count.isdigit() else
-             f"bad MergedFrom value {count!r} on line 3")
+             f"line 3: bad MergedFrom value {count!r}")
     with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: {re.escape(fault)}$"):
         load_gold(path)
     write_table(path, [("p1", "Positive", " 2 ")], header=("TweetID", "HandLabel", "MergedFrom"))
@@ -162,7 +162,8 @@ TABLES = pytest.mark.parametrize(
 @TABLES
 def test_short_row_reports_line(tmp_path, loader, header, row) -> None:
     path = write_table(tmp_path / "short.csv", [row, ("t2",)], header=header)
-    with pytest.raises(CorpusFormatError, match=f"line 3 has 1 fields, expected at least {len(header)}"):
+    fault = f"{path}: line 3: 1 fields, expected at least {len(header)}"
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(fault)}$"):
         loader(path)
 
 
@@ -194,7 +195,7 @@ def test_line_numbers_count_file_lines(tmp_path, loader, header, row) -> None:
     two_lines = row[:-1] + ('"first line\nsecond line"',)
     bad = (row[0] + "b", "Wonderful") + row[2:]
     path = write_table(tmp_path / "multi.csv", [two_lines, bad], header=header)
-    with pytest.raises(CorpusFormatError, match=r"'Wonderful' on line 4"):
+    with pytest.raises(CorpusFormatError, match=f"^{re.escape(str(path))}: line 4: unknown label 'Wonderful'$"):
         loader(path)
 
 
@@ -311,9 +312,11 @@ def test_hand_made_tables_fuzz_raise_only_format_errors(tmp_path, data) -> None:
     def ids(k):
         return tuple(data.draw(hand_column(st.just("pqrstu"[:k]), st.just(""))))
 
-    label, texts = np.array(column(st.integers(-1, 1))), tuple(column(st.sampled_from(["", "great day"]), st.none()))
+    # texts and dates of any type: save_gold, prepare and merge_gold would fail on one that is no str or datetime
+    label = np.array(column(st.integers(-1, 1)))
+    texts = tuple(column(st.sampled_from(["", "great day"]), st.none() | ODD_VALUES))
     dates = tuple(column(st.sampled_from([None, datetime(2014, 1, 2), datetime(2014, 1, 1)]),
-                         st.just(datetime(2014, 1, 1, tzinfo=timezone.utc))))
+                         st.just(datetime(2014, 1, 1, tzinfo=timezone.utc)) | ODD_VALUES))
     try:
         if data.draw(st.booleans()):
             table = GoldTable(ids(n), label, dates, texts, np.array(column(st.integers(1, 3))))
@@ -371,13 +374,21 @@ def test_hand_made_tables_fuzz_raise_only_format_errors(tmp_path, data) -> None:
     (lambda: hand_annotations(seq=["0", "1"]), "post 'p': seq is of <U1, not an integer type"),
     (lambda: hand_annotations(dates=(datetime(2014, 1, 1), datetime(2014, 1, 1, tzinfo=timezone.utc))),
      "post 'q': date '2014-01-01T00:00:00+00:00' has a UTC offset, unlike the first dated post 'p'"),
+    # a date that is no datetime and a text that is no string, which merge_gold, prepare and save_gold would fail on
+    (lambda: hand_annotations(dates=("2014-01-01", None)), "post 'p': date '2014-01-01' is not a datetime"),
+    (lambda: hand_annotations(dates=(datetime(2014, 1, 1), "")), "post 'q': date '' is not a datetime"),
+    (lambda: hand_made(dates=(None, date(2014, 1, 1), None)),
+     "post 'b': date datetime.date(2014, 1, 1) is not a datetime"),
+    (lambda: hand_made(texts=(None, 5, "z")), "post 'b': text 5 is not a string"),
+    (lambda: hand_annotations(texts=("x", b"y")), "post 'q': text b'y' is not a string"),
     # the lowest faulty row over all checks, not the row of the first check that fails
     (lambda: hand_made(label=(0, 1, -2), merged_from=(0, 1, 1)), "post 'a': bad MergedFrom value 0"),
     (lambda: hand_annotations(label=[5, 0], annotator=[0, 3]), "post 'p': label 5 is not a code -1/0/+1"),
     (lambda: hand_annotations(label=[0, 5], seq=[0, 1, 2]), "post 'q': label 5 is not a code -1/0/+1"),
 ], ids=["code", "post-index", "annotator-index", "short", "long", "strings", "bools", "2**70", "empty-post",
         "empty-annotator", "empty-gold-post", "float-index", "whole-float-index", "post-without-row", "seq", "offsets",
-        "lowest-row", "code-before-index", "row-before-length"])
+        "date-string", "empty-date-string", "date-without-time", "text-int", "text-bytes", "lowest-row",
+        "code-before-index", "row-before-length"])
 def test_a_hand_made_table_names_the_post_of_its_fault(make, fault) -> None:
     with pytest.raises(CorpusFormatError, match=f"^{re.escape(fault)}$"):
         make()
@@ -418,7 +429,7 @@ def test_the_first_fault_in_the_file_is_the_one_reported(tmp_path, loader, heade
     rows[label] = (rows[label][0], "Wonderful") + rows[label][2:]
     path = write_table(tmp_path / "faults.csv", rows, header=header)
     fault = (f"{path}: line 3: post 't1': date '2014-01-02T10:00:00+00:00' has a UTC offset, unlike the first dated "
-             "post 't0'" if offset_first else "unknown label 'Wonderful' on line 3")
+             "post 't0'" if offset_first else f"{path}: line 3: unknown label 'Wonderful'")
     with pytest.raises(CorpusFormatError, match=f"^{re.escape(fault)}$"):
         loader(path)
 
@@ -880,6 +891,18 @@ def test_a_hand_made_gold_table_refuses_columns_of_unequal_length(column, messag
     # zip would cut every column to the shortest when the table is saved
     with pytest.raises(CorpusFormatError, match=message):
         hand_made(**column)
+
+
+def test_posts_made_by_hand_refuse_a_text_or_date_of_another_type(tmp_path) -> None:
+    posts = [GoldPost("p", SentimentLabel.POSITIVE, text="fine"), GoldPost("q", SentimentLabel.NEUTRAL, text=5)]
+    with pytest.raises(CorpusFormatError, match="^post 'q': text 5 is not a string$"):
+        save_gold(posts, tmp_path / "gold.csv")
+    assert not (tmp_path / "gold.csv").exists()
+    with pytest.raises(CorpusFormatError, match="^post 'q': text 5 is not a string$"):
+        prepare(posts, min_df=1)
+    posts[1] = GoldPost("q", SentimentLabel.NEUTRAL, timestamp="2014-01-01", text="fine")
+    with pytest.raises(CorpusFormatError, match="^post 'q': date '2014-01-01' is not a datetime$"):
+        time_ordered_chunks(posts, 1)
 
 
 def test_a_hand_made_gold_table_refuses_mixed_utc_offsets() -> None:

@@ -2,8 +2,11 @@
 
 from __future__ import annotations
 
+import importlib.util
 import string
+import sys
 from collections import Counter
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -21,7 +24,6 @@ from sentagree.features import (
     count_vector,
     delta_weights,
     english_suffix_stem,
-    expand_terms,
     normalize,
     vocabulary_from_token_docs,
 )
@@ -29,6 +31,8 @@ from sentagree.evaluation import PreparedCorpus
 
 import oracles
 from conftest import damaged_model
+
+ROOT = Path(__file__).resolve().parents[1]
 
 
 def test_normalizer_version_is_frozen() -> None:
@@ -92,7 +96,9 @@ _LETTER_RUNS = st.builds(
 )
 def test_normalize_matches_the_unguarded_tokenizer(stemmer, pieces: list[str]) -> None:
     text = "".join(pieces)
-    assert normalize(text, stemmer) == oracles.normalize_reference(text, stemmer)
+    tokens = normalize(text, stemmer)
+    assert tokens == oracles.normalize_reference(text, stemmer)
+    assert not any(" " in token for token in tokens)  # the counter refuses such a token in an n-gram
 
 
 def test_normalize_never_emits_empty_tokens() -> None:
@@ -146,16 +152,16 @@ def test_english_suffix_stem(token: str, stem: str) -> None:
     drawn=st.lists(st.text(min_size=1, max_size=3), max_size=6),
     ngrams=st.sampled_from([(1,), (1, 2), (1, 2, 3)]),
 )
-def test_expand_terms(drawn, ngrams) -> None:
+def test_the_ngram_oracle(drawn, ngrams) -> None:
     tokens = ["a", "b", "c"]
-    assert expand_terms(tokens, (1,)) == ["a", "b", "c"]
-    assert expand_terms(tokens, (2,)) == ["a b", "b c"]
-    assert expand_terms(tokens, (1, 2)) == ["a", "b", "c", "a b", "b c"]
-    assert expand_terms(["solo"], (2,)) == []
-    assert expand_terms([], (1, 2)) == []
-    # the slice formula, one n after another
-    slices = [" ".join(drawn[i : i + n]) for n in ngrams for i in range(len(drawn) - n + 1)]
-    assert expand_terms(drawn, ngrams) == slices
+    assert oracles._ngram_terms(tokens, (1,)) == ["a", "b", "c"]
+    assert oracles._ngram_terms(tokens, (2,)) == ["a b", "b c"]
+    assert oracles._ngram_terms(tokens, (1, 2)) == ["a", "b", "c", "a b", "b c"]
+    assert oracles._ngram_terms(["solo"], (2,)) == []
+    assert oracles._ngram_terms([], (1, 2)) == []
+    # the zip of shifted copies, one n after another
+    shifted = [" ".join(gram) for n in ngrams for gram in zip(*[drawn[i:] for i in range(n)])]
+    assert oracles._ngram_terms(drawn, ngrams) == shifted
 
 
 def test_vocabulary_sorted_and_deterministic() -> None:
@@ -189,7 +195,7 @@ def test_vocabulary_matches_the_per_document_set_oracle() -> None:
                 assert vocab.terms == terms
                 assert vocab.doc_freq.tolist() == doc_freq
                 assert (vocab.n_docs, vocab.min_df, vocab.ngrams) == (len(docs), min_df, ngrams)
-                occurrences = Counter(term for doc in docs for term in expand_terms(doc, ngrams))
+                occurrences = Counter(term for doc in docs for term in oracles._ngram_terms(doc, ngrams))
                 occurrence_count_differs += terms != tuple(sorted(t for t, c in occurrences.items() if c >= min_df))
     assert occurrence_count_differs > 0
 
@@ -221,14 +227,17 @@ def test_count_vector_multiplicity_and_order() -> None:
     assert (len(empty), empty.nnz) == (1, 0)
 
 
-# ASCII, accented, CJK, astral and marker tokens; few enough that terms repeat within and across documents
-_COUNTED_TOKENS = ["a", "b", "ab", "é", "straße", "日本", "😀", "<url>"]
+# ASCII, accented, CJK, astral, marker and empty tokens; few enough that terms repeat within and across documents
+_COUNTED_TOKENS = ["a", "b", "ab", "é", "straße", "日本", "😀", "<url>", ""]
+# every level counted alone and with others, and levels built only to reach a longer one
+_NGRAMS = [(1,), (2,), (3,), (1, 2), (2, 3), (1, 2, 3)]
 
 
-@settings(max_examples=300, deadline=None)
+@settings(max_examples=400, deadline=None)
 @given(
+    # documents of up to 8 tokens, so some are shorter than each n
     docs=st.lists(st.lists(st.sampled_from(_COUNTED_TOKENS), max_size=8), max_size=12),
-    ngrams=st.sampled_from([(1,), (1, 2), (1, 2, 3)]),
+    ngrams=st.sampled_from(_NGRAMS),
     data=st.data(),
 )
 def test_the_one_pass_counter_equals_the_two_pass_reference(docs, ngrams, data) -> None:
@@ -255,6 +264,37 @@ def test_the_one_pass_counter_equals_the_two_pass_reference(docs, ngrams, data) 
             assert got.dtype == want.dtype and np.array_equal(got, want), name
 
 
+def test_the_counter_equals_the_reference_on_a_full_size_corpus(monkeypatch) -> None:
+    """nb-wide's 3,000 posts, a 20,000-word Zipf vocabulary and tweet
+    decorations, normalized as ``prepare`` does: terms with about 25
+    occurrences per post, few kept at ``min_df`` 5."""
+    monkeypatch.setattr(sys, "dont_write_bytecode", True)  # no cache file is written next to the generator
+    spec = importlib.util.spec_from_file_location("bench_gen", ROOT / "perfbench" / "gen.py")
+    gen = importlib.util.module_from_spec(spec)
+    monkeypatch.setitem(sys.modules, spec.name, gen)  # its dataclasses look their module up there
+    spec.loader.exec_module(gen)
+    posts = gen.gold_posts(gen.GoldSpec(3000, label_noise=0.1, vocab_width=20000, zipf_skew=1.0, filler_words=10), 3)
+    docs = [normalize(text) for _, _, _, text in posts]
+    vocab, rows = _count_corpus(iter(docs), min_df=5)
+    terms, doc_freq = oracles.vocabulary_brute(docs, 5, (1, 2))
+    assert (vocab.terms, vocab.doc_freq.tolist(), vocab.n_docs) == (terms, doc_freq, 3000)
+    assert 500 < vocab.dim < 5000 and any(" " in term for term in terms)
+    for got, want in zip((rows.indptr, rows.indices, rows.values), oracles.count_rows_brute(docs, terms, (1, 2))):
+        assert got.dtype == want.dtype and np.array_equal(got, want)
+
+
+def test_a_token_holding_a_space_is_refused_where_it_would_join_an_ngram() -> None:
+    docs = [["a b", "c"], ["a", "b", "c"]]
+    with pytest.raises(VocabularyError, match="^token 'a b' holds a space"):
+        _count_corpus(iter(docs), min_df=1, ngrams=(1, 2))
+    vocab, rows = _count_corpus(iter(docs), min_df=1, ngrams=(1,))  # unigrams alone keep it whole
+    assert vocab.terms == ("a", "a b", "b", "c") and vocab.doc_freq.tolist() == [1, 1, 1, 2]
+    assert rows.indices.tolist() == [1, 3, 0, 2, 3]
+    bigrams = Vocabulary(("a b",), np.array([1]), 2, 1, (1, 2))
+    with pytest.raises(VocabularyError, match="^token 'a b' holds a space"):
+        count_vector(["a b"], bigrams)
+
+
 def one_row(indices, values, dim=3) -> CountRows:
     return CountRows([0, len(indices)], indices, values, dim)
 
@@ -277,7 +317,7 @@ _TERMS = list(_LETTERS) + [f"{x} {y}" for x in _LETTERS for y in _LETTERS] + ["a
 @settings(max_examples=200, deadline=None)
 @given(data=st.data())
 def test_rows_the_package_derives_pass_the_public_check(data) -> None:
-    ngrams = data.draw(st.sampled_from([(1,), (1, 2), (1, 2, 3)]))
+    ngrams = data.draw(st.sampled_from(_NGRAMS))
     terms = sorted(data.draw(st.sets(st.sampled_from(_TERMS), max_size=20)))
     vocab = Vocabulary(tuple(terms), np.ones(len(terms), dtype=np.int64), 1, 1, ngrams)
     docs = data.draw(st.lists(st.lists(st.sampled_from(_LETTERS + "xy"), max_size=8), min_size=1, max_size=10))
@@ -285,7 +325,7 @@ def test_rows_the_package_derives_pass_the_public_check(data) -> None:
     for doc, row in zip(docs, rows):
         assert_passes_the_public_check(row)
         counted = dict(zip((terms[i] for i in row.indices.tolist()), row.values.tolist()))
-        assert counted == Counter(term for term in expand_terms(doc, ngrams) if term in vocab.index)
+        assert counted == Counter(term for term in oracles._ngram_terms(doc, ngrams) if term in vocab.index)
     block = _count_corpus(docs, vocab)[1]  # the rows of one counter call, checked once
     assert_passes_the_public_check(block)
     for r, row in enumerate(rows):

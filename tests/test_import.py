@@ -123,7 +123,7 @@ UNLISTED = {
     "classify": ["BinTable", "NaiveBayesTable", "SubspaceTable"],
     "corpus": ["AnnotationTable", "PairTable"],
     "evaluation": ["MeasureSummary", "PreparedCorpus"],
-    "features": ["EMOTICONS", "NORMALIZER_VERSION", "expand_terms"],
+    "features": ["EMOTICONS", "NORMALIZER_VERSION"],
 }
 
 
