@@ -1,19 +1,21 @@
 /* The epochs of the dual coordinate descent of sentagree.classify.train_binary.
 
-   cd_solve runs a block of epochs in one call; each epoch's body is the Python
-   loop of classify._python_epoch, operation for operation and in the same
-   order, on IEEE doubles.  It must be compiled without contraction
+   cd_solve runs every epoch of one plane in one call; each epoch's body is the
+   Python loop of classify._python_epoch, operation for operation and in the
+   same order, on IEEE doubles.  It must be compiled without contraction
    (-ffp-contract=off) and without any flag that lets the compiler reassociate
    floating-point arithmetic, so that every plane keeps the Python loop's bits;
    classify runs a self-check before it uses the library.
 
    Rows are in CSR layout: row i holds indices[p], values[p] for p in
-   indptr[i]..indptr[i + 1].  Epoch e visits the rows in orders[e * n ..
-   e * n + n - 1].  w, alphas and state = {bias, dual objective, the last
-   epoch's largest projected-gradient magnitude} are updated in place, and
-   objectives[e] receives the dual objective after epoch e.  The block stops
-   after the first epoch whose magnitude is below tol; the return value is
-   the number of epochs run. */
+   indptr[i]..indptr[i + 1].  Each epoch visits the rows in the order that
+   numpy's Generator.permutation(n) would draw next, shuffled into order (n
+   entries) from the plane's generator: bit_generator.ctypes's state,
+   next_uint32 and next_uint64.  w, alphas and state = {bias, dual objective,
+   the last epoch's largest projected-gradient magnitude} are updated in
+   place, and objectives[e] receives the dual objective after epoch e.  The
+   plane stops after the first epoch whose magnitude is below tol, or after
+   max_epochs; the return value is the number of epochs run. */
 
 #include <stdint.h>
 
@@ -63,15 +65,36 @@ static double cd_epoch(int64_t n, const int64_t *order, const int64_t *indptr, c
     return worst;
 }
 
-int64_t cd_solve(int64_t n, int64_t epochs, const int64_t *orders, const int64_t *indptr, const int64_t *indices,
+/* numpy's random_interval(max): a draw from 0..max by masked rejection */
+static uint64_t interval(void *bits, uint32_t (*next_uint32)(void *), uint64_t (*next_uint64)(void *), uint64_t max)
+{
+    uint64_t mask = max, value;
+    for (int shift = 1; shift < 64; shift *= 2) /* the smallest mask of ones that covers max */
+        mask |= mask >> shift;
+    do
+        value = (max <= 0xffffffffULL ? next_uint32(bits) : next_uint64(bits)) & mask;
+    while (value > max);
+    return value;
+}
+
+int64_t cd_solve(int64_t n, int64_t max_epochs, void *bits, uint32_t (*next_uint32)(void *),
+                 uint64_t (*next_uint64)(void *), int64_t *order, const int64_t *indptr, const int64_t *indices,
                  const double *values, const double *ys, const double *q_diag, double bound, double tol,
                  double *w, double *alphas, double *state, double *objectives)
 {
-    for (int64_t e = 0; e < epochs; e++) {
-        state[2] = cd_epoch(n, orders + e * n, indptr, indices, values, ys, q_diag, bound, w, alphas, state);
+    for (int64_t e = 0; e < max_epochs; e++) {
+        /* Generator.permutation(n): Fisher-Yates over 0..n-1 from the last place down */
+        for (int64_t k = 0; k < n; k++)
+            order[k] = k;
+        for (int64_t i = n - 1; i > 0; i--) {
+            int64_t j = (int64_t)interval(bits, next_uint32, next_uint64, (uint64_t)i), kept = order[j];
+            order[j] = order[i];
+            order[i] = kept;
+        }
+        state[2] = cd_epoch(n, order, indptr, indices, values, ys, q_diag, bound, w, alphas, state);
         objectives[e] = state[1];
         if (state[2] < tol)
             return e + 1;
     }
-    return epochs;
+    return max_epochs;
 }

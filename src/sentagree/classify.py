@@ -10,11 +10,12 @@ therefore regularized).  The dual has one box-constrained variable per
 example; a coordinate step on example ``i`` computes the projected
 gradient of ``G = y_i * (w . x_i + b) - 1``, clips
 ``alpha_i - G / ||x~_i||^2`` into ``[0, C]``, and updates ``w``
-incrementally.  Examples are visited in a freshly seeded random
-permutation each epoch; training stops when the largest projected
-gradient magnitude of an epoch falls below ``tol`` or after
-``max_epochs``.  The dual objective ``sum(alpha) - ||w||^2 / 2`` is
-recorded per epoch as a running sum of the steps' exact gains,
+incrementally.  Each plane seeds one generator with ``seed``, and
+each epoch visits the examples in its next random permutation;
+training stops when the largest projected gradient magnitude of an
+epoch falls below ``tol`` or after ``max_epochs``.  The dual objective
+``sum(alpha) - ||w||^2 / 2`` is recorded per epoch as a running sum
+of the steps' exact gains,
 ``d * (-G - ||x~_i||^2 * d / 2)`` for a step ``d`` of ``alpha_i``;
 each gain is non-negative in floating point, so the recorded sequence
 never decreases.
@@ -25,10 +26,11 @@ out of the block with ``select``, and its term weights scale the
 stored ``values`` array in one numpy op (the row layout of LIBLINEAR).
 ``||x~_i||^2``, like every decision value ``w . x`` of prediction, is
 summed sequentially per row with ``np.bincount``, not by a BLAS dot,
-whose kernel varies by CPU.  Each block of epochs is one call of
-``cd_solve``, a C function in ``_cd.c`` compiled on first use
-(:func:`_load_kernel`).  Its epochs do the IEEE double operations of
-the Python loop :func:`_python_epoch`, in the same order, built with no
+whose kernel varies by CPU.  A plane is one call of ``cd_solve``, a C
+function in ``_cd.c`` compiled on first use (:func:`_load_kernel`),
+which draws each epoch's permutation as numpy does from the plane's
+generator.  Its epochs do the IEEE double operations of the Python
+loop :func:`_python_epoch`, in the same order, built with no
 contraction of a multiply and an add into one rounding and no
 reassociation; ``w . x`` is summed left to right (not by ``sum()``,
 which compensates since Python 3.12, nor by a BLAS dot).  So a plane
@@ -148,7 +150,8 @@ class TrainConfig:
     ``max_epochs``, ``seed`` and ``bin_grid`` must be integers, Python's
     or numpy's (a bool or a float is not one), ``max_epochs`` positive
     and ``seed`` non-negative, as :func:`~sentagree.agreement.bootstrap_ci`
-    checks its counts.
+    checks its counts.  ``max_epochs`` is at most 2**20: a plane records
+    its dual objective per epoch in a buffer of that many doubles.
     """
 
     cost: float = 1.0
@@ -164,6 +167,8 @@ class TrainConfig:
         if not 0 < self.tol < math.inf:
             raise ValueError(f"tol must be positive and finite, got {self.tol}")
         _check_count("max_epochs", self.max_epochs, 1)
+        if self.max_epochs > 2**20:
+            raise ValueError(f"max_epochs must be <= {2**20}, got {self.max_epochs}")
         _check_count("seed", self.seed, 0)
         if not _is_integer(self.bin_grid):
             raise ValueError(f"bin_grid must be an integer, got {self.bin_grid!r}")
@@ -257,12 +262,12 @@ def _descend(kernel, rows: CountRows, y: np.ndarray, config: TrainConfig) -> tup
     the weights, the bias, the dual objective after every epoch and the
     last epoch's largest projected-gradient magnitude.
 
-    Each block of epochs (8, 16, 32, ... of them, at most
-    :data:`_BLOCK_ORDERS` row visits) draws its visiting orders in one
-    call, the stream of successive ``rng.permutation(n)``, and is one
-    call of ``kernel``, the C ``cd_solve``, or, when ``kernel`` is
-    ``None``, a loop of :func:`_python_epoch`, its reference; both stop
-    after the first epoch below ``tol`` and give the same bits.
+    Each epoch visits the rows in the next ``rng.permutation(n)`` of one
+    generator seeded with ``config.seed``.  The plane is one call of
+    ``kernel``, the C ``cd_solve``, which draws those orders itself, or,
+    when ``kernel`` is ``None``, a loop of :func:`_python_epoch`, its
+    reference; both stop after the first epoch below ``tol`` and give
+    the same bits.
     """
     n, dim, bound = len(rows), rows.dim, float(config.cost)
     # ||x~_i||^2 summed in order per row
@@ -272,33 +277,23 @@ def _descend(kernel, rows: CountRows, y: np.ndarray, config: TrainConfig) -> tup
         pairs = list(zip(rows.indices.tolist(), rows.values.tolist()))
         starts = rows.indptr.tolist()
         problem = ([pairs[start:end] for start, end in zip(starts, starts[1:])], y.tolist(), q_diag.tolist(), bound)
-        w, alphas, state = [0.0] * dim, [0.0] * n, [0.0, 0.0, math.inf]
-
-        def solve(orders: np.ndarray, objectives: np.ndarray) -> int:
-            for run, order in enumerate(orders.tolist(), 1):
-                state[2] = _python_epoch(order, *problem, w, alphas, state)
-                objectives[run - 1] = state[1]
-                if state[2] < config.tol:
-                    break
-            return run
-    else:
-        # the arrays outlive every call of the kernel, which gets their addresses
-        arrays = [np.ascontiguousarray(a, dtype=np.int64) for a in (rows.indptr, rows.indices)]
-        arrays += [np.ascontiguousarray(a, dtype=np.float64) for a in (rows.values, y, q_diag)]
-        w, alphas, state = np.zeros(dim), np.zeros(n), np.array([0.0, 0.0, math.inf])
-        inputs = [a.ctypes.data for a in arrays]
-        outputs = [a.ctypes.data for a in (w, alphas, state)]
-
-        def solve(orders: np.ndarray, objectives: np.ndarray) -> int:
-            return kernel(n, len(orders), orders.ctypes.data, *inputs, bound, config.tol, *outputs, objectives.ctypes.data)
-
-    objectives, size = [], 8
-    while len(objectives) < config.max_epochs and not state[2] < config.tol:
-        size = min(size, config.max_epochs - len(objectives), max(1, _BLOCK_ORDERS // n))
-        orders, block = rng.permuted(np.tile(np.arange(n, dtype=np.int64), (size, 1)), axis=1), np.empty(size)
-        objectives += block[:solve(orders, block)].tolist()
-        size *= 2
-    return np.asarray(w, dtype=np.float64), float(state[0]), tuple(objectives), float(state[2])
+        w, alphas, state, objectives = [0.0] * dim, [0.0] * n, [0.0, 0.0], []
+        for _ in range(config.max_epochs):
+            worst = _python_epoch(rng.permutation(n).tolist(), *problem, w, alphas, state)
+            objectives.append(state[1])
+            if worst < config.tol:
+                break
+        return np.asarray(w, dtype=np.float64), state[0], tuple(objectives), worst
+    # the arrays outlive the call of the kernel, which gets their addresses
+    arrays = [np.empty(n, dtype=np.int64)]  # the kernel's scratch for each epoch's order
+    arrays += [np.ascontiguousarray(a, dtype=np.int64) for a in (rows.indptr, rows.indices)]
+    arrays += [np.ascontiguousarray(a, dtype=np.float64) for a in (rows.values, y, q_diag)]
+    w, alphas, state, objectives = np.zeros(dim), np.zeros(n), np.zeros(3), np.empty(config.max_epochs)
+    outputs = [a.ctypes.data for a in (w, alphas, state, objectives)]
+    bits = rng.bit_generator.ctypes
+    run = kernel(n, int(config.max_epochs), bits.state_address, bits.next_uint32, bits.next_uint64,
+                 *[a.ctypes.data for a in arrays], bound, config.tol, *outputs)
+    return w, float(state[0]), tuple(objectives[:run].tolist()), float(state[2])
 
 
 def _python_epoch(
@@ -358,8 +353,6 @@ def _python_epoch(
 #: none that lets the compiler fuse or reassociate floating-point operations.
 _KERNEL_SOURCE = Path(__file__).with_name("_cd.c")
 _KERNEL_FLAGS = ("-O2", "-fPIC", "-shared", "-ffp-contract=off")
-#: The rows one block of epochs may visit: 2**17 int64 orders, 1 MiB.
-_BLOCK_ORDERS = 2**17
 
 
 @functools.cache
@@ -397,7 +390,7 @@ def _load_kernel(compiler: Sequence[str] | None = None, cache: Path | None = Non
     except (OSError, RuntimeError, AttributeError) as exc:
         logger.debug("C epoch kernel unavailable (%s); training runs the Python loop", exc)
         return None
-    kernel.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 6 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 4
+    kernel.argtypes = [ctypes.c_int64] * 2 + [ctypes.c_void_p] * 9 + [ctypes.c_double] * 2 + [ctypes.c_void_p] * 4
     kernel.restype = ctypes.c_int64
     if not _self_check(kernel):
         logger.debug("C epoch kernel in %s differs from the Python loop; training runs the Python loop", library)
@@ -448,7 +441,7 @@ def _self_check(kernel) -> bool:
     indices = np.concatenate([np.sort(rng.choice(12, size=k, replace=False)) for k in lengths])
     rows = CountRows(np.concatenate(([0], np.cumsum(lengths))), indices, rng.normal(size=indices.size), 12)
     y = np.where(rng.random(40) < 0.5, -1.0, 1.0)
-    # 20 epochs run as blocks of 8 and 12, so the check covers the handoff between blocks
+    # all 20 epochs run, so the check covers the draw's generator state carried from one epoch to the next
     config = TrainConfig(cost=0.5, tol=1e-12, max_epochs=20)
     (w, *rest), (w_ref, *rest_ref) = (_descend(k, rows, y, config) for k in (kernel, None))
     return w.tobytes() == w_ref.tobytes() and rest == rest_ref

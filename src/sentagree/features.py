@@ -55,7 +55,7 @@ from itertools import chain, repeat
 import numpy as np
 
 from . import _EXPORTS
-from .errors import VocabularyError, _check_count
+from .errors import VocabularyError, _check_count, _is_integer
 
 __all__ = _EXPORTS["features"].split()
 
@@ -269,10 +269,10 @@ class Vocabulary:
     function of the training corpus and the configuration.  It carries
     no class statistics: each classifier plane computes its own term
     weights from its training split.  ``ngrams`` holds the n-gram sizes
-    counted, at least one, each at least 1, ``min_df`` is a positive and
-    ``n_docs`` a non-negative integer, no term repeats, and ``doc_freq``
-    holds one count in ``[0, n_docs]`` per term; anything else raises
-    :class:`VocabularyError`.
+    counted, at least one, each an integer of at least 1, none twice,
+    ``min_df`` is a positive and ``n_docs`` a non-negative integer, no
+    term repeats, and ``doc_freq`` holds one count in ``[0, n_docs]``
+    per term; anything else raises :class:`VocabularyError`.
     """
 
     terms: tuple[str, ...]
@@ -304,8 +304,12 @@ class Vocabulary:
 
 
 def _check_ngrams(ngrams: tuple[int, ...]) -> None:
+    if not all(map(_is_integer, ngrams)):
+        raise VocabularyError(f"ngrams must hold integer n-gram sizes, got {ngrams!r}")
     if not ngrams or min(ngrams) < 1:
         raise VocabularyError(f"ngrams must hold at least one n-gram size, each >= 1, got {ngrams!r}")
+    if len(set(ngrams)) < len(ngrams):  # a repeated size would count each of its terms once per repeat
+        raise VocabularyError(f"ngrams must not repeat a size, got {ngrams!r}")
 
 
 def _count_corpus(

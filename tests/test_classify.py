@@ -240,6 +240,16 @@ def test_train_config_validation() -> None:
     assert TrainConfig(max_epochs=np.int32(3), bin_grid=np.int64(2)).bin_grid == 2
 
 
+def test_max_epochs_up_to_2_to_the_20_is_accepted() -> None:
+    assert TrainConfig(max_epochs=2**20).max_epochs == 2**20
+
+
+def test_max_epochs_past_2_to_the_20_is_refused() -> None:
+    # a plane records its objectives in a buffer of max_epochs doubles; 10**10 of them would not fit in memory
+    with pytest.raises(ValueError, match=r"^max_epochs must be <= 1048576, got 1048577$"):
+        TrainConfig(max_epochs=2**20 + 1)
+
+
 # --- variant training --------------------------------------------------------
 
 
@@ -761,6 +771,7 @@ NAN, INF = float("nan"), float("inf")
         (Variant.NAIVE_BAYES, edit("vocabulary", "doc_freq", 0, value=2**70), "too large to convert"),
         (Variant.TWO_PLANE, edit("vocabulary", "terms", 0, value=1), "needs 3 terms"),
         (Variant.TWO_PLANE, edit("vocabulary", "ngrams", value=[True]), "ngrams must be integers"),
+        (Variant.TWO_PLANE, edit("vocabulary", "ngrams", value=[1, 1]), r"ngrams must not repeat a size, got \(1, 1\)"),
         (Variant.TWO_PLANE, edit("vocabulary", value=None), "vocabulary must be an object of"),
         (Variant.TWO_PLANE, edit("neutral_zone", value=0.5), "holds .* found .*'neutral_zone'"),
         (Variant.NEUTRAL_ZONE, edit("variant", value="Unknown"), "'Unknown' is not a valid Variant"),
@@ -778,7 +789,7 @@ NAN, INF = float("nan"), float("inf")
          "bool-dim", "bool-weight", "string-bias", "object-weights", "list-weight", "null-weight", "list-plane",
          "bool-grid", "grid-past-1000", "float-bin-count", "short-subspaces", "term-count-past-64-bits",
          "doc-freq-past-64-bits",
-         "number-term", "bool-ngram", "null-vocabulary", "stray-table", "unknown-variant"],
+         "number-term", "bool-ngram", "repeated-ngram", "null-vocabulary", "stray-table", "unknown-variant"],
 )
 def test_load_model_checks_structure(tmp_path, variant, change, message) -> None:
     document = json.loads(saved_model_text(tmp_path, variant))

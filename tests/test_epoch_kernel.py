@@ -87,9 +87,11 @@ def test_the_kernel_gives_the_python_loops_bits(kernel, problem) -> None:
 
 
 def perturbing(kernel):
-    """A kernel that moves the first weight after every block of epochs."""
-    def solve(n, epochs, orders, indptr, indices, values, ys, q_diag, bound, tol, w, alphas, state, objectives):
-        run = kernel(n, epochs, orders, indptr, indices, values, ys, q_diag, bound, tol, w, alphas, state, objectives)
+    """A kernel that moves the first weight after it has run a plane."""
+    def solve(n, max_epochs, bits, next_uint32, next_uint64, order, indptr, indices, values, ys, q_diag, bound, tol,
+              w, alphas, state, objectives):
+        run = kernel(n, max_epochs, bits, next_uint32, next_uint64, order, indptr, indices, values, ys, q_diag, bound,
+                     tol, w, alphas, state, objectives)
         ctypes.c_double.from_address(w).value += 1e-9
         return run
     return solve
@@ -103,19 +105,18 @@ def fixture_problem():
 
 
 #: (tol, max_epochs, epochs run, converged) on the fixture problem at cost 0.1,
-#: whose epochs' largest projected gradients fall every epoch from the 4th on;
-#: the blocks hold epochs 1-8, 9-24, 25-56, ...
-BLOCK_STOPS = {
-    "inside the first block": (0.5, 50, 6, True),
-    "on a block's last epoch": (2e-6, 50, 24, True),
-    "in a later block": (1e-8, 50, 30, True),
-    "at max_epochs after three blocks": (1e-14, 40, 40, False),
+#: whose epochs' largest projected gradients fall every epoch from the 4th on
+STOPS = {
+    "converged at 6": (0.5, 50, 6, True),
+    "converged at 24": (2e-6, 50, 24, True),
+    "converged at 30": (1e-8, 50, 30, True),
+    "capped at 40": (1e-14, 40, 40, False),
 }
 
 
-@pytest.mark.parametrize("stop", BLOCK_STOPS)
-def test_the_kernel_gives_the_python_loops_bits_across_blocks(kernel, stop) -> None:
-    tol, max_epochs, epochs, converged = BLOCK_STOPS[stop]
+@pytest.mark.parametrize("stop", STOPS)
+def test_the_kernel_gives_the_python_loops_bits_at_each_stop(kernel, stop) -> None:
+    tol, max_epochs, epochs, converged = STOPS[stop]
     rows, y, term_weights = fixture_problem()
     config = TrainConfig(cost=0.1, tol=tol, max_epochs=max_epochs, seed=5)
     with training_with(None):
@@ -125,23 +126,38 @@ def test_the_kernel_gives_the_python_loops_bits_across_blocks(kernel, stop) -> N
         assert_same_bits(train_binary(rows, y, config, term_weights), reference)
 
 
-def test_one_epoch_blocks_give_the_bits_of_full_ones(kernel) -> None:
-    rows, y, term_weights = fixture_problem()
-    config = TrainConfig(cost=0.1, tol=1e-8, max_epochs=50, seed=5)
+@pytest.mark.parametrize("n", [7199, 7])
+def test_the_kernel_gives_the_python_loops_bits_on_a_plane_of_n_rows(kernel, n) -> None:
+    """7,199 rows draw with masks up to 2**13; in both planes the first
+    epoch leaves half of a 64-bit draw buffered for the second."""
+    rng = np.random.default_rng(2)
+    lengths = rng.integers(0, 5, size=n)
+    indices = np.concatenate([np.sort(rng.choice(50, size=k, replace=False)) for k in lengths])
+    rows = CountRows(np.concatenate(([0], np.cumsum(lengths))), indices, rng.integers(1, 4, size=indices.size), 50)
+    y = np.where(np.arange(n) % 2 == 0, 1, -1)
+    config = TrainConfig(cost=0.1, tol=1e-14, max_epochs=4, seed=4)
+    draws = np.random.default_rng(config.seed)
+    draws.permutation(n)
+    assert draws.bit_generator.state["has_uint32"], "the first epoch leaves no half buffered"
     with training_with(None):
-        reference = train_binary(rows, y, config, term_weights)
-    with training_with(kernel), patch.object(classify, "_BLOCK_ORDERS", 1):
-        assert_same_bits(train_binary(rows, y, config, term_weights), reference)
+        reference = train_binary(rows, y, config)
+    assert reference.epochs_run >= 2  # the second epoch draws from the buffered half
+    with training_with(kernel):
+        assert_same_bits(train_binary(rows, y, config), reference)
 
 
-def test_a_block_of_orders_is_the_stream_of_successive_permutations() -> None:
-    """A block's draw gives each epoch the order ``rng.permutation(n)``
-    would; reports keep their bytes only while this holds."""
-    for n in (1, 2, 7, 150, 7199):
-        blocked, successive = np.random.default_rng(n), np.random.default_rng(n)
-        block = blocked.permuted(np.tile(np.arange(n, dtype=np.int64), (13, 1)), axis=1)
-        assert np.array_equal(block, [successive.permutation(n) for _ in range(13)])
-        assert blocked.bit_generator.state == successive.bit_generator.state
+def test_training_a_plane_is_one_call_of_the_kernel(kernel) -> None:
+    calls = []
+
+    def counting(*args):
+        calls.append(args[:2])
+        return kernel(*args)
+
+    rows, y, term_weights = fixture_problem()
+    with training_with(counting):
+        plane = train_binary(rows, y, TrainConfig(cost=0.1, tol=1e-14, max_epochs=40, seed=5), term_weights)
+    assert plane.epochs_run == 40
+    assert calls == [(30, 40)]  # every epoch of 30 rows in the one call
 
 
 @pytest.mark.parametrize("case", ["no compiler", "no writable cache", "self-check disagrees"])

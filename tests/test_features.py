@@ -500,6 +500,16 @@ def test_vocabulary_from_token_docs_rejects_ngram_sizes_below_one() -> None:
         vocabulary_from_token_docs([["a", "b"]], min_df=1, ngrams=(0, 1))
 
 
+@pytest.mark.parametrize(("ngrams", "message"), [
+    ((1, 1), r"ngrams must not repeat a size, got \(1, 1\)"),  # would count every unigram twice
+    ((1.5,), r"ngrams must hold integer n-gram sizes, got \(1\.5,\)"),
+    ((True,), r"ngrams must hold integer n-gram sizes, got \(True,\)"),  # not taken as 1
+], ids=["repeated", "fractional", "bool"])
+def test_vocabulary_from_token_docs_rejects_a_repeated_or_non_integer_ngram_size(ngrams, message) -> None:
+    with pytest.raises(VocabularyError, match=message):
+        vocabulary_from_token_docs([["a", "b"]] * 5, min_df=1, ngrams=ngrams)
+
+
 @pytest.mark.parametrize(("field", "bad", "message"), [
     ("min_df", 2.5, "min_df must be a positive integer, got 2.5"),
     ("min_df", 0, "min_df must be a positive integer, got 0"),
