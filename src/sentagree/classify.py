@@ -434,17 +434,24 @@ def _compile(compiler: Sequence[str] | None, library: Path) -> None:
 
 
 def _self_check(kernel) -> bool:
-    """Whether ``kernel`` gives the Python loop's bits on a fixed problem
-    of 40 rows, some empty, with bounds that bind."""
+    """Whether ``kernel`` gives the Python loop's bits on two fixed
+    problems, rows over 12 columns, some empty: 40 rows with bounds that
+    bind, and 300 rows, whose draws take masks up to 511, so every shift
+    that fills a mask acts."""
     rng = np.random.default_rng(2008)
-    lengths = rng.integers(0, 5, size=40)
-    indices = np.concatenate([np.sort(rng.choice(12, size=k, replace=False)) for k in lengths])
-    rows = CountRows(np.concatenate(([0], np.cumsum(lengths))), indices, rng.normal(size=indices.size), 12)
-    y = np.where(rng.random(40) < 0.5, -1.0, 1.0)
-    # all 20 epochs run, so the check covers the draw's generator state carried from one epoch to the next
-    config = TrainConfig(cost=0.5, tol=1e-12, max_epochs=20)
-    (w, *rest), (w_ref, *rest_ref) = (_descend(k, rows, y, config) for k in (kernel, None))
-    return w.tobytes() == w_ref.tobytes() and rest == rest_ref
+    # every epoch runs: the 40 rows' 20 cover the draw's generator state carried from one epoch to the next; 300 rows
+    # of entries, not more and not empty, as the Python loop's objects for each row stay in resident memory, and a
+    # plane of empty rows often ends in the same bits whatever its order
+    for n, config in ((40, TrainConfig(cost=0.5, tol=1e-12, max_epochs=20)),
+                      (300, TrainConfig(cost=10.0, tol=1e-12, max_epochs=2))):
+        lengths = rng.integers(0, 5, size=n)
+        indices = np.concatenate([np.sort(rng.choice(12, size=k, replace=False)) for k in lengths])
+        rows = CountRows(np.concatenate(([0], np.cumsum(lengths))), indices, rng.normal(size=indices.size), 12)
+        y = np.where(rng.random(n) < 0.5, -1.0, 1.0)
+        (w, *rest), (w_ref, *rest_ref) = (_descend(k, rows, y, config) for k in (kernel, None))
+        if w.tobytes() != w_ref.tobytes() or rest != rest_ref:
+            return False
+    return True
 
 
 @dataclass(frozen=True)

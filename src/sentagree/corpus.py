@@ -232,7 +232,7 @@ class _Columns:
         """Raise a :class:`_Fault` at the lowest faulty row over ``checks``
         (each the arguments of ``flag``) and these: ``columns`` (by name) of
         one length, a row per ``unit``; those named in ``ids`` (``post``
-        first) indices into their ids, each id nonempty and some row's;
+        first) indices into their ids, each id nonempty, unique and some row's;
         ``label`` codes -1/0/+1; each ``date`` a ``datetime`` or None, none
         with a UTC offset beside one without; each ``text`` a string or
         None.  Codes and indices are checked before any cast: 1.0 is 1."""
@@ -256,6 +256,12 @@ class _Columns:
             if not outside[what].any():  # an id of no row is no row's fault, so it comes after every row's
                 if (unused := np.bincount(index.astype(np.intp, copy=False), minlength=len(given)) == 0).any():
                     faults.append(_Fault(n, f"{what} {given[int(unused.argmax())]!r} has no row"))
+            if len(set(given)) < len(given):  # a dict pass only on a repeat: the rows that name a later copy
+                first: dict[str, int] = {}
+                later = np.array([first.setdefault(id_, i) != i for i, id_ in enumerate(given)])
+                at = np.where(outside[what], 0, index).astype(np.intp)  # an index outside the ids names no copy
+                said, values = ("", None) if what == "post" else (f": {what} ", np.asarray(given, object)[at])
+                flag(later[at] & ~outside[what], said, values, f" repeats an earlier {what}'s id")
         for check in ((_not_codes(columns["label"]), ": label ", columns["label"], " is not a code -1/0/+1"), *checks):
             flag(*check)
         faults += filter(None, [_date_fault(columns["date"], name)])
@@ -598,6 +604,7 @@ def merge_gold(records: Sequence[AnnotationRecord]) -> GoldTable:
     keys = [np.arange(n_posts), table.seq[order[starts]]]  # last key first: earliest seq, then post index
     if (date_row >= 0).all():
         keys.append(rank[date_row])
+    del order, dated, ordered, rank, by_date  # freed before the constructor checks the columns, the peak of a merge
     posts = np.lexsort(keys)
     dates, texts = table.dates + (None,), table.texts + (None,)  # row -1, a post without one, gives None
     return GoldTable(

@@ -16,25 +16,25 @@ every such term is in that vocabulary.  :func:`prepare` makes the
 corpus that :func:`cross_validate` and :func:`learning_curve` take, and
 learning-curve prefixes are views of its first rows.
 
-The fold is the one unit of work.  :func:`_fold_matrices` selects a
-fold's training and test rows once and trains every variant on them
-with one plane memo, so variants that share a plane train it once.
-:func:`_cross_validate` deals a command's (corpus, fold) pairs in order
-as contiguous runs of about equal training rows, one per CPU the
-process may run on (``os.sched_getaffinity``), with no setting.  The
-caller loads the C epoch kernel of ``classify`` first when a variant
-has planes, so that no worker compiles it, and runs the first run;
-forked workers run the others and send back, pickled, each fold's
-coincidence matrices or the exceptions raised.  The caller also runs
-any fold a dead worker never sent; with one CPU or without ``os.fork``
-it runs every fold and starts no process.  Each command deals once:
+The fold is the one unit of work.  :func:`_fold_codes` selects a
+fold's rows once and trains every variant on them with one plane memo,
+so variants that share a plane train it once.  :func:`_cross_validate`
+deals a command's (corpus, fold) pairs in order as contiguous runs of
+about equal training rows, one per CPU the process may run on
+(``os.sched_getaffinity``), with no setting.  The caller loads the C
+epoch kernel of ``classify`` first when a variant has planes, so that
+no worker compiles it, and runs the first run; forked workers run the
+others and send back, pickled, each variant's predicted codes (int8)
+of each fold or the exceptions raised.  The caller also runs any fold
+a dead worker never sent; with one CPU or without ``os.fork`` it runs
+every fold and starts no process.  Each command deals once:
 :func:`cross_validate` its folds, :func:`learning_curve` those of all
 its prefixes, and ``compare`` those of every dataset for all six
-variants.  Once every worker is reaped, the caller computes the
-measures in (corpus, variant, fold) order, which raises the lowest
-failing fold's error, and sums the pooled matrices in fold order, so
-every result is the same to the bit on any number of processes.  On
-Linux the kernel kills a worker whose caller ends first.
+variants.  Once every worker is reaped, the caller alone scores every
+fold and computes the measures in (corpus, variant, fold) order, which
+raises the lowest failing fold's error, and sums the pooled matrices in
+fold order, so every result is the same to the bit on any number of
+processes.  On Linux the kernel kills a worker whose caller ends first.
 
 Reported per measure: per-fold values, their mean, and the normal 95%
 half-width ``1.96 * sd / sqrt(k)`` (sample standard deviation), plus
@@ -270,39 +270,42 @@ def _fork_worker(solve: Callable[[], dict]) -> tuple[int, BinaryIO] | None:
         os._exit(status)
 
 
-def _fold_matrices(
+def _fold_codes(
     corpus: PreparedCorpus, plan: FoldPlan, fold: int, variants: Sequence[Variant], config: TrainConfig
-) -> list[CoincidenceMatrix | Exception]:
-    """Each variant's coincidence matrix of ``fold``, or the exception its
-    training, prediction or scoring raised.  The fold's training and test
-    rows are selected once, and all variants train on them with one plane
-    memo, so a plane that several variants use is trained once."""
+) -> list[np.ndarray | Exception]:
+    """Each variant's predicted codes (int8) of ``fold``'s test rows, or
+    the exception its training or prediction raised; the variants train
+    on rows selected once, with one plane memo."""
     (train_idx, keep), test_idx = _fold_rows(corpus, plan, fold), plan.folds[fold]
     rows, test_rows = corpus.counts.select(train_idx, keep), corpus.counts.select(test_idx, keep)
     labels = corpus.labels[train_idx]
     memo: dict = {}
-    matrices = []
+    codes = []
     for variant in variants:
         try:
             model = train_sentiment(rows, labels, variant, config, memo=memo)
-            matrices.append(score_predictions(predict_batch(model, test_rows), corpus.labels[test_idx]))
+            codes.append(predict_batch(model, test_rows).astype(np.int8))
         except Exception as exc:
-            matrices.append(exc)
-    return matrices
+            codes.append(exc)
+    return codes
 
 
 def _summarize(
-    variant: Variant, plan: FoldPlan, matrices: Sequence[CoincidenceMatrix | Exception], measures: Sequence[Measure]
+    variant: Variant, plan: FoldPlan, labels: np.ndarray, codes: Sequence[np.ndarray | Exception],
+    measures: Sequence[Measure],
 ) -> CrossValResult:
-    """The result of ``variant`` from its folds' matrices, in fold order;
-    the first failing fold raises, with its index attached."""
+    """The result of ``variant`` from its folds' predicted codes, in fold
+    order, scored against the corpus's ``labels``; the first failing fold
+    raises, with its index attached."""
     per_fold = {measure: np.empty(plan.k) for measure in measures}
-    for fold, matrix in enumerate(matrices):
+    matrices = []
+    for fold, predicted in enumerate(codes):
         try:
-            if isinstance(matrix, Exception):
-                raise matrix
+            if isinstance(predicted, Exception):
+                raise predicted
+            matrices.append(score_predictions(predicted, labels[plan.folds[fold]]))
             for measure in measures:
-                per_fold[measure][fold] = compute_measure(matrix, measure)
+                per_fold[measure][fold] = compute_measure(matrices[-1], measure)
         except Exception as exc:
             raise EvaluationError(f"fold {fold}: {exc}") from exc
     summaries = {}
@@ -329,7 +332,7 @@ def _cross_validate(
         return []
 
     def solve(share: Sequence[tuple[int, int]]) -> dict[tuple[int, int], list]:
-        return {(c, fold): _fold_matrices(corpora[c], plans[c], fold, variants, config) for c, fold in share}
+        return {(c, fold): _fold_codes(corpora[c], plans[c], fold, variants, config) for c, fold in share}
 
     # a fold costs its training rows
     costs = [len(corpora[c].labels) - plans[c].folds[fold].size for c, fold in pairs]
@@ -342,7 +345,7 @@ def _cross_validate(
         for share in shares[1:]:
             if (worker := _fork_worker(lambda share=share: solve(share))) is not None:
                 workers.append(worker)
-        matrices = solve(shares[0])
+        predicted = solve(shares[0])
         for pid, pipe in workers:
             data = pipe.read()
             code = os.waitstatus_to_exitcode(os.waitpid(pid, 0)[1])
@@ -350,15 +353,15 @@ def _cross_validate(
             if code != 0:
                 logger.warning("training process %d ended with exit code %d; the caller runs its folds", pid, code)
                 continue
-            matrices.update(pickle.loads(data))
+            predicted.update(pickle.loads(data))
     finally:
         for pid, pipe in workers:
             pipe.close()
             if pid not in reaped:  # the caller stopped early
                 os.kill(pid, signal.SIGKILL)
                 os.waitpid(pid, 0)
-    matrices.update(solve([pair for pair in pairs if pair not in matrices]))  # the folds no worker sent
-    return [[_summarize(variant, plan, [matrices[c, fold][v] for fold in range(plan.k)], measures)
+    predicted.update(solve([pair for pair in pairs if pair not in predicted]))  # the folds no worker sent
+    return [[_summarize(variant, plan, corpora[c].labels, [predicted[c, fold][v] for fold in range(plan.k)], measures)
              for v, variant in enumerate(variants)] for c, plan in enumerate(plans)]
 
 

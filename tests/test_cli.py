@@ -922,6 +922,17 @@ def test_tsv_quote_fault_names_the_tab_delimiter(tmp_path, capsys):
     assert err == f"error: corpus-format: {path}: line 2: '\\t' expected after '\"'\n"
 
 
+def test_a_gold_file_that_repeats_a_post_id_is_one_corpus_error(tmp_path, capsys):
+    # loaded as two posts, the one post could be in a training fold and in a test fold of crossval
+    path = tmp_path / "gold.csv"
+    path.write_text("TweetID,HandLabel,Text\np1,Positive,good\np2,Negative,bad\np1,Neutral,fine\n", encoding="utf-8")
+    code, out, err = run(["train", "--input", str(path), "--variant", "NaiveBayes", "--out", str(tmp_path / "m")],
+                         capsys)
+    assert (code, out) == (1, "")
+    assert err == f"error: corpus-format: {path}: line 4: post 'p1' repeats an earlier post's id\n"
+    assert not (tmp_path / "m").exists()
+
+
 def test_train_on_gold_without_text_is_one_corpus_error(tmp_path, capsys):
     path = write_table(tmp_path / "notext.csv", [("t1", "Positive"), ("t2", "Negative")],
                        header=("TweetID", "HandLabel"))

@@ -385,10 +385,18 @@ def test_hand_made_tables_fuzz_raise_only_format_errors(tmp_path, data) -> None:
     (lambda: hand_made(label=(0, 1, -2), merged_from=(0, 1, 1)), "post 'a': bad MergedFrom value 0"),
     (lambda: hand_annotations(label=[5, 0], annotator=[0, 3]), "post 'p': label 5 is not a code -1/0/+1"),
     (lambda: hand_annotations(label=[0, 5], seq=[0, 1, 2]), "post 'q': label 5 is not a code -1/0/+1"),
+    # a repeated id: merge_gold would give two gold posts of one id, and two labels of one annotator would count as
+    # an inter pair
+    (lambda: hand_annotations(post_ids=("p", "p")), "post 'p' repeats an earlier post's id"),
+    (lambda: hand_annotations(annotator_ids=("a", "a"), annotator=[0, 1]),
+     "post 'q': annotator 'a' repeats an earlier annotator's id"),
+    (lambda: hand_made(post_ids=("a", "b", "a")), "post 'a' repeats an earlier post's id"),
+    (lambda: hand_annotations(post_ids=("p", "p"), post=[1, 2]), "post 'p' repeats an earlier post's id"),
 ], ids=["code", "post-index", "annotator-index", "short", "long", "strings", "bools", "2**70", "empty-post",
         "empty-annotator", "empty-gold-post", "float-index", "whole-float-index", "post-without-row", "seq", "offsets",
         "date-string", "empty-date-string", "date-without-time", "text-int", "text-bytes", "lowest-row",
-        "code-before-index", "row-before-length"])
+        "code-before-index", "row-before-length", "repeated-post", "repeated-annotator", "repeated-gold-post",
+        "repeat-before-outside"])
 def test_a_hand_made_table_names_the_post_of_its_fault(make, fault) -> None:
     with pytest.raises(CorpusFormatError, match=f"^{re.escape(fault)}$"):
         make()

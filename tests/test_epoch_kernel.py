@@ -187,6 +187,20 @@ def test_without_a_usable_kernel_the_loader_logs_why_and_training_keeps_its_bits
         assert_same_bits(plane, train_binary(rows, y, config, term_weights))
 
 
+def test_a_kernel_whose_draw_is_wrong_only_on_larger_planes_fails_the_self_check(kernel, tmp_path, caplog) -> None:
+    """A mask filled by shifts 1, 2 and 4 alone covers draws below 256
+    only; the 40-row check plane never draws a larger one, so it takes
+    the self-check's plane of 300 rows to refuse this kernel."""
+    source = classify._KERNEL_SOURCE.read_text(encoding="utf-8")
+    loop = "for (int shift = 1; shift < 64; shift *= 2)"
+    assert source.count(loop) == 1
+    mutated = tmp_path / "_cd.c"
+    mutated.write_text(source.replace(loop, loop.replace("64", "8")), encoding="utf-8")
+    with patch.object(classify, "_KERNEL_SOURCE", mutated), caplog.at_level(logging.DEBUG, logger="sentagree.classify"):
+        assert classify._load_kernel(cache=tmp_path / "cache") is None
+    assert "differs from the Python loop" in caplog.text  # it compiled and loaded, then failed the check
+
+
 LOAD = "from sentagree import classify; assert classify._epoch_kernel() is not None"
 
 

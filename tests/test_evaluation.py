@@ -475,6 +475,39 @@ def test_an_interrupted_caller_stops_and_reaps_its_workers(forks, monkeypatch) -
     assert_reaped(forks)
 
 
+@pytest.mark.parametrize("cpus", [1, 2, 3])
+def test_the_caller_alone_scores_every_fold(cpus, forks, tmp_path, monkeypatch) -> None:
+    calls = tmp_path / "scored"  # appended to by every process that scores a fold
+
+    def score_predictions(*args, real=evaluation.score_predictions):
+        with open(calls, "a", encoding="utf-8") as handle:
+            handle.write(f"{os.getpid()}\n")
+        return real(*args)
+
+    monkeypatch.setattr(evaluation, "score_predictions", score_predictions)
+    see_cpus(monkeypatch, cpus)
+    corpora, variants, k = [prepare(separable_corpus(n, seed=4)) for n in (90, 120)], list(Variant), 3
+    results = evaluation._cross_validate(corpora, variants, TrainConfig(), k, evaluation.DEFAULT_MEASURES)
+    assert [[result.variant for result in row] for row in results] == [variants] * len(corpora)
+    assert len(forks) == cpus - 1
+    assert_reaped(forks)
+    assert calls.read_text(encoding="utf-8").splitlines() == [str(os.getpid())] * (len(corpora) * len(variants) * k)
+
+
+def test_a_fold_gives_each_variants_predicted_codes_or_its_exception(monkeypatch) -> None:
+    corpus, k, fold = prepare(separable_corpus(120, seed=4)), 3, 1
+    plan = plan_folds(corpus.labels, k)
+    monkeypatch.setattr(classify, "_train_plane", failing_at({int(plan.train_indices(fold).size)}))
+    variants = [Variant.TWO_PLANE, Variant.NAIVE_BAYES, Variant.CASCADING]
+    failed, codes, also_failed = evaluation._fold_codes(corpus, plan, fold, variants, TrainConfig())
+    assert isinstance(failed, EvaluationError) and isinstance(also_failed, EvaluationError)  # the planes fail
+    assert codes.dtype == np.int8 and codes.shape == plan.folds[fold].shape
+    (train_idx, keep), test_idx = evaluation._fold_rows(corpus, plan, fold), plan.folds[fold]
+    model = classify.train_sentiment(corpus.counts.select(train_idx, keep), corpus.labels[train_idx],
+                                     Variant.NAIVE_BAYES, TrainConfig())
+    assert codes.tolist() == classify.predict_batch(model, corpus.counts.select(test_idx, keep)).tolist()
+
+
 def _same_rows(rows: CountRows, docs, vocab) -> bool:
     expected = oracles.count_rows_brute(docs, vocab.terms, vocab.ngrams)
     arrays = ("indptr", "indices", "values")
